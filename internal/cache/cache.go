@@ -42,6 +42,14 @@ func (e Entry) String() string {
 // at million-node scale. The zero value is an empty, usable store (the
 // struct-of-arrays node state keeps Stores by value and must not pay a
 // map allocation per untouched node).
+//
+// Entry sets are immutable and copy-on-write: every mutation (Put,
+// ReplaceKey, Remove, Expire) publishes a freshly built slice and never
+// writes into one already published. That makes reads free — Fresh hands
+// out the set itself when nothing in it has expired — and makes a view
+// safe to ship in an update to another node or goroutine: nothing the
+// owner does later can change it. Writes pay the copy; with CUP keeping
+// caches fresh, reads outnumber them by two orders of magnitude.
 type Store struct {
 	byKey map[overlay.Key][]Entry
 }
@@ -59,21 +67,29 @@ func find(es []Entry, replica int) (int, bool) {
 	return i, i < len(es) && es[i].Replica == replica
 }
 
+// with returns a new set holding es plus e, replacing the entry for
+// e.Replica when present. es is not written.
+func with(es []Entry, e Entry) []Entry {
+	i, ok := find(es, e.Replica)
+	if ok {
+		out := make([]Entry, len(es))
+		copy(out, es)
+		out[i] = e
+		return out
+	}
+	out := make([]Entry, len(es)+1)
+	copy(out, es[:i])
+	out[i] = e
+	copy(out[i+1:], es[i:])
+	return out
+}
+
 // Put inserts or replaces the entry for (e.Key, e.Replica).
 func (s *Store) Put(e Entry) {
 	if s.byKey == nil {
 		s.byKey = make(map[overlay.Key][]Entry)
 	}
-	es := s.byKey[e.Key]
-	i, ok := find(es, e.Replica)
-	if ok {
-		es[i] = e
-		return
-	}
-	es = append(es, Entry{})
-	copy(es[i+1:], es[i:])
-	es[i] = e
-	s.byKey[e.Key] = es
+	s.byKey[e.Key] = with(s.byKey[e.Key], e)
 }
 
 // PutAll inserts every entry.
@@ -83,17 +99,32 @@ func (s *Store) PutAll(es []Entry) {
 	}
 }
 
-// ReplaceKey atomically replaces all entries for k with es. Entries in es
-// whose Key differs from k are rejected with a panic: a first-time update
-// carrying foreign entries is a protocol bug.
+// ReplaceKey atomically replaces all entries for k with a copy of es (in
+// any order; a later duplicate of a replica wins). Entries in es whose Key
+// differs from k are rejected with a panic: a first-time update carrying
+// foreign entries is a protocol bug.
 func (s *Store) ReplaceKey(k overlay.Key, es []Entry) {
-	delete(s.byKey, k)
+	if len(es) == 0 {
+		delete(s.byKey, k)
+		return
+	}
+	// out is private until published below, so it is built in place.
+	out := make([]Entry, 0, len(es))
 	for _, e := range es {
 		if e.Key != k {
 			panic(fmt.Sprintf("cache: ReplaceKey(%q) given entry for %q", k, e.Key))
 		}
-		s.Put(e)
+		i, ok := find(out, e.Replica)
+		if !ok {
+			out = append(out, Entry{})
+			copy(out[i+1:], out[i:])
+		}
+		out[i] = e
 	}
+	if s.byKey == nil {
+		s.byKey = make(map[overlay.Key][]Entry)
+	}
+	s.byKey[k] = out
 }
 
 // Remove deletes the entry for (k, replica) if present, reporting whether
@@ -108,7 +139,10 @@ func (s *Store) Remove(k overlay.Key, replica int) bool {
 		delete(s.byKey, k)
 		return true
 	}
-	s.byKey[k] = append(es[:i], es[i+1:]...)
+	out := make([]Entry, len(es)-1)
+	copy(out, es[:i])
+	copy(out[i:], es[i+1:])
+	s.byKey[k] = out
 	return true
 }
 
@@ -129,8 +163,8 @@ func (s *Store) Get(k overlay.Key, replica int) (Entry, bool) {
 }
 
 // All returns every entry for k (fresh or stale), sorted by replica for
-// deterministic iteration. The slice is freshly allocated — callers ship
-// it in updates and must not alias the store's internal state.
+// deterministic iteration. The slice is freshly allocated: unlike a Fresh
+// view, callers may write to it.
 func (s *Store) All(k overlay.Key) []Entry {
 	es := s.byKey[k]
 	if len(es) == 0 {
@@ -142,6 +176,12 @@ func (s *Store) All(k overlay.Key) []Entry {
 }
 
 // Fresh returns the fresh entries for k at time now, sorted by replica.
+// When every entry is fresh — the common case wherever updates keep the
+// cache maintained — the result is a capacity-clipped view of the store's
+// own immutable set: no copy, and appending to it reallocates rather than
+// writing into the store. Callers must not write to its elements.
+//
+//cup:hotpath
 func (s *Store) Fresh(k overlay.Key, now sim.Time) []Entry {
 	es := s.byKey[k]
 	n := 0
@@ -153,10 +193,14 @@ func (s *Store) Fresh(k overlay.Key, now sim.Time) []Entry {
 	if n == 0 {
 		return nil
 	}
-	out := make([]Entry, 0, n)
+	if n == len(es) {
+		return es[:n:n]
+	}
+	// Some entries expired without a refresh reaching us: the cold case.
+	out := make([]Entry, 0, n) //cup:allowalloc
 	for i := range es {
 		if es[i].Fresh(now) {
-			out = append(out, es[i])
+			out = append(out, es[i]) //cup:allowalloc (never grows: sized above)
 		}
 	}
 	return out
@@ -194,19 +238,27 @@ func (s *Store) MaxExpiry(k overlay.Key) sim.Time {
 func (s *Store) Expire(now sim.Time) int {
 	dropped := 0
 	for k, es := range s.byKey {
-		keep := es[:0]
+		stale := 0
+		for i := range es {
+			if !es[i].Fresh(now) {
+				stale++
+			}
+		}
+		if stale == 0 {
+			continue
+		}
+		dropped += stale
+		if stale == len(es) {
+			delete(s.byKey, k)
+			continue
+		}
+		keep := make([]Entry, 0, len(es)-stale)
 		for _, e := range es {
 			if e.Fresh(now) {
 				keep = append(keep, e)
-			} else {
-				dropped++
 			}
 		}
-		if len(keep) == 0 {
-			delete(s.byKey, k)
-		} else if len(keep) != len(es) {
-			s.byKey[k] = keep
-		}
+		s.byKey[k] = keep
 	}
 	return dropped
 }

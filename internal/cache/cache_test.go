@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -248,5 +249,64 @@ func TestEntryString(t *testing.T) {
 	e := entry("k", 3, 12.5)
 	if e.String() == "" {
 		t.Fatal("empty String()")
+	}
+}
+
+// Entry sets are copy-on-write: a Fresh view taken before any mutation
+// still reads exactly as it did when taken, and a view is capacity-clipped
+// so appending to it cannot write into the store.
+func TestFreshViewIsImmutable(t *testing.T) {
+	seed := func() *Store {
+		s := NewStore()
+		s.Put(entry("k", 1, 100))
+		s.Put(entry("k", 3, 200))
+		return s
+	}
+	want := []Entry{entry("k", 1, 100), entry("k", 3, 200)}
+	for name, mutate := range map[string]func(*Store){
+		"Put replace": func(s *Store) { s.Put(entry("k", 1, 999)) },
+		"Put insert":  func(s *Store) { s.Put(entry("k", 2, 999)) },
+		"PutAll":      func(s *Store) { s.PutAll([]Entry{entry("k", 0, 999), entry("k", 3, 999)}) },
+		"Remove":      func(s *Store) { s.Remove("k", 1) },
+		"RemoveKey":   func(s *Store) { s.RemoveKey("k") },
+		"Expire":      func(s *Store) { s.Expire(150) },
+		"ReplaceKey":  func(s *Store) { s.ReplaceKey("k", []Entry{entry("k", 7, 999)}) },
+	} {
+		s := seed()
+		view := s.Fresh("k", 0)
+		if !reflect.DeepEqual(view, want) {
+			t.Fatalf("%s: view before = %v", name, view)
+		}
+		mutate(s)
+		if !reflect.DeepEqual(view, want) {
+			t.Errorf("%s changed a view taken before it: %v", name, view)
+		}
+	}
+
+	s := seed()
+	view := s.Fresh("k", 0)
+	if cap(view) != len(view) {
+		t.Fatalf("view has spare capacity %d > len %d", cap(view), len(view))
+	}
+	_ = append(view, entry("k", 9, 999))
+	if got := s.Fresh("k", 0); !reflect.DeepEqual(got, want) {
+		t.Errorf("appending to a view wrote into the store: %v", got)
+	}
+	// ReplaceKey copies what it is given: the caller's slice stays its own.
+	mine := []Entry{entry("j", 2, 50), entry("j", 1, 60)}
+	s.ReplaceKey("j", mine)
+	mine[0].Expires = 1
+	if got := s.Fresh("j", 0); !reflect.DeepEqual(got, []Entry{entry("j", 1, 60), entry("j", 2, 50)}) {
+		t.Errorf("ReplaceKey aliased or mis-sorted its argument: %v", got)
+	}
+}
+
+// A fully fresh set is served as a view, without allocating.
+func TestFreshAllFreshAllocatesNothing(t *testing.T) {
+	s := NewStore()
+	s.Put(entry("k", 1, 100))
+	s.Put(entry("k", 2, 100))
+	if allocs := testing.AllocsPerRun(1000, func() { s.Fresh("k", 10) }); allocs != 0 {
+		t.Errorf("Fresh on an all-fresh set allocates %.1f, want 0", allocs)
 	}
 }

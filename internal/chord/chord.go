@@ -62,20 +62,50 @@ func Build(n int) *Ring {
 		r.succ[node] = r.order[(pos+1)%n]
 		r.pred[node] = r.order[(pos-1+n)%n]
 	}
-	for i := 0; i < n; i++ {
-		r.buildFingers(overlay.NodeID(i))
-	}
+	r.buildFingers()
 	return r
 }
 
-// buildFingers computes the classic finger table: entry b points at the
-// first node whose identifier succeeds ids[n] + 2^b (mod 2^64). Duplicate
-// consecutive fingers are kept — the table is indexed positionally.
-func (r *Ring) buildFingers(n overlay.NodeID) {
-	row := r.fingers[int(n)*fingerBits : (int(n)+1)*fingerBits]
-	for b := 0; b < fingerBits; b++ {
-		target := r.ids[n] + (uint64(1) << uint(b)) // wraps naturally mod 2^64
-		row[b] = r.successorOf(target)
+// buildFingers computes the classic finger tables: entry b of node m
+// points at the first node whose identifier succeeds ids[m] + 2^b (mod
+// 2^64). Duplicate consecutive fingers are kept — the table is indexed
+// positionally.
+//
+// For a fixed b, walking the nodes in ring order makes the targets walk
+// the circle once too (they are the ring positions shifted by 2^b), so
+// each bit's successor is an advancing cursor rather than a binary search
+// per finger: one pass over the sorted ring with 64 cursors, each going
+// round once, instead of 64·n searches chasing two dependent loads per
+// probe. Rows are written whole, in ring order.
+func (r *Ring) buildFingers() {
+	n := len(r.order)
+	sorted := make([]uint64, n) // ring positions in ring order
+	for pos, node := range r.order {
+		sorted[pos] = r.ids[node]
+	}
+	// cur[b] is the ring-order index of the first position ≥ bit b's
+	// current target, n meaning "past the last": the successor wraps to 0.
+	var cur [fingerBits]int
+	var wrapped [fingerBits]bool
+	for pos, id := range sorted {
+		row := r.fingers[int(r.order[pos])*fingerBits:][:fingerBits]
+		for b := range row {
+			t := id + uint64(1)<<uint(b) // wraps naturally mod 2^64
+			if t < id && !wrapped[b] {
+				// Bit b's targets crossed zero: from here they start over
+				// from the bottom of the ring, still ascending.
+				wrapped[b], cur[b] = true, 0
+			}
+			c := cur[b]
+			for c < n && sorted[c] < t {
+				c++
+			}
+			cur[b] = c
+			if c == n {
+				c = 0
+			}
+			row[b] = r.order[c]
+		}
 	}
 }
 

@@ -200,3 +200,22 @@ func BenchmarkRoute1024(b *testing.B) {
 		overlay.PathTo(r, overlay.NodeID(i%1024), k, 4*fingerBits)
 	}
 }
+
+// The cursor-built finger tables must be exactly the definition: entry b
+// of node i is the successor of ids[i] + 2^b, found here the slow way, by
+// one binary search per finger. The small sizes cover a lone node (every
+// finger is itself), rings where most targets wrap past zero, and rings
+// where many nodes share a successor.
+func TestFingersMatchSuccessorOf(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 64, 1000, 20000} {
+		r := Build(n)
+		for i := 0; i < n; i++ {
+			for b := 0; b < fingerBits; b++ {
+				want := r.successorOf(r.ids[i] + uint64(1)<<uint(b))
+				if got := r.finger(overlay.NodeID(i), b); got != want {
+					t.Fatalf("n=%d: finger(%d, %d) = %v, want successorOf = %v", n, i, b, got, want)
+				}
+			}
+		}
+	}
+}

@@ -46,34 +46,36 @@ func (p *arenaPool) alloc() int32 {
 // Arena is the struct-of-arrays backing store for simulation-scale node
 // populations: all Node structs in one slice (dense uint32 handles ==
 // overlay IDs), cache stores by value in parallel slices, per-key state
-// in a chunked slab threaded per node, and one shared nodeEnv instead of
-// per-node Config/Router copies. At n=10⁶ this is the difference between
+// in chunked slabs threaded per node, and one nodeEnv per owner instead
+// of per-node Config/Router copies. At n=10⁶ this is the difference between
 // ~150 bytes of resident state per untouched node and the standalone
 // representation's four heap objects (Node, two Stores, keys map) before
 // any traffic arrives. Behavior is identical to standalone nodes; the
 // *Node API is a thin view over the arrays.
+//
+// A fresh arena has a single owner. SetOwner carves out a contiguous node
+// block with its own clock, key-state slab and action buffer, so a sharded
+// run's handlers share no writable state across shards.
 type Arena struct {
-	env    nodeEnv
+	// owners[0] owns every node until SetOwner carves blocks out of it.
+	owners []*nodeEnv
 	nodes  []Node
 	stores []cache.Store
 	locals []cache.Store
-	// keyHead[slot] is the first key-state slot of node slot, -1 if none.
+	// keyHead[slot] is the first key-state slot of node slot in its
+	// owner's pool, -1 if none.
 	keyHead []int32
-	pool    arenaPool
 }
 
 // NewArena builds n arena-backed nodes with dense IDs 0..n-1, all sharing
-// cfg and router and reading clock. Per-node clocks (sharded schedulers)
-// can be installed afterwards with SetClockRange.
+// cfg and router and reading clock.
 func NewArena(n int, cfg Config, router Router, clock func() sim.Time) *Arena {
-	if cfg.Policy == nil {
-		panic("cup: Config.Policy must be set (use Defaults())")
+	if clock == nil {
+		panic("cup: clock is required")
 	}
-	if router == nil || clock == nil {
-		panic("cup: router and clock are required")
-	}
+	env := newNodeEnv(cfg, router)
 	a := &Arena{
-		env:     nodeEnv{cfg: cfg, router: router},
+		owners:  []*nodeEnv{env},
 		nodes:   make([]Node, n),
 		stores:  make([]cache.Store, n),
 		locals:  make([]cache.Store, n),
@@ -82,7 +84,7 @@ func NewArena(n int, cfg Config, router Router, clock func() sim.Time) *Arena {
 	for i := range a.nodes {
 		nd := &a.nodes[i]
 		nd.id = overlay.NodeID(i)
-		nd.env = &a.env
+		nd.env = env
 		nd.now = clock
 		nd.store = &a.stores[i]
 		nd.local = &a.locals[i]
@@ -101,10 +103,18 @@ func (a *Arena) Len() int { return len(a.nodes) }
 // the arena's lifetime.
 func (a *Arena) Node(i int) *Node { return &a.nodes[i] }
 
-// SetClockRange installs clock as the time source for nodes [lo, hi) —
-// the sharded scheduler gives each shard's nodes that shard's clock.
-func (a *Arena) SetClockRange(lo, hi int, clock func() sim.Time) {
+// SetOwner makes nodes [lo, hi) one owner of their own: they read clock,
+// allocate key state from a private slab and build handler results in a
+// private buffer. The sharded scheduler calls it once per shard block,
+// before any node of the block has key state.
+func (a *Arena) SetOwner(lo, hi int, clock func() sim.Time) {
+	env := newNodeEnv(a.owners[0].cfg, a.owners[0].router)
+	a.owners = append(a.owners, env)
 	for i := lo; i < hi; i++ {
+		if a.keyHead[i] >= 0 {
+			panic("cup: SetOwner on a node that already holds key state")
+		}
+		a.nodes[i].env = env
 		a.nodes[i].now = clock
 	}
 }
@@ -118,34 +128,40 @@ func (a *Arena) SetObserver(o Observer) {
 
 // KeyStates returns the total number of allocated per-key states — the
 // denominator-free numerator for bytes-per-node accounting.
-func (a *Arena) KeyStates() int { return int(a.pool.n) }
-
-// state returns (allocating if needed) node slot's bookkeeping for k.
-func (a *Arena) state(slot uint32, k overlay.Key) *keyState {
-	for i := a.keyHead[slot]; i >= 0; {
-		sl := a.pool.at(i)
-		if sl.key == k {
-			return &sl.ks
-		}
-		i = sl.next
+func (a *Arena) KeyStates() int {
+	total := 0
+	for _, env := range a.owners {
+		total += int(env.pool.n)
 	}
-	i := a.pool.alloc()
-	sl := a.pool.at(i)
+	return total
+}
+
+// state returns (allocating if needed) node n's bookkeeping for k.
+func (a *Arena) state(n *Node, k overlay.Key) *keyState {
+	if ks := a.peek(n, k); ks != nil {
+		return ks
+	}
+	pool := &n.env.pool
+	i := pool.alloc()
+	sl := pool.at(i)
 	sl.key = k
-	sl.next = a.keyHead[slot]
+	sl.next = a.keyHead[n.slot]
 	sl.ks = keyState{
 		watchReplica: -1,
-		inst:         a.env.cfg.Policy.New(),
+		inst:         n.env.cfg.Policy.New(),
 		dist:         -1,
 	}
-	a.keyHead[slot] = i
+	a.keyHead[n.slot] = i
 	return &sl.ks
 }
 
-// peek returns node slot's bookkeeping for k without allocating, or nil.
-func (a *Arena) peek(slot uint32, k overlay.Key) *keyState {
-	for i := a.keyHead[slot]; i >= 0; {
-		sl := a.pool.at(i)
+// peek returns node n's bookkeeping for k without allocating, or nil.
+//
+//cup:hotpath
+func (a *Arena) peek(n *Node, k overlay.Key) *keyState {
+	pool := &n.env.pool
+	for i := a.keyHead[n.slot]; i >= 0; {
+		sl := pool.at(i)
 		if sl.key == k {
 			return &sl.ks
 		}
@@ -154,10 +170,11 @@ func (a *Arena) peek(slot uint32, k overlay.Key) *keyState {
 	return nil
 }
 
-// each visits every key state of node slot.
-func (a *Arena) each(slot uint32, fn func(*keyState)) {
-	for i := a.keyHead[slot]; i >= 0; {
-		sl := a.pool.at(i)
+// each visits every key state of node n.
+func (a *Arena) each(n *Node, fn func(*keyState)) {
+	pool := &n.env.pool
+	for i := a.keyHead[n.slot]; i >= 0; {
+		sl := pool.at(i)
 		fn(&sl.ks)
 		i = sl.next
 	}

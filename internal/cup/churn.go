@@ -11,8 +11,8 @@ import (
 // discrete-event driver. Churn is supported on any substrate exposing the
 // dynamicOverlay capability below: the CAN (zones split on join and are
 // absorbed by a neighbor on departure) and Kademlia (buckets re-knit
-// around the changed membership). On every membership change the routing
-// memo is invalidated, the affected nodes' interest bit vectors are
+// around the changed membership). On every membership change the next
+// hops nodes cached are invalidated, the affected nodes' interest bit vectors are
 // patched, and on departure the departing node's portion of the global
 // index is handed over per key to its new authority (the paper's
 // hand-over alternative, which avoids restarting update propagation).
@@ -80,7 +80,7 @@ func (s *Simulation) JoinNode() overlay.NodeID {
 	id := d.JoinRand(s.Rng)
 	s.Router.Invalidate()
 
-	node := NewNode(id, s.P.Config, s.Router, s.Sched.Now)
+	node := newNode(s.env, id, s.Sched.Now)
 	node.SetObserver(s.P.Observer)
 	if int(id) != len(s.Nodes) {
 		panic(fmt.Sprintf("cup: overlay issued id %v, expected %d", id, len(s.Nodes)))

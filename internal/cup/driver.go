@@ -194,6 +194,10 @@ type Simulation struct {
 
 	// A backs the nodes when P.DenseState (nil for map-based nodes).
 	A *Arena
+	// env is the single-heap run's owner: every node it drives — arena
+	// nodes, map-based nodes, churn joiners — shares its action buffer.
+	// (A sharded run has one owner per shard instead; see Arena.SetOwner.)
+	env *nodeEnv
 	// Cs are the per-shard counter slabs of a sharded run, folded into C
 	// at the end; each shard's handlers touch only their own slab, so
 	// windows run without cross-shard write sharing.
@@ -404,12 +408,15 @@ func NewSimulation(p Params) *Simulation {
 			clock = s.Sched.Now
 		}
 		s.A = NewArena(p.Nodes, p.Config, s.Router, clock)
+		s.env = s.A.owners[0]
 		if s.Shd != nil {
-			// Each shard's nodes read their own shard's clock.
+			// Each shard's nodes are an owner of their own: the shard's
+			// clock, and key-state slab and action buffer no other shard
+			// touches while a window runs.
 			for sh := 0; sh < nsh; sh++ {
 				lo := (sh*p.Nodes + nsh - 1) / nsh
 				hi := ((sh+1)*p.Nodes + nsh - 1) / nsh
-				s.A.SetClockRange(lo, hi, s.Shd.Shard(sh).Now)
+				s.A.SetOwner(lo, hi, s.Shd.Shard(sh).Now)
 			}
 		}
 		if p.Observer != nil {
@@ -419,8 +426,9 @@ func NewSimulation(p Params) *Simulation {
 			s.Nodes[i] = s.A.Node(i)
 		}
 	} else {
+		s.env = newNodeEnv(p.Config, s.Router)
 		for i := range s.Nodes {
-			s.Nodes[i] = NewNode(overlay.NodeID(i), p.Config, s.Router, s.Sched.Now)
+			s.Nodes[i] = newNode(s.env, overlay.NodeID(i), s.Sched.Now)
 			s.Nodes[i].SetObserver(p.Observer)
 		}
 	}
@@ -493,31 +501,37 @@ func (s *Simulation) TrafficEnv() TrafficEnv {
 // startTraffic pulls the traffic stream one event ahead of the virtual
 // clock: the next arrival is drawn at the previous arrival's instant
 // (or at construction for the first), scheduled, and resolved to a
-// concrete node and key at delivery.
+// concrete node and key at delivery. One closure serves the whole stream:
+// it delivers the arrival it was armed with, then re-arms itself with the
+// next, so a run of any length schedules its traffic without allocating.
 func (s *Simulation) startTraffic(tr Traffic) {
 	st := tr.Stream(s.TrafficEnv())
-	var arm func()
-	arm = func() {
-		ev, ok := st.Next()
-		if !ok {
+	var (
+		ev      QueryEvent
+		deliver func()
+	)
+	arm := func() {
+		var ok bool
+		if ev, ok = st.Next(); !ok {
 			return
 		}
 		at := sim.Time(ev.At)
 		if at < s.Sched.Now() {
 			at = s.Sched.Now() // generators must not schedule into the past
 		}
-		s.Sched.At(at, func() {
-			nid := ev.Node
-			if nid == AnyNode || int(nid) < 0 || int(nid) >= len(s.Nodes) || !s.NodeAlive(nid) {
-				nid = s.pickAliveNode()
-			}
-			k := ev.Key
-			if k == "" {
-				k = s.pickKey()
-			}
-			s.PostQueryAt(nid, k)
-			arm()
-		})
+		s.Sched.At(at, deliver)
+	}
+	deliver = func() {
+		nid := ev.Node
+		if nid == AnyNode || int(nid) < 0 || int(nid) >= len(s.Nodes) || !s.NodeAlive(nid) {
+			nid = s.pickAliveNode()
+		}
+		k := ev.Key
+		if k == "" {
+			k = s.pickKey()
+		}
+		s.PostQueryAt(nid, k)
+		arm()
 	}
 	arm()
 }
@@ -743,27 +757,35 @@ func (s *Simulation) pickAliveNode() overlay.NodeID {
 }
 
 // PostQueryAt posts a local client query for k at node nid and accounts
-// for hit/miss classification.
+// for hit/miss classification, all from the one key-state lookup it hands
+// on to the handler: a local query is a hit exactly when the handler
+// answers it inline (authority, or fresh entries cached), and a miss is
+// classified by the flags the query found on arrival.
+//
+//cup:hotpath
 func (s *Simulation) PostQueryAt(nid overlay.NodeID, k overlay.Key) {
 	node := s.Nodes[nid]
 	c := s.ctr(nid)
 	c.Queries++
-	if node.HasFreshAnswer(k) {
+	ks := node.state(k)
+	pfu, everHeld := ks.pfu, ks.everHeld
+	acts := node.handleQuery(ks, LocalClient, k, 0)
+	if len(acts) == 1 && acts[0].Kind == ActDeliverLocal {
 		c.Hits++
 	} else {
-		if node.PendingFirstUpdate(k) {
+		if pfu {
 			c.Coalesced++
 		}
-		if node.EverHeld(k) {
+		if everHeld {
 			c.FreshnessMisses++
 		} else {
 			c.FirstTimeMisses++
 		}
 		pk := pendKey{nid, k}
 		pend := s.pending[s.shardOf(nid)]
-		pend[pk] = append(pend[pk], s.nowAt(nid))
+		pend[pk] = append(pend[pk], s.nowAt(nid)) //cup:allowalloc (miss path)
 	}
-	s.dispatch(nid, node.HandleQuery(LocalClient, k, 0))
+	s.dispatch(nid, acts)
 }
 
 func (s *Simulation) pickKey() overlay.Key { return s.keyPick() }
@@ -772,55 +794,74 @@ func (s *Simulation) pickKey() overlay.Key { return s.keyPick() }
 // message deliveries one hop (HopDelay) later and accounting hop costs per
 // the paper's cost model (§3.3): query hops and response hops are miss
 // cost; proactive update hops and clear-bit hops are overhead.
+//
+// acts is a handler result and dies with the next handler call, so each
+// posted hop captures copies of just the fields its delivery needs; a
+// local delivery happens inline and captures nothing.
+//
+//cup:hotpath
 func (s *Simulation) dispatch(from overlay.NodeID, acts []Action) {
-	for _, a := range acts {
-		a := a
-		from := from
+	for i := range acts {
+		a := &acts[i]
 		switch a.Kind {
 		case ActSendQuery:
-			s.flushHeldClearBits(from, a.To)
-			s.post(from, a.To, s.delay(from, a.To), func() {
-				if !s.NodeAlive(a.To) {
-					return // departed mid-flight; the client re-queries
-				}
-				s.ctr(a.To).QueryHops++
-				s.dispatch(a.To, s.Nodes[a.To].HandleQuery(from, a.Key, a.QueryID))
-			})
+			s.sendQuery(from, a.To, a.Key, a.QueryID)
 		case ActSendUpdate:
-			s.flushHeldClearBits(from, a.To)
-			s.post(from, a.To, s.delay(from, a.To), func() {
-				if !s.NodeAlive(a.To) {
-					return
-				}
-				// Classify by the receiver's state at delivery: an update
-				// arriving at a node awaiting a response — or retracing a
-				// specific query (standard caching) — is miss cost;
-				// anything else is propagation overhead.
-				if a.Update.QueryID != 0 || s.Nodes[a.To].PendingFirstUpdate(a.Key) {
-					s.ctr(a.To).ResponseHops++
-				} else {
-					s.ctr(a.To).UpdateHops++
-				}
-				s.dispatch(a.To, s.Nodes[a.To].HandleUpdate(from, a.Update))
-			})
+			s.sendUpdate(from, a.To, a.Update)
 		case ActSendClearBit:
 			if s.P.PiggybackClearBits {
 				s.holdClearBit(from, a.To, a.Key)
 				break
 			}
-			s.post(from, a.To, s.delay(from, a.To), func() {
-				if !s.NodeAlive(a.To) {
-					return
-				}
-				s.ctr(a.To).ClearBitHops++
-				s.dispatch(a.To, s.Nodes[a.To].HandleClearBit(from, a.Key))
-			})
+			s.sendClearBit(from, a.To, a.Key)
 		case ActDeliverLocal:
 			s.deliverLocal(from, a.Key, a.Entries)
 		default:
 			panic(fmt.Sprintf("cup: unknown action kind %d", a.Kind))
 		}
 	}
+}
+
+func (s *Simulation) sendQuery(from, to overlay.NodeID, k overlay.Key, qid uint64) {
+	s.flushHeldClearBits(from, to)
+	s.post(from, to, s.delay(from, to), func() {
+		if !s.NodeAlive(to) {
+			return // departed mid-flight; the client re-queries
+		}
+		s.ctr(to).QueryHops++
+		s.dispatch(to, s.Nodes[to].HandleQuery(from, k, qid))
+	})
+}
+
+func (s *Simulation) sendUpdate(from, to overlay.NodeID, u Update) {
+	s.flushHeldClearBits(from, to)
+	s.post(from, to, s.delay(from, to), func() {
+		if !s.NodeAlive(to) {
+			return
+		}
+		// Classify by the receiver's state at delivery: an update
+		// arriving at a node awaiting a response — or retracing a
+		// specific query (standard caching) — is miss cost;
+		// anything else is propagation overhead.
+		node := s.Nodes[to]
+		ks := node.state(u.Key)
+		if u.QueryID != 0 || ks.pfu {
+			s.ctr(to).ResponseHops++
+		} else {
+			s.ctr(to).UpdateHops++
+		}
+		s.dispatch(to, node.handleUpdate(ks, from, u))
+	})
+}
+
+func (s *Simulation) sendClearBit(from, to overlay.NodeID, k overlay.Key) {
+	s.post(from, to, s.delay(from, to), func() {
+		if !s.NodeAlive(to) {
+			return
+		}
+		s.ctr(to).ClearBitHops++
+		s.dispatch(to, s.Nodes[to].HandleClearBit(from, k))
+	})
 }
 
 // holdClearBit parks a clear-bit on its link waiting for a carrier (§2.7
@@ -867,21 +908,30 @@ func (s *Simulation) flushHeldClearBits(from, to overlay.NodeID) {
 }
 
 // deliverLocal resolves the open local client connections at node nid.
+// A hit usually finds both tables empty and touches neither. (The guard
+// on lookups is also what keeps a sharded window from writing the one
+// table shards share: interactive lookups need the single heap, so it is
+// always empty there.)
+//
+//cup:hotpath
 func (s *Simulation) deliverLocal(nid overlay.NodeID, k overlay.Key, entries []cache.Entry) {
 	pk := pendKey{nid, k}
-	now := s.nowAt(nid)
-	pend := s.pending[s.shardOf(nid)]
-	c := s.ctr(nid)
-	for _, t0 := range pend[pk] {
-		c.MissLatencyTotal += float64(now.Sub(t0))
-		c.MissesServed++
+	if pend := s.pending[s.shardOf(nid)]; len(pend) != 0 {
+		now := s.nowAt(nid)
+		c := s.ctr(nid)
+		for _, t0 := range pend[pk] {
+			c.MissLatencyTotal += float64(now.Sub(t0))
+			c.MissesServed++
+		}
+		delete(pend, pk)
 	}
-	delete(pend, pk)
-	for _, w := range s.lookups[pk] {
-		w.done = true
-		w.entries = entries
+	if len(s.lookups) != 0 {
+		for _, w := range s.lookups[pk] {
+			w.done = true
+			w.entries = entries
+		}
+		delete(s.lookups, pk)
 	}
-	delete(s.lookups, pk)
 }
 
 // SetCapacityFraction applies a reduced outgoing update capacity to a set

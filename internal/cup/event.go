@@ -131,11 +131,15 @@ func (f ObserverFunc) OnEvent(e Event) { f(e) }
 // subscriber's buffer is full the event is dropped for that subscriber
 // and counted in Dropped. Synchronous observers see every event.
 type Bus struct {
-	mu      sync.RWMutex
-	seq     uint64
-	taps    []busTap
-	subs    []*busSub
-	dropped atomic.Uint64
+	mu   sync.RWMutex
+	seq  uint64
+	taps []busTap
+	subs []*busSub
+	// listeners is len(taps)+len(subs), kept in step under mu, so an
+	// emitter with nobody listening — every node of an unobserved run, on
+	// every protocol event — leaves without taking the lock.
+	listeners atomic.Int32
+	dropped   atomic.Uint64
 }
 
 type busTap struct {
@@ -159,6 +163,11 @@ func NewBus() *Bus {
 //
 //cup:hotpath
 func (b *Bus) OnEvent(e Event) {
+	if b.listeners.Load() == 0 {
+		return
+	}
+	// The read lock is what orders a subscriber's channel send before its
+	// close (see Subscribe); it is not optional on this path.
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	for i := range b.taps {
@@ -183,12 +192,14 @@ func (b *Bus) Attach(o Observer) (detach func()) {
 	b.seq++
 	id := b.seq
 	b.taps = append(b.taps, busTap{id: id, o: o})
+	b.listeners.Add(1)
 	b.mu.Unlock()
 	return func() {
 		b.mu.Lock()
 		for i := range b.taps {
 			if b.taps[i].id == id {
 				b.taps = append(b.taps[:i], b.taps[i+1:]...)
+				b.listeners.Add(-1)
 				break
 			}
 		}
@@ -208,6 +219,7 @@ func (b *Bus) Subscribe(buffer int, filter func(Event) bool) (<-chan Event, func
 	b.seq++
 	s := &busSub{id: b.seq, ch: make(chan Event, buffer), filter: filter}
 	b.subs = append(b.subs, s)
+	b.listeners.Add(1)
 	b.mu.Unlock()
 	// Membership in b.subs guards the close: emitters hold the read lock
 	// while sending, and both cancel and CloseSubscribers close only the
@@ -218,6 +230,7 @@ func (b *Bus) Subscribe(buffer int, filter func(Event) bool) (<-chan Event, func
 		for i := range b.subs {
 			if b.subs[i].id == s.id {
 				b.subs = append(b.subs[:i], b.subs[i+1:]...)
+				b.listeners.Add(-1)
 				close(s.ch)
 				break
 			}
@@ -235,6 +248,7 @@ func (b *Bus) CloseSubscribers() {
 	for _, s := range b.subs {
 		close(s.ch)
 	}
+	b.listeners.Add(-int32(len(b.subs)))
 	b.subs = nil
 	b.mu.Unlock()
 }

@@ -1,6 +1,8 @@
 package cup
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -94,5 +96,87 @@ func TestBusOnEventAllocs(t *testing.T) {
 	ev := Event{Kind: EvUpdatePushed, Entries: 1, Depth: 2}
 	if allocs := testing.AllocsPerRun(1000, func() { b.OnEvent(ev) }); allocs != 0 {
 		t.Fatalf("Bus.OnEvent allocates %.1f per event, want 0", allocs)
+	}
+}
+
+// TestBusListenerCount pins the early-out's bookkeeping: the count an
+// emitter checks before taking the lock follows every way a listener can
+// come and go, so nobody attached means no work and anybody attached
+// means delivery.
+func TestBusListenerCount(t *testing.T) {
+	b := NewBus()
+	want := func(n int32) {
+		t.Helper()
+		if got := b.listeners.Load(); got != n {
+			t.Fatalf("listeners = %d, want %d", got, n)
+		}
+	}
+	want(0)
+	if allocs := testing.AllocsPerRun(100, func() { b.OnEvent(Event{Kind: EvQueryIssued}) }); allocs != 0 {
+		t.Fatalf("OnEvent with nobody listening allocates %.1f", allocs)
+	}
+	seen := 0
+	detach := b.Attach(ObserverFunc(func(Event) { seen++ }))
+	ch, cancel := b.Subscribe(4, nil)
+	_, _ = b.Subscribe(4, nil)
+	want(3)
+	b.OnEvent(Event{Kind: EvQueryIssued})
+	if seen != 1 || len(ch) != 1 {
+		t.Fatalf("attached listeners missed the event: tap %d, channel %d", seen, len(ch))
+	}
+	detach()
+	detach() // idempotent: must not count down twice
+	want(2)
+	cancel()
+	cancel()
+	want(1)
+	b.CloseSubscribers()
+	want(0)
+	b.OnEvent(Event{Kind: EvQueryIssued})
+	if seen != 1 {
+		t.Fatal("detached observer still fired")
+	}
+	b.Attach(ObserverFunc(func(Event) { seen += 10 }))
+	b.OnEvent(Event{Kind: EvQueryIssued})
+	if seen != 11 {
+		t.Fatalf("observer attached after the bus went quiet did not fire (seen %d)", seen)
+	}
+}
+
+// TestBusChurnUnderEmit runs emitters against listeners coming and going;
+// under -race it checks the lock-free early-out against the locked paths.
+func TestBusChurnUnderEmit(t *testing.T) {
+	b := NewBus()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for e := 0; e < 2; e++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					b.OnEvent(Event{Kind: EvUpdatePushed})
+				}
+			}
+		}()
+	}
+	var fired atomic.Int64
+	for i := 0; i < 200; i++ {
+		detach := b.Attach(ObserverFunc(func(Event) { fired.Add(1) }))
+		_, cancel := b.Subscribe(1, nil)
+		detach()
+		cancel()
+		if i%50 == 0 {
+			b.Subscribe(1, nil)
+			b.CloseSubscribers()
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if got := b.listeners.Load(); got != 0 {
+		t.Fatalf("listeners = %d after everyone left", got)
 	}
 }

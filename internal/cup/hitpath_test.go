@@ -1,0 +1,190 @@
+package cup
+
+import (
+	"testing"
+
+	"cup/internal/overlay"
+	"cup/internal/sim"
+)
+
+// These tests keep the query hit path free: a local hit on a maintained
+// cache is a key-state lookup and a store read — no allocation, no lock —
+// and the two devices that make it so (the owner's reusable action buffer,
+// the next hop cached on the key state) keep their contracts.
+
+// warm leaves n holding a fresh cached answer for k: a local miss sets
+// the pending flag, the first-time response fills the cache.
+func warm(n *Node, k overlay.Key) {
+	n.HandleQuery(LocalClient, k, 0)
+	n.HandleUpdate(n.ID()-1, firstTime(k, 1, 1e9))
+}
+
+func wantHit(t *testing.T, acts []Action) {
+	t.Helper()
+	if len(acts) != 1 || acts[0].Kind != ActDeliverLocal || len(acts[0].Entries) != 1 {
+		t.Fatalf("warm local query did not hit: %v", kinds(acts))
+	}
+}
+
+func TestLocalHitAllocatesNothing(t *testing.T) {
+	clk := &fakeClock{t: 10}
+	t.Run("standalone", func(t *testing.T) {
+		n := newTestNode(5, Defaults(), clk)
+		warm(n, "k")
+		wantHit(t, n.HandleQuery(LocalClient, "k", 0))
+		if allocs := testing.AllocsPerRun(1000, func() { n.HandleQuery(LocalClient, "k", 0) }); allocs != 0 {
+			t.Errorf("standalone node: a local hit allocates %.1f, want 0", allocs)
+		}
+	})
+	t.Run("arena", func(t *testing.T) {
+		n := NewArena(8, Defaults(), lineRouter{}, clk.now).Node(5)
+		warm(n, "k")
+		wantHit(t, n.HandleQuery(LocalClient, "k", 0))
+		if allocs := testing.AllocsPerRun(1000, func() { n.HandleQuery(LocalClient, "k", 0) }); allocs != 0 {
+			t.Errorf("arena node: a local hit allocates %.1f, want 0", allocs)
+		}
+	})
+	for _, dense := range []bool{false, true} {
+		name := "PostQueryAt/map"
+		if dense {
+			name = "PostQueryAt/dense"
+		}
+		t.Run(name, func(t *testing.T) {
+			// The facade always installs a Bus as the observer; an
+			// unobserved run must not pay for it either.
+			s := NewSimulation(Params{Nodes: 64, NoWorkload: true, DenseState: dense, Seed: 1, Observer: NewBus()})
+			k := overlay.Key("key-0")
+			s.PublishReplica(k, 0, "10.0.0.1", 1e6, Append)
+			asker := (s.Ov.Owner(k) + 1) % overlay.NodeID(len(s.Nodes))
+			s.PostQueryAt(asker, k) // first-time miss; the answer comes back
+			for s.Sched.Step() {
+			}
+			if s.C.Hits != 0 || s.C.MissesServed != 1 {
+				t.Fatalf("warm-up: %+v", s.C)
+			}
+			if allocs := testing.AllocsPerRun(1000, func() { s.PostQueryAt(asker, k) }); allocs != 0 {
+				t.Errorf("a local hit through PostQueryAt allocates %.1f, want 0", allocs)
+			}
+			if s.C.Hits < 1000 || s.C.Queries != s.C.Hits+1 {
+				t.Errorf("the measured queries were not hits: %+v", s.C)
+			}
+		})
+	}
+}
+
+// A handler's result lives in its owner's buffer: the next handler call on
+// the same owner — any node of one simulation — overwrites it, and a
+// standalone node (a live peer) is an owner of its own.
+func TestHandlerResultValidUntilNextCall(t *testing.T) {
+	s := NewSimulation(Params{Nodes: 16, NoWorkload: true, Seed: 1})
+	k := overlay.Key("key-0")
+	auth := s.Ov.Owner(k)
+	a, b := s.Nodes[(auth+1)%16], s.Nodes[(auth+2)%16]
+	first := a.HandleQuery(LocalClient, k, 0)
+	if len(first) != 1 || first[0].Kind != ActSendQuery {
+		t.Fatalf("first miss = %v", kinds(first))
+	}
+	kept := first[0] // copy to keep
+	second := b.HandleQuery(3, "other", 0)
+	if &first[0] != &second[0] {
+		t.Fatal("two nodes of one simulation built their results in different buffers")
+	}
+	if first[0].Key != "other" || kept.Key != k {
+		t.Fatalf("after the next call: aliased result key %q, copied key %q", first[0].Key, kept.Key)
+	}
+
+	clk := &fakeClock{t: 10}
+	p, q := newTestNode(1, Defaults(), clk), newTestNode(2, Defaults(), clk)
+	pr := p.HandleQuery(LocalClient, "k", 0)
+	q.HandleQuery(LocalClient, "j", 0)
+	if pr[0].Key != "k" {
+		t.Fatal("a standalone node's result was overwritten by another node's handler")
+	}
+}
+
+// flipOverlay is a two-node overlay whose routing can be changed under a
+// router, standing in for a topology change.
+type flipOverlay struct{ owner overlay.NodeID }
+
+func (o *flipOverlay) Size() int                                 { return 2 }
+func (o *flipOverlay) Owner(overlay.Key) overlay.NodeID          { return o.owner }
+func (o *flipOverlay) Neighbors(overlay.NodeID) []overlay.NodeID { return nil }
+func (o *flipOverlay) NextHop(overlay.NodeID, overlay.Key) (overlay.NodeID, bool) {
+	return o.owner, true
+}
+
+func TestNextHopCachedPerTopologyEpoch(t *testing.T) {
+	ov := &flipOverlay{owner: 1}
+	r := NewOverlayRouter(ov)
+	n := NewNode(0, Defaults(), r, func() sim.Time { return 0 })
+	ks := n.state("k")
+	if got := n.nextHop(ks, "k"); got != 1 {
+		t.Fatalf("first resolution = %v, want 1", got)
+	}
+	ov.owner = 0 // the topology changes; nobody has said so yet
+	if got := n.nextHop(ks, "k"); got != 1 {
+		t.Fatalf("next hop re-resolved within an epoch: %v (not cached?)", got)
+	}
+	r.Invalidate()
+	if got := n.nextHop(ks, "k"); got != 0 {
+		t.Fatalf("after Invalidate next hop = %v, want the new route 0", got)
+	}
+	r.Dynamic = true
+	ov.owner = 1
+	if got := n.nextHop(ks, "k"); got != 1 {
+		t.Fatalf("Dynamic router served a cached hop: %v", got)
+	}
+	// A router that cannot announce topology changes is asked every time.
+	m := NewNode(3, Defaults(), lineRouter{}, func() sim.Time { return 0 })
+	if got := m.nextHop(m.state("k"), "k"); got != 2 || m.state("k").hopEpoch != 0 {
+		t.Fatalf("custom router: hop %v, stamp %d", got, m.state("k").hopEpoch)
+	}
+}
+
+// Membership changes must reach nodes that already cached a next hop:
+// after a leave and a join every cached hop agrees with the overlay again
+// — by the epoch alone, with the Dynamic bypass switched back off.
+func TestChurnReroutesCachedNextHops(t *testing.T) {
+	for _, kind := range []string{"can", "kademlia"} {
+		t.Run(kind, func(t *testing.T) {
+			s := NewSimulation(Params{Nodes: 64, OverlayKind: kind, NoWorkload: true, Seed: 7})
+			k := overlay.Key("key-0")
+			hops := func() []overlay.NodeID {
+				out := make([]overlay.NodeID, len(s.Nodes))
+				for i, n := range s.Nodes {
+					out[i] = overlay.NoNode
+					if s.NodeAlive(n.ID()) {
+						out[i] = n.nextHop(n.state(k), k)
+					}
+				}
+				return out
+			}
+			before := hops() // caches every node's hop
+			// Remove a node others route through, then add one.
+			victim := before[(s.Ov.Owner(k)+7)%64]
+			if victim == s.Ov.Owner(k) {
+				victim = before[(s.Ov.Owner(k)+9)%64]
+			}
+			s.LeaveNode(victim)
+			s.JoinNode()
+			s.Router.Dynamic = false
+			after := hops()
+			changed := 0
+			for i, n := range s.Nodes {
+				if !s.NodeAlive(n.ID()) {
+					continue
+				}
+				want, _ := s.Ov.NextHop(n.ID(), k)
+				if after[i] != want {
+					t.Errorf("node %d still routes %q via %v; the overlay says %v", i, k, after[i], want)
+				}
+				if i < len(before) && after[i] != before[i] {
+					changed++
+				}
+			}
+			if changed == 0 {
+				t.Error("churn changed no route: the test exercised nothing")
+			}
+		})
+	}
+}

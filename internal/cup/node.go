@@ -124,6 +124,11 @@ type keyState struct {
 	// CUP coalescing. Standard caching keys issue times per query on the
 	// routeBack entry instead.
 	issuedAt sim.Time
+	// hop caches the upstream next hop for the key, valid while hopEpoch
+	// equals the router's topology epoch (zero: never resolved). See
+	// Node.nextHop.
+	hop      overlay.NodeID
+	hopEpoch uint32
 }
 
 // NodeStats surfaces protocol-level observations the transport layer
@@ -135,16 +140,68 @@ type NodeStats struct {
 	Dropped     uint64 // proactive pushes suppressed by capacity limits
 }
 
-// nodeEnv is the configuration shared by every node of one deployment:
-// split out of Node so the struct-of-arrays arena stores it once instead
-// of per node.
+// nodeEnv is what the nodes of one owner share. An owner is whatever
+// serializes handler calls: a Simulation (or one shard of a sharded one),
+// or a single live peer. Splitting it out of Node lets the simulator keep
+// one copy per run instead of one per node.
 type nodeEnv struct {
 	cfg    Config
 	router Router
+	// topo is router when it is an *OverlayRouter — the one router whose
+	// topology epoch is known, so the one next hops are cached against.
+	topo *OverlayRouter
+	// acts is the reusable buffer every handler of this owner builds its
+	// result in: a handler's returned slice aliases it and is valid until
+	// the owner's next handler call.
+	acts []Action
+	// pool holds the key states of the owner's arena-backed nodes, so no
+	// handler ever allocates from another owner's slab.
+	pool arenaPool
+}
+
+func newNodeEnv(cfg Config, router Router) *nodeEnv {
+	if cfg.Policy == nil {
+		panic("cup: Config.Policy must be set (use Defaults())")
+	}
+	if router == nil {
+		panic("cup: router is required")
+	}
+	topo, _ := router.(*OverlayRouter)
+	return &nodeEnv{cfg: cfg, router: router, topo: topo}
+}
+
+// result publishes acts — built on the owner's buffer — as a handler's
+// return value, keeping the (possibly grown) buffer for the next call.
+func (env *nodeEnv) result(acts []Action) []Action {
+	if len(acts) == 0 {
+		return nil
+	}
+	env.acts = acts[:0]
+	return acts
+}
+
+// one starts a single-action handler result on the owner's buffer: one
+// action of the given kind for k, every other field zero, for the handler
+// to complete in place and return. (Filling the slot where it lies, not
+// appending a literal, keeps a hit from copying the 150-byte Action
+// twice.)
+//
+//cup:hotpath
+func (env *nodeEnv) one(kind ActionKind, k overlay.Key) []Action {
+	if cap(env.acts) == 0 {
+		env.acts = make([]Action, 0, 4) //cup:allowalloc (once per owner)
+	}
+	acts := env.acts[:1]
+	acts[0] = Action{}
+	acts[0].Kind, acts[0].Key = kind, k
+	return acts
 }
 
 // Node is the CUP protocol state machine for one peer. It is not safe for
-// concurrent use; the live runtime serializes access per node.
+// concurrent use; the live runtime serializes access per node. Handlers
+// return their actions in a buffer shared with the other nodes of the same
+// owner (see nodeEnv): a result is valid until the owner's next handler
+// call.
 //
 // Nodes come in two storage flavors with identical behavior: standalone
 // (NewNode — per-key state in a private map, used by the live transport
@@ -184,18 +241,21 @@ type Node struct {
 	capacityCredit   float64
 }
 
-// NewNode constructs a standalone node. now supplies virtual (or real)
-// time; router resolves upstream next hops.
+// NewNode constructs a standalone node that is its own owner (a live
+// peer, a test fixture). now supplies virtual (or real) time; router
+// resolves upstream next hops.
 func NewNode(id overlay.NodeID, cfg Config, router Router, now func() sim.Time) *Node {
-	if cfg.Policy == nil {
-		panic("cup: Config.Policy must be set (use Defaults())")
-	}
-	if router == nil || now == nil {
-		panic("cup: router and clock are required")
+	return newNode(newNodeEnv(cfg, router), id, now)
+}
+
+// newNode constructs a standalone node belonging to env's owner.
+func newNode(env *nodeEnv, id overlay.NodeID, now func() sim.Time) *Node {
+	if now == nil {
+		panic("cup: clock is required")
 	}
 	return &Node{
 		id:               id,
-		env:              &nodeEnv{cfg: cfg, router: router},
+		env:              env,
 		now:              now,
 		store:            cache.NewStore(),
 		local:            cache.NewStore(),
@@ -243,7 +303,7 @@ func (n *Node) Capacity() float64 { return n.capacityFraction }
 // state returns (allocating if needed) the bookkeeping for k.
 func (n *Node) state(k overlay.Key) *keyState {
 	if n.a != nil {
-		return n.a.state(n.slot, k)
+		return n.a.state(n, k)
 	}
 	ks := n.keys[k]
 	if ks == nil {
@@ -260,7 +320,7 @@ func (n *Node) state(k overlay.Key) *keyState {
 // peek returns the bookkeeping for k without allocating, or nil.
 func (n *Node) peek(k overlay.Key) *keyState {
 	if n.a != nil {
-		return n.a.peek(n.slot, k)
+		return n.a.peek(n, k)
 	}
 	return n.keys[k]
 }
@@ -269,7 +329,7 @@ func (n *Node) peek(k overlay.Key) *keyState {
 // must not depend on it for observable output).
 func (n *Node) eachState(fn func(*keyState)) {
 	if n.a != nil {
-		n.a.each(n.slot, fn)
+		n.a.each(n, fn)
 		return
 	}
 	//cup:unordered callers commute across keys (per-key set filtering and commutative stat increments)
@@ -292,17 +352,34 @@ func (n *Node) LocalDirectory() *cache.Store { return n.local }
 func (n *Node) CacheStore() *cache.Store { return n.store }
 
 // IsAuthority reports whether the node owns k's index entries. A node is
-// an authority exactly when routing terminates at it.
+// an authority exactly when routing terminates at it. It asks the router
+// afresh; handlers, which hold the key's state, go through nextHop.
 func (n *Node) IsAuthority(k overlay.Key) bool {
 	return n.env.router.NextHopTowardOwner(n.id, k) == n.id
 }
 
+// nextHop returns the neighbor on the path toward k's authority (n itself
+// at the authority), resolving it once per key and topology epoch and
+// caching it on the key state the handler already holds. Only an
+// OverlayRouter's answers are cached — it alone can say when the topology
+// changed — and not while it is Dynamic.
+//
+//cup:hotpath
+func (n *Node) nextHop(ks *keyState, k overlay.Key) overlay.NodeID {
+	r := n.env.topo
+	if r == nil || r.Dynamic {
+		return n.env.router.NextHopTowardOwner(n.id, k)
+	}
+	epoch := r.epoch.Load()
+	if ks.hopEpoch != epoch {
+		ks.hop, ks.hopEpoch = r.NextHopTowardOwner(n.id, k), epoch
+	}
+	return ks.hop
+}
+
 // HasFreshAnswer reports whether a local query for k would hit instantly.
 func (n *Node) HasFreshAnswer(k overlay.Key) bool {
-	if n.IsAuthority(k) {
-		return true
-	}
-	return n.store.HasFresh(k, n.now())
+	return n.IsAuthority(k) || n.store.HasFresh(k, n.now())
 }
 
 // PendingFirstUpdate reports the PFU flag for k.
@@ -371,8 +448,22 @@ func (n *Node) recordQuery(ks *keyState) {
 // from a local client when from == LocalClient. It implements §2.5. qid is
 // the standard-caching per-query token (zero for locally posted queries
 // and for everything in CUP mode, where coalescing replaces it).
+//
+// Like every handler, it builds its result in a buffer shared by the
+// node's owner (the simulation or shard driving it, or the live peer):
+// the returned slice is valid until the next handler call on that owner;
+// copy what must outlive it. Entries carried by an action are read-only
+// views of a cache.Store's immutable sets and may be kept.
+//
+//cup:hotpath
 func (n *Node) HandleQuery(from overlay.NodeID, k overlay.Key, qid uint64) []Action {
-	ks := n.state(k)
+	return n.handleQuery(n.state(k), from, k, qid)
+}
+
+// handleQuery is HandleQuery for a caller already holding k's state.
+//
+//cup:hotpath
+func (n *Node) handleQuery(ks *keyState, from overlay.NodeID, k overlay.Key, qid uint64) []Action {
 	n.recordQuery(ks)
 	now := n.now()
 
@@ -383,11 +474,12 @@ func (n *Node) HandleQuery(from overlay.NodeID, k overlay.Key, qid uint64) []Act
 	// Interest registration: CUP nodes remember which neighbors want
 	// updates for k, in every case of §2.5.
 	if from != LocalClient && n.env.cfg.Mode == ModeCUP {
-		ks.interest.add(from)
+		ks.interest.add(from) //cup:allowalloc (a neighbor's first query for the key)
 	}
 
 	// Case 1a: we are the authority — answer from the local directory.
-	if n.IsAuthority(k) {
+	next := n.nextHop(ks, k)
+	if next == n.id {
 		return n.answer(ks, from, k, n.local.Fresh(k, now), qid)
 	}
 
@@ -402,11 +494,6 @@ func (n *Node) HandleQuery(from overlay.NodeID, k overlay.Key, qid uint64) []Act
 		}
 	}
 
-	next := n.env.router.NextHopTowardOwner(n.id, k)
-	if next == n.id {
-		panic(fmt.Sprintf("cup: %v authority reached non-authority path for %q", n.id, k))
-	}
-
 	// Standard caching: no coalescing — every query travels individually
 	// and keeps a per-query "open connection" for its response (§4's
 	// open-connection problem, which CUP's query channel eliminates).
@@ -415,8 +502,10 @@ func (n *Node) HandleQuery(from overlay.NodeID, k overlay.Key, qid uint64) []Act
 			n.qidSeq++
 			qid = uint64(uint32(n.id+1))<<32 | n.qidSeq
 		}
-		ks.routeBack = append(ks.routeBack, routeEntry{qid: qid, dest: from, issuedAt: now})
-		return []Action{{Kind: ActSendQuery, To: next, Key: k, QueryID: qid}}
+		ks.routeBack = append(ks.routeBack, routeEntry{qid: qid, dest: from, issuedAt: now}) //cup:allowalloc (miss path)
+		acts := n.env.one(ActSendQuery, k)
+		acts[0].To, acts[0].QueryID = next, qid
+		return acts
 	}
 
 	// Cases 2 and 3 (CUP): no fresh answer; register the asker, coalesce.
@@ -426,7 +515,7 @@ func (n *Node) HandleQuery(from overlay.NodeID, k overlay.Key, qid uint64) []Act
 		}
 		ks.pendingLocal++
 	} else {
-		ks.pendingChildren.add(from)
+		ks.pendingChildren.add(from) //cup:allowalloc (miss path)
 	}
 	if ks.pfu {
 		// Coalesced into the in-flight query. Peer carries the querier so
@@ -436,21 +525,29 @@ func (n *Node) HandleQuery(from overlay.NodeID, k overlay.Key, qid uint64) []Act
 		return nil
 	}
 	ks.pfu = true
-	return []Action{{Kind: ActSendQuery, To: next, Key: k}}
+	acts := n.env.one(ActSendQuery, k)
+	acts[0].To = next
+	return acts
 }
 
 // answer builds the first-time-update response for a fresh hit. The
 // response carries our distance+1 so the receiver learns its depth.
+//
+//cup:hotpath
 func (n *Node) answer(ks *keyState, from overlay.NodeID, k overlay.Key, entries []cache.Entry, qid uint64) []Action {
 	if from == LocalClient {
 		n.emit(Event{Kind: EvQueryAnswered, Peer: LocalClient, Key: k, Entries: len(entries)})
-		return []Action{{Kind: ActDeliverLocal, Key: k, Entries: entries}}
+		acts := n.env.one(ActDeliverLocal, k)
+		acts[0].Entries = entries
+		return acts
 	}
 	depth := ks.dist + 1
-	if n.IsAuthority(k) {
+	if n.nextHop(ks, k) == n.id {
 		depth = 1
 	}
-	u := Update{
+	acts := n.env.one(ActSendUpdate, k)
+	acts[0].To = from
+	acts[0].Update = Update{
 		Key:     k,
 		Type:    FirstTime,
 		Entries: entries,
@@ -459,14 +556,13 @@ func (n *Node) answer(ks *keyState, from overlay.NodeID, k overlay.Key, entries 
 		Expires: maxExpiry(entries),
 		QueryID: qid,
 	}
-	return []Action{{Kind: ActSendUpdate, To: from, Key: k, Update: u}}
+	return acts
 }
 
 // handleDirectResponse retraces a standard-caching response along its
 // query's recorded path; the issuing node caches the answer (client-side
 // TTL caching with remaining lifetime), intermediates pass it through.
-func (n *Node) handleDirectResponse(u Update) []Action {
-	ks := n.state(u.Key)
+func (n *Node) handleDirectResponse(ks *keyState, u Update) []Action {
 	idx := -1
 	for i := range ks.routeBack {
 		if ks.routeBack[i].qid == u.QueryID {
@@ -487,12 +583,16 @@ func (n *Node) handleDirectResponse(u Update) []Action {
 		}
 		n.emit(Event{Kind: EvQueryAnswered, Peer: LocalClient, Key: u.Key,
 			Entries: len(fresh), Latency: n.now().Sub(re.issuedAt)})
-		return []Action{{Kind: ActDeliverLocal, Key: u.Key, Entries: fresh}}
+		acts := n.env.one(ActDeliverLocal, u.Key)
+		acts[0].Entries = fresh
+		return acts
 	}
-	fwd := u
-	fwd.Depth = u.Depth + 1
-	fwd.Entries = fresh
-	return []Action{{Kind: ActSendUpdate, To: re.dest, Key: u.Key, Update: fwd}}
+	acts := n.env.one(ActSendUpdate, u.Key)
+	acts[0].To = re.dest
+	acts[0].Update = u
+	acts[0].Update.Depth = u.Depth + 1
+	acts[0].Update.Entries = fresh
+	return acts
 }
 
 // freshOf filters a response payload down to still-fresh entries for
@@ -523,7 +623,8 @@ func maxExpiry(entries []cache.Entry) sim.Time {
 // OriginateUpdate is called at the authority when a replica event (birth,
 // refresh, deletion) changes the local directory; it propagates the update
 // to interested neighbors per §2.6. The caller must already have applied
-// the event to the local directory via InstallLocal/RemoveLocal.
+// the event to the local directory via InstallLocal/RemoveLocal. The
+// result follows the handler-result contract (see HandleQuery).
 func (n *Node) OriginateUpdate(u Update) []Action {
 	if !n.IsAuthority(u.Key) {
 		panic(fmt.Sprintf("cup: %v originating update for foreign key %q", n.id, u.Key))
@@ -533,18 +634,23 @@ func (n *Node) OriginateUpdate(u Update) []Action {
 	}
 	ks := n.state(u.Key)
 	u.Depth = 1
-	return n.pushProactive(ks, u, 0)
+	return n.env.result(n.pushProactive(n.env.acts[:0], ks, u, 0, nil))
 }
 
 // HandleUpdate processes an update for u.Key arriving from upstream
-// neighbor `from`, implementing the three cases of §2.6.
+// neighbor `from`, implementing the three cases of §2.6. The result
+// follows the handler-result contract (see HandleQuery).
 func (n *Node) HandleUpdate(from overlay.NodeID, u Update) []Action {
+	return n.handleUpdate(n.state(u.Key), from, u)
+}
+
+// handleUpdate is HandleUpdate for a caller already holding u.Key's state.
+func (n *Node) handleUpdate(ks *keyState, from overlay.NodeID, u Update) []Action {
 	// Per-query responses (standard caching) bypass the CUP machinery and
 	// retrace their query's path.
 	if u.QueryID != 0 {
-		return n.handleDirectResponse(u)
+		return n.handleDirectResponse(ks, u)
 	}
-	ks := n.state(u.Key)
 	now := n.now()
 
 	// Case 3: the update expired in flight — do not apply, do not push.
@@ -589,7 +695,9 @@ func (n *Node) HandleUpdate(from overlay.NodeID, u Update) []Action {
 			n.resetPopularity(ks, u)
 			if !keep {
 				n.emit(Event{Kind: EvCutoffFired, Peer: from, Key: u.Key})
-				return []Action{{Kind: ActSendClearBit, To: from, Key: u.Key}}
+				acts := n.env.one(ActSendClearBit, u.Key)
+				acts[0].To = from
+				return acts
 			}
 		}
 		n.apply(ks, u)
@@ -603,14 +711,14 @@ func (n *Node) HandleUpdate(from overlay.NodeID, u Update) []Action {
 	}
 	n.apply(ks, u)
 	n.markJustifyPending(ks, u)
-	return n.pushProactive(ks, u, u.Depth)
+	return n.env.result(n.pushProactive(n.env.acts[:0], ks, u, u.Depth, nil))
 }
 
 // respondPending clears the PFU flag and fans the response out to pending
 // children, waiting local clients, and (proactively) interested neighbors.
 func (n *Node) respondPending(ks *keyState, u Update, entries []cache.Entry) []Action {
 	ks.pfu = false
-	var acts []Action
+	acts := n.env.acts[:0]
 	if ks.pendingLocal > 0 {
 		n.emit(Event{Kind: EvQueryAnswered, Peer: LocalClient, Key: u.Key,
 			Entries: len(entries), Latency: n.now().Sub(ks.issuedAt)})
@@ -636,10 +744,9 @@ func (n *Node) respondPending(ks *keyState, u Update, entries []cache.Entry) []A
 	// Interested-but-not-pending neighbors get a proactive push of the
 	// same fresh set, subject to push level and capacity.
 	if n.env.cfg.Mode == ModeCUP && entries != nil {
-		proactive := n.pushProactiveExcept(ks, resp, u.Depth, children)
-		acts = append(acts, proactive...)
+		acts = n.pushProactive(acts, ks, resp, u.Depth, children)
 	}
-	return acts
+	return n.env.result(acts)
 }
 
 // shouldEvaluate reports whether this update triggers the cut-off decision
@@ -684,11 +791,13 @@ func (n *Node) markJustifyPending(ks *keyState, u Update) {
 // apply folds an update into the cached index entries (never into the
 // local directory — those change only via replica events).
 func (n *Node) apply(ks *keyState, u Update) {
+	// The store copies on every write, so the update's payload is never
+	// aliased: it may be a view of the sender's immutable entry set.
 	switch u.Type {
 	case FirstTime:
-		n.store.ReplaceKey(u.Key, cloneEntries(u.Entries))
+		n.store.ReplaceKey(u.Key, u.Entries)
 	case Refresh, Append:
-		for _, e := range cloneEntries(u.Entries) {
+		for _, e := range u.Entries {
 			// A pushed refresh/append restarts the entry's lifetime from
 			// local receipt (§2.1's local-timestamp model), so chains of
 			// refreshed caches never suffer synchronized expiry.
@@ -705,29 +814,17 @@ func (n *Node) apply(ks *keyState, u Update) {
 	}
 }
 
-func cloneEntries(es []cache.Entry) []cache.Entry {
-	if es == nil {
-		return nil
-	}
-	out := make([]cache.Entry, len(es))
-	copy(out, es)
-	return out
-}
-
-// pushProactive forwards u to every interested neighbor, honoring the
-// sender-side push level and the node's outgoing capacity. senderDepth is
-// this node's distance from the authority (0 at the authority).
-func (n *Node) pushProactive(ks *keyState, u Update, senderDepth int) []Action {
-	return n.pushProactiveExcept(ks, u, senderDepth, nil)
-}
-
-func (n *Node) pushProactiveExcept(ks *keyState, u Update, senderDepth int, except nodeSet) []Action {
+// pushProactive appends to acts a forward of u to every interested
+// neighbor not in except, honoring the sender-side push level and the
+// node's outgoing capacity. senderDepth is this node's distance from the
+// authority (0 at the authority).
+func (n *Node) pushProactive(acts []Action, ks *keyState, u Update, senderDepth int, except nodeSet) []Action {
 	if len(ks.interest) == 0 {
-		return nil
+		return acts
 	}
 	// Sender-side push level (§3.3): do not propagate beyond level p.
 	if n.env.cfg.PushLevel >= 0 && senderDepth+1 > n.env.cfg.PushLevel {
-		return nil
+		return acts
 	}
 	// Outgoing capacity (§3.7): a node at reduced capacity c forwards only
 	// a c-fraction of the updates it receives. Deterministic thinning via
@@ -736,13 +833,12 @@ func (n *Node) pushProactiveExcept(ks *keyState, u Update, senderDepth int, exce
 		n.capacityCredit += n.capacityFraction
 		if n.capacityCredit < 1 {
 			n.stats.Dropped++
-			return nil
+			return acts
 		}
 		n.capacityCredit--
 	}
 	fwd := u
 	fwd.Depth = senderDepth + 1
-	acts := make([]Action, 0, len(ks.interest))
 	// The interest set is sorted ascending; iterating it directly is the
 	// deterministic target order.
 	for _, m := range ks.interest {
@@ -757,7 +853,8 @@ func (n *Node) pushProactiveExcept(ks *keyState, u Update, senderDepth int, exce
 
 // HandleClearBit processes a Clear-Bit control message from a downstream
 // neighbor (§2.7): clear its interest bit; if our own popularity is low and
-// no interest remains, propagate the clear-bit toward the authority.
+// no interest remains, propagate the clear-bit toward the authority. The
+// result follows the handler-result contract (see HandleQuery).
 func (n *Node) HandleClearBit(from overlay.NodeID, k overlay.Key) []Action {
 	ks := n.state(k)
 	ks.interest.remove(from)
@@ -765,12 +862,14 @@ func (n *Node) HandleClearBit(from overlay.NodeID, k overlay.Key) []Action {
 	if len(ks.interest) > 0 || ks.queries > 0 || ks.pfu {
 		return nil
 	}
-	if n.IsAuthority(k) {
+	next := n.nextHop(ks, k)
+	if next == n.id {
 		return nil // the root has no upstream to cut
 	}
-	next := n.env.router.NextHopTowardOwner(n.id, k)
 	n.emit(Event{Kind: EvCutoffFired, Peer: next, Key: k})
-	return []Action{{Kind: ActSendClearBit, To: next, Key: k}}
+	acts := n.env.one(ActSendClearBit, k)
+	acts[0].To = next
+	return acts
 }
 
 // PatchNeighbors reconciles per-key bit vectors after overlay membership

@@ -17,7 +17,7 @@ package cup
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"cup/internal/cache"
 	"cup/internal/overlay"
@@ -103,14 +103,6 @@ type Update struct {
 	// connection, §4 "open-connection problem"). CUP responses leave it
 	// zero: coalesced queries share one response fan-out.
 	QueryID uint64
-}
-
-// child returns a copy of u re-addressed one level further from the
-// authority, as forwarded by a node at distance depth.
-func (u Update) child(depth int) Update {
-	c := u
-	c.Depth = depth + 1
-	return c
 }
 
 // ActionKind discriminates Action.
@@ -220,53 +212,39 @@ type Router interface {
 	NextHopTowardOwner(n overlay.NodeID, k overlay.Key) overlay.NodeID
 }
 
-// OverlayRouter adapts an overlay.Overlay into a Router with memoization;
-// CUP routing is hash-deterministic, so per-(node, key) next hops are
-// immutable for a static overlay. Safe for concurrent use — the live
+// OverlayRouter adapts an overlay.Overlay into a Router. It keeps no route
+// table of its own: CUP routing is hash-deterministic, so a (node, key)
+// next hop is immutable for a fixed topology, and each node caches it on
+// the per-key state its handlers already hold (Node.nextHop), stamped with
+// the router's topology epoch. Invalidate starts a new epoch, which makes
+// every cached hop stale at once. Safe for concurrent use — the live
 // runtime shares one router across all peer goroutines.
 type OverlayRouter struct {
-	ov   overlay.Overlay
-	mu   sync.RWMutex
-	memo map[routeKey]overlay.NodeID
-	// Dynamic disables memoization for overlays under churn.
+	ov overlay.Overlay
+	// epoch counts topology changes; it starts at 1 so a zero stamp on a
+	// key state means "never resolved".
+	epoch atomic.Uint32
+	// Dynamic disables next-hop caching for overlays under churn. Set it
+	// before handlers run concurrently.
 	Dynamic bool
-}
-
-type routeKey struct {
-	n overlay.NodeID
-	k overlay.Key
 }
 
 // NewOverlayRouter wraps ov.
 func NewOverlayRouter(ov overlay.Overlay) *OverlayRouter {
-	return &OverlayRouter{ov: ov, memo: make(map[routeKey]overlay.NodeID)}
+	r := &OverlayRouter{ov: ov}
+	r.epoch.Store(1)
+	return r
 }
 
-// NextHopTowardOwner implements Router.
+// NextHopTowardOwner implements Router by asking the overlay.
 func (r *OverlayRouter) NextHopTowardOwner(n overlay.NodeID, k overlay.Key) overlay.NodeID {
-	if !r.Dynamic {
-		r.mu.RLock()
-		next, ok := r.memo[routeKey{n, k}]
-		r.mu.RUnlock()
-		if ok {
-			return next
-		}
-	}
 	next, ok := r.ov.NextHop(n, k)
 	if !ok {
 		panic(fmt.Sprintf("cup: no route from %v toward %q", n, k))
 	}
-	if !r.Dynamic {
-		r.mu.Lock()
-		r.memo[routeKey{n, k}] = next
-		r.mu.Unlock()
-	}
 	return next
 }
 
-// Invalidate clears memoized routes after topology changes.
-func (r *OverlayRouter) Invalidate() {
-	r.mu.Lock()
-	r.memo = make(map[routeKey]overlay.NodeID)
-	r.mu.Unlock()
-}
+// Invalidate marks every next hop cached before it stale; call it after
+// the overlay's topology changes.
+func (r *OverlayRouter) Invalidate() { r.epoch.Add(1) }

@@ -231,3 +231,67 @@ func TestInspectSeesProtocolState(t *testing.T) {
 		t.Fatalf("authority local directory = %d entries, want 1", entries)
 	}
 }
+
+// Index entries cross peers by reference: a response carries a view of the
+// sender's immutable entry set, the receiver answers its own clients with
+// a view of its copy, and Lookup hands that view to the caller's
+// goroutine. Under -race this test reads every entry it is given while
+// the authority's directory is rewritten underneath — appends, refreshes
+// and deletes pushed down the tree — so any write into a published set
+// shows up as a race between a peer goroutine and a caller.
+func TestSharedEntryViewsSurviveConcurrentWrites(t *testing.T) {
+	n := newTestNet(t, 32)
+	for r := 0; r < 4; r++ {
+		n.AddReplica("hot", r, fmt.Sprintf("10.0.0.%d", r), time.Hour)
+	}
+	ctx := ctxShort(t)
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			switch r := i % 4; i % 3 {
+			case 0:
+				n.Refresh("hot", r, fmt.Sprintf("10.0.1.%d", i%250), time.Hour)
+			case 1:
+				n.RemoveReplica("hot", r)
+			default:
+				n.AddReplica("hot", r, fmt.Sprintf("10.0.2.%d", i%250), time.Hour)
+			}
+		}
+	}()
+	var readers sync.WaitGroup
+	errs := make(chan error, 32)
+	for i := 0; i < 32; i++ {
+		readers.Add(1)
+		go func(id overlay.NodeID) {
+			defer readers.Done()
+			for round := 0; round < 40; round++ {
+				entries, err := n.Lookup(ctx, id, "hot")
+				if err != nil {
+					errs <- err
+					return
+				}
+				for j, e := range entries {
+					if e.Key != "hot" || e.Addr == "" || (j > 0 && entries[j-1].Replica >= e.Replica) {
+						errs <- fmt.Errorf("node %v read a torn entry set: %v", id, entries)
+						return
+					}
+				}
+			}
+		}(overlay.NodeID(i))
+	}
+	readers.Wait()
+	close(stop)
+	writer.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
