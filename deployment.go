@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	internal "cup/internal/cup"
@@ -769,8 +770,11 @@ type liveRuntime struct {
 	cfg live.Config
 	tcp bool
 
+	// up is the booted network, nil until first use. It is read on every
+	// served request (size, clock, load, the lookup itself), so readers
+	// load it; mu only serializes the boot against Close.
+	up     atomic.Pointer[live.Endpoint]
 	mu     sync.Mutex
-	n      live.Endpoint
 	closed bool
 }
 
@@ -779,31 +783,38 @@ type liveRuntime struct {
 // only — when the boot itself fails (port budget exhausted, listeners
 // unavailable). A failed boot holds no resources and may be retried.
 func (r *liveRuntime) network() (live.Endpoint, error) {
+	if n := r.up.Load(); n != nil {
+		return *n, nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.n == nil && !r.closed {
-		if r.tcp {
-			tn, err := live.NewTCPNetwork(r.cfg)
-			if err != nil {
-				return nil, fmt.Errorf("cup: tcp transport: %w", err)
-			}
-			r.n = tn
-		} else {
-			r.n = live.NewNetwork(r.cfg)
-		}
+	if n := r.up.Load(); n != nil {
+		return *n, nil
 	}
-	if r.n == nil {
+	if r.closed {
 		return nil, live.ErrClosed
 	}
-	return r.n, nil
+	var n live.Endpoint
+	if r.tcp {
+		tn, err := live.NewTCPNetwork(r.cfg)
+		if err != nil {
+			return nil, fmt.Errorf("cup: tcp transport: %w", err)
+		}
+		n = tn
+	} else {
+		n = live.NewNetwork(r.cfg)
+	}
+	r.up.Store(&n)
+	return n, nil
 }
 
 // peek returns the network only if it already booted: reads of
 // counters or the clock must not boot a network just to see zeros.
 func (r *liveRuntime) peek() live.Endpoint {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
+	if n := r.up.Load(); n != nil {
+		return *n
+	}
+	return nil
 }
 
 func (r *liveRuntime) Transport() Transport {
@@ -928,9 +939,8 @@ func (r *liveRuntime) Counters() Counters {
 func (r *liveRuntime) Close() error {
 	r.mu.Lock()
 	r.closed = true
-	n := r.n
 	r.mu.Unlock()
-	if n != nil {
+	if n := r.peek(); n != nil {
 		n.Close()
 	}
 	return nil

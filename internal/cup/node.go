@@ -435,12 +435,49 @@ func (n *Node) Distance(k overlay.Key) int {
 func (n *Node) recordQuery(ks *keyState) {
 	ks.queries++
 	if ks.justifyPending {
-		if n.now() < ks.justifyDeadline {
-			n.stats.Justified++
-		} else {
-			n.stats.Unjustified++
-		}
-		ks.justifyPending = false
+		n.settleJustify(ks, n.now())
+	}
+}
+
+// settleJustify closes ks's pending proactive update against a query that
+// arrived at time at.
+func (n *Node) settleJustify(ks *keyState, at sim.Time) {
+	if at < ks.justifyDeadline {
+		n.stats.Justified++
+	} else {
+		n.stats.Unjustified++
+	}
+	ks.justifyPending = false
+}
+
+// ClientAnswer returns the entries a local client's query for k would be
+// answered with at this instant — the authority's fresh local directory,
+// a fresh cached set elsewhere (§2.5 case 1) — or nil when it would miss
+// and travel. It records nothing: a transport that serves clients from a
+// published copy of this answer (the live hit view) accounts for them
+// through CreditClientHits. The result is a read-only view of a store's
+// immutable set and may be handed to another goroutine.
+func (n *Node) ClientAnswer(k overlay.Key) []cache.Entry {
+	if n.IsAuthority(k) {
+		return n.local.Fresh(k, n.now())
+	}
+	return n.store.Fresh(k, n.now())
+}
+
+// CreditClientHits records hits local client queries for k that the
+// transport answered from a published ClientAnswer, the earliest at time
+// first: exactly what that many HandleQuery hits would have left behind —
+// the popularity measure and the §3.1 settlement — minus the events,
+// which the transport emits where it serves. The transport credits before
+// any handler for k runs, so a cut-off decision sees every query.
+func (n *Node) CreditClientHits(k overlay.Key, hits int, first sim.Time) {
+	if hits <= 0 {
+		return
+	}
+	ks := n.state(k)
+	ks.queries += hits
+	if ks.justifyPending {
+		n.settleJustify(ks, first)
 	}
 }
 

@@ -44,6 +44,7 @@ type Endpoint interface {
 	// Introspection and lifecycle.
 	Stats() Stats
 	InboxLoad() (used, capacity int)
+	InboxLoadAt(id overlay.NodeID) (used, capacity int)
 	Quiesced(window time.Duration) bool
 	HopDelay() time.Duration
 	Now() sim.Time

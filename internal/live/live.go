@@ -42,10 +42,11 @@ type Network struct {
 	cfg    Config
 	delay  time.Duration
 	start  time.Time
-	// peersMu guards nodes: membership churn appends new peer slots while
-	// traffic pumps and deliveries read them.
-	peersMu sync.RWMutex
-	nodes   []*peer
+	// peers is the peer table, published copy-on-write: readers load the
+	// current slice and never lock; membership churn appends a slot by
+	// publishing a longer copy under peersMu.
+	peers   atomic.Pointer[[]*peer]
+	peersMu sync.Mutex
 	stats   Stats
 	wg      sync.WaitGroup
 	closed  chan struct{}
@@ -67,33 +68,15 @@ type message struct {
 	key    overlay.Key
 	qid    uint64
 	update cup.Update
-	ctrl   func(*peer) // msgControl: run on the peer's goroutine
+	ctrl   func() // msgControl: run on the peer's goroutine
 }
 
-// peer is one goroutine-hosted protocol node.
+// peer is one goroutine-hosted protocol node: the shared client end plus
+// a channel mailbox.
 type peer struct {
-	id    overlay.NodeID
-	node  *cup.Node
+	clientEnd
 	inbox chan message
 	net   *Network
-	// waiters holds the local lookups awaiting an answer, so responses
-	// fan out to every open client connection and cancelled lookups can
-	// deregister instead of leaking.
-	waiters map[overlay.Key][]*lookupWaiter
-	// gone closes when the peer departs (§2.9): sends to it are dropped
-	// as in-flight losses and lookups at it fail fast. The slot stays in
-	// the nodes slice — IDs are dense and never reused.
-	gone chan struct{}
-	// departing is set on the peer's own goroutine by retireMember; the
-	// loop observes it after the control message and switches to the
-	// retired state.
-	departing bool
-}
-
-// lookupWaiter is one open local client connection. reply is buffered so
-// an answer racing a cancellation never blocks the peer goroutine.
-type lookupWaiter struct {
-	reply chan []cache.Entry
 }
 
 // Config parameterizes a live network.
@@ -163,11 +146,12 @@ func NewNetwork(cfg Config) *Network {
 	// Memoized routes go stale under churn; the flag must be set before
 	// any peer goroutine starts, since they read it without a lock.
 	n.router.Dynamic = ov.dynamic() != nil
-	n.nodes = make([]*peer, cfg.Nodes)
-	for i := range n.nodes {
-		id := overlay.NodeID(i)
-		p := n.newPeer(id)
-		n.nodes[i] = p
+	peers := make([]*peer, cfg.Nodes)
+	for i := range peers {
+		peers[i] = n.newPeer(overlay.NodeID(i))
+	}
+	n.peers.Store(&peers)
+	for _, p := range peers {
 		n.wg.Add(1)
 		go p.loop(&n.wg)
 	}
@@ -176,15 +160,8 @@ func NewNetwork(cfg Config) *Network {
 
 // newPeer constructs (but does not start) one goroutine-hosted node.
 func (n *Network) newPeer(id overlay.NodeID) *peer {
-	p := &peer{
-		id:      id,
-		node:    cup.NewNode(id, n.cfg.Node, n.router, n.now),
-		inbox:   make(chan message, n.cfg.InboxDepth),
-		net:     n,
-		waiters: make(map[overlay.Key][]*lookupWaiter),
-		gone:    make(chan struct{}),
-	}
-	p.node.SetObserver(n.cfg.Observer)
+	p := &peer{inbox: make(chan message, n.cfg.InboxDepth), net: n}
+	p.clientEnd = newClientEnd(id, n.cfg, n.router, n.now, p, n.closed)
 	return p
 }
 
@@ -197,41 +174,21 @@ func (n *Network) Now() sim.Time { return n.now() }
 // Size returns the number of peer slots ever allocated (IDs are dense
 // and never reused, so departed peers keep their slot). Use IsAlive to
 // test current membership.
-func (n *Network) Size() int {
-	n.peersMu.RLock()
-	defer n.peersMu.RUnlock()
-	return len(n.nodes)
-}
+func (n *Network) Size() int { return len(*n.peers.Load()) }
 
 // peerAt returns peer id, nil when out of range.
 func (n *Network) peerAt(id overlay.NodeID) *peer {
-	n.peersMu.RLock()
-	defer n.peersMu.RUnlock()
-	if int(id) < 0 || int(id) >= len(n.nodes) {
+	peers := *n.peers.Load()
+	if int(id) < 0 || int(id) >= len(peers) {
 		return nil
 	}
-	return n.nodes[id]
-}
-
-// peerList snapshots the peer slots.
-func (n *Network) peerList() []*peer {
-	n.peersMu.RLock()
-	defer n.peersMu.RUnlock()
-	return append([]*peer(nil), n.nodes...)
+	return peers[id]
 }
 
 // IsAlive reports whether node id exists and has not departed.
 func (n *Network) IsAlive(id overlay.NodeID) bool {
 	p := n.peerAt(id)
-	if p == nil {
-		return false
-	}
-	select {
-	case <-p.gone:
-		return false
-	default:
-		return true
-	}
+	return p != nil && !p.isGone()
 }
 
 // HopDelay returns the configured per-hop wall-clock latency.
@@ -265,16 +222,23 @@ func (n *Network) Stats() Stats {
 // inbox — a point-in-time congestion gauge for telemetry. Channel
 // lengths are sampled racily, which is fine for a gauge.
 func (n *Network) InboxLoad() (used, capacity int) {
-	for _, p := range n.peerList() {
-		select {
-		case <-p.gone:
-			continue
-		default:
+	for _, p := range *n.peers.Load() {
+		if !p.isGone() {
+			used += len(p.inbox)
+			capacity += cap(p.inbox)
 		}
-		used += len(p.inbox)
-		capacity += cap(p.inbox)
 	}
 	return used, capacity
+}
+
+// InboxLoadAt is InboxLoad for the one peer id: what an admission guard
+// in front of that peer's mailbox should watch. A departed or unknown
+// peer reports (0, 0).
+func (n *Network) InboxLoadAt(id overlay.NodeID) (used, capacity int) {
+	if p := n.peerAt(id); p != nil && !p.isGone() {
+		return len(p.inbox), cap(p.inbox)
+	}
+	return 0, 0
 }
 
 // Close shuts down all peers and waits for their goroutines.
@@ -334,7 +298,7 @@ func (p *peer) retired() {
 			return
 		case m := <-p.inbox:
 			if m.kind == msgControl {
-				m.ctrl(p)
+				m.ctrl()
 			}
 		}
 	}
@@ -344,16 +308,35 @@ func (p *peer) handle(m message) {
 	var acts []cup.Action
 	switch m.kind {
 	case msgQuery:
-		acts = p.node.HandleQuery(m.from, m.key, m.qid)
+		acts = p.query(m.from, m.key, m.qid)
 	case msgUpdate:
-		acts = p.node.HandleUpdate(m.from, m.update)
+		acts = p.update(m.from, m.update)
 	case msgClearBit:
-		acts = p.node.HandleClearBit(m.from, m.key)
+		acts = p.clearBit(m.from, m.key)
 	case msgControl:
-		m.ctrl(p)
+		m.ctrl()
 		return
 	}
 	p.dispatch(acts)
+}
+
+// post and tryPost put a control callback in the mailbox (shell).
+func (p *peer) post(ctx context.Context, fn func()) error {
+	select {
+	case p.inbox <- message{kind: msgControl, ctrl: fn}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-p.net.closed:
+		return ErrClosed
+	}
+}
+
+func (p *peer) tryPost(fn func()) {
+	select {
+	case p.inbox <- message{kind: msgControl, ctrl: fn}:
+	default:
+	}
 }
 
 func (p *peer) dispatch(acts []cup.Action) {
@@ -369,13 +352,7 @@ func (p *peer) dispatch(acts []cup.Action) {
 			atomic.AddUint64(&p.net.stats.ClearBitMsgs, 1)
 			p.net.send(a.To, message{kind: msgClearBit, from: p.id, key: a.Key})
 		case cup.ActDeliverLocal:
-			for _, w := range p.waiters[a.Key] {
-				// Cannot block: reply is buffered(1), owned by exactly one
-				// Lookup, and the waiter leaves the map before a second send
-				// could happen.
-				w.reply <- a.Entries //cup:allowblocking
-			}
-			delete(p.waiters, a.Key)
+			p.deliver(a.Key, a.Entries)
 		}
 	}
 }
@@ -383,116 +360,43 @@ func (p *peer) dispatch(acts []cup.Action) {
 // ErrClosed is returned by client operations racing a Close.
 var ErrClosed = errors.New("live: network closed")
 
-// Lookup posts a search query for key at node id and waits for the index
-// entries (or ctx cancellation). A fresh locally cached answer returns
-// immediately; otherwise the query travels the overlay. A cancelled
-// lookup deregisters its open connection at the peer, so abandoned
-// queries on a slow or partitioned network do not accumulate state.
+// Lookup answers a local client's query for key at node id. A fresh
+// answer the peer has published — it answered a local client for key
+// before and no entry has expired since — is read lock-free from the
+// caller's goroutine; otherwise the query is posted to the peer and, if
+// the peer has nothing fresh, travels the overlay. A cancelled lookup
+// deregisters its open connection at the peer, so abandoned queries on a
+// slow or partitioned network do not accumulate state.
 func (n *Network) Lookup(ctx context.Context, id overlay.NodeID, key overlay.Key) ([]cache.Entry, error) {
 	p := n.peerAt(id)
 	if p == nil {
 		return nil, fmt.Errorf("live: lookup at unknown node %v", id)
 	}
-	w := &lookupWaiter{reply: make(chan []cache.Entry, 1)}
-	ctrl := message{kind: msgControl, ctrl: func(p *peer) {
-		if p.departing {
-			// Departed between the aliveness race and the control's turn:
-			// answer empty rather than strand the waiter.
-			w.reply <- nil //cup:allowblocking (buffered(1), sole send)
-			return
-		}
-		acts := p.node.HandleQuery(cup.LocalClient, key, 0)
-		// A synchronous answer arrives as a DeliverLocal action; register
-		// the waiter first so both paths converge.
-		p.waiters[key] = append(p.waiters[key], w)
-		p.dispatch(acts)
-	}}
-	select {
-	case <-p.gone:
-		return nil, fmt.Errorf("live: lookup at departed node %v", id)
-	default:
-	}
-	select {
-	case p.inbox <- ctrl:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-n.closed:
-		return nil, ErrClosed
-	}
-	select {
-	case entries := <-w.reply:
-		return entries, nil
-	case <-p.gone:
-		// The peer departed with the query open; its state is gone.
-		return nil, fmt.Errorf("live: node %v departed during lookup", id)
-	case <-ctx.Done():
-		n.forgetWaiter(id, key, w)
-		return nil, ctx.Err()
-	case <-n.closed:
-		return nil, ErrClosed
-	}
-}
-
-// forgetWaiter asks the peer to drop a cancelled lookup's open
-// connection. Best-effort and non-blocking: if the network is shutting
-// down or the inbox is saturated, the buffered reply channel still keeps
-// a late answer from blocking the peer goroutine.
-func (n *Network) forgetWaiter(id overlay.NodeID, key overlay.Key, w *lookupWaiter) {
-	p := n.peerAt(id)
-	if p == nil {
-		return
-	}
-	ctrl := message{kind: msgControl, ctrl: func(p *peer) {
-		ws := p.waiters[key]
-		for i, got := range ws {
-			if got == w {
-				p.waiters[key] = append(ws[:i], ws[i+1:]...)
-				break
-			}
-		}
-		if len(p.waiters[key]) == 0 {
-			delete(p.waiters, key)
-		}
-	}}
-	select {
-	case p.inbox <- ctrl:
-	case <-n.closed:
-	default:
-	}
+	return p.lookup(ctx, key)
 }
 
 // Authority returns the node owning key.
 func (n *Network) Authority(key overlay.Key) overlay.NodeID { return n.ov.Owner(key) }
 
-// control runs fn on node id's goroutine with exclusive access to its
-// protocol state and blocks until it completes, ctx cancels, or the
-// network closes. On cancellation fn may still run later — it was already
-// queued — but the caller stops waiting.
-func (n *Network) control(ctx context.Context, id overlay.NodeID, fn func(*peer)) error {
+// atAuthority returns key's authority peer; the error covers the instant
+// of a join in which the overlay already names a peer not yet spawned.
+func (n *Network) atAuthority(key overlay.Key) (*peer, error) {
+	id := n.Authority(key)
+	if p := n.peerAt(id); p != nil {
+		return p, nil
+	}
+	return nil, fmt.Errorf("live: control of unknown node %v", id)
+}
+
+// controlNode runs fn on node id's goroutine with exclusive access to
+// its protocol state and blocks until it completes, ctx cancels, or the
+// network closes (see clientEnd.run).
+func (n *Network) controlNode(ctx context.Context, id overlay.NodeID, fn func(*cup.Node)) error {
 	p := n.peerAt(id)
 	if p == nil {
 		return fmt.Errorf("live: control of unknown node %v", id)
 	}
-	done := make(chan struct{})
-	ctrl := message{kind: msgControl, ctrl: func(p *peer) {
-		fn(p)
-		close(done)
-	}}
-	select {
-	case p.inbox <- ctrl:
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-n.closed:
-		return ErrClosed
-	}
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-n.closed:
-		return ErrClosed
-	}
+	return p.run(ctx, func() { fn(p.node) })
 }
 
 // AddReplica installs an index entry for (key, replica) at its authority
@@ -520,19 +424,11 @@ func (n *Network) RefreshCtx(ctx context.Context, key overlay.Key, replica int, 
 }
 
 func (n *Network) replicaEvent(ctx context.Context, key overlay.Key, replica int, addr string, lifetime time.Duration, ty cup.UpdateType) error {
-	life := sim.Duration(lifetime.Seconds())
-	return n.control(ctx, n.Authority(key), func(p *peer) {
-		e := cache.Entry{
-			Key: key, Replica: replica, Addr: addr,
-			Expires: p.net.now().Add(life),
-		}
-		p.node.InstallLocal(e)
-		u := cup.Update{
-			Key: key, Type: ty, Entries: []cache.Entry{e}, Replica: replica,
-			Expires: e.Expires, Lifetime: life,
-		}
-		p.dispatch(p.node.OriginateUpdate(u))
-	})
+	p, err := n.atAuthority(key)
+	if err != nil {
+		return err
+	}
+	return p.replicaEvent(ctx, key, replica, addr, lifetime, ty)
 }
 
 // RemoveReplica deletes (key, replica) at the authority and propagates a
@@ -543,27 +439,24 @@ func (n *Network) RemoveReplica(key overlay.Key, replica int) {
 
 // RemoveReplicaCtx is RemoveReplica with cancellation.
 func (n *Network) RemoveReplicaCtx(ctx context.Context, key overlay.Key, replica int) error {
-	return n.control(ctx, n.Authority(key), func(p *peer) {
-		p.node.RemoveLocal(key, replica)
-		u := cup.Update{
-			Key: key, Type: cup.Delete, Replica: replica,
-			Expires: p.net.now().Add(sim.Duration(3600)),
-		}
-		p.dispatch(p.node.OriginateUpdate(u))
-	})
+	p, err := n.atAuthority(key)
+	if err != nil {
+		return err
+	}
+	return p.removeReplica(ctx, key, replica)
 }
 
 // SetCapacity adjusts a peer's outgoing update capacity fraction
 // (negative restores full capacity), as in the §3.7 experiments.
 func (n *Network) SetCapacity(id overlay.NodeID, c float64) {
-	_ = n.control(context.Background(), id, func(p *peer) { p.node.SetCapacity(c) })
+	_ = n.controlNode(context.Background(), id, func(node *cup.Node) { node.SetCapacity(c) })
 }
 
 // Inspect runs fn on node id's goroutine with exclusive access to its
 // protocol state; it blocks until fn completes. Intended for tests and
 // diagnostics.
 func (n *Network) Inspect(id overlay.NodeID, fn func(*cup.Node)) {
-	_ = n.control(context.Background(), id, func(p *peer) { fn(p.node) })
+	_ = n.controlNode(context.Background(), id, fn)
 }
 
 // Quiesced reports whether no messages were in flight across one probe
@@ -597,11 +490,13 @@ func (n *Network) aliveSlot(id overlay.NodeID) bool { return n.IsAlive(id) }
 func (n *Network) spawnMember(id overlay.NodeID) error {
 	p := n.newPeer(id)
 	n.peersMu.Lock()
-	if int(id) != len(n.nodes) {
+	old := *n.peers.Load()
+	if int(id) != len(old) {
 		n.peersMu.Unlock()
-		return fmt.Errorf("live: spawn of non-dense node id %v (have %d slots)", id, len(n.nodes))
+		return fmt.Errorf("live: spawn of non-dense node id %v (have %d slots)", id, len(old))
 	}
-	n.nodes = append(n.nodes, p)
+	grown := append(old[:len(old):len(old)], p)
+	n.peers.Store(&grown)
 	n.peersMu.Unlock()
 	n.wg.Add(1)
 	go p.loop(&n.wg)
@@ -613,33 +508,7 @@ func (n *Network) retireMember(ctx context.Context, id overlay.NodeID) ([]cache.
 	if p == nil {
 		return nil, fmt.Errorf("live: retire of unknown node %v", id)
 	}
-	var entries []cache.Entry
-	err := n.control(ctx, id, func(pp *peer) {
-		dir := pp.node.LocalDirectory()
-		for _, k := range dir.Keys() {
-			entries = append(entries, dir.All(k)...)
-			dir.RemoveKey(k)
-		}
-		pp.departing = true
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Wait for the goroutine to acknowledge (gone closes) so later
-	// aliveness checks — and the hand-over that follows — observe the
-	// departure.
-	select {
-	case <-p.gone:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-n.closed:
-		return nil, ErrClosed
-	}
-	return entries, nil
-}
-
-func (n *Network) controlNode(ctx context.Context, id overlay.NodeID, fn func(*cup.Node)) error {
-	return n.control(ctx, id, func(p *peer) { fn(p.node) })
+	return p.depart(ctx)
 }
 
 func (n *Network) emitMembership(kind cup.EventKind, id overlay.NodeID) {

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"math/rand"
@@ -29,9 +30,9 @@ type TCPNetwork struct {
 	router *cup.OverlayRouter
 	cfg    Config
 	start  time.Time
-	// peersMu guards peers: churn appends new slots while traffic reads.
-	peersMu sync.RWMutex
-	peers   []*tcpPeer
+	// peers is the peer table, published copy-on-write like Network's.
+	peers   atomic.Pointer[[]*tcpPeer]
+	peersMu sync.Mutex
 	// portsMu guards ports, the listener count currently reserved against
 	// the shared port budget (churn adjusts it at runtime).
 	portsMu sync.Mutex
@@ -42,30 +43,27 @@ type TCPNetwork struct {
 	once    sync.Once
 }
 
-// tcpPeer is one protocol endpoint: a listener, an inbox serializing all
-// protocol work onto one goroutine, and lazily dialed outbound conns.
+// tcpPeer is one protocol endpoint: the shared client end, a listener,
+// an inbox serializing all protocol work onto one goroutine, and lazily
+// dialed outbound conns.
 type tcpPeer struct {
-	id      overlay.NodeID
-	node    *cup.Node
-	net     *TCPNetwork
-	ln      net.Listener
-	inbox   chan tcpWork
-	waiters map[overlay.Key][]chan []cache.Entry
-	// gone closes when the peer departs (§2.9); departing is set on the
-	// peer's goroutine — see the goroutine transport's peer for the
-	// retirement protocol both share.
-	gone      chan struct{}
-	departing bool
+	clientEnd
+	net   *TCPNetwork
+	ln    net.Listener
+	inbox chan tcpWork
 
 	mu    sync.Mutex // guards conns
 	conns map[overlay.NodeID]net.Conn
+	// frame is the encode buffer of sendWire, which only the peer's
+	// goroutine calls.
+	frame []byte
 }
 
 // tcpWork is one unit for the peer goroutine: either an inbound protocol
 // message or a control closure.
 type tcpWork struct {
 	msg  wire.Message
-	ctrl func(*tcpPeer)
+	ctrl func()
 }
 
 // NewTCPNetwork starts cfg.Nodes peers listening on 127.0.0.1 ephemeral
@@ -94,16 +92,19 @@ func NewTCPNetwork(cfg Config) (*TCPNetwork, error) {
 		closed: make(chan struct{}),
 	}
 	tn.router.Dynamic = ov.dynamic() != nil
-	tn.peers = make([]*tcpPeer, cfg.Nodes)
-	for i := range tn.peers {
+	// Published before it is filled — nothing else runs yet — so that a
+	// failed boot's Close reaches the listeners bound so far.
+	peers := make([]*tcpPeer, 0, cfg.Nodes)
+	tn.peers.Store(&peers)
+	for i := 0; i < cfg.Nodes; i++ {
 		p, err := tn.newTCPPeer(overlay.NodeID(i))
 		if err != nil {
 			tn.Close()
 			return nil, err
 		}
-		tn.peers[i] = p
+		peers = append(peers, p)
 	}
-	for _, p := range tn.peers {
+	for _, p := range peers {
 		tn.wg.Add(2)
 		go p.acceptLoop(&tn.wg)
 		go p.workLoop(&tn.wg)
@@ -119,16 +120,12 @@ func (tn *TCPNetwork) newTCPPeer(id overlay.NodeID) (*tcpPeer, error) {
 		return nil, fmt.Errorf("live: listen: %w", err)
 	}
 	p := &tcpPeer{
-		id:      id,
-		node:    cup.NewNode(id, tn.cfg.Node, tn.router, tn.now),
-		net:     tn,
-		ln:      ln,
-		inbox:   make(chan tcpWork, tn.cfg.InboxDepth),
-		waiters: make(map[overlay.Key][]chan []cache.Entry),
-		gone:    make(chan struct{}),
-		conns:   make(map[overlay.NodeID]net.Conn),
+		net:   tn,
+		ln:    ln,
+		inbox: make(chan tcpWork, tn.cfg.InboxDepth),
+		conns: make(map[overlay.NodeID]net.Conn),
 	}
-	p.node.SetObserver(tn.cfg.Observer)
+	p.clientEnd = newClientEnd(id, tn.cfg, tn.router, tn.now, p, tn.closed)
 	return p, nil
 }
 
@@ -139,39 +136,20 @@ func (tn *TCPNetwork) Now() sim.Time { return tn.now() }
 
 // Size returns the number of peer slots ever allocated (dense IDs,
 // never reused); use IsAlive for current membership.
-func (tn *TCPNetwork) Size() int {
-	tn.peersMu.RLock()
-	defer tn.peersMu.RUnlock()
-	return len(tn.peers)
-}
+func (tn *TCPNetwork) Size() int { return len(*tn.peers.Load()) }
 
 func (tn *TCPNetwork) peerAt(id overlay.NodeID) *tcpPeer {
-	tn.peersMu.RLock()
-	defer tn.peersMu.RUnlock()
-	if int(id) < 0 || int(id) >= len(tn.peers) {
+	peers := *tn.peers.Load()
+	if int(id) < 0 || int(id) >= len(peers) {
 		return nil
 	}
-	return tn.peers[id]
-}
-
-func (tn *TCPNetwork) peerList() []*tcpPeer {
-	tn.peersMu.RLock()
-	defer tn.peersMu.RUnlock()
-	return append([]*tcpPeer(nil), tn.peers...)
+	return peers[id]
 }
 
 // IsAlive reports whether node id exists and has not departed.
 func (tn *TCPNetwork) IsAlive(id overlay.NodeID) bool {
 	p := tn.peerAt(id)
-	if p == nil {
-		return false
-	}
-	select {
-	case <-p.gone:
-		return false
-	default:
-		return true
-	}
+	return p != nil && !p.isGone()
 }
 
 // Done closes when the network shuts down.
@@ -210,16 +188,21 @@ func (tn *TCPNetwork) Stats() Stats {
 
 // InboxLoad sums occupancy and capacity across live peers' inboxes.
 func (tn *TCPNetwork) InboxLoad() (used, capacity int) {
-	for _, p := range tn.peerList() {
-		select {
-		case <-p.gone:
-			continue
-		default:
+	for _, p := range *tn.peers.Load() {
+		if !p.isGone() {
+			used += len(p.inbox)
+			capacity += cap(p.inbox)
 		}
-		used += len(p.inbox)
-		capacity += cap(p.inbox)
 	}
 	return used, capacity
+}
+
+// InboxLoadAt is InboxLoad for the one peer id; see Network.InboxLoadAt.
+func (tn *TCPNetwork) InboxLoadAt(id overlay.NodeID) (used, capacity int) {
+	if p := tn.peerAt(id); p != nil && !p.isGone() {
+		return len(p.inbox), cap(p.inbox)
+	}
+	return 0, 0
 }
 
 // Quiesced reports whether no messages were counted across one probe
@@ -241,10 +224,7 @@ func (tn *TCPNetwork) Quiesced(window time.Duration) bool {
 func (tn *TCPNetwork) Close() {
 	tn.once.Do(func() {
 		close(tn.closed)
-		for _, p := range tn.peerList() {
-			if p == nil {
-				continue
-			}
+		for _, p := range *tn.peers.Load() {
 			p.shutdownSockets()
 		}
 		tn.portsMu.Lock()
@@ -280,12 +260,15 @@ func (p *tcpPeer) acceptLoop(wg *sync.WaitGroup) {
 	}
 }
 
-// readLoop decodes frames off one connection into the peer's inbox.
+// readLoop decodes frames off one connection into the peer's inbox,
+// through a buffer: a frame's prefix and payload, and every frame that
+// has arrived behind it, come out of the socket in one read.
 func (p *tcpPeer) readLoop(conn net.Conn, wg *sync.WaitGroup) {
 	defer wg.Done()
 	defer conn.Close()
+	r := bufio.NewReader(conn)
 	for {
-		m, err := wire.ReadFrame(conn)
+		m, err := wire.ReadFrame(r)
 		if err != nil {
 			return
 		}
@@ -310,7 +293,7 @@ func (p *tcpPeer) workLoop(wg *sync.WaitGroup) {
 			return
 		case w := <-p.inbox:
 			if w.ctrl != nil {
-				w.ctrl(p)
+				w.ctrl()
 			} else {
 				p.handleWire(w.msg)
 			}
@@ -332,9 +315,28 @@ func (p *tcpPeer) retired() {
 			return
 		case w := <-p.inbox:
 			if w.ctrl != nil {
-				w.ctrl(p)
+				w.ctrl()
 			}
 		}
+	}
+}
+
+// post and tryPost put a control callback in the inbox (shell).
+func (p *tcpPeer) post(ctx context.Context, fn func()) error {
+	select {
+	case p.inbox <- tcpWork{ctrl: fn}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-p.net.closed:
+		return ErrClosed
+	}
+}
+
+func (p *tcpPeer) tryPost(fn func()) {
+	select {
+	case p.inbox <- tcpWork{ctrl: fn}:
+	default:
 	}
 }
 
@@ -342,11 +344,11 @@ func (p *tcpPeer) handleWire(m wire.Message) {
 	var acts []cup.Action
 	switch v := m.(type) {
 	case wire.Query:
-		acts = p.node.HandleQuery(v.From, v.Key, v.QueryID)
+		acts = p.query(v.From, v.Key, v.QueryID)
 	case wire.UpdateMsg:
-		acts = p.node.HandleUpdate(v.From, v.Update)
+		acts = p.update(v.From, v.Update)
 	case wire.ClearBit:
-		acts = p.node.HandleClearBit(v.From, v.Key)
+		acts = p.clearBit(v.From, v.Key)
 	case wire.Hello:
 		// Connection identification only; nothing protocol-visible.
 	}
@@ -366,13 +368,7 @@ func (p *tcpPeer) dispatch(acts []cup.Action) {
 			atomic.AddUint64(&p.net.stats.ClearBitMsgs, 1)
 			p.sendWire(a.To, wire.ClearBit{From: p.id, Key: a.Key})
 		case cup.ActDeliverLocal:
-			for _, ch := range p.waiters[a.Key] {
-				// Cannot block: each waiter channel is buffered(1), owned by
-				// one Lookup, and removed from the map below before any
-				// second delivery could target it.
-				ch <- a.Entries //cup:allowblocking
-			}
-			delete(p.waiters, a.Key)
+			p.deliver(a.Key, a.Entries)
 		}
 	}
 }
@@ -388,7 +384,10 @@ func (p *tcpPeer) sendWire(to overlay.NodeID, m wire.Message) {
 	if err != nil {
 		return
 	}
-	if err := wire.WriteFrame(conn, m); err != nil {
+	if p.frame, err = wire.AppendFrame(p.frame[:0], m); err == nil {
+		_, err = conn.Write(p.frame)
+	}
+	if err != nil {
 		p.mu.Lock()
 		if p.conns[to] == conn {
 			delete(p.conns, to)
@@ -420,73 +419,33 @@ func (p *tcpPeer) connTo(to overlay.NodeID) (net.Conn, error) {
 	return c, nil
 }
 
-// Lookup posts a query for key at peer id and waits for the answer.
+// Lookup answers a local client's query for key at peer id; see
+// Network.Lookup — the two share one implementation.
 func (tn *TCPNetwork) Lookup(ctx context.Context, id overlay.NodeID, key overlay.Key) ([]cache.Entry, error) {
 	p := tn.peerAt(id)
 	if p == nil {
 		return nil, fmt.Errorf("live: lookup at unknown node %v", id)
 	}
-	reply := make(chan []cache.Entry, 1)
-	work := tcpWork{ctrl: func(p *tcpPeer) {
-		if p.departing {
-			reply <- nil //cup:allowblocking (buffered(1), sole send)
-			return
-		}
-		acts := p.node.HandleQuery(cup.LocalClient, key, 0)
-		p.waiters[key] = append(p.waiters[key], reply)
-		p.dispatch(acts)
-	}}
-	select {
-	case <-p.gone:
-		return nil, fmt.Errorf("live: lookup at departed node %v", id)
-	default:
-	}
-	select {
-	case p.inbox <- work:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-tn.closed:
-		return nil, ErrClosed
-	}
-	select {
-	case entries := <-reply:
-		return entries, nil
-	case <-p.gone:
-		return nil, fmt.Errorf("live: node %v departed during lookup", id)
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-tn.closed:
-		return nil, ErrClosed
-	}
+	return p.lookup(ctx, key)
 }
 
-// control runs fn on peer id's goroutine and blocks until it completes,
-// ctx cancels, or the network closes.
-func (tn *TCPNetwork) control(ctx context.Context, id overlay.NodeID, fn func(*tcpPeer)) error {
+// controlNode runs fn on peer id's goroutine and blocks until it
+// completes, ctx cancels, or the network closes.
+func (tn *TCPNetwork) controlNode(ctx context.Context, id overlay.NodeID, fn func(*cup.Node)) error {
 	p := tn.peerAt(id)
 	if p == nil {
 		return fmt.Errorf("live: control of unknown node %v", id)
 	}
-	done := make(chan struct{})
-	work := tcpWork{ctrl: func(p *tcpPeer) {
-		fn(p)
-		close(done)
-	}}
-	select {
-	case p.inbox <- work:
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-tn.closed:
-		return ErrClosed
+	return p.run(ctx, func() { fn(p.node) })
+}
+
+// atAuthority returns key's authority peer; see Network.atAuthority.
+func (tn *TCPNetwork) atAuthority(key overlay.Key) (*tcpPeer, error) {
+	id := tn.Authority(key)
+	if p := tn.peerAt(id); p != nil {
+		return p, nil
 	}
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-tn.closed:
-		return ErrClosed
-	}
+	return nil, fmt.Errorf("live: control of unknown node %v", id)
 }
 
 // AddReplica installs an index entry at the authority and announces it.
@@ -510,14 +469,11 @@ func (tn *TCPNetwork) RefreshCtx(ctx context.Context, key overlay.Key, replica i
 }
 
 func (tn *TCPNetwork) replicaEvent(ctx context.Context, key overlay.Key, replica int, addr string, lifetime time.Duration, ty cup.UpdateType) error {
-	life := sim.Duration(lifetime.Seconds())
-	return tn.control(ctx, tn.Authority(key), func(p *tcpPeer) {
-		e := cache.Entry{Key: key, Replica: replica, Addr: addr, Expires: p.net.now().Add(life)}
-		p.node.InstallLocal(e)
-		u := cup.Update{Key: key, Type: ty, Entries: []cache.Entry{e}, Replica: replica,
-			Expires: e.Expires, Lifetime: life}
-		p.dispatch(p.node.OriginateUpdate(u))
-	})
+	p, err := tn.atAuthority(key)
+	if err != nil {
+		return err
+	}
+	return p.replicaEvent(ctx, key, replica, addr, lifetime, ty)
 }
 
 // RemoveReplica deletes (key, replica) at the authority and propagates a
@@ -528,25 +484,22 @@ func (tn *TCPNetwork) RemoveReplica(key overlay.Key, replica int) {
 
 // RemoveReplicaCtx is RemoveReplica with cancellation.
 func (tn *TCPNetwork) RemoveReplicaCtx(ctx context.Context, key overlay.Key, replica int) error {
-	return tn.control(ctx, tn.Authority(key), func(p *tcpPeer) {
-		p.node.RemoveLocal(key, replica)
-		u := cup.Update{
-			Key: key, Type: cup.Delete, Replica: replica,
-			Expires: p.net.now().Add(sim.Duration(3600)),
-		}
-		p.dispatch(p.node.OriginateUpdate(u))
-	})
+	p, err := tn.atAuthority(key)
+	if err != nil {
+		return err
+	}
+	return p.removeReplica(ctx, key, replica)
 }
 
 // SetCapacity adjusts a peer's outgoing update capacity fraction.
 func (tn *TCPNetwork) SetCapacity(id overlay.NodeID, c float64) {
-	_ = tn.control(context.Background(), id, func(p *tcpPeer) { p.node.SetCapacity(c) })
+	_ = tn.controlNode(context.Background(), id, func(node *cup.Node) { node.SetCapacity(c) })
 }
 
 // Inspect runs fn on node id's goroutine with exclusive access to its
 // protocol state.
 func (tn *TCPNetwork) Inspect(id overlay.NodeID, fn func(*cup.Node)) {
-	_ = tn.control(context.Background(), id, func(p *tcpPeer) { fn(p.node) })
+	_ = tn.controlNode(context.Background(), id, fn)
 }
 
 // PumpTraffic replays a Traffic stream against the TCP peers — the same
@@ -588,13 +541,15 @@ func (tn *TCPNetwork) spawnMember(id overlay.NodeID) error {
 		return err
 	}
 	tn.peersMu.Lock()
-	if int(id) != len(tn.peers) {
+	old := *tn.peers.Load()
+	if int(id) != len(old) {
 		tn.peersMu.Unlock()
 		p.shutdownSockets()
 		releasePorts(1)
-		return fmt.Errorf("live: spawn of non-dense node id %v (have %d slots)", id, len(tn.peers))
+		return fmt.Errorf("live: spawn of non-dense node id %v (have %d slots)", id, len(old))
 	}
-	tn.peers = append(tn.peers, p)
+	grown := append(old[:len(old):len(old)], p)
+	tn.peers.Store(&grown)
 	tn.peersMu.Unlock()
 	tn.portsMu.Lock()
 	tn.ports++
@@ -610,24 +565,9 @@ func (tn *TCPNetwork) retireMember(ctx context.Context, id overlay.NodeID) ([]ca
 	if p == nil {
 		return nil, fmt.Errorf("live: retire of unknown node %v", id)
 	}
-	var entries []cache.Entry
-	err := tn.control(ctx, id, func(pp *tcpPeer) {
-		dir := pp.node.LocalDirectory()
-		for _, k := range dir.Keys() {
-			entries = append(entries, dir.All(k)...)
-			dir.RemoveKey(k)
-		}
-		pp.departing = true
-	})
+	entries, err := p.depart(ctx)
 	if err != nil {
 		return nil, err
-	}
-	select {
-	case <-p.gone:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-tn.closed:
-		return nil, ErrClosed
 	}
 	// The departed peer's sockets close now: dials to it fail and its
 	// budget reservation returns to the pool.
@@ -639,10 +579,6 @@ func (tn *TCPNetwork) retireMember(ctx context.Context, id overlay.NodeID) ([]ca
 	}
 	tn.portsMu.Unlock()
 	return entries, nil
-}
-
-func (tn *TCPNetwork) controlNode(ctx context.Context, id overlay.NodeID, fn func(*cup.Node)) error {
-	return tn.control(ctx, id, func(p *tcpPeer) { fn(p.node) })
 }
 
 func (tn *TCPNetwork) emitMembership(kind cup.EventKind, id overlay.NodeID) {

@@ -18,13 +18,21 @@
 // top — 200 the key is present, 202 the caller holds the population
 // lease ("you upload"), 409 someone else does (with Retry-After).
 //
+// A GET hit is a store read (the justcache rule): the backend answers
+// it from the entry node's published view without a trip through the
+// peer's mailbox, and the handler's hit branch arms no timer, walks no
+// peer table and encodes its body by hand into a pooled buffer.
+//
 // Two admission guards keep external load from swamping the
 // propagation tree (the LOCKSS lesson: rate-bound what peers may
-// inject): update-injecting requests (PUT, DELETE, promise grants)
-// draw from a token bucket and are rejected with 429 when it runs dry,
-// and every request sheds with 503 while the live peer inboxes sit
-// above an occupancy threshold. Reads need no bucket — coalescing
-// already bounds read-side tree load to one in-flight query per key.
+// inject, at the point of contention): update-injecting requests (PUT,
+// DELETE, promise grants) draw from a token bucket and are rejected
+// with 429 when it runs dry, and requests shed with 503 while the
+// mailbox they are about to enter sits above an occupancy threshold —
+// for a GET the entry node's own inbox, which one hot key can fill
+// while the sum over all peers reads 1/N; for writes, which fan out
+// over the tree, the sum. Reads need no bucket — coalescing already
+// bounds read-side tree load to one in-flight query per key.
 //
 // The package is deliberately ignorant of the façade: it serves any
 // Backend, and the cup package adapts a Deployment to one.
@@ -33,8 +41,8 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"strconv"
 	"sync"
@@ -66,6 +74,15 @@ type Backend interface {
 	Load() (used, capacity int)
 }
 
+// NodeLoader is an optional Backend capability: the occupancy and
+// capacity of one peer's inbox. A backend that has it lets the GET
+// overload guard watch the entry node's mailbox — the queue the request
+// is about to join — instead of the sum Load reports. (0, 0) means
+// unknown and disables shedding, as for Load.
+type NodeLoader interface {
+	NodeLoad(at overlay.NodeID) (used, capacity int)
+}
+
 // Config parameterizes a Server. Zero values fall back to the shared
 // defaults table in internal/cup, like every other layer.
 type Config struct {
@@ -94,7 +111,9 @@ type Config struct {
 // Server is the HTTP serving layer. Register mounts its routes on a
 // mux; Close stops its background janitor.
 type Server struct {
-	b        Backend
+	b Backend
+	// nodes is b's per-node load signal, nil when it has none.
+	nodes    NodeLoader
 	reg      *obs.Registry
 	promises *promises
 	bucket   *bucket
@@ -104,10 +123,12 @@ type Server struct {
 
 	hits            *obs.Counter
 	misses          *obs.Counter
-	rejected        map[string]*obs.Counter
+	rejectedRate    *obs.Counter
+	rejectedLoad    *obs.Counter
 	promiseOutcomes map[promiseVerdict]*obs.Counter
 
 	routes map[string]*routeMetrics
+	get    getMetrics
 
 	done    chan struct{}
 	janitor sync.WaitGroup
@@ -119,6 +140,13 @@ type Server struct {
 type routeMetrics struct {
 	lat   *obs.Histogram
 	codes map[int]*obs.Counter
+}
+
+// getMetrics is the GET route's series resolved to fields, so a hit
+// records its latency and status without a map lookup.
+type getMetrics struct {
+	lat                                 *obs.Histogram
+	ok, notFound, failed, shed, timeout *obs.Counter // 200, 404, 500, 503, 504
 }
 
 // Metric names the serving layer registers — documented in the README
@@ -176,18 +204,17 @@ func New(cfg Config) (*Server, error) {
 		now:      now,
 		done:     make(chan struct{}),
 	}
+	s.nodes, _ = cfg.Backend.(NodeLoader)
 	if rate > 0 {
 		s.bucket = newBucket(rate, float64(burst), now())
 	}
 
 	s.hits = reg.Counter(MetricHits, "GETs answered with at least one fresh index entry.")
 	s.misses = reg.Counter(MetricMisses, "GETs that found no fresh entries (404).")
-	s.rejected = map[string]*obs.Counter{
-		"rate": reg.Counter(MetricRejected,
-			"Requests rejected by the admission guards.", obs.Label{Key: "reason", Value: "rate"}),
-		"overload": reg.Counter(MetricRejected,
-			"Requests rejected by the admission guards.", obs.Label{Key: "reason", Value: "overload"}),
-	}
+	s.rejectedRate = reg.Counter(MetricRejected,
+		"Requests rejected by the admission guards.", obs.Label{Key: "reason", Value: "rate"})
+	s.rejectedLoad = reg.Counter(MetricRejected,
+		"Requests rejected by the admission guards.", obs.Label{Key: "reason", Value: "overload"})
 	s.promiseOutcomes = map[promiseVerdict]*obs.Counter{}
 	for _, v := range []promiseVerdict{promisePresent, promiseGranted, promiseBusy} {
 		s.promiseOutcomes[v] = reg.Counter(MetricPromises,
@@ -218,6 +245,12 @@ func New(cfg Config) (*Server, error) {
 				obs.Label{Key: "code", Value: strconv.Itoa(code)})
 		}
 		s.routes[route] = rm
+	}
+	get := s.routes["get"]
+	s.get = getMetrics{
+		lat: get.lat,
+		ok:  get.codes[200], notFound: get.codes[404], failed: get.codes[500],
+		shed: get.codes[503], timeout: get.codes[504],
 	}
 
 	s.janitor.Add(1)
@@ -262,10 +295,16 @@ func (s *Server) sweepLoop() {
 // choice is what turns CUP's §2.4 machinery into the server's
 // thundering-herd guard. The hash also spreads distinct keys across
 // peers, so serving load is not funneled through one mailbox.
+//
+// The hash is FNV-1a (64-bit), computed over the string in place.
+//
+//cup:hotpath
 func EntryNode(key overlay.Key, size int) overlay.NodeID {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(key))
-	return overlay.NodeID(h.Sum64() % uint64(size))
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * 1099511628211
+	}
+	return overlay.NodeID(h % uint64(size))
 }
 
 // EntryJSON is one index entry on the serving wire. TTL is the entry's
@@ -307,14 +346,21 @@ func (s *Server) observe(route string, code int, start time.Time) {
 	}
 }
 
-// shed applies the inbox-occupancy guard; it reports true after writing
-// the 503 when the live mailboxes are too full to take more work.
+// shed applies the inbox-occupancy guard to a request that fans out over
+// the tree (a write, a promise): it reports true after writing the 503
+// when the live mailboxes together are too full to take more work.
 func (s *Server) shed(w http.ResponseWriter) bool {
 	used, capacity := s.b.Load()
+	return s.shedOver(w, used, capacity)
+}
+
+// shedOver writes the 503 and reports true when used of capacity is at
+// or past the occupancy threshold.
+func (s *Server) shedOver(w http.ResponseWriter, used, capacity int) bool {
 	if capacity == 0 || float64(used) < s.shedAt*float64(capacity) {
 		return false
 	}
-	s.rejected["overload"].Inc()
+	s.rejectedLoad.Inc()
 	retryAfter(w, s.promises.ttl)
 	http.Error(w, "serving shed: live inboxes over occupancy threshold", http.StatusServiceUnavailable)
 	return true
@@ -330,7 +376,7 @@ func (s *Server) admit(w http.ResponseWriter) bool {
 	if ok {
 		return false
 	}
-	s.rejected["rate"].Inc()
+	s.rejectedRate.Inc()
 	retryAfter(w, wait)
 	http.Error(w, "admission rate exceeded", http.StatusTooManyRequests)
 	return true
@@ -347,44 +393,72 @@ func retryAfter(w http.ResponseWriter, d time.Duration) {
 	w.Header().Set("X-Retry-After-Ms", strconv.FormatInt(d.Milliseconds(), 10))
 }
 
+// handleGet serves GET /v1/key/{key}. The hit — the request CUP exists
+// to make common — runs straight through this function: an O(1) guard on
+// the entry node's inbox, a lookup the backend answers from the entry
+// node's published view, a body appended into a pooled buffer, two
+// pre-resolved metric handles. Everything else leaves through getFailed.
+//
+//cup:hotpath
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	start := s.now()
-	code := http.StatusOK
-	defer func() { s.observe("get", code, start) }()
-	if s.shed(w) {
-		code = http.StatusServiceUnavailable
-		return
-	}
 	key := overlay.Key(r.PathValue("key"))
-	ctx, cancel := context.WithTimeout(r.Context(), s.queryTO)
-	defer cancel()
-	entries, err := s.b.LookupAt(ctx, EntryNode(key, s.b.Size()), key)
-	if err != nil {
-		code = http.StatusInternalServerError
-		if ctx.Err() != nil {
-			code = http.StatusGatewayTimeout
-		}
-		http.Error(w, fmt.Sprintf("lookup: %v", err), code)
+	at := EntryNode(key, s.b.Size())
+	// The guard reads the mailbox this request would join: one hot key
+	// can fill its entry node's inbox while the sum over all peers reads
+	// 1/N, and a guard watching the sum would admit into the backlog.
+	var used, capacity int
+	if s.nodes != nil {
+		used, capacity = s.nodes.NodeLoad(at)
+	} else {
+		used, capacity = s.b.Load()
+	}
+	if s.shedOver(w, used, capacity) {
+		s.get.done(s.get.shed, s.now().Sub(start))
 		return
 	}
-	if len(entries) == 0 {
-		s.misses.Inc()
-		code = http.StatusNotFound
-		http.Error(w, "miss", code)
+	// The query timeout bounds a lookup that waits; a hit never waits, and
+	// a context nobody waits on arms no timer.
+	ctx := &lazyDeadline{Context: r.Context(), timeout: s.queryTO} //cup:allowalloc (the request's one context, in place of WithTimeout's four objects and a runtime timer)
+	entries, err := s.b.LookupAt(ctx, at, key)
+	ctx.stop()
+	if err != nil || len(entries) == 0 {
+		s.getFailed(ctx, w, err, start)
 		return
 	}
 	s.hits.Inc()
-	resp := GetResponse{Key: string(key), Entries: make([]EntryJSON, len(entries))}
-	nowV := s.b.Now()
-	for i, e := range entries {
-		resp.Entries[i] = EntryJSON{
-			Replica: e.Replica,
-			Addr:    e.Addr,
-			TTL:     float64(e.Expires - nowV),
-		}
+	buf := getBufs.Get().(*getBuf)
+	buf.b = appendGetResponse(buf.b[:0], key, entries, s.b.Now())
+	w.Header()["Content-Type"] = jsonContentType //cup:allowalloc (net/http's own header map; the value slice is shared, not built per request)
+	_, _ = w.Write(buf.b)
+	getBufs.Put(buf)
+	s.get.done(s.get.ok, s.now().Sub(start))
+}
+
+// getFailed finishes a GET that did not hit: a lookup error (504 when
+// the query timeout or the client's own cancellation ended it, or the
+// backend reports a deadline of its own; else 500) or a miss (404).
+func (s *Server) getFailed(ctx context.Context, w http.ResponseWriter, err error, start time.Time) {
+	switch {
+	case err == nil:
+		s.misses.Inc()
+		http.Error(w, "miss", http.StatusNotFound)
+		s.get.done(s.get.notFound, s.now().Sub(start))
+	case ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded):
+		http.Error(w, fmt.Sprintf("lookup: %v", err), http.StatusGatewayTimeout)
+		s.get.done(s.get.timeout, s.now().Sub(start))
+	default:
+		http.Error(w, fmt.Sprintf("lookup: %v", err), http.StatusInternalServerError)
+		s.get.done(s.get.failed, s.now().Sub(start))
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
+}
+
+// done records one GET's latency and status.
+//
+//cup:hotpath
+func (g *getMetrics) done(code *obs.Counter, took time.Duration) {
+	g.lat.Observe(took.Seconds())
+	code.Inc()
 }
 
 func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
@@ -493,7 +567,7 @@ func (s *Server) handlePromise(w http.ResponseWriter, r *http.Request) {
 		_ = json.NewEncoder(w).Encode(PromiseResponse{Status: "busy", RetryAfterMs: lease.Milliseconds()})
 	case promiseThrottled:
 		code = http.StatusTooManyRequests
-		s.rejected["rate"].Inc()
+		s.rejectedRate.Inc()
 		retryAfter(w, s.bucketWait())
 		w.WriteHeader(code)
 		_ = json.NewEncoder(w).Encode(PromiseResponse{Status: "busy", RetryAfterMs: s.bucketWait().Milliseconds()})

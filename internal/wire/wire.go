@@ -188,8 +188,11 @@ func getEntry(r *reader) cache.Entry {
 }
 
 // Marshal encodes a message payload (without the frame length prefix).
-func Marshal(m Message) []byte {
-	w := &buffer{}
+func Marshal(m Message) []byte { return appendPayload(nil, m) }
+
+// appendPayload appends m's payload to b.
+func appendPayload(b []byte, m Message) []byte {
+	w := &buffer{b: b}
 	w.u8(byte(m.kind()))
 	switch v := m.(type) {
 	case Query:
@@ -269,18 +272,27 @@ func Unmarshal(b []byte) (Message, error) {
 	return m, nil
 }
 
-// WriteFrame writes one length-prefixed message to w.
-func WriteFrame(w io.Writer, m Message) error {
-	payload := Marshal(m)
-	if len(payload) > MaxFrame {
-		return ErrFrameTooLarge
+// AppendFrame appends m as one frame — length prefix, then payload — to b.
+func AppendFrame(b []byte, m Message) ([]byte, error) {
+	at := len(b)
+	b = appendPayload(append(b, 0, 0, 0, 0), m)
+	n := len(b) - at - 4
+	if n > MaxFrame {
+		return b[:at], ErrFrameTooLarge
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	binary.BigEndian.PutUint32(b[at:], uint32(n))
+	return b, nil
+}
+
+// WriteFrame writes one length-prefixed message to w, in one Write: on
+// a socket a frame is one system call and one segment, not a four-byte
+// one for the prefix and another for the payload.
+func WriteFrame(w io.Writer, m Message) error {
+	frame, err := AppendFrame(nil, m)
+	if err != nil {
 		return err
 	}
-	_, err := w.Write(payload)
+	_, err = w.Write(frame)
 	return err
 }
 

@@ -121,6 +121,64 @@ func TestWriteReadFrame(t *testing.T) {
 	}
 }
 
+// writeCounter counts the Write calls a frame costs: on a socket each is
+// a system call and, with TCP_NODELAY, a segment.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+func TestWriteFrameIsOneWrite(t *testing.T) {
+	big := sampleUpdate()
+	for i := 0; i < 64; i++ { // past WriteFrame's initial capacity
+		big.Entries = append(big.Entries, big.Entries[0])
+	}
+	for _, m := range []Message{Hello{From: 1}, Query{From: 2, Key: "k", QueryID: 3}, UpdateMsg{From: 4, Update: big}} {
+		var w writeCounter
+		if err := WriteFrame(&w, m); err != nil {
+			t.Fatal(err)
+		}
+		if w.writes != 1 {
+			t.Errorf("%T: %d writes, want 1", m, w.writes)
+		}
+		if got, err := ReadFrame(&w); err != nil || !reflect.DeepEqual(got, m) {
+			t.Errorf("%T: read back %+v, %v", m, got, err)
+		}
+	}
+}
+
+func TestAppendFrameReusesBuffer(t *testing.T) {
+	msgs := []Message{Query{From: 2, Key: "k", QueryID: 3}, UpdateMsg{From: 4, Update: sampleUpdate()}, ClearBit{From: 5, Key: "k"}}
+	var stream, frame []byte
+	for _, m := range msgs {
+		var err error
+		// One encode buffer reused frame after frame, as a TCP peer does.
+		if frame, err = AppendFrame(frame[:0], m); err != nil {
+			t.Fatal(err)
+		}
+		stream = append(stream, frame...)
+	}
+	r := bytes.NewReader(stream)
+	for _, want := range msgs {
+		if got, err := ReadFrame(r); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("got %+v, %v, want %+v", got, err, want)
+		}
+	}
+	huge := Query{Key: overlay.Key(strings.Repeat("x", 65535))}
+	u := UpdateMsg{Update: cup.Update{Key: huge.Key}}
+	for i := 0; i < MaxFrame/65535+1; i++ {
+		u.Update.Entries = append(u.Update.Entries, cache.Entry{Key: huge.Key})
+	}
+	if b, err := AppendFrame([]byte("kept"), u); err != ErrFrameTooLarge || string(b) != "kept" {
+		t.Fatalf("oversized frame: %q, %v; want the buffer as it was and ErrFrameTooLarge", b[:min(len(b), 8)], err)
+	}
+}
+
 func TestReadFrameRejectsHugeLength(t *testing.T) {
 	var hdr [4]byte
 	hdr[0] = 0xFF

@@ -93,6 +93,18 @@ func (b deploymentBackend) Load() (used, capacity int) {
 	return 0, 0
 }
 
+// NodeLoad is Load for the one peer a GET enters at (serve.NodeLoader).
+func (b deploymentBackend) NodeLoad(at NodeID) (used, capacity int) {
+	if lr, ok := b.d.rt.(*liveRuntime); ok {
+		if n := lr.peek(); n != nil {
+			return n.InboxLoadAt(at)
+		}
+	}
+	return 0, 0
+}
+
+var _ serve.NodeLoader = deploymentBackend{}
+
 // initServing builds the serving layer and binds its listeners. Called
 // from New after telemetry, so the serving metrics land on the
 // telemetry registry when both are enabled.

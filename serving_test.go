@@ -377,3 +377,91 @@ func TestWithServingValidation(t *testing.T) {
 		t.Fatal("WithServing(\"\") succeeded")
 	}
 }
+
+// TestServingHotKeyOverloadSheds is the overload the global guard could
+// not see: one key's entry peer stops draining its mailbox and GETs for
+// that key pile into it, while the other 63 inboxes sit empty — global
+// occupancy never passes 1/64. The guard in front of a GET watches the
+// entry node's own inbox, so once that is 90 % full further GETs fail
+// fast with 503 and Retry-After instead of joining the backlog, and when
+// the peer drains again everything admitted is answered: nobody waits
+// out the query timeout.
+func TestServingHotKeyOverloadSheds(t *testing.T) {
+	const (
+		depth    = 32
+		requests = 4 * depth
+	)
+	d := servingDeployment(t, cup.WithNodes(64), cup.WithInboxDepth(depth))
+	base := "http://" + d.ServingAddrs()[0]
+	const key = "hot" // never published: every GET is a miss through the mailbox
+	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: requests}}
+	defer hc.CloseIdleConnections()
+
+	release := make(chan struct{})
+	blocked := make(chan struct{})
+	go func() { _ = d.Inspect(d.ServingEntryNode(key), func(*cup.Node) { close(blocked); <-release }) }()
+	<-blocked
+
+	type outcome struct {
+		code       int
+		retryAfter string
+		took       time.Duration
+		err        error
+	}
+	results := make(chan outcome, requests)
+	for i := 0; i < requests; i++ {
+		go func() {
+			start := time.Now()
+			resp, err := hc.Get(base + "/v1/key/" + key)
+			if err != nil {
+				results <- outcome{err: err}
+				return
+			}
+			_, _ = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			results <- outcome{code: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After"), took: time.Since(start)}
+		}()
+		// Staggered, so that the requests racing past the guard at any
+		// instant are fewer than the tenth of the inbox it leaves free.
+		time.Sleep(500 * time.Microsecond)
+	}
+	rejected := func() float64 {
+		v, _ := d.MetricValue("cup_serve_admission_rejected_total", cup.MetricLabel{Key: "reason", Value: "overload"})
+		return v
+	}
+	for deadline := time.Now().Add(2 * time.Second); rejected() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+
+	var shed, missed int
+	for i := 0; i < requests; i++ {
+		r := <-results
+		switch {
+		case r.err != nil:
+			t.Fatalf("request failed: %v", r.err)
+		case r.code == http.StatusServiceUnavailable:
+			shed++
+			if r.retryAfter == "" {
+				t.Error("503 without Retry-After")
+			}
+			if r.took > time.Second {
+				t.Errorf("a shed request took %v: the guard must fail fast", r.took)
+			}
+		case r.code == http.StatusNotFound:
+			missed++
+		default:
+			t.Errorf("GET = %d after %v, want 503 (shed) or 404 (admitted, answered after the stall)", r.code, r.took)
+		}
+		if r.took > 4*time.Second {
+			t.Errorf("a request took %v: it waited out the query timeout", r.took)
+		}
+	}
+	if shed == 0 || rejected() == 0 {
+		t.Fatalf("%d requests into a stalled entry peer with a %d-deep inbox: %d shed (metric %v), %d answered — the guard never fired",
+			requests, depth, shed, rejected(), missed)
+	}
+	if missed == 0 || missed > depth {
+		t.Fatalf("%d requests admitted into a %d-deep inbox", missed, depth)
+	}
+}

@@ -3,6 +3,8 @@ package cup
 import (
 	"fmt"
 	"strconv"
+	"sync"
+	"time"
 
 	internal "cup/internal/cup"
 	"cup/internal/live"
@@ -87,24 +89,13 @@ func (d *Deployment) initTelemetry(o *options) error {
 	if lr, ok := d.rt.(*liveRuntime); ok {
 		// Occupancy gauges read live state at scrape time; a never-booted
 		// (lazy) network reports zero rather than booting to be scraped.
+		inbox := &inboxSample{lr: lr}
 		reg.GaugeFunc("cup_live_inbox_used",
 			"Messages queued across live peer inboxes.",
-			func() float64 {
-				if n := lr.peek(); n != nil {
-					used, _ := n.InboxLoad()
-					return float64(used)
-				}
-				return 0
-			})
+			func() float64 { used, _ := inbox.read(); return float64(used) })
 		reg.GaugeFunc("cup_live_inbox_capacity",
 			"Total live peer inbox capacity.",
-			func() float64 {
-				if n := lr.peek(); n != nil {
-					_, capacity := n.InboxLoad()
-					return float64(capacity)
-				}
-				return 0
-			})
+			func() float64 { _, capacity := inbox.read(); return float64(capacity) })
 		reg.GaugeFunc("cup_live_ports_used",
 			"Inbox slots currently drawn from the process-wide live port budget.",
 			func() float64 { return float64(live.PortsInUse()) })
@@ -136,6 +127,29 @@ func (d *Deployment) initTelemetry(o *options) error {
 	}
 	d.tele = t
 	return nil
+}
+
+// inboxSample lets the two inbox gauges share one walk of the peers: a
+// scrape reads both within microseconds, and a sample younger than a
+// millisecond is reused. A never-booted (lazy) network reads zero.
+type inboxSample struct {
+	lr *liveRuntime
+
+	mu             sync.Mutex
+	at             time.Time
+	used, capacity int
+}
+
+func (s *inboxSample) read() (used, capacity int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if now := time.Now(); now.Sub(s.at) > time.Millisecond {
+		s.at, s.used, s.capacity = now, 0, 0
+		if n := s.lr.peek(); n != nil {
+			s.used, s.capacity = n.InboxLoad()
+		}
+	}
+	return s.used, s.capacity
 }
 
 // Metrics snapshots every telemetry series, or nil without
