@@ -475,7 +475,7 @@ func main() {
 	if *exp == "million" {
 		// The scale demonstration stands alone: a million-node overlay per
 		// cell is too heavy to ride in the default "-exp all" pass.
-		msc := experiment.Scale{Seed: *seed, Shards: 4}
+		msc := experiment.Scale{Seed: *seed, Overlay: *ov, Shards: 4}
 		start := time.Now()
 		fmt.Println(experiment.MillionSweep(msc).Render())
 		fmt.Printf("[million took %v]\n\n", time.Since(start).Round(time.Millisecond))

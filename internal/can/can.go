@@ -2,7 +2,7 @@ package can
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"cup/internal/overlay"
 	"cup/internal/sim"
@@ -15,9 +15,31 @@ import (
 type Network struct {
 	zones     [][]Zone           // per node; empty ⇒ departed
 	neighbors [][]overlay.NodeID // per node, sorted, alive only
+	tree      []treeNode         // the split tree; tree[0] is the whole square
+}
+
+// treeNode is one node of the split tree. A leaf (lo == 0; the root is
+// nobody's child) is a zone and v its owner. An inner node is a zone that was
+// split at coordinate mid of axis v (0 = X, 1 = Y): child lo lies below mid,
+// child lo+1 at or above it.
+type treeNode struct {
+	mid float64
+	lo  int32
+	v   int32
 }
 
 var _ overlay.Overlay = (*Network)(nil)
+
+// newNetwork returns the one-node network, with room for n nodes.
+func newNetwork(n int) *Network {
+	c := &Network{
+		zones:     make([][]Zone, 1, n),
+		neighbors: make([][]overlay.NodeID, 1, n),
+		tree:      make([]treeNode, 1, 2*n-1),
+	}
+	c.zones[0] = []Zone{FullZone()}
+	return c
+}
 
 // Build constructs a CAN of n nodes by the standard join procedure: node 0
 // owns the whole space; each subsequent node picks a uniformly random point
@@ -27,17 +49,12 @@ func Build(n int, r *sim.Rand) *Network {
 	if n <= 0 {
 		panic("can: Build requires n > 0")
 	}
-	net := &Network{
-		zones:     make([][]Zone, 1, n),
-		neighbors: make([][]overlay.NodeID, 1, n),
-	}
-	net.zones[0] = []Zone{FullZone()}
+	c := newNetwork(n)
 	for i := 1; i < n; i++ {
-		p := overlay.Point{X: r.Float64(), Y: r.Float64()}
-		net.join(p)
+		c.JoinRand(r)
 	}
-	net.rebuildAllNeighbors()
-	return net
+	c.pack()
+	return c
 }
 
 // BuildBalanced constructs a perfectly balanced CAN of n = 2^k nodes by
@@ -46,70 +63,90 @@ func BuildBalanced(n int) *Network {
 	if n <= 0 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("can: BuildBalanced requires a power of two, got %d", n))
 	}
-	zones := []Zone{FullZone()}
-	for len(zones) < n {
-		next := make([]Zone, 0, len(zones)*2)
-		for _, z := range zones {
-			a, b := z.Split()
-			next = append(next, a, b)
+	c := newNetwork(n)
+	for m := 1; m < n; m *= 2 {
+		for i := 0; i < m; i++ {
+			z := c.zones[i][0]
+			c.Join(overlay.Point{X: z.X0, Y: z.Y0})
 		}
-		zones = next
 	}
-	net := &Network{
-		zones:     make([][]Zone, n),
-		neighbors: make([][]overlay.NodeID, n),
-	}
-	for i, z := range zones {
-		net.zones[i] = []Zone{z}
-	}
-	net.rebuildAllNeighbors()
-	return net
+	c.pack()
+	return c
 }
 
-// join adds one node owning the half of the zone containing p. Neighbor
-// sets are rebuilt lazily by the caller (Build) or incrementally (Join).
-func (c *Network) join(p overlay.Point) overlay.NodeID {
-	owner := c.ownerOfPoint(p)
-	// Split the owner's zone that contains p.
-	zs := c.zones[owner]
-	zi := -1
-	for i, z := range zs {
-		if z.Contains(p) {
-			zi = i
-			break
-		}
+// pack moves the neighbor sets, grown one append at a time, into a single
+// exact-size array. Each set's capacity is its length, so a later insert
+// reallocates that set instead of running into the next one.
+func (c *Network) pack() {
+	total := 0
+	for _, s := range c.neighbors {
+		total += len(s)
 	}
+	all := make([]overlay.NodeID, 0, total)
+	for i, s := range c.neighbors {
+		all = append(all, s...)
+		c.neighbors[i] = all[len(all)-len(s) : len(all) : len(all)]
+	}
+}
+
+// Join dynamically adds a node at point p, returning its ID: the zone that
+// contains p is halved and the joiner takes the half p lies in. Everything
+// that abuts either half abutted the zone before the split or is the other
+// half — a half's border is the zone's border plus the cut, across the torus
+// seam too — so only the old owner, its neighbors and the joiner change sets.
+func (c *Network) Join(p overlay.Point) overlay.NodeID {
+	t := c.leafOf(p)
+	owner, id := overlay.NodeID(c.tree[t].v), overlay.NodeID(len(c.zones))
+	zi := slices.IndexFunc(c.zones[owner], func(z Zone) bool { return z.Contains(p) })
 	if zi < 0 {
 		panic(fmt.Sprintf("can: owner %v does not contain %v", owner, p))
 	}
-	a, b := zs[zi].Split()
-	id := overlay.NodeID(len(c.zones))
-	// The joiner takes the half containing its chosen point.
-	if a.Contains(p) {
-		a, b = b, a
+	z := c.zones[owner][zi]
+	axis, mid := z.cut()
+	keep, give := z.Split()
+	below, above := owner, id
+	if keep.Contains(p) {
+		keep, give, below, above = give, keep, id, owner
 	}
-	c.zones[owner][zi] = a
-	c.zones = append(c.zones, []Zone{b})
-	c.neighbors = append(c.neighbors, nil)
+	c.tree[t] = treeNode{mid: mid, lo: int32(len(c.tree)), v: axis}
+	c.tree = append(c.tree, treeNode{v: int32(below)}, treeNode{v: int32(above)})
+	c.zones[owner][zi] = keep
+	c.zones = append(c.zones, []Zone{give})
+
+	// id is the largest ID so far, so appending it keeps a set sorted.
+	old := c.neighbors[owner]
+	mine := make([]overlay.NodeID, 0, len(old)+1)
+	kept := old[:0]
+	for _, m := range old {
+		if slices.ContainsFunc(c.zones[m], give.Abuts) {
+			mine = append(mine, m)
+			c.neighbors[m] = append(c.neighbors[m], id)
+		}
+		if c.abuts(owner, m) {
+			kept = append(kept, m)
+		} else {
+			c.neighbors[m] = remove(c.neighbors[m], owner)
+		}
+	}
+	c.neighbors[owner] = append(kept, id)
+	c.neighbors = append(c.neighbors, insert(mine, owner))
 	return id
 }
 
-// Join dynamically adds a node at point p after construction, returning its
-// ID, and incrementally repairs the neighbor sets of the affected
-// neighborhood (the old owner's neighbors, the old owner, and the joiner).
-func (c *Network) Join(p overlay.Point) overlay.NodeID {
-	owner := c.ownerOfPoint(p)
-	affected := append([]overlay.NodeID{owner}, c.neighbors[owner]...)
-	id := c.join(p)
-	affected = append(affected, id)
-	for _, n := range affected {
-		c.rebuildNeighbors(n)
+// insert adds v to the sorted set s unless present; remove deletes it if
+// present. Both edit s where it lies when its capacity allows.
+func insert(s []overlay.NodeID, v overlay.NodeID) []overlay.NodeID {
+	if i, found := slices.BinarySearch(s, v); !found {
+		s = slices.Insert(s, i, v)
 	}
-	// Nodes newly adjacent to id must also list it.
-	for _, n := range c.neighbors[id] {
-		c.rebuildNeighbors(n)
+	return s
+}
+
+func remove(s []overlay.NodeID, v overlay.NodeID) []overlay.NodeID {
+	if i, found := slices.BinarySearch(s, v); found {
+		s = slices.Delete(s, i, i+1)
 	}
-	return id
+	return s
 }
 
 // JoinRand joins at a uniformly random point drawn from rnd. This is the
@@ -138,20 +175,20 @@ func (c *Network) Leave(n overlay.NodeID) overlay.NodeID {
 			heir, best = m, v
 		}
 	}
-	affected := map[overlay.NodeID]bool{heir: true}
-	for _, m := range nbrs {
-		affected[m] = true
-	}
-	for _, m := range c.neighbors[heir] {
-		affected[m] = true
+	for _, z := range c.zones[n] {
+		c.tree[c.leafOf(overlay.Point{X: z.X0, Y: z.Y0})].v = int32(heir)
 	}
 	c.zones[heir] = append(c.zones[heir], c.zones[n]...)
-	c.zones[n] = nil
-	c.neighbors[n] = nil
-	delete(affected, n)
-	for m := range affected {
-		c.rebuildNeighbors(m)
+	// The heir now abuts what either abutted; n's neighbors list it for n.
+	merged := remove(c.neighbors[heir], n)
+	for _, m := range nbrs {
+		if m != heir {
+			merged = insert(merged, m)
+			c.neighbors[m] = insert(remove(c.neighbors[m], n), heir)
+		}
 	}
+	c.neighbors[heir] = merged
+	c.zones[n], c.neighbors[n] = nil, nil
 	return heir
 }
 
@@ -195,30 +232,40 @@ func (c *Network) Size() int {
 // must not be mutated.
 func (c *Network) Zones(n overlay.NodeID) []Zone { return c.zones[n] }
 
-// ownerOfPoint scans for the node whose zone contains p. Zones exactly tile
-// the space, so exactly one node matches.
-func (c *Network) ownerOfPoint(p overlay.Point) overlay.NodeID {
-	for i := range c.zones {
-		for _, z := range c.zones[i] {
-			if z.Contains(p) {
-				return overlay.NodeID(i)
-			}
+// leafOf descends the split tree to the leaf whose zone contains p.
+func (c *Network) leafOf(p overlay.Point) int32 {
+	if !FullZone().Contains(p) {
+		panic(fmt.Sprintf("can: no zone contains %v", p))
+	}
+	t := int32(0)
+	for c.tree[t].lo != 0 {
+		nd := &c.tree[t]
+		x := p.X
+		if nd.v != 0 {
+			x = p.Y
+		}
+		t = nd.lo
+		if x >= nd.mid {
+			t++
 		}
 	}
-	panic(fmt.Sprintf("can: no zone contains %v", p))
+	return t
 }
 
 // Owner returns the authority node for key k.
 func (c *Network) Owner(k overlay.Key) overlay.NodeID {
-	return c.ownerOfPoint(overlay.HashPoint(k))
+	return c.OwnerOfPoint(overlay.HashPoint(k))
 }
 
-// OwnerOfPoint returns the node whose zone contains p.
+// OwnerOfPoint returns the node whose zone contains p. Zones exactly tile
+// the space, so exactly one node matches.
 func (c *Network) OwnerOfPoint(p overlay.Point) overlay.NodeID {
-	return c.ownerOfPoint(p)
+	return overlay.NodeID(c.tree[c.leafOf(p)].v)
 }
 
-// Neighbors returns n's neighbor set (alive nodes whose zones abut n's).
+// Neighbors returns n's neighbor set (alive nodes whose zones abut n's),
+// sorted. It is the network's own slice, edited where it lies: valid until
+// the next Join or Leave, and never to be mutated by the caller.
 func (c *Network) Neighbors(n overlay.NodeID) []overlay.NodeID {
 	return c.neighbors[n]
 }
@@ -268,26 +315,6 @@ func (c *Network) NextHop(n overlay.NodeID, k overlay.Key) (overlay.NodeID, bool
 	return overlay.NoNode, false
 }
 
-// rebuildNeighbors recomputes the neighbor set of one node by abutment.
-func (c *Network) rebuildNeighbors(n overlay.NodeID) {
-	if len(c.zones[n]) == 0 {
-		c.neighbors[n] = nil
-		return
-	}
-	var out []overlay.NodeID
-	for j := range c.zones {
-		m := overlay.NodeID(j)
-		if m == n || len(c.zones[j]) == 0 {
-			continue
-		}
-		if c.abuts(n, m) {
-			out = append(out, m)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	c.neighbors[n] = out
-}
-
 func (c *Network) abuts(a, b overlay.NodeID) bool {
 	for _, za := range c.zones[a] {
 		for _, zb := range c.zones[b] {
@@ -299,69 +326,91 @@ func (c *Network) abuts(a, b overlay.NodeID) bool {
 	return false
 }
 
-// rebuildAllNeighbors recomputes every neighbor set (O(n²) zone pairs);
-// used once at construction.
-func (c *Network) rebuildAllNeighbors() {
-	for i := range c.zones {
-		c.rebuildNeighbors(overlay.NodeID(i))
-	}
-}
-
-// TotalArea sums all owned zone areas — exactly 1 when the tiling is intact.
-func (c *Network) TotalArea() float64 {
-	var v float64
-	for i := range c.zones {
-		v += c.volume(overlay.NodeID(i))
-	}
-	return v
-}
-
-// CheckInvariants verifies structural invariants: zones are valid and
-// mutually non-overlapping, the tiling covers the unit square, and neighbor
-// sets are symmetric and match abutment. Tests call this after mutation.
+// CheckInvariants verifies the structure in O(n log n): the split tree's
+// leaves and the owned zones correspond one to one (so the zones tile the
+// unit square), each inner node cuts where Split would, and every neighbor
+// set is sorted, symmetric and exactly the alive nodes abutting — what is
+// listed abuts, and a walk of the tree along each zone's border finds nothing
+// unlisted. Tests call this after mutation.
 func (c *Network) CheckInvariants() error {
-	var all []Zone
+	owned := 0
 	for i := range c.zones {
-		for _, z := range c.zones[i] {
-			if !z.Valid() {
-				return fmt.Errorf("node %d owns invalid zone %v", i, z)
-			}
-			all = append(all, z)
-		}
+		owned += len(c.zones[i])
 	}
-	for i := 0; i < len(all); i++ {
-		for j := i + 1; j < len(all); j++ {
-			if all[i].Overlaps(all[j]) {
-				return fmt.Errorf("zones overlap: %v and %v", all[i], all[j])
-			}
-		}
+	if leaves := (len(c.tree) + 1) / 2; owned != leaves {
+		return fmt.Errorf("%d zones owned, %d leaves in the split tree", owned, leaves)
 	}
-	if v := c.TotalArea(); v < 0.999999 || v > 1.000001 {
-		return fmt.Errorf("total area = %v, want 1", v)
+	if err := c.checkTree(0, FullZone()); err != nil {
+		return err
 	}
 	for i := range c.zones {
 		n := overlay.NodeID(i)
-		if !c.Alive(n) {
-			continue
+		if !c.Alive(n) && len(c.neighbors[n]) > 0 {
+			return fmt.Errorf("departed %v lists neighbors %v", n, c.neighbors[n])
 		}
-		for _, m := range c.neighbors[n] {
+		for j, m := range c.neighbors[n] {
+			if j > 0 && m <= c.neighbors[n][j-1] {
+				return fmt.Errorf("neighbors of %v not sorted: %v", n, c.neighbors[n])
+			}
 			if !c.Alive(m) {
 				return fmt.Errorf("%v lists dead neighbor %v", n, m)
 			}
 			if !c.abuts(n, m) {
 				return fmt.Errorf("%v lists non-abutting neighbor %v", n, m)
 			}
-			found := false
-			for _, back := range c.neighbors[m] {
-				if back == n {
-					found = true
-					break
-				}
-			}
-			if !found {
+			if _, found := slices.BinarySearch(c.neighbors[m], n); !found {
 				return fmt.Errorf("neighbor relation asymmetric: %v -> %v", n, m)
+			}
+		}
+		for _, z := range c.zones[n] {
+			if err := c.checkBorder(n, z, 0, FullZone()); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
+}
+
+// checkTree verifies the subtree at t, which covers z: inner nodes cut z
+// where Split does, and a leaf's zone is one its owner holds. Distinct leaves
+// cover distinct zones, so with equal counts the match is one to one.
+func (c *Network) checkTree(t int32, z Zone) error {
+	nd := c.tree[t]
+	if nd.lo == 0 {
+		if n := overlay.NodeID(nd.v); !z.Valid() || !c.Alive(n) || !slices.Contains(c.zones[n], z) {
+			return fmt.Errorf("leaf %v names %v, which does not own it", z, n)
+		}
+		return nil
+	}
+	if axis, mid := z.cut(); axis != nd.v || mid != nd.mid {
+		return fmt.Errorf("tree cuts %v at axis %d, %v", z, nd.v, nd.mid)
+	}
+	a, b := z.Split()
+	if err := c.checkTree(nd.lo, a); err != nil {
+		return err
+	}
+	return c.checkTree(nd.lo+1, b)
+}
+
+// checkBorder walks the subtree at t (covering r) down to the leaves that
+// abut n's zone z, and reports one owned by a node n does not list. A subtree
+// holding such a leaf overlaps z or abuts it, so the others are pruned.
+func (c *Network) checkBorder(n overlay.NodeID, z Zone, t int32, r Zone) error {
+	if !r.Abuts(z) && !r.Overlaps(z) {
+		return nil
+	}
+	nd := c.tree[t]
+	if nd.lo == 0 {
+		if m := overlay.NodeID(nd.v); m != n && r.Abuts(z) {
+			if _, found := slices.BinarySearch(c.neighbors[n], m); !found {
+				return fmt.Errorf("%v abuts %v but does not list it", n, m)
+			}
+		}
+		return nil
+	}
+	a, b := r.Split()
+	if err := c.checkBorder(n, z, nd.lo, a); err != nil {
+		return err
+	}
+	return c.checkBorder(n, z, nd.lo+1, b)
 }

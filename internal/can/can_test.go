@@ -1,7 +1,11 @@
 package can
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -289,8 +293,221 @@ func BenchmarkRoute1024(b *testing.B) {
 	}
 }
 
-func BenchmarkBuild1024(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		Build(1024, sim.NewRand(int64(i)))
+// BenchmarkBuild reports the build cost per node across two orders of
+// magnitude: an O(n log n) build holds ns/node nearly flat, a quadratic one
+// turns the largest size into minutes.
+func BenchmarkBuild(b *testing.B) {
+	for _, n := range []int{1024, 16384, 131072} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Build(n, sim.NewRand(int64(i)))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/node")
+		})
+	}
+}
+
+// bruteNeighbors is the oracle for a neighbor set: every alive node tested
+// for abutment, which is how the sets were computed before they were
+// maintained incrementally. Sorted, alive-only and symmetric by construction.
+func bruteNeighbors(c *Network, n overlay.NodeID) []overlay.NodeID {
+	var out []overlay.NodeID
+	for j := range c.zones {
+		if m := overlay.NodeID(j); m != n && c.Alive(n) && c.Alive(m) && c.abuts(n, m) {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// scanOwner is the oracle for OwnerOfPoint: a linear scan over all zones.
+func scanOwner(c *Network, p overlay.Point) overlay.NodeID {
+	for i := range c.zones {
+		for _, z := range c.zones[i] {
+			if z.Contains(p) {
+				return overlay.NodeID(i)
+			}
+		}
+	}
+	return overlay.NoNode
+}
+
+// checkAgainstOracles compares every neighbor set with the brute-force
+// rebuild and the tree's owner with the linear scan, on random points and on
+// every zone's corners (each lies exactly on a split line or on 0) pulled to
+// just inside the far edges (the largest float below a split line or below 1).
+func checkAgainstOracles(t *testing.T, c *Network, r *sim.Rand, step string) {
+	t.Helper()
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatalf("%s: %v", step, err)
+	}
+	var pts []overlay.Point
+	for i := 0; i < 32; i++ {
+		pts = append(pts, overlay.Point{X: r.Float64(), Y: r.Float64()})
+	}
+	for i := range c.zones {
+		n := overlay.NodeID(i)
+		if got, want := c.Neighbors(n), bruteNeighbors(c, n); !slices.Equal(got, want) {
+			t.Fatalf("%s: neighbors of %v = %v, brute force says %v", step, n, got, want)
+		}
+		for _, z := range c.Zones(n) {
+			x1, y1 := math.Nextafter(z.X1, 0), math.Nextafter(z.Y1, 0)
+			pts = append(pts, overlay.Point{X: z.X0, Y: z.Y0}, overlay.Point{X: x1, Y: z.Y0},
+				overlay.Point{X: z.X0, Y: y1}, overlay.Point{X: x1, Y: y1})
+		}
+	}
+	for _, p := range pts {
+		if got, want := c.OwnerOfPoint(p), scanOwner(c, p); got != want {
+			t.Fatalf("%s: owner of %v = %v, linear scan says %v", step, p, got, want)
+		}
+	}
+}
+
+// Property: whatever sequence of joins and leaves a network has been through
+// — absorbed zones split again, a population driven down to two nodes and
+// grown back — the incrementally maintained sets and the split tree agree
+// with the brute-force oracles after every single step.
+func TestPropertyIncrementalMatchesBruteForce(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		r := sim.NewRand(seed)
+		c := Build(1+r.Pick(48), sim.NewRand(seed+1000))
+		checkAgainstOracles(t, c, r, "after Build")
+		mostZones := 0
+		step := func(leave bool) {
+			what := "JoinRand"
+			switch alive := c.AliveNodes(); {
+			case leave && len(alive) > 2:
+				victim := alive[r.Pick(len(alive))]
+				what = fmt.Sprintf("Leave(%v)", victim)
+				heir := c.Leave(victim)
+				mostZones = max(mostZones, len(c.Zones(heir)))
+			case r.Bernoulli(0.5):
+				c.JoinRand(r)
+			default: // on a corner of an existing zone: a point on two split lines
+				z := c.Zones(alive[r.Pick(len(alive))])[0]
+				p := overlay.Point{X: z.X0, Y: z.Y0}
+				what = fmt.Sprintf("Join(%v)", p)
+				c.Join(p)
+			}
+			checkAgainstOracles(t, c, r, fmt.Sprintf("seed %d, %s", seed, what))
+		}
+		for i := 0; i < 120; i++ {
+			step(r.Bernoulli(0.5))
+		}
+		for c.Size() > 2 {
+			step(true)
+		}
+		for i := 0; i < 30; i++ {
+			step(r.Bernoulli(0.3))
+		}
+		if mostZones < 3 {
+			t.Errorf("seed %d: no heir ever held 3 zones (most: %d); the sequence is too tame", seed, mostZones)
+		}
+	}
+}
+
+func fingerprint(c *Network) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for i := range c.zones {
+		n := overlay.NodeID(i)
+		put(uint64(len(c.Zones(n))))
+		for _, z := range c.Zones(n) {
+			for _, f := range [4]float64{z.X0, z.Y0, z.X1, z.Y1} {
+				put(math.Float64bits(f))
+			}
+		}
+		put(uint64(len(c.Neighbors(n))))
+		for _, m := range c.Neighbors(n) {
+			put(uint64(m))
+		}
+	}
+	return h.Sum64()
+}
+
+// The topology is pinned here and not only through the simulator's Counters
+// goldens: an FNV-1a fingerprint over every node's zones (in order) and
+// sorted neighbor set. The expected values were generated at commit 030da1d,
+// where Build ended in an all-pairs abutment rebuild and Join/Leave rebuilt
+// each affected node against every other.
+func TestTopologyFingerprint(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		seed int64
+		want uint64
+	}{
+		{8, 1, 0x25a359beccddd392}, {8, 2, 0xf4868f71e6787b50}, {8, 3, 0x5975fde11c2764ba},
+		{1024, 1, 0x53725b7f5fff7d12}, {1024, 2, 0x77870d57cdf0f161}, {1024, 3, 0x74d39560485eb03c},
+		{4096, 1, 0x1e1955977b444ae6}, {4096, 2, 0x9f35036ce542e54a}, {4096, 3, 0x85283559f925518b},
+	} {
+		if got := fingerprint(Build(tc.n, sim.NewRand(tc.seed))); got != tc.want {
+			t.Errorf("Build(%d, seed %d) fingerprint %#x, want %#x", tc.n, tc.seed, got, tc.want)
+		}
+	}
+	// Build(64), then 300 random joins and leaves.
+	for i, want := range []uint64{0xc15b2278f3e69abf, 0xc98ad43c5330fb1f, 0x84c21957e38c6052} {
+		seed := int64(i + 1)
+		c := Build(64, sim.NewRand(seed))
+		r := sim.NewRand(seed + 100)
+		for j := 0; j < 300; j++ {
+			if alive := c.AliveNodes(); len(alive) > 2 && r.Bernoulli(0.5) {
+				c.Leave(alive[r.Pick(len(alive))])
+			} else {
+				c.JoinRand(r)
+			}
+		}
+		if got := fingerprint(c); got != want {
+			t.Errorf("churned seed %d fingerprint %#x, want %#x", seed, got, want)
+		}
+	}
+}
+
+// A 2^17-node network — the size of the scale workload — builds and passes
+// the full invariant check; both were quadratic and out of a test's reach.
+func TestBuildScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and checks a 2^17-node network")
+	}
+	const n = 1 << 17
+	c := Build(n, sim.NewRand(1))
+	if c.Size() != n {
+		t.Fatalf("Size = %d, want %d", c.Size(), n)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// CheckInvariants no longer compares all pairs, so show it still sees each
+// kind of damage to the sets, the tree and the zones.
+func TestCheckInvariantsCatchesDamage(t *testing.T) {
+	fresh := func() *Network { return Build(64, sim.NewRand(4)) }
+	for name, damage := range map[string]func(c *Network){
+		"missing neighbor": func(c *Network) { c.neighbors[5] = c.neighbors[5][1:] },
+		"stale neighbor": func(c *Network) {
+			for m := overlay.NodeID(0); ; m++ {
+				if m != 5 && !c.abuts(5, m) {
+					c.neighbors[5], c.neighbors[m] = insert(c.neighbors[5], m), insert(c.neighbors[m], 5)
+					return
+				}
+			}
+		},
+		"unsorted set":      func(c *Network) { slices.Reverse(c.neighbors[5]) },
+		"mislabelled leaf":  func(c *Network) { c.tree[len(c.tree)-1].v = 0 },
+		"zone moved":        func(c *Network) { c.zones[5][0].X1 = math.Nextafter(c.zones[5][0].X1, 0) },
+		"departed but kept": func(c *Network) { c.zones[5] = nil },
+	} {
+		c := fresh()
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatalf("undamaged: %v", err)
+		}
+		damage(c)
+		if err := c.CheckInvariants(); err == nil {
+			t.Errorf("%s: CheckInvariants reports nothing", name)
+		}
 	}
 }

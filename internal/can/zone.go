@@ -5,6 +5,19 @@
 // are owned by the node whose zone covers the point; routing forwards
 // greedily to the neighbor whose zone is closest (torus metric) to the
 // target point.
+//
+// Nothing here scans all nodes. Every zone came from halving another, so the
+// joins form a binary split tree — an inner node is a cut {axis, mid}, a leaf
+// names its zone's owner — and the owner of a point (Owner, every Join) is
+// one descent. Leave relabels the departed node's leaves to its heir; the
+// tree is never pruned. Neighbor sets are maintained, not rebuilt: a half's
+// border is its parent zone's border plus the cut, across the torus seam too,
+// so whatever abuts a half abutted the parent zone or is the other half, and
+// a Join need only test the old owner's neighbors against the two halves. A
+// Leave gives the heir the union of both sets and swaps victim for heir in
+// the victim's neighbors' sets. Build is n joins, O(n log n) in all, and
+// yields the same zones, owners and sets as an all-pairs abutment rebuild
+// (the oracle in can_test.go).
 package can
 
 import (
@@ -47,12 +60,22 @@ func (z Zone) String() string {
 // split; alternating dimensions keeps zones close to square, bounding route
 // lengths at O(√n) for n nodes.
 func (z Zone) Split() (a, b Zone) {
-	if z.X1-z.X0 >= z.Y1-z.Y0 {
-		mid := (z.X0 + z.X1) / 2
-		return Zone{z.X0, z.Y0, mid, z.Y1}, Zone{mid, z.Y0, z.X1, z.Y1}
+	a, b = z, z
+	if axis, mid := z.cut(); axis == 0 {
+		a.X1, b.X0 = mid, mid
+	} else {
+		a.Y1, b.Y0 = mid, mid
 	}
-	mid := (z.Y0 + z.Y1) / 2
-	return Zone{z.X0, z.Y0, z.X1, mid}, Zone{z.X0, mid, z.X1, z.Y1}
+	return a, b
+}
+
+// cut returns the axis (0 = X, 1 = Y) and the coordinate at which Split
+// halves the zone.
+func (z Zone) cut() (axis int32, mid float64) {
+	if z.X1-z.X0 >= z.Y1-z.Y0 {
+		return 0, (z.X0 + z.X1) / 2
+	}
+	return 1, (z.Y0 + z.Y1) / 2
 }
 
 // circGap returns the distance from coordinate x to the interval [a,b) on

@@ -2,6 +2,7 @@ package cup
 
 import (
 	"fmt"
+	"slices"
 
 	"cup/internal/overlay"
 	"cup/internal/sim"
@@ -32,16 +33,9 @@ type dynamicOverlay interface {
 	Leave(n overlay.NodeID) overlay.NodeID
 }
 
-// dyn returns the overlay as a dynamic substrate, or nil when the run
-// uses a static one.
-func (s *Simulation) dyn() dynamicOverlay {
-	d, _ := s.Ov.(dynamicOverlay)
-	return d
-}
-
 // SupportsChurn reports whether this run's substrate handles JoinNode and
 // LeaveNode.
-func (s *Simulation) SupportsChurn() bool { return s.dyn() != nil }
+func (s *Simulation) SupportsChurn() bool { return s.dyn != nil }
 
 // ChurnCapable reports whether the named overlay kind supports §2.9
 // membership changes, by building a minimal instance from the registry
@@ -60,10 +54,7 @@ func (s *Simulation) NodeAlive(id overlay.NodeID) bool {
 	if int(id) < 0 || int(id) >= len(s.Nodes) {
 		return false
 	}
-	if d := s.dyn(); d != nil {
-		return d.Alive(id)
-	}
-	return true
+	return s.dyn == nil || s.dyn.Alive(id)
 }
 
 // JoinNode adds a fresh node (§2.9 Arrivals): the substrate wires it in
@@ -72,12 +63,11 @@ func (s *Simulation) NodeAlive(id overlay.NodeID) bool {
 // the joiner, and every node whose routing table changed patches its
 // interest bit vector. The new node's ID is returned.
 func (s *Simulation) JoinNode() overlay.NodeID {
-	d := s.dyn()
-	if d == nil {
+	if s.dyn == nil {
 		panic(fmt.Sprintf("cup: JoinNode requires a dynamic overlay, have %q", s.P.OverlayKind))
 	}
 	s.Router.Dynamic = true
-	id := d.JoinRand(s.Rng)
+	id := s.dyn.JoinRand(s.Rng)
 	s.Router.Invalidate()
 
 	node := newNode(s.env, id, s.Sched.Now)
@@ -115,11 +105,10 @@ func (s *Simulation) JoinNode() overlay.NodeID {
 // routed through the victim are patched, and cached entries at other
 // nodes simply expire. The substrate's heir is returned.
 func (s *Simulation) LeaveNode(victim overlay.NodeID) overlay.NodeID {
-	d := s.dyn()
-	if d == nil {
+	if s.dyn == nil {
 		panic(fmt.Sprintf("cup: LeaveNode requires a dynamic overlay, have %q", s.P.OverlayKind))
 	}
-	if !d.Alive(victim) {
+	if !s.dyn.Alive(victim) {
 		panic(fmt.Sprintf("cup: LeaveNode of dead %v", victim))
 	}
 	s.Router.Dynamic = true
@@ -127,9 +116,10 @@ func (s *Simulation) LeaveNode(victim overlay.NodeID) overlay.NodeID {
 	// nodes that list it (they routed through it) AND the nodes it listed
 	// (it queried them, so they hold its interest bits). Neighbor
 	// relations may be asymmetric (Kademlia buckets), so neither set
-	// alone is enough.
-	affected := append(s.reverseNeighbors()[victim], s.Ov.Neighbors(victim)...)
-	heir := d.Leave(victim)
+	// alone is enough. Concat copies: the overlay's own slice is only
+	// valid until Leave edits it.
+	affected := slices.Concat(s.reverseNeighbors()[victim], s.Ov.Neighbors(victim))
+	heir := s.dyn.Leave(victim)
 	s.Router.Invalidate()
 	s.redistributeLocal(victim)
 	s.patchNeighborhood(s.reverseNeighbors(), append(affected, heir))

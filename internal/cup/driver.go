@@ -187,6 +187,7 @@ type Simulation struct {
 	Shd    *sim.Sharded
 	Rng    *sim.Rand
 	Ov     overlay.Overlay
+	dyn    dynamicOverlay // Ov's churn capability, resolved once; nil on a static overlay
 	Router *OverlayRouter
 	Nodes  []*Node
 	Keys   []overlay.Key
@@ -400,6 +401,7 @@ func NewSimulation(p Params) *Simulation {
 		panic(fmt.Sprintf("cup: %v", err))
 	}
 	s.Ov = ov
+	s.dyn, _ = ov.(dynamicOverlay)
 	s.Router = NewOverlayRouter(s.Ov)
 	s.Nodes = make([]*Node, p.Nodes)
 	if p.DenseState {

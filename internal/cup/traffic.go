@@ -109,22 +109,33 @@ func (p poissonTraffic) Stream(env TrafficEnv) TrafficStream {
 	if rate <= 0 {
 		rate = env.Rate
 	}
-	at := env.Start
-	end := env.End()
-	return streamFunc(func() (QueryEvent, bool) {
-		if rate <= 0 {
-			return QueryEvent{}, false
-		}
-		// Draw order (gap, node, key) matches the embedded loop the
-		// driver used before the Scenario API: the gap to arrival i+1
-		// was drawn at arrival i, followed by the next arrival's node
-		// and key picks.
-		at += env.Rand.ExpFloat64() / rate
-		if at > end {
-			return QueryEvent{}, false
-		}
-		return QueryEvent{At: at, Node: env.PickNode(), Key: env.PickKey()}, true
-	})
+	return &poissonStream{rand: env.Rand, pickNode: env.PickNode, pickKey: env.PickKey,
+		rate: rate, at: env.Start, end: env.End()}
+}
+
+// poissonStream is PoissonTraffic bound to one run. It is a struct with a
+// Next method rather than a streamFunc closure because the paper's grid
+// calls it once per query.
+type poissonStream struct {
+	rand          *rand.Rand
+	pickNode      func() overlay.NodeID
+	pickKey       func() overlay.Key
+	rate, at, end float64
+}
+
+func (p *poissonStream) Next() (QueryEvent, bool) {
+	if p.rate <= 0 {
+		return QueryEvent{}, false
+	}
+	// Draw order (gap, node, key) matches the embedded loop the
+	// driver used before the Scenario API: the gap to arrival i+1
+	// was drawn at arrival i, followed by the next arrival's node
+	// and key picks.
+	p.at += p.rand.ExpFloat64() / p.rate
+	if p.at > p.end {
+		return QueryEvent{}, false
+	}
+	return QueryEvent{At: p.at, Node: p.pickNode(), Key: p.pickKey()}, true
 }
 
 // FlashCrowd is the paper's motivating surge (§2.8): a quiet Poisson

@@ -40,6 +40,14 @@ func TestScaleDefaults(t *testing.T) {
 	if sc.seed() != 1 || (Scale{Seed: 9}).seed() != 9 {
 		t.Fatal("seed defaulting broken")
 	}
+	// The scale sweep honours the override like every other experiment;
+	// unset, it stays on Chord (the committed BENCH_core.json rows).
+	if got := millionOverlay(sc); got != "chord" {
+		t.Fatalf("million sweep default overlay = %q, want chord", got)
+	}
+	if got := millionOverlay(Scale{Overlay: "can"}); got != "can" {
+		t.Fatalf("million sweep ignores Scale.Overlay: runs %q", got)
+	}
 }
 
 func TestFig3ShapeHasInteriorMinimum(t *testing.T) {

@@ -19,14 +19,24 @@ const MillionNodes = 1_000_000
 // spanning standard caching (level 0), a mid push depth, and a deep one.
 var MillionPushLevels = []int{0, 10, 20}
 
-// millionOpts builds one million-node cell: Chord (the only bundled
-// overlay with O(n log n) construction — CAN and Kademlia build their
-// neighborhoods quadratically), dense struct-of-arrays node state, and
-// the sharded conservative-window scheduler when sc.Shards > 1.
+// millionOverlay is the substrate of the scale sweep: sc.Overlay when
+// set, else Chord, whose committed BENCH_core.json rows CI gates on. Chord
+// and CAN both build in O(n log n) — a million-node CAN takes seconds —
+// while Kademlia still builds its buckets quadratically.
+func millionOverlay(sc Scale) string {
+	if sc.Overlay != "" {
+		return sc.Overlay
+	}
+	return "chord"
+}
+
+// millionOpts builds one million-node cell: millionOverlay's substrate,
+// dense struct-of-arrays node state, and the sharded conservative-window
+// scheduler when sc.Shards > 1.
 func millionOpts(sc Scale, level int) []cup.Option {
 	opts := []cup.Option{
 		cup.WithNodes(MillionNodes),
-		cup.WithOverlay("chord"),
+		cup.WithOverlay(millionOverlay(sc)),
 		cup.WithDenseState(),
 		// Aggregate λ = 100 q/s over the 600 s window: 60k queries is
 		// enough routed traffic for a meaningful events/s figure while
@@ -75,7 +85,7 @@ func MillionRun(sc Scale) MillionStats {
 		shards = 1
 	}
 	out := MillionStats{Table: &metrics.Table{
-		Title:  fmt.Sprintf("Scale: cost vs push level, n = 10^6 (λ=100, chord, shards=%d)", shards),
+		Title:  fmt.Sprintf("Scale: cost vs push level, n = 10^6 (λ=100, %s, shards=%d)", millionOverlay(sc), shards),
 		Header: []string{"push level", "total cost", "miss cost", "queries"},
 	}}
 	for _, lvl := range MillionPushLevels {

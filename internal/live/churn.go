@@ -12,6 +12,7 @@ package live
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"cup/internal/cache"
@@ -74,8 +75,9 @@ func (l *lockedOverlay) NextHop(n overlay.NodeID, k overlay.Key) (overlay.NodeID
 	return l.ov.NextHop(n, k)
 }
 
-// Neighbors returns a copy: the substrate's own slice may be rebuilt by
-// a concurrent membership change once the read lock is released.
+// Neighbors returns a copy: the substrate's own slice is only valid until
+// the next Join or Leave, which edits it in place once the read lock is
+// released.
 func (l *lockedOverlay) Neighbors(n overlay.NodeID) []overlay.NodeID {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -228,7 +230,7 @@ func churnLeave(ctx context.Context, h churnHost, victim overlay.NodeID) error {
 
 	// Channel peers before the re-knit: nodes that list the victim plus
 	// the nodes it lists (neighbor relations may be asymmetric).
-	affected := append(reverseNeighbors(h)[victim], l.Neighbors(victim)...)
+	affected := slices.Concat(reverseNeighbors(h)[victim], l.Neighbors(victim))
 
 	entries, err := h.retireMember(ctx, victim)
 	if err != nil {

@@ -101,8 +101,10 @@ type Overlay interface {
 	// authority. The second result is false if n has no route (cannot
 	// happen in a connected overlay).
 	NextHop(n NodeID, k Key) (NodeID, bool)
-	// Neighbors returns the current neighbor set of n. The slice must not
-	// be mutated by callers.
+	// Neighbors returns the current neighbor set of n. The slice may be
+	// the overlay's own: callers must not mutate it, and on a dynamic
+	// overlay it is valid only until the next join or leave, which may
+	// edit it in place — copy it to keep it across a membership change.
 	Neighbors(n NodeID) []NodeID
 }
 

@@ -14,7 +14,14 @@ func (stubOverlay) Owner(Key) NodeID                       { return 0 }
 func (stubOverlay) NextHop(n NodeID, _ Key) (NodeID, bool) { return n, true }
 func (stubOverlay) Neighbors(NodeID) []NodeID              { return nil }
 
+// unregister lets a test that registers a kind run again in the same
+// process (-cpu 1,2,4, -count).
+func unregister(t *testing.T, kind string) {
+	t.Cleanup(func() { delete(registry, kind) })
+}
+
 func TestRegisterAndBuild(t *testing.T) {
+	unregister(t, "test-stub")
 	Register("test-stub", func(n int, seed int64) Overlay { return stubOverlay{} })
 	if !Registered("test-stub") {
 		t.Fatal("test-stub not registered")
@@ -50,6 +57,7 @@ func TestMustBuildUnknownKindPanics(t *testing.T) {
 }
 
 func TestRegisterDuplicatePanics(t *testing.T) {
+	unregister(t, "test-dup")
 	Register("test-dup", func(n int, seed int64) Overlay { return stubOverlay{} })
 	defer func() {
 		if recover() == nil {
