@@ -237,11 +237,14 @@ func (c *Client) get(ctx context.Context, key string, ranked []string) ([]Entry,
 }
 
 // GetOrFill reads key and, on a full miss, runs the justcache herd
-// path: POST /promise to every ranked host in parallel; a "present"
-// answer triggers an immediate re-GET, a grant makes this client fetch
-// from origin via fill and PUT the result to the granting hosts, and
-// all-busy waits out the smallest Retry-After (jittered) before
-// retrying — at most Retries rounds before ErrBusy.
+// path: POST /promise to every ranked host in parallel, then let the
+// highest-ranked host that answered decide. Its grant makes this client
+// fetch from origin via fill and PUT the result to every granting host;
+// its "present" triggers a re-GET starting there; its busy answer waits
+// out its Retry-After (jittered) before retrying — at most Retries
+// rounds before ErrBusy. Every client racing on a key defers to the
+// same host, so one lease elects one filler; a grant won only on a
+// lower-ranked host authorises nothing and lapses with its lease.
 func (c *Client) GetOrFill(ctx context.Context, key string, fill Fill) ([]Entry, error) {
 	ranked := c.RankHosts(key)
 	entries, _, err := c.get(ctx, key, ranked)
@@ -259,25 +262,32 @@ func (c *Client) GetOrFill(ctx context.Context, key string, fill Fill) ([]Entry,
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		present, granted, wait := c.postPromises(ctx, key, ranked)
+		verdicts := c.postPromises(ctx, key, ranked)
+		decider := -1
+		for i, v := range verdicts {
+			if v.status != 0 {
+				decider = i
+				break
+			}
+		}
+		var wait time.Duration
 		switch {
-		case len(granted) > 0:
+		case decider < 0:
+			c.stats.busy.Add(1) // nobody answered: back off and retry
+		case verdicts[decider].status == http.StatusAccepted:
 			c.stats.promises.Add(1)
 			e, ttl, err := fill(ctx)
 			if err != nil {
 				return nil, fmt.Errorf("client: fill %q: %w", key, err)
 			}
 			e.TTL = ttl.Seconds()
-			// Populate every granting host, and the primary regardless —
-			// the next reader starts there.
-			targets := granted
-			if len(targets) == 0 || targets[0] != ranked[0] {
-				targets = append([]string{ranked[0]}, granted...)
-			}
 			var putErr error
 			put := 0
-			for _, host := range dedupe(targets) {
-				if err := c.putTo(ctx, host, key, e); err != nil {
+			for i, v := range verdicts {
+				if v.status != http.StatusAccepted {
+					continue
+				}
+				if err := c.putTo(ctx, ranked[i], key, e); err != nil {
 					putErr = err
 					continue
 				}
@@ -287,15 +297,17 @@ func (c *Client) GetOrFill(ctx context.Context, key string, fill Fill) ([]Entry,
 				return nil, fmt.Errorf("client: populate %q: %w", key, putErr)
 			}
 			return []Entry{e}, nil
-		case present != "":
+		case verdicts[decider].status == http.StatusOK:
 			// The key appeared during the race: read it back, preferring
 			// the host that reported it.
+			present := ranked[decider]
 			reordered := append([]string{present}, without(ranked, present)...)
 			if entries, _, err := c.get(ctx, key, reordered); err == nil {
 				return entries, nil
 			}
 		default:
 			c.stats.busy.Add(1)
+			wait = verdicts[decider].retryAfter
 		}
 		if wait <= 0 {
 			wait = c.backoffFor(attempt)
@@ -344,74 +356,48 @@ func (c *Client) Delete(ctx context.Context, key string, replica int) error {
 	return firstErr
 }
 
-// postPromises runs the parallel promise round. It returns the first
-// host reporting "present" (if any), the hosts that granted, and the
-// smallest positive Retry-After seen on busy answers.
-func (c *Client) postPromises(ctx context.Context, key string, ranked []string) (present string, granted []string, wait time.Duration) {
-	type verdict struct {
-		host    string
-		status  int
-		resp    serve.PromiseResponse
-		retryMs int64
-		err     error
-	}
-	out := make(chan verdict, len(ranked))
-	for _, host := range ranked {
-		go func(host string) {
-			v := verdict{host: host}
-			defer func() {
-				select {
-				case out <- v: // buffered to len(ranked): never blocks
-				case <-ctx.Done():
-				}
-			}()
+// promiseVerdict is one ranked host's answer in a promise round. status
+// is 0 when the host gave no protocol answer (transport failure or an
+// unexpected code); retryAfter is the wait a busy answer asked for.
+type promiseVerdict struct {
+	status     int
+	retryAfter time.Duration
+}
+
+// postPromises runs the parallel promise round and returns the verdicts
+// in ranked order.
+func (c *Client) postPromises(ctx context.Context, key string, ranked []string) []promiseVerdict {
+	verdicts := make([]promiseVerdict, len(ranked))
+	var wg sync.WaitGroup
+	for i, host := range ranked {
+		wg.Add(1)
+		go func(v *promiseVerdict, host string) {
+			defer wg.Done()
 			req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url(host, key)+"/promise", nil)
 			if err != nil {
-				v.err = err
+				c.stats.errors.Add(1)
 				return
 			}
-			resp, err := c.http.Do(req)
+			resp, err := c.http.Do(req) // bound by ctx, so the round is too
 			if err != nil {
-				v.err = err
+				c.stats.errors.Add(1)
 				return
 			}
-			defer drain(resp)
-			v.status = resp.StatusCode
-			if ms := resp.Header.Get("X-Retry-After-Ms"); ms != "" {
-				v.retryMs, _ = strconv.ParseInt(ms, 10, 64)
-			} else if s := resp.Header.Get("Retry-After"); s != "" {
-				if secs, err := strconv.ParseInt(s, 10, 64); err == nil {
-					v.retryMs = secs * 1000
+			drain(resp)
+			switch resp.StatusCode {
+			case http.StatusOK, http.StatusAccepted,
+				http.StatusConflict, http.StatusTooManyRequests, http.StatusServiceUnavailable:
+				v.status = resp.StatusCode
+				if ms, err := strconv.ParseInt(resp.Header.Get("X-Retry-After-Ms"), 10, 64); err == nil {
+					v.retryAfter = time.Duration(ms) * time.Millisecond
+				} else if secs, err := strconv.ParseInt(resp.Header.Get("Retry-After"), 10, 64); err == nil {
+					v.retryAfter = time.Duration(secs) * time.Second
 				}
 			}
-			_ = json.NewDecoder(resp.Body).Decode(&v.resp)
-		}(host)
+		}(&verdicts[i], host)
 	}
-	for range ranked {
-		var v verdict
-		select {
-		case v = <-out:
-		case <-ctx.Done():
-			return present, granted, wait
-		}
-		if v.err != nil {
-			c.stats.errors.Add(1)
-			continue
-		}
-		switch v.status {
-		case http.StatusOK:
-			if present == "" {
-				present = v.host
-			}
-		case http.StatusAccepted:
-			granted = append(granted, v.host)
-		case http.StatusConflict, http.StatusTooManyRequests, http.StatusServiceUnavailable:
-			if d := time.Duration(v.retryMs) * time.Millisecond; d > 0 && (wait == 0 || d < wait) {
-				wait = d
-			}
-		}
-	}
-	return present, granted, wait
+	wg.Wait()
+	return verdicts
 }
 
 // getFrom issues one GET.
@@ -522,19 +508,6 @@ func (c *Client) url(host, key string) string {
 func drain(resp *http.Response) {
 	_, _ = io.Copy(io.Discard, resp.Body)
 	_ = resp.Body.Close()
-}
-
-// dedupe removes duplicate hosts, preserving order.
-func dedupe(hosts []string) []string {
-	seen := make(map[string]bool, len(hosts))
-	out := hosts[:0:0]
-	for _, h := range hosts {
-		if !seen[h] {
-			seen[h] = true
-			out = append(out, h)
-		}
-	}
-	return out
 }
 
 // without filters one host out of a ranking.

@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -300,5 +301,108 @@ func TestFanoutTruncatesRanking(t *testing.T) {
 	c2 := newTestClient(t, hosts[:2], func(cfg *Config) { cfg.Fanout = 9 })
 	if got := len(c2.RankHosts("k")); got != 2 {
 		t.Fatalf("RankHosts returned %d hosts, want all 2", got)
+	}
+}
+
+// scriptedHost answers the population protocol from a script, so the
+// verdict patterns that split a grant across hosts are staged, not raced
+// for: promise lists the statuses of successive POST /promise calls (the
+// last repeats), a 200 makes the key present from then on, and PUTs are
+// stored and counted.
+type scriptedHost struct {
+	mu       sync.Mutex
+	promise  []int
+	promises int
+	puts     int
+	entry    *Entry
+}
+
+func (h *scriptedHost) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	switch r.Method {
+	case http.MethodPost:
+		status := h.promise[min(h.promises, len(h.promise)-1)]
+		h.promises++
+		if status == http.StatusOK {
+			h.entry = &Entry{Replica: 0, Addr: "other-filler", TTL: 60}
+		}
+		w.Header().Set("X-Retry-After-Ms", "1")
+		w.WriteHeader(status)
+	case http.MethodPut:
+		var req serve.PutRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		h.puts++
+		h.entry = &Entry{Replica: req.Replica, Addr: req.Addr, TTL: req.TTL}
+		w.WriteHeader(http.StatusNoContent)
+	default:
+		if h.entry == nil {
+			w.WriteHeader(http.StatusNotFound)
+			return
+		}
+		_ = json.NewEncoder(w).Encode(serve.GetResponse{Entries: []Entry{*h.entry}})
+	}
+}
+
+// The highest-ranked host that answers the promise round decides; a
+// grant from a host ranked below it authorises nothing.
+func TestGetOrFillDefersToHighestRankedVerdict(t *testing.T) {
+	const key = "cold"
+	for _, tc := range []struct {
+		name               string
+		primary, secondary []int // promise scripts; nil primary = unreachable
+		wantFills          int
+		wantAddr           string
+		wantPuts           [2]int // primary, secondary
+	}{
+		{name: "primary busy then present, secondary grants",
+			primary: []int{http.StatusConflict, http.StatusOK}, secondary: []int{http.StatusAccepted},
+			wantFills: 0, wantAddr: "other-filler"},
+		{name: "primary grants, secondary busy",
+			primary: []int{http.StatusAccepted}, secondary: []int{http.StatusConflict},
+			wantFills: 1, wantAddr: "origin", wantPuts: [2]int{1, 0}},
+		{name: "primary unreachable, secondary grants",
+			primary: nil, secondary: []int{http.StatusAccepted},
+			wantFills: 1, wantAddr: "origin", wantPuts: [2]int{0, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			scripted := [2]*scriptedHost{{}, {}}
+			servers := [2]*httptest.Server{httptest.NewServer(scripted[0]), httptest.NewServer(scripted[1])}
+			hosts := []string{servers[0].Listener.Addr().String(), servers[1].Listener.Addr().String()}
+			c := newTestClient(t, hosts, nil)
+			// Rendezvous order is a property of the addresses: find out
+			// which server the key ranks first, then hand out the scripts.
+			pri := 0
+			if c.RankHosts(key)[0] == hosts[1] {
+				pri = 1
+			}
+			scripted[pri].promise, scripted[1-pri].promise = tc.primary, tc.secondary
+			if tc.primary == nil {
+				servers[pri].Close()
+			}
+			t.Cleanup(servers[0].Close)
+			t.Cleanup(servers[1].Close)
+
+			fills := 0
+			entries, err := c.GetOrFill(context.Background(), key, func(context.Context) (Entry, time.Duration, error) {
+				fills++
+				return Entry{Replica: 0, Addr: "origin"}, time.Minute, nil
+			})
+			if err != nil {
+				t.Fatalf("GetOrFill: %v", err)
+			}
+			if fills != tc.wantFills {
+				t.Errorf("fill ran %d times, want %d", fills, tc.wantFills)
+			}
+			if len(entries) != 1 || entries[0].Addr != tc.wantAddr {
+				t.Errorf("GetOrFill = %v, want one entry from %q", entries, tc.wantAddr)
+			}
+			if got := [2]int{scripted[pri].puts, scripted[1-pri].puts}; got != tc.wantPuts {
+				t.Errorf("PUTs (primary, secondary) = %v, want %v", got, tc.wantPuts)
+			}
+		})
 	}
 }

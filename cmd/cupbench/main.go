@@ -162,14 +162,9 @@ type coreBench struct {
 	SchedulerEvts  uint64  `json:"scheduler_events"`
 	EventsPerSec   float64 `json:"events_per_sec"`
 	AllocsPerEvent float64 `json:"allocs_per_event"`
-	// The sharded scheduler under the same timer-churn load, spread
-	// across ShardedShards heaps with conservative-window sync and
-	// cross-shard reposts.
-	ShardedShards       int     `json:"sharded_shards"`
-	ShardedEventsPerSec float64 `json:"sharded_events_per_sec"`
 	// The million-node scale demonstration: dense-state bytes per node
 	// (overlay + arena + views) and the reduced Figure-3-style sweep at
-	// n = 10^6 on the sharded scheduler.
+	// n = 10^6.
 	BytesPerNode        float64 `json:"bytes_per_node"`
 	MillionNodes        int     `json:"million_nodes"`
 	MillionSweepNs      int64   `json:"million_sweep_ns"`
@@ -226,46 +221,6 @@ func benchSchedulerCore(events uint64) (perSec, allocsPerEvent float64) {
 		float64(m1.Mallocs-m0.Mallocs) / float64(scheduled)
 }
 
-// benchShardedSchedulerCore drives the same timer-churn pattern across k
-// shards under conservative-window synchronization: each shard runs
-// `chains` independent rearm loops (amortizing the window barrier the
-// way a populated simulation does), and every turn also posts one
-// cross-shard message through the staged-outbox path.
-func benchShardedSchedulerCore(k int, events uint64) float64 {
-	const chains = 8
-	sh := sim.NewSharded(k, 1)
-	noop := func() {}
-	// Each rearm chain stops after its share of the event budget; a local
-	// countdown keeps the termination check out of the measured hot path
-	// (sh.Executed() walks every shard).
-	rounds := int(events) / (k * chains)
-	for i := 0; i < k; i++ {
-		shard := i
-		s := sh.Shard(shard)
-		for c := 0; c < chains; c++ {
-			var decoy sim.EventID
-			var rearm func()
-			left := rounds
-			rearm = func() {
-				if left <= 0 {
-					return
-				}
-				left--
-				s.Cancel(decoy)
-				decoy = s.After(2, noop)
-				s.After(1, rearm)
-				sh.Post(shard, (shard+1)%k, s.Now().Add(2), noop)
-			}
-			s.After(1, rearm)
-		}
-	}
-	start := time.Now()
-	if err := sh.RunUntil(sim.Infinity, nil); err != nil {
-		panic(err)
-	}
-	return float64(sh.Executed()) / time.Since(start).Seconds()
-}
-
 // benchLiveSweep times a multi-trial live Run: `trials` isolated
 // goroutine networks, `par` at a time on the worker pool, counters
 // merged in trial order. A compressed scenario (time scale 20) keeps
@@ -307,10 +262,6 @@ func benchCore(seed int64, ov string, workers int, full bool) error {
 	perSec, allocs := benchSchedulerCore(schedEvents)
 	fmt.Printf("scheduler      %12.0f events/s %8.3f allocs/event (%d events)\n",
 		perSec, allocs, schedEvents)
-	const shardedShards = 4
-	shardedPerSec := benchShardedSchedulerCore(shardedShards, schedEvents)
-	fmt.Printf("sharded sched  %12.0f events/s (%d shards, conservative windows)\n",
-		shardedPerSec, shardedShards)
 
 	sc := experiment.Scale{Full: full, Seed: seed, Overlay: ov}
 	sc.Parallelism = 1
@@ -363,13 +314,11 @@ func benchCore(seed int64, ov string, workers int, full bool) error {
 		liveNs.Round(time.Millisecond), liveTrials, livePar, liveMsgs)
 
 	// The million-node scale demonstration: per-node footprint of a dense
-	// deployment, then the reduced Figure-3-style sweep on the sharded
-	// scheduler.
+	// deployment, then the reduced Figure-3-style sweep.
 	bytesPerNode := experiment.Footprint(experiment.MillionNodes)
 	fmt.Printf("dense footprint %11.1f bytes/node (n = %d, chord + arena)\n",
 		bytesPerNode, experiment.MillionNodes)
-	msc := experiment.Scale{Seed: seed, Shards: shardedShards}
-	million := experiment.MillionRun(msc)
+	million := experiment.MillionRun(experiment.Scale{Seed: seed})
 	fmt.Printf("million sweep  %12v wall %12.0f events/s (%d events, %d cells)\n",
 		million.Elapsed.Round(time.Millisecond), million.EventsPerSec(),
 		million.Events, len(experiment.MillionPushLevels))
@@ -380,8 +329,6 @@ func benchCore(seed int64, ov string, workers int, full bool) error {
 		SchedulerEvts:       schedEvents,
 		EventsPerSec:        perSec,
 		AllocsPerEvent:      allocs,
-		ShardedShards:       shardedShards,
-		ShardedEventsPerSec: shardedPerSec,
 		BytesPerNode:        bytesPerNode,
 		MillionNodes:        experiment.MillionNodes,
 		MillionSweepNs:      million.Elapsed.Nanoseconds(),
@@ -475,7 +422,7 @@ func main() {
 	if *exp == "million" {
 		// The scale demonstration stands alone: a million-node overlay per
 		// cell is too heavy to ride in the default "-exp all" pass.
-		msc := experiment.Scale{Seed: *seed, Overlay: *ov, Shards: 4}
+		msc := experiment.Scale{Seed: *seed, Overlay: *ov}
 		start := time.Now()
 		fmt.Println(experiment.MillionSweep(msc).Render())
 		fmt.Printf("[million took %v]\n\n", time.Since(start).Round(time.Millisecond))

@@ -53,12 +53,6 @@
 // scenario registry (RegisterScenario, BuildScenario, ScenarioNames)
 // backs the cupsim and cupbench -scenario flags.
 //
-// # Compatibility
-//
-// Run(Params) and NewSimulation(Params) remain as thin wrappers over the
-// discrete-event driver for existing callers; live.NewNetwork likewise
-// still exists underneath WithTransport(Live). New code should use New.
-//
 // The protocol core is a pure state machine (Node); both transports drive
 // the same code, so simulation results transfer to the live runtime.
 package cup
@@ -88,15 +82,8 @@ type (
 	UpdateType = internal.UpdateType
 	// Action is a side effect emitted by the state machine.
 	Action = internal.Action
-	// Params configures a discrete-event simulation run (compatibility
-	// surface; New's options build it internally).
-	Params = internal.Params
 	// Result is a finished run's parameters and counters.
 	Result = internal.Result
-	// Simulation is a wired discrete-event CUP deployment.
-	Simulation = internal.Simulation
-	// Hook is a timed intervention into a running simulation.
-	Hook = internal.Hook
 	// Counters aggregates the paper's cost metrics for one run.
 	Counters = metrics.Counters
 	// Limiter is the §2.8 outgoing-update queue controller.
@@ -153,16 +140,8 @@ func Defaults() Config { return internal.Defaults() }
 // Standard returns the expiration-based standard-caching baseline.
 func Standard() Config { return internal.Standard() }
 
-// Run builds and executes one simulation (compatibility wrapper; New +
-// Deployment.Run is the primary path).
-func Run(p Params) *Result { return internal.Run(p) }
-
 // NewLimiter returns an empty §2.8 outgoing-update queue controller.
 func NewLimiter() *Limiter { return internal.NewLimiter() }
-
-// NewSimulation builds a simulation for manual driving (fault injection,
-// custom scheduling) before Run (compatibility wrapper).
-func NewSimulation(p Params) *Simulation { return internal.NewSimulation(p) }
 
 // ChurnCapable reports whether the named overlay kind supports §2.9
 // membership changes.

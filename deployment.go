@@ -133,21 +133,6 @@ func New(opts ...Option) (*Deployment, error) {
 			}
 		}
 	}
-	if o.p.Shards > 1 {
-		// Sharding is the batch-mode scaling path: reject everything the
-		// conservative-window scheduler cannot honor, with errors rather
-		// than NewSimulation's panics.
-		switch {
-		case o.transport != Simulated:
-			o.reject("WithShards applies to the simulated transport only")
-		case o.p.Latency != nil:
-			o.reject("WithShards requires a homogeneous hop delay (drop WithLatencyModel: the lookahead is the minimum link delay)")
-		case len(o.p.Faults) > 0 || len(o.p.Hooks) > 0:
-			o.reject("WithShards does not support WithFaults or WithHooks (global interventions break shard isolation)")
-		case o.p.NoWorkload:
-			o.reject("WithShards is batch-only (WithoutWorkload and interactive lookups need the single-heap scheduler)")
-		}
-	}
 	if err := errors.Join(o.errs...); err != nil {
 		return nil, err
 	}
@@ -165,14 +150,9 @@ func New(opts ...Option) (*Deployment, error) {
 	for _, obs := range o.observers {
 		d.detach = append(d.detach, bus.Attach(obs))
 	}
-	// The bus is the node observer on both transports; a user observer
-	// supplied through the compatibility Params.Observer field still
-	// reaches it as an attached tap. d.p carries the bus too, so trial
-	// runs built from it emit their interleaved event streams to the
-	// deployment's observers.
-	if o.p.Observer != nil {
-		d.detach = append(d.detach, bus.Attach(o.p.Observer))
-	}
+	// The bus is the node observer on both transports. d.p carries it
+	// too, so trial runs built from it emit their interleaved event
+	// streams to the deployment's observers.
 	o.p.Observer = bus
 	d.p.Observer = bus
 
@@ -199,11 +179,6 @@ func New(opts ...Option) (*Deployment, error) {
 		d.rt = &liveRuntime{cfg: d.liveCfg, tcp: o.transport == LiveTCP}
 	default:
 		return nil, fmt.Errorf("cup: unknown transport %d", int(o.transport))
-	}
-	if o.refreshBudget > 0 {
-		// Process-wide by design (see WithRefreshBudget): trial networks
-		// from every deployment share one refresh pacing budget.
-		live.SetRefreshBudget(o.refreshBudget)
 	}
 	if o.telemetry {
 		if err := d.initTelemetry(&o); err != nil {
@@ -607,13 +582,13 @@ func (d *Deployment) Keys() []Key {
 }
 
 // EventsExecuted reports the discrete events the simulated transport
-// has fired so far (summed across scheduler shards); 0 on the live
-// transport, whose work has no event granularity.
+// has fired so far; 0 on the live transport, whose work has no event
+// granularity.
 func (d *Deployment) EventsExecuted() uint64 {
 	if sr, ok := d.rt.(*simRuntime); ok {
 		sr.mu.Lock()
 		defer sr.mu.Unlock()
-		return sr.s.EventsExecuted()
+		return sr.s.Sched.Executed
 	}
 	return 0
 }
@@ -626,7 +601,7 @@ func (d *Deployment) Now() sim.Time {
 	case *simRuntime:
 		rt.mu.Lock()
 		defer rt.mu.Unlock()
-		return rt.s.Now()
+		return rt.s.Sched.Now()
 	case *liveRuntime:
 		if n := rt.peek(); n != nil {
 			return n.Now()

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cup"
+	internal "cup/internal/cup"
 )
 
 func newDeployment(t *testing.T, opts ...cup.Option) *cup.Deployment {
@@ -159,7 +160,7 @@ func TestRunMatchesCompatibilityWrapper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := cup.Run(cup.Params{Nodes: 64, QueryRate: 2, QueryDuration: 300, Seed: 9})
+	legacy := internal.Run(internal.Params{Nodes: 64, QueryRate: 2, QueryDuration: 300, Seed: 9})
 	if res.Counters != legacy.Counters {
 		t.Fatalf("options path diverged from Params path:\n new %+v\n old %+v",
 			res.Counters, legacy.Counters)

@@ -1,15 +1,31 @@
 // Integration tests of the public façade: the API a downstream user
-// imports must run end to end without reaching into internal packages.
+// imports must run end to end without reaching into internal packages
+// (the one exception below drives the internal driver's hook surface,
+// which has no façade option).
 package cup_test
 
 import (
+	"context"
 	"testing"
+	"time"
 
 	"cup"
+	internal "cup/internal/cup"
 )
 
+// facadeRun builds a deployment from opts and runs its scripted workload.
+func facadeRun(t *testing.T, opts ...cup.Option) *cup.Result {
+	t.Helper()
+	res, err := newDeployment(t, opts...).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestFacadeRun(t *testing.T) {
-	res := cup.Run(cup.Params{Nodes: 32, QueryRate: 2, QueryDuration: 300, Seed: 1})
+	res := facadeRun(t, cup.WithNodes(32), cup.WithQueryRate(2),
+		cup.WithQueryDuration(300*time.Second), cup.WithSeed(1))
 	if res.Counters.Queries == 0 {
 		t.Fatal("façade run produced no queries")
 	}
@@ -19,11 +35,10 @@ func TestFacadeRun(t *testing.T) {
 }
 
 func TestFacadeStandardVsDefaults(t *testing.T) {
-	p := cup.Params{Nodes: 64, QueryRate: 5, QueryDuration: 600, Seed: 2}
-	p.Config = cup.Standard()
-	std := cup.Run(p)
-	p.Config = cup.Defaults()
-	c := cup.Run(p)
+	opts := []cup.Option{cup.WithNodes(64), cup.WithQueryRate(5),
+		cup.WithQueryDuration(600 * time.Second), cup.WithSeed(2)}
+	std := facadeRun(t, append(opts, cup.WithStandardCaching())...)
+	c := facadeRun(t, opts...)
 	if std.Counters.Overhead() != 0 {
 		t.Fatal("standard caching must have zero overhead")
 	}
@@ -35,9 +50,9 @@ func TestFacadeStandardVsDefaults(t *testing.T) {
 
 func TestFacadeSimulationHooks(t *testing.T) {
 	fired := false
-	s := cup.NewSimulation(cup.Params{
+	s := internal.NewSimulation(internal.Params{
 		Nodes: 16, QueryRate: 1, QueryDuration: 120, Seed: 3,
-		Hooks: []cup.Hook{{At: 350, Fn: func(*cup.Simulation) { fired = true }}},
+		Hooks: []internal.Hook{{At: 350, Fn: func(*internal.Simulation) { fired = true }}},
 	})
 	s.Run()
 	if !fired {

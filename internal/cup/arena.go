@@ -46,24 +46,20 @@ func (p *arenaPool) alloc() int32 {
 // Arena is the struct-of-arrays backing store for simulation-scale node
 // populations: all Node structs in one slice (dense uint32 handles ==
 // overlay IDs), cache stores by value in parallel slices, per-key state
-// in chunked slabs threaded per node, and one nodeEnv per owner instead
-// of per-node Config/Router copies. At n=10⁶ this is the difference between
+// in chunked slabs threaded per node, and one nodeEnv instead of per-node
+// Config/Router copies. At n=10⁶ this is the difference between
 // ~150 bytes of resident state per untouched node and the standalone
 // representation's four heap objects (Node, two Stores, keys map) before
 // any traffic arrives. Behavior is identical to standalone nodes; the
 // *Node API is a thin view over the arrays.
-//
-// A fresh arena has a single owner. SetOwner carves out a contiguous node
-// block with its own clock, key-state slab and action buffer, so a sharded
-// run's handlers share no writable state across shards.
 type Arena struct {
-	// owners[0] owns every node until SetOwner carves blocks out of it.
-	owners []*nodeEnv
+	// env owns every node: one action buffer and one key-state slab.
+	env    *nodeEnv
 	nodes  []Node
 	stores []cache.Store
 	locals []cache.Store
-	// keyHead[slot] is the first key-state slot of node slot in its
-	// owner's pool, -1 if none.
+	// keyHead[slot] is the first key-state slot of node slot in env's
+	// pool, -1 if none.
 	keyHead []int32
 }
 
@@ -75,7 +71,7 @@ func NewArena(n int, cfg Config, router Router, clock func() sim.Time) *Arena {
 	}
 	env := newNodeEnv(cfg, router)
 	a := &Arena{
-		owners:  []*nodeEnv{env},
+		env:     env,
 		nodes:   make([]Node, n),
 		stores:  make([]cache.Store, n),
 		locals:  make([]cache.Store, n),
@@ -103,22 +99,6 @@ func (a *Arena) Len() int { return len(a.nodes) }
 // the arena's lifetime.
 func (a *Arena) Node(i int) *Node { return &a.nodes[i] }
 
-// SetOwner makes nodes [lo, hi) one owner of their own: they read clock,
-// allocate key state from a private slab and build handler results in a
-// private buffer. The sharded scheduler calls it once per shard block,
-// before any node of the block has key state.
-func (a *Arena) SetOwner(lo, hi int, clock func() sim.Time) {
-	env := newNodeEnv(a.owners[0].cfg, a.owners[0].router)
-	a.owners = append(a.owners, env)
-	for i := lo; i < hi; i++ {
-		if a.keyHead[i] >= 0 {
-			panic("cup: SetOwner on a node that already holds key state")
-		}
-		a.nodes[i].env = env
-		a.nodes[i].now = clock
-	}
-}
-
 // SetObserver installs o on every node.
 func (a *Arena) SetObserver(o Observer) {
 	for i := range a.nodes {
@@ -128,13 +108,7 @@ func (a *Arena) SetObserver(o Observer) {
 
 // KeyStates returns the total number of allocated per-key states — the
 // denominator-free numerator for bytes-per-node accounting.
-func (a *Arena) KeyStates() int {
-	total := 0
-	for _, env := range a.owners {
-		total += int(env.pool.n)
-	}
-	return total
-}
+func (a *Arena) KeyStates() int { return int(a.env.pool.n) }
 
 // state returns (allocating if needed) node n's bookkeeping for k.
 func (a *Arena) state(n *Node, k overlay.Key) *keyState {

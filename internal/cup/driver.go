@@ -77,8 +77,8 @@ type Params struct {
 	// Faults are scripted interventions (capacity loss, churn) expanded
 	// against the transport-agnostic FaultSurface; see scenario.go.
 	Faults []Fault
-	// Hooks run at fixed virtual times (compatibility surface predating
-	// Faults; still the escape hatch for arbitrary interventions).
+	// Hooks run at fixed virtual times: arbitrary interventions for the
+	// driver's own tests, with no façade option.
 	Hooks []Hook
 	// Observer, when set, receives the protocol event stream (see Event);
 	// it is installed on every node and also carries the transport-level
@@ -91,18 +91,9 @@ type Params struct {
 	NoWorkload bool
 	// DenseState backs node state with the struct-of-arrays arena
 	// (internal/cup.Arena) instead of per-node heap objects: identical
-	// behavior, a fraction of the memory and pointer traffic. Implied by
-	// Shards > 1; worth setting explicitly for big single-shard runs.
+	// behavior, a fraction of the memory and pointer traffic. Worth
+	// setting for big runs.
 	DenseState bool
-	// Shards > 1 partitions the node population into contiguous blocks,
-	// each driven by its own event heap under conservative time-window
-	// synchronization (lookahead = HopDelay, the minimum link delay).
-	// Sharded runs require the homogeneous-delay open-loop subset of the
-	// simulator: Latency, Hooks, Faults, NoWorkload, and interactive
-	// Lookup are rejected. Output is deterministic for a fixed shard
-	// count, but event interleaving — and so float accumulation order —
-	// differs from the single-heap schedule.
-	Shards int
 }
 
 // Hook is a scheduled intervention into a running simulation.
@@ -179,12 +170,8 @@ type Result struct {
 // with NewSimulation, then Run (or drive the scheduler manually for
 // fault-injection experiments).
 type Simulation struct {
-	P Params
-	// Sched is the single event heap of an unsharded run; nil when Shd
-	// drives the run instead.
-	Sched *sim.Scheduler
-	// Shd is the sharded scheduler of a Shards > 1 run; nil otherwise.
-	Shd    *sim.Sharded
+	P      Params
+	Sched  *sim.Scheduler
 	Rng    *sim.Rand
 	Ov     overlay.Overlay
 	dyn    dynamicOverlay // Ov's churn capability, resolved once; nil on a static overlay
@@ -195,24 +182,14 @@ type Simulation struct {
 
 	// A backs the nodes when P.DenseState (nil for map-based nodes).
 	A *Arena
-	// env is the single-heap run's owner: every node it drives — arena
-	// nodes, map-based nodes, churn joiners — shares its action buffer.
-	// (A sharded run has one owner per shard instead; see Arena.SetOwner.)
+	// env is the run's owner: every node it drives — arena nodes,
+	// map-based nodes, churn joiners — shares its action buffer.
 	env *nodeEnv
-	// Cs are the per-shard counter slabs of a sharded run, folded into C
-	// at the end; each shard's handlers touch only their own slab, so
-	// windows run without cross-shard write sharing.
-	Cs      []metrics.Counters
-	nshards int
 
 	keyPick func() overlay.Key
-	// pending/gates/held are indexed by shard (one entry unsharded):
-	// every access happens on the owning node's shard by construction —
-	// deliveries run on the receiver's shard, timers on the acting
-	// node's — so windows touch disjoint maps.
-	pending []map[pendKey][]sim.Time
-	gates   []map[overlay.NodeID]*refreshGate
-	held    []map[linkKey][]*heldClearBit
+	pending map[pendKey][]sim.Time
+	gates   map[overlay.NodeID]*refreshGate
+	held    map[linkKey][]*heldClearBit
 	lookups map[pendKey][]*lookupWaiter
 	endTime sim.Time
 	// faultErr is the first scripted-fault failure (an intervention the
@@ -232,105 +209,6 @@ func (s *Simulation) recordFaultErr(err error) {
 // FaultError reports the first scripted-fault failure of the run, nil
 // when every intervention was honored.
 func (s *Simulation) FaultError() error { return s.faultErr }
-
-// shardOf maps a node to its contiguous shard block.
-func (s *Simulation) shardOf(n overlay.NodeID) int {
-	if s.nshards <= 1 {
-		return 0
-	}
-	return int(uint64(n) * uint64(s.nshards) / uint64(len(s.Nodes)))
-}
-
-// Now returns the run's current virtual time; in a sharded run, the
-// front of the synchronization window.
-func (s *Simulation) Now() sim.Time {
-	if s.Shd == nil {
-		return s.Sched.Now()
-	}
-	var max sim.Time
-	for i := 0; i < s.nshards; i++ {
-		if t := s.Shd.NowOf(i); t > max {
-			max = t
-		}
-	}
-	return max
-}
-
-// nowAt returns the acting node's clock: its shard's scheduler time.
-func (s *Simulation) nowAt(n overlay.NodeID) sim.Time {
-	if s.Shd == nil {
-		return s.Sched.Now()
-	}
-	return s.Shd.NowOf(s.shardOf(n))
-}
-
-// ctr returns the counter slab node n's handlers account into.
-func (s *Simulation) ctr(n overlay.NodeID) *metrics.Counters {
-	if s.Shd == nil {
-		return &s.C
-	}
-	return &s.Cs[s.shardOf(n)]
-}
-
-// post schedules fn on to's shard after d of from-side delay — the
-// message-delivery primitive. Cross-shard sends stage at the window
-// barrier; the lookahead contract holds because d ≥ HopDelay.
-func (s *Simulation) post(from, to overlay.NodeID, d sim.Duration, fn func()) {
-	if s.Shd == nil {
-		s.Sched.After(d, fn)
-		return
-	}
-	fs := s.shardOf(from)
-	s.Shd.Post(fs, s.shardOf(to), s.Shd.NowOf(fs).Add(d), fn)
-}
-
-// postSelf schedules a timer on n's own shard (piggyback windows,
-// refresh-gate flushes): never crosses shards, so any delay is legal.
-func (s *Simulation) postSelf(n overlay.NodeID, d sim.Duration, fn func()) {
-	if s.Shd == nil {
-		s.Sched.After(d, fn)
-		return
-	}
-	sh := s.shardOf(n)
-	s.Shd.Post(sh, sh, s.Shd.NowOf(sh).Add(d), fn)
-}
-
-// atNode schedules fn at absolute time t on n's shard (setup-time
-// scheduling: replica births, refresh loops).
-func (s *Simulation) atNode(n overlay.NodeID, t sim.Time, fn func()) {
-	if s.Shd == nil {
-		s.Sched.At(t, fn)
-		return
-	}
-	sh := s.shardOf(n)
-	s.Shd.Post(sh, sh, t, fn)
-}
-
-// ShardCount reports the number of scheduler shards (1 when unsharded).
-func (s *Simulation) ShardCount() int {
-	if s.nshards < 1 {
-		return 1
-	}
-	return s.nshards
-}
-
-// ShardQueueDepth reports shard i's physical event-queue length — the
-// telemetry gauge behind cup_sim_shard_queue_depth.
-func (s *Simulation) ShardQueueDepth(i int) int {
-	if s.Shd == nil {
-		return s.Sched.QueueLen()
-	}
-	return s.Shd.QueueDepth(i)
-}
-
-// EventsExecuted reports the discrete events fired so far, summed across
-// shards when sharded.
-func (s *Simulation) EventsExecuted() uint64 {
-	if s.Shd == nil {
-		return s.Sched.Executed
-	}
-	return s.Shd.Executed()
-}
 
 // lookupWaiter captures the answer of one interactive Lookup.
 type lookupWaiter struct {
@@ -356,42 +234,14 @@ type pendKey struct {
 // NewSimulation builds the overlay, nodes, replicas, workload, and hooks.
 func NewSimulation(p Params) *Simulation {
 	p = p.WithDefaults()
-	nsh := p.Shards
-	if nsh < 1 {
-		nsh = 1
-	}
-	if nsh > 1 {
-		p.DenseState = true
-		switch {
-		case p.Latency != nil:
-			panic("cup: sharded simulation requires homogeneous HopDelay (Latency must be nil: the lookahead is the minimum link delay)")
-		case len(p.Hooks) > 0 || len(p.Faults) > 0:
-			panic("cup: sharded simulation does not support Hooks or Faults (global interventions break shard isolation)")
-		case p.NoWorkload:
-			panic("cup: sharded simulation is batch-only (NoWorkload/interactive runs need the single-heap scheduler)")
-		case p.HopDelay <= 0:
-			panic("cup: sharded simulation requires positive HopDelay")
-		}
-	}
 	s := &Simulation{
 		P:       p,
+		Sched:   sim.NewScheduler(),
 		Rng:     sim.NewRand(p.Seed),
-		nshards: nsh,
-		pending: make([]map[pendKey][]sim.Time, nsh),
-		gates:   make([]map[overlay.NodeID]*refreshGate, nsh),
-		held:    make([]map[linkKey][]*heldClearBit, nsh),
+		pending: make(map[pendKey][]sim.Time),
+		gates:   make(map[overlay.NodeID]*refreshGate),
+		held:    make(map[linkKey][]*heldClearBit),
 		lookups: make(map[pendKey][]*lookupWaiter),
-	}
-	for i := 0; i < nsh; i++ {
-		s.pending[i] = make(map[pendKey][]sim.Time)
-		s.gates[i] = make(map[overlay.NodeID]*refreshGate)
-		s.held[i] = make(map[linkKey][]*heldClearBit)
-	}
-	if nsh > 1 {
-		s.Shd = sim.NewSharded(nsh, p.HopDelay)
-		s.Cs = make([]metrics.Counters, nsh)
-	} else {
-		s.Sched = sim.NewScheduler()
 	}
 	if s.P.PiggybackWindow == 0 {
 		s.P.PiggybackWindow = DefaultPiggybackWindow
@@ -405,22 +255,8 @@ func NewSimulation(p Params) *Simulation {
 	s.Router = NewOverlayRouter(s.Ov)
 	s.Nodes = make([]*Node, p.Nodes)
 	if p.DenseState {
-		clock := s.Now
-		if s.Sched != nil {
-			clock = s.Sched.Now
-		}
-		s.A = NewArena(p.Nodes, p.Config, s.Router, clock)
-		s.env = s.A.owners[0]
-		if s.Shd != nil {
-			// Each shard's nodes are an owner of their own: the shard's
-			// clock, and key-state slab and action buffer no other shard
-			// touches while a window runs.
-			for sh := 0; sh < nsh; sh++ {
-				lo := (sh*p.Nodes + nsh - 1) / nsh
-				hi := ((sh+1)*p.Nodes + nsh - 1) / nsh
-				s.A.SetOwner(lo, hi, s.Shd.Shard(sh).Now)
-			}
-		}
+		s.A = NewArena(p.Nodes, p.Config, s.Router, s.Sched.Now)
+		s.env = s.A.env
 		if p.Observer != nil {
 			s.A.SetObserver(p.Observer)
 		}
@@ -444,13 +280,12 @@ func NewSimulation(p Params) *Simulation {
 	if !p.NoWorkload {
 		// Replica lifecycle: births staggered across one lifetime so
 		// refresh waves are not synchronized, then refresh-at-expiration
-		// loops. Each birth is scheduled on the authority's shard.
+		// loops.
 		for ki := range s.Keys {
-			auth := s.Ov.Owner(s.Keys[ki])
 			for r := 0; r < p.Replicas; r++ {
 				birth := sim.Time(sim.Duration(s.Rng.Float64()) * p.Lifetime)
 				ki, r := ki, r
-				s.atNode(auth, birth, func() { s.AddReplica(s.Keys[ki], r) })
+				s.Sched.At(birth, func() { s.AddReplica(s.Keys[ki], r) })
 			}
 		}
 
@@ -461,11 +296,7 @@ func NewSimulation(p Params) *Simulation {
 		if tr == nil {
 			tr = PoissonTraffic(p.QueryRate)
 		}
-		if s.Shd != nil {
-			s.preScheduleTraffic(tr)
-		} else {
-			s.startTraffic(tr)
-		}
+		s.startTraffic(tr)
 	}
 
 	for _, h := range p.Hooks {
@@ -538,41 +369,6 @@ func (s *Simulation) startTraffic(tr Traffic) {
 	arm()
 }
 
-// preScheduleTraffic materializes the whole traffic stream at
-// construction for a sharded run: each query event is scheduled on its
-// node's shard up front, so no generator state crosses shards mid-run.
-// The RNG draw order — next gap, then node/key resolution, per event —
-// is exactly the order startTraffic's lazy arming produces, so a sharded
-// run consumes the seed identically to the single-heap schedule.
-func (s *Simulation) preScheduleTraffic(tr Traffic) {
-	const maxPreDrawn = 1 << 27
-	st := tr.Stream(s.TrafficEnv())
-	prev := sim.Time(0)
-	for count := 0; ; count++ {
-		if count >= maxPreDrawn {
-			panic(fmt.Sprintf("cup: sharded traffic stream exceeded %d events (closed-loop or unbounded generators need the single-heap scheduler)", maxPreDrawn))
-		}
-		ev, ok := st.Next()
-		if !ok {
-			return
-		}
-		at := sim.Time(ev.At)
-		if at < prev {
-			at = prev // generators must not schedule into the past
-		}
-		prev = at
-		nid := ev.Node
-		if nid == AnyNode || int(nid) < 0 || int(nid) >= len(s.Nodes) {
-			nid = s.pickAliveNode()
-		}
-		k := ev.Key
-		if k == "" {
-			k = s.pickKey()
-		}
-		s.atNode(nid, at, func() { s.PostQueryAt(nid, k) })
-	}
-}
-
 // Authority returns the node owning k.
 func (s *Simulation) Authority(k overlay.Key) *Node {
 	return s.Nodes[s.Ov.Owner(k)]
@@ -583,7 +379,7 @@ func (s *Simulation) Authority(k overlay.Key) *Node {
 // Append update (§2.4).
 func (s *Simulation) AddReplica(k overlay.Key, r int) {
 	auth := s.Authority(k)
-	now := s.nowAt(auth.ID())
+	now := s.Sched.Now()
 	e := cache.Entry{
 		Key:     k,
 		Replica: r,
@@ -593,7 +389,7 @@ func (s *Simulation) AddReplica(k overlay.Key, r int) {
 	auth.InstallLocal(e)
 	u := Update{Key: k, Type: Append, Entries: []cache.Entry{e}, Replica: r,
 		Expires: e.Expires, Lifetime: s.P.Lifetime}
-	s.ctr(auth.ID()).UpdatesOriginated++
+	s.C.UpdatesOriginated++
 	s.dispatch(auth.ID(), auth.OriginateUpdate(u))
 	s.scheduleRefresh(k, r, e.Expires)
 }
@@ -604,12 +400,12 @@ func (s *Simulation) scheduleRefresh(k overlay.Key, r int, at sim.Time) {
 	if at >= s.endTime {
 		return
 	}
-	s.atNode(s.Ov.Owner(k), at, func() {
+	s.Sched.At(at, func() {
 		auth := s.Authority(k)
 		if _, ok := auth.LocalDirectory().Get(k, r); !ok {
 			return // replica was deleted; stop refreshing
 		}
-		now := s.nowAt(auth.ID())
+		now := s.Sched.Now()
 		e := cache.Entry{
 			Key:     k,
 			Replica: r,
@@ -630,15 +426,14 @@ func (s *Simulation) emitRefresh(auth *Node, k overlay.Key, e cache.Entry) {
 		s.originateRefresh(auth, k, []cache.Entry{e})
 		return
 	}
-	gates := s.gates[s.shardOf(auth.ID())]
-	g := gates[auth.ID()]
+	g := s.gates[auth.ID()]
 	if g == nil {
 		g = newRefreshGate(s.P.RefreshPolicy)
-		gates[auth.ID()] = g
+		s.gates[auth.ID()] = g
 	}
 	release, flushIn := g.Offer(k, e, s.P.Replicas)
 	if flushIn > 0 {
-		s.postSelf(auth.ID(), flushIn, func() {
+		s.Sched.After(flushIn, func() {
 			if batch := g.Flush(k); len(batch) > 0 {
 				s.originateRefresh(auth, k, batch)
 			}
@@ -663,7 +458,7 @@ func (s *Simulation) originateRefresh(auth *Node, k overlay.Key, entries []cache
 	}
 	u := Update{Key: k, Type: Refresh, Entries: entries, Replica: minReplica,
 		Expires: expires, Lifetime: s.P.Lifetime}
-	s.ctr(auth.ID()).UpdatesOriginated++
+	s.C.UpdatesOriginated++
 	s.dispatch(auth.ID(), auth.OriginateUpdate(u))
 }
 
@@ -675,11 +470,11 @@ func (s *Simulation) originateRefresh(auth *Node, k overlay.Key, entries []cache
 func (s *Simulation) PublishReplica(k overlay.Key, replica int, addr string, lifetime sim.Duration, ty UpdateType) {
 	auth := s.Authority(k)
 	e := cache.Entry{Key: k, Replica: replica, Addr: addr,
-		Expires: s.nowAt(auth.ID()).Add(lifetime)}
+		Expires: s.Sched.Now().Add(lifetime)}
 	auth.InstallLocal(e)
 	u := Update{Key: k, Type: ty, Entries: []cache.Entry{e}, Replica: replica,
 		Expires: e.Expires, Lifetime: lifetime}
-	s.ctr(auth.ID()).UpdatesOriginated++
+	s.C.UpdatesOriginated++
 	s.dispatch(auth.ID(), auth.OriginateUpdate(u))
 }
 
@@ -688,9 +483,6 @@ func (s *Simulation) PublishReplica(k overlay.Key, replica int, addr string, lif
 // discrete-event counterpart of live.Network.Lookup. Any scripted
 // workload advances alongside on the virtual clock.
 func (s *Simulation) Lookup(ctx context.Context, nid overlay.NodeID, k overlay.Key) ([]cache.Entry, error) {
-	if s.Shd != nil {
-		return nil, fmt.Errorf("cup: interactive lookup requires the single-heap scheduler (Shards = 1)")
-	}
 	if int(nid) < 0 || int(nid) >= len(s.Nodes) || !s.NodeAlive(nid) {
 		return nil, fmt.Errorf("cup: lookup at invalid node %v", nid)
 	}
@@ -718,9 +510,6 @@ func (s *Simulation) Lookup(ctx context.Context, nid overlay.NodeID, k overlay.K
 // message delivered, every timer fired — checking ctx periodically. With
 // a scripted workload this executes the remainder of the schedule.
 func (s *Simulation) Settle(ctx context.Context) error {
-	if s.Shd != nil {
-		return s.Shd.RunUntil(sim.Infinity, ctx.Err)
-	}
 	for i := 0; ; i++ {
 		if i%4096 == 0 {
 			if err := ctx.Err(); err != nil {
@@ -743,9 +532,9 @@ func (s *Simulation) RemoveReplica(k overlay.Key, r int) {
 	auth.RemoveLocal(k, r)
 	u := Update{
 		Key: k, Type: Delete, Replica: r,
-		Expires: s.nowAt(auth.ID()).Add(s.P.Lifetime),
+		Expires: s.Sched.Now().Add(s.P.Lifetime),
 	}
-	s.ctr(auth.ID()).UpdatesOriginated++
+	s.C.UpdatesOriginated++
 	s.dispatch(auth.ID(), auth.OriginateUpdate(u))
 }
 
@@ -767,25 +556,23 @@ func (s *Simulation) pickAliveNode() overlay.NodeID {
 //cup:hotpath
 func (s *Simulation) PostQueryAt(nid overlay.NodeID, k overlay.Key) {
 	node := s.Nodes[nid]
-	c := s.ctr(nid)
-	c.Queries++
+	s.C.Queries++
 	ks := node.state(k)
 	pfu, everHeld := ks.pfu, ks.everHeld
 	acts := node.handleQuery(ks, LocalClient, k, 0)
 	if len(acts) == 1 && acts[0].Kind == ActDeliverLocal {
-		c.Hits++
+		s.C.Hits++
 	} else {
 		if pfu {
-			c.Coalesced++
+			s.C.Coalesced++
 		}
 		if everHeld {
-			c.FreshnessMisses++
+			s.C.FreshnessMisses++
 		} else {
-			c.FirstTimeMisses++
+			s.C.FirstTimeMisses++
 		}
 		pk := pendKey{nid, k}
-		pend := s.pending[s.shardOf(nid)]
-		pend[pk] = append(pend[pk], s.nowAt(nid)) //cup:allowalloc (miss path)
+		s.pending[pk] = append(s.pending[pk], s.Sched.Now()) //cup:allowalloc (miss path)
 	}
 	s.dispatch(nid, acts)
 }
@@ -826,18 +613,18 @@ func (s *Simulation) dispatch(from overlay.NodeID, acts []Action) {
 
 func (s *Simulation) sendQuery(from, to overlay.NodeID, k overlay.Key, qid uint64) {
 	s.flushHeldClearBits(from, to)
-	s.post(from, to, s.delay(from, to), func() {
+	s.Sched.After(s.delay(from, to), func() {
 		if !s.NodeAlive(to) {
 			return // departed mid-flight; the client re-queries
 		}
-		s.ctr(to).QueryHops++
+		s.C.QueryHops++
 		s.dispatch(to, s.Nodes[to].HandleQuery(from, k, qid))
 	})
 }
 
 func (s *Simulation) sendUpdate(from, to overlay.NodeID, u Update) {
 	s.flushHeldClearBits(from, to)
-	s.post(from, to, s.delay(from, to), func() {
+	s.Sched.After(s.delay(from, to), func() {
 		if !s.NodeAlive(to) {
 			return
 		}
@@ -848,20 +635,20 @@ func (s *Simulation) sendUpdate(from, to overlay.NodeID, u Update) {
 		node := s.Nodes[to]
 		ks := node.state(u.Key)
 		if u.QueryID != 0 || ks.pfu {
-			s.ctr(to).ResponseHops++
+			s.C.ResponseHops++
 		} else {
-			s.ctr(to).UpdateHops++
+			s.C.UpdateHops++
 		}
 		s.dispatch(to, node.handleUpdate(ks, from, u))
 	})
 }
 
 func (s *Simulation) sendClearBit(from, to overlay.NodeID, k overlay.Key) {
-	s.post(from, to, s.delay(from, to), func() {
+	s.Sched.After(s.delay(from, to), func() {
 		if !s.NodeAlive(to) {
 			return
 		}
-		s.ctr(to).ClearBitHops++
+		s.C.ClearBitHops++
 		s.dispatch(to, s.Nodes[to].HandleClearBit(from, k))
 	})
 }
@@ -872,15 +659,14 @@ func (s *Simulation) sendClearBit(from, to overlay.NodeID, k overlay.Key) {
 func (s *Simulation) holdClearBit(from, to overlay.NodeID, k overlay.Key) {
 	cb := &heldClearBit{key: k}
 	link := linkKey{from, to}
-	held := s.held[s.shardOf(from)]
-	held[link] = append(held[link], cb)
-	s.postSelf(from, s.P.PiggybackWindow, func() {
+	s.held[link] = append(s.held[link], cb)
+	s.Sched.After(s.P.PiggybackWindow, func() {
 		if cb.sent {
 			return
 		}
 		cb.sent = true
-		s.post(from, to, s.delay(from, to), func() {
-			s.ctr(to).ClearBitHops++
+		s.Sched.After(s.delay(from, to), func() {
+			s.C.ClearBitHops++
 			s.dispatch(to, s.Nodes[to].HandleClearBit(from, k))
 		})
 	})
@@ -890,42 +676,37 @@ func (s *Simulation) holdClearBit(from, to overlay.NodeID, k overlay.Key) {
 // the same link: they arrive with the carrier at zero hop cost.
 func (s *Simulation) flushHeldClearBits(from, to overlay.NodeID) {
 	link := linkKey{from, to}
-	held := s.held[s.shardOf(from)]
-	bits := held[link]
+	bits := s.held[link]
 	if len(bits) == 0 {
 		return
 	}
-	delete(held, link)
+	delete(s.held, link)
 	for _, cb := range bits {
 		if cb.sent {
 			continue
 		}
 		cb.sent = true
 		k := cb.key
-		s.ctr(from).PiggybackedClearBits++
-		s.post(from, to, s.delay(from, to), func() {
+		s.C.PiggybackedClearBits++
+		s.Sched.After(s.delay(from, to), func() {
 			s.dispatch(to, s.Nodes[to].HandleClearBit(from, k))
 		})
 	}
 }
 
 // deliverLocal resolves the open local client connections at node nid.
-// A hit usually finds both tables empty and touches neither. (The guard
-// on lookups is also what keeps a sharded window from writing the one
-// table shards share: interactive lookups need the single heap, so it is
-// always empty there.)
+// A hit usually finds both tables empty and touches neither.
 //
 //cup:hotpath
 func (s *Simulation) deliverLocal(nid overlay.NodeID, k overlay.Key, entries []cache.Entry) {
 	pk := pendKey{nid, k}
-	if pend := s.pending[s.shardOf(nid)]; len(pend) != 0 {
-		now := s.nowAt(nid)
-		c := s.ctr(nid)
-		for _, t0 := range pend[pk] {
-			c.MissLatencyTotal += float64(now.Sub(t0))
-			c.MissesServed++
+	if len(s.pending) != 0 {
+		now := s.Sched.Now()
+		for _, t0 := range s.pending[pk] {
+			s.C.MissLatencyTotal += float64(now.Sub(t0))
+			s.C.MissesServed++
 		}
-		delete(pend, pk)
+		delete(s.pending, pk)
 	}
 	if len(s.lookups) != 0 {
 		for _, w := range s.lookups[pk] {
@@ -967,13 +748,6 @@ func (s *Simulation) Run() *Result {
 // checking ctx between batches of events, and returns the aggregated
 // result.
 func (s *Simulation) RunContext(ctx context.Context) (*Result, error) {
-	if s.Shd != nil {
-		if err := s.Shd.RunUntil(s.endTime, func() error { return ctx.Err() }); err != nil {
-			return nil, err
-		}
-		s.foldCounters()
-		return &Result{Params: s.P, Counters: s.C}, nil
-	}
 	const batch = 8192
 	for {
 		if err := ctx.Err(); err != nil {
@@ -1004,16 +778,12 @@ func (s *Simulation) RunContext(ctx context.Context) (*Result, error) {
 	return &Result{Params: s.P, Counters: s.C}, nil
 }
 
-// foldCounters folds per-shard counters (shard order) and per-node
-// justification stats (node order) into the aggregate s.C. Updates still
+// foldCounters folds per-node justification stats (node order) into the
+// aggregate s.C. Updates still
 // awaiting their justification window at the end of the run are censored
 // observations, not failures; they stay unclassified (callers wanting
 // strict accounting may SettleJustification first).
 func (s *Simulation) foldCounters() {
-	for i := range s.Cs {
-		s.C.Add(&s.Cs[i])
-		s.Cs[i] = metrics.Counters{}
-	}
 	for _, n := range s.Nodes {
 		st := n.Stats()
 		s.C.JustifiedUpdates += st.Justified

@@ -236,3 +236,86 @@ func TestDefaultsFilledIn(t *testing.T) {
 		t.Fatal("default policy missing")
 	}
 }
+
+// paperParams is the paper's headline configuration (n = 2^10, λ = 5)
+// shrunk to a 600 s query window so the three-overlay sweeps stay fast.
+func paperParams(kind string) Params {
+	return Params{
+		Nodes:         1024,
+		OverlayKind:   kind,
+		QueryRate:     5,
+		QueryDuration: 600,
+		Replicas:      4,
+		Seed:          3,
+	}
+}
+
+// The struct-of-arrays arena must be invisible: for every overlay, the
+// dense-state run reproduces the map-based run's counters bit for bit —
+// same event schedule, same RNG draws, same float accumulation order.
+func TestDenseStateBitIdentical(t *testing.T) {
+	for _, kind := range overlay.Kinds() {
+		kind := kind
+		t.Run(kind, func(t *testing.T) {
+			base := Run(paperParams(kind)).Counters
+			p := paperParams(kind)
+			p.DenseState = true
+			dense := Run(p).Counters
+			if base != dense {
+				t.Errorf("dense state drifted from map-based nodes:\n map   %+v\n dense %+v", base, dense)
+			}
+		})
+	}
+}
+
+// Regression for the issuedAt approximation: under standard caching,
+// several local queries for one key can be in flight at the same node at
+// once. Each response must report the latency of *its own* query — the
+// old code kept a single per-key issue time that the newest query
+// overwrote, shortening the first query's reported latency by the
+// stagger.
+func TestStandardCachingOverlappingQueryLatencies(t *testing.T) {
+	p := Params{
+		Nodes:      64,
+		NoWorkload: true,
+		Seed:       11,
+	}
+	p.Config = Standard()
+	s := NewSimulation(p)
+
+	var lats []sim.Duration
+	obs := ObserverFunc(func(e Event) {
+		if e.Kind == EvQueryAnswered && e.Peer == LocalClient {
+			lats = append(lats, e.Latency)
+		}
+	})
+	for _, n := range s.Nodes {
+		n.SetObserver(obs)
+	}
+
+	k := overlay.Key("golden")
+	s.PublishReplica(k, 0, "203.0.113.7", s.P.Lifetime, Append)
+	// A querier that is not the authority, so answers take ≥ 1 hop each
+	// way.
+	nid := s.Ov.Owner(k) + 1
+	if int(nid) >= p.Nodes {
+		nid = 0
+	}
+	const stagger = sim.Duration(0.05)
+	s.Sched.At(100, func() { s.PostQueryAt(nid, k) })
+	s.Sched.At(sim.Time(100).Add(stagger), func() { s.PostQueryAt(nid, k) })
+	if err := s.Settle(t.Context()); err != nil {
+		t.Fatal(err)
+	}
+
+	if len(lats) != 2 {
+		t.Fatalf("got %d answered queries, want 2 (latencies %v)", len(lats), lats)
+	}
+	// Both queries travel the same path with the same hop delay, so both
+	// true latencies are identical; the staggered second query must not
+	// steal the first one's clock.
+	if lats[0] <= 0 || lats[0] != lats[1] {
+		t.Fatalf("overlapping query latencies %v and %v, want equal positive round trips",
+			lats[0], lats[1])
+	}
+}

@@ -141,9 +141,9 @@ type NodeStats struct {
 }
 
 // nodeEnv is what the nodes of one owner share. An owner is whatever
-// serializes handler calls: a Simulation (or one shard of a sharded one),
-// or a single live peer. Splitting it out of Node lets the simulator keep
-// one copy per run instead of one per node.
+// serializes handler calls: a Simulation or a single live peer. Splitting
+// it out of Node lets the simulator keep one copy per run instead of one
+// per node.
 type nodeEnv struct {
 	cfg    Config
 	router Router
@@ -487,7 +487,7 @@ func (n *Node) CreditClientHits(k overlay.Key, hits int, first sim.Time) {
 // and for everything in CUP mode, where coalescing replaces it).
 //
 // Like every handler, it builds its result in a buffer shared by the
-// node's owner (the simulation or shard driving it, or the live peer):
+// node's owner (the simulation driving it, or the live peer):
 // the returned slice is valid until the next handler call on that owner;
 // copy what must outlive it. Entries carried by an action are read-only
 // views of a cache.Store's immutable sets and may be kept.

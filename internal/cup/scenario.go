@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"cup/internal/overlay"
-	"cup/internal/sim"
 )
 
 // This file is the fault half of the public Scenario API: scripted
@@ -354,21 +353,4 @@ func (s *Simulation) applyFault(name string, ev FaultEvent) {
 	if err := ev.Do(simSurface{s}); err != nil {
 		s.recordFaultErr(fmt.Errorf("cup: fault %q at t=%gs: %w", name, ev.At, err))
 	}
-}
-
-// FaultHooks compiles a fault script into simulation Hooks for the
-// query window [start, start+duration] — the bridge that lets the
-// pre-Scenario Hook surface (Params.Hooks) keep working on top of the
-// transport-agnostic fault API.
-func FaultHooks(f Fault, start, duration float64) []Hook {
-	name := f.Name()
-	var hooks []Hook
-	for _, ev := range f.Schedule(start, duration) {
-		ev := ev
-		hooks = append(hooks, Hook{
-			At: sim.Time(ev.At),
-			Fn: func(s *Simulation) { s.applyFault(name, ev) },
-		})
-	}
-	return hooks
 }

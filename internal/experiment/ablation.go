@@ -289,9 +289,6 @@ func AblationPiggyback(sc Scale) *metrics.Table {
 // changes coalescing opportunity, so CUP's advantage must be shown robust
 // to it (the Narses simulator modeled real network delays).
 func AblationLatency(sc Scale) *metrics.Table {
-	// Heterogeneous delays break the sharded scheduler's uniform-lookahead
-	// contract; this ablation always runs single-heap.
-	sc.Shards = 0
 	t := &metrics.Table{Title: "Ablation A7: latency-model robustness (λ=10)"}
 	t.Header = []string{"latency model", "STD total", "CUP total", "CUP/STD", "CUP miss s"}
 	models := []struct {
@@ -333,8 +330,6 @@ func AblationChurn(sc Scale) *metrics.Table {
 	// overrides the overlay with a static one (Chord), fall back to the
 	// paper's CAN rather than crash mid-sweep — and say so in the title,
 	// so the table is never mistaken for a run on the requested kind.
-	// Churn is a global intervention; the sharded scheduler rejects it.
-	sc.Shards = 0
 	kind := sc.Overlay
 	if kind == "" {
 		kind = "can"

@@ -42,12 +42,6 @@ type Scale struct {
 	// at any setting: trials are independent runs assembled in a fixed
 	// order.
 	Parallelism int
-	// Shards > 1 runs each trial on the sharded conservative-window
-	// scheduler (cup.WithShards) — one sharded run per trial. It applies
-	// to the open-loop experiments (push level, policy, size, replica
-	// sweeps, and the million-node scale sweep); the capacity-fault
-	// figures ignore it, since fault injection needs the single heap.
-	Shards int
 	// Eng, when set, is a shared worker pool every experiment run at
 	// this Scale uses instead of building its own — letting a caller
 	// (cmd/cupbench) observe one sweep's dispatch tail via TailTime.
@@ -90,17 +84,13 @@ func (s Scale) nodes(n int) int {
 // n = 2^10 nodes, one key, one replica, lifetime 300 s. Every call
 // returns a fresh slice, so per-run appends never alias.
 func (s Scale) base(lambda float64) []cup.Option {
-	opts := []cup.Option{
+	return []cup.Option{
 		cup.WithNodes(1024),
 		cup.WithOverlay(s.Overlay),
 		cup.WithQueryRate(s.rate(lambda)),
 		cup.WithQueryDuration(cup.Seconds(float64(s.duration()))),
 		cup.WithSeed(s.seed()),
 	}
-	if s.Shards > 1 {
-		opts = append(opts, cup.WithShards(s.Shards))
-	}
-	return opts
 }
 
 // run builds a simulated deployment from opts and executes its scripted
@@ -362,9 +352,6 @@ var Capacities = []float64{0, 0.25, 0.5, 0.75, 1}
 // standard-caching line. The fault scripts are the public
 // cup.CapacityFault, expanded over the run's own query window.
 func FigCapacity(sc Scale, title string, lambda float64) *metrics.Table {
-	// Fault injection is a global intervention the conservative-window
-	// scheduler cannot honor; the capacity figures always run single-heap.
-	sc.Shards = 0
 	t := &metrics.Table{Title: title}
 	t.Header = []string{"capacity c", "Up-And-Down total", "Once-Down-Always-Down total", "Standard caching"}
 

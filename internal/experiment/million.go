@@ -30,9 +30,8 @@ func millionOverlay(sc Scale) string {
 	return "chord"
 }
 
-// millionOpts builds one million-node cell: millionOverlay's substrate,
-// dense struct-of-arrays node state, and the sharded conservative-window
-// scheduler when sc.Shards > 1.
+// millionOpts builds one million-node cell: millionOverlay's substrate
+// and dense struct-of-arrays node state.
 func millionOpts(sc Scale, level int) []cup.Option {
 	opts := []cup.Option{
 		cup.WithNodes(MillionNodes),
@@ -45,9 +44,6 @@ func millionOpts(sc Scale, level int) []cup.Option {
 		cup.WithQueryRate(100),
 		cup.WithQueryDuration(cup.Seconds(float64(sc.duration()))),
 		cup.WithSeed(sc.seed()),
-	}
-	if sc.Shards > 1 {
-		opts = append(opts, cup.WithShards(sc.Shards))
 	}
 	if level == 0 {
 		opts = append(opts, cup.WithStandardCaching())
@@ -80,12 +76,8 @@ func (m MillionStats) EventsPerSec() float64 {
 // million-node overlay and arena, and running them side by side would
 // multiply the footprint, not the throughput.
 func MillionRun(sc Scale) MillionStats {
-	shards := sc.Shards
-	if shards < 1 {
-		shards = 1
-	}
 	out := MillionStats{Table: &metrics.Table{
-		Title:  fmt.Sprintf("Scale: cost vs push level, n = 10^6 (λ=100, %s, shards=%d)", millionOverlay(sc), shards),
+		Title:  fmt.Sprintf("Scale: cost vs push level, n = 10^6 (λ=100, %s)", millionOverlay(sc)),
 		Header: []string{"push level", "total cost", "miss cost", "queries"},
 	}}
 	for _, lvl := range MillionPushLevels {

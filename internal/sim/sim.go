@@ -61,8 +61,8 @@ type event struct {
 // simulation deterministic) are stored inline next to the event pointer:
 // sift comparisons read contiguous array memory and never dereference the
 // pooled event object, which at simulation scale (thousands of pending
-// events per shard) turns every heap level from a dependent cache miss
-// into a streamed load.
+// events) turns every heap level from a dependent cache miss into a
+// streamed load.
 type heapEntry struct {
 	at  Time
 	seq uint64

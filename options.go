@@ -72,9 +72,6 @@ type options struct {
 	serving    []string
 	admitRate  float64
 	admitBurst int
-	// refreshBudget overrides the process-wide refresh pacing budget
-	// (refresh publishes/second shared across all live trial networks).
-	refreshBudget float64
 	// errs collects option-level validation failures; New reports them
 	// all at once instead of building a broken deployment.
 	errs []error
@@ -390,12 +387,6 @@ func WithTimeScale(scale float64) Option {
 	}
 }
 
-// WithHooks schedules timed interventions into a simulated run — the
-// escape hatch predating WithFaults for arbitrary *Simulation surgery.
-func WithHooks(hooks ...Hook) Option {
-	return func(o *options) { o.p.Hooks = append(o.p.Hooks, hooks...) }
-}
-
 // WithoutWorkload skips the scripted workload (replica births and Poisson
 // queries) on the simulated transport: the deployment starts idle and is
 // driven through the client API (Lookup, Publish), exactly like a live
@@ -404,32 +395,10 @@ func WithoutWorkload() Option {
 	return func(o *options) { o.p.NoWorkload = true }
 }
 
-// WithShards partitions a simulated run's node population into k
-// contiguous blocks, each driven by its own event heap under conservative
-// time-window synchronization (lookahead = the hop delay, the minimum
-// link delay). Sharding targets million-node batch sweeps: it requires
-// the homogeneous-delay open-loop subset of the simulator — no
-// WithLatencyModel, WithFaults, WithHooks, or WithoutWorkload — and
-// implies WithDenseState. Results are deterministic for a fixed k, but
-// the event interleaving (and so float accumulation order) differs from
-// the single-heap schedule; integer counters agree exactly. Observers
-// attached to a sharded run may be called from per-shard goroutines
-// concurrently, like on the live transport. A non-positive count is a
-// configuration error.
-func WithShards(k int) Option {
-	return func(o *options) {
-		if k <= 0 {
-			o.reject("shard count %d must be positive", k)
-			return
-		}
-		o.p.Shards = k
-	}
-}
-
 // WithDenseState backs simulated node state with the struct-of-arrays
 // arena instead of per-node heap objects: identical behavior and event
-// stream, a fraction of the memory and GC pointer traffic. Implied by
-// WithShards(k > 1); worth setting explicitly for big single-shard runs.
+// stream, a fraction of the memory and GC pointer traffic. Worth setting
+// for big runs.
 func WithDenseState() Option {
 	return func(o *options) { o.p.DenseState = true }
 }
@@ -443,23 +412,6 @@ func WithInboxDepth(n int) Option {
 			return
 		}
 		o.inboxDepth = n
-	}
-}
-
-// WithRefreshBudget sets the process-wide refresh pacing budget: the
-// total replica-refresh publishes per second shared by every live trial
-// network running in this process (default internal/live's 2048/s).
-// Refresh pumps are the one open-loop load source trials generate, so
-// the budget keeps an N-trial sweep from multiplying refresh load N× on
-// one machine. Process-wide by design — the last deployment built wins.
-// A non-positive rate is a configuration error reported by New.
-func WithRefreshBudget(perSec float64) Option {
-	return func(o *options) {
-		if perSec <= 0 {
-			o.reject("refresh budget %g/s must be positive", perSec)
-			return
-		}
-		o.refreshBudget = perSec
 	}
 }
 

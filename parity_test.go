@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"cup"
+	internal "cup/internal/cup"
 	"cup/internal/overlay"
 )
 
@@ -177,14 +178,14 @@ var goldenPoisson = map[string]cup.Counters{
 
 // Scenario-API parity: the same seed driven through the public Traffic
 // interface (cup.New + WithTraffic(PoissonTraffic)) must reproduce
-// bit-identical counters to the compatibility Params path — and both
+// bit-identical counters to the internal driver's Params path — and both
 // must match the counters the pre-refactor embedded driver loop
 // produced.
 func TestPoissonTrafficBitIdenticalToDriverPath(t *testing.T) {
 	for kind, want := range goldenPoisson {
 		kind, want := kind, want
 		t.Run(kind, func(t *testing.T) {
-			legacy := cup.Run(cup.Params{
+			legacy := internal.Run(internal.Params{
 				Nodes: 256, OverlayKind: kind, QueryRate: 5, QueryDuration: 600, Seed: 3,
 			})
 			if legacy.Counters != want {

@@ -2,7 +2,6 @@ package cup
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
@@ -70,20 +69,13 @@ func (d *Deployment) initTelemetry(o *options) error {
 		func() float64 { return float64(d.bus.Dropped()) })
 
 	if sr, ok := d.rt.(*simRuntime); ok {
-		// One queue-depth gauge per scheduler shard (a single series for
-		// the classic single-heap run): scrapes show where the event load
-		// sits across the conservative synchronization windows.
-		for i := 0; i < sr.s.ShardCount(); i++ {
-			i := i
-			reg.GaugeFunc("cup_sim_shard_queue_depth",
-				"Pending events in this scheduler shard's queue.",
-				func() float64 {
-					sr.mu.Lock()
-					defer sr.mu.Unlock()
-					return float64(sr.s.ShardQueueDepth(i))
-				},
-				MetricLabel{Key: "shard", Value: strconv.Itoa(i)})
-		}
+		reg.GaugeFunc("cup_sim_queue_depth",
+			"Pending events in the simulator's event queue.",
+			func() float64 {
+				sr.mu.Lock()
+				defer sr.mu.Unlock()
+				return float64(sr.s.Sched.QueueLen())
+			})
 	}
 
 	if lr, ok := d.rt.(*liveRuntime); ok {

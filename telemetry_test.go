@@ -160,6 +160,20 @@ func TestQueryLatencyHistogramPopulated(t *testing.T) {
 	}
 }
 
+// The simulator's event queue is one unlabelled gauge read from the
+// scheduler at scrape time: a freshly built scripted run already holds
+// its replica births and first arrival.
+func TestSimQueueDepthGauge(t *testing.T) {
+	d := newDeployment(t, cup.WithTelemetry(""), cup.WithNodes(32), cup.WithSeed(1))
+	depth, ok := d.MetricValue("cup_sim_queue_depth")
+	if !ok {
+		t.Fatal("cup_sim_queue_depth not registered")
+	}
+	if depth <= 0 {
+		t.Errorf("cup_sim_queue_depth = %g before Run, want the armed workload's pending events", depth)
+	}
+}
+
 // A live deployment with WithTelemetry serves Prometheus /metrics with
 // non-zero core series, the JSON trace endpoints, and /debug/pprof.
 func TestLiveTelemetryServesMetricsAndPprof(t *testing.T) {
