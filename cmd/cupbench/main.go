@@ -162,8 +162,8 @@ type coreBench struct {
 	SchedulerEvts  uint64  `json:"scheduler_events"`
 	EventsPerSec   float64 `json:"events_per_sec"`
 	AllocsPerEvent float64 `json:"allocs_per_event"`
-	// The million-node scale demonstration: dense-state bytes per node
-	// (overlay + arena + views) and the reduced Figure-3-style sweep at
+	// The million-node scale demonstration: built bytes per node
+	// (overlay + node block) and the reduced Figure-3-style sweep at
 	// n = 10^6.
 	BytesPerNode        float64 `json:"bytes_per_node"`
 	MillionNodes        int     `json:"million_nodes"`
@@ -313,10 +313,10 @@ func benchCore(seed int64, ov string, workers int, full bool) error {
 	fmt.Printf("live sweep     %12v wall (%d isolated networks, %d at a time, %d query msgs)\n",
 		liveNs.Round(time.Millisecond), liveTrials, livePar, liveMsgs)
 
-	// The million-node scale demonstration: per-node footprint of a dense
+	// The million-node scale demonstration: per-node footprint of a built
 	// deployment, then the reduced Figure-3-style sweep.
 	bytesPerNode := experiment.Footprint(experiment.MillionNodes)
-	fmt.Printf("dense footprint %11.1f bytes/node (n = %d, chord + arena)\n",
+	fmt.Printf("dense footprint %11.1f bytes/node (n = %d, chord + nodes)\n",
 		bytesPerNode, experiment.MillionNodes)
 	million := experiment.MillionRun(experiment.Scale{Seed: seed})
 	fmt.Printf("million sweep  %12v wall %12.0f events/s (%d events, %d cells)\n",

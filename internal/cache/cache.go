@@ -34,156 +34,98 @@ func (e Entry) String() string {
 	return fmt.Sprintf("%s@replica%d(%s, exp %.2f)", e.Key, e.Replica, e.Addr, float64(e.Expires))
 }
 
-// Store holds index entries grouped by key as compact replica sets: one
-// slice per key, sorted by replica, one entry per (key, replica). The
-// replica-sorted representation makes every read deterministic without a
-// per-call sort, and keeps the per-key footprint one small slice instead
-// of a map — the difference between ~100 and ~350 bytes per touched key
-// at million-node scale. The zero value is an empty, usable store (the
-// struct-of-arrays node state keeps Stores by value and must not pay a
-// map allocation per untouched node).
+// Set is the entry set of one key: sorted by replica, one entry per
+// replica. The replica-sorted representation makes every read
+// deterministic without a per-call sort and keeps the per-key footprint
+// one small slice.
 //
-// Entry sets are immutable and copy-on-write: every mutation (Put,
-// ReplaceKey, Remove, Expire) publishes a freshly built slice and never
-// writes into one already published. That makes reads free — Fresh hands
-// out the set itself when nothing in it has expired — and makes a view
-// safe to ship in an update to another node or goroutine: nothing the
-// owner does later can change it. Writes pay the copy; with CUP keeping
-// caches fresh, reads outnumber them by two orders of magnitude.
-type Store struct {
-	byKey map[overlay.Key][]Entry
-}
+// Sets are immutable and copy-on-write: every mutation (With, Without,
+// Expire, NewSet) builds a fresh slice and never writes into its
+// receiver. That makes reads free — Fresh hands out the set itself when
+// nothing in it has expired — and makes a view safe to ship in an update
+// to another node or goroutine: nothing the owner does later can change
+// it. Writes pay the copy; with CUP keeping caches fresh, reads outnumber
+// them by two orders of magnitude.
+//
+// A node's cached entries are a Set on the key's state (internal/cup);
+// Store keeps one Set per key for the authority's local directory. Both
+// run this one copy of the algebra. The nil Set is empty and usable.
+type Set []Entry
 
-// NewStore returns an empty store. The map is allocated lazily on first
-// Put, so constructing a store is free.
-func NewStore() *Store {
-	return &Store{}
-}
-
-// find returns the position of replica in the sorted set es, or the
-// insertion point with ok=false.
-func find(es []Entry, replica int) (int, bool) {
-	i := sort.Search(len(es), func(i int) bool { return es[i].Replica >= replica })
-	return i, i < len(es) && es[i].Replica == replica
-}
-
-// with returns a new set holding es plus e, replacing the entry for
-// e.Replica when present. es is not written.
-func with(es []Entry, e Entry) []Entry {
-	i, ok := find(es, e.Replica)
-	if ok {
-		out := make([]Entry, len(es))
-		copy(out, es)
-		out[i] = e
-		return out
-	}
-	out := make([]Entry, len(es)+1)
-	copy(out, es[:i])
-	out[i] = e
-	copy(out[i+1:], es[i:])
-	return out
-}
-
-// Put inserts or replaces the entry for (e.Key, e.Replica).
-func (s *Store) Put(e Entry) {
-	if s.byKey == nil {
-		s.byKey = make(map[overlay.Key][]Entry)
-	}
-	s.byKey[e.Key] = with(s.byKey[e.Key], e)
-}
-
-// PutAll inserts every entry.
-func (s *Store) PutAll(es []Entry) {
-	for _, e := range es {
-		s.Put(e)
-	}
-}
-
-// ReplaceKey atomically replaces all entries for k with a copy of es (in
-// any order; a later duplicate of a replica wins). Entries in es whose Key
+// NewSet returns a set holding a copy of es (in any order; a later
+// duplicate of a replica wins), nil when es is empty. Entries whose Key
 // differs from k are rejected with a panic: a first-time update carrying
 // foreign entries is a protocol bug.
-func (s *Store) ReplaceKey(k overlay.Key, es []Entry) {
+func NewSet(k overlay.Key, es []Entry) Set {
 	if len(es) == 0 {
-		delete(s.byKey, k)
-		return
+		return nil
 	}
-	// out is private until published below, so it is built in place.
-	out := make([]Entry, 0, len(es))
+	// out is private until returned, so it is built in place.
+	out := make(Set, 0, len(es))
 	for _, e := range es {
 		if e.Key != k {
-			panic(fmt.Sprintf("cache: ReplaceKey(%q) given entry for %q", k, e.Key))
+			panic(fmt.Sprintf("cache: set for %q given entry for %q", k, e.Key))
 		}
-		i, ok := find(out, e.Replica)
+		i, ok := out.find(e.Replica)
 		if !ok {
 			out = append(out, Entry{})
 			copy(out[i+1:], out[i:])
 		}
 		out[i] = e
 	}
-	if s.byKey == nil {
-		s.byKey = make(map[overlay.Key][]Entry)
-	}
-	s.byKey[k] = out
-}
-
-// Remove deletes the entry for (k, replica) if present, reporting whether
-// an entry was removed.
-func (s *Store) Remove(k overlay.Key, replica int) bool {
-	es := s.byKey[k]
-	i, ok := find(es, replica)
-	if !ok {
-		return false
-	}
-	if len(es) == 1 {
-		delete(s.byKey, k)
-		return true
-	}
-	out := make([]Entry, len(es)-1)
-	copy(out, es[:i])
-	copy(out[i:], es[i+1:])
-	s.byKey[k] = out
-	return true
-}
-
-// RemoveKey deletes every entry for k, returning how many were removed.
-func (s *Store) RemoveKey(k overlay.Key) int {
-	n := len(s.byKey[k])
-	delete(s.byKey, k)
-	return n
-}
-
-// Get returns the entry for (k, replica).
-func (s *Store) Get(k overlay.Key, replica int) (Entry, bool) {
-	es := s.byKey[k]
-	if i, ok := find(es, replica); ok {
-		return es[i], true
-	}
-	return Entry{}, false
-}
-
-// All returns every entry for k (fresh or stale), sorted by replica for
-// deterministic iteration. The slice is freshly allocated: unlike a Fresh
-// view, callers may write to it.
-func (s *Store) All(k overlay.Key) []Entry {
-	es := s.byKey[k]
-	if len(es) == 0 {
-		return nil
-	}
-	out := make([]Entry, len(es))
-	copy(out, es)
 	return out
 }
 
-// Fresh returns the fresh entries for k at time now, sorted by replica.
-// When every entry is fresh — the common case wherever updates keep the
-// cache maintained — the result is a capacity-clipped view of the store's
-// own immutable set: no copy, and appending to it reallocates rather than
-// writing into the store. Callers must not write to its elements.
+// find returns the position of replica in the set, or the insertion point
+// with ok=false.
+func (es Set) find(replica int) (int, bool) {
+	i := sort.Search(len(es), func(i int) bool { return es[i].Replica >= replica })
+	return i, i < len(es) && es[i].Replica == replica
+}
+
+// With returns a new set holding es plus e, replacing the entry for
+// e.Replica when present.
+func (es Set) With(e Entry) Set {
+	i, ok := es.find(e.Replica)
+	if ok {
+		out := make(Set, len(es))
+		copy(out, es)
+		out[i] = e
+		return out
+	}
+	out := make(Set, len(es)+1)
+	copy(out, es[:i])
+	out[i] = e
+	copy(out[i+1:], es[i:])
+	return out
+}
+
+// Without returns the set minus replica's entry (nil when that was the
+// last one) and whether an entry was removed; when none was, the set
+// itself.
+func (es Set) Without(replica int) (Set, bool) {
+	i, ok := es.find(replica)
+	if !ok {
+		return es, false
+	}
+	if len(es) == 1 {
+		return nil, true
+	}
+	out := make(Set, len(es)-1)
+	copy(out, es[:i])
+	copy(out[i:], es[i+1:])
+	return out, true
+}
+
+// Fresh returns the entries still fresh at now, sorted by replica, nil
+// when there are none. When every entry is fresh — the common case
+// wherever updates keep the cache maintained — the result is a
+// capacity-clipped view of the immutable set itself: no copy, and
+// appending to it reallocates rather than writing into the set. Callers
+// must not write to its elements.
 //
 //cup:hotpath
-func (s *Store) Fresh(k overlay.Key, now sim.Time) []Entry {
-	es := s.byKey[k]
+func (es Set) Fresh(now sim.Time) []Entry {
 	n := 0
 	for i := range es {
 		if es[i].Fresh(now) {
@@ -206,61 +148,96 @@ func (s *Store) Fresh(k overlay.Key, now sim.Time) []Entry {
 	return out
 }
 
-// HasFresh reports whether any entry for k is fresh at now.
-func (s *Store) HasFresh(k overlay.Key, now sim.Time) bool {
-	for _, e := range s.byKey[k] {
-		if e.Fresh(now) {
-			return true
-		}
-	}
-	return false
-}
-
-// HasAny reports whether the store holds any entry (fresh or stale) for k.
-// Used to distinguish freshness misses from first-time misses.
-func (s *Store) HasAny(k overlay.Key) bool { return len(s.byKey[k]) > 0 }
-
-// MaxExpiry returns the latest expiration among entries for k, or zero
-// time when none exist.
-func (s *Store) MaxExpiry(k overlay.Key) sim.Time {
+// MaxExpiry returns the latest expiration in the set, or zero time when
+// it is empty.
+func (es Set) MaxExpiry() sim.Time {
 	var max sim.Time
-	for _, e := range s.byKey[k] {
-		if e.Expires > max {
-			max = e.Expires
+	for i := range es {
+		if es[i].Expires > max {
+			max = es[i].Expires
 		}
 	}
 	return max
 }
 
-// Expire removes every entry that is stale at now across all keys and
-// returns how many were dropped. Nodes call this opportunistically; the
-// protocol never relies on it because freshness is checked per access.
-func (s *Store) Expire(now sim.Time) int {
-	dropped := 0
-	for k, es := range s.byKey {
-		stale := 0
-		for i := range es {
-			if !es[i].Fresh(now) {
-				stale++
-			}
-		}
-		if stale == 0 {
-			continue
-		}
-		dropped += stale
-		if stale == len(es) {
-			delete(s.byKey, k)
-			continue
-		}
-		keep := make([]Entry, 0, len(es)-stale)
-		for _, e := range es {
-			if e.Fresh(now) {
-				keep = append(keep, e)
-			}
-		}
-		s.byKey[k] = keep
+// Expire returns the set minus the entries stale at now — the set itself
+// when nothing was, nil when everything was — and how many were dropped.
+func (es Set) Expire(now sim.Time) (Set, int) {
+	fresh := es.Fresh(now)
+	return fresh, len(es) - len(fresh)
+}
+
+// Store holds one Set per key: the authority's local index directory, and
+// the shape churn hands over. The zero value is an empty, usable store —
+// nodes keep theirs by value and must not pay a map allocation before the
+// first Put.
+type Store struct {
+	byKey map[overlay.Key]Set
+}
+
+// NewStore returns an empty store. The map is allocated lazily on first
+// Put, so constructing a store is free.
+func NewStore() *Store {
+	return &Store{}
+}
+
+// Put inserts or replaces the entry for (e.Key, e.Replica).
+func (s *Store) Put(e Entry) {
+	if s.byKey == nil {
+		s.byKey = make(map[overlay.Key]Set)
 	}
-	return dropped
+	s.byKey[e.Key] = s.byKey[e.Key].With(e)
+}
+
+// Remove deletes the entry for (k, replica) if present, reporting whether
+// an entry was removed.
+func (s *Store) Remove(k overlay.Key, replica int) bool {
+	es, ok := s.byKey[k].Without(replica)
+	switch {
+	case !ok:
+		return false
+	case es == nil:
+		delete(s.byKey, k)
+	default:
+		s.byKey[k] = es
+	}
+	return true
+}
+
+// RemoveKey deletes every entry for k, returning how many were removed.
+func (s *Store) RemoveKey(k overlay.Key) int {
+	n := len(s.byKey[k])
+	delete(s.byKey, k)
+	return n
+}
+
+// Get returns the entry for (k, replica).
+func (s *Store) Get(k overlay.Key, replica int) (Entry, bool) {
+	es := s.byKey[k]
+	if i, ok := es.find(replica); ok {
+		return es[i], true
+	}
+	return Entry{}, false
+}
+
+// All returns every entry for k (fresh or stale), sorted by replica for
+// deterministic iteration. The slice is freshly allocated: unlike a Fresh
+// view, callers may write to it.
+func (s *Store) All(k overlay.Key) []Entry {
+	es := s.byKey[k]
+	if len(es) == 0 {
+		return nil
+	}
+	out := make([]Entry, len(es))
+	copy(out, es)
+	return out
+}
+
+// Fresh returns the fresh entries for k at time now: Set.Fresh of k's set.
+//
+//cup:hotpath
+func (s *Store) Fresh(k overlay.Key, now sim.Time) []Entry {
+	return s.byKey[k].Fresh(now)
 }
 
 // Len returns the total number of entries.

@@ -76,49 +76,40 @@ func TestFreshSortedAndFiltered(t *testing.T) {
 }
 
 func TestHasFreshHasAny(t *testing.T) {
-	s := NewStore()
-	if s.HasAny("k") || s.HasFresh("k", 0) {
-		t.Fatal("empty store claims entries")
+	var es Set
+	if len(es) != 0 || es.Fresh(0) != nil {
+		t.Fatal("empty set claims entries")
 	}
-	s.Put(entry("k", 0, 100))
-	if !s.HasFresh("k", 50) {
+	es = es.With(entry("k", 0, 100))
+	if es.Fresh(50) == nil {
 		t.Fatal("HasFresh false before expiry")
 	}
-	if s.HasFresh("k", 150) {
+	if es.Fresh(150) != nil {
 		t.Fatal("HasFresh true after expiry")
 	}
-	if !s.HasAny("k") {
-		t.Fatal("HasAny false for stale entry")
+	if len(es) != 1 {
+		t.Fatal("stale entry not held")
 	}
 }
 
+// NewSet is how a first-time update replaces a key's cached entries.
 func TestReplaceKey(t *testing.T) {
-	s := NewStore()
-	s.Put(entry("k", 0, 100))
-	s.Put(entry("k", 1, 100))
-	s.Put(entry("other", 0, 100))
-	s.ReplaceKey("k", []Entry{entry("k", 5, 400)})
-	all := s.All("k")
-	if len(all) != 1 || all[0].Replica != 5 {
-		t.Fatalf("ReplaceKey result: %v", all)
+	es := NewSet("k", []Entry{entry("k", 5, 400), entry("k", 2, 100), entry("k", 5, 500)})
+	if len(es) != 2 || es[0].Replica != 2 || es[1].Replica != 5 || es[1].Expires != 500 {
+		t.Fatalf("NewSet result: %v", es)
 	}
-	if !s.HasAny("other") {
-		t.Fatal("ReplaceKey touched another key")
-	}
-	s.ReplaceKey("k", nil)
-	if s.HasAny("k") {
-		t.Fatal("ReplaceKey(nil) did not clear")
+	if NewSet("k", nil) != nil {
+		t.Fatal("NewSet(nil) is not the empty set")
 	}
 }
 
 func TestReplaceKeyRejectsForeignEntries(t *testing.T) {
-	s := NewStore()
 	defer func() {
 		if recover() == nil {
-			t.Error("ReplaceKey with foreign entry did not panic")
+			t.Error("NewSet with foreign entry did not panic")
 		}
 	}()
-	s.ReplaceKey("k", []Entry{entry("wrong", 0, 10)})
+	NewSet("k", []Entry{entry("wrong", 0, 10)})
 }
 
 func TestRemove(t *testing.T) {
@@ -140,7 +131,7 @@ func TestRemove(t *testing.T) {
 	if !s.Remove("k", 1) {
 		t.Fatal("Remove of last entry returned false")
 	}
-	if s.HasAny("k") {
+	if len(s.Keys()) != 0 {
 		t.Fatal("key survives after removing all replicas")
 	}
 }
@@ -158,33 +149,30 @@ func TestRemoveKey(t *testing.T) {
 }
 
 func TestMaxExpiry(t *testing.T) {
-	s := NewStore()
-	if s.MaxExpiry("k") != 0 {
-		t.Fatal("MaxExpiry of absent key should be 0")
+	if Set(nil).MaxExpiry() != 0 {
+		t.Fatal("MaxExpiry of the empty set should be 0")
 	}
-	s.Put(entry("k", 0, 100))
-	s.Put(entry("k", 1, 250))
-	s.Put(entry("k", 2, 175))
-	if got := s.MaxExpiry("k"); got != 250 {
+	es := NewSet("k", []Entry{entry("k", 0, 100), entry("k", 1, 250), entry("k", 2, 175)})
+	if got := es.MaxExpiry(); got != 250 {
 		t.Fatalf("MaxExpiry = %v, want 250", got)
 	}
 }
 
 func TestExpire(t *testing.T) {
-	s := NewStore()
-	s.Put(entry("a", 0, 100))
-	s.Put(entry("a", 1, 300))
-	s.Put(entry("b", 0, 50))
-	if n := s.Expire(200); n != 2 {
-		t.Fatalf("Expire dropped %d, want 2", n)
+	a := NewSet("a", []Entry{entry("a", 0, 100), entry("a", 1, 300)})
+	b := NewSet("b", []Entry{entry("b", 0, 50)})
+	a, na := a.Expire(200)
+	b, nb := b.Expire(200)
+	if na+nb != 2 {
+		t.Fatalf("Expire dropped %d, want 2", na+nb)
 	}
-	if s.HasAny("b") {
-		t.Fatal("fully expired key still present")
+	if b != nil {
+		t.Fatal("fully expired set still holds entries")
 	}
-	if !s.HasFresh("a", 200) {
+	if a.Fresh(200) == nil {
 		t.Fatal("fresh entry dropped by Expire")
 	}
-	if n := s.Expire(200); n != 0 {
+	if _, n := a.Expire(200); n != 0 {
 		t.Fatalf("second Expire dropped %d, want 0", n)
 	}
 }
@@ -223,13 +211,15 @@ func TestPropertyLenMatchesDistinctPairs(t *testing.T) {
 // Fresh() == All().
 func TestPropertyExpireLeavesOnlyFresh(t *testing.T) {
 	f := func(exps []uint16, now uint16) bool {
-		s := NewStore()
+		var all Set
 		for i, e := range exps {
-			s.Put(entry("k", i, sim.Time(e)))
+			all = all.With(entry("k", i, sim.Time(e)))
 		}
-		s.Expire(sim.Time(now))
-		all := s.All("k")
-		fresh := s.Fresh("k", sim.Time(now))
+		all, dropped := all.Expire(sim.Time(now))
+		if len(all)+dropped != len(exps) {
+			return false
+		}
+		fresh := all.Fresh(sim.Time(now))
 		if len(all) != len(fresh) {
 			return false
 		}
@@ -266,11 +256,9 @@ func TestFreshViewIsImmutable(t *testing.T) {
 	for name, mutate := range map[string]func(*Store){
 		"Put replace": func(s *Store) { s.Put(entry("k", 1, 999)) },
 		"Put insert":  func(s *Store) { s.Put(entry("k", 2, 999)) },
-		"PutAll":      func(s *Store) { s.PutAll([]Entry{entry("k", 0, 999), entry("k", 3, 999)}) },
 		"Remove":      func(s *Store) { s.Remove("k", 1) },
 		"RemoveKey":   func(s *Store) { s.RemoveKey("k") },
-		"Expire":      func(s *Store) { s.Expire(150) },
-		"ReplaceKey":  func(s *Store) { s.ReplaceKey("k", []Entry{entry("k", 7, 999)}) },
+		"Expire":      func(s *Store) { s.byKey["k"], _ = s.byKey["k"].Expire(150) },
 	} {
 		s := seed()
 		view := s.Fresh("k", 0)
@@ -292,12 +280,12 @@ func TestFreshViewIsImmutable(t *testing.T) {
 	if got := s.Fresh("k", 0); !reflect.DeepEqual(got, want) {
 		t.Errorf("appending to a view wrote into the store: %v", got)
 	}
-	// ReplaceKey copies what it is given: the caller's slice stays its own.
+	// NewSet copies what it is given: the caller's slice stays its own.
 	mine := []Entry{entry("j", 2, 50), entry("j", 1, 60)}
-	s.ReplaceKey("j", mine)
+	set := NewSet("j", mine)
 	mine[0].Expires = 1
-	if got := s.Fresh("j", 0); !reflect.DeepEqual(got, []Entry{entry("j", 1, 60), entry("j", 2, 50)}) {
-		t.Errorf("ReplaceKey aliased or mis-sorted its argument: %v", got)
+	if got := set.Fresh(0); !reflect.DeepEqual(got, []Entry{entry("j", 1, 60), entry("j", 2, 50)}) {
+		t.Errorf("NewSet aliased or mis-sorted its argument: %v", got)
 	}
 }
 

@@ -70,12 +70,10 @@ func (s *Simulation) JoinNode() overlay.NodeID {
 	id := s.dyn.JoinRand(s.Rng)
 	s.Router.Invalidate()
 
-	node := newNode(s.env, id, s.Sched.Now)
-	node.SetObserver(s.P.Observer)
 	if int(id) != len(s.Nodes) {
 		panic(fmt.Sprintf("cup: overlay issued id %v, expected %d", id, len(s.Nodes)))
 	}
-	s.Nodes = append(s.Nodes, node)
+	s.Nodes = append(s.Nodes, s.env.node(new(Node), id))
 	s.emitMembership(EvNodeJoined, id)
 
 	// Previous owners hand over the index entries that now hash into the

@@ -89,11 +89,6 @@ type Params struct {
 	// idle and is driven interactively through PublishReplica and Lookup,
 	// exactly like a live network. The façade's client API uses this.
 	NoWorkload bool
-	// DenseState backs node state with the struct-of-arrays arena
-	// (internal/cup.Arena) instead of per-node heap objects: identical
-	// behavior, a fraction of the memory and pointer traffic. Worth
-	// setting for big runs.
-	DenseState bool
 }
 
 // Hook is a scheduled intervention into a running simulation.
@@ -180,10 +175,9 @@ type Simulation struct {
 	Keys   []overlay.Key
 	C      metrics.Counters
 
-	// A backs the nodes when P.DenseState (nil for map-based nodes).
-	A *Arena
-	// env is the run's owner: every node it drives — arena nodes,
-	// map-based nodes, churn joiners — shares its action buffer.
+	// env is the run's owner: every node it drives — the initial block
+	// and churn joiners alike — shares its action buffer, intern table
+	// and key-state slab. Keys[i] is interned as KeyID(i).
 	env *nodeEnv
 
 	keyPick func() overlay.Key
@@ -222,13 +216,14 @@ type linkKey struct {
 
 // heldClearBit is a clear-bit waiting for a carrier message on its link.
 type heldClearBit struct {
-	key  overlay.Key
+	kid  KeyID
 	sent bool
 }
 
+// pendKey names the open client connections for one key at one node.
 type pendKey struct {
 	node overlay.NodeID
-	key  overlay.Key
+	kid  KeyID
 }
 
 // NewSimulation builds the overlay, nodes, replicas, workload, and hooks.
@@ -253,26 +248,17 @@ func NewSimulation(p Params) *Simulation {
 	s.Ov = ov
 	s.dyn, _ = ov.(dynamicOverlay)
 	s.Router = NewOverlayRouter(s.Ov)
+	s.env = newNodeEnv(p.Config, s.Router, s.Sched.Now)
+	s.env.obs = p.Observer
+	block := make([]Node, p.Nodes)
 	s.Nodes = make([]*Node, p.Nodes)
-	if p.DenseState {
-		s.A = NewArena(p.Nodes, p.Config, s.Router, s.Sched.Now)
-		s.env = s.A.env
-		if p.Observer != nil {
-			s.A.SetObserver(p.Observer)
-		}
-		for i := range s.Nodes {
-			s.Nodes[i] = s.A.Node(i)
-		}
-	} else {
-		s.env = newNodeEnv(p.Config, s.Router)
-		for i := range s.Nodes {
-			s.Nodes[i] = newNode(s.env, overlay.NodeID(i), s.Sched.Now)
-			s.Nodes[i].SetObserver(p.Observer)
-		}
+	for i := range block {
+		s.Nodes[i] = s.env.node(&block[i], overlay.NodeID(i))
 	}
 	s.Keys = make([]overlay.Key, p.Keys)
 	for i := range s.Keys {
 		s.Keys[i] = overlay.Key(fmt.Sprintf("key-%d", i))
+		s.env.keys.intern(s.Keys[i])
 	}
 	s.keyPick = KeyPicker(s.Rng.Rand, s.Keys, p.ZipfSkew)
 	s.endTime = sim.Time(p.QueryStart + p.QueryDuration + p.Drain)
@@ -378,20 +364,8 @@ func (s *Simulation) Authority(k overlay.Key) *Node {
 // refresh-at-expiration loop. The index entry's birth is announced as an
 // Append update (§2.4).
 func (s *Simulation) AddReplica(k overlay.Key, r int) {
-	auth := s.Authority(k)
-	now := s.Sched.Now()
-	e := cache.Entry{
-		Key:     k,
-		Replica: r,
-		Addr:    fmt.Sprintf("10.%d.%d.%d", r/65536, (r/256)%256, r%256),
-		Expires: now.Add(s.P.Lifetime),
-	}
-	auth.InstallLocal(e)
-	u := Update{Key: k, Type: Append, Entries: []cache.Entry{e}, Replica: r,
-		Expires: e.Expires, Lifetime: s.P.Lifetime}
-	s.C.UpdatesOriginated++
-	s.dispatch(auth.ID(), auth.OriginateUpdate(u))
-	s.scheduleRefresh(k, r, e.Expires)
+	s.PublishReplica(k, r, ReplicaAddr(r), s.P.Lifetime, Append)
+	s.scheduleRefresh(k, r, s.Sched.Now().Add(s.P.Lifetime))
 }
 
 // scheduleRefresh arms the next refresh for (k, r) exactly at expiration,
@@ -405,13 +379,7 @@ func (s *Simulation) scheduleRefresh(k overlay.Key, r int, at sim.Time) {
 		if _, ok := auth.LocalDirectory().Get(k, r); !ok {
 			return // replica was deleted; stop refreshing
 		}
-		now := s.Sched.Now()
-		e := cache.Entry{
-			Key:     k,
-			Replica: r,
-			Addr:    fmt.Sprintf("10.%d.%d.%d", r/65536, (r/256)%256, r%256),
-			Expires: now.Add(s.P.Lifetime),
-		}
+		e := cache.Entry{Key: k, Replica: r, Addr: ReplicaAddr(r), Expires: s.Sched.Now().Add(s.P.Lifetime)}
 		auth.InstallLocal(e)
 		s.emitRefresh(auth, k, e)
 		s.scheduleRefresh(k, r, e.Expires)
@@ -487,7 +455,7 @@ func (s *Simulation) Lookup(ctx context.Context, nid overlay.NodeID, k overlay.K
 		return nil, fmt.Errorf("cup: lookup at invalid node %v", nid)
 	}
 	w := &lookupWaiter{}
-	pk := pendKey{nid, k}
+	pk := pendKey{nid, s.env.keys.intern(k)}
 	s.lookups[pk] = append(s.lookups[pk], w)
 	s.PostQueryAt(nid, k)
 	for i := 0; !w.done; i++ {
@@ -551,15 +519,16 @@ func (s *Simulation) pickAliveNode() overlay.NodeID {
 // for hit/miss classification, all from the one key-state lookup it hands
 // on to the handler: a local query is a hit exactly when the handler
 // answers it inline (authority, or fresh entries cached), and a miss is
-// classified by the flags the query found on arrival.
+// classified by the flags the query found on arrival. This is where a
+// query's key becomes a KeyID — on a one-key run, the intern table's memo.
 //
 //cup:hotpath
 func (s *Simulation) PostQueryAt(nid overlay.NodeID, k overlay.Key) {
-	node := s.Nodes[nid]
 	s.C.Queries++
-	ks := node.state(k)
+	kid := s.env.keys.intern(k)
+	ks := s.state(nid, kid)
 	pfu, everHeld := ks.pfu, ks.everHeld
-	acts := node.handleQuery(ks, LocalClient, k, 0)
+	acts := s.Nodes[nid].handleQuery(ks, LocalClient, 0)
 	if len(acts) == 1 && acts[0].Kind == ActDeliverLocal {
 		s.C.Hits++
 	} else {
@@ -571,13 +540,24 @@ func (s *Simulation) PostQueryAt(nid overlay.NodeID, k overlay.Key) {
 		} else {
 			s.C.FirstTimeMisses++
 		}
-		pk := pendKey{nid, k}
+		pk := pendKey{nid, kid}
 		s.pending[pk] = append(s.pending[pk], s.Sched.Now()) //cup:allowalloc (miss path)
 	}
 	s.dispatch(nid, acts)
 }
 
 func (s *Simulation) pickKey() overlay.Key { return s.keyPick() }
+
+// state returns (allocating if needed) node nid's bookkeeping for key kid,
+// straight from the owner's index.
+//
+//cup:hotpath
+func (s *Simulation) state(nid overlay.NodeID, kid KeyID) *keyState {
+	if ks := s.env.peek(nid, kid); ks != nil {
+		return ks
+	}
+	return s.Nodes[nid].newState(kid)
+}
 
 // dispatch executes protocol actions emitted by node `from`, scheduling
 // message deliveries one hop (HopDelay) later and accounting hop costs per
@@ -586,7 +566,9 @@ func (s *Simulation) pickKey() overlay.Key { return s.keyPick() }
 //
 // acts is a handler result and dies with the next handler call, so each
 // posted hop captures copies of just the fields its delivery needs; a
-// local delivery happens inline and captures nothing.
+// local delivery happens inline and captures nothing. Every node of the
+// run shares one intern table, so a hop carries the handler's KeyID and
+// its delivery finds the receiver's state by one indexed probe.
 //
 //cup:hotpath
 func (s *Simulation) dispatch(from overlay.NodeID, acts []Action) {
@@ -594,35 +576,35 @@ func (s *Simulation) dispatch(from overlay.NodeID, acts []Action) {
 		a := &acts[i]
 		switch a.Kind {
 		case ActSendQuery:
-			s.sendQuery(from, a.To, a.Key, a.QueryID)
+			s.sendQuery(from, a.To, a.kid, a.QueryID)
 		case ActSendUpdate:
-			s.sendUpdate(from, a.To, a.Update)
+			s.sendUpdate(from, a.To, a.kid, a.Update)
 		case ActSendClearBit:
 			if s.P.PiggybackClearBits {
-				s.holdClearBit(from, a.To, a.Key)
+				s.holdClearBit(from, a.To, a.kid)
 				break
 			}
-			s.sendClearBit(from, a.To, a.Key)
+			s.sendClearBit(from, a.To, a.kid)
 		case ActDeliverLocal:
-			s.deliverLocal(from, a.Key, a.Entries)
+			s.deliverLocal(from, a.kid, a.Entries)
 		default:
 			panic(fmt.Sprintf("cup: unknown action kind %d", a.Kind))
 		}
 	}
 }
 
-func (s *Simulation) sendQuery(from, to overlay.NodeID, k overlay.Key, qid uint64) {
+func (s *Simulation) sendQuery(from, to overlay.NodeID, kid KeyID, qid uint64) {
 	s.flushHeldClearBits(from, to)
 	s.Sched.After(s.delay(from, to), func() {
 		if !s.NodeAlive(to) {
 			return // departed mid-flight; the client re-queries
 		}
 		s.C.QueryHops++
-		s.dispatch(to, s.Nodes[to].HandleQuery(from, k, qid))
+		s.dispatch(to, s.Nodes[to].handleQuery(s.state(to, kid), from, qid))
 	})
 }
 
-func (s *Simulation) sendUpdate(from, to overlay.NodeID, u Update) {
+func (s *Simulation) sendUpdate(from, to overlay.NodeID, kid KeyID, u Update) {
 	s.flushHeldClearBits(from, to)
 	s.Sched.After(s.delay(from, to), func() {
 		if !s.NodeAlive(to) {
@@ -632,32 +614,31 @@ func (s *Simulation) sendUpdate(from, to overlay.NodeID, u Update) {
 		// arriving at a node awaiting a response — or retracing a
 		// specific query (standard caching) — is miss cost;
 		// anything else is propagation overhead.
-		node := s.Nodes[to]
-		ks := node.state(u.Key)
+		ks := s.state(to, kid)
 		if u.QueryID != 0 || ks.pfu {
 			s.C.ResponseHops++
 		} else {
 			s.C.UpdateHops++
 		}
-		s.dispatch(to, node.handleUpdate(ks, from, u))
+		s.dispatch(to, s.Nodes[to].handleUpdate(ks, from, u))
 	})
 }
 
-func (s *Simulation) sendClearBit(from, to overlay.NodeID, k overlay.Key) {
+func (s *Simulation) sendClearBit(from, to overlay.NodeID, kid KeyID) {
 	s.Sched.After(s.delay(from, to), func() {
 		if !s.NodeAlive(to) {
 			return
 		}
 		s.C.ClearBitHops++
-		s.dispatch(to, s.Nodes[to].HandleClearBit(from, k))
+		s.dispatch(to, s.Nodes[to].handleClearBit(s.env.peek(to, kid), from))
 	})
 }
 
 // holdClearBit parks a clear-bit on its link waiting for a carrier (§2.7
 // piggybacking); if no query or update departs on the link within the
 // piggyback window, the clear-bit travels standalone and costs a hop.
-func (s *Simulation) holdClearBit(from, to overlay.NodeID, k overlay.Key) {
-	cb := &heldClearBit{key: k}
+func (s *Simulation) holdClearBit(from, to overlay.NodeID, kid KeyID) {
+	cb := &heldClearBit{kid: kid}
 	link := linkKey{from, to}
 	s.held[link] = append(s.held[link], cb)
 	s.Sched.After(s.P.PiggybackWindow, func() {
@@ -667,7 +648,7 @@ func (s *Simulation) holdClearBit(from, to overlay.NodeID, k overlay.Key) {
 		cb.sent = true
 		s.Sched.After(s.delay(from, to), func() {
 			s.C.ClearBitHops++
-			s.dispatch(to, s.Nodes[to].HandleClearBit(from, k))
+			s.dispatch(to, s.Nodes[to].handleClearBit(s.env.peek(to, kid), from))
 		})
 	})
 }
@@ -686,10 +667,10 @@ func (s *Simulation) flushHeldClearBits(from, to overlay.NodeID) {
 			continue
 		}
 		cb.sent = true
-		k := cb.key
+		kid := cb.kid
 		s.C.PiggybackedClearBits++
 		s.Sched.After(s.delay(from, to), func() {
-			s.dispatch(to, s.Nodes[to].HandleClearBit(from, k))
+			s.dispatch(to, s.Nodes[to].handleClearBit(s.env.peek(to, kid), from))
 		})
 	}
 }
@@ -698,8 +679,8 @@ func (s *Simulation) flushHeldClearBits(from, to overlay.NodeID) {
 // A hit usually finds both tables empty and touches neither.
 //
 //cup:hotpath
-func (s *Simulation) deliverLocal(nid overlay.NodeID, k overlay.Key, entries []cache.Entry) {
-	pk := pendKey{nid, k}
+func (s *Simulation) deliverLocal(nid overlay.NodeID, kid KeyID, entries []cache.Entry) {
+	pk := pendKey{nid, kid}
 	if len(s.pending) != 0 {
 		now := s.Sched.Now()
 		for _, t0 := range s.pending[pk] {

@@ -2,8 +2,10 @@ package cup
 
 import (
 	"context"
+	"math"
 	"testing"
 
+	"cup/internal/metrics"
 	"cup/internal/overlay"
 	"cup/internal/sim"
 )
@@ -250,19 +252,35 @@ func paperParams(kind string) Params {
 	}
 }
 
-// The struct-of-arrays arena must be invisible: for every overlay, the
-// dense-state run reproduces the map-based run's counters bit for bit —
-// same event schedule, same RNG draws, same float accumulation order.
+// The single node-state representation reproduces, bit for bit, the
+// Counters both representations it replaced agreed on: these were recorded
+// at commit 47b260a — the last with a map-backed Node beside the dense
+// arena — from the map-backed and the dense run of paperParams alike.
+// Same event schedule, same RNG draws, same float accumulation order.
 func TestDenseStateBitIdentical(t *testing.T) {
+	want := map[string]metrics.Counters{
+		"can": {Queries: 0xb8b, Hits: 0x997, FirstTimeMisses: 0x1f1, FreshnessMisses: 0x3, Coalesced: 0x5,
+			QueryHops: 0x3f2, ResponseHops: 0x3f2, UpdateHops: 0x2aad, ClearBitHops: 0x94,
+			UpdatesOriginated: 0x10, JustifiedUpdates: 0x5bd, UnjustifiedUpdates: 0x20c4,
+			MissLatencyTotal: math.Float64frombits(0x4069f1ea26aa3e5e), MissesServed: 0x1f4},
+		"chord": {Queries: 0xb8b, Hits: 0x889, FirstTimeMisses: 0x300, FreshnessMisses: 0x2, Coalesced: 0x4,
+			QueryHops: 0x3dd, ResponseHops: 0x3dd, UpdateHops: 0x278a, ClearBitHops: 0xb1,
+			UpdatesOriginated: 0x10, JustifiedUpdates: 0x578, UnjustifiedUpdates: 0x1dc0,
+			MissLatencyTotal: math.Float64frombits(0x4068dd2e0ce8c8fe), MissesServed: 0x302},
+		"kademlia": {Queries: 0xb8b, Hits: 0x80d, FirstTimeMisses: 0x37a, FreshnessMisses: 0x4, Coalesced: 0x4,
+			QueryHops: 0x3d1, ResponseHops: 0x3d1, UpdateHops: 0x25be, ClearBitHops: 0xd7,
+			UpdatesOriginated: 0x10, JustifiedUpdates: 0x527, UnjustifiedUpdates: 0x1c18,
+			MissLatencyTotal: math.Float64frombits(0x406883237e6beec8), MissesServed: 0x37e},
+	}
 	for _, kind := range overlay.Kinds() {
 		kind := kind
 		t.Run(kind, func(t *testing.T) {
-			base := Run(paperParams(kind)).Counters
-			p := paperParams(kind)
-			p.DenseState = true
-			dense := Run(p).Counters
-			if base != dense {
-				t.Errorf("dense state drifted from map-based nodes:\n map   %+v\n dense %+v", base, dense)
+			pinned, ok := want[kind]
+			if !ok {
+				t.Fatalf("no Counters recorded for overlay %q", kind)
+			}
+			if got := Run(paperParams(kind)).Counters; got != pinned {
+				t.Errorf("node state drifted from the recorded run:\n recorded %+v\n got      %+v", pinned, got)
 			}
 		})
 	}

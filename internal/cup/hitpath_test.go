@@ -1,6 +1,7 @@
 package cup
 
 import (
+	"fmt"
 	"testing"
 
 	"cup/internal/overlay"
@@ -8,9 +9,10 @@ import (
 )
 
 // These tests keep the query hit path free: a local hit on a maintained
-// cache is a key-state lookup and a store read — no allocation, no lock —
-// and the two devices that make it so (the owner's reusable action buffer,
-// the next hop cached on the key state) keep their contracts.
+// cache is one key-state lookup and a read of the entry set it holds — no
+// allocation, no lock — and the two devices that make it so (the owner's
+// reusable action buffer, the next hop cached on the key state) keep their
+// contracts.
 
 // warm leaves n holding a fresh cached answer for k: a local miss sets
 // the pending flag, the first-time response fills the cache.
@@ -36,26 +38,57 @@ func TestLocalHitAllocatesNothing(t *testing.T) {
 			t.Errorf("standalone node: a local hit allocates %.1f, want 0", allocs)
 		}
 	})
-	t.Run("arena", func(t *testing.T) {
-		n := NewArena(8, Defaults(), lineRouter{}, clk.now).Node(5)
+	t.Run("block", func(t *testing.T) {
+		_, block := testOwner(8)
+		n := &block[5]
 		warm(n, "k")
 		wantHit(t, n.HandleQuery(LocalClient, "k", 0))
 		if allocs := testing.AllocsPerRun(1000, func() { n.HandleQuery(LocalClient, "k", 0) }); allocs != 0 {
-			t.Errorf("arena node: a local hit allocates %.1f, want 0", allocs)
+			t.Errorf("node of a block: a local hit allocates %.1f, want 0", allocs)
 		}
 	})
-	for _, dense := range []bool{false, true} {
-		name := "PostQueryAt/map"
-		if dense {
-			name = "PostQueryAt/dense"
+	// The live peer's shape: one node holding thousands of keys, asked by
+	// string key — one hashed lookup in the intern table, one probe.
+	t.Run("standalone-4096-keys", func(t *testing.T) {
+		n := newTestNode(5, Defaults(), clk)
+		keys := make([]overlay.Key, 4096)
+		for i := range keys {
+			keys[i] = overlay.Key(fmt.Sprintf("key-%d", i))
+			warm(n, keys[i])
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(4096, func() {
+			acts := n.HandleQuery(LocalClient, keys[i*2039%len(keys)], 0)
+			if len(acts) != 1 || acts[0].Kind != ActDeliverLocal {
+				t.Fatalf("query %d for %q did not hit", i, keys[i*2039%len(keys)])
+			}
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("a local hit by string key among 4096 allocates %.1f, want 0", allocs)
+		}
+	})
+	// A simulation's nodes — the block it was built with and a churn
+	// joiner alike — share one owner and get their state from the same
+	// code.
+	for _, joiner := range []bool{false, true} {
+		name := "PostQueryAt"
+		if joiner {
+			name = "PostQueryAt/joiner"
 		}
 		t.Run(name, func(t *testing.T) {
 			// The facade always installs a Bus as the observer; an
 			// unobserved run must not pay for it either.
-			s := NewSimulation(Params{Nodes: 64, NoWorkload: true, DenseState: dense, Seed: 1, Observer: NewBus()})
+			s := NewSimulation(Params{Nodes: 64, NoWorkload: true, Seed: 1, Observer: NewBus()})
 			k := overlay.Key("key-0")
 			s.PublishReplica(k, 0, "10.0.0.1", 1e6, Append)
 			asker := (s.Ov.Owner(k) + 1) % overlay.NodeID(len(s.Nodes))
+			if joiner {
+				asker = s.JoinNode()
+				if asker == s.Ov.Owner(k) {
+					t.Skip("the joiner took over the key: its queries are authority hits")
+				}
+			}
 			s.PostQueryAt(asker, k) // first-time miss; the answer comes back
 			for s.Sched.Step() {
 			}
@@ -117,7 +150,7 @@ func TestNextHopCachedPerTopologyEpoch(t *testing.T) {
 	ov := &flipOverlay{owner: 1}
 	r := NewOverlayRouter(ov)
 	n := NewNode(0, Defaults(), r, func() sim.Time { return 0 })
-	ks := n.state("k")
+	ks := n.stateKey("k")
 	if got := n.nextHop(ks, "k"); got != 1 {
 		t.Fatalf("first resolution = %v, want 1", got)
 	}
@@ -136,8 +169,9 @@ func TestNextHopCachedPerTopologyEpoch(t *testing.T) {
 	}
 	// A router that cannot announce topology changes is asked every time.
 	m := NewNode(3, Defaults(), lineRouter{}, func() sim.Time { return 0 })
-	if got := m.nextHop(m.state("k"), "k"); got != 2 || m.state("k").hopEpoch != 0 {
-		t.Fatalf("custom router: hop %v, stamp %d", got, m.state("k").hopEpoch)
+	mk := m.stateKey("k")
+	if got := m.nextHop(mk, "k"); got != 2 || mk.hopEpoch != 0 {
+		t.Fatalf("custom router: hop %v, stamp %d", got, mk.hopEpoch)
 	}
 }
 
@@ -154,7 +188,7 @@ func TestChurnReroutesCachedNextHops(t *testing.T) {
 				for i, n := range s.Nodes {
 					out[i] = overlay.NoNode
 					if s.NodeAlive(n.ID()) {
-						out[i] = n.nextHop(n.state(k), k)
+						out[i] = n.nextHop(n.stateKey(k), k)
 					}
 				}
 				return out

@@ -85,20 +85,15 @@ type routeEntry struct {
 	issuedAt sim.Time
 }
 
-// keyState is the per-key bookkeeping of §2.3: the Pending-First-Update
-// flag, the interest bit vector, and the popularity measure.
+// keyState is one node's record for one key (§2.3): the cached index
+// entries, the Pending-First-Update flag, the interest bit vector and the
+// popularity measure. It lives in its owner's slab (state.go); every query
+// and update for the key at the node touches exactly this record.
 type keyState struct {
-	// pfu is the Pending-First-Update flag: set while a query for the key
-	// is in flight upstream; coalesces further queries.
-	pfu bool
-	// everHeld marks that entries for the key existed at some point, to
-	// classify freshness vs first-time misses.
-	everHeld bool
-	// justifyPending/justifyDeadline track the most recent proactive
-	// update applied here, for §3.1 justified-update accounting.
-	justifyPending bool
-	// pendingLocal counts open local client connections awaiting an answer.
-	pendingLocal int
+	// entries are the index entries cached from queries and updates
+	// (§2.1): an immutable set, so a view of it may travel in an update or
+	// to another goroutine. An authority's own keys live in Node.local.
+	entries cache.Set
 	// pendingChildren are neighbors whose forwarded query awaits our
 	// response (transient, distinct from long-term interest).
 	pendingChildren nodeSet
@@ -108,16 +103,11 @@ type keyState struct {
 	// each response must retrace to — standard caching's open
 	// connections. Unused in CUP mode, where coalescing replaces it.
 	routeBack []routeEntry
-	// queries counts queries received since the last popularity reset —
-	// the paper's popularity measure.
-	queries int
 	// watchReplica designates the replica whose updates trigger cut-off
 	// decisions under replica-independent cut-off; -1 until first seen.
 	watchReplica int
 	// inst is this key's cut-off policy state.
-	inst policy.Instance
-	// dist is the node's last-observed hop distance from the authority.
-	dist            int
+	inst            policy.Instance
 	justifyDeadline sim.Time
 	// issuedAt records when the oldest still-waiting local client query
 	// was posted, so EvQueryAnswered can carry the answer latency under
@@ -129,6 +119,26 @@ type keyState struct {
 	// Node.nextHop.
 	hop      overlay.NodeID
 	hopEpoch uint32
+	// pendingLocal counts open local client connections awaiting an answer.
+	pendingLocal int32
+	// queries counts queries received since the last popularity reset —
+	// the paper's popularity measure.
+	queries int32
+	// dist is the node's last-observed hop distance from the authority.
+	dist int32
+	// kid names the key in the owner's intern table; next is the slab
+	// handle of the node's next key state, -1 at the end of its list.
+	kid  KeyID
+	next int32
+	// pfu is the Pending-First-Update flag: set while a query for the key
+	// is in flight upstream; coalesces further queries.
+	pfu bool
+	// everHeld marks that entries for the key existed at some point, to
+	// classify freshness vs first-time misses.
+	everHeld bool
+	// justifyPending/justifyDeadline track the most recent proactive
+	// update applied here, for §3.1 justified-update accounting.
+	justifyPending bool
 }
 
 // NodeStats surfaces protocol-level observations the transport layer
@@ -140,34 +150,52 @@ type NodeStats struct {
 	Dropped     uint64 // proactive pushes suppressed by capacity limits
 }
 
-// nodeEnv is what the nodes of one owner share. An owner is whatever
-// serializes handler calls: a Simulation or a single live peer. Splitting
-// it out of Node lets the simulator keep one copy per run instead of one
-// per node.
+// nodeEnv is what the nodes of one owner share, and where their per-key
+// state lives. An owner is whatever serializes handler calls: a Simulation
+// — one copy per run, not per node — or a single live peer, which like a
+// test fixture is simply an owner with one node.
 type nodeEnv struct {
 	cfg    Config
 	router Router
 	// topo is router when it is an *OverlayRouter — the one router whose
 	// topology epoch is known, so the one next hops are cached against.
 	topo *OverlayRouter
+	// now supplies virtual (or real) time.
+	now func() sim.Time
+	// obs, when set, receives the protocol-level event stream (query
+	// issued/answered, update pushed, cut-off fired) — the same observer
+	// type on both transports, so their streams compare.
+	obs Observer
 	// acts is the reusable buffer every handler of this owner builds its
 	// result in: a handler's returned slice aliases it and is valid until
 	// the owner's next handler call.
 	acts []Action
-	// pool holds the key states of the owner's arena-backed nodes, so no
-	// handler ever allocates from another owner's slab.
-	pool arenaPool
+	// keys, pool and index hold every key state of the owner's nodes
+	// (state.go). Nothing is allocated until the first key.
+	keys  keyTable
+	pool  statePool
+	index stateIndex
 }
 
-func newNodeEnv(cfg Config, router Router) *nodeEnv {
+func newNodeEnv(cfg Config, router Router, now func() sim.Time) *nodeEnv {
 	if cfg.Policy == nil {
 		panic("cup: Config.Policy must be set (use Defaults())")
 	}
 	if router == nil {
 		panic("cup: router is required")
 	}
+	if now == nil {
+		panic("cup: clock is required")
+	}
 	topo, _ := router.(*OverlayRouter)
-	return &nodeEnv{cfg: cfg, router: router, topo: topo}
+	return &nodeEnv{cfg: cfg, router: router, topo: topo, now: now}
+}
+
+// node initializes nd as the owner's node id. A node's states are filed
+// under its id, so the ids of one owner's nodes must be distinct.
+func (env *nodeEnv) node(nd *Node, id overlay.NodeID) *Node {
+	*nd = Node{id: id, env: env, head: -1, capacityFraction: -1}
+	return nd
 }
 
 // result publishes acts — built on the owner's buffer — as a handler's
@@ -181,19 +209,19 @@ func (env *nodeEnv) result(acts []Action) []Action {
 }
 
 // one starts a single-action handler result on the owner's buffer: one
-// action of the given kind for k, every other field zero, for the handler
-// to complete in place and return. (Filling the slot where it lies, not
-// appending a literal, keeps a hit from copying the 150-byte Action
-// twice.)
+// action of the given kind for ks's key, every other field zero, for the
+// handler to complete in place and return. (Filling the slot where it
+// lies, not appending a literal, keeps a hit from copying the 150-byte
+// Action twice.)
 //
 //cup:hotpath
-func (env *nodeEnv) one(kind ActionKind, k overlay.Key) []Action {
+func (env *nodeEnv) one(kind ActionKind, ks *keyState) []Action {
 	if cap(env.acts) == 0 {
 		env.acts = make([]Action, 0, 4) //cup:allowalloc (once per owner)
 	}
 	acts := env.acts[:1]
 	acts[0] = Action{}
-	acts[0].Kind, acts[0].Key = kind, k
+	acts[0].Kind, acts[0].Key, acts[0].kid = kind, env.keys.names[ks.kid], ks.kid
 	return acts
 }
 
@@ -201,35 +229,19 @@ func (env *nodeEnv) one(kind ActionKind, k overlay.Key) []Action {
 // concurrent use; the live runtime serializes access per node. Handlers
 // return their actions in a buffer shared with the other nodes of the same
 // owner (see nodeEnv): a result is valid until the owner's next handler
-// call.
-//
-// Nodes come in two storage flavors with identical behavior: standalone
-// (NewNode — per-key state in a private map, used by the live transport
-// and tests) and arena-backed (NewArena — per-key state in the arena's
-// struct-of-arrays pool, dense uint32 handles, used by the simulator at
-// scale). The pointer-based API is the same thin view over both.
+// call. A Node is identity, owner, local directory, statistics and
+// capacity; everything per key lives in the owner, found by (node, KeyID).
 type Node struct {
-	id  overlay.NodeID
-	env *nodeEnv
-	now func() sim.Time
-	// obs, when set, receives the protocol-level event stream (query
-	// issued/answered, update pushed, cut-off fired). Both transports
-	// install the same observer type, so event streams are comparable
-	// across simulated and live runs.
-	obs Observer
+	id overlay.NodeID
+	// head is the slab handle of the node's most recent key state, -1
+	// while it has none; the states thread a list from it.
+	head int32
+	env  *nodeEnv
 
-	// store caches index entries learned from queries and updates (§2.1
-	// "cached index entries").
-	store *cache.Store
 	// local is the authority-owned local index directory, disjoint from
-	// store by construction (authorities never cache their own keys).
-	local *cache.Store
-
-	// keys backs per-key state for standalone nodes; nil when a (the
-	// arena) owns the state, with slot the node's dense handle.
-	keys map[overlay.Key]*keyState
-	a    *Arena
-	slot uint32
+	// the cached entries by construction (authorities never cache their
+	// own keys).
+	local cache.Store
 
 	stats  NodeStats
 	qidSeq uint64
@@ -241,52 +253,40 @@ type Node struct {
 	capacityCredit   float64
 }
 
-// NewNode constructs a standalone node that is its own owner (a live
-// peer, a test fixture). now supplies virtual (or real) time; router
-// resolves upstream next hops.
+// NewNode constructs a node that is its own owner (a live peer, a test
+// fixture). now supplies virtual (or real) time; router resolves upstream
+// next hops.
 func NewNode(id overlay.NodeID, cfg Config, router Router, now func() sim.Time) *Node {
-	return newNode(newNodeEnv(cfg, router), id, now)
-}
-
-// newNode constructs a standalone node belonging to env's owner.
-func newNode(env *nodeEnv, id overlay.NodeID, now func() sim.Time) *Node {
-	if now == nil {
-		panic("cup: clock is required")
-	}
-	return &Node{
-		id:               id,
-		env:              env,
-		now:              now,
-		store:            cache.NewStore(),
-		local:            cache.NewStore(),
-		keys:             make(map[overlay.Key]*keyState),
-		capacityFraction: -1,
-	}
+	return newNodeEnv(cfg, router, now).node(new(Node), id)
 }
 
 // ID returns the node's overlay identifier.
 func (n *Node) ID() overlay.NodeID { return n.id }
 
-// SetObserver installs (or, with nil, removes) the node's event observer.
+// SetObserver installs (or, with nil, removes) the event observer of the
+// node's owner — every node of a simulation emits to the one observer.
 // The transport owns the call; live deployments must pass an observer that
 // is safe for concurrent use across peers.
-func (n *Node) SetObserver(o Observer) { n.obs = o }
+func (n *Node) SetObserver(o Observer) { n.env.obs = o }
+
+// now reads the owner's clock.
+func (n *Node) now() sim.Time { return n.env.now() }
+
+// key returns the key ks is the record of.
+func (n *Node) key(ks *keyState) overlay.Key { return n.env.keys.names[ks.kid] }
 
 // emit publishes one event with this node's identity and clock stamped in.
 func (n *Node) emit(e Event) {
-	if n.obs == nil {
+	if n.env.obs == nil {
 		return
 	}
 	e.Time = n.now()
 	e.Node = n.id
-	n.obs.OnEvent(e)
+	n.env.obs.OnEvent(e)
 }
 
 // Stats returns the node's protocol observations.
 func (n *Node) Stats() NodeStats { return n.stats }
-
-// Config returns the node's configuration.
-func (n *Node) Config() Config { return n.env.cfg }
 
 // SetCapacity sets the outgoing update capacity as a fraction of received
 // updates (0 ≤ c ≤ 1); negative restores full capacity.
@@ -300,44 +300,6 @@ func (n *Node) SetCapacity(c float64) {
 // Capacity returns the current capacity fraction (negative = unlimited).
 func (n *Node) Capacity() float64 { return n.capacityFraction }
 
-// state returns (allocating if needed) the bookkeeping for k.
-func (n *Node) state(k overlay.Key) *keyState {
-	if n.a != nil {
-		return n.a.state(n, k)
-	}
-	ks := n.keys[k]
-	if ks == nil {
-		ks = &keyState{
-			watchReplica: -1,
-			inst:         n.env.cfg.Policy.New(),
-			dist:         -1,
-		}
-		n.keys[k] = ks
-	}
-	return ks
-}
-
-// peek returns the bookkeeping for k without allocating, or nil.
-func (n *Node) peek(k overlay.Key) *keyState {
-	if n.a != nil {
-		return n.a.peek(n, k)
-	}
-	return n.keys[k]
-}
-
-// eachState visits every key's bookkeeping (order unspecified; callers
-// must not depend on it for observable output).
-func (n *Node) eachState(fn func(*keyState)) {
-	if n.a != nil {
-		n.a.each(n, fn)
-		return
-	}
-	//cup:unordered callers commute across keys (per-key set filtering and commutative stat increments)
-	for _, ks := range n.keys {
-		fn(ks)
-	}
-}
-
 // InstallLocal installs an index entry into the local index directory;
 // used by the transport when a replica registers with its authority.
 func (n *Node) InstallLocal(e cache.Entry) { n.local.Put(e) }
@@ -346,10 +308,13 @@ func (n *Node) InstallLocal(e cache.Entry) { n.local.Put(e) }
 func (n *Node) RemoveLocal(k overlay.Key, replica int) { n.local.Remove(k, replica) }
 
 // LocalDirectory exposes the authority-owned entries (read-only use).
-func (n *Node) LocalDirectory() *cache.Store { return n.local }
+func (n *Node) LocalDirectory() *cache.Store { return &n.local }
 
-// CacheStore exposes the cached index entries (read-only use).
-func (n *Node) CacheStore() *cache.Store { return n.store }
+// Cached returns a copy of every index entry the node has cached for k,
+// fresh or stale, sorted by replica.
+func (n *Node) Cached(k overlay.Key) []cache.Entry {
+	return append([]cache.Entry(nil), n.read(k).entries...)
+}
 
 // IsAuthority reports whether the node owns k's index entries. A node is
 // an authority exactly when routing terminates at it. It asks the router
@@ -377,43 +342,35 @@ func (n *Node) nextHop(ks *keyState, k overlay.Key) overlay.NodeID {
 	return ks.hop
 }
 
+// read returns a copy of the node's bookkeeping for k, the record of an
+// untouched key when it holds none. The readers built on it never create
+// state, and leave the intern table as it was.
+func (n *Node) read(k overlay.Key) keyState {
+	if ks := n.peekKey(k); ks != nil {
+		return *ks
+	}
+	return keyState{dist: -1}
+}
+
 // HasFreshAnswer reports whether a local query for k would hit instantly.
 func (n *Node) HasFreshAnswer(k overlay.Key) bool {
-	return n.IsAuthority(k) || n.store.HasFresh(k, n.now())
+	return n.IsAuthority(k) || n.read(k).entries.Fresh(n.now()) != nil
 }
 
 // PendingFirstUpdate reports the PFU flag for k.
-func (n *Node) PendingFirstUpdate(k overlay.Key) bool {
-	ks := n.peek(k)
-	return ks != nil && ks.pfu
-}
+func (n *Node) PendingFirstUpdate(k overlay.Key) bool { return n.read(k).pfu }
 
 // EverHeld reports whether the node ever cached entries for k (used to
 // classify freshness vs first-time misses).
-func (n *Node) EverHeld(k overlay.Key) bool {
-	ks := n.peek(k)
-	return ks != nil && ks.everHeld
-}
+func (n *Node) EverHeld(k overlay.Key) bool { return n.read(k).everHeld }
 
 // Popularity returns the queries-since-last-update measure for k.
-func (n *Node) Popularity(k overlay.Key) int {
-	ks := n.peek(k)
-	if ks == nil {
-		return 0
-	}
-	return ks.queries
-}
+func (n *Node) Popularity(k overlay.Key) int { return int(n.read(k).queries) }
 
 // InterestedNeighbors returns the neighbors whose interest bit for k is
 // set, sorted for determinism.
 func (n *Node) InterestedNeighbors(k overlay.Key) []overlay.NodeID {
-	ks := n.peek(k)
-	if ks == nil || len(ks.interest) == 0 {
-		return nil
-	}
-	out := make([]overlay.NodeID, len(ks.interest))
-	copy(out, ks.interest)
-	return out
+	return append([]overlay.NodeID(nil), n.read(k).interest...)
 }
 
 // Distance returns the node's last observed distance from k's authority
@@ -422,11 +379,7 @@ func (n *Node) Distance(k overlay.Key) int {
 	if n.IsAuthority(k) {
 		return 0
 	}
-	ks := n.peek(k)
-	if ks == nil {
-		return -1
-	}
-	return ks.dist
+	return int(n.read(k).dist)
 }
 
 // recordQuery bumps the popularity measure and settles justified-update
@@ -455,13 +408,13 @@ func (n *Node) settleJustify(ks *keyState, at sim.Time) {
 // a fresh cached set elsewhere (§2.5 case 1) — or nil when it would miss
 // and travel. It records nothing: a transport that serves clients from a
 // published copy of this answer (the live hit view) accounts for them
-// through CreditClientHits. The result is a read-only view of a store's
-// immutable set and may be handed to another goroutine.
+// through CreditClientHits. The result is a read-only view of an immutable
+// entry set and may be handed to another goroutine.
 func (n *Node) ClientAnswer(k overlay.Key) []cache.Entry {
 	if n.IsAuthority(k) {
 		return n.local.Fresh(k, n.now())
 	}
-	return n.store.Fresh(k, n.now())
+	return n.read(k).entries.Fresh(n.now())
 }
 
 // CreditClientHits records hits local client queries for k that the
@@ -474,8 +427,8 @@ func (n *Node) CreditClientHits(k overlay.Key, hits int, first sim.Time) {
 	if hits <= 0 {
 		return
 	}
-	ks := n.state(k)
-	ks.queries += hits
+	ks := n.stateKey(k)
+	ks.queries += int32(hits)
 	if ks.justifyPending {
 		n.settleJustify(ks, first)
 	}
@@ -490,19 +443,24 @@ func (n *Node) CreditClientHits(k overlay.Key, hits int, first sim.Time) {
 // node's owner (the simulation driving it, or the live peer):
 // the returned slice is valid until the next handler call on that owner;
 // copy what must outlive it. Entries carried by an action are read-only
-// views of a cache.Store's immutable sets and may be kept.
+// views of immutable entry sets and may be kept.
+//
+// The exported handlers intern the key once per message — a live peer's
+// one hashed lookup; the simulator calls the unexported forms with the
+// key's state in hand.
 //
 //cup:hotpath
 func (n *Node) HandleQuery(from overlay.NodeID, k overlay.Key, qid uint64) []Action {
-	return n.handleQuery(n.state(k), from, k, qid)
+	return n.handleQuery(n.stateKey(k), from, qid)
 }
 
-// handleQuery is HandleQuery for a caller already holding k's state.
+// handleQuery is HandleQuery for a caller already holding the key's state.
 //
 //cup:hotpath
-func (n *Node) handleQuery(ks *keyState, from overlay.NodeID, k overlay.Key, qid uint64) []Action {
+func (n *Node) handleQuery(ks *keyState, from overlay.NodeID, qid uint64) []Action {
 	n.recordQuery(ks)
 	now := n.now()
+	k := n.key(ks)
 
 	if from == LocalClient {
 		n.emit(Event{Kind: EvQueryIssued, Peer: LocalClient, Key: k})
@@ -517,7 +475,7 @@ func (n *Node) handleQuery(ks *keyState, from overlay.NodeID, k overlay.Key, qid
 	// Case 1a: we are the authority — answer from the local directory.
 	next := n.nextHop(ks, k)
 	if next == n.id {
-		return n.answer(ks, from, k, n.local.Fresh(k, now), qid)
+		return n.answer(ks, from, n.local.Fresh(k, now), qid)
 	}
 
 	// Case 1b: fresh entries cached — answer from cache. Under standard
@@ -526,8 +484,8 @@ func (n *Node) handleQuery(ks *keyState, from overlay.NodeID, k overlay.Key, qid
 	// queries — maintaining answer-capable intermediate caches is
 	// precisely CUP's contribution.
 	if n.env.cfg.Mode == ModeCUP || from == LocalClient {
-		if fresh := n.store.Fresh(k, now); fresh != nil {
-			return n.answer(ks, from, k, fresh, qid)
+		if fresh := ks.entries.Fresh(now); fresh != nil {
+			return n.answer(ks, from, fresh, qid)
 		}
 	}
 
@@ -540,7 +498,7 @@ func (n *Node) handleQuery(ks *keyState, from overlay.NodeID, k overlay.Key, qid
 			qid = uint64(uint32(n.id+1))<<32 | n.qidSeq
 		}
 		ks.routeBack = append(ks.routeBack, routeEntry{qid: qid, dest: from, issuedAt: now}) //cup:allowalloc (miss path)
-		acts := n.env.one(ActSendQuery, k)
+		acts := n.env.one(ActSendQuery, ks)
 		acts[0].To, acts[0].QueryID = next, qid
 		return acts
 	}
@@ -562,7 +520,7 @@ func (n *Node) handleQuery(ks *keyState, from overlay.NodeID, k overlay.Key, qid
 		return nil
 	}
 	ks.pfu = true
-	acts := n.env.one(ActSendQuery, k)
+	acts := n.env.one(ActSendQuery, ks)
 	acts[0].To = next
 	return acts
 }
@@ -571,18 +529,19 @@ func (n *Node) handleQuery(ks *keyState, from overlay.NodeID, k overlay.Key, qid
 // response carries our distance+1 so the receiver learns its depth.
 //
 //cup:hotpath
-func (n *Node) answer(ks *keyState, from overlay.NodeID, k overlay.Key, entries []cache.Entry, qid uint64) []Action {
+func (n *Node) answer(ks *keyState, from overlay.NodeID, entries []cache.Entry, qid uint64) []Action {
 	if from == LocalClient {
-		n.emit(Event{Kind: EvQueryAnswered, Peer: LocalClient, Key: k, Entries: len(entries)})
-		acts := n.env.one(ActDeliverLocal, k)
+		n.emit(Event{Kind: EvQueryAnswered, Peer: LocalClient, Key: n.key(ks), Entries: len(entries)})
+		acts := n.env.one(ActDeliverLocal, ks)
 		acts[0].Entries = entries
 		return acts
 	}
-	depth := ks.dist + 1
+	acts := n.env.one(ActSendUpdate, ks)
+	k := acts[0].Key
+	depth := int(ks.dist) + 1
 	if n.nextHop(ks, k) == n.id {
 		depth = 1
 	}
-	acts := n.env.one(ActSendUpdate, k)
 	acts[0].To = from
 	acts[0].Update = Update{
 		Key:     k,
@@ -590,7 +549,7 @@ func (n *Node) answer(ks *keyState, from overlay.NodeID, k overlay.Key, entries 
 		Entries: entries,
 		Replica: -1,
 		Depth:   depth,
-		Expires: maxExpiry(entries),
+		Expires: cache.Set(entries).MaxExpiry(),
 		QueryID: qid,
 	}
 	return acts
@@ -612,49 +571,24 @@ func (n *Node) handleDirectResponse(ks *keyState, u Update) []Action {
 	}
 	re := ks.routeBack[idx]
 	ks.routeBack = append(ks.routeBack[:idx], ks.routeBack[idx+1:]...)
-	ks.dist = u.Depth
-	fresh := freshOf(u.Entries, n.now())
+	ks.dist = int32(u.Depth)
+	fresh := cache.Set(u.Entries).Fresh(n.now())
 	if re.dest == LocalClient {
 		if fresh != nil {
 			n.apply(ks, Update{Key: u.Key, Type: FirstTime, Entries: fresh})
 		}
 		n.emit(Event{Kind: EvQueryAnswered, Peer: LocalClient, Key: u.Key,
 			Entries: len(fresh), Latency: n.now().Sub(re.issuedAt)})
-		acts := n.env.one(ActDeliverLocal, u.Key)
+		acts := n.env.one(ActDeliverLocal, ks)
 		acts[0].Entries = fresh
 		return acts
 	}
-	acts := n.env.one(ActSendUpdate, u.Key)
+	acts := n.env.one(ActSendUpdate, ks)
 	acts[0].To = re.dest
 	acts[0].Update = u
 	acts[0].Update.Depth = u.Depth + 1
 	acts[0].Update.Entries = fresh
 	return acts
-}
-
-// freshOf filters a response payload down to still-fresh entries for
-// pass-through forwarding.
-func freshOf(entries []cache.Entry, now sim.Time) []cache.Entry {
-	out := make([]cache.Entry, 0, len(entries))
-	for _, e := range entries {
-		if e.Fresh(now) {
-			out = append(out, e)
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-func maxExpiry(entries []cache.Entry) sim.Time {
-	var max sim.Time
-	for _, e := range entries {
-		if e.Expires > max {
-			max = e.Expires
-		}
-	}
-	return max
 }
 
 // OriginateUpdate is called at the authority when a replica event (birth,
@@ -669,7 +603,12 @@ func (n *Node) OriginateUpdate(u Update) []Action {
 	if n.env.cfg.Mode != ModeCUP {
 		return nil // standard caching never propagates
 	}
-	ks := n.state(u.Key)
+	// Interest lives on the key's state: a key nobody has asked this node
+	// about has no one to push to, and gets no state for being published.
+	ks := n.peekKey(u.Key)
+	if ks == nil {
+		return nil
+	}
 	u.Depth = 1
 	return n.env.result(n.pushProactive(n.env.acts[:0], ks, u, 0, nil))
 }
@@ -678,7 +617,7 @@ func (n *Node) OriginateUpdate(u Update) []Action {
 // neighbor `from`, implementing the three cases of §2.6. The result
 // follows the handler-result contract (see HandleQuery).
 func (n *Node) HandleUpdate(from overlay.NodeID, u Update) []Action {
-	return n.handleUpdate(n.state(u.Key), from, u)
+	return n.handleUpdate(n.stateKey(u.Key), from, u)
 }
 
 // handleUpdate is HandleUpdate for a caller already holding u.Key's state.
@@ -711,28 +650,28 @@ func (n *Node) handleUpdate(ks *keyState, from overlay.NodeID, u Update) []Actio
 		if n.env.cfg.CachesAtDepth(u.Depth, ks.pendingLocal > 0) {
 			n.apply(ks, u)
 			n.resetPopularity(ks, u)
-			ks.dist = u.Depth
+			ks.dist = int32(u.Depth)
 			// Answer with the full fresh set now cached (the update may
 			// have been a single-entry refresh completing our answer).
-			return n.respondPending(ks, u, n.store.Fresh(u.Key, now))
+			return n.respondPending(ks, u, ks.entries.Fresh(now))
 		}
-		ks.dist = u.Depth
+		ks.dist = int32(u.Depth)
 		n.resetPopularity(ks, u)
-		return n.respondPending(ks, u, freshOf(u.Entries, now))
+		return n.respondPending(ks, u, cache.Set(u.Entries).Fresh(now))
 	}
 
 	// Case 2: no pending query.
-	ks.dist = u.Depth
+	ks.dist = int32(u.Depth)
 	if len(ks.interest) == 0 {
 		// No downstream interest: consult the cut-off policy. Under
 		// replica-independent cut-off only the watched replica's updates
 		// trigger the decision (§3.6).
 		if n.shouldEvaluate(ks, u) {
-			keep := ks.inst.Keep(ks.queries, u.Depth)
+			keep := ks.inst.Keep(int(ks.queries), u.Depth)
 			n.resetPopularity(ks, u)
 			if !keep {
 				n.emit(Event{Kind: EvCutoffFired, Peer: from, Key: u.Key})
-				acts := n.env.one(ActSendClearBit, u.Key)
+				acts := n.env.one(ActSendClearBit, ks)
 				acts[0].To = from
 				return acts
 			}
@@ -759,7 +698,7 @@ func (n *Node) respondPending(ks *keyState, u Update, entries []cache.Entry) []A
 	if ks.pendingLocal > 0 {
 		n.emit(Event{Kind: EvQueryAnswered, Peer: LocalClient, Key: u.Key,
 			Entries: len(entries), Latency: n.now().Sub(ks.issuedAt)})
-		acts = append(acts, Action{Kind: ActDeliverLocal, Key: u.Key, Entries: entries})
+		acts = append(acts, Action{Kind: ActDeliverLocal, Key: u.Key, kid: ks.kid, Entries: entries})
 		ks.pendingLocal = 0
 	}
 	resp := Update{
@@ -768,14 +707,14 @@ func (n *Node) respondPending(ks *keyState, u Update, entries []cache.Entry) []A
 		Entries: entries,
 		Replica: -1,
 		Depth:   u.Depth + 1,
-		Expires: maxExpiry(entries),
+		Expires: cache.Set(entries).MaxExpiry(),
 	}
 	// Pending children get the response unconditionally (it is their
 	// query's answer — miss cost, exempt from capacity limits). The set
 	// is already sorted ascending, so the fan-out is deterministic.
 	children := ks.pendingChildren
 	for _, m := range children {
-		acts = append(acts, Action{Kind: ActSendUpdate, To: m, Key: u.Key, Update: resp})
+		acts = append(acts, Action{Kind: ActSendUpdate, To: m, Key: u.Key, kid: ks.kid, Update: resp})
 	}
 	ks.pendingChildren = children[:0]
 	// Interested-but-not-pending neighbors get a proactive push of the
@@ -828,11 +767,11 @@ func (n *Node) markJustifyPending(ks *keyState, u Update) {
 // apply folds an update into the cached index entries (never into the
 // local directory — those change only via replica events).
 func (n *Node) apply(ks *keyState, u Update) {
-	// The store copies on every write, so the update's payload is never
+	// Every write builds a new set, so the update's payload is never
 	// aliased: it may be a view of the sender's immutable entry set.
 	switch u.Type {
 	case FirstTime:
-		n.store.ReplaceKey(u.Key, u.Entries)
+		ks.entries = cache.NewSet(u.Key, u.Entries)
 	case Refresh, Append:
 		for _, e := range u.Entries {
 			// A pushed refresh/append restarts the entry's lifetime from
@@ -841,10 +780,10 @@ func (n *Node) apply(ks *keyState, u Update) {
 			if u.Lifetime > 0 {
 				e.Expires = n.now().Add(u.Lifetime)
 			}
-			n.store.Put(e)
+			ks.entries = ks.entries.With(e)
 		}
 	case Delete:
-		n.store.Remove(u.Key, u.Replica)
+		ks.entries, _ = ks.entries.Without(u.Replica)
 	}
 	if len(u.Entries) > 0 {
 		ks.everHeld = true
@@ -883,7 +822,7 @@ func (n *Node) pushProactive(acts []Action, ks *keyState, u Update, senderDepth 
 			continue
 		}
 		n.emit(Event{Kind: EvUpdatePushed, Peer: m, Key: u.Key, Type: u.Type, Depth: fwd.Depth})
-		acts = append(acts, Action{Kind: ActSendUpdate, To: m, Key: u.Key, Update: fwd})
+		acts = append(acts, Action{Kind: ActSendUpdate, To: m, Key: u.Key, kid: ks.kid, Update: fwd})
 	}
 	return acts
 }
@@ -891,9 +830,20 @@ func (n *Node) pushProactive(acts []Action, ks *keyState, u Update, senderDepth 
 // HandleClearBit processes a Clear-Bit control message from a downstream
 // neighbor (§2.7): clear its interest bit; if our own popularity is low and
 // no interest remains, propagate the clear-bit toward the authority. The
-// result follows the handler-result contract (see HandleQuery).
+// result follows the handler-result contract (see HandleQuery). A clear-bit
+// for a key the node holds no state for — nothing a correct peer sends —
+// is dropped without creating any.
 func (n *Node) HandleClearBit(from overlay.NodeID, k overlay.Key) []Action {
-	ks := n.state(k)
+	return n.handleClearBit(n.peekKey(k), from)
+}
+
+// handleClearBit is HandleClearBit for a caller that has looked the key's
+// state up (nil: the node holds none).
+func (n *Node) handleClearBit(ks *keyState, from overlay.NodeID) []Action {
+	if ks == nil {
+		return nil
+	}
+	k := n.key(ks)
 	ks.interest.remove(from)
 	ks.pendingChildren.remove(from)
 	if len(ks.interest) > 0 || ks.queries > 0 || ks.pfu {
@@ -904,7 +854,7 @@ func (n *Node) HandleClearBit(from overlay.NodeID, k overlay.Key) []Action {
 		return nil // the root has no upstream to cut
 	}
 	n.emit(Event{Kind: EvCutoffFired, Peer: next, Key: k})
-	acts := n.env.one(ActSendClearBit, k)
+	acts := n.env.one(ActSendClearBit, ks)
 	acts[0].To = next
 	return acts
 }
@@ -925,7 +875,15 @@ func (n *Node) PatchNeighbors(current []overlay.NodeID) {
 
 // FlushExpired drops expired cached entries; transports may call it
 // periodically to bound memory.
-func (n *Node) FlushExpired() int { return n.store.Expire(n.now()) }
+func (n *Node) FlushExpired() int {
+	now, dropped := n.now(), 0
+	n.eachState(func(ks *keyState) {
+		var d int
+		ks.entries, d = ks.entries.Expire(now)
+		dropped += d
+	})
+	return dropped
+}
 
 // SettleJustification finalizes §3.1 accounting at the end of a run: any
 // still-pending proactive update that was never matched is unjustified.

@@ -267,7 +267,7 @@ func TestDeleteAppliedEvenWhenExpired(t *testing.T) {
 	n.HandleUpdate(4, firstTime("k", 5, 100))
 	del := Update{Key: "k", Type: Delete, Replica: 0, Depth: 5, Expires: 5}
 	n.HandleUpdate(4, del)
-	if n.CacheStore().HasAny("k") {
+	if len(n.Cached("k")) != 0 {
 		t.Fatal("delete not applied")
 	}
 }

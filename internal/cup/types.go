@@ -130,6 +130,9 @@ type Action struct {
 	// QueryID tags ActSendQuery under standard caching, where every query
 	// travels individually and its response retraces exactly its path.
 	QueryID uint64
+	// kid is Key in the emitting owner's intern table; only the simulator,
+	// whose nodes all share one owner, hands it on to the next hop.
+	kid KeyID
 }
 
 // Mode selects the caching protocol a node runs.

@@ -30,13 +30,11 @@ func millionOverlay(sc Scale) string {
 	return "chord"
 }
 
-// millionOpts builds one million-node cell: millionOverlay's substrate
-// and dense struct-of-arrays node state.
+// millionOpts builds one million-node cell on millionOverlay's substrate.
 func millionOpts(sc Scale, level int) []cup.Option {
 	opts := []cup.Option{
 		cup.WithNodes(MillionNodes),
 		cup.WithOverlay(millionOverlay(sc)),
-		cup.WithDenseState(),
 		// Aggregate λ = 100 q/s over the 600 s window: 60k queries is
 		// enough routed traffic for a meaningful events/s figure while
 		// keeping each cell's event count far below the overlay build
@@ -73,7 +71,7 @@ func (m MillionStats) EventsPerSec() float64 {
 
 // MillionRun runs the Figure-3-style cost-vs-push-level sweep at
 // n = 10^6 nodes. Cells run sequentially — each deployment holds a
-// million-node overlay and arena, and running them side by side would
+// million-node overlay and node block, and running them side by side would
 // multiply the footprint, not the throughput.
 func MillionRun(sc Scale) MillionStats {
 	out := MillionStats{Table: &metrics.Table{
@@ -108,9 +106,9 @@ func MillionSweep(sc Scale) *metrics.Table {
 	return MillionRun(sc).Table
 }
 
-// Footprint builds (but does not run) an n-node dense-state deployment
-// and reports its steady heap cost in bytes per node — overlay, router,
-// arena, and node views included. The measurement brackets the build
+// Footprint builds (but does not run) an n-node deployment and reports
+// its steady heap cost in bytes per node — overlay, router and the block
+// of nodes included (no key state exists before the first query). The measurement brackets the build
 // with forced collections, so transient construction garbage does not
 // count.
 func Footprint(n int) float64 {
@@ -120,7 +118,6 @@ func Footprint(n int) float64 {
 	d, err := cup.New(
 		cup.WithNodes(n),
 		cup.WithOverlay("chord"),
-		cup.WithDenseState(),
 		cup.WithoutWorkload(),
 	)
 	if err != nil {

@@ -168,7 +168,7 @@ func TestViewModel(t *testing.T) {
 		if b.node.IsAuthority(k) {
 			return b.node.LocalDirectory().All(k)
 		}
-		return b.node.CacheStore().All(k)
+		return b.node.Cached(k)
 	}
 	entry := func(k overlay.Key) cache.Entry {
 		return cache.Entry{Key: k, Replica: rng.Intn(3), Addr: fmt.Sprintf("10.0.0.%d", rng.Intn(250)),

@@ -395,12 +395,12 @@ func WithoutWorkload() Option {
 	return func(o *options) { o.p.NoWorkload = true }
 }
 
-// WithDenseState backs simulated node state with the struct-of-arrays
-// arena instead of per-node heap objects: identical behavior and event
-// stream, a fraction of the memory and GC pointer traffic. Worth setting
-// for big runs.
+// WithDenseState does nothing: dense, integer-keyed node state is the
+// only representation, for every run. The name stays because bench/
+// calls it and only a [benchmark] PR may edit bench/; that PR drops the
+// call and this option with it (ROADMAP item 4).
 func WithDenseState() Option {
-	return func(o *options) { o.p.DenseState = true }
+	return func(*options) {}
 }
 
 // WithInboxDepth bounds each live peer's mailbox (default 1024). A
