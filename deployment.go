@@ -739,7 +739,7 @@ func (r *simRuntime) run(ctx context.Context) (*Result, error) {
 // boots lazily on first use: construction is free, so a multi-trial
 // sweep's base runtime (never driven — trials boot their own networks)
 // costs nothing, and an interactive deployment pays only when the
-// first client call arrives. Both shells implement live.Endpoint, so
+// first client call arrives. Either way it is one live.Network, so
 // everything past boot is transport-blind.
 type liveRuntime struct {
 	cfg live.Config
@@ -748,7 +748,7 @@ type liveRuntime struct {
 	// up is the booted network, nil until first use. It is read on every
 	// served request (size, clock, load, the lookup itself), so readers
 	// load it; mu only serializes the boot against Close.
-	up     atomic.Pointer[live.Endpoint]
+	up     atomic.Pointer[live.Network]
 	mu     sync.Mutex
 	closed bool
 }
@@ -757,40 +757,34 @@ type liveRuntime struct {
 // errors when the runtime was closed before ever booting, or — TCP
 // only — when the boot itself fails (port budget exhausted, listeners
 // unavailable). A failed boot holds no resources and may be retried.
-func (r *liveRuntime) network() (live.Endpoint, error) {
+func (r *liveRuntime) network() (*live.Network, error) {
 	if n := r.up.Load(); n != nil {
-		return *n, nil
+		return n, nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if n := r.up.Load(); n != nil {
-		return *n, nil
+		return n, nil
 	}
 	if r.closed {
 		return nil, live.ErrClosed
 	}
-	var n live.Endpoint
+	var n *live.Network
 	if r.tcp {
-		tn, err := live.NewTCPNetwork(r.cfg)
-		if err != nil {
+		var err error
+		if n, err = live.NewTCPNetwork(r.cfg); err != nil {
 			return nil, fmt.Errorf("cup: tcp transport: %w", err)
 		}
-		n = tn
 	} else {
 		n = live.NewNetwork(r.cfg)
 	}
-	r.up.Store(&n)
+	r.up.Store(n)
 	return n, nil
 }
 
 // peek returns the network only if it already booted: reads of
 // counters or the clock must not boot a network just to see zeros.
-func (r *liveRuntime) peek() live.Endpoint {
-	if n := r.up.Load(); n != nil {
-		return *n
-	}
-	return nil
-}
+func (r *liveRuntime) peek() *live.Network { return r.up.Load() }
 
 func (r *liveRuntime) Transport() Transport {
 	if r.tcp {

@@ -107,10 +107,10 @@ func PortsInUse() int {
 // matter how many replicas run side by side.
 const DefaultRefreshBudget = 2048.0
 
-// refreshPacer is a process-wide leaky bucket over refresh publishes.
+// refreshPacer is a leaky bucket over refresh publishes.
 type refreshPacer struct {
 	sync.Mutex
-	// rate is refreshes/second; <= 0 restores DefaultRefreshBudget.
+	// rate is refreshes/second.
 	rate float64
 	// next is the earliest instant the next refresh may depart.
 	next time.Time
@@ -123,25 +123,8 @@ type refreshPacer struct {
 
 var refreshBudget = refreshPacer{rate: DefaultRefreshBudget}
 
-// SetRefreshBudget adjusts the process-wide refresh budget (refreshes
-// per second across all live networks); perSec <= 0 restores the
-// default. Returns the budget now in force.
-func SetRefreshBudget(perSec float64) float64 {
-	refreshBudget.Lock()
-	defer refreshBudget.Unlock()
-	if perSec <= 0 {
-		perSec = DefaultRefreshBudget
-	}
-	refreshBudget.rate = perSec
-	return perSec
-}
-
-// RefreshBudget reports the refresh budget currently in force.
-func RefreshBudget() float64 {
-	refreshBudget.Lock()
-	defer refreshBudget.Unlock()
-	return refreshBudget.rate
-}
+// RefreshBudget reports the refresh budget in force.
+func RefreshBudget() float64 { return DefaultRefreshBudget }
 
 // RefreshPacingStats reports how many refreshes were delayed by the
 // budget and the total delay imposed (telemetry gauges).
@@ -155,20 +138,22 @@ func RefreshPacingStats() (paced uint64, waited time.Duration) {
 // refresh publish, or ctx cancels. Each admitted refresh reserves a
 // 1/rate slot; concurrent trial networks therefore share the budget
 // first-come-first-served instead of multiplying load.
-func PaceRefresh(ctx context.Context) error {
+func PaceRefresh(ctx context.Context) error { return refreshBudget.pace(ctx) }
+
+func (r *refreshPacer) pace(ctx context.Context) error {
 	now := time.Now()
-	refreshBudget.Lock()
-	slot := time.Duration(float64(time.Second) / refreshBudget.rate)
-	if refreshBudget.next.Before(now) {
-		refreshBudget.next = now
+	r.Lock()
+	slot := time.Duration(float64(time.Second) / r.rate)
+	if r.next.Before(now) {
+		r.next = now
 	}
-	wait := refreshBudget.next.Sub(now)
-	refreshBudget.next = refreshBudget.next.Add(slot)
+	wait := r.next.Sub(now)
+	r.next = r.next.Add(slot)
 	if wait > 0 {
-		refreshBudget.paced++
-		refreshBudget.waited += wait
+		r.paced++
+		r.waited += wait
 	}
-	refreshBudget.Unlock()
+	r.Unlock()
 	if wait <= 0 {
 		return nil
 	}

@@ -60,12 +60,11 @@ func TestTCPNetworkHoldsAndReleasesPortBudget(t *testing.T) {
 }
 
 func TestRefreshBudgetPacing(t *testing.T) {
-	SetRefreshBudget(200) // 5ms slots
-	t.Cleanup(func() { SetRefreshBudget(0) })
+	pacer := refreshPacer{rate: 200} // 5ms slots
 	ctx := context.Background()
 	start := time.Now()
 	for i := 0; i < 5; i++ {
-		if err := PaceRefresh(ctx); err != nil {
+		if err := pacer.pace(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -73,33 +72,19 @@ func TestRefreshBudgetPacing(t *testing.T) {
 	if d := time.Since(start); d < 15*time.Millisecond {
 		t.Fatalf("5 refreshes at 200/s finished in %v; budget not enforced", d)
 	}
-	paced, waited := RefreshPacingStats()
-	if paced == 0 || waited == 0 {
-		t.Fatalf("pacing stats empty after throttled refreshes: paced=%d waited=%v", paced, waited)
-	}
-}
-
-func TestRefreshBudgetSetAndRestore(t *testing.T) {
-	if got := SetRefreshBudget(123); got != 123 {
-		t.Fatalf("SetRefreshBudget(123) = %v", got)
-	}
-	if got := RefreshBudget(); got != 123 {
-		t.Fatalf("RefreshBudget = %v, want 123", got)
-	}
-	if got := SetRefreshBudget(0); got != DefaultRefreshBudget {
-		t.Fatalf("SetRefreshBudget(0) = %v, want default %v", got, DefaultRefreshBudget)
+	if pacer.paced == 0 || pacer.waited == 0 {
+		t.Fatalf("pacing stats empty after throttled refreshes: paced=%d waited=%v", pacer.paced, pacer.waited)
 	}
 }
 
 func TestPaceRefreshHonorsCancellation(t *testing.T) {
-	SetRefreshBudget(1) // 1/s: the second refresh would wait ~1s
-	t.Cleanup(func() { SetRefreshBudget(0) })
-	if err := PaceRefresh(context.Background()); err != nil {
+	pacer := refreshPacer{rate: 1} // 1/s: the second refresh would wait ~1s
+	if err := pacer.pace(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	if err := PaceRefresh(ctx); err == nil {
+	if err := pacer.pace(ctx); err == nil {
 		t.Fatal("PaceRefresh outlived its context")
 	}
 }

@@ -5,8 +5,8 @@
 // join spawns a live peer and hands it the index entries that now hash
 // into its region; a leave collects the departing peer's directory,
 // retires its goroutine (inbox drained), and reinstalls the entries at
-// each key's new authority. Both networks (goroutine and TCP) share the
-// choreography through the churnHost surface below.
+// each key's new authority. The choreography drives Network.spawn and
+// Network.retire, so it is the same on every link.
 package live
 
 import (
@@ -102,65 +102,41 @@ func (l *lockedOverlay) memberAlive(id overlay.NodeID) bool {
 	return true
 }
 
-// churnHost is what the shared §2.9 choreography needs from a live
-// network: overlay and router access, per-node protocol control on the
-// owning goroutine, and member lifecycle hooks.
-type churnHost interface {
-	// lov is the network's locked overlay.
-	lov() *lockedOverlay
-	// invalidateRoutes drops the router's memoized routes.
-	invalidateRoutes()
-	// slots is the number of peer slots ever allocated (dense IDs).
-	slots() int
-	// aliveSlot reports whether peer id exists and has not departed.
-	aliveSlot(id overlay.NodeID) bool
-	// spawnMember creates and starts peer id (== slots() at call time).
-	spawnMember(id overlay.NodeID) error
-	// retireMember collects peer id's local directory and retires its
-	// goroutine: the peer stops applying protocol state changes and its
-	// inbox drains.
-	retireMember(ctx context.Context, id overlay.NodeID) ([]cache.Entry, error)
-	// controlNode runs fn on peer id's goroutine with exclusive access
-	// to its protocol state.
-	controlNode(ctx context.Context, id overlay.NodeID, fn func(*cup.Node)) error
-	// emitMembership publishes a §2.9 membership event.
-	emitMembership(kind cup.EventKind, id overlay.NodeID)
-	// countChurn bumps the join/leave stat counters.
-	countChurn(join bool)
-}
-
 // errStaticOverlay is the descriptive unsupported-churn failure: the
 // scenario runner surfaces it instead of dropping the scripted event.
 func errStaticOverlay(kind string) error {
 	return fmt.Errorf("live: membership churn unsupported: overlay %q is static (§2.9 needs a dynamic substrate such as can or kademlia)", kind)
 }
 
-// churnJoin is §2.9 Arrivals on a live network: the substrate wires the
-// newcomer in under the overlay write lock, a fresh peer goroutine
-// spawns, previous owners hand over the index entries that now hash
+// Join adds one peer to the running network (§2.9 arrivals): the
+// substrate wires the newcomer in under the overlay write lock, a fresh
+// peer spawns, previous owners hand over the index entries that now hash
 // into the joiner's region, and every node whose neighbor set changed
-// patches its interest bit vector.
-func churnJoin(ctx context.Context, h churnHost) (overlay.NodeID, error) {
-	l := h.lov()
+// patches its interest bit vector. Returns the new node's ID, or a
+// descriptive error when the overlay substrate is static.
+func (n *Network) Join(ctx context.Context) (overlay.NodeID, error) {
+	l := n.ov
 	d := l.dynamic()
 	if d == nil {
 		return 0, errStaticOverlay(l.kind)
 	}
 	l.churnMu.Lock()
 	defer l.churnMu.Unlock()
+	if n.IsClosed() {
+		return 0, ErrClosed // before the substrate grows a member nobody will host
+	}
 
 	l.mu.Lock()
 	id := d.JoinRand(l.rng)
 	l.mu.Unlock()
-	h.invalidateRoutes()
-	if int(id) != h.slots() {
-		panic(fmt.Sprintf("live: overlay issued id %v, expected %d", id, h.slots()))
+	n.router.Invalidate()
+	if int(id) != n.Size() {
+		panic(fmt.Sprintf("live: overlay issued id %v, expected %d", id, n.Size()))
 	}
-	if err := h.spawnMember(id); err != nil {
+	if err := n.spawn(id); err != nil {
 		return 0, err
 	}
-	h.emitMembership(cup.EvNodeJoined, id)
-	h.countChurn(true)
+	n.membership(cup.EvNodeJoined, id, &n.stats.Joins)
 
 	// Hand-over: every previous member's local directory sheds the
 	// entries whose keys now hash to the joiner. Ownership checks read
@@ -168,12 +144,12 @@ func churnJoin(ctx context.Context, h churnHost) (overlay.NodeID, error) {
 	// churn mutex (held here) keeps membership stable meanwhile.
 	for m := 0; m < int(id); m++ {
 		from := overlay.NodeID(m)
-		if !h.aliveSlot(from) {
+		if !n.IsAlive(from) {
 			continue
 		}
 		var moved []cache.Entry
-		err := h.controlNode(ctx, from, func(n *cup.Node) {
-			dir := n.LocalDirectory()
+		err := n.controlNode(ctx, from, func(node *cup.Node) {
+			dir := node.LocalDirectory()
 			if dir.Len() == 0 {
 				return
 			}
@@ -184,7 +160,7 @@ func churnJoin(ctx context.Context, h churnHost) (overlay.NodeID, error) {
 				moved = append(moved, dir.All(k)...)
 			}
 			for _, e := range moved {
-				n.RemoveLocal(e.Key, e.Replica)
+				node.RemoveLocal(e.Key, e.Replica)
 			}
 		})
 		if err != nil {
@@ -193,35 +169,36 @@ func churnJoin(ctx context.Context, h churnHost) (overlay.NodeID, error) {
 		if len(moved) == 0 {
 			continue
 		}
-		if err := h.controlNode(ctx, id, func(n *cup.Node) {
+		if err := n.controlNode(ctx, id, func(node *cup.Node) {
 			for _, e := range moved {
-				n.InstallLocal(e)
+				node.InstallLocal(e)
 			}
 		}); err != nil {
 			return id, fmt.Errorf("live: join hand-over to %v: %w", id, err)
 		}
 	}
-	rev := reverseNeighbors(h)
-	if err := patchNeighborhood(ctx, h, rev, append(rev[id], id)); err != nil {
+	rev := reverseNeighbors(n)
+	if err := patchNeighborhood(ctx, n, rev, append(rev[id], id)); err != nil {
 		return id, err
 	}
 	return id, nil
 }
 
-// churnLeave is §2.9 Departures: the victim's directory is collected
-// and its goroutine retired (inbox drained), the substrate re-knits
-// around the gap, each collected entry moves to its key's new
+// Leave retires peer victim (§2.9 departures): its directory is
+// collected and its goroutine retired (inbox drained), the substrate
+// re-knits around the gap, each collected entry moves to its key's new
 // authority, and every node that routed through the victim patches its
-// interest bits.
-func churnLeave(ctx context.Context, h churnHost, victim overlay.NodeID) error {
-	l := h.lov()
+// interest bits. Errors on a static overlay, an unknown or
+// already-departed node, or the last member.
+func (n *Network) Leave(ctx context.Context, victim overlay.NodeID) error {
+	l := n.ov
 	d := l.dynamic()
 	if d == nil {
 		return errStaticOverlay(l.kind)
 	}
 	l.churnMu.Lock()
 	defer l.churnMu.Unlock()
-	if !h.aliveSlot(victim) || !l.memberAlive(victim) {
+	if !n.IsAlive(victim) || !l.memberAlive(victim) {
 		return fmt.Errorf("live: leave of node %v: not a live member", victim)
 	}
 	if l.Size() <= 1 {
@@ -230,9 +207,9 @@ func churnLeave(ctx context.Context, h churnHost, victim overlay.NodeID) error {
 
 	// Channel peers before the re-knit: nodes that list the victim plus
 	// the nodes it lists (neighbor relations may be asymmetric).
-	affected := slices.Concat(reverseNeighbors(h)[victim], l.Neighbors(victim))
+	affected := slices.Concat(reverseNeighbors(n)[victim], l.Neighbors(victim))
 
-	entries, err := h.retireMember(ctx, victim)
+	entries, err := n.retire(ctx, victim)
 	if err != nil {
 		return fmt.Errorf("live: leave of node %v: %w", victim, err)
 	}
@@ -240,7 +217,7 @@ func churnLeave(ctx context.Context, h churnHost, victim overlay.NodeID) error {
 	l.mu.Lock()
 	heir := d.Leave(victim)
 	l.mu.Unlock()
-	h.invalidateRoutes()
+	n.router.Invalidate()
 
 	// Hand the departed node's portion of the global index to each
 	// key's new authority (the paper's hand-over alternative, which
@@ -250,19 +227,18 @@ func churnLeave(ctx context.Context, h churnHost, victim overlay.NodeID) error {
 		byOwner[l.Owner(e.Key)] = append(byOwner[l.Owner(e.Key)], e)
 	}
 	for to, moved := range byOwner {
-		if err := h.controlNode(ctx, to, func(n *cup.Node) {
+		if err := n.controlNode(ctx, to, func(node *cup.Node) {
 			for _, e := range moved {
-				n.InstallLocal(e)
+				node.InstallLocal(e)
 			}
 		}); err != nil {
 			return fmt.Errorf("live: leave hand-over to %v: %w", to, err)
 		}
 	}
-	if err := patchNeighborhood(ctx, h, reverseNeighbors(h), append(affected, heir)); err != nil {
+	if err := patchNeighborhood(ctx, n, reverseNeighbors(n), append(affected, heir)); err != nil {
 		return err
 	}
-	h.emitMembership(cup.EvNodeLeft, victim)
-	h.countChurn(false)
+	n.membership(cup.EvNodeLeft, victim, &n.stats.Leaves)
 	return nil
 }
 
@@ -270,12 +246,12 @@ func churnLeave(ctx context.Context, h churnHost, victim overlay.NodeID) error {
 // in one sweep: for each node, the alive nodes that list it as a
 // neighbor. Computed once per membership event and shared, as in the
 // simulator's churn handlers.
-func reverseNeighbors(h churnHost) map[overlay.NodeID][]overlay.NodeID {
-	l := h.lov()
-	rev := make(map[overlay.NodeID][]overlay.NodeID, h.slots())
-	for m := 0; m < h.slots(); m++ {
+func reverseNeighbors(n *Network) map[overlay.NodeID][]overlay.NodeID {
+	l := n.ov
+	rev := make(map[overlay.NodeID][]overlay.NodeID, n.Size())
+	for m := 0; m < n.Size(); m++ {
 		mm := overlay.NodeID(m)
-		if !h.aliveSlot(mm) {
+		if !n.IsAlive(mm) {
 			continue
 		}
 		for _, nb := range l.Neighbors(mm) {
@@ -289,17 +265,17 @@ func reverseNeighbors(h churnHost) map[overlay.NodeID][]overlay.NodeID {
 // peers for the affected nodes — each patch runs on the owning peer's
 // goroutine, so it serializes with that peer's protocol work exactly
 // like any other message.
-func patchNeighborhood(ctx context.Context, h churnHost, rev map[overlay.NodeID][]overlay.NodeID, nodes []overlay.NodeID) error {
-	l := h.lov()
+func patchNeighborhood(ctx context.Context, n *Network, rev map[overlay.NodeID][]overlay.NodeID, nodes []overlay.NodeID) error {
+	l := n.ov
 	seen := make(map[overlay.NodeID]bool, len(nodes))
 	for _, id := range nodes {
-		if seen[id] || !h.aliveSlot(id) {
+		if seen[id] || !n.IsAlive(id) {
 			continue
 		}
 		seen[id] = true
 		peers := append(l.Neighbors(id), rev[id]...)
-		if err := h.controlNode(ctx, id, func(n *cup.Node) {
-			n.PatchNeighbors(peers)
+		if err := n.controlNode(ctx, id, func(node *cup.Node) {
+			node.PatchNeighbors(peers)
 		}); err != nil {
 			return fmt.Errorf("live: neighborhood patch at %v: %w", id, err)
 		}

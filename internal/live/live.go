@@ -1,14 +1,16 @@
 // Package live runs CUP as a real concurrent system: every peer is a
-// goroutine, query channels and update channels are Go channels, and the
-// per-hop network delay is wall-clock time. It drives exactly the same
-// protocol state machine (internal/cup.Node) as the discrete-event
-// simulator, so the simulated protocol and the deployable one cannot
-// diverge — the transports are interchangeable shells.
+// goroutine behind a mailbox, and the per-hop network delay is
+// wall-clock time. It drives exactly the same protocol state machine
+// (internal/cup.Node) as the discrete-event simulator, so the simulated
+// protocol and the deployable one cannot diverge. There is one Network
+// and one peer; how a message crosses from one peer to the next — a Go
+// channel after an injected delay, or a wire-encoded frame on a loopback
+// socket — is the link (link.go, tcp.go), and the only code that knows.
 //
 // This is the runtime the examples and cmd/cuplive use; it is also a
 // demonstration that the paper's node model ("every node maintains two
 // logical channels per neighbor") maps one-to-one onto goroutines and
-// channels.
+// channels, or onto sockets.
 package live
 
 import (
@@ -35,16 +37,19 @@ type Stats struct {
 	Leaves uint64
 }
 
-// Network hosts a set of CUP peers over an overlay.
+// Network hosts a set of CUP peers over an overlay. It is the one live
+// network: what differs between the goroutine transport and the TCP one
+// is its link, and nothing else.
 type Network struct {
 	ov     *lockedOverlay
 	router *cup.OverlayRouter
 	cfg    Config
-	delay  time.Duration
+	link   link
 	start  time.Time
-	// peers is the peer table, published copy-on-write: readers load the
-	// current slice and never lock; membership churn appends a slot by
-	// publishing a longer copy under peersMu.
+	// peers is the peer table: readers load the current slice and never
+	// lock; spawn appends a slot and publishes the longer slice under
+	// peersMu, which Close also takes, so a peer is either in the table
+	// Close walks or refused.
 	peers   atomic.Pointer[[]*peer]
 	peersMu sync.Mutex
 	stats   Stats
@@ -62,6 +67,8 @@ const (
 	msgControl
 )
 
+// message is what a peer's mailbox holds and a link carries: one
+// protocol message from a neighbor, or a control callback.
 type message struct {
 	kind   msgKind
 	from   overlay.NodeID
@@ -69,14 +76,6 @@ type message struct {
 	qid    uint64
 	update cup.Update
 	ctrl   func() // msgControl: run on the peer's goroutine
-}
-
-// peer is one goroutine-hosted protocol node: the shared client end plus
-// a channel mailbox.
-type peer struct {
-	clientEnd
-	inbox chan message
-	net   *Network
 }
 
 // Config parameterizes a live network.
@@ -124,12 +123,23 @@ func (cfg Config) withDefaults() Config {
 
 // NewNetwork builds an overlay of cfg.Nodes peers (a CAN unless
 // cfg.Overlay selects another registered substrate) and starts one
-// goroutine per peer. Callers must Close the network when done.
+// goroutine per peer, joined by Go channels. Callers must Close the
+// network when done.
 func NewNetwork(cfg Config) *Network {
 	if cfg.Nodes <= 0 {
 		panic("live: Nodes must be positive")
 	}
 	cfg = cfg.withDefaults()
+	n, err := boot(cfg, chanLink{})
+	if err != nil {
+		panic(err) // unreachable: the goroutine link opens nothing that can fail
+	}
+	return n
+}
+
+// boot builds the overlay and spawns cfg.Nodes peers over lk. A failed
+// spawn closes the network, releasing whatever the link opened so far.
+func boot(cfg Config, lk link) (*Network, error) {
 	// The overlay seed derivation is shared with the simulator, so the
 	// same seed and options build the same topology on either transport.
 	ov := newLockedOverlay(
@@ -139,37 +149,27 @@ func NewNetwork(cfg Config) *Network {
 		ov:     ov,
 		router: cup.NewOverlayRouter(ov),
 		cfg:    cfg,
-		delay:  cfg.HopDelay,
+		link:   lk,
 		start:  time.Now(),
 		closed: make(chan struct{}),
 	}
 	// Memoized routes go stale under churn; the flag must be set before
 	// any peer goroutine starts, since they read it without a lock.
 	n.router.Dynamic = ov.dynamic() != nil
-	peers := make([]*peer, cfg.Nodes)
-	for i := range peers {
-		peers[i] = n.newPeer(overlay.NodeID(i))
-	}
+	peers := make([]*peer, 0, cfg.Nodes)
 	n.peers.Store(&peers)
-	for _, p := range peers {
-		n.wg.Add(1)
-		go p.loop(&n.wg)
+	for i := 0; i < cfg.Nodes; i++ {
+		if err := n.spawn(overlay.NodeID(i)); err != nil {
+			n.Close()
+			return nil, err
+		}
 	}
-	return n
+	return n, nil
 }
 
-// newPeer constructs (but does not start) one goroutine-hosted node.
-func (n *Network) newPeer(id overlay.NodeID) *peer {
-	p := &peer{inbox: make(chan message, n.cfg.InboxDepth), net: n}
-	p.clientEnd = newClientEnd(id, n.cfg, n.router, n.now, p, n.closed)
-	return p
-}
-
-// now maps wall time onto the protocol's virtual clock.
-func (n *Network) now() sim.Time { return sim.Time(time.Since(n.start).Seconds()) }
-
-// Now exposes the network clock (useful for constructing entry lifetimes).
-func (n *Network) Now() sim.Time { return n.now() }
+// Now is the network clock: wall time since boot mapped onto the
+// protocol's virtual clock (useful for constructing entry lifetimes).
+func (n *Network) Now() sim.Time { return sim.Time(time.Since(n.start).Seconds()) }
 
 // Size returns the number of peer slots ever allocated (IDs are dense
 // and never reused, so departed peers keep their slot). Use IsAlive to
@@ -191,8 +191,9 @@ func (n *Network) IsAlive(id overlay.NodeID) bool {
 	return p != nil && !p.isGone()
 }
 
-// HopDelay returns the configured per-hop wall-clock latency.
-func (n *Network) HopDelay() time.Duration { return n.delay }
+// HopDelay returns the injected per-hop wall-clock latency; zero on TCP,
+// where hops cost real loopback round-trips.
+func (n *Network) HopDelay() time.Duration { return n.cfg.HopDelay }
 
 // IsClosed reports whether Close has been called.
 func (n *Network) IsClosed() bool {
@@ -203,9 +204,6 @@ func (n *Network) IsClosed() bool {
 		return false
 	}
 }
-
-// Overlay exposes the underlying overlay (read-only use).
-func (n *Network) Overlay() overlay.Overlay { return n.ov }
 
 // Stats returns a snapshot of message counters.
 func (n *Network) Stats() Stats {
@@ -241,120 +239,21 @@ func (n *Network) InboxLoadAt(id overlay.NodeID) (used, capacity int) {
 	return 0, 0
 }
 
-// Close shuts down all peers and waits for their goroutines.
+// Close shuts down all peers, releases whatever the link holds for them
+// (sockets, the port-budget reservation) and waits for their goroutines.
 func (n *Network) Close() {
-	n.once.Do(func() { close(n.closed) })
-	n.wg.Wait()
-}
-
-// send delivers a message after the per-hop delay. Deliveries racing a
-// Close are dropped, mirroring a network partition at shutdown; sends to
-// a departed peer are dropped as in-flight losses (§2.9).
-func (n *Network) send(to overlay.NodeID, m message) {
-	time.AfterFunc(n.delay, func() {
-		p := n.peerAt(to)
-		if p == nil {
-			return
-		}
-		select {
-		case p.inbox <- m:
-		case <-p.gone:
-		case <-n.closed:
+	n.once.Do(func() {
+		close(n.closed)
+		// A spawn holding peersMu finishes first and is in the snapshot;
+		// one that takes it afterwards sees closed and opens nothing.
+		n.peersMu.Lock()
+		peers := *n.peers.Load()
+		n.peersMu.Unlock()
+		for _, p := range peers {
+			n.link.close(p)
 		}
 	})
-}
-
-// loop is the peer goroutine: one message at a time through the protocol
-// state machine, actions dispatched back onto the network. A departing
-// peer switches to the retired state instead of exiting so that control
-// messages racing the departure always complete.
-func (p *peer) loop(wg *sync.WaitGroup) {
-	defer wg.Done()
-	for {
-		select {
-		case <-p.net.closed:
-			return
-		case m := <-p.inbox:
-			p.handle(m)
-			if p.departing {
-				close(p.gone)
-				p.retired()
-				return
-			}
-		}
-	}
-}
-
-// retired services a departed peer's inbox until network shutdown:
-// control callbacks still run (a caller that enqueued one while the
-// departure raced must not hang on its done channel), while protocol
-// messages are discarded — they are the departure's in-flight losses.
-// The goroutine itself is the drain; slots are never reused, so at most
-// one retired goroutine exists per departed peer.
-func (p *peer) retired() {
-	for {
-		select {
-		case <-p.net.closed:
-			return
-		case m := <-p.inbox:
-			if m.kind == msgControl {
-				m.ctrl()
-			}
-		}
-	}
-}
-
-func (p *peer) handle(m message) {
-	var acts []cup.Action
-	switch m.kind {
-	case msgQuery:
-		acts = p.query(m.from, m.key, m.qid)
-	case msgUpdate:
-		acts = p.update(m.from, m.update)
-	case msgClearBit:
-		acts = p.clearBit(m.from, m.key)
-	case msgControl:
-		m.ctrl()
-		return
-	}
-	p.dispatch(acts)
-}
-
-// post and tryPost put a control callback in the mailbox (shell).
-func (p *peer) post(ctx context.Context, fn func()) error {
-	select {
-	case p.inbox <- message{kind: msgControl, ctrl: fn}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-p.net.closed:
-		return ErrClosed
-	}
-}
-
-func (p *peer) tryPost(fn func()) {
-	select {
-	case p.inbox <- message{kind: msgControl, ctrl: fn}:
-	default:
-	}
-}
-
-func (p *peer) dispatch(acts []cup.Action) {
-	for _, a := range acts {
-		switch a.Kind {
-		case cup.ActSendQuery:
-			atomic.AddUint64(&p.net.stats.QueryMsgs, 1)
-			p.net.send(a.To, message{kind: msgQuery, from: p.id, key: a.Key, qid: a.QueryID})
-		case cup.ActSendUpdate:
-			atomic.AddUint64(&p.net.stats.UpdateMsgs, 1)
-			p.net.send(a.To, message{kind: msgUpdate, from: p.id, key: a.Key, update: a.Update})
-		case cup.ActSendClearBit:
-			atomic.AddUint64(&p.net.stats.ClearBitMsgs, 1)
-			p.net.send(a.To, message{kind: msgClearBit, from: p.id, key: a.Key})
-		case cup.ActDeliverLocal:
-			p.deliver(a.Key, a.Entries)
-		}
-	}
+	n.wg.Wait()
 }
 
 // ErrClosed is returned by client operations racing a Close.
@@ -390,7 +289,7 @@ func (n *Network) atAuthority(key overlay.Key) (*peer, error) {
 
 // controlNode runs fn on node id's goroutine with exclusive access to
 // its protocol state and blocks until it completes, ctx cancels, or the
-// network closes (see clientEnd.run).
+// network closes (see peer.run).
 func (n *Network) controlNode(ctx context.Context, id overlay.NodeID, fn func(*cup.Node)) error {
 	p := n.peerAt(id)
 	if p == nil {
@@ -399,26 +298,17 @@ func (n *Network) controlNode(ctx context.Context, id overlay.NodeID, fn func(*c
 	return p.run(ctx, func() { fn(p.node) })
 }
 
-// AddReplica installs an index entry for (key, replica) at its authority
-// and propagates the birth as an Append update. lifetime bounds the
-// entry's freshness; replicas should Refresh before it elapses.
-func (n *Network) AddReplica(key overlay.Key, replica int, addr string, lifetime time.Duration) {
-	_ = n.AddReplicaCtx(context.Background(), key, replica, addr, lifetime)
-}
-
-// AddReplicaCtx is AddReplica with cancellation: it returns once the
-// authority has registered the replica (propagation continues async).
+// AddReplicaCtx installs an index entry for (key, replica) at its
+// authority and propagates the birth as an Append update. lifetime
+// bounds the entry's freshness; replicas should refresh before it
+// elapses. It returns once the authority has registered the replica
+// (propagation continues async), or when ctx cancels.
 func (n *Network) AddReplicaCtx(ctx context.Context, key overlay.Key, replica int, addr string, lifetime time.Duration) error {
 	return n.replicaEvent(ctx, key, replica, addr, lifetime, cup.Append)
 }
 
-// Refresh extends the lifetime of (key, replica), propagating a Refresh
-// update to interested peers.
-func (n *Network) Refresh(key overlay.Key, replica int, addr string, lifetime time.Duration) {
-	_ = n.RefreshCtx(context.Background(), key, replica, addr, lifetime)
-}
-
-// RefreshCtx is Refresh with cancellation.
+// RefreshCtx extends the lifetime of (key, replica), propagating a
+// Refresh update to interested peers.
 func (n *Network) RefreshCtx(ctx context.Context, key overlay.Key, replica int, addr string, lifetime time.Duration) error {
 	return n.replicaEvent(ctx, key, replica, addr, lifetime, cup.Refresh)
 }
@@ -431,13 +321,9 @@ func (n *Network) replicaEvent(ctx context.Context, key overlay.Key, replica int
 	return p.replicaEvent(ctx, key, replica, addr, lifetime, ty)
 }
 
-// RemoveReplica deletes (key, replica) at the authority and propagates a
-// Delete update so caches do not serve the dead replica until expiry.
-func (n *Network) RemoveReplica(key overlay.Key, replica int) {
-	_ = n.RemoveReplicaCtx(context.Background(), key, replica)
-}
-
-// RemoveReplicaCtx is RemoveReplica with cancellation.
+// RemoveReplicaCtx deletes (key, replica) at the authority and
+// propagates a Delete update so caches do not serve the dead replica
+// until expiry.
 func (n *Network) RemoveReplicaCtx(ctx context.Context, key overlay.Key, replica int) error {
 	p, err := n.atAuthority(key)
 	if err != nil {
@@ -476,69 +362,57 @@ func (n *Network) Quiesced(window time.Duration) bool {
 
 // --- runtime membership churn (§2.9) ----------------------------------
 //
-// Network implements churnHost; the choreography itself lives in
-// churn.go and is shared with the TCP transport.
+// spawn and retire are the member lifecycle the choreography in churn.go
+// drives; boot spawns the founding members the same way.
 
-func (n *Network) lov() *lockedOverlay { return n.ov }
-
-func (n *Network) invalidateRoutes() { n.router.Invalidate() }
-
-func (n *Network) slots() int { return n.Size() }
-
-func (n *Network) aliveSlot(id overlay.NodeID) bool { return n.IsAlive(id) }
-
-func (n *Network) spawnMember(id overlay.NodeID) error {
-	p := n.newPeer(id)
+// spawn creates peer id (== Size() at call time), lets the link open
+// what it needs for it, and starts its goroutine. On a closed network it
+// opens nothing and returns ErrClosed.
+func (n *Network) spawn(id overlay.NodeID) error {
 	n.peersMu.Lock()
+	defer n.peersMu.Unlock()
+	if n.IsClosed() {
+		return ErrClosed
+	}
 	old := *n.peers.Load()
 	if int(id) != len(old) {
-		n.peersMu.Unlock()
 		return fmt.Errorf("live: spawn of non-dense node id %v (have %d slots)", id, len(old))
 	}
-	grown := append(old[:len(old):len(old)], p)
+	p := newPeer(n, id, n.router, n.Now)
+	if err := n.link.open(p); err != nil {
+		return err
+	}
+	// Appending in place is safe under a reader: it holds the shorter
+	// header and never looks at the new slot.
+	grown := append(old, p)
 	n.peers.Store(&grown)
-	n.peersMu.Unlock()
 	n.wg.Add(1)
-	go p.loop(&n.wg)
+	go p.loop()
 	return nil
 }
 
-func (n *Network) retireMember(ctx context.Context, id overlay.NodeID) ([]cache.Entry, error) {
+// retire collects peer id's local directory and retires its goroutine:
+// the peer stops applying protocol state changes, its inbox drains, and
+// the link lets go of it (on TCP: dials to it fail from here on and its
+// budget reservation returns to the pool).
+func (n *Network) retire(ctx context.Context, id overlay.NodeID) ([]cache.Entry, error) {
 	p := n.peerAt(id)
 	if p == nil {
 		return nil, fmt.Errorf("live: retire of unknown node %v", id)
 	}
-	return p.depart(ctx)
-}
-
-func (n *Network) emitMembership(kind cup.EventKind, id overlay.NodeID) {
-	if n.cfg.Observer == nil {
-		return
+	entries, err := p.depart(ctx)
+	if err != nil {
+		return nil, err
 	}
-	n.cfg.Observer.OnEvent(cup.Event{Kind: kind, Time: n.now(), Node: id, Peer: overlay.NoNode})
+	n.link.close(p)
+	return entries, nil
 }
 
-func (n *Network) countChurn(join bool) {
-	if join {
-		atomic.AddUint64(&n.stats.Joins, 1)
-	} else {
-		atomic.AddUint64(&n.stats.Leaves, 1)
+// membership records a §2.9 membership event: the stat counter and, when
+// someone observes, the event.
+func (n *Network) membership(kind cup.EventKind, id overlay.NodeID, count *uint64) {
+	if n.cfg.Observer != nil {
+		n.cfg.Observer.OnEvent(cup.Event{Kind: kind, Time: n.Now(), Node: id, Peer: overlay.NoNode})
 	}
-}
-
-// Join adds one peer to the running network (§2.9 arrivals): the overlay
-// wires it in, a fresh goroutine starts, previous owners hand over the
-// index entries that now hash into its region, and affected neighbors
-// patch their interest bit vectors. Returns the new node's ID, or a
-// descriptive error when the overlay substrate is static.
-func (n *Network) Join(ctx context.Context) (overlay.NodeID, error) {
-	return churnJoin(ctx, n)
-}
-
-// Leave retires peer id (§2.9 departures): its directory hands over to
-// each key's new authority, its goroutine stops applying protocol state,
-// and nodes that routed through it re-knit. Errors on a static overlay,
-// an unknown or already-departed node, or the last member.
-func (n *Network) Leave(ctx context.Context, id overlay.NodeID) error {
-	return churnLeave(ctx, n, id)
+	atomic.AddUint64(count, 1)
 }

@@ -2,6 +2,7 @@ package live
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -18,6 +19,42 @@ func newTestNet(t *testing.T, nodes int) *Network {
 	return n
 }
 
+// bothTransports runs fn against a goroutine network and a TCP network
+// built from cfg: 16 nodes, seed 5 and (where hops are injected) a 200µs
+// hop unless cfg says otherwise.
+func bothTransports(t *testing.T, cfg Config, fn func(t *testing.T, n *Network)) {
+	if cfg.Nodes == 0 {
+		cfg.Nodes = 16
+	}
+	if cfg.Seed == 0 {
+		cfg.Seed = 5
+	}
+	if cfg.HopDelay == 0 {
+		cfg.HopDelay = 200 * time.Microsecond
+	}
+	t.Run("chan", func(t *testing.T) {
+		n := NewNetwork(cfg)
+		defer n.Close()
+		fn(t, n)
+	})
+	t.Run("tcp", func(t *testing.T) {
+		n, err := NewTCPNetwork(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		fn(t, n)
+	})
+}
+
+// add publishes a replica and waits for the authority to register it.
+func add(t *testing.T, n *Network, key overlay.Key, replica int, addr string, lifetime time.Duration) {
+	t.Helper()
+	if err := n.AddReplicaCtx(context.Background(), key, replica, addr, lifetime); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func ctxShort(t *testing.T) context.Context {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -26,184 +63,201 @@ func ctxShort(t *testing.T) context.Context {
 }
 
 func TestLookupFindsReplica(t *testing.T) {
-	n := newTestNet(t, 16)
-	n.AddReplica("movie", 0, "10.0.0.1", time.Hour)
-	entries, err := n.Lookup(ctxShort(t), 3, "movie")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Addr != "10.0.0.1" {
-		t.Fatalf("entries = %+v", entries)
-	}
-}
-
-func TestLookupMissingKeyReturnsEmpty(t *testing.T) {
-	n := newTestNet(t, 16)
-	entries, err := n.Lookup(ctxShort(t), 2, "ghost")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Fatalf("entries = %+v, want none", entries)
-	}
-}
-
-func TestLookupAtAuthorityIsLocal(t *testing.T) {
-	n := newTestNet(t, 16)
-	n.AddReplica("k", 0, "10.0.0.1", time.Hour)
-	auth := n.Authority("k")
-	entries, err := n.Lookup(ctxShort(t), auth, "k")
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("authority lookup = %v, %v", entries, err)
-	}
-}
-
-func TestSecondLookupHitsCache(t *testing.T) {
-	n := newTestNet(t, 32)
-	n.AddReplica("k", 0, "10.0.0.1", time.Hour)
-	var nid overlay.NodeID = 7
-	if n.Authority("k") == nid {
-		nid = 8
-	}
-	if _, err := n.Lookup(ctxShort(t), nid, "k"); err != nil {
-		t.Fatal(err)
-	}
-	before := n.Stats().QueryMsgs
-	if _, err := n.Lookup(ctxShort(t), nid, "k"); err != nil {
-		t.Fatal(err)
-	}
-	if after := n.Stats().QueryMsgs; after != before {
-		t.Fatalf("second lookup sent %d query messages", after-before)
-	}
-}
-
-func TestConcurrentLookups(t *testing.T) {
-	n := newTestNet(t, 64)
-	for r := 0; r < 3; r++ {
-		n.AddReplica("hot", r, fmt.Sprintf("10.0.0.%d", r), time.Hour)
-	}
-	ctx := ctxShort(t)
-	var wg sync.WaitGroup
-	errs := make(chan error, 64)
-	for i := 0; i < 64; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			entries, err := n.Lookup(ctx, overlay.NodeID(i), "hot")
-			if err != nil {
-				errs <- err
-				return
-			}
-			if len(entries) != 3 {
-				errs <- fmt.Errorf("node %d got %d entries, want 3", i, len(entries))
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-}
-
-func TestDeleteStopsServingReplica(t *testing.T) {
-	n := newTestNet(t, 16)
-	n.AddReplica("k", 0, "10.0.0.1", time.Hour)
-	n.AddReplica("k", 1, "10.0.0.2", time.Hour)
-	if _, err := n.Lookup(ctxShort(t), 2, "k"); err != nil {
-		t.Fatal(err)
-	}
-	n.RemoveReplica("k", 0)
-	// The delete must reach the authority and interested caches.
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		entries, err := n.Lookup(ctxShort(t), n.Authority("k"), "k")
+	bothTransports(t, Config{}, func(t *testing.T, n *Network) {
+		add(t, n, "movie", 0, "10.0.0.1", time.Hour)
+		entries, err := n.Lookup(ctxShort(t), 3, "movie")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(entries) == 1 && entries[0].Replica == 1 {
-			break
+		if len(entries) != 1 || entries[0].Addr != "10.0.0.1" {
+			t.Fatalf("entries = %+v", entries)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("delete never applied; entries = %+v", entries)
+	})
+}
+
+func TestLookupMissingKeyReturnsEmpty(t *testing.T) {
+	bothTransports(t, Config{}, func(t *testing.T, n *Network) {
+		entries, err := n.Lookup(ctxShort(t), 2, "ghost")
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		if len(entries) != 0 {
+			t.Fatalf("entries = %+v, want none", entries)
+		}
+	})
+}
+
+func TestLookupAtAuthorityIsLocal(t *testing.T) {
+	bothTransports(t, Config{}, func(t *testing.T, n *Network) {
+		add(t, n, "k", 0, "10.0.0.1", time.Hour)
+		auth := n.Authority("k")
+		entries, err := n.Lookup(ctxShort(t), auth, "k")
+		if err != nil || len(entries) != 1 {
+			t.Fatalf("authority lookup = %v, %v", entries, err)
+		}
+	})
+}
+
+func TestSecondLookupHitsCache(t *testing.T) {
+	bothTransports(t, Config{Nodes: 32}, func(t *testing.T, n *Network) {
+		add(t, n, "k", 0, "10.0.0.1", time.Hour)
+		var nid overlay.NodeID = 7
+		if n.Authority("k") == nid {
+			nid = 8
+		}
+		if _, err := n.Lookup(ctxShort(t), nid, "k"); err != nil {
+			t.Fatal(err)
+		}
+		before := n.Stats().QueryMsgs
+		if _, err := n.Lookup(ctxShort(t), nid, "k"); err != nil {
+			t.Fatal(err)
+		}
+		if after := n.Stats().QueryMsgs; after != before {
+			t.Fatalf("second lookup sent %d query messages", after-before)
+		}
+	})
+}
+
+func TestConcurrentLookups(t *testing.T) {
+	bothTransports(t, Config{Nodes: 64}, func(t *testing.T, n *Network) {
+		for r := 0; r < 3; r++ {
+			add(t, n, "hot", r, fmt.Sprintf("10.0.0.%d", r), time.Hour)
+		}
+		ctx := ctxShort(t)
+		var wg sync.WaitGroup
+		errs := make(chan error, 64)
+		for i := 0; i < 64; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				entries, err := n.Lookup(ctx, overlay.NodeID(i), "hot")
+				if err != nil {
+					errs <- err
+					return
+				}
+				if len(entries) != 3 {
+					errs <- fmt.Errorf("node %d got %d entries, want 3", i, len(entries))
+				}
+			}(i)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+	})
+}
+
+func TestDeleteStopsServingReplica(t *testing.T) {
+	bothTransports(t, Config{}, func(t *testing.T, n *Network) {
+		add(t, n, "k", 0, "10.0.0.1", time.Hour)
+		add(t, n, "k", 1, "10.0.0.2", time.Hour)
+		if _, err := n.Lookup(ctxShort(t), 2, "k"); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.RemoveReplicaCtx(ctxShort(t), "k", 0); err != nil {
+			t.Fatal(err)
+		}
+		// The delete must reach the authority and interested caches.
+		deadline := time.Now().Add(3 * time.Second)
+		for {
+			entries, err := n.Lookup(ctxShort(t), n.Authority("k"), "k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) == 1 && entries[0].Replica == 1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("delete never applied; entries = %+v", entries)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	})
 }
 
 func TestRefreshPropagatesToInterestedPeer(t *testing.T) {
-	n := newTestNet(t, 16)
-	n.AddReplica("k", 0, "10.0.0.1", 500*time.Millisecond)
-	var nid overlay.NodeID = 4
-	if n.Authority("k") == nid {
-		nid = 5
-	}
-	if _, err := n.Lookup(ctxShort(t), nid, "k"); err != nil {
-		t.Fatal(err)
-	}
-	// Refresh before expiry; the interested peer's cache must be extended
-	// without it issuing another query.
-	n.Refresh("k", 0, "10.0.0.1", time.Hour)
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		var fresh bool
-		n.Inspect(nid, func(node *cup.Node) { fresh = node.HasFreshAnswer("k") })
-		if fresh {
-			queriesBefore := n.Stats().QueryMsgs
-			if _, err := n.Lookup(ctxShort(t), nid, "k"); err != nil {
-				t.Fatal(err)
-			}
-			if n.Stats().QueryMsgs != queriesBefore {
-				t.Fatal("refreshed peer still issued a query")
-			}
-			return
+	bothTransports(t, Config{}, func(t *testing.T, n *Network) {
+		add(t, n, "k", 0, "10.0.0.1", 500*time.Millisecond)
+		var nid overlay.NodeID = 4
+		if n.Authority("k") == nid {
+			nid = 5
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("refresh never reached the interested peer")
+		if _, err := n.Lookup(ctxShort(t), nid, "k"); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		// Refresh before expiry; the interested peer's cache must be extended
+		// without it issuing another query.
+		if err := n.RefreshCtx(ctxShort(t), "k", 0, "10.0.0.1", time.Hour); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(3 * time.Second)
+		for {
+			var fresh bool
+			n.Inspect(nid, func(node *cup.Node) { fresh = node.HasFreshAnswer("k") })
+			if fresh {
+				queriesBefore := n.Stats().QueryMsgs
+				if _, err := n.Lookup(ctxShort(t), nid, "k"); err != nil {
+					t.Fatal(err)
+				}
+				if n.Stats().QueryMsgs != queriesBefore {
+					t.Fatal("refreshed peer still issued a query")
+				}
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("refresh never reached the interested peer")
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	})
 }
 
 func TestStatsCount(t *testing.T) {
-	n := newTestNet(t, 32)
-	n.AddReplica("k", 0, "10.0.0.1", time.Hour)
-	for i := 0; i < 5; i++ {
-		if _, err := n.Lookup(ctxShort(t), overlay.NodeID(i), "k"); err != nil {
-			t.Fatal(err)
+	bothTransports(t, Config{Nodes: 32}, func(t *testing.T, n *Network) {
+		add(t, n, "k", 0, "10.0.0.1", time.Hour)
+		for i := 0; i < 5; i++ {
+			if _, err := n.Lookup(ctxShort(t), overlay.NodeID(i), "k"); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	st := n.Stats()
-	if st.QueryMsgs == 0 || st.UpdateMsgs == 0 {
-		t.Fatalf("stats = %+v", st)
-	}
+		st := n.Stats()
+		if st.QueryMsgs == 0 || st.UpdateMsgs == 0 {
+			t.Fatalf("stats = %+v", st)
+		}
+	})
 }
 
 func TestSetCapacityZeroStillAnswersQueries(t *testing.T) {
-	n := newTestNet(t, 16)
-	n.AddReplica("k", 0, "10.0.0.1", time.Hour)
-	for i := 0; i < 16; i++ {
-		n.SetCapacity(overlay.NodeID(i), 0)
-	}
-	entries, err := n.Lookup(ctxShort(t), 3, "k")
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("zero-capacity lookup = %v, %v", entries, err)
-	}
+	bothTransports(t, Config{}, func(t *testing.T, n *Network) {
+		add(t, n, "k", 0, "10.0.0.1", time.Hour)
+		for i := 0; i < 16; i++ {
+			n.SetCapacity(overlay.NodeID(i), 0)
+		}
+		entries, err := n.Lookup(ctxShort(t), 3, "k")
+		if err != nil || len(entries) != 1 {
+			t.Fatalf("zero-capacity lookup = %v, %v", entries, err)
+		}
+	})
 }
 
+// TestLookupContextCancellation: a lookup whose answer never comes — the
+// authority is busy for as long as the test likes — returns when its
+// context does.
 func TestLookupContextCancellation(t *testing.T) {
-	n := NewNetwork(Config{Nodes: 16, HopDelay: time.Hour, Seed: 5}) // never delivers
-	defer n.Close()
-	n.AddReplica("k", 0, "10.0.0.1", time.Hour)
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	nid := overlay.NodeID(3)
-	if n.Authority("k") == nid {
-		nid = 4
-	}
-	if _, err := n.Lookup(ctx, nid, "k"); err == nil {
-		t.Fatal("lookup with undeliverable network returned")
-	}
+	bothTransports(t, Config{}, func(t *testing.T, n *Network) {
+		add(t, n, "k", 0, "10.0.0.1", time.Hour)
+		release := make(chan struct{})
+		defer close(release)
+		blocked := make(chan struct{})
+		go n.Inspect(n.Authority("k"), func(*cup.Node) { close(blocked); <-release })
+		<-blocked
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		defer cancel()
+		if _, err := n.Lookup(ctx, entryFor(n, "k"), "k"); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("lookup with no answer coming returned %v", err)
+		}
+	})
 }
 
 func TestCloseIsIdempotentAndStopsLoops(t *testing.T) {
@@ -222,14 +276,15 @@ func TestInvalidConfigPanics(t *testing.T) {
 }
 
 func TestInspectSeesProtocolState(t *testing.T) {
-	n := newTestNet(t, 16)
-	n.AddReplica("k", 0, "10.0.0.1", time.Hour)
-	auth := n.Authority("k")
-	var entries int
-	n.Inspect(auth, func(node *cup.Node) { entries = node.LocalDirectory().Len() })
-	if entries != 1 {
-		t.Fatalf("authority local directory = %d entries, want 1", entries)
-	}
+	bothTransports(t, Config{}, func(t *testing.T, n *Network) {
+		add(t, n, "k", 0, "10.0.0.1", time.Hour)
+		auth := n.Authority("k")
+		var entries int
+		n.Inspect(auth, func(node *cup.Node) { entries = node.LocalDirectory().Len() })
+		if entries != 1 {
+			t.Fatalf("authority local directory = %d entries, want 1", entries)
+		}
+	})
 }
 
 // Index entries cross peers by reference: a response carries a view of the
@@ -240,58 +295,59 @@ func TestInspectSeesProtocolState(t *testing.T) {
 // and deletes pushed down the tree — so any write into a published set
 // shows up as a race between a peer goroutine and a caller.
 func TestSharedEntryViewsSurviveConcurrentWrites(t *testing.T) {
-	n := newTestNet(t, 32)
-	for r := 0; r < 4; r++ {
-		n.AddReplica("hot", r, fmt.Sprintf("10.0.0.%d", r), time.Hour)
-	}
-	ctx := ctxShort(t)
-	stop := make(chan struct{})
-	var writer sync.WaitGroup
-	writer.Add(1)
-	go func() {
-		defer writer.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			switch r := i % 4; i % 3 {
-			case 0:
-				n.Refresh("hot", r, fmt.Sprintf("10.0.1.%d", i%250), time.Hour)
-			case 1:
-				n.RemoveReplica("hot", r)
-			default:
-				n.AddReplica("hot", r, fmt.Sprintf("10.0.2.%d", i%250), time.Hour)
-			}
+	bothTransports(t, Config{Nodes: 32}, func(t *testing.T, n *Network) {
+		for r := 0; r < 4; r++ {
+			add(t, n, "hot", r, fmt.Sprintf("10.0.0.%d", r), time.Hour)
 		}
-	}()
-	var readers sync.WaitGroup
-	errs := make(chan error, 32)
-	for i := 0; i < 32; i++ {
-		readers.Add(1)
-		go func(id overlay.NodeID) {
-			defer readers.Done()
-			for round := 0; round < 40; round++ {
-				entries, err := n.Lookup(ctx, id, "hot")
-				if err != nil {
-					errs <- err
+		ctx := ctxShort(t)
+		stop := make(chan struct{})
+		var writer sync.WaitGroup
+		writer.Add(1)
+		go func() {
+			defer writer.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
 					return
+				default:
 				}
-				for j, e := range entries {
-					if e.Key != "hot" || e.Addr == "" || (j > 0 && entries[j-1].Replica >= e.Replica) {
-						errs <- fmt.Errorf("node %v read a torn entry set: %v", id, entries)
+				switch r := i % 4; i % 3 {
+				case 0:
+					_ = n.RefreshCtx(ctx, "hot", r, fmt.Sprintf("10.0.1.%d", i%250), time.Hour)
+				case 1:
+					_ = n.RemoveReplicaCtx(ctx, "hot", r)
+				default:
+					_ = n.AddReplicaCtx(ctx, "hot", r, fmt.Sprintf("10.0.2.%d", i%250), time.Hour)
+				}
+			}
+		}()
+		var readers sync.WaitGroup
+		errs := make(chan error, 32)
+		for i := 0; i < 32; i++ {
+			readers.Add(1)
+			go func(id overlay.NodeID) {
+				defer readers.Done()
+				for round := 0; round < 40; round++ {
+					entries, err := n.Lookup(ctx, id, "hot")
+					if err != nil {
+						errs <- err
 						return
 					}
+					for j, e := range entries {
+						if e.Key != "hot" || e.Addr == "" || (j > 0 && entries[j-1].Replica >= e.Replica) {
+							errs <- fmt.Errorf("node %v read a torn entry set: %v", id, entries)
+							return
+						}
+					}
 				}
-			}
-		}(overlay.NodeID(i))
-	}
-	readers.Wait()
-	close(stop)
-	writer.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
+			}(overlay.NodeID(i))
+		}
+		readers.Wait()
+		close(stop)
+		writer.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+	})
 }

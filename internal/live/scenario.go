@@ -2,9 +2,8 @@
 // replaying cup.Traffic streams, a goroutine-per-client closed loop,
 // and the live implementation of cup.FaultSurface — the same Scenario
 // values the discrete-event driver consumes, honoring context
-// cancellation throughout. Everything here is written against the
-// endpoint interface, so the goroutine and TCP networks share one
-// scenario engine.
+// cancellation throughout. Everything here drives *Network, so every
+// link shares the one scenario engine.
 package live
 
 import (
@@ -14,33 +13,12 @@ import (
 	"sync"
 	"time"
 
-	"cup/internal/cache"
 	"cup/internal/cup"
 	"cup/internal/overlay"
 )
 
-// endpoint is the client surface the scenario engine drives: lookups,
-// replica lifecycle, capacity control, and §2.9 membership churn. Both
-// *Network and *TCPNetwork implement it.
-type endpoint interface {
-	Size() int
-	IsAlive(id overlay.NodeID) bool
-	Authority(key overlay.Key) overlay.NodeID
-	Lookup(ctx context.Context, id overlay.NodeID, key overlay.Key) ([]cache.Entry, error)
-	AddReplica(key overlay.Key, replica int, addr string, lifetime time.Duration)
-	RemoveReplica(key overlay.Key, replica int)
-	SetCapacity(id overlay.NodeID, c float64)
-	Join(ctx context.Context) (overlay.NodeID, error)
-	Leave(ctx context.Context, id overlay.NodeID) error
-	// Done closes when the network shuts down.
-	Done() <-chan struct{}
-}
-
-// Done exposes the shutdown channel (closes when Close is called).
-func (n *Network) Done() <-chan struct{} { return n.closed }
-
 // sleepUntil waits d, returning early (false) on ctx cancellation or
-// endpoint shutdown.
+// network shutdown.
 func sleepUntil(ctx context.Context, done <-chan struct{}, d time.Duration) bool {
 	if d <= 0 {
 		return true
@@ -57,12 +35,6 @@ func sleepUntil(ctx context.Context, done <-chan struct{}, d time.Duration) bool
 	}
 }
 
-// sleep waits d, returning early (false) on ctx cancellation or network
-// close.
-func (n *Network) sleep(ctx context.Context, d time.Duration) bool {
-	return sleepUntil(ctx, n.closed, d)
-}
-
 // wall converts scenario seconds into wall-clock time under the given
 // compression factor (timeScale virtual seconds replayed per wall
 // second).
@@ -76,9 +48,9 @@ func wall(seconds, timeScale float64) time.Duration {
 // pickAlive redraws until the picked slot is a live member — under
 // churn, dense IDs include departed peers. Bounded so a pathological
 // population (everyone mid-departure) cannot spin forever.
-func pickAlive(ep endpoint, pick func() overlay.NodeID) overlay.NodeID {
-	for tries, limit := 0, 4*ep.Size()+8; tries < limit; tries++ {
-		if id := pick(); ep.IsAlive(id) {
+func pickAlive(n *Network, pick func() overlay.NodeID) overlay.NodeID {
+	for tries, limit := 0, 4*n.Size()+8; tries < limit; tries++ {
+		if id := pick(); n.IsAlive(id) {
 			return id
 		}
 	}
@@ -93,12 +65,8 @@ func pickAlive(ep endpoint, pick func() overlay.NodeID) overlay.NodeID {
 // client. PumpTraffic returns when the stream ends, ctx cancels, or the
 // network closes.
 func (n *Network) PumpTraffic(ctx context.Context, tr cup.Traffic, env cup.TrafficEnv, timeScale float64) error {
-	return pumpTraffic(ctx, n, tr, env, timeScale)
-}
-
-func pumpTraffic(ctx context.Context, ep endpoint, tr cup.Traffic, env cup.TrafficEnv, timeScale float64) error {
 	if cl, ok := tr.(cup.ClosedLoop); ok {
-		return pumpClosedLoop(ctx, ep, cl, env, timeScale)
+		return pumpClosedLoop(ctx, n, cl, env, timeScale)
 	}
 	st := tr.Stream(env)
 	var wg sync.WaitGroup
@@ -110,14 +78,14 @@ func pumpTraffic(ctx context.Context, ep endpoint, tr cup.Traffic, env cup.Traff
 			return nil
 		}
 		if ev.At > prev {
-			if !sleepUntil(ctx, ep.Done(), wall(ev.At-prev, timeScale)) {
+			if !sleepUntil(ctx, n.closed, wall(ev.At-prev, timeScale)) {
 				return ctx.Err()
 			}
 			prev = ev.At
 		}
 		nid := ev.Node
-		if nid == cup.AnyNode || int(nid) < 0 || int(nid) >= ep.Size() || !ep.IsAlive(nid) {
-			nid = pickAlive(ep, env.PickNode)
+		if nid == cup.AnyNode || int(nid) < 0 || int(nid) >= n.Size() || !n.IsAlive(nid) {
+			nid = pickAlive(n, env.PickNode)
 		}
 		if nid == overlay.NoNode {
 			continue
@@ -129,7 +97,7 @@ func pumpTraffic(ctx context.Context, ep endpoint, tr cup.Traffic, env cup.Traff
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _ = ep.Lookup(ctx, nid, key)
+			_, _ = n.Lookup(ctx, nid, key)
 		}()
 	}
 }
@@ -138,9 +106,9 @@ func pumpTraffic(ctx context.Context, ep endpoint, tr cup.Traffic, env cup.Traff
 // read the answer, think, repeat — a true closed loop in which slow
 // answers throttle the offered load. Each client owns a derived RNG so
 // the population is deterministic given the stream seed.
-func pumpClosedLoop(ctx context.Context, ep endpoint, cl cup.ClosedLoop, env cup.TrafficEnv, timeScale float64) error {
+func pumpClosedLoop(ctx context.Context, n *Network, cl cup.ClosedLoop, env cup.TrafficEnv, timeScale float64) error {
 	clients, think := cl.Population()
-	if !sleepUntil(ctx, ep.Done(), wall(env.Start, timeScale)) {
+	if !sleepUntil(ctx, n.closed, wall(env.Start, timeScale)) {
 		return ctx.Err()
 	}
 	window, cancel := context.WithTimeout(ctx, wall(env.Duration, timeScale))
@@ -159,13 +127,13 @@ func pumpClosedLoop(ctx context.Context, ep endpoint, cl cup.ClosedLoop, env cup
 				if window.Err() != nil {
 					return
 				}
-				at := pickAlive(ep, func() overlay.NodeID {
-					return overlay.NodeID(rng.Intn(ep.Size()))
+				at := pickAlive(n, func() overlay.NodeID {
+					return overlay.NodeID(rng.Intn(n.Size()))
 				})
 				if at != overlay.NoNode {
-					_, _ = ep.Lookup(window, at, pickKey())
+					_, _ = n.Lookup(window, at, pickKey())
 				}
-				if !sleepUntil(window, ep.Done(), wall(rng.ExpFloat64()*think, timeScale)) {
+				if !sleepUntil(window, n.closed, wall(rng.ExpFloat64()*think, timeScale)) {
 					return
 				}
 			}
@@ -184,15 +152,6 @@ func pumpClosedLoop(ctx context.Context, ep endpoint, cl cup.ClosedLoop, env cup
 // timeline is exhausted, an event fails, ctx cancels, or the network
 // closes.
 func (n *Network) RunFaults(ctx context.Context, faults []cup.Fault, surf cup.FaultSurface, start, duration, timeScale float64) error {
-	return runFaults(ctx, n, faults, surf, start, duration, timeScale)
-}
-
-type timedFault struct {
-	cup.FaultEvent
-	name string
-}
-
-func runFaults(ctx context.Context, ep endpoint, faults []cup.Fault, surf cup.FaultSurface, start, duration, timeScale float64) error {
 	var events []timedFault
 	for _, f := range faults {
 		name := f.Name()
@@ -204,7 +163,7 @@ func runFaults(ctx context.Context, ep endpoint, faults []cup.Fault, surf cup.Fa
 	prev := 0.0
 	for _, ev := range events {
 		if ev.At > prev {
-			if !sleepUntil(ctx, ep.Done(), wall(ev.At-prev, timeScale)) {
+			if !sleepUntil(ctx, n.closed, wall(ev.At-prev, timeScale)) {
 				return ctx.Err()
 			}
 			prev = ev.At
@@ -214,6 +173,11 @@ func runFaults(ctx context.Context, ep endpoint, faults []cup.Fault, surf cup.Fa
 		}
 	}
 	return nil
+}
+
+type timedFault struct {
+	cup.FaultEvent
+	name string
 }
 
 // sortTimedFaults orders the merged timeline by time, stably, matching
@@ -233,38 +197,38 @@ func sortTimedFaults(events []timedFault) {
 // §2.9 membership churn all act on the running network. Operations the
 // substrate cannot honor return descriptive errors.
 func (n *Network) FaultSurface(keys []overlay.Key, replicas int, lifetime time.Duration, rng *rand.Rand) cup.FaultSurface {
-	return &liveSurface{ep: n, keys: keys, replicas: replicas, lifetime: lifetime, rng: rng}
+	return &liveSurface{n: n, keys: keys, replicas: replicas, lifetime: lifetime, rng: rng}
 }
 
 type liveSurface struct {
-	ep       endpoint
+	n        *Network
 	keys     []overlay.Key
 	replicas int
 	lifetime time.Duration
 	rng      *rand.Rand
 }
 
-func (s *liveSurface) Size() int                            { return s.ep.Size() }
+func (s *liveSurface) Size() int                            { return s.n.Size() }
 func (s *liveSurface) Keys() []overlay.Key                  { return s.keys }
 func (s *liveSurface) Replicas() int                        { return s.replicas }
 func (s *liveSurface) Rand() *rand.Rand                     { return s.rng }
-func (s *liveSurface) Alive(id overlay.NodeID) bool         { return s.ep.IsAlive(id) }
-func (s *liveSurface) Owner(key overlay.Key) overlay.NodeID { return s.ep.Authority(key) }
+func (s *liveSurface) Alive(id overlay.NodeID) bool         { return s.n.IsAlive(id) }
+func (s *liveSurface) Owner(key overlay.Key) overlay.NodeID { return s.n.Authority(key) }
 
 // Join and Leave run under background contexts: fault application has
 // no per-event deadline, and network shutdown still cancels the
 // underlying control operations.
-func (s *liveSurface) Join() (overlay.NodeID, error) { return s.ep.Join(context.Background()) }
-func (s *liveSurface) Leave(id overlay.NodeID) error { return s.ep.Leave(context.Background(), id) }
+func (s *liveSurface) Join() (overlay.NodeID, error) { return s.n.Join(context.Background()) }
+func (s *liveSurface) Leave(id overlay.NodeID) error { return s.n.Leave(context.Background(), id) }
 
 func (s *liveSurface) RandomNodes(k int) []overlay.NodeID {
-	perm := s.rng.Perm(s.ep.Size())
+	perm := s.rng.Perm(s.n.Size())
 	out := make([]overlay.NodeID, 0, k)
 	for _, i := range perm {
 		if len(out) == k {
 			break
 		}
-		if id := overlay.NodeID(i); s.ep.IsAlive(id) {
+		if id := overlay.NodeID(i); s.n.IsAlive(id) {
 			out = append(out, id)
 		}
 	}
@@ -273,14 +237,16 @@ func (s *liveSurface) RandomNodes(k int) []overlay.NodeID {
 
 func (s *liveSurface) SetCapacity(ids []overlay.NodeID, c float64) {
 	for _, id := range ids {
-		s.ep.SetCapacity(id, c)
+		s.n.SetCapacity(id, c)
 	}
 }
 
+// Replica births and deaths, like Join and Leave, have no per-event
+// deadline.
 func (s *liveSurface) AddReplica(key overlay.Key, r int) {
-	s.ep.AddReplica(key, r, cup.ReplicaAddr(r), s.lifetime)
+	_ = s.n.AddReplicaCtx(context.Background(), key, r, cup.ReplicaAddr(r), s.lifetime)
 }
 
 func (s *liveSurface) RemoveReplica(key overlay.Key, r int) {
-	s.ep.RemoveReplica(key, r)
+	_ = s.n.RemoveReplicaCtx(context.Background(), key, r)
 }

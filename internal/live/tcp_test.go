@@ -2,8 +2,7 @@ package live
 
 import (
 	"context"
-	"fmt"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,31 +13,13 @@ import (
 // defaultCfg returns the standard CUP node configuration for TCP tests.
 func defaultCfg() cup.Config { return cup.Defaults() }
 
-func TestTCPLookupFindsReplica(t *testing.T) {
-	tn, err := NewTCPNetwork(Config{Nodes: 12, Seed: 3, Node: defaultCfg()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tn.Close()
-	tn.AddReplica("iso", 0, "203.0.113.1:8080", time.Hour)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	entries, err := tn.Lookup(ctx, 5, "iso")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Addr != "203.0.113.1:8080" {
-		t.Fatalf("entries = %+v", entries)
-	}
-}
-
 func TestTCPSecondLookupIsCached(t *testing.T) {
 	tn, err := NewTCPNetwork(Config{Nodes: 16, Seed: 3, Node: defaultCfg()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tn.Close()
-	tn.AddReplica("k", 0, "10.1.1.1", time.Hour)
+	add(t, tn, "k", 0, "10.1.1.1", time.Hour)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	var nid overlay.NodeID = 7
@@ -57,47 +38,13 @@ func TestTCPSecondLookupIsCached(t *testing.T) {
 	}
 }
 
-func TestTCPConcurrentLookups(t *testing.T) {
-	tn, err := NewTCPNetwork(Config{Nodes: 24, Seed: 3, Node: defaultCfg()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tn.Close()
-	for r := 0; r < 2; r++ {
-		tn.AddReplica("hot", r, fmt.Sprintf("10.0.0.%d", r), time.Hour)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	var wg sync.WaitGroup
-	errs := make(chan error, 24)
-	for i := 0; i < 24; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			entries, err := tn.Lookup(ctx, overlay.NodeID(i), "hot")
-			if err != nil {
-				errs <- fmt.Errorf("node %d: %w", i, err)
-				return
-			}
-			if len(entries) != 2 {
-				errs <- fmt.Errorf("node %d: %d entries", i, len(entries))
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-}
-
 func TestTCPRefreshReachesSubscriber(t *testing.T) {
 	tn, err := NewTCPNetwork(Config{Nodes: 12, Seed: 3, Node: defaultCfg()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tn.Close()
-	tn.AddReplica("k", 0, "10.1.1.1", 300*time.Millisecond)
+	add(t, tn, "k", 0, "10.1.1.1", 300*time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	var nid overlay.NodeID = 4
@@ -107,7 +54,9 @@ func TestTCPRefreshReachesSubscriber(t *testing.T) {
 	if _, err := tn.Lookup(ctx, nid, "k"); err != nil {
 		t.Fatal(err)
 	}
-	tn.Refresh("k", 0, "10.1.1.1", time.Hour)
+	if err := tn.RefreshCtx(ctx, "k", 0, "10.1.1.1", time.Hour); err != nil {
+		t.Fatal(err)
+	}
 	time.Sleep(500 * time.Millisecond) // original entry now expired
 	start := time.Now()
 	entries, err := tn.Lookup(ctx, nid, "k")
@@ -128,16 +77,68 @@ func TestTCPInvalidSize(t *testing.T) {
 	}
 }
 
-func TestTCPAddrIsRoutable(t *testing.T) {
-	tn, err := NewTCPNetwork(Config{Nodes: 4, Seed: 3, Node: defaultCfg()})
+// TestTCPBootFailureKeepsLedger: a network the port budget has no room
+// for is refused before it binds anything, and the ledger is where it
+// was.
+func TestTCPBootFailureKeepsLedger(t *testing.T) {
+	before := PortsInUse()
+	hold := DefaultPortBudget - before - 3
+	if err := acquirePorts(hold); err != nil {
+		t.Fatal(err)
+	}
+	defer releasePorts(hold)
+	if _, err := NewTCPNetwork(Config{Nodes: 4, Seed: 3}); err == nil || !strings.Contains(err.Error(), "port budget") {
+		t.Fatalf("boot past the port budget: err = %v, want the exhausted budget named", err)
+	}
+	if got := PortsInUse(); got != before+hold {
+		t.Fatalf("PortsInUse = %d after the refused boot, want %d", got, before+hold)
+	}
+}
+
+// TestTCPJoinAndLeave: churn keeps the ledger balanced — a joiner takes
+// one listener, a leaver gives one back.
+func TestTCPJoinAndLeave(t *testing.T) {
+	tn, err := NewTCPNetwork(Config{Nodes: 8, Seed: 3, Node: defaultCfg()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tn.Close()
-	for i := 0; i < 4; i++ {
-		if tn.Addr(overlay.NodeID(i)) == "" {
-			t.Fatalf("peer %d has no address", i)
+	ctx := ctxShort(t)
+	before := PortsInUse()
+	id, err := tn.Join(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := PortsInUse(); got != before+1 {
+		t.Fatalf("PortsInUse = %d after join, want %d", got, before+1)
+	}
+	add(t, tn, "k", 0, "10.0.0.1:80", time.Hour)
+	entries, err := tn.Lookup(ctx, id, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("lookup at joined TCP peer: %d entries, want 1", len(entries))
+	}
+	if err := tn.Leave(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	if got := PortsInUse(); got != before {
+		t.Fatalf("PortsInUse = %d after leave, want %d", got, before)
+	}
+	if tn.IsAlive(id) {
+		t.Fatal("TCP peer alive after Leave")
+	}
+	// Survivors still answer.
+	var at overlay.NodeID
+	for i := 0; i < tn.Size(); i++ {
+		if nid := overlay.NodeID(i); tn.IsAlive(nid) && tn.Authority("k") != nid {
+			at = nid
+			break
 		}
+	}
+	if _, err := tn.Lookup(ctx, at, "k"); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -16,21 +16,29 @@ import (
 	"cup/internal/sim"
 )
 
-// bench is a clientEnd on a workbench: the test goroutine is the peer
-// goroutine (post runs callbacks inline), the clock is set by hand, and
-// whether the node is a key's authority can be flipped, which is all a
-// join or leave is to one peer. Node 0 is the peer; node 1 is upstream.
+// bench is a peer on a workbench: a network of one whose link records
+// what the peer sends, a clock set by hand, and a router on which the
+// node being a key's authority can be flipped, which is all a join or
+// leave is to one peer. The peer's goroutine runs its control callbacks;
+// between them — each is waited out — the test calls the handlers
+// itself, so the two never overlap. Node 0 is the peer; node 1 is
+// upstream.
 type bench struct {
-	clientEnd
+	*peer
 	clock     atomic.Uint64 // float64 bits
 	authority atomic.Bool
-	sent      []cup.Action // non-local actions of the last dispatches
+	sent      []message // what the last dispatches put on the link
 }
 
-func newBench(obs cup.Observer) *bench {
+func newBench(t *testing.T, obs cup.Observer) *bench {
 	b := &bench{}
 	b.setClock(1)
-	b.clientEnd = newClientEnd(0, Config{Observer: obs}.withDefaults(), b, b.time, b, make(chan struct{}))
+	n := &Network{cfg: Config{Observer: obs}.withDefaults(), link: b, closed: make(chan struct{})}
+	b.peer = newPeer(n, 0, b, b.time)
+	n.peers.Store(&[]*peer{b.peer})
+	n.wg.Add(1)
+	go b.loop()
+	t.Cleanup(n.Close)
 	return b
 }
 
@@ -44,24 +52,16 @@ func (b *bench) NextHopTowardOwner(n overlay.NodeID, _ overlay.Key) overlay.Node
 	return 1
 }
 
-func (b *bench) post(_ context.Context, fn func()) error { fn(); return nil }
-func (b *bench) tryPost(fn func())                       { fn() }
-func (b *bench) dispatch(acts []cup.Action) {
-	for _, a := range acts {
-		if a.Kind == cup.ActDeliverLocal {
-			b.deliver(a.Key, a.Entries)
-		} else {
-			b.sent = append(b.sent, a)
-		}
-	}
-}
+func (b *bench) open(*peer) error                          { return nil }
+func (b *bench) close(*peer)                               {}
+func (b *bench) send(_ *peer, _ overlay.NodeID, m message) { b.sent = append(b.sent, m) }
 
 // ask is a local client's query taken through the mailbox path; an
 // upstream query it sends is answered at once with entries.
 func (b *bench) ask(key overlay.Key, upstream []cache.Entry) {
 	before := len(b.sent)
 	b.dispatch(b.query(cup.LocalClient, key, 0))
-	if len(b.sent) > before && b.sent[len(b.sent)-1].Kind == cup.ActSendQuery {
+	if len(b.sent) > before && b.sent[len(b.sent)-1].kind == msgQuery {
 		b.dispatch(b.update(1, cup.Update{Key: key, Type: cup.FirstTime, Entries: upstream,
 			Replica: -1, Depth: 1, Expires: maxExpires(upstream)}))
 	}
@@ -109,7 +109,7 @@ func TestViewModel(t *testing.T) {
 		readers = 4
 	)
 	keys := []overlay.Key{"a", "b", "c", "d", "e", "f"}
-	b := newBench(nil)
+	b := newBench(t, nil)
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
 
@@ -271,7 +271,7 @@ func TestViewModel(t *testing.T) {
 // the writer can while readers hit them, and in the end the node has
 // been credited with exactly the reads the view served.
 func TestViewCountsEveryHit(t *testing.T) {
-	b := newBench(nil)
+	b := newBench(t, nil)
 	b.authority.Store(true) // the authority's path never resets popularity
 	ctx := context.Background()
 	if err := b.replicaEvent(ctx, "k", 0, "10.0.0.1", time.Hour, cup.Append); err != nil {
@@ -341,15 +341,15 @@ func TestViewAccountingParity(t *testing.T) {
 func accountingParity(t *testing.T, inspect bool) {
 	const key = overlay.Key("k")
 	viewObs, boxObs := &recorder{}, &recorder{}
-	viaView, viaBox := newBench(viewObs), newBench(boxObs)
-	refresh := func(b *bench, at sim.Time) []cup.Action {
+	viaView, viaBox := newBench(t, viewObs), newBench(t, boxObs)
+	refresh := func(b *bench, at sim.Time) []message {
 		b.setClock(at)
 		b.sent = b.sent[:0]
 		b.dispatch(b.update(1, cup.Update{Key: key, Type: cup.Refresh, Replica: 0, Depth: 1,
 			Entries:  []cache.Entry{{Key: key, Replica: 0, Addr: "10.0.0.1", Expires: at + 100}},
 			Expires:  at + 100,
 			Lifetime: 100}))
-		return append([]cup.Action(nil), b.sent...)
+		return append([]message(nil), b.sent...)
 	}
 	first := []cache.Entry{{Key: key, Replica: 0, Addr: "10.0.0.1", Expires: 100}}
 	for _, b := range []*bench{viaView, viaBox} {
@@ -382,7 +382,7 @@ func accountingParity(t *testing.T, inspect bool) {
 			t.Fatalf("round %d: refresh led to %v via view, %v via mailbox", i, actsView, actsBox)
 		}
 		wantCut := i == 2
-		if cut := len(actsView) == 1 && actsView[0].Kind == cup.ActSendClearBit; cut != wantCut {
+		if cut := len(actsView) == 1 && actsView[0].kind == msgClearBit; cut != wantCut {
 			t.Fatalf("round %d: cut-off fired = %v, want %v", i, cut, wantCut)
 		}
 		if sv, sb := viaView.node.Stats(), viaBox.node.Stats(); sv != sb {
@@ -402,35 +402,8 @@ func accountingParity(t *testing.T, inspect bool) {
 	}
 }
 
-// lookupNet is what the transport-level tests below need of a network.
-type lookupNet interface {
-	Lookup(ctx context.Context, id overlay.NodeID, key overlay.Key) ([]cache.Entry, error)
-	AddReplicaCtx(ctx context.Context, key overlay.Key, replica int, addr string, lifetime time.Duration) error
-	Authority(key overlay.Key) overlay.NodeID
-	Inspect(id overlay.NodeID, fn func(*cup.Node))
-	InboxLoadAt(id overlay.NodeID) (used, capacity int)
-}
-
-// bothTransports runs fn against a goroutine network and a TCP network,
-// with a function reaching a peer's client end.
-func bothTransports(t *testing.T, fn func(t *testing.T, n lookupNet, end func(overlay.NodeID) *clientEnd)) {
-	t.Run("chan", func(t *testing.T) {
-		n := NewNetwork(Config{Nodes: 16, HopDelay: 200 * time.Microsecond, Seed: 5})
-		defer n.Close()
-		fn(t, n, func(id overlay.NodeID) *clientEnd { return &n.peerAt(id).clientEnd })
-	})
-	t.Run("tcp", func(t *testing.T) {
-		tn, err := NewTCPNetwork(Config{Nodes: 16, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tn.Close()
-		fn(t, tn, func(id overlay.NodeID) *clientEnd { return &tn.peerAt(id).clientEnd })
-	})
-}
-
 // entryFor picks a node that is not key's authority.
-func entryFor(n lookupNet, key overlay.Key) overlay.NodeID {
+func entryFor(n *Network, key overlay.Key) overlay.NodeID {
 	if n.Authority(key) == 3 {
 		return 4
 	}
@@ -441,7 +414,7 @@ func entryFor(n lookupNet, key overlay.Key) overlay.NodeID {
 // further lookups are served with the peer's goroutine blocked and its
 // inbox untouched, allocate nothing, and are still counted.
 func TestLookupHitSkipsMailbox(t *testing.T) {
-	bothTransports(t, func(t *testing.T, n lookupNet, end func(overlay.NodeID) *clientEnd) {
+	bothTransports(t, Config{}, func(t *testing.T, n *Network) {
 		ctx := ctxShort(t)
 		if err := n.AddReplicaCtx(ctx, "k", 0, "10.0.0.1", time.Hour); err != nil {
 			t.Fatal(err)
@@ -487,7 +460,7 @@ func TestLookupHitSkipsMailbox(t *testing.T) {
 // answers, all cancelled, leave the peer's waiter table empty — on both
 // transports, which share the one lookup.
 func TestCancelledLookupsLeaveNoWaiters(t *testing.T) {
-	bothTransports(t, func(t *testing.T, n lookupNet, end func(overlay.NodeID) *clientEnd) {
+	bothTransports(t, Config{}, func(t *testing.T, n *Network) {
 		const lookups = 25
 		key := overlay.Key("never")
 		at := entryFor(n, key)
@@ -501,7 +474,7 @@ func TestCancelledLookupsLeaveNoWaiters(t *testing.T) {
 
 		waiting := func() int {
 			var w int
-			if err := end(at).run(ctxShort(t), func() { w = len(end(at).waiters[key]) }); err != nil {
+			if err := n.peerAt(at).run(ctxShort(t), func() { w = len(n.peerAt(at).waiters[key]) }); err != nil {
 				t.Fatal(err)
 			}
 			return w
@@ -534,7 +507,7 @@ func TestCancelledLookupsLeaveNoWaiters(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 		var tables int
-		_ = end(at).run(ctxShort(t), func() { tables = len(end(at).waiters) })
+		_ = n.peerAt(at).run(ctxShort(t), func() { tables = len(n.peerAt(at).waiters) })
 		if tables != 0 {
 			t.Fatalf("waiter table still holds %d keys", tables)
 		}
@@ -557,7 +530,7 @@ func TestViewFollowsReplicaLifecycle(t *testing.T) {
 			}
 		}
 	}
-	n.AddReplica("k", 0, "10.0.0.1", time.Hour)
+	add(t, n, "k", 0, "10.0.0.1", time.Hour)
 	if inView() != nil {
 		t.Fatal("view holds a key no local client asked for")
 	}
@@ -565,10 +538,13 @@ func TestViewFollowsReplicaLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	settle(func() bool { return len(inView()) == 1 }, "the first answer")
-	n.AddReplica("k", 1, "10.0.0.2", time.Hour)
+	add(t, n, "k", 1, "10.0.0.2", time.Hour)
 	settle(func() bool { return len(inView()) == 2 }, "the second replica")
-	n.RemoveReplica("k", 0)
-	n.RemoveReplica("k", 1)
+	for r := 0; r < 2; r++ {
+		if err := n.RemoveReplicaCtx(ctx, "k", r); err != nil {
+			t.Fatal(err)
+		}
+	}
 	settle(func() bool {
 		es, err := n.Lookup(ctx, at, "k")
 		return err == nil && len(es) == 0
@@ -589,7 +565,7 @@ func TestViewExpiryFallsBackToMailbox(t *testing.T) {
 	n := newTestNet(t, 16)
 	ctx := ctxShort(t)
 	at := entryFor(n, "k")
-	n.AddReplica("k", 0, "10.0.0.1", 80*time.Millisecond)
+	add(t, n, "k", 0, "10.0.0.1", 80*time.Millisecond)
 	if es, err := n.Lookup(ctx, at, "k"); err != nil || len(es) != 1 {
 		t.Fatalf("first lookup = %v, %v", es, err)
 	}
