@@ -209,3 +209,55 @@ func TestPatchingClearsDepartedInterest(t *testing.T) {
 	})
 	s.Run()
 }
+
+// A clear-bit parked for piggybacking (§2.7) whose receiver departs before
+// it arrives is dropped like any other message in flight — whether it went
+// standalone when its window closed or rode a carrier: the departed node
+// handles nothing, emits nothing, and no hop is counted.
+func TestHeldClearBitToDepartedNodeIsDropped(t *testing.T) {
+	for _, carried := range []bool{false, true} {
+		cutoffs := 0
+		s := NewSimulation(Params{Nodes: 32, NoWorkload: true, Seed: 3, PiggybackClearBits: true,
+			Observer: ObserverFunc(func(e Event) {
+				if e.Kind == EvCutoffFired {
+					cutoffs++
+				}
+			})})
+		k := s.Keys[0]
+		kid := s.env.keys.intern(k)
+		// A link from → to whose receiver has an upstream of its own, so
+		// handling the clear-bit would make it cut off in turn.
+		from, to := overlay.NoNode, overlay.NoNode
+		for i := range s.Nodes {
+			next := s.Router.NextHopTowardOwner(overlay.NodeID(i), k)
+			if next != overlay.NodeID(i) && next != s.Ov.Owner(k) {
+				from, to = overlay.NodeID(i), next
+				break
+			}
+		}
+		if from == overlay.NoNode {
+			t.Fatal("no two-hop route toward the owner in this overlay")
+		}
+		ks := s.state(to, kid)
+		ks.interest.add(from)
+
+		s.holdClearBit(from, to, kid)
+		if carried {
+			s.dispatch(from, []Action{{Kind: ActSendQuery, To: to, Key: k, kid: kid}})
+		}
+		s.LeaveNode(to)
+		for s.Sched.Step() {
+		}
+		if carried && s.C.PiggybackedClearBits != 1 {
+			t.Fatalf("carried: PiggybackedClearBits = %d, want 1", s.C.PiggybackedClearBits)
+		}
+		if !ks.interest.has(from) || cutoffs != 0 {
+			t.Errorf("carried=%v: the departed node handled the clear-bit (interest kept: %v, cut-offs fired: %d)",
+				carried, ks.interest.has(from), cutoffs)
+		}
+		if s.C.ClearBitHops != 0 || s.C.QueryHops != 0 {
+			t.Errorf("carried=%v: hops counted at a departed node: %d clear-bit, %d query",
+				carried, s.C.ClearBitHops, s.C.QueryHops)
+		}
+	}
+}

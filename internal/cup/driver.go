@@ -186,6 +186,10 @@ type Simulation struct {
 	held    map[linkKey][]*heldClearBit
 	lookups map[pendKey][]*lookupWaiter
 	endTime sim.Time
+	// msgs is the slab holding every message in flight, freeMsgs its
+	// released slots; the scheduler carries a slot's index to deliver.
+	msgs     []message
+	freeMsgs []uint32
 	// faultErr is the first scripted-fault failure (an intervention the
 	// surface could not honor); RunContext, Settle, and Lookup surface it
 	// instead of letting the run pass with the event silently dropped.
@@ -238,6 +242,7 @@ func NewSimulation(p Params) *Simulation {
 		held:    make(map[linkKey][]*heldClearBit),
 		lookups: make(map[pendKey][]*lookupWaiter),
 	}
+	s.Sched.Deliver = s.deliver
 	if s.P.PiggybackWindow == 0 {
 		s.P.PiggybackWindow = DefaultPiggybackWindow
 	}
@@ -559,32 +564,35 @@ func (s *Simulation) state(nid overlay.NodeID, kid KeyID) *keyState {
 	return s.Nodes[nid].newState(kid)
 }
 
-// dispatch executes protocol actions emitted by node `from`, scheduling
-// message deliveries one hop (HopDelay) later and accounting hop costs per
-// the paper's cost model (§3.3): query hops and response hops are miss
-// cost; proactive update hops and clear-bit hops are overhead.
-//
-// acts is a handler result and dies with the next handler call, so each
-// posted hop captures copies of just the fields its delivery needs; a
-// local delivery happens inline and captures nothing. Every node of the
-// run shares one intern table, so a hop carries the handler's KeyID and
-// its delivery finds the receiver's state by one indexed probe.
+// message is one protocol message in flight: the send action that emitted
+// it, plus its sender. Every node of the run shares one intern table, so the
+// sender's KeyID finds the receiver's state by one indexed probe.
+type message struct {
+	from, to overlay.NodeID
+	qid      uint64 // ActSendQuery
+	kid      KeyID
+	kind     ActionKind // ActSendQuery, ActSendUpdate or ActSendClearBit
+	carried  bool       // a clear-bit that rode a query or update (§2.7): no hop cost
+	u        Update     // ActSendUpdate
+}
+
+// dispatch executes protocol actions emitted by node `from`: a send becomes
+// a message posted one hop away, a local delivery happens inline. acts dies
+// with the next handler call; a message copies what its delivery needs.
 //
 //cup:hotpath
 func (s *Simulation) dispatch(from overlay.NodeID, acts []Action) {
 	for i := range acts {
 		a := &acts[i]
 		switch a.Kind {
-		case ActSendQuery:
-			s.sendQuery(from, a.To, a.kid, a.QueryID)
-		case ActSendUpdate:
-			s.sendUpdate(from, a.To, a.kid, a.Update)
 		case ActSendClearBit:
 			if s.P.PiggybackClearBits {
 				s.holdClearBit(from, a.To, a.kid)
 				break
 			}
-			s.sendClearBit(from, a.To, a.kid)
+			fallthrough
+		case ActSendQuery, ActSendUpdate:
+			s.post(message{kind: a.Kind, from: from, to: a.To, kid: a.kid, qid: a.QueryID, u: a.Update})
 		case ActDeliverLocal:
 			s.deliverLocal(from, a.kid, a.Entries)
 		default:
@@ -593,45 +601,64 @@ func (s *Simulation) dispatch(from overlay.NodeID, acts []Action) {
 	}
 }
 
-func (s *Simulation) sendQuery(from, to overlay.NodeID, kid KeyID, qid uint64) {
-	s.flushHeldClearBits(from, to)
-	s.Sched.After(s.delay(from, to), func() {
-		if !s.NodeAlive(to) {
-			return // departed mid-flight; the client re-queries
-		}
-		s.C.QueryHops++
-		s.dispatch(to, s.Nodes[to].handleQuery(s.state(to, kid), from, qid))
-	})
+// post puts m in flight: it takes a slot of the run's message slab and is
+// due for deliver one hop delay from now. A departing query or update
+// carries the clear-bits parked on its link.
+//
+//cup:hotpath
+func (s *Simulation) post(m message) {
+	if m.kind != ActSendClearBit && len(s.held) != 0 {
+		s.flushHeldClearBits(m.from, m.to)
+	}
+	ref := uint32(len(s.msgs))
+	if n := len(s.freeMsgs); n > 0 {
+		ref = s.freeMsgs[n-1]
+		s.freeMsgs = s.freeMsgs[:n-1]
+		s.msgs[ref] = m
+	} else {
+		s.msgs = append(s.msgs, m) //cup:allowalloc (amortized: only past the peak of messages in flight)
+	}
+	s.Sched.Post(s.delay(m.from, m.to), ref)
 }
 
-func (s *Simulation) sendUpdate(from, to overlay.NodeID, kid KeyID, u Update) {
-	s.flushHeldClearBits(from, to)
-	s.Sched.After(s.delay(from, to), func() {
-		if !s.NodeAlive(to) {
-			return
-		}
+// deliver hands message ref to its receiver, releasing the slot first (the
+// handler's own sends may reuse it), and accounts the hop per the paper's
+// cost model (§3.3): query hops and response hops are miss cost; proactive
+// update hops and clear-bit hops are overhead.
+//
+//cup:hotpath
+func (s *Simulation) deliver(ref uint32) {
+	m := s.msgs[ref]
+	s.msgs[ref].u.Entries = nil          // the slot must not pin a retired entry set
+	s.freeMsgs = append(s.freeMsgs, ref) //cup:allowalloc (never longer than the slab)
+	if !s.NodeAlive(m.to) {
+		return // departed mid-flight; a client re-queries
+	}
+	n := s.Nodes[m.to]
+	var acts []Action
+	switch m.kind {
+	case ActSendQuery:
+		s.C.QueryHops++
+		acts = n.handleQuery(s.state(m.to, m.kid), m.from, m.qid)
+	case ActSendUpdate:
 		// Classify by the receiver's state at delivery: an update
 		// arriving at a node awaiting a response — or retracing a
-		// specific query (standard caching) — is miss cost;
-		// anything else is propagation overhead.
-		ks := s.state(to, kid)
-		if u.QueryID != 0 || ks.pfu {
+		// specific query (standard caching) — is miss cost; anything
+		// else is propagation overhead.
+		ks := s.state(m.to, m.kid)
+		if m.u.QueryID != 0 || ks.pfu {
 			s.C.ResponseHops++
 		} else {
 			s.C.UpdateHops++
 		}
-		s.dispatch(to, s.Nodes[to].handleUpdate(ks, from, u))
-	})
-}
-
-func (s *Simulation) sendClearBit(from, to overlay.NodeID, kid KeyID) {
-	s.Sched.After(s.delay(from, to), func() {
-		if !s.NodeAlive(to) {
-			return
+		acts = n.handleUpdate(ks, m.from, m.u)
+	case ActSendClearBit:
+		if !m.carried {
+			s.C.ClearBitHops++
 		}
-		s.C.ClearBitHops++
-		s.dispatch(to, s.Nodes[to].handleClearBit(s.env.peek(to, kid), from))
-	})
+		acts = n.handleClearBit(s.env.peek(m.to, m.kid), m.from)
+	}
+	s.dispatch(m.to, acts)
 }
 
 // holdClearBit parks a clear-bit on its link waiting for a carrier (§2.7
@@ -642,14 +669,10 @@ func (s *Simulation) holdClearBit(from, to overlay.NodeID, kid KeyID) {
 	link := linkKey{from, to}
 	s.held[link] = append(s.held[link], cb)
 	s.Sched.After(s.P.PiggybackWindow, func() {
-		if cb.sent {
-			return
+		if !cb.sent {
+			cb.sent = true
+			s.post(message{kind: ActSendClearBit, from: from, to: to, kid: kid})
 		}
-		cb.sent = true
-		s.Sched.After(s.delay(from, to), func() {
-			s.C.ClearBitHops++
-			s.dispatch(to, s.Nodes[to].handleClearBit(s.env.peek(to, kid), from))
-		})
 	})
 }
 
@@ -667,11 +690,8 @@ func (s *Simulation) flushHeldClearBits(from, to overlay.NodeID) {
 			continue
 		}
 		cb.sent = true
-		kid := cb.kid
 		s.C.PiggybackedClearBits++
-		s.Sched.After(s.delay(from, to), func() {
-			s.dispatch(to, s.Nodes[to].handleClearBit(s.env.peek(to, kid), from))
-		})
+		s.post(message{kind: ActSendClearBit, carried: true, from: from, to: to, kid: cb.kid})
 	}
 }
 

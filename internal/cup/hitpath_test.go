@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cup/internal/overlay"
+	"cup/internal/policy"
 	"cup/internal/sim"
 )
 
@@ -103,6 +104,99 @@ func TestLocalHitAllocatesNothing(t *testing.T) {
 			}
 		})
 	}
+}
+
+// A protocol message in flight is a value in the run's slab and an index
+// in the scheduler's lane: putting one in flight and delivering it
+// allocates nothing, for each of the three things CUP sends. What the
+// receiving handler allocates is its own — a cache write builds a
+// copy-on-write set — so each shape is held to the handlers' count.
+func TestMessageHopAllocatesNothing(t *testing.T) {
+	// chain returns a run, its key, and three consecutive nodes a → b → c
+	// on a route toward the key's authority, c short of it.
+	chain := func(t *testing.T) (s *Simulation, kid KeyID, a, b, c overlay.NodeID) {
+		cfg := Defaults()
+		cfg.Policy = policy.AlwaysKeep()
+		s = NewSimulation(Params{Nodes: 64, NoWorkload: true, Seed: 1, Config: cfg, Observer: NewBus()})
+		k := s.Keys[0]
+		for i := range s.Nodes {
+			a = overlay.NodeID(i)
+			b = s.Router.NextHopTowardOwner(a, k)
+			c = s.Router.NextHopTowardOwner(b, k)
+			if a != b && b != c && c != s.Ov.Owner(k) {
+				return s, s.env.keys.intern(k), a, b, c
+			}
+		}
+		t.Fatal("no three-hop route toward the owner in this overlay")
+		return
+	}
+	steps := func(s *Simulation, n int) {
+		for ; n > 0; n-- {
+			if !s.Sched.Step() {
+				panic("nothing in flight")
+			}
+		}
+	}
+
+	// b has no answer and no query pending: it forwards a's query one hop
+	// to c, whose own query is in flight, so the query coalesces there.
+	t.Run("query", func(t *testing.T) {
+		s, kid, a, b, c := chain(t)
+		bks := s.state(b, kid)
+		s.state(c, kid).pfu = true
+		allocs := testing.AllocsPerRun(1000, func() {
+			bks.pfu = false
+			s.post(message{kind: ActSendQuery, from: a, to: b, kid: kid})
+			steps(s, 2)
+		})
+		if allocs != 0 {
+			t.Errorf("a query forwarded one hop allocates %.1f, want 0", allocs)
+		}
+		if s.C.QueryHops != 2*1001 || s.Sched.Pending() != 0 {
+			t.Errorf("QueryHops = %d over 1001 runs, %d left in flight", s.C.QueryHops, s.Sched.Pending())
+		}
+	})
+
+	// c pushes a refresh to b, which applies it and pushes it on to its one
+	// interested neighbour a, which applies it.
+	t.Run("refresh", func(t *testing.T) {
+		s, kid, a, b, c := chain(t)
+		aks, bks := s.state(a, kid), s.state(b, kid)
+		bks.interest.add(a)
+		u := refresh(s.Keys[0], 0, 2, 1e9)
+		handlers := testing.AllocsPerRun(1000, func() {
+			s.Nodes[b].handleUpdate(bks, c, u)
+			s.Nodes[a].handleUpdate(aks, b, u)
+		})
+		allocs := testing.AllocsPerRun(1000, func() {
+			s.post(message{kind: ActSendUpdate, from: c, to: b, kid: kid, u: u})
+			steps(s, 2)
+		})
+		if allocs != handlers {
+			t.Errorf("a refresh pushed to one interested neighbour allocates %.1f, its two handlers alone %.1f", allocs, handlers)
+		}
+		if s.C.UpdateHops != 2*1001 || s.Sched.Pending() != 0 {
+			t.Errorf("UpdateHops = %d over 1001 runs, %d left in flight", s.C.UpdateHops, s.Sched.Pending())
+		}
+	})
+
+	// a's clear-bit leaves b with no interest, so b cuts off in turn: its
+	// own clear-bit reaches c, which has another subscriber and stops.
+	t.Run("clear-bit", func(t *testing.T) {
+		s, kid, a, b, c := chain(t)
+		s.state(b, kid)
+		s.state(c, kid).interest.add(a)
+		allocs := testing.AllocsPerRun(1000, func() {
+			s.post(message{kind: ActSendClearBit, from: a, to: b, kid: kid})
+			steps(s, 2)
+		})
+		if allocs != 0 {
+			t.Errorf("a clear-bit allocates %.1f, want 0", allocs)
+		}
+		if s.C.ClearBitHops != 2*1001 || s.Sched.Pending() != 0 {
+			t.Errorf("ClearBitHops = %d over 1001 runs, %d left in flight", s.C.ClearBitHops, s.Sched.Pending())
+		}
+	})
 }
 
 // A handler's result lives in its owner's buffer: the next handler call on

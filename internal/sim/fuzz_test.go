@@ -11,7 +11,10 @@ import "testing"
 //     are no-ops (the generation check), never cancelling whatever
 //     event reused the entry.
 //   - Every non-cancelled event fires exactly once, at its scheduled
-//     time, with the virtual clock monotone.
+//     time, and in (time, scheduling order) — ties included — whichever
+//     of the two entrances scheduled it: a timer through At always sits
+//     in the heap, a message through Post in the lane or, when it is due
+//     before the lane's tail, the heap.
 //   - Pending always matches the model (cancelled entries excluded
 //     immediately, even while they sit in the queue awaiting lazy
 //     removal), and the physical queue never undercounts it.
@@ -25,6 +28,9 @@ func FuzzScheduler(f *testing.F) {
 	// Churn shape: bursts of schedules, cancels of arbitrary (often
 	// stale) handles, then drains — the free-list reuse hot path.
 	f.Add([]byte{0, 1, 0, 1, 0, 1, 0, 1, 2, 2, 1, 200, 1, 3, 0, 2, 1, 0, 3, 31, 1, 9})
+	// testdata/fuzz/FuzzScheduler holds two more: a timer and a message
+	// tied at one instant in both scheduling orders beside a reordered
+	// message, and a cancel of a message sitting in the lane.
 
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		s := NewScheduler()
@@ -33,29 +39,38 @@ func FuzzScheduler(f *testing.F) {
 			fired     bool
 			cancelled bool
 		}
-		var evs []*rec
+		var evs []*rec // in scheduling order
 		var handles []EventID
-		lastFired := Time(0)
 
-		schedule := func(d Duration) {
-			r := &rec{at: s.Now().Add(d)}
-			evs = append(evs, r)
-			handles = append(handles, s.At(r.at, func() {
-				if r.fired {
-					t.Fatal("event fired twice")
+		fire := func(j int) {
+			r := evs[j]
+			if r.fired {
+				t.Fatal("event fired twice")
+			}
+			if r.cancelled {
+				t.Fatal("cancelled event fired")
+			}
+			r.fired = true
+			if s.Now() != r.at {
+				t.Fatalf("fired at %v, scheduled for %v", s.Now(), r.at)
+			}
+			for i, o := range evs {
+				if !o.fired && !o.cancelled && (o.at < r.at || (o.at == r.at && i < j)) {
+					t.Fatalf("event #%d due %v fired before #%d due %v", j, r.at, i, o.at)
 				}
-				if r.cancelled {
-					t.Fatal("cancelled event fired")
-				}
-				r.fired = true
-				if s.Now() != r.at {
-					t.Fatalf("fired at %v, scheduled for %v", s.Now(), r.at)
-				}
-				if r.at < lastFired {
-					t.Fatalf("time went backwards: fired %v after %v", r.at, lastFired)
-				}
-				lastFired = r.at
-			}))
+			}
+		}
+		s.Deliver = func(ref uint32) { fire(int(ref)) }
+		// schedule reads one byte: the delay in its low four bits, the
+		// entrance in the next.
+		schedule := func(b byte) {
+			j, d := len(evs), Duration(b%16)
+			evs = append(evs, &rec{at: s.Now().Add(d)})
+			if b&16 != 0 {
+				handles = append(handles, s.Post(d, uint32(j)))
+			} else {
+				handles = append(handles, s.At(evs[j].at, func() { fire(j) }))
+			}
 		}
 		modelPending := func() int {
 			n := 0
@@ -87,7 +102,7 @@ func FuzzScheduler(f *testing.F) {
 		for i < len(prog) {
 			switch next() % 4 {
 			case 0: // schedule a future event
-				schedule(Duration(next() % 16))
+				schedule(next())
 			case 1: // cancel an arbitrary (possibly stale) handle
 				if len(handles) == 0 {
 					continue

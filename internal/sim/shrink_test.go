@@ -112,3 +112,46 @@ func TestCancelAfterShrinkIsNoop(t *testing.T) {
 		}
 	}
 }
+
+// The lane-side twin of the burst-then-quiet test: a burst of messages
+// grows the pool through the lane, and the quiet phase after it — one
+// hop chain, a message at a time — releases it the same way.
+func TestFreeListShrinksAfterBurstThenQuietThroughLane(t *testing.T) {
+	s := NewScheduler()
+	const burst = 50_000
+	fires := 0
+	s.Deliver = func(ref uint32) {
+		if ref == 1 {
+			if fires++; fires < shrinkQuiet+8 {
+				s.Post(1, 1)
+			}
+		}
+	}
+	for i := 0; i < burst; i++ {
+		s.Post(1, 0)
+	}
+	if len(s.queue) != 0 || s.HighWater() < burst {
+		t.Fatalf("heap %d, high-water mark %d after posting %d messages", len(s.queue), s.HighWater(), burst)
+	}
+	peak := 0
+	s.At(0.5, func() { peak = s.FreeLen() + s.QueueLen() })
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if peak < burst {
+		t.Fatalf("pool+queue peaked at %d, want ≥ %d", peak, burst)
+	}
+	if got := s.FreeLen(); got > burst/4 {
+		t.Fatalf("free list still holds %d entries after the drain, want ≤ %d", got, burst/4)
+	}
+	s.Post(1, 1)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.FreeLen(); got > initialQueueCap {
+		t.Fatalf("free list still holds %d entries after the quiet phase, want ≤ %d", got, initialQueueCap)
+	}
+	if hw := s.HighWater(); hw > 2 {
+		t.Fatalf("high-water mark %d not re-anchored after shrink", hw)
+	}
+}

@@ -1,18 +1,26 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // It is the reproduction's substitute for the Stanford Narses simulator used
-// in the CUP paper: a virtual clock, a binary-heap event queue with stable
-// FIFO ordering for simultaneous events, and helpers for periodic processes.
-// All experiments in this repository are driven by a Scheduler; determinism
-// (same seed, same schedule, same results) is a hard requirement so that the
-// paper's tables regenerate reproducibly.
+// in the CUP paper: a virtual clock, an event queue that fires in (time,
+// scheduling order), and helpers for periodic processes. All experiments in
+// this repository are driven by a Scheduler; determinism (same seed, same
+// schedule, same results) is a hard requirement so that the paper's tables
+// regenerate reproducibly.
 //
-// The scheduler's hot path is allocation-free in steady state: fired and
-// cancelled events return to a free list and are reused by later At/After
-// calls, and cancellation is O(1) through generation-counted handles
-// instead of a live-event map. Cancelled entries are removed lazily — at
-// pop time, or in bulk whenever they outnumber the pending ones — so
-// cancel-heavy workloads cannot grow the queue without bound.
+// The queue is two structures under one order. Timers (At, After: a func()
+// at any time) sit in a binary heap. Messages (Post: a reference for the
+// run's Deliver function) fall due one hop delay from now, so under the
+// paper's constant delay they arrive sorted: Post appends to a FIFO — the
+// lane — unless the message is due before the lane's tail (a latency model
+// reordered it), and Step takes the smaller head. Timers never enter the
+// lane, so one 300 s out cannot block it.
+//
+// The hot path is allocation-free in steady state: fired and cancelled
+// events return to a free list for reuse, and cancellation is O(1) through
+// generation-counted handles instead of a live-event map. Cancelled entries
+// are removed lazily — at pop time, or in bulk whenever they outnumber the
+// pending ones of their structure — so cancel-heavy workloads cannot grow
+// the queue without bound.
 package sim
 
 import (
@@ -49,15 +57,21 @@ type EventID struct {
 
 // event is the pooled, pointer-stable part of a queue entry: the handle
 // target. Its generation invalidates outstanding EventIDs when the entry
-// is recycled; the ordering keys live inline in the heap (heapEntry).
+// is recycled; the ordering keys live inline in the heap or lane
+// (heapEntry). A timer carries fn; a message carries ref and a nil fn.
 type event struct {
 	gen       uint64
 	fn        func()
+	ref       uint32
 	cancelled bool
+	in        uint8 // inHeap or inLane: the structure holding the entry
 }
 
-// heapEntry is one heap slot. The sort keys (at, seq — seq breaks ties so
-// simultaneous events fire in scheduling order, which keeps the
+// The structures an entry can sit in; they index Scheduler.cancelled.
+const inHeap, inLane = 0, 1
+
+// heapEntry is one heap or lane slot. The sort keys (at, seq — seq breaks
+// ties so simultaneous events fire in scheduling order, which keeps the
 // simulation deterministic) are stored inline next to the event pointer:
 // sift comparisons read contiguous array memory and never dereference the
 // pooled event object, which at simulation scale (thousands of pending
@@ -99,11 +113,17 @@ type Scheduler struct {
 	now   Time
 	queue eventHeap
 	seq   uint64
+	// lane[head:] is the FIFO beside the heap, in (at, seq) order.
+	lane []heapEntry
+	head int
+	// Deliver receives the reference of each message posted with Post
+	// when it falls due; a run sets it once, before its first Post.
+	Deliver func(ref uint32)
 	// free holds recycled entries for reuse; the hot path allocates only
 	// when it is empty.
 	free []*event
-	// cancelled counts lazily-cancelled entries still sitting in queue.
-	cancelled int
+	// cancelled counts the lazily-cancelled entries still in each structure.
+	cancelled [2]int
 	// highWater is the largest queue length seen since the last free-list
 	// shrink; quiet counts consecutive fires with the queue far below it.
 	// Together they release pooled events after a burst-then-quiet phase
@@ -134,11 +154,13 @@ func (s *Scheduler) Now() Time { return s.now }
 // Lazily-cancelled entries awaiting removal are excluded: Cancel
 // decrements the pending count immediately even though the queue drains
 // the entry later.
-func (s *Scheduler) Pending() int { return len(s.queue) - s.cancelled }
+func (s *Scheduler) Pending() int {
+	return s.QueueLen() - s.cancelled[inHeap] - s.cancelled[inLane]
+}
 
-// QueueLen reports the physical queue length, including lazily-cancelled
-// entries not yet drained — the quantity bulk compaction bounds.
-func (s *Scheduler) QueueLen() int { return len(s.queue) }
+// QueueLen reports the physical length of heap plus lane, including lazily-
+// cancelled entries not yet drained — the quantity bulk compaction bounds.
+func (s *Scheduler) QueueLen() int { return len(s.queue) + len(s.lane) - s.head }
 
 // FreeLen reports the number of pooled entries awaiting reuse — the
 // quantity free-list shrinking bounds after a burst-then-quiet phase.
@@ -171,6 +193,7 @@ func (s *Scheduler) recycle(e *event) {
 	e.gen++
 	e.fn = nil
 	e.cancelled = false
+	e.in = inHeap
 	// Amortized pool growth: capacity chases the queue's peak and is then
 	// reused for the rest of the run.
 	s.free = append(s.free, e) //cup:allowalloc
@@ -192,10 +215,70 @@ func (s *Scheduler) At(t Time, fn func()) EventID {
 	e := s.alloc()
 	e.fn = fn
 	s.push(heapEntry{at: t, seq: s.seq, e: e})
-	if len(s.queue) > s.highWater {
-		s.highWater = len(s.queue)
+	return s.scheduled(e)
+}
+
+// Post schedules message ref for Deliver d seconds from now: in the lane
+// when it is due no earlier than the lane's tail — always, under a constant
+// hop delay — and in the heap when a latency model reorders it.
+//
+//cup:hotpath
+func (s *Scheduler) Post(d Duration, ref uint32) EventID {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", d))
+	}
+	s.seq++
+	e := s.alloc()
+	e.ref = ref
+	en := heapEntry{at: s.now.Add(d), seq: s.seq, e: e}
+	if n := len(s.lane); n > s.head && en.at < s.lane[n-1].at {
+		s.push(en)
+	} else {
+		e.in = inLane
+		s.lane = append(s.lane, en) //cup:allowalloc (amortized: popNext slides the lane back down its array)
+	}
+	return s.scheduled(e)
+}
+
+// scheduled accounts for the entry just queued and returns its handle.
+//
+//cup:hotpath
+func (s *Scheduler) scheduled(e *event) EventID {
+	if n := s.QueueLen(); n > s.highWater {
+		s.highWater = n
 	}
 	return EventID{e: e, gen: e.gen}
+}
+
+// laneFirst reports whether the earliest entry sits in the lane rather
+// than the heap, under the (at, seq) order the heap keeps.
+//
+//cup:hotpath
+func (s *Scheduler) laneFirst() bool {
+	if s.head == len(s.lane) || len(s.queue) == 0 {
+		return s.head < len(s.lane)
+	}
+	l, h := &s.lane[s.head], &s.queue[0]
+	return l.at < h.at || (l.at == h.at && l.seq < h.seq)
+}
+
+// popNext removes and returns the earliest entry of a non-empty queue.
+//
+//cup:hotpath
+func (s *Scheduler) popNext() heapEntry {
+	if !s.laneFirst() {
+		return s.pop()
+	}
+	en := s.lane[s.head]
+	s.head++
+	if s.head >= 32 && 2*s.head >= len(s.lane) {
+		// Slide the live half back to the front — one entry moved per pop
+		// on average, 32 pops apart at least — so the array is reused.
+		n := copy(s.lane, s.lane[s.head:])
+		clear(s.lane[n:])
+		s.lane, s.head = s.lane[:n], 0
+	}
+	return en
 }
 
 // push appends e and sifts it up to its heap position.
@@ -320,37 +403,42 @@ func (s *Scheduler) Cancel(id EventID) bool {
 		return false
 	}
 	e.cancelled = true
-	s.cancelled++
-	s.maybeCompact()
+	s.cancelled[e.in]++
+	s.maybeCompact(e.in)
 	return true
 }
 
-// maybeCompact rebuilds the heap without its cancelled entries once they
-// outnumber the pending ones, bounding queue growth under cancel-heavy
-// workloads (timer churn would otherwise leak entries until drain). The
-// rebuild is O(n) against Ω(n) cancellations since the last one, so the
-// amortized cost per Cancel is O(1).
+// maybeCompact rebuilds the heap, or closes up the lane, without its
+// cancelled entries once they outnumber its pending ones, bounding queue
+// growth under cancel-heavy workloads (timer churn would otherwise leak
+// entries until drain). The sweep is O(n) against Ω(n) cancellations of
+// its own since the last one, so the amortized cost per Cancel is O(1); one
+// count for both would let the lane's hold the heap's test true.
 //
 //cup:hotpath
-func (s *Scheduler) maybeCompact() {
-	if len(s.queue) < compactFloor || 2*s.cancelled <= len(s.queue) {
+func (s *Scheduler) maybeCompact(in uint8) {
+	q := s.queue
+	if in == inLane {
+		q = s.lane[s.head:]
+	}
+	if len(q) < compactFloor || 2*s.cancelled[in] <= len(q) {
 		return
 	}
-	keep := s.queue[:0]
-	for _, en := range s.queue {
+	keep := q[:0]
+	for _, en := range q {
 		if en.e.cancelled {
 			s.recycle(en.e)
 			continue
 		}
-		// Never grows: keep reuses s.queue's backing array and only
-		// shrinks the logical length.
-		keep = append(keep, en) //cup:allowalloc
+		keep = append(keep, en) //cup:allowalloc (never grows: keep reuses q's backing array)
 	}
-	for i := len(keep); i < len(s.queue); i++ {
-		s.queue[i] = heapEntry{}
+	clear(q[len(keep):])
+	s.cancelled[in] = 0
+	if in == inLane {
+		s.lane = s.lane[:s.head+len(keep)] // order kept: nothing to re-sort
+		return
 	}
 	s.queue = keep
-	s.cancelled = 0
 	for i := len(keep)/2 - 1; i >= 0; i-- {
 		s.siftDown(i)
 	}
@@ -360,14 +448,14 @@ func (s *Scheduler) maybeCompact() {
 //
 //cup:hotpath
 func (s *Scheduler) Step() bool {
-	for len(s.queue) > 0 {
-		en := s.pop()
+	for s.QueueLen() > 0 {
+		en := s.popNext()
 		if en.e.cancelled {
-			s.cancelled--
+			s.cancelled[en.e.in]--
 			s.recycle(en.e)
 			continue
 		}
-		fn := en.e.fn
+		fn, ref := en.e.fn, en.e.ref
 		s.now = en.at
 		// Recycle before firing: fn may schedule and reuse the entry,
 		// and the generation bump has already invalidated handles to
@@ -375,7 +463,11 @@ func (s *Scheduler) Step() bool {
 		s.recycle(en.e)
 		s.Executed++
 		s.maybeShrink()
-		fn()
+		if fn != nil {
+			fn()
+		} else {
+			s.Deliver(ref)
+		}
 		return true
 	}
 	return false
@@ -391,7 +483,8 @@ func (s *Scheduler) Step() bool {
 //
 //cup:hotpath
 func (s *Scheduler) maybeShrink() {
-	if 4*len(s.queue) >= s.highWater {
+	queued := s.QueueLen()
+	if 4*queued >= s.highWater {
 		s.quiet = 0
 		return
 	}
@@ -400,7 +493,7 @@ func (s *Scheduler) maybeShrink() {
 		return
 	}
 	s.quiet = 0
-	keep := 2 * len(s.queue)
+	keep := 2 * queued
 	if keep < initialQueueCap {
 		keep = initialQueueCap
 	}
@@ -420,7 +513,7 @@ func (s *Scheduler) maybeShrink() {
 	}
 	// Re-anchor the mark at the current occupancy so a workload that
 	// settles at a lower plateau can keep ratcheting down.
-	s.highWater = len(s.queue)
+	s.highWater = queued
 }
 
 // NextTime returns the time of the next pending event, or Infinity when
@@ -440,13 +533,18 @@ func (s *Scheduler) AdvanceTo(t Time) {
 //
 //cup:hotpath
 func (s *Scheduler) peekTime() Time {
-	for len(s.queue) > 0 {
-		if s.queue[0].e.cancelled {
-			s.cancelled--
-			s.recycle(s.pop().e)
-			continue
+	for s.QueueLen() > 0 {
+		var en *heapEntry
+		if s.laneFirst() {
+			en = &s.lane[s.head]
+		} else {
+			en = &s.queue[0]
 		}
-		return s.queue[0].at
+		if !en.e.cancelled {
+			return en.at
+		}
+		s.cancelled[en.e.in]--
+		s.recycle(s.popNext().e)
 	}
 	return Infinity
 }

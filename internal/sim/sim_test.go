@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -311,6 +313,143 @@ func TestCancelHeavyCompaction(t *testing.T) {
 	}
 }
 
+// A message cancelled while it sits in the lane leaves Pending at once
+// and the lane when its turn comes; messages around it keep their order.
+func TestPendingExcludesCancelledInLane(t *testing.T) {
+	s := NewScheduler()
+	var got []uint32
+	s.Deliver = func(ref uint32) { got = append(got, ref) }
+	ids := make([]EventID, 8)
+	for i := range ids {
+		ids[i] = s.Post(1, uint32(i))
+	}
+	if len(s.queue) != 0 || s.Pending() != 8 {
+		t.Fatalf("heap holds %d of 8 constant-delay messages, Pending = %d", len(s.queue), s.Pending())
+	}
+	for _, i := range []int{0, 3, 7} {
+		if !s.Cancel(ids[i]) || s.Cancel(ids[i]) {
+			t.Fatalf("Cancel of message %d: want true once, then false", i)
+		}
+	}
+	if s.Pending() != 5 || s.QueueLen() != 8 {
+		t.Fatalf("after 3 cancels: Pending = %d, QueueLen = %d, want 5 and 8", s.Pending(), s.QueueLen())
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint32{1, 2, 4, 5, 6}; !slices.Equal(got, want) {
+		t.Fatalf("delivered %v, want %v", got, want)
+	}
+	if s.Pending() != 0 || s.QueueLen() != 0 || s.Executed != 5 {
+		t.Fatalf("after Run: Pending = %d, QueueLen = %d, Executed = %d", s.Pending(), s.QueueLen(), s.Executed)
+	}
+}
+
+// Each structure bounds its own cancelled entries against its own length:
+// cancellations sitting in the lane neither trip the heap's compaction
+// nor hide from the lane's, and closing the lane up keeps its order.
+func TestCancelHeavyCompactionInLane(t *testing.T) {
+	s := NewScheduler()
+	var got []uint32
+	s.Deliver = func(ref uint32) { got = append(got, ref) }
+	const timers, msgs = 100, 1000
+	timerIDs := make([]EventID, timers)
+	for i := range timerIDs {
+		timerIDs[i] = s.At(Time(10+i), func() {})
+	}
+	msgIDs := make([]EventID, msgs)
+	for i := range msgIDs {
+		msgIDs[i] = s.Post(1, uint32(i))
+	}
+	// 400 dead messages outnumber the whole heap four to one, yet are
+	// under half the lane: nothing may compact, whichever side is asked.
+	for i := 0; i < 400; i++ {
+		s.Cancel(msgIDs[2*i])
+	}
+	s.Cancel(timerIDs[0])
+	if len(s.queue) != timers || s.QueueLen() != timers+msgs {
+		t.Fatalf("heap %d, queue %d: compacted below the threshold", len(s.queue), s.QueueLen())
+	}
+	if s.cancelled != [2]int{inHeap: 1, inLane: 400} {
+		t.Fatalf("cancelled per structure = %v", s.cancelled)
+	}
+	// Past half the lane, the lane — and only the lane — closes up.
+	for i := 400; i <= 500; i++ {
+		s.Cancel(msgIDs[2*i-1])
+	}
+	if lane := s.QueueLen() - len(s.queue); len(s.queue) != timers || lane != msgs-501 {
+		t.Fatalf("heap %d, lane %d after 501 lane cancels, want %d and %d", len(s.queue), lane, timers, msgs-501)
+	}
+	if s.cancelled != [2]int{inHeap: 1} || s.Pending() != timers-1+msgs-501 {
+		t.Fatalf("cancelled = %v, Pending = %d", s.cancelled, s.Pending())
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != msgs-501 || !slices.IsSorted(got) {
+		t.Fatalf("%d messages delivered (want %d), in order: %v", len(got), msgs-501, slices.IsSorted(got))
+	}
+	// All of them cancelled: the lane empties without a single fire.
+	for i := range msgIDs {
+		msgIDs[i] = s.Post(1, uint32(i))
+	}
+	for _, id := range msgIDs {
+		s.Cancel(id)
+	}
+	if s.QueueLen() >= compactFloor || s.Pending() != 0 || s.Step() {
+		t.Fatalf("QueueLen = %d, Pending = %d after cancelling every message", s.QueueLen(), s.Pending())
+	}
+}
+
+// One timer far out must not hold the lane shut: timers never enter it,
+// so the constant-delay messages posted after a 300 s refresh timer still
+// queue in the lane and the heap keeps only the timer.
+func TestFarTimerDoesNotStarveLane(t *testing.T) {
+	s := NewScheduler()
+	sent := 0
+	s.Deliver = func(uint32) {
+		if sent < 1000 {
+			sent++
+			s.Post(0.05, 0)
+		}
+		if len(s.queue) > 2 {
+			t.Fatalf("message %d: heap holds %d entries", sent, len(s.queue))
+		}
+	}
+	s.After(300, func() {})
+	for i := 0; i < 8; i++ { // eight hop chains in flight
+		s.Post(0.05, 0)
+	}
+	if err := s.RunUntil(299); err != nil {
+		t.Fatal(err)
+	}
+	if sent != 1000 || s.Pending() != 1 || len(s.queue) != 1 {
+		t.Fatalf("sent %d, Pending %d, heap %d", sent, s.Pending(), len(s.queue))
+	}
+}
+
+// A latency model that reorders costs the lane, never the order: a
+// message due before the lane's tail goes to the heap and still fires
+// first.
+func TestReorderedMessageFallsBackToHeap(t *testing.T) {
+	s := NewScheduler()
+	var got []uint32
+	s.Deliver = func(ref uint32) { got = append(got, ref) }
+	s.Post(9, 0)
+	s.Post(2, 1) // due before the tail: heap
+	s.Post(9, 2) // tied with the tail: lane, after it
+	s.At(9, func() { got = append(got, 3) })
+	if len(s.queue) != 2 {
+		t.Fatalf("heap holds %d entries, want the reordered message and the timer", len(s.queue))
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint32{1, 0, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+}
+
 // The hot path is allocation-free in steady state: fired events return
 // to the free list and are reused by later schedules.
 func TestSchedulerSteadyStateAllocs(t *testing.T) {
@@ -327,6 +466,29 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Fatalf("steady-state allocations per scheduled event = %v, want ≤ 1", allocs)
+	}
+}
+
+// The message path is allocation-free in steady state too: the lane
+// slides back down its array instead of growing, with one message in
+// flight or a thousand.
+func TestSchedulerSteadyStateAllocsMessages(t *testing.T) {
+	for _, inFlight := range []int{0, 1000} {
+		s := NewScheduler()
+		s.Deliver = func(uint32) {}
+		for i := 0; i < 2048; i++ { // warm the lane and free list
+			s.Post(1, 0)
+		}
+		for s.Pending() > inFlight {
+			s.Step()
+		}
+		allocs := testing.AllocsPerRun(10_000, func() {
+			s.Post(1, 7)
+			s.Step()
+		})
+		if allocs != 0 {
+			t.Errorf("%d in flight: steady-state allocations per message = %v, want 0", inFlight, allocs)
+		}
 	}
 }
 
@@ -560,16 +722,48 @@ func TestRound(t *testing.T) {
 // event — the pattern refresh loops and piggyback windows generate.
 // Steady-state allocations per scheduled event must stay ≤ 1 (they are 0:
 // entries come from the free list; the closure is created once).
+//
+// The lane/heap pairs are the message path: a constant hop delay with 1,
+// 64 and 1,024 messages in flight, posted through Post (every one lands
+// in the lane) against the same load scheduled through At (the heap, as
+// every hop was before the lane). Run with -cpu 1.
 func BenchmarkScheduler(b *testing.B) {
-	s := NewScheduler()
 	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.After(1, fn)
-		decoy := s.After(2, fn)
-		s.Cancel(decoy)
-		s.Step()
+	b.Run("timer-churn", func(b *testing.B) {
+		s := NewScheduler()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.After(1, fn)
+			decoy := s.After(2, fn)
+			s.Cancel(decoy)
+			s.Step()
+		}
+	})
+	for _, pending := range []int{1, 64, 1024} {
+		for _, lane := range []bool{true, false} {
+			name := fmt.Sprintf("heap/pending=%d", pending)
+			if lane {
+				name = fmt.Sprintf("lane/pending=%d", pending)
+			}
+			b.Run(name, func(b *testing.B) {
+				s := NewScheduler()
+				s.Deliver = func(uint32) {}
+				schedule := func() { s.At(s.Now().Add(1), fn) }
+				if lane {
+					schedule = func() { s.Post(1, 0) }
+				}
+				for i := 1; i < pending; i++ {
+					schedule()
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					schedule()
+					s.Step()
+				}
+			})
+		}
 	}
 }
 

@@ -70,7 +70,7 @@ func (d *Deployment) initTelemetry(o *options) error {
 
 	if sr, ok := d.rt.(*simRuntime); ok {
 		reg.GaugeFunc("cup_sim_queue_depth",
-			"Pending events in the simulator's event queue.",
+			"Events in the simulator's queue: timers in the heap plus messages in the lane.",
 			func() float64 {
 				sr.mu.Lock()
 				defer sr.mu.Unlock()
