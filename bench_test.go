@@ -1,8 +1,8 @@
 // Benchmarks regenerating every table and figure of the CUP paper's
 // evaluation (§3), one testing.B per artifact, plus the DESIGN.md
-// ablations. Each iteration regenerates the complete artifact at reduced
-// scale (the same code path as `cupbench`; `cupbench -full` reproduces
-// the paper's exact parameters). Rendered tables are attached via b.Log —
+// ablations. Each iteration regenerates the complete artifact at the
+// paper's parameters (the same code path as `cupbench`; all of them
+// together take about 20 s). Rendered tables are attached via b.Log —
 // run with `go test -bench=. -benchtime=1x -v` to see them.
 package cup_test
 
@@ -94,8 +94,7 @@ func BenchmarkAblationChurn(b *testing.B) { benchArtifact(b, "churn") }
 
 // BenchmarkOverlayRouting measures raw routing cost (one PathTo walk per
 // iteration on a 1024-node overlay) for every registered substrate —
-// CAN, Chord, and Kademlia — so BENCH_*.json tracks per-overlay routing
-// cost side by side.
+// CAN, Chord, and Kademlia — side by side.
 func BenchmarkOverlayRouting(b *testing.B) {
 	const n = 1024
 	for _, kind := range overlay.Kinds() {

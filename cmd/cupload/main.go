@@ -14,9 +14,8 @@
 // The workload mixes warm reads (Get against a preloaded keyspace) with
 // cold miss-population rounds (GetOrFill against a never-preloaded
 // keyspace, exercising the promise protocol end to end). -json writes
-// the run's summary to BENCH_serving.json; -history appends a
-// commit-stamped row to BENCH_history.jsonl alongside the core-bench
-// rows.
+// the run's summary to the file it names (CI's serving-smoke gate reads
+// it).
 package main
 
 import (
@@ -36,7 +35,7 @@ import (
 	"cup/internal/serve"
 )
 
-// servingBench is the committed BENCH_serving.json payload.
+// servingBench is the run summary -json writes.
 type servingBench struct {
 	Hosts       int     `json:"hosts"`
 	Workers     int     `json:"workers"`
@@ -70,7 +69,6 @@ func main() {
 		ttl       = flag.Duration("ttl", 5*time.Minute, "entry TTL for preloads and fills")
 		seed      = flag.Int64("seed", 1, "workload seed")
 		jsonPath  = flag.String("json", "", "write the run summary to this JSON file")
-		histPath  = flag.String("history", "", "append a commit-stamped row to this JSONL history file")
 	)
 	flag.Parse()
 
@@ -200,12 +198,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println("wrote", *jsonPath)
-	}
-	if *histPath != "" {
-		if err := appendHistory(bench, *histPath, time.Now()); err != nil {
-			fmt.Fprintln(os.Stderr, "cupload:", err)
-			os.Exit(1)
-		}
 	}
 }
 

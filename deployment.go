@@ -214,12 +214,30 @@ func (d *Deployment) Authority(key Key) NodeID { return d.rt.Authority(key) }
 // Runtime.Counters for the live transport's approximation).
 func (d *Deployment) Counters() Counters { return d.rt.Counters() }
 
+// peers is Size with the reason there are none: a live deployment that
+// was closed before first use, or whose TCP boot failed, has no network
+// and so no peer to pick.
+func (d *Deployment) peers() (int, error) {
+	if lr, ok := d.rt.(*liveRuntime); ok {
+		n, err := lr.network()
+		if err != nil {
+			return 0, err
+		}
+		return n.Size(), nil
+	}
+	return d.rt.Size(), nil
+}
+
 // Lookup resolves key from a deterministically random peer — the
 // client's entry point is arbitrary in a P2P network. Use LookupAt to
 // pick the peer.
 func (d *Deployment) Lookup(ctx context.Context, key Key) ([]Entry, error) {
+	size, err := d.peers()
+	if err != nil {
+		return nil, err
+	}
 	d.mu.Lock()
-	at := NodeID(d.rng.Intn(d.rt.Size()))
+	at := NodeID(d.rng.Intn(size))
 	d.mu.Unlock()
 	return d.rt.LookupAt(ctx, at, key)
 }
@@ -544,7 +562,7 @@ func (d *Deployment) runLiveOn(ctx context.Context, lr *liveRuntime, p internal.
 	var faultErr error
 	faultDone := make(chan struct{})
 	if len(p.Faults) > 0 {
-		surf := net.FaultSurface(keys, p.Replicas, life, rand.New(rand.NewSource(p.Seed+1)))
+		surf := net.FaultSurface(faultCtx, keys, p.Replicas, life, rand.New(rand.NewSource(p.Seed+1)))
 		go func() {
 			defer close(faultDone)
 			if err := net.RunFaults(faultCtx, p.Faults, surf, env.Start, env.Duration, scale); err != nil && !errors.Is(err, context.Canceled) {
@@ -842,8 +860,7 @@ func (r *liveRuntime) SetCapacity(ctx context.Context, id NodeID, c float64) err
 	if err != nil {
 		return err
 	}
-	n.SetCapacity(id, c)
-	return nil
+	return n.SetCapacity(ctx, id, c)
 }
 
 func (r *liveRuntime) Inspect(id NodeID, fn func(*Node)) error {

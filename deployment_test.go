@@ -5,11 +5,13 @@ package cup_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
 	"cup"
 	internal "cup/internal/cup"
+	"cup/internal/live"
 )
 
 func newDeployment(t *testing.T, opts ...cup.Option) *cup.Deployment {
@@ -302,5 +304,62 @@ func TestRunWithObserverSeesWorkloadEvents(t *testing.T) {
 	}
 	if uint64(issued) != res.Counters.Queries {
 		t.Fatalf("observer saw %d issued queries, counters say %d", issued, res.Counters.Queries)
+	}
+}
+
+// A live deployment closed before its first use never booted a network:
+// Lookup and ServingEntryNode have no peer to pick and say why, instead
+// of drawing from an empty range.
+func TestLookupAfterCloseReturnsErrClosed(t *testing.T) {
+	d, err := cup.New(cup.WithLive(), cup.WithNodes(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+	if _, err := d.Lookup(context.Background(), "k"); !errors.Is(err, live.ErrClosed) {
+		t.Fatalf("Lookup on a closed, never-booted deployment: %v, want live.ErrClosed", err)
+	}
+	if _, err := d.ServingEntryNode("k"); !errors.Is(err, live.ErrClosed) {
+		t.Fatalf("ServingEntryNode on a closed, never-booted deployment: %v, want live.ErrClosed", err)
+	}
+}
+
+// SetCapacity on the live transports is a control call like any other:
+// it gives up when its ctx does — here while waiting for room in a
+// saturated inbox — and rejects a node id the network never issued, as
+// Inspect does.
+func TestLiveSetCapacityHonorsContextAndRejectsUnknownNode(t *testing.T) {
+	for _, transport := range []cup.Transport{cup.Live, cup.LiveTCP} {
+		t.Run(transport.String(), func(t *testing.T) {
+			d := newDeployment(t, cup.WithTransport(transport), cup.WithNodes(4),
+				cup.WithInboxDepth(1), cup.WithTelemetry(""))
+			if err := d.SetCapacity(context.Background(), 99, 0.5); err == nil {
+				t.Fatal("SetCapacity accepted a node id the network never issued")
+			}
+
+			// Park peer 0 inside a callback and queue one more behind it:
+			// its inbox of one is now full.
+			release, parked := make(chan struct{}), make(chan struct{})
+			defer close(release)
+			go func() { _ = d.Inspect(0, func(*cup.Node) { close(parked); <-release }) }()
+			<-parked
+			go func() { _ = d.Inspect(0, func(*cup.Node) {}) }()
+			for used := 0.0; used < 1; used, _ = d.MetricValue("cup_live_inbox_used") {
+				time.Sleep(time.Millisecond)
+			}
+
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			defer cancel()
+			done := make(chan error, 1)
+			go func() { done <- d.SetCapacity(ctx, 0, 0.5) }()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("SetCapacity against a full inbox: %v, want context.DeadlineExceeded", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("SetCapacity outlived its context by 5 s waiting on a full inbox")
+			}
+		})
 	}
 }

@@ -36,8 +36,9 @@ type FaultSurface interface {
 	// Owner returns the authority for key.
 	Owner(key overlay.Key) overlay.NodeID
 	// SetCapacity applies an outgoing-update capacity fraction to a set
-	// of nodes (§3.7); negative restores full capacity.
-	SetCapacity(ids []overlay.NodeID, c float64)
+	// of nodes (§3.7); negative restores full capacity. It fails when a
+	// live node could not be reached before the replay ended.
+	SetCapacity(ids []overlay.NodeID, c float64) error
 	// AddReplica registers replica r of key at its authority (an Append
 	// update propagates down the interest tree).
 	AddReplica(key overlay.Key, r int)
@@ -162,7 +163,7 @@ func (f CapacityFault) Schedule(start, duration float64) []FaultEvent {
 	if !f.Recover {
 		return []FaultEvent{{
 			At: start + f.Warmup,
-			Do: func(s FaultSurface) error { s.SetCapacity(f.sample(s), f.Capacity); return nil },
+			Do: func(s FaultSurface) error { return s.SetCapacity(f.sample(s), f.Capacity) },
 		}}
 	}
 	var events []FaultEvent
@@ -172,12 +173,10 @@ func (f CapacityFault) Schedule(start, duration float64) []FaultEvent {
 		events = append(events,
 			FaultEvent{At: at, Do: func(s FaultSurface) error {
 				affected = f.sample(s)
-				s.SetCapacity(affected, f.Capacity)
-				return nil
+				return s.SetCapacity(affected, f.Capacity)
 			}},
 			FaultEvent{At: at + f.Down, Do: func(s FaultSurface) error {
-				s.SetCapacity(affected, -1)
-				return nil
+				return s.SetCapacity(affected, -1)
 			}},
 		)
 	}
@@ -316,16 +315,19 @@ func SortFaultEvents(events []FaultEvent) {
 // simSurface adapts the discrete-event Simulation to FaultSurface.
 type simSurface struct{ s *Simulation }
 
-func (a simSurface) Size() int                                   { return len(a.s.Nodes) }
-func (a simSurface) Keys() []overlay.Key                         { return a.s.Keys }
-func (a simSurface) Replicas() int                               { return a.s.P.Replicas }
-func (a simSurface) Rand() *rand.Rand                            { return a.s.Rng.Rand }
-func (a simSurface) RandomNodes(k int) []overlay.NodeID          { return a.s.RandomNodeSample(k) }
-func (a simSurface) Alive(id overlay.NodeID) bool                { return a.s.NodeAlive(id) }
-func (a simSurface) Owner(key overlay.Key) overlay.NodeID        { return a.s.Ov.Owner(key) }
-func (a simSurface) SetCapacity(ids []overlay.NodeID, c float64) { a.s.SetCapacityFraction(ids, c) }
-func (a simSurface) AddReplica(key overlay.Key, r int)           { a.s.AddReplica(key, r) }
-func (a simSurface) RemoveReplica(key overlay.Key, r int)        { a.s.RemoveReplica(key, r) }
+func (a simSurface) Size() int                            { return len(a.s.Nodes) }
+func (a simSurface) Keys() []overlay.Key                  { return a.s.Keys }
+func (a simSurface) Replicas() int                        { return a.s.P.Replicas }
+func (a simSurface) Rand() *rand.Rand                     { return a.s.Rng.Rand }
+func (a simSurface) RandomNodes(k int) []overlay.NodeID   { return a.s.RandomNodeSample(k) }
+func (a simSurface) Alive(id overlay.NodeID) bool         { return a.s.NodeAlive(id) }
+func (a simSurface) Owner(key overlay.Key) overlay.NodeID { return a.s.Ov.Owner(key) }
+func (a simSurface) SetCapacity(ids []overlay.NodeID, c float64) error {
+	a.s.SetCapacityFraction(ids, c)
+	return nil
+}
+func (a simSurface) AddReplica(key overlay.Key, r int)    { a.s.AddReplica(key, r) }
+func (a simSurface) RemoveReplica(key overlay.Key, r int) { a.s.RemoveReplica(key, r) }
 
 func (a simSurface) Join() (overlay.NodeID, error) {
 	if !a.s.SupportsChurn() {

@@ -208,7 +208,7 @@ func AblationJustified(sc Scale) *metrics.Table {
 		// virtual subtree. A leaf sees only its own λ/n; interior nodes
 		// aggregate more, so the measured fraction (averaged over the
 		// tree) must sit at or above the leaf prediction and grow with λ.
-		leaf := 1 - math.Exp(-sc.rate(r)*lifetime/n)
+		leaf := 1 - math.Exp(-r*lifetime/n)
 		t.AddRow(metrics.F(r),
 			metrics.F(res.Counters.JustifiedFraction()),
 			metrics.F(leaf))
@@ -351,7 +351,7 @@ func AblationChurn(sc Scale) *metrics.Table {
 			if rounds == 0 {
 				return nil
 			}
-			period := float64(sc.duration()) / float64(rounds+1)
+			period := queryWindow / float64(rounds+1)
 			return []cup.Fault{cup.NodeChurn{At: 350, Period: period, Rounds: rounds}}
 		}
 		stdF[i] = eng.submit(append(sc.base(5),

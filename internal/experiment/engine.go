@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"cup"
-	"cup/internal/obs"
 )
 
 // The adaptive parallel sweep engine: every figure/table of the
@@ -54,13 +53,9 @@ type Engine struct {
 	running int
 
 	// trialNs records every finished trial's wall time; the tail of a
-	// sweep (its slowest cell) is what adaptive dispatch exists to hide,
-	// so cupbench reports it alongside throughput.
+	// sweep (its slowest cell) is what adaptive dispatch exists to hide.
 	statMu  sync.Mutex
 	trialNs []time.Duration
-	// trialHist, when Instrument installed one, additionally records each
-	// trial's wall time into the telemetry registry.
-	trialHist *obs.Histogram
 }
 
 // NewEngine returns an engine running at most workers trials
@@ -167,11 +162,7 @@ func (e *Engine) runOne(pt *pendingTrial) {
 		elapsed := time.Since(start) //cup:wallclock
 		e.statMu.Lock()
 		e.trialNs = append(e.trialNs, elapsed)
-		hist := e.trialHist
 		e.statMu.Unlock()
-		if hist != nil {
-			hist.Observe(elapsed.Seconds())
-		}
 		close(pt.fut.done)
 	}()
 	defer func() { pt.fut.failure = recover() }()
@@ -210,60 +201,17 @@ func (e *Engine) TrialTimes() []time.Duration {
 	return append([]time.Duration(nil), e.trialNs...)
 }
 
-// TailTime returns the wall time of the slowest trial finished so far —
-// the sweep tail adaptive dispatch exists to hide.
-func (e *Engine) TailTime() time.Duration {
-	var max time.Duration
-	for _, d := range e.TrialTimes() {
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// QueueDepth returns the number of trials waiting for a worker.
-func (e *Engine) QueueDepth() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.pending.Len()
-}
-
-// Running returns the number of workers currently executing trials.
-func (e *Engine) Running() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.running
-}
-
-// Instrument registers the engine's telemetry on reg: queue depth and
-// running-worker gauges read live at scrape time, plus a histogram of
-// per-trial wall seconds observed as trials finish.
-func (e *Engine) Instrument(reg *obs.Registry) {
-	reg.GaugeFunc("cup_experiment_queue_depth",
-		"Sweep trials waiting for a worker.",
-		func() float64 { return float64(e.QueueDepth()) })
-	reg.GaugeFunc("cup_experiment_running",
-		"Sweep trials currently executing.",
-		func() float64 { return float64(e.Running()) })
-	hist := reg.Histogram("cup_experiment_trial_seconds",
-		"Wall time of finished sweep trials.", obs.DefBuckets)
-	e.statMu.Lock()
-	e.trialHist = hist
-	e.statMu.Unlock()
-}
-
 // submit is the generators' shorthand for an unlabeled trial.
 func (e *Engine) submit(opts ...cup.Option) *Future {
 	return e.Go(Trial{Opts: opts})
 }
 
 // engine builds the sweep engine for one experiment at the Scale's
-// configured parallelism, reusing the Scale's shared pool when the
-// caller installed one.
+// configured parallelism, reusing the Scale's shared pool when one is
+// installed.
 func (s Scale) engine() *Engine {
-	if s.Eng != nil {
-		return s.Eng
+	if s.eng != nil {
+		return s.eng
 	}
 	return NewEngine(s.Parallelism)
 }

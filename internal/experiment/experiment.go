@@ -8,11 +8,10 @@
 // options — so the experiments exercise exactly the surface downstream
 // users import.
 //
-// Scale controls cost: the paper's full workload (3000 s of querying, up
-// to λ = 1000 queries/s, n up to 4096) runs with Scale{Full: true}; the
-// default reduced scale keeps every experiment fast enough for go test
-// while preserving the shapes (who wins, by what factor, where the
-// crossovers fall).
+// There is one scale, the paper's: 3000 s of querying, λ up to 1000
+// queries/s, n up to 4096. The seven §3 artefacts at seed 1 are
+// committed under testdata/paper and compared byte for byte by
+// TestPaperTablesMatchGolden.
 package experiment
 
 import (
@@ -23,14 +22,11 @@ import (
 	"cup"
 	"cup/internal/metrics"
 	"cup/internal/policy"
-	"cup/internal/sim"
 )
 
-// Scale selects the workload size for the experiments.
+// Scale is what a caller may vary about the experiments; the workload
+// itself is the paper's.
 type Scale struct {
-	// Full reproduces the paper's parameters exactly; otherwise the query
-	// window and the highest rates shrink.
-	Full bool
 	// Seed varies the run deterministically.
 	Seed int64
 	// Overlay overrides the substrate for every experiment by its
@@ -42,10 +38,10 @@ type Scale struct {
 	// at any setting: trials are independent runs assembled in a fixed
 	// order.
 	Parallelism int
-	// Eng, when set, is a shared worker pool every experiment run at
-	// this Scale uses instead of building its own — letting a caller
-	// (cmd/cupbench) observe one sweep's dispatch tail via TailTime.
-	Eng *Engine
+	// eng, when set, is a worker pool shared by every experiment run at
+	// this Scale instead of one built per experiment: the package's tests
+	// regenerate all of §3 on one pool.
+	eng *Engine
 }
 
 func (s Scale) seed() int64 {
@@ -55,30 +51,11 @@ func (s Scale) seed() int64 {
 	return s.Seed
 }
 
-// duration returns the query window length.
-func (s Scale) duration() sim.Duration {
-	if s.Full {
-		return 3000
-	}
-	return 600
-}
+// queryWindow is the paper's 3000 s of querying (§3.2).
+const queryWindow = 3000.0
 
-// rate clamps the paper's rate λ under reduced scale so that event counts
-// stay small while preserving ordering across rates.
-func (s Scale) rate(lambda float64) float64 {
-	if s.Full || lambda <= 100 {
-		return lambda
-	}
-	return 100 + (lambda-100)/10 // 1000 → 190
-}
-
-// nodes clamps network size.
-func (s Scale) nodes(n int) int {
-	if s.Full || n <= 1024 {
-		return n
-	}
-	return 1024
-}
+// singleRun closes the caption of every §3 artefact: no cell is a mean.
+const singleRun = "\nEvery cell is a single 3000 s run at one seed, as the paper's were."
 
 // base builds the common options of the §3.3-§3.6 experiments:
 // n = 2^10 nodes, one key, one replica, lifetime 300 s. Every call
@@ -87,8 +64,8 @@ func (s Scale) base(lambda float64) []cup.Option {
 	return []cup.Option{
 		cup.WithNodes(1024),
 		cup.WithOverlay(s.Overlay),
-		cup.WithQueryRate(s.rate(lambda)),
-		cup.WithQueryDuration(cup.Seconds(float64(s.duration()))),
+		cup.WithQueryRate(lambda),
+		cup.WithQueryDuration(cup.Seconds(queryWindow)),
 		cup.WithSeed(s.seed()),
 	}
 }
@@ -155,7 +132,7 @@ func FigPushLevel(sc Scale, title string, rates []float64) *metrics.Table {
 		}
 		t.AddRow(row...)
 	}
-	t.Caption = "Total and miss cost (hops) vs push level; level 0 = standard caching."
+	t.Caption = "Total and miss cost (hops) vs push level; level 0 = standard caching." + singleRun
 	return t
 }
 
@@ -260,7 +237,10 @@ func Table1Policies(sc Scale) *metrics.Table {
 		row = append(row, cell(best, i))
 	}
 	t.AddRow(row...)
-	t.Caption = "Cells: total cost in hops (normalized by standard caching)."
+	t.Caption = "Cells: total cost in hops (normalized by standard caching); the optimal push level is the cheapest of six runs.\n" +
+		"Linear α ≤ 0.01 and Logarithmic α ≤ 0.10 are one row: popularity is an integer and α·D, α·lg D < 1 at every\n" +
+		"distance D a 1024-node CAN reaches, so all four keep a key iff ≥ 1 query arrived since the last update\n" +
+		"(lg 1 = 0 spares D = 1 even that, but an authority's neighbour relays too many queries ever to see none)." + singleRun
 	return t
 }
 
@@ -270,20 +250,15 @@ var Table2Sizes = []int{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
 // Table2NetworkSize reproduces Table 2: CUP vs standard caching across
 // network sizes at λ = 1 query/s with the second-chance policy.
 func Table2NetworkSize(sc Scale) *metrics.Table {
-	sizes := Table2Sizes
-	if !sc.Full {
-		sizes = []int{8, 32, 128, 512, 1024}
-	}
 	t := &metrics.Table{Title: "Table 2: CUP vs standard caching, varying network size (λ=1)"}
 	t.Header = []string{"Metric"}
-	for _, n := range sizes {
-		t.Header = append(t.Header, metrics.I(sc.nodes(n)))
+	for _, n := range Table2Sizes {
+		t.Header = append(t.Header, metrics.I(n))
 	}
 	eng := sc.engine()
-	stdF := make([]*Future, len(sizes))
-	cupF := make([]*Future, len(sizes))
-	for i, n := range sizes {
-		n = sc.nodes(n)
+	stdF := make([]*Future, len(Table2Sizes))
+	cupF := make([]*Future, len(Table2Sizes))
+	for i, n := range Table2Sizes {
 		stdF[i] = eng.submit(append(sc.base(1), cup.WithNodes(n), cup.WithStandardCaching())...)
 		cupF[i] = eng.submit(append(sc.base(1), cup.WithNodes(n))...)
 	}
@@ -291,7 +266,7 @@ func Table2NetworkSize(sc Scale) *metrics.Table {
 	cupLat := []string{"CUP miss latency"}
 	stdLat := []string{"STD caching miss latency"}
 	saved := []string{"Saved miss hops per CUP overhead hop"}
-	for i := range sizes {
+	for i := range Table2Sizes {
 		std := stdF[i].Result()
 		cupRes := cupF[i].Result()
 		ratio = append(ratio, metrics.F(
@@ -304,7 +279,7 @@ func Table2NetworkSize(sc Scale) *metrics.Table {
 	t.AddRow(cupLat...)
 	t.AddRow(stdLat...)
 	t.AddRow(saved...)
-	t.Caption = "Second-chance cut-off; miss latency in hops per miss."
+	t.Caption = "Second-chance cut-off; miss latency in hops per miss." + singleRun
 	return t
 }
 
@@ -315,21 +290,17 @@ var Table3Replicas = []int{100, 50, 10, 5, 2, 1}
 // reset on every update arrival) versus the replica-independent cut-off,
 // for varying numbers of replicas per key.
 func Table3ReplicasTable(sc Scale) *metrics.Table {
-	reps := Table3Replicas
-	if !sc.Full {
-		reps = []int{20, 10, 5, 2, 1}
-	}
 	t := &metrics.Table{Title: "Table 3: naive vs replica-independent cut-off (λ=1, n=1024)"}
 	t.Header = []string{"Replicas",
 		"Naive miss cost (misses)", "Repl-indep miss cost (misses)", "Repl-indep total cost"}
 	eng := sc.engine()
-	naiveF := make([]*Future, len(reps))
-	fixedF := make([]*Future, len(reps))
-	for i, r := range reps {
+	naiveF := make([]*Future, len(Table3Replicas))
+	fixedF := make([]*Future, len(Table3Replicas))
+	for i, r := range Table3Replicas {
 		naiveF[i] = eng.submit(append(sc.base(1), cup.WithReplicas(r), cup.WithNaiveCutoff())...)
 		fixedF[i] = eng.submit(append(sc.base(1), cup.WithReplicas(r))...)
 	}
-	for i, r := range reps {
+	for i, r := range Table3Replicas {
 		naive := naiveF[i].Result()
 		fixed := fixedF[i].Result()
 		t.AddRow(
@@ -339,7 +310,7 @@ func Table3ReplicasTable(sc Scale) *metrics.Table {
 			metrics.I(fixed.Counters.TotalCost()),
 		)
 	}
-	t.Caption = "Second-chance policy; every replica refresh sent as a separate update."
+	t.Caption = "Second-chance policy; every replica refresh sent as a separate update." + singleRun
 	return t
 }
 
@@ -355,24 +326,15 @@ func FigCapacity(sc Scale, title string, lambda float64) *metrics.Table {
 	t := &metrics.Table{Title: title}
 	t.Header = []string{"capacity c", "Up-And-Down total", "Once-Down-Always-Down total", "Standard caching"}
 
-	fault := func(c float64, recover bool) cup.CapacityFault {
-		f := cup.CapacityFault{Capacity: c, Recover: recover}
-		if !sc.Full {
-			// Shrink the paper's 5/10/5-minute fault cycle with the query
-			// window so several Up-And-Down cycles still occur.
-			f.Warmup, f.Down, f.Stabilize = 100, 150, 75
-		}
-		return f
-	}
 	eng := sc.engine()
 	stdF := eng.submit(append(sc.base(lambda), cup.WithStandardCaching())...)
 	upF := make([]*Future, len(Capacities))
 	downF := make([]*Future, len(Capacities))
 	for i, c := range Capacities {
 		upF[i] = eng.submit(append(sc.base(lambda),
-			cup.WithFaults(fault(c, true)))...)
+			cup.WithFaults(cup.CapacityFault{Capacity: c, Recover: true}))...)
 		downF[i] = eng.submit(append(sc.base(lambda),
-			cup.WithFaults(fault(c, false)))...)
+			cup.WithFaults(cup.CapacityFault{Capacity: c}))...)
 	}
 	std := stdF.Result().Counters.TotalCost()
 	for i, c := range Capacities {
@@ -381,7 +343,7 @@ func FigCapacity(sc Scale, title string, lambda float64) *metrics.Table {
 			metrics.I(downF[i].Result().Counters.TotalCost()),
 			metrics.I(std))
 	}
-	t.Caption = "20% of nodes at reduced capacity; second-chance policy."
+	t.Caption = "20% of nodes at reduced capacity; second-chance policy." + singleRun
 	return t
 }
 

@@ -156,8 +156,9 @@ func TestLiveChurnStaticOverlayErrors(t *testing.T) {
 // fault replay with a descriptive error instead of silently passing.
 func TestLiveRunFaultsSurfacesUnsupportedChurn(t *testing.T) {
 	bothTransports(t, Config{Nodes: 8, Overlay: "chord"}, func(t *testing.T, n *Network) {
-		surf := n.FaultSurface([]overlay.Key{"k"}, 1, time.Hour, rand.New(rand.NewSource(1)))
-		err := n.RunFaults(ctxShort(t), []cup.Fault{cup.NodeChurn{Rounds: 2}}, surf, 0, 0.001, 1000)
+		ctx := ctxShort(t)
+		surf := n.FaultSurface(ctx, []overlay.Key{"k"}, 1, time.Hour, rand.New(rand.NewSource(1)))
+		err := n.RunFaults(ctx, []cup.Fault{cup.NodeChurn{Rounds: 2}}, surf, 0, 0.001, 1000)
 		if err == nil || !strings.Contains(err.Error(), "unsupported") {
 			t.Fatalf("RunFaults(NodeChurn) on chord: err = %v, want unsupported-churn error", err)
 		}
@@ -184,8 +185,9 @@ func TestLiveNodeChurnFaultChangesCounters(t *testing.T) {
 		for _, k := range keys {
 			add(t, n, k, 0, "10.0.0.1", time.Hour)
 		}
-		surf := n.FaultSurface(keys, 1, time.Hour, rand.New(rand.NewSource(1)))
-		err := n.RunFaults(ctxShort(t), []cup.Fault{cup.NodeChurn{Rounds: 6}}, surf, 0, 0.006, 1000)
+		ctx := ctxShort(t)
+		surf := n.FaultSurface(ctx, keys, 1, time.Hour, rand.New(rand.NewSource(1)))
+		err := n.RunFaults(ctx, []cup.Fault{cup.NodeChurn{Rounds: 6}}, surf, 0, 0.006, 1000)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -333,9 +333,11 @@ func (n *Network) RemoveReplicaCtx(ctx context.Context, key overlay.Key, replica
 }
 
 // SetCapacity adjusts a peer's outgoing update capacity fraction
-// (negative restores full capacity), as in the §3.7 experiments.
-func (n *Network) SetCapacity(id overlay.NodeID, c float64) {
-	_ = n.controlNode(context.Background(), id, func(node *cup.Node) { node.SetCapacity(c) })
+// (negative restores full capacity), as in the §3.7 experiments. Like
+// every control call it waits for room in the peer's inbox no longer
+// than ctx allows, and rejects an id the network never issued.
+func (n *Network) SetCapacity(ctx context.Context, id overlay.NodeID, c float64) error {
+	return n.controlNode(ctx, id, func(node *cup.Node) { node.SetCapacity(c) })
 }
 
 // Inspect runs fn on node id's goroutine with exclusive access to its

@@ -232,7 +232,9 @@ func TestSetCapacityZeroStillAnswersQueries(t *testing.T) {
 	bothTransports(t, Config{}, func(t *testing.T, n *Network) {
 		add(t, n, "k", 0, "10.0.0.1", time.Hour)
 		for i := 0; i < 16; i++ {
-			n.SetCapacity(overlay.NodeID(i), 0)
+			if err := n.SetCapacity(ctxShort(t), overlay.NodeID(i), 0); err != nil {
+				t.Fatal(err)
+			}
 		}
 		entries, err := n.Lookup(ctxShort(t), 3, "k")
 		if err != nil || len(entries) != 1 {

@@ -195,12 +195,15 @@ func sortTimedFaults(events []timedFault) {
 // FaultSurface builds the live implementation of cup.FaultSurface:
 // capacity interventions, replica churn, and — on a dynamic overlay —
 // §2.9 membership churn all act on the running network. Operations the
-// substrate cannot honor return descriptive errors.
-func (n *Network) FaultSurface(keys []overlay.Key, replicas int, lifetime time.Duration, rng *rand.Rand) cup.FaultSurface {
-	return &liveSurface{n: n, keys: keys, replicas: replicas, lifetime: lifetime, rng: rng}
+// substrate cannot honor return descriptive errors. ctx is the fault
+// replay's (see RunFaults): a capacity intervention waiting on a full
+// inbox ends with it.
+func (n *Network) FaultSurface(ctx context.Context, keys []overlay.Key, replicas int, lifetime time.Duration, rng *rand.Rand) cup.FaultSurface {
+	return &liveSurface{ctx: ctx, n: n, keys: keys, replicas: replicas, lifetime: lifetime, rng: rng}
 }
 
 type liveSurface struct {
+	ctx      context.Context
 	n        *Network
 	keys     []overlay.Key
 	replicas int
@@ -235,10 +238,13 @@ func (s *liveSurface) RandomNodes(k int) []overlay.NodeID {
 	return out
 }
 
-func (s *liveSurface) SetCapacity(ids []overlay.NodeID, c float64) {
+func (s *liveSurface) SetCapacity(ids []overlay.NodeID, c float64) error {
 	for _, id := range ids {
-		s.n.SetCapacity(id, c)
+		if err := s.n.SetCapacity(s.ctx, id, c); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // Replica births and deaths, like Join and Leave, have no per-event

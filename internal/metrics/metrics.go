@@ -205,10 +205,8 @@ func (t *Table) Render() string {
 }
 
 // Percentile returns the q-quantile (0 ≤ q ≤ 1, nearest-rank) of a set
-// of wall-clock samples — the engine's per-trial times. q=1 is the
-// sweep tail: the slowest cell, the quantity adaptive dispatch hides
-// behind the rest of the pool's work. The input is not modified; an
-// empty set returns zero.
+// of wall-clock samples — cupload's request latencies; q=1 is the
+// slowest. The input is not modified; an empty set returns zero.
 func Percentile(samples []time.Duration, q float64) time.Duration {
 	if len(samples) == 0 {
 		return 0

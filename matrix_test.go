@@ -208,7 +208,7 @@ func TestLiveChurnTrialsConcurrent(t *testing.T) {
 func TestTCPTrialSweepReleasesPortBudget(t *testing.T) {
 	before := live.PortsInUse()
 	d, err := cup.New(
-		cup.WithTCP(),
+		cup.WithTransport(cup.LiveTCP),
 		cup.WithOverlay("can"),
 		cup.WithNodes(8),
 		cup.WithSeed(9),
@@ -260,7 +260,7 @@ func TestTCPTrialBootFailureReleasesPortBudget(t *testing.T) {
 	defer live.ReleaseListeners(hold)
 
 	d, err := cup.New(
-		cup.WithTCP(),
+		cup.WithTransport(cup.LiveTCP),
 		cup.WithOverlay("can"),
 		cup.WithNodes(16),
 		cup.WithSeed(9),

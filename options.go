@@ -100,9 +100,6 @@ func WithTransport(t Transport) Option {
 // WithLive is shorthand for WithTransport(Live).
 func WithLive() Option { return WithTransport(Live) }
 
-// WithTCP is shorthand for WithTransport(LiveTCP).
-func WithTCP() Option { return WithTransport(LiveTCP) }
-
 // WithNodes sets the overlay size (default 1024, the paper's n = 2^10).
 // A non-positive count is a configuration error reported by New.
 func WithNodes(n int) Option {
@@ -228,18 +225,6 @@ func WithQueryDuration(duration time.Duration) Option {
 			return
 		}
 		o.p.QueryDuration = sim.Duration(duration.Seconds())
-	}
-}
-
-// WithDrain extends a simulated run past the query window so in-flight
-// traffic and tree teardown complete (default: one lifetime).
-func WithDrain(d time.Duration) Option {
-	return func(o *options) {
-		if d < 0 {
-			o.reject("drain %v must be non-negative", d)
-			return
-		}
-		o.p.Drain = sim.Duration(d.Seconds())
 	}
 }
 

@@ -3,8 +3,11 @@ package cup_test
 import (
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"cup"
 )
 
 // TestReadmeArchitectureMatchesTree keeps README's architecture block
@@ -47,6 +50,57 @@ func TestReadmeArchitectureMatchesTree(t *testing.T) {
 	for _, d := range dirs {
 		if p := filepath.Join("internal", d.Name()); d.IsDir() && !named[p] {
 			t.Errorf("%s/ is missing from README's architecture block", p)
+		}
+	}
+}
+
+// TestReadmeMetricsCatalogMatchesRegistry keeps README's metrics
+// catalog from drifting: the series its first column names are exactly
+// the ones a simulated and a live serving deployment register with
+// telemetry on, no more and no fewer.
+func TestReadmeMetricsCatalogMatchesRegistry(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, catalog, ok := strings.Cut(string(readme), "### Metrics catalog\n\n")
+	if !ok {
+		t.Fatal("README has no Metrics catalog section")
+	}
+	catalog, _, _ = strings.Cut(catalog, "\n\n") // the table, up to the blank line that ends it
+	series := regexp.MustCompile("`(cup_[a-z_]+)`")
+	listed := map[string]bool{}
+	for _, row := range strings.Split(catalog, "\n") {
+		cols := strings.Split(row, "|")
+		if len(cols) < 2 {
+			continue
+		}
+		for _, m := range series.FindAllStringSubmatch(cols[1], -1) {
+			listed[m[1]] = true
+		}
+	}
+	if len(listed) == 0 {
+		t.Fatal("README's Metrics catalog lists no series")
+	}
+
+	registered := map[string]bool{}
+	for _, opts := range [][]cup.Option{
+		{cup.WithTelemetry("")},
+		{cup.WithLive(), cup.WithNodes(4), cup.WithServing("127.0.0.1:0"), cup.WithTelemetry("")},
+	} {
+		d := newDeployment(t, opts...)
+		for _, m := range d.Metrics() {
+			registered[m.Name] = true
+		}
+	}
+	for name := range listed {
+		if !registered[name] {
+			t.Errorf("README's metrics catalog lists %s, which no deployment registers", name)
+		}
+	}
+	for name := range registered {
+		if !listed[name] {
+			t.Errorf("%s is registered but missing from README's metrics catalog", name)
 		}
 	}
 }

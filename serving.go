@@ -196,9 +196,14 @@ func (d *Deployment) ServingAddrs() []string {
 
 // ServingEntryNode reports which peer a served GET for key enters the
 // overlay at — the node whose pending-first-update flag coalesces a
-// miss storm for the key (see serve.EntryNode).
-func (d *Deployment) ServingEntryNode(key Key) NodeID {
-	return serve.EntryNode(key, d.Size())
+// miss storm for the key (see serve.EntryNode). It fails, as Lookup
+// does, on a live deployment that has no network.
+func (d *Deployment) ServingEntryNode(key Key) (NodeID, error) {
+	size, err := d.peers()
+	if err != nil {
+		return 0, err
+	}
+	return serve.EntryNode(key, size), nil
 }
 
 // addrClaimedByServing reports whether addr is among the WithServing

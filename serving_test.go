@@ -36,6 +36,16 @@ func servingDeployment(t *testing.T, opts ...cup.Option) *cup.Deployment {
 	return d
 }
 
+// entryNode is d.ServingEntryNode on a deployment that is up.
+func entryNode(t *testing.T, d *cup.Deployment, key cup.Key) cup.NodeID {
+	t.Helper()
+	at, err := d.ServingEntryNode(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return at
+}
+
 func TestServingEndToEnd(t *testing.T) {
 	d := servingDeployment(t)
 	addrs := d.ServingAddrs()
@@ -127,7 +137,7 @@ func TestServingFlashCrowdHerd(t *testing.T) {
 	var key string
 	for i := 0; ; i++ {
 		k := fmt.Sprintf("herd-%d", i)
-		if d.ServingEntryNode(cup.Key(k)) != d.Authority(cup.Key(k)) {
+		if entryNode(t, d, cup.Key(k)) != d.Authority(cup.Key(k)) {
 			key = k
 			break
 		}
@@ -399,7 +409,8 @@ func TestServingHotKeyOverloadSheds(t *testing.T) {
 
 	release := make(chan struct{})
 	blocked := make(chan struct{})
-	go func() { _ = d.Inspect(d.ServingEntryNode(key), func(*cup.Node) { close(blocked); <-release }) }()
+	entry := entryNode(t, d, key)
+	go func() { _ = d.Inspect(entry, func(*cup.Node) { close(blocked); <-release }) }()
 	<-blocked
 
 	type outcome struct {

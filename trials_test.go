@@ -184,7 +184,6 @@ func TestTrialSweepCrossTransportParity(t *testing.T) {
 			cup.WithQueryRate(10),
 			cup.WithLifetime(cup.Seconds(5)),
 			cup.WithQueryWindow(cup.Seconds(5), cup.Seconds(20)),
-			cup.WithDrain(cup.Seconds(5)),
 			cup.WithTimeScale(50),
 			cup.WithHopDelay(200 * time.Microsecond),
 			cup.WithSeed(23),
