@@ -33,12 +33,9 @@
 //	d, err := cup.New(cup.WithQueryRate(10))
 //	res, err := d.Run(ctx)
 //
-// Sweeps are first-class: WithTrials(n) turns Run into an n-trial sweep
-// — fresh simulation per trial, seeds derived from the run seed — that
-// executes on a worker pool (WithParallelism caps it) and merges the
-// counters in trial order, so the Result is bit-identical at any
-// parallelism. internal/experiment regenerates every figure and table
-// of §3 on the same engine.
+// Run executes one run. Sweeps of independent runs — every figure and
+// table of §3 — belong to internal/experiment's Engine, which builds one
+// Deployment per cell on a worker pool.
 //
 // # Scenarios
 //
@@ -51,7 +48,7 @@
 // WithScenario; both transports consume them identically, the live one
 // replaying the schedule in wall-clock time under WithTimeScale. The
 // scenario registry (RegisterScenario, BuildScenario, ScenarioNames)
-// backs the cupsim and cupbench -scenario flags.
+// backs the cupsim -scenario flag.
 //
 // The protocol core is a pure state machine (Node); both transports drive
 // the same code, so simulation results transfer to the live runtime.

@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	internal "cup/internal/cup"
@@ -69,15 +67,6 @@ type Deployment struct {
 	p internal.Params
 	// timeScale compresses scenario replay on the live transport.
 	timeScale float64
-	// trials > 1 turns Run into a multi-trial sweep on either transport;
-	// parallelism caps its worker pool (0 = GOMAXPROCS).
-	trials      int
-	parallelism int
-	// liveCfg is the live network configuration New built (or would
-	// build) from the options; live multi-trial sweeps boot one isolated
-	// network per trial from it, varying only the seed and the carved
-	// inbox budget.
-	liveCfg live.Config
 	// tele is the WithTelemetry observability state (nil without it).
 	tele *telemetry
 	// serve is the WithServing HTTP serving layer (nil without it).
@@ -101,8 +90,10 @@ type pubKey struct {
 //	d, err := cup.New(cup.WithTransport(cup.Live), cup.WithOverlay("kademlia"), cup.WithNodes(256))
 //
 // Unset knobs use the paper's defaults (1024-node CAN, 300 s lifetimes,
-// seed 1, ...) from the shared defaults table. Callers must Close the
-// deployment when done.
+// seed 1, ...) from the shared defaults table. A live deployment's
+// network is up when New returns; on LiveTCP a failed boot (port budget
+// exhausted, listeners unavailable) is New's error. Callers must Close
+// the deployment when done.
 func New(opts ...Option) (*Deployment, error) {
 	var o options
 	for _, opt := range opts {
@@ -137,24 +128,19 @@ func New(opts ...Option) (*Deployment, error) {
 		return nil, err
 	}
 
+	// The bus is the node observer on both transports.
 	bus := internal.NewBus()
+	o.p.Observer = bus
 	d := &Deployment{
-		bus:         bus,
-		p:           o.p,
-		timeScale:   o.timeScale,
-		trials:      o.trials,
-		parallelism: o.parallelism,
-		rng:         rand.New(rand.NewSource(o.p.Seed)),
-		published:   make(map[pubKey]bool),
+		bus:       bus,
+		p:         o.p,
+		timeScale: o.timeScale,
+		rng:       rand.New(rand.NewSource(o.p.Seed)),
+		published: make(map[pubKey]bool),
 	}
 	for _, obs := range o.observers {
 		d.detach = append(d.detach, bus.Attach(obs))
 	}
-	// The bus is the node observer on both transports. d.p carries it
-	// too, so trial runs built from it emit their interleaved event
-	// streams to the deployment's observers.
-	o.p.Observer = bus
-	d.p.Observer = bus
 
 	switch o.transport {
 	case Simulated:
@@ -164,7 +150,7 @@ func New(opts ...Option) (*Deployment, error) {
 		if hop == 0 && o.transport == Live {
 			hop = internal.DefaultLiveHopDelay
 		}
-		d.liveCfg = live.Config{
+		cfg := live.Config{
 			Nodes:      o.p.Nodes,
 			Overlay:    o.p.OverlayKind,
 			HopDelay:   hop,
@@ -173,10 +159,17 @@ func New(opts ...Option) (*Deployment, error) {
 			InboxDepth: o.inboxDepth,
 			Observer:   bus,
 		}
-		// The network boots lazily on first use: a multi-trial Run only
-		// ever drives per-trial networks, and must not also pay for an
-		// idle full-budget base network (or, on TCP, its listeners).
-		d.rt = &liveRuntime{cfg: d.liveCfg, tcp: o.transport == LiveTCP}
+		lr := &liveRuntime{tcp: o.transport == LiveTCP}
+		if lr.tcp {
+			n, err := live.NewTCPNetwork(cfg)
+			if err != nil {
+				return nil, fmt.Errorf("cup: tcp transport: %w", err)
+			}
+			lr.n = n
+		} else {
+			lr.n = live.NewNetwork(cfg)
+		}
+		d.rt = lr
 	default:
 		return nil, fmt.Errorf("cup: unknown transport %d", int(o.transport))
 	}
@@ -214,28 +207,11 @@ func (d *Deployment) Authority(key Key) NodeID { return d.rt.Authority(key) }
 // Runtime.Counters for the live transport's approximation).
 func (d *Deployment) Counters() Counters { return d.rt.Counters() }
 
-// peers is Size with the reason there are none: a live deployment that
-// was closed before first use, or whose TCP boot failed, has no network
-// and so no peer to pick.
-func (d *Deployment) peers() (int, error) {
-	if lr, ok := d.rt.(*liveRuntime); ok {
-		n, err := lr.network()
-		if err != nil {
-			return 0, err
-		}
-		return n.Size(), nil
-	}
-	return d.rt.Size(), nil
-}
-
 // Lookup resolves key from a deterministically random peer — the
 // client's entry point is arbitrary in a P2P network. Use LookupAt to
 // pick the peer.
 func (d *Deployment) Lookup(ctx context.Context, key Key) ([]Entry, error) {
-	size, err := d.peers()
-	if err != nil {
-		return nil, err
-	}
+	size := d.rt.Size()
 	d.mu.Lock()
 	at := NodeID(d.rng.Intn(size))
 	d.mu.Unlock()
@@ -322,164 +298,22 @@ func (d *Deployment) EventsDropped() uint64 { return d.bus.Dropped() }
 // WithTimeScale): scripted replica births with periodic refreshes, the
 // traffic pump, and the fault timeline — so a live deployment without a
 // WithTraffic/WithScenario workload still errors, staying interactive.
-// With WithTrials(n), either transport runs the workload n times —
-// fresh simulations or isolated live networks — and merges the trials'
-// counters in trial order.
+// Sweeps of independent runs belong to internal/experiment's Engine.
 func (d *Deployment) Run(ctx context.Context) (*Result, error) {
 	if sr, ok := d.rt.(*simRuntime); ok {
-		if d.trials > 1 {
-			return d.runTrials(ctx, d.runSimTrial)
-		}
 		return sr.run(ctx)
 	}
 	if d.p.Traffic == nil {
 		return nil, fmt.Errorf("cup: Run on a live deployment needs a scenario (WithTraffic or WithScenario); interactive deployments are driven through Lookup/Publish")
 	}
-	if d.trials > 1 {
-		return d.runTrials(ctx, d.runLiveTrial)
-	}
-	return d.runLiveOn(ctx, d.rt.(*liveRuntime), d.p, d.Publish)
+	return d.runLive(ctx, d.rt.(*liveRuntime))
 }
 
-// runTrials executes d.trials independent runs of the scripted workload
-// — trial is the transport-specific body, handed the trial index — on a
-// worker pool, and merges their counters in trial order, so the Result
-// does not depend on the parallelism. Each trial is fully isolated
-// (derived seed, own simulation or own live network); the deployment's
-// own runtime is left untouched. Observers attached to the bus see the
-// trials' interleaved event streams.
-func (d *Deployment) runTrials(ctx context.Context, trial func(context.Context, int) (*Result, error)) (*Result, error) {
-	workers := d.trialWorkers()
-	results := make([]*Result, d.trials)
-	errs := make([]error, d.trials)
-	tctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results[i], errs[i] = trial(tctx, i)
-				if errs[i] != nil {
-					cancel() // stop handing out further trials
-				}
-			}
-		}()
-	}
-feed:
-	for i := 0; i < d.trials; i++ {
-		select {
-		case jobs <- i:
-		case <-tctx.Done():
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	// Report the trial that actually failed: the cancel() fired on its
-	// error also aborts in-flight siblings with context.Canceled, which
-	// must not mask the cause. Among real failures, trial order wins.
-	var firstErr error
-	for _, err := range errs {
-		if err == nil || errors.Is(err, context.Canceled) {
-			continue
-		}
-		firstErr = err
-		break
-	}
-	if firstErr == nil {
-		for _, err := range errs {
-			if err != nil {
-				firstErr = err
-				break
-			}
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	merged := &Result{Params: d.p}
-	for _, r := range results {
-		if r == nil { // trial never started: ctx cancelled before feed
-			return nil, ctx.Err()
-		}
-		merged.Counters.Add(&r.Counters)
-	}
-	return merged, nil
-}
-
-// trialWorkers resolves the sweep's worker-pool width.
-func (d *Deployment) trialWorkers() int {
-	workers := d.parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > d.trials {
-		workers = d.trials
-	}
-	return workers
-}
-
-// runSimTrial is one simulated trial: a fresh overlay, scheduler, and
-// RNG under the trial's derived seed.
-func (d *Deployment) runSimTrial(ctx context.Context, trial int) (*Result, error) {
-	p := d.p
-	p.Seed = internal.TrialSeed(d.p.Seed, trial)
-	return internal.NewSimulation(p).RunContext(ctx)
-}
-
-// runLiveTrial is one live trial: an isolated network — goroutine or
-// TCP, matching the deployment's transport — booted under the trial's
-// derived seed (same topology derivation a simulated trial of that
-// seed uses), with a per-trial inbox budget carved from the
-// deployment's so side-by-side networks cannot overcommit what one
-// deployment was provisioned for. TCP trials additionally draw their
-// listeners from the process-wide port budget and release them on
-// every exit path, including a failed boot mid-sweep. The trial
-// network shares nothing with its siblings but the deployment's event
-// bus.
-func (d *Deployment) runLiveTrial(ctx context.Context, trial int) (*Result, error) {
-	p := d.p
-	p.Seed = internal.TrialSeed(d.p.Seed, trial)
-	cfg := d.liveCfg
-	cfg.Seed = p.Seed
-	cfg.InboxDepth = live.TrialInboxDepth(cfg.InboxDepth, d.trialWorkers())
-	lr := &liveRuntime{cfg: cfg, tcp: d.rt.(*liveRuntime).tcp}
-	defer lr.Close()
-
-	// Trial-local Append-vs-Refresh bookkeeping, the per-network mirror
-	// of Deployment.Publish's published map; the refresh pump calls it
-	// from its own goroutine, hence the lock.
-	var mu sync.Mutex
-	published := make(map[pubKey]bool)
-	publish := func(ctx context.Context, key Key, replica int, addr string, lifetime time.Duration) error {
-		mu.Lock()
-		refresh := published[pubKey{key, replica}]
-		mu.Unlock()
-		if err := lr.Publish(ctx, key, replica, addr, lifetime, refresh); err != nil {
-			return err
-		}
-		mu.Lock()
-		published[pubKey{key, replica}] = true
-		mu.Unlock()
-		return nil
-	}
-	return d.runLiveOn(ctx, lr, p, publish)
-}
-
-// runLiveOn is the live transport's scenario runner: the wall-clock
-// mirror of the simulator's scripted workload, executed against one
-// live network (the deployment's own, or an isolated per-trial one).
-// publish carries the caller's Append-vs-Refresh bookkeeping so a trial
-// network never touches the deployment's published map.
-func (d *Deployment) runLiveOn(ctx context.Context, lr *liveRuntime, p internal.Params,
-	publish func(context.Context, Key, int, string, time.Duration) error) (*Result, error) {
-	net, err := lr.network()
-	if err != nil {
-		return nil, err
-	}
+// runLive is the live transport's scenario runner: the wall-clock
+// mirror of the simulator's scripted workload, executed against the
+// deployment's network.
+func (d *Deployment) runLive(ctx context.Context, lr *liveRuntime) (*Result, error) {
+	p, net := d.p, lr.n
 	scale := d.timeScale
 	if scale <= 0 {
 		scale = 1
@@ -497,10 +331,7 @@ func (d *Deployment) runLiveOn(ctx context.Context, lr *liveRuntime, p internal.
 	}
 	for _, k := range keys {
 		for r := 0; r < p.Replicas; r++ {
-			if err := publish(ctx, k, r, internal.ReplicaAddr(r), life); err != nil {
-				// %w keeps context.Canceled visible to the trial sweep's
-				// error precedence: a sibling aborted by another trial's
-				// real failure must not mask that failure.
+			if err := d.Publish(ctx, k, r, internal.ReplicaAddr(r), life); err != nil {
 				return nil, fmt.Errorf("cup: scenario replica birth %q/%d: %w", k, r, err)
 			}
 		}
@@ -522,13 +353,10 @@ func (d *Deployment) runLiveOn(ctx context.Context, lr *liveRuntime, p internal.
 			}
 			for _, k := range keys {
 				for r := 0; r < p.Replicas; r++ {
-					// The pacer is the process-wide refresh budget: N
-					// concurrent trial networks share one publish rate
-					// instead of multiplying open-loop refresh load N×.
-					if live.PaceRefresh(refreshCtx) != nil {
+					if refreshCtx.Err() != nil {
 						return
 					}
-					_ = publish(refreshCtx, k, r, internal.ReplicaAddr(r), life)
+					_ = d.Publish(refreshCtx, k, r, internal.ReplicaAddr(r), life)
 				}
 			}
 		}
@@ -612,22 +440,14 @@ func (d *Deployment) EventsExecuted() uint64 {
 }
 
 // Now returns the deployment clock: virtual seconds on the simulator,
-// wall-clock seconds since boot on the live network (zero before the
-// lazily-booted network's first use).
+// wall-clock seconds since boot on the live network.
 func (d *Deployment) Now() sim.Time {
-	switch rt := d.rt.(type) {
-	case *simRuntime:
-		rt.mu.Lock()
-		defer rt.mu.Unlock()
-		return rt.s.Sched.Now()
-	case *liveRuntime:
-		if n := rt.peek(); n != nil {
-			return n.Now()
-		}
-		return 0
-	default:
-		return 0
+	if sr, ok := d.rt.(*simRuntime); ok {
+		sr.mu.Lock()
+		defer sr.mu.Unlock()
+		return sr.s.Sched.Now()
 	}
+	return d.rt.(*liveRuntime).n.Now()
 }
 
 // Close shuts the deployment down, detaches its observers, and closes
@@ -753,56 +573,13 @@ func (r *simRuntime) run(ctx context.Context) (*Result, error) {
 }
 
 // liveRuntime executes a deployment on a live network — goroutine
-// peers by default, one OS socket per peer with tcp set. The network
-// boots lazily on first use: construction is free, so a multi-trial
-// sweep's base runtime (never driven — trials boot their own networks)
-// costs nothing, and an interactive deployment pays only when the
-// first client call arrives. Either way it is one live.Network, so
-// everything past boot is transport-blind.
+// peers by default, one OS socket per peer with tcp set. New boots the
+// network; either way it is one live.Network, so everything past boot
+// is transport-blind.
 type liveRuntime struct {
-	cfg live.Config
+	n   *live.Network
 	tcp bool
-
-	// up is the booted network, nil until first use. It is read on every
-	// served request (size, clock, load, the lookup itself), so readers
-	// load it; mu only serializes the boot against Close.
-	up     atomic.Pointer[live.Network]
-	mu     sync.Mutex
-	closed bool
 }
-
-// network returns the booted network, booting it on first use. It
-// errors when the runtime was closed before ever booting, or — TCP
-// only — when the boot itself fails (port budget exhausted, listeners
-// unavailable). A failed boot holds no resources and may be retried.
-func (r *liveRuntime) network() (*live.Network, error) {
-	if n := r.up.Load(); n != nil {
-		return n, nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n := r.up.Load(); n != nil {
-		return n, nil
-	}
-	if r.closed {
-		return nil, live.ErrClosed
-	}
-	var n *live.Network
-	if r.tcp {
-		var err error
-		if n, err = live.NewTCPNetwork(r.cfg); err != nil {
-			return nil, fmt.Errorf("cup: tcp transport: %w", err)
-		}
-	} else {
-		n = live.NewNetwork(r.cfg)
-	}
-	r.up.Store(n)
-	return n, nil
-}
-
-// peek returns the network only if it already booted: reads of
-// counters or the clock must not boot a network just to see zeros.
-func (r *liveRuntime) peek() *live.Network { return r.up.Load() }
 
 func (r *liveRuntime) Transport() Transport {
 	if r.tcp {
@@ -811,67 +588,37 @@ func (r *liveRuntime) Transport() Transport {
 	return Live
 }
 
-func (r *liveRuntime) Size() int {
-	if n, err := r.network(); err == nil {
-		return n.Size()
-	}
-	return 0
-}
+func (r *liveRuntime) Size() int { return r.n.Size() }
 
-func (r *liveRuntime) Authority(key Key) NodeID {
-	if n, err := r.network(); err == nil {
-		return n.Authority(key)
-	}
-	return 0
-}
+func (r *liveRuntime) Authority(key Key) NodeID { return r.n.Authority(key) }
 
 func (r *liveRuntime) LookupAt(ctx context.Context, at NodeID, key Key) ([]Entry, error) {
-	n, err := r.network()
-	if err != nil {
-		return nil, err
-	}
-	return n.Lookup(ctx, at, key)
+	return r.n.Lookup(ctx, at, key)
 }
 
 func (r *liveRuntime) Publish(ctx context.Context, key Key, replica int, addr string, lifetime time.Duration, refresh bool) error {
-	n, err := r.network()
-	if err != nil {
-		return err
-	}
 	if refresh {
-		return n.RefreshCtx(ctx, key, replica, addr, lifetime)
+		return r.n.RefreshCtx(ctx, key, replica, addr, lifetime)
 	}
-	return n.AddReplicaCtx(ctx, key, replica, addr, lifetime)
+	return r.n.AddReplicaCtx(ctx, key, replica, addr, lifetime)
 }
 
 func (r *liveRuntime) Unpublish(ctx context.Context, key Key, replica int) error {
-	n, err := r.network()
-	if err != nil {
-		return err
-	}
-	return n.RemoveReplicaCtx(ctx, key, replica)
+	return r.n.RemoveReplicaCtx(ctx, key, replica)
 }
 
 func (r *liveRuntime) SetCapacity(ctx context.Context, id NodeID, c float64) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	n, err := r.network()
-	if err != nil {
-		return err
-	}
-	return n.SetCapacity(ctx, id, c)
+	return r.n.SetCapacity(ctx, id, c)
 }
 
 func (r *liveRuntime) Inspect(id NodeID, fn func(*Node)) error {
-	n, err := r.network()
-	if err != nil {
-		return err
-	}
-	if id < 0 || int(id) >= n.Size() {
+	if id < 0 || int(id) >= r.n.Size() {
 		return fmt.Errorf("cup: inspect of unknown node %v", id)
 	}
-	n.Inspect(id, fn)
+	r.n.Inspect(id, fn)
 	return nil
 }
 
@@ -879,13 +626,9 @@ func (r *liveRuntime) Inspect(id NodeID, fn func(*Node)) error {
 // see no new messages. Messages are counted at send time but sleep one
 // hop delay in flight before delivery can trigger further sends, so the
 // probe window must exceed the hop delay or in-flight traffic would be
-// invisible to it. A never-booted network is trivially settled.
+// invisible to it.
 func (r *liveRuntime) Settle(ctx context.Context) error {
-	n := r.peek()
-	if n == nil {
-		return nil
-	}
-	window := 2 * n.HopDelay()
+	window := 2 * r.n.HopDelay()
 	if window < 15*time.Millisecond {
 		window = 15 * time.Millisecond
 	}
@@ -893,10 +636,10 @@ func (r *liveRuntime) Settle(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if n.IsClosed() {
+		if r.n.IsClosed() {
 			return live.ErrClosed
 		}
-		if n.Quiesced(window) {
+		if r.n.Quiesced(window) {
 			quiet++
 		} else {
 			quiet = 0
@@ -910,11 +653,7 @@ func (r *liveRuntime) Settle(ctx context.Context) error {
 // UpdateHops, clear-bits into ClearBitHops. The per-query hit/miss
 // taxonomy is a simulator-side measurement and stays zero here.
 func (r *liveRuntime) Counters() Counters {
-	n := r.peek()
-	if n == nil {
-		return metrics.Counters{}
-	}
-	st := n.Stats()
+	st := r.n.Stats()
 	return metrics.Counters{
 		QueryHops:    st.QueryMsgs,
 		UpdateHops:   st.UpdateMsgs,
@@ -923,11 +662,6 @@ func (r *liveRuntime) Counters() Counters {
 }
 
 func (r *liveRuntime) Close() error {
-	r.mu.Lock()
-	r.closed = true
-	r.mu.Unlock()
-	if n := r.peek(); n != nil {
-		n.Close()
-	}
+	r.n.Close()
 	return nil
 }

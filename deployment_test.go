@@ -6,6 +6,7 @@ package cup_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -142,13 +143,6 @@ func TestLookupHonorsContextOnBothTransports(t *testing.T) {
 			t.Fatal("cancelled simulated lookup returned without error")
 		}
 	})
-}
-
-func TestLiveRunWithoutScenarioErrors(t *testing.T) {
-	d := newDeployment(t, cup.WithTransport(cup.Live), cup.WithNodes(8))
-	if _, err := d.Run(context.Background()); err == nil {
-		t.Fatal("Run on a live deployment without a scenario must error")
-	}
 }
 
 func TestRunMatchesCompatibilityWrapper(t *testing.T) {
@@ -307,9 +301,8 @@ func TestRunWithObserverSeesWorkloadEvents(t *testing.T) {
 	}
 }
 
-// A live deployment closed before its first use never booted a network:
-// Lookup and ServingEntryNode have no peer to pick and say why, instead
-// of drawing from an empty range.
+// A closed live deployment's Lookup says why it cannot answer — its
+// network is gone — instead of hanging or drawing from an empty range.
 func TestLookupAfterCloseReturnsErrClosed(t *testing.T) {
 	d, err := cup.New(cup.WithLive(), cup.WithNodes(8))
 	if err != nil {
@@ -317,10 +310,41 @@ func TestLookupAfterCloseReturnsErrClosed(t *testing.T) {
 	}
 	d.Close()
 	if _, err := d.Lookup(context.Background(), "k"); !errors.Is(err, live.ErrClosed) {
-		t.Fatalf("Lookup on a closed, never-booted deployment: %v, want live.ErrClosed", err)
+		t.Fatalf("Lookup on a closed deployment: %v, want live.ErrClosed", err)
 	}
-	if _, err := d.ServingEntryNode("k"); !errors.Is(err, live.ErrClosed) {
-		t.Fatalf("ServingEntryNode on a closed, never-booted deployment: %v, want live.ErrClosed", err)
+}
+
+// A TCP deployment boots its network in New, so a boot the port ledger
+// has no room for is New's error: it names the budget and leaves the
+// ledger where it was, and the same New succeeds once there is room.
+func TestTCPBootFailureIsNewError(t *testing.T) {
+	opts := []cup.Option{cup.WithTransport(cup.LiveTCP), cup.WithNodes(16)}
+	before := live.PortsInUse()
+	hold := live.DefaultPortBudget - before - 15 // room for 15 listeners, not 16
+	if err := live.AcquireListeners(hold); err != nil {
+		t.Fatal(err)
+	}
+	d, err := cup.New(opts...)
+	held := live.PortsInUse()
+	live.ReleaseListeners(hold)
+	if err == nil {
+		d.Close()
+		t.Fatal("New booted 16 TCP peers with room for 15 in the port budget")
+	}
+	if !strings.Contains(err.Error(), "port budget") {
+		t.Fatalf("New error %q does not name the exhausted port budget", err)
+	}
+	if held != before+hold {
+		t.Fatalf("PortsInUse = %d after the refused boot, want %d", held, before+hold)
+	}
+
+	d = newDeployment(t, opts...)
+	if got := live.PortsInUse(); got != before+16 {
+		t.Fatalf("PortsInUse = %d with 16 TCP peers up, want %d", got, before+16)
+	}
+	d.Close()
+	if got := live.PortsInUse(); got != before {
+		t.Fatalf("PortsInUse = %d after Close, want baseline %d", got, before)
 	}
 }
 

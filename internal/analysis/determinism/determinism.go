@@ -20,10 +20,9 @@
 //   - global RNG: any package-level math/rand or math/rand/v2
 //     function (rand.Intn, rand.Float64, rand.Shuffle, ...) — these
 //     draw from the process-wide source. Randomness must flow from
-//     TrafficEnv.Rand or a TrialSeed-derived *rand.Rand. The
-//     constructors rand.New, rand.NewSource, and rand.NewZipf are
-//     allowed, but rand.New's argument must itself be a
-//     rand.NewSource(...) call so the seed provenance is visible at
+//     TrafficEnv.Rand. The constructors rand.New, rand.NewSource, and
+//     rand.NewZipf are allowed, but rand.New's argument must itself be
+//     a rand.NewSource(...) call so the seed provenance is visible at
 //     the call site. Importing crypto/rand is an error outright.
 //   - map iteration: a range over a map whose body does
 //     order-dependent work. The classifier accepts the repository's
@@ -95,7 +94,7 @@ func checkImports(pass *analysis.Pass, f *ast.File) {
 	for _, imp := range f.Imports {
 		if imp.Path.Value == `"crypto/rand"` {
 			pass.Reportf(imp.Pos(),
-				"crypto/rand imported in deterministic code; randomness must derive from TrialSeed or TrafficEnv.Rand")
+				"crypto/rand imported in deterministic code; randomness must derive from TrafficEnv.Rand")
 		}
 	}
 }
@@ -125,7 +124,7 @@ func checkCalls(pass *analysis.Pass, body ast.Node) {
 		case "math/rand", "math/rand/v2":
 			if !allowedRand[obj.Name()] {
 				pass.Reportf(call.Pos(),
-					"global rand.%s draws from the process-wide source; draw from TrafficEnv.Rand or a TrialSeed-derived *rand.Rand",
+					"global rand.%s draws from the process-wide source; draw from TrafficEnv.Rand",
 					obj.Name())
 			} else if obj.Name() == "New" {
 				checkRandNew(pass, call)

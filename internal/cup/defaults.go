@@ -130,24 +130,3 @@ const overlaySeedSalt = 0x5eed
 // whether a deployment is simulated or live — the event-parity tests
 // depend on this.
 func OverlaySeed(seed int64) int64 { return seed + overlaySeedSalt }
-
-// TrialSeed derives the seed of trial i of a multi-trial sweep from the
-// run's base seed. Trial 0 keeps the base seed, so a one-trial sweep is
-// bit-identical to a plain run; later trials are finalized through a
-// splitmix64-style mix so neighboring indices land in decorrelated
-// stream positions instead of overlapping consecutive-seed streams.
-func TrialSeed(base int64, trial int) int64 {
-	if trial == 0 {
-		return base
-	}
-	z := uint64(base) + uint64(trial)*0x9E3779B97F4A7C15
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	if z == 0 {
-		z = 1 // a zero Params.Seed means "use the default"; never emit it
-	}
-	return int64(z)
-}

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"cup"
-	"cup/internal/live"
 	"cup/internal/overlay"
 )
 
@@ -162,128 +161,6 @@ func TestLiveChurnScenarioChangesMembershipCounters(t *testing.T) {
 	}
 	if joins.Load() == 0 || leaves.Load() == 0 {
 		t.Fatalf("churn scenario produced joins=%d leaves=%d; membership faults must move real peers", joins.Load(), leaves.Load())
-	}
-}
-
-// TestLiveChurnTrialsConcurrent races three concurrent live trial
-// networks each running the churn scenario — the -race target for the
-// join/leave choreography under a parallel sweep.
-func TestLiveChurnTrialsConcurrent(t *testing.T) {
-	sc, err := cup.BuildScenario("churn")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := cup.New(
-		cup.WithLive(),
-		cup.WithOverlay("kademlia"),
-		cup.WithNodes(10),
-		cup.WithSeed(3),
-		cup.WithScenario(sc),
-		cup.WithQueryRate(2),
-		cup.WithQueryWindow(0, 180*time.Second),
-		cup.WithHopDelay(200*time.Microsecond),
-		cup.WithTimeScale(300),
-		cup.WithTrials(3),
-		cup.WithParallelism(3),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
-	defer cancel()
-	res, err := d.Run(ctx)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res.Counters.QueryHops == 0 {
-		t.Fatal("merged trial counters report zero query messages")
-	}
-}
-
-// TestTCPTrialSweepReleasesPortBudget runs a multi-trial sweep on the
-// TCP transport and checks the process-wide listener budget returns to
-// its baseline: every per-trial network must release exactly what it
-// acquired.
-func TestTCPTrialSweepReleasesPortBudget(t *testing.T) {
-	before := live.PortsInUse()
-	d, err := cup.New(
-		cup.WithTransport(cup.LiveTCP),
-		cup.WithOverlay("can"),
-		cup.WithNodes(8),
-		cup.WithSeed(9),
-		cup.WithScenario(cup.Scenario{Traffic: cup.PoissonTraffic(0)}),
-		cup.WithQueryRate(30),
-		cup.WithQueryWindow(0, 10*time.Second),
-		cup.WithTimeScale(50),
-		cup.WithTrials(4),
-		cup.WithParallelism(2),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
-	defer cancel()
-	res, err := d.Run(ctx)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res.Counters.QueryHops == 0 {
-		t.Fatal("TCP sweep reported zero query messages")
-	}
-	if got := live.PortsInUse(); got != before {
-		t.Fatalf("PortsInUse = %d after the sweep, want baseline %d (trial networks leaked listeners)", got, before)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := live.PortsInUse(); got != before {
-		t.Fatalf("PortsInUse = %d after Close, want baseline %d", got, before)
-	}
-}
-
-// TestTCPTrialBootFailureReleasesPortBudget exhausts the listener
-// budget so a mid-sweep trial cannot boot, and checks the failure is
-// descriptive and leak-free: acquire and release stay balanced on the
-// error path, and the budget gauge returns to its pre-sweep level.
-func TestTCPTrialBootFailureReleasesPortBudget(t *testing.T) {
-	before := live.PortsInUse()
-	// Leave room for one 16-peer network but not two, so a parallel
-	// sweep boots its first trial and fails a later one mid-sweep.
-	hold := live.DefaultPortBudget - before - 24
-	if hold <= 0 {
-		t.Skipf("budget already too busy to stage exhaustion: %d in use", before)
-	}
-	if err := live.AcquireListeners(hold); err != nil {
-		t.Fatal(err)
-	}
-	defer live.ReleaseListeners(hold)
-
-	d, err := cup.New(
-		cup.WithTransport(cup.LiveTCP),
-		cup.WithOverlay("can"),
-		cup.WithNodes(16),
-		cup.WithSeed(9),
-		cup.WithScenario(cup.Scenario{Traffic: cup.PoissonTraffic(0)}),
-		cup.WithQueryRate(20),
-		cup.WithQueryWindow(0, 10*time.Second),
-		cup.WithTimeScale(50),
-		cup.WithTrials(4),
-		cup.WithParallelism(2),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
-	defer cancel()
-	if _, err := d.Run(ctx); err == nil {
-		t.Fatal("Run succeeded with the port budget exhausted; a trial booted listeners it could not have")
-	} else if !strings.Contains(err.Error(), "port budget") {
-		t.Fatalf("Run error %q does not name the exhausted port budget", err)
-	}
-	if got := live.PortsInUse(); got != before+hold {
-		t.Fatalf("PortsInUse = %d after the failed sweep, want %d (error path leaked or double-released listeners)", got, before+hold)
 	}
 }
 

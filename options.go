@@ -57,10 +57,6 @@ type options struct {
 	observers  []Observer
 	// timeScale compresses scenario time on the live transport.
 	timeScale float64
-	// trials runs the scripted workload this many times with derived
-	// per-trial seeds; parallelism caps the worker pool executing them.
-	trials      int
-	parallelism int
 	// telemetry enables the internal/obs registry + collector + tracer;
 	// a non-empty telemetryAddr additionally serves /metrics, /trace,
 	// and /debug/pprof there.
@@ -278,44 +274,6 @@ func WithSeed(seed int64) Option {
 	return func(o *options) { o.p.Seed = seed }
 }
 
-// WithTrials makes Run execute the scripted workload n times as
-// independent trials — a fresh deployment each, seeds derived from the
-// run seed (trial 0 keeps it, so WithTrials(1) is a plain run) — and
-// return one Result whose counters merge every trial in trial order.
-// Trials execute concurrently on a worker pool (see WithParallelism).
-// On the simulated transport each trial is its own simulation and the
-// merged Result is bit-identical to a sequential sweep, because each
-// trial is self-contained and the merge order is fixed. On the live
-// transport each trial boots an isolated goroutine network — disjoint
-// per-trial inbox budgets (see internal/live), topology and workload
-// seeds derived per trial — so N real networks run side by side and
-// their message counters merge in the same fixed trial order. A
-// non-positive count is a configuration error.
-func WithTrials(n int) Option {
-	return func(o *options) {
-		if n <= 0 {
-			o.reject("trial count %d must be positive", n)
-			return
-		}
-		o.trials = n
-	}
-}
-
-// WithParallelism caps the number of workers running WithTrials trials
-// concurrently (default GOMAXPROCS; each worker drives at most one
-// deployment at a time). WithParallelism(1) forces a sequential sweep —
-// useful for pinning determinism against the parallel path. A
-// non-positive count is a configuration error.
-func WithParallelism(n int) Option {
-	return func(o *options) {
-		if n <= 0 {
-			o.reject("parallelism %d must be positive", n)
-			return
-		}
-		o.parallelism = n
-	}
-}
-
 // WithTraffic installs a client-query generator for the scripted
 // workload on either transport: the simulator schedules the stream in
 // virtual time, the live runtime pumps it in wall-clock time (see
@@ -423,9 +381,8 @@ func Seconds(s float64) time.Duration {
 // expensive cells first, so one λ=1000 tail cell cannot idle the worker
 // pool behind a queue of cheap ones; only the ordering matters, so the
 // model is deliberately coarse: query arrivals and replica refreshes,
-// each charged the overlay's O(log n) routing work, times the trial
-// count. Invalid options score like their defaulted values — New is
-// where validation lives.
+// each charged the overlay's O(log n) routing work. Invalid options
+// score like their defaulted values — New is where validation lives.
 func EstimateCost(opts ...Option) float64 {
 	var o options
 	for _, opt := range opts {
@@ -436,9 +393,5 @@ func EstimateCost(opts ...Option) float64 {
 	queries := p.QueryRate * float64(p.QueryDuration)
 	span := float64(p.QueryStart + p.QueryDuration + p.Drain)
 	refreshes := float64(p.Keys*p.Replicas) * (span/float64(p.Lifetime) + 1)
-	trials := o.trials
-	if trials < 1 {
-		trials = 1
-	}
-	return float64(trials) * (queries + refreshes) * hops
+	return (queries + refreshes) * hops
 }

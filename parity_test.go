@@ -258,3 +258,85 @@ func TestSimulatedEventStreamDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// The live-approximation tolerance for whole scenario runs: the live
+// transport counts real messages racing wall-clock delivery (cache
+// warm-up, coalescing, and refresh timing all race), so counts agree
+// within an absolute slack of 48 or half the larger count — checked
+// with the same `within` helper the event-parity test uses. Anything
+// outside this band means the transports' seed derivations (topology
+// and workload) have drifted apart.
+const (
+	liveRunAbsTolerance = 48
+	liveRunRelTolerance = 0.5
+)
+
+// Cross-transport run parity: the same scripted scenario run, one seed
+// at a time, on the simulated and the live transport, on every
+// registered overlay, must land inside the live-approximation
+// tolerance — one seed gives one topology and one workload on both.
+func TestTrialSweepCrossTransportParity(t *testing.T) {
+	run := func(t *testing.T, transport cup.Transport, kind string, seed int64) (cup.Counters, int) {
+		var mu sync.Mutex
+		issued := 0
+		d, err := cup.New(
+			cup.WithTransport(transport),
+			cup.WithOverlay(kind),
+			cup.WithNodes(16),
+			cup.WithTraffic(cup.PoissonTraffic(0)),
+			cup.WithQueryRate(10),
+			cup.WithLifetime(cup.Seconds(5)),
+			cup.WithQueryWindow(cup.Seconds(5), cup.Seconds(20)),
+			cup.WithTimeScale(50),
+			cup.WithHopDelay(200*time.Microsecond),
+			cup.WithSeed(seed),
+			cup.WithObserver(cup.ObserverFunc(func(e cup.Event) {
+				if e.Kind == cup.EvQueryIssued {
+					mu.Lock()
+					issued++
+					mu.Unlock()
+				}
+			})),
+		)
+		if err != nil {
+			t.Fatalf("New(%v, %s, seed %d): %v", transport, kind, seed, err)
+		}
+		defer d.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		res, err := d.Run(ctx)
+		if err != nil {
+			t.Fatalf("Run(%v, %s, seed %d): %v", transport, kind, seed, err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		return res.Counters, issued
+	}
+
+	for _, kind := range overlay.Kinds() {
+		kind := kind
+		t.Run(kind, func(t *testing.T) {
+			t.Parallel()
+			for _, seed := range []int64{23, 24, 25} {
+				seed := seed
+				t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+					t.Parallel()
+					simC, simIssued := run(t, cup.Simulated, kind, seed)
+					liveC, liveIssued := run(t, cup.Live, kind, seed)
+
+					if simIssued == 0 || liveIssued == 0 {
+						t.Fatalf("a run issued no queries: sim %d, live %d", simIssued, liveIssued)
+					}
+					if !within(simIssued, liveIssued, liveRunAbsTolerance, liveRunRelTolerance) {
+						t.Errorf("query arrivals: sim %d, live %d (outside tolerance)", simIssued, liveIssued)
+					}
+					// The live transport folds message counts into the hop
+					// fields (one message = one hop); the sim reports true hops.
+					if !within(int(simC.QueryHops), int(liveC.QueryHops), liveRunAbsTolerance, liveRunRelTolerance) {
+						t.Errorf("query hops: sim %d, live %d (outside tolerance)", simC.QueryHops, liveC.QueryHops)
+					}
+				})
+			}
+		})
+	}
+}

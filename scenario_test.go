@@ -135,11 +135,13 @@ func TestAllScenariosRunSimulated(t *testing.T) {
 }
 
 // The same scenarios must replay on the live transport: wall-clock
-// traffic pump, scripted replica births, fault timeline.
+// traffic pump, scripted replica births, fault timeline. Each replay
+// mostly waits on the wall clock, so they wait side by side.
 func TestScenariosRunLive(t *testing.T) {
 	for _, name := range []string{"flashcrowd", "diurnal", "capacity", "closed-loop"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
+			t.Parallel()
 			sc, err := cup.BuildScenario(name)
 			if err != nil {
 				t.Fatal(err)

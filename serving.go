@@ -83,12 +83,10 @@ func (b deploymentBackend) Unpublish(ctx context.Context, key Key, replica int) 
 }
 
 // Load reports live inbox occupancy for the shedding guard; simulated
-// deployments (and never-booted lazy networks) report unknown.
+// deployments report unknown.
 func (b deploymentBackend) Load() (used, capacity int) {
 	if lr, ok := b.d.rt.(*liveRuntime); ok {
-		if n := lr.peek(); n != nil {
-			return n.InboxLoad()
-		}
+		return lr.n.InboxLoad()
 	}
 	return 0, 0
 }
@@ -96,9 +94,7 @@ func (b deploymentBackend) Load() (used, capacity int) {
 // NodeLoad is Load for the one peer a GET enters at (serve.NodeLoader).
 func (b deploymentBackend) NodeLoad(at NodeID) (used, capacity int) {
 	if lr, ok := b.d.rt.(*liveRuntime); ok {
-		if n := lr.peek(); n != nil {
-			return n.InboxLoadAt(at)
-		}
+		return lr.n.InboxLoadAt(at)
 	}
 	return 0, 0
 }
@@ -196,14 +192,9 @@ func (d *Deployment) ServingAddrs() []string {
 
 // ServingEntryNode reports which peer a served GET for key enters the
 // overlay at — the node whose pending-first-update flag coalesces a
-// miss storm for the key (see serve.EntryNode). It fails, as Lookup
-// does, on a live deployment that has no network.
-func (d *Deployment) ServingEntryNode(key Key) (NodeID, error) {
-	size, err := d.peers()
-	if err != nil {
-		return 0, err
-	}
-	return serve.EntryNode(key, size), nil
+// miss storm for the key (see serve.EntryNode).
+func (d *Deployment) ServingEntryNode(key Key) NodeID {
+	return serve.EntryNode(key, d.rt.Size())
 }
 
 // addrClaimedByServing reports whether addr is among the WithServing

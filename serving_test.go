@@ -36,16 +36,6 @@ func servingDeployment(t *testing.T, opts ...cup.Option) *cup.Deployment {
 	return d
 }
 
-// entryNode is d.ServingEntryNode on a deployment that is up.
-func entryNode(t *testing.T, d *cup.Deployment, key cup.Key) cup.NodeID {
-	t.Helper()
-	at, err := d.ServingEntryNode(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return at
-}
-
 func TestServingEndToEnd(t *testing.T) {
 	d := servingDeployment(t)
 	addrs := d.ServingAddrs()
@@ -137,7 +127,7 @@ func TestServingFlashCrowdHerd(t *testing.T) {
 	var key string
 	for i := 0; ; i++ {
 		k := fmt.Sprintf("herd-%d", i)
-		if entryNode(t, d, cup.Key(k)) != d.Authority(cup.Key(k)) {
+		if d.ServingEntryNode(cup.Key(k)) != d.Authority(cup.Key(k)) {
 			key = k
 			break
 		}
@@ -409,7 +399,7 @@ func TestServingHotKeyOverloadSheds(t *testing.T) {
 
 	release := make(chan struct{})
 	blocked := make(chan struct{})
-	entry := entryNode(t, d, key)
+	entry := d.ServingEntryNode(key)
 	go func() { _ = d.Inspect(entry, func(*cup.Node) { close(blocked); <-release }) }()
 	<-blocked
 

@@ -79,9 +79,8 @@ func (d *Deployment) initTelemetry(o *options) error {
 	}
 
 	if lr, ok := d.rt.(*liveRuntime); ok {
-		// Occupancy gauges read live state at scrape time; a never-booted
-		// (lazy) network reports zero rather than booting to be scraped.
-		inbox := &inboxSample{lr: lr}
+		// Occupancy gauges read live state at scrape time.
+		inbox := &inboxSample{n: lr.n}
 		reg.GaugeFunc("cup_live_inbox_used",
 			"Messages queued across live peer inboxes.",
 			func() float64 { used, _ := inbox.read(); return float64(used) })
@@ -89,22 +88,11 @@ func (d *Deployment) initTelemetry(o *options) error {
 			"Total live peer inbox capacity.",
 			func() float64 { _, capacity := inbox.read(); return float64(capacity) })
 		reg.GaugeFunc("cup_live_ports_used",
-			"Inbox slots currently drawn from the process-wide live port budget.",
+			"Loopback listener ports currently drawn from the process-wide port ledger (TCP peers and serving listeners).",
 			func() float64 { return float64(live.PortsInUse()) })
 		reg.Gauge("cup_live_port_budget",
-			"Process-wide live port budget (inbox slots).").
+			"Process-wide cap on loopback listener ports (live.DefaultPortBudget).").
 			Set(float64(live.DefaultPortBudget))
-		// Refresh pacing is process-wide like the port budget, so these
-		// series read the shared pacer, not per-deployment state.
-		reg.GaugeFunc("cup_live_refresh_budget",
-			"Process-wide refresh pacing budget (refresh publishes/second).",
-			live.RefreshBudget)
-		reg.GaugeFunc("cup_live_refresh_paced_total",
-			"Refresh publishes delayed by the process-wide pacing budget.",
-			func() float64 { paced, _ := live.RefreshPacingStats(); return float64(paced) })
-		reg.GaugeFunc("cup_live_refresh_wait_seconds",
-			"Total wall-clock delay the refresh pacing budget imposed.",
-			func() float64 { _, waited := live.RefreshPacingStats(); return waited.Seconds() })
 	}
 
 	// When the telemetry address is also a serving address, initServing
@@ -123,9 +111,9 @@ func (d *Deployment) initTelemetry(o *options) error {
 
 // inboxSample lets the two inbox gauges share one walk of the peers: a
 // scrape reads both within microseconds, and a sample younger than a
-// millisecond is reused. A never-booted (lazy) network reads zero.
+// millisecond is reused.
 type inboxSample struct {
-	lr *liveRuntime
+	n *live.Network
 
 	mu             sync.Mutex
 	at             time.Time
@@ -136,10 +124,8 @@ func (s *inboxSample) read() (used, capacity int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if now := time.Now(); now.Sub(s.at) > time.Millisecond {
-		s.at, s.used, s.capacity = now, 0, 0
-		if n := s.lr.peek(); n != nil {
-			s.used, s.capacity = n.InboxLoad()
-		}
+		s.at = now
+		s.used, s.capacity = s.n.InboxLoad()
 	}
 	return s.used, s.capacity
 }
