@@ -53,7 +53,13 @@ func (h *hostBackend) Publish(ctx context.Context, key overlay.Key, replica int,
 func (h *hostBackend) Unpublish(ctx context.Context, key overlay.Key, replica int) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	delete(h.entries, key)
+	kept := h.entries[key][:0]
+	for _, e := range h.entries[key] {
+		if e.Replica != replica {
+			kept = append(kept, e)
+		}
+	}
+	h.entries[key] = kept
 	return nil
 }
 
@@ -279,6 +285,42 @@ func TestGetOrFillReadsExistingKey(t *testing.T) {
 	})
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("GetOrFill = %v, %v", entries, err)
+	}
+}
+
+// Delete sends DELETE ?replica=N to every ranked host, and every host
+// answering 204 is success: the named replica goes, its sibling stays.
+func TestDeleteUnpublishesOneReplica(t *testing.T) {
+	hosts, _ := newFleet(t, 3)
+	c := newTestClient(t, hosts, nil)
+	ctx := context.Background()
+	for r := 0; r < 2; r++ {
+		if err := c.Put(ctx, "k", Entry{Replica: r, Addr: "origin", TTL: 60}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Delete(ctx, "k", 0); err != nil {
+		t.Fatalf("Delete: %v", err)
+	}
+	entries, err := c.Get(ctx, "k")
+	if err != nil || len(entries) != 1 || entries[0].Replica != 1 {
+		t.Fatalf("Get after Delete = %v, %v; want replica 1 alone", entries, err)
+	}
+}
+
+// backoffFor doubles from Backoff per attempt and never exceeds
+// BackoffCap, even once the shift overflows.
+func TestBackoffForIsCapped(t *testing.T) {
+	c := newTestClient(t, []string{"a:1"}, func(cfg *Config) {
+		cfg.Backoff, cfg.BackoffCap = time.Millisecond, 10*time.Millisecond
+	})
+	for attempt, want := range []time.Duration{1, 2, 4, 8, 10, 10} {
+		if got := c.backoffFor(attempt); got != want*time.Millisecond {
+			t.Errorf("backoffFor(%d) = %v, want %v", attempt, got, want*time.Millisecond)
+		}
+	}
+	if got := c.backoffFor(70); got != 10*time.Millisecond {
+		t.Errorf("backoffFor(70) = %v, want the 10ms cap", got)
 	}
 }
 

@@ -15,11 +15,11 @@ import (
 	"cup/internal/sim"
 )
 
-// Runtime is the transport-agnostic execution substrate behind a
-// Deployment: the discrete-event simulator and the live goroutine
-// network implement it identically, so application code written against
-// it transfers between evaluation and deployment unchanged.
-type Runtime interface {
+// runtime is the transport-agnostic execution substrate behind a
+// Deployment: the discrete-event simulator and the live network
+// implement it identically, so application code written against a
+// Deployment transfers between evaluation and deployment unchanged.
+type runtime interface {
 	// Transport reports which substrate is executing.
 	Transport() Transport
 	// Size returns the number of peers in the overlay.
@@ -54,12 +54,12 @@ type Runtime interface {
 	Close() error
 }
 
-// Deployment is a running CUP system built by New: a Runtime plus the
+// Deployment is a running CUP system built by New: a runtime plus the
 // shared event bus and the application-facing client API. One Deployment
 // abstraction covers both the paper's evaluation harness and a live
 // service.
 type Deployment struct {
-	rt  Runtime
+	rt  runtime
 	bus *internal.Bus
 	// p is the resolved parameter set: the simulator consumes it via
 	// NewSimulation; the live scenario runner (Run on the live
@@ -138,9 +138,6 @@ func New(opts ...Option) (*Deployment, error) {
 		rng:       rand.New(rand.NewSource(o.p.Seed)),
 		published: make(map[pubKey]bool),
 	}
-	for _, obs := range o.observers {
-		d.detach = append(d.detach, bus.Attach(obs))
-	}
 
 	switch o.transport {
 	case Simulated:
@@ -191,9 +188,6 @@ func New(opts ...Option) (*Deployment, error) {
 	return d, nil
 }
 
-// Runtime exposes the underlying transport substrate.
-func (d *Deployment) Runtime() Runtime { return d.rt }
-
 // Transport reports which substrate executes this deployment.
 func (d *Deployment) Transport() Transport { return d.rt.Transport() }
 
@@ -203,8 +197,9 @@ func (d *Deployment) Size() int { return d.rt.Size() }
 // Authority returns the node owning key's index entries.
 func (d *Deployment) Authority(key Key) NodeID { return d.rt.Authority(key) }
 
-// Counters snapshots the deployment's cost counters (see
-// Runtime.Counters for the live transport's approximation).
+// Counters snapshots the deployment's cost counters. The simulator
+// reports the paper's full accounting; the live network reports message
+// counts folded into the hop fields (one message = one hop).
 func (d *Deployment) Counters() Counters { return d.rt.Counters() }
 
 // Lookup resolves key from a deterministically random peer — the
@@ -276,8 +271,9 @@ func (d *Deployment) Observe(obs Observer) (detach func()) { return d.bus.Attach
 
 // Events returns a buffered channel carrying every deployment event and
 // a cancel function that closes it. Events arriving while the buffer is
-// full are dropped for this subscriber (see EventsDropped); on the
-// synchronous simulator prefer Observe, which never drops.
+// full are dropped for this subscriber (telemetry's
+// cup_bus_dropped_events counts them); on the synchronous simulator
+// prefer Observe, which never drops.
 func (d *Deployment) Events() (<-chan Event, func()) {
 	return d.bus.Subscribe(0, nil)
 }
@@ -286,10 +282,6 @@ func (d *Deployment) Events() (<-chan Event, func()) {
 func (d *Deployment) Subscribe(key Key) (<-chan Event, func()) {
 	return d.bus.Subscribe(0, func(e Event) bool { return e.Key == key })
 }
-
-// EventsDropped counts events discarded because a subscriber's buffer
-// was full.
-func (d *Deployment) EventsDropped() uint64 { return d.bus.Dropped() }
 
 // Run executes the scripted workload to completion and returns the
 // aggregated result. On the simulated transport it drives the virtual

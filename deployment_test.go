@@ -6,6 +6,7 @@ package cup_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -207,6 +208,66 @@ func TestSubscribeFiltersByKey(t *testing.T) {
 	}
 }
 
+// The simulated transport's accessors on one run: the workload's keys,
+// the events fired, Counters equal to the Result's, and a capacity change
+// read back through Inspect.
+func TestSimDeploymentAccessors(t *testing.T) {
+	d := newDeployment(t, cup.WithNodes(16), cup.WithKeys(3), cup.WithQueryRate(2),
+		cup.WithQueryDuration(100*time.Second), cup.WithSeed(4))
+	if got, want := d.Keys(), []cup.Key{"key-0", "key-1", "key-2"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Keys = %v, want %v", got, want)
+	}
+	if n := d.EventsExecuted(); n != 0 {
+		t.Errorf("EventsExecuted = %d before Run, want 0", n)
+	}
+	ctx := context.Background()
+	res, err := d.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.EventsExecuted() == 0 {
+		t.Error("EventsExecuted = 0 after a run that issued queries")
+	}
+	if got := d.Counters(); got != res.Counters {
+		t.Errorf("Counters = %+v, Result says %+v", got, res.Counters)
+	}
+
+	if err := d.SetCapacity(ctx, 5, 0.25); err != nil {
+		t.Fatal(err)
+	}
+	var got float64
+	if err := d.Inspect(5, func(n *cup.Node) { got = n.Capacity() }); err != nil {
+		t.Fatal(err)
+	}
+	if got != 0.25 {
+		t.Errorf("Capacity after SetCapacity(0.25) = %g", got)
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := d.SetCapacity(cancelled, 5, 0.5); !errors.Is(err, context.Canceled) {
+		t.Errorf("SetCapacity with a cancelled ctx: %v, want context.Canceled", err)
+	}
+}
+
+// A live deployment reports its transport, and has neither scripted keys
+// nor discrete events.
+func TestLiveDeploymentAccessors(t *testing.T) {
+	for _, tr := range []cup.Transport{cup.Live, cup.LiveTCP} {
+		t.Run(tr.String(), func(t *testing.T) {
+			d := newDeployment(t, cup.WithTransport(tr), cup.WithNodes(4))
+			if got := d.Transport(); got != tr {
+				t.Errorf("Transport = %v, want %v", got, tr)
+			}
+			if keys := d.Keys(); keys != nil {
+				t.Errorf("Keys = %v, want nil", keys)
+			}
+			if n := d.EventsExecuted(); n != 0 {
+				t.Errorf("EventsExecuted = %d, want 0", n)
+			}
+		})
+	}
+}
+
 // Close must terminate consumers ranging over event channels, and a
 // late stop() must stay a safe no-op.
 func TestCloseUnblocksEventConsumers(t *testing.T) {
@@ -279,19 +340,22 @@ func TestSettleWaitsOutSlowHops(t *testing.T) {
 	}
 }
 
-func TestRunWithObserverSeesWorkloadEvents(t *testing.T) {
+// An observer attached with Observe after New sees every query the
+// scripted workload issues: no boot path emits an event, so nothing is
+// missed by attaching late.
+func TestObserveSeesWorkloadEvents(t *testing.T) {
 	issued := 0
 	d := newDeployment(t,
 		cup.WithNodes(32),
 		cup.WithQueryRate(2),
 		cup.WithQueryDuration(200*time.Second),
 		cup.WithSeed(3),
-		cup.WithObserver(cup.ObserverFunc(func(e cup.Event) {
-			if e.Kind == cup.EvQueryIssued {
-				issued++
-			}
-		})),
 	)
+	d.Observe(cup.ObserverFunc(func(e cup.Event) {
+		if e.Kind == cup.EvQueryIssued {
+			issued++
+		}
+	}))
 	res, err := d.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -30,20 +30,20 @@ func main() {
 		cup.WithQueryDuration(cup.Seconds(window)),
 		cup.WithSeed(13),
 		cup.WithTraffic(wave),
-		cup.WithObserver(cup.ObserverFunc(func(e cup.Event) {
-			if e.Kind != cup.EvQueryIssued {
-				return
-			}
-			b := int((float64(e.Time) - start) / window * buckets)
-			if b >= 0 && b < buckets {
-				counts[b]++
-			}
-		})),
 	)
 	if err != nil {
 		panic(err)
 	}
 	defer d.Close()
+	d.Observe(cup.ObserverFunc(func(e cup.Event) {
+		if e.Kind != cup.EvQueryIssued {
+			return
+		}
+		b := int((float64(e.Time) - start) / window * buckets)
+		if b >= 0 && b < buckets {
+			counts[b]++
+		}
+	}))
 
 	res, err := d.Run(context.Background())
 	if err != nil {

@@ -7,6 +7,8 @@ package cup_test
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -99,6 +101,91 @@ func TestReducedCapacityCostsLessOverheadThanFull(t *testing.T) {
 	if down.Counters.UpdateHops >= full.Counters.UpdateHops {
 		t.Fatalf("capacity loss did not reduce update hops: %d vs %d",
 			down.Counters.UpdateHops, full.Counters.UpdateHops)
+	}
+}
+
+// failingFault is a script whose one intervention the surface refuses.
+type failingFault struct{ at float64 }
+
+func (failingFault) Name() string { return "always-fails" }
+
+func (f failingFault) Schedule(start, _ float64) []cup.FaultEvent {
+	return []cup.FaultEvent{{At: start + f.at, Do: func(cup.FaultSurface) error {
+		return errors.New("surface refused")
+	}}}
+}
+
+// A fault the simulator cannot honor fails the run rather than being
+// skipped: Run returns an error naming the fault and its instant, and
+// every later Settle and Lookup on the deployment returns it too.
+func TestSimFailingFaultFailsRun(t *testing.T) {
+	d, err := cup.New(faultOpts(cup.WithFaults(failingFault{at: 100}))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ctx := context.Background()
+	_, err = d.Run(ctx)
+	if err == nil {
+		t.Fatal("Run passed although its fault failed")
+	}
+	for _, frag := range []string{`"always-fails"`, "t=400s", "surface refused"} {
+		if !strings.Contains(err.Error(), frag) {
+			t.Errorf("Run error %q does not mention %s", err, frag)
+		}
+	}
+	if got := d.Settle(ctx); got == nil || got.Error() != err.Error() {
+		t.Errorf("Settle after the fault = %v, want %v", got, err)
+	}
+	at := cup.NodeID(0)
+	if d.Authority("probe") == at {
+		at = 1
+	}
+	if _, got := d.LookupAt(ctx, at, "probe"); got == nil || got.Error() != err.Error() {
+		t.Errorf("Lookup after the fault = %v, want %v", got, err)
+	}
+}
+
+// The live fault surface applies capacity loss to running peers: a
+// Once-Down script over half the overlay leaves exactly ⌊n/2⌋ of them at
+// zero capacity, read back through Inspect on each peer's goroutine.
+func TestLiveCapacityFaultOnceDown(t *testing.T) {
+	const n = 15
+	d, err := cup.New(
+		cup.WithLive(),
+		cup.WithNodes(n),
+		cup.WithSeed(5),
+		cup.WithHopDelay(200*time.Microsecond),
+		cup.WithTraffic(cup.PoissonTraffic(0)),
+		cup.WithQueryRate(2),
+		// 100× compression: the window is [10 s, 50 s], 0.1–0.5 s of
+		// wall time, and the fault fires at 15 s, well inside it.
+		cup.WithLifetime(10*time.Second),
+		cup.WithQueryDuration(40*time.Second),
+		cup.WithTimeScale(100),
+		cup.WithFaults(cup.CapacityFault{Fraction: 0.5, Capacity: 0, Warmup: 5}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if _, err := d.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	down := 0
+	for id := 0; id < n; id++ {
+		if err := d.Inspect(cup.NodeID(id), func(node *cup.Node) {
+			if node.Capacity() == 0 {
+				down++
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if down != n/2 {
+		t.Fatalf("%d peers at zero capacity, want ⌊%d/2⌋ = %d", down, n, n/2)
 	}
 }
 

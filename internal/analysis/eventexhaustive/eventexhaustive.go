@@ -13,7 +13,7 @@
 //     Tracer consumer, and EventKind.String carry this annotation.
 //   - in cup/internal/cup itself, the EventKinds catalog slice must
 //     list every EventKind constant: it is the iteration surface
-//     cuptrace and the collector's per-kind registration use.
+//     cupsim -trace and the collector's per-kind registration use.
 package eventexhaustive
 
 import (

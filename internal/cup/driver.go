@@ -204,10 +204,6 @@ func (s *Simulation) recordFaultErr(err error) {
 	}
 }
 
-// FaultError reports the first scripted-fault failure of the run, nil
-// when every intervention was honored.
-func (s *Simulation) FaultError() error { return s.faultErr }
-
 // lookupWaiter captures the answer of one interactive Lookup.
 type lookupWaiter struct {
 	done    bool

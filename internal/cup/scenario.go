@@ -3,7 +3,6 @@ package cup
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"cup/internal/overlay"
 )
@@ -302,14 +301,6 @@ func (c ReplicaChurn) Schedule(start, duration float64) []FaultEvent {
 		})
 	}
 	return events
-}
-
-// SortFaultEvents orders expanded interventions by time, keeping the
-// expansion order for simultaneous events. The live fault executor
-// replays one merged timeline; the simulator's scheduler orders events
-// itself.
-func SortFaultEvents(events []FaultEvent) {
-	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
 }
 
 // simSurface adapts the discrete-event Simulation to FaultSurface.

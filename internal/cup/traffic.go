@@ -81,8 +81,6 @@ type TrafficStream interface {
 // configuration values: Stream binds one to a concrete run and may be
 // called once per run.
 type Traffic interface {
-	// Name identifies the generator in registries, flags, and logs.
-	Name() string
 	// Stream binds the generator to one run.
 	Stream(env TrafficEnv) TrafficStream
 }
@@ -101,8 +99,6 @@ func (f streamFunc) Next() (QueryEvent, bool) { return f() }
 func PoissonTraffic(rate float64) Traffic { return poissonTraffic{rate: rate} }
 
 type poissonTraffic struct{ rate float64 }
-
-func (p poissonTraffic) Name() string { return "poisson" }
 
 func (p poissonTraffic) Stream(env TrafficEnv) TrafficStream {
 	rate := p.rate
@@ -157,8 +153,6 @@ type FlashCrowd struct {
 	// Key is the hot key; empty uses the first workload key.
 	Key overlay.Key
 }
-
-func (f FlashCrowd) Name() string { return "flashcrowd" }
 
 func (f FlashCrowd) Stream(env TrafficEnv) TrafficStream {
 	base := f.BaseRate
@@ -229,8 +223,6 @@ type DiurnalWave struct {
 	Period float64
 }
 
-func (w DiurnalWave) Name() string { return "diurnal" }
-
 func (w DiurnalWave) Stream(env TrafficEnv) TrafficStream {
 	mean := w.Mean
 	if mean <= 0 {
@@ -282,8 +274,6 @@ type ZipfDrift struct {
 	// zero shifts four times across the query window.
 	Shift float64
 }
-
-func (z ZipfDrift) Name() string { return "zipf-drift" }
 
 func (z ZipfDrift) Stream(env TrafficEnv) TrafficStream {
 	rate := z.Rate
@@ -338,8 +328,6 @@ type ClosedLoop struct {
 	// Think is the mean think time in seconds; zero means 1.
 	Think float64
 }
-
-func (c ClosedLoop) Name() string { return "closed-loop" }
 
 // Population returns the defaulted client count and mean think time
 // (16 clients, 1 s) — shared by the simulator stream and the live

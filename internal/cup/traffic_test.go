@@ -245,7 +245,6 @@ func TestCustomTrafficDrivesQueries(t *testing.T) {
 
 type fixedTraffic struct{ n int }
 
-func (f fixedTraffic) Name() string { return "fixed" }
 func (f fixedTraffic) Stream(env TrafficEnv) TrafficStream {
 	i := 0
 	return streamFunc(func() (QueryEvent, bool) {

@@ -27,6 +27,7 @@ func millionOverlay(sc Scale) string {
 }
 
 // millionOpts builds one million-node cell on millionOverlay's substrate.
+// ledger: only MillionSweep calls it (10^6 nodes, too big for tier-1).
 func millionOpts(sc Scale, level int) []cup.Option {
 	opts := []cup.Option{
 		cup.WithNodes(MillionNodes),
@@ -50,6 +51,7 @@ func millionOpts(sc Scale, level int) []cup.Option {
 // n = 10^6 nodes. Cells run sequentially — each deployment holds a
 // million-node overlay and node block, and running them side by side would
 // multiply the footprint, not the throughput.
+// ledger: 10^6 nodes, too big for tier-1; cupbench -exp million runs it.
 func MillionSweep(sc Scale) *metrics.Table {
 	t := &metrics.Table{
 		Title:  fmt.Sprintf("Scale: cost vs push level, n = 10^6 (λ=100, %s)", millionOverlay(sc)),

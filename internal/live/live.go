@@ -7,7 +7,8 @@
 // channel after an injected delay, or a wire-encoded frame on a loopback
 // socket — is the link (link.go, tcp.go), and the only code that knows.
 //
-// This is the runtime the examples and cmd/cuplive use; it is also a
+// This is the runtime behind cup.Live and cup.LiveTCP deployments (cupsim
+// -transport live|tcp, cupd, the examples); it is also a
 // demonstration that the paper's node model ("every node maintains two
 // logical channels per neighbor") maps one-to-one onto goroutines and
 // channels, or onto sockets.

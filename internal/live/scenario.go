@@ -180,8 +180,9 @@ type timedFault struct {
 	name string
 }
 
-// sortTimedFaults orders the merged timeline by time, stably, matching
-// cup.SortFaultEvents.
+// sortTimedFaults orders the merged timeline by time, stably: faults
+// due at the same instant apply in expansion order, as the simulator's
+// scheduler applies them.
 func sortTimedFaults(events []timedFault) {
 	// Insertion sort keeps the merge stable and allocation-free; fault
 	// timelines are tens of events, not thousands.

@@ -64,10 +64,10 @@ type Counters struct {
 	MissesServed     uint64
 }
 
-// Add folds o into c field by field — the merge step of multi-trial
-// sweeps. Derived ratios (MissLatencyHops, JustifiedFraction, ...) are
-// computed from the merged sums, so merging trials and then reading a
-// ratio yields the workload-weighted mean across trials.
+// Add folds o into c field by field — the merge step of a sweep's
+// totals. Derived ratios (MissLatencyHops, JustifiedFraction, ...) are
+// computed from the merged sums, so merging runs and then reading a
+// ratio yields the workload-weighted mean across runs.
 func (c *Counters) Add(o *Counters) {
 	c.Queries += o.Queries
 	c.Hits += o.Hits

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -90,6 +91,37 @@ func TestCountersIdentities(t *testing.T) {
 	}
 	if got := c.MissLatencyHops(); got != 2.5 {
 		t.Fatalf("MissLatencyHops = %v", got)
+	}
+}
+
+// Add folds every field: a Counters with each field set, added to
+// itself, has each field doubled — a field Add forgets stays put.
+func TestCountersAddFoldsEveryField(t *testing.T) {
+	var c Counters
+	v := reflect.ValueOf(&c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Uint64:
+			f.SetUint(uint64(i + 1))
+		case reflect.Float64:
+			f.SetFloat(float64(i) + 0.5)
+		default:
+			t.Fatalf("field %s is a %v; teach Add and this test about it", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	sum := c
+	sum.Add(&c)
+	s := reflect.ValueOf(sum)
+	for i := 0; i < v.NumField(); i++ {
+		var doubled bool
+		if v.Field(i).Kind() == reflect.Uint64 {
+			doubled = s.Field(i).Uint() == 2*v.Field(i).Uint()
+		} else {
+			doubled = s.Field(i).Float() == 2*v.Field(i).Float()
+		}
+		if !doubled {
+			t.Errorf("Add left %s at %v (addend %v)", v.Type().Field(i).Name, s.Field(i), v.Field(i))
+		}
 	}
 }
 

@@ -20,7 +20,6 @@ const (
 // OnEvent is allocation-free and safe to call from the simulator's
 // scheduler loop or from live peer goroutines.
 type Collector struct {
-	reg *Registry
 	// byKind counts every event, indexed by EventKind.
 	byKind []*Counter
 	// byType counts proactive pushes, indexed by UpdateType.
@@ -36,7 +35,7 @@ type Collector struct {
 // NewCollector registers the event-stream series on reg and returns the
 // observer to attach to a bus.
 func NewCollector(reg *Registry) *Collector {
-	c := &Collector{reg: reg}
+	c := &Collector{}
 	c.byKind = make([]*Counter, len(cupcore.EventKinds))
 	for _, k := range cupcore.EventKinds {
 		c.byKind[k] = reg.Counter(MetricEvents,
@@ -95,6 +94,3 @@ func (c *Collector) OnEvent(e cupcore.Event) {
 		}
 	}
 }
-
-// Registry returns the registry the collector records into.
-func (c *Collector) Registry() *Registry { return c.reg }

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -379,16 +378,4 @@ func (r *Registry) Value(name string, labels ...Label) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Names lists the registered family names, sorted — the metrics catalog.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.families))
-	for _, f := range r.families {
-		out = append(out, f.name)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -3,7 +3,7 @@ package serve
 import "strings"
 
 // SplitAddrs parses the comma-separated listen-address flag syntax the
-// serving commands (cupd, cupload, cuplive) share, dropping empty
+// serving commands (cupd, cupload) share, dropping empty
 // elements and surrounding whitespace.
 func SplitAddrs(s string) []string {
 	var out []string

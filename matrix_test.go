@@ -74,10 +74,13 @@ func TestScenarioTransportParityMatrix(t *testing.T) {
 						cup.WithSeed(11),
 						cup.WithScenario(sc),
 						cup.WithQueryRate(5),
-						// The fault scripts' default timelines start 50 s
-						// into the window; 120 s covers their first events
-						// (join + leave for churn) in every cell.
-						cup.WithQueryWindow(0, 120*time.Second),
+						// The churn scripts' default timelines start 50 s
+						// into the window, so 120 s covers their first
+						// events (join + leave, add + remove). Capacity's
+						// first event comes after its 300 s warm-up, outside
+						// the window: these cells replay only its traffic,
+						// and TestLiveCapacityFaultOnceDown runs it live.
+						cup.WithQueryDuration(120*time.Second),
 						cup.WithHopDelay(200*time.Microsecond),
 						cup.WithTimeScale(300),
 					)
@@ -138,22 +141,22 @@ func TestLiveChurnScenarioChangesMembershipCounters(t *testing.T) {
 		cup.WithQueryRate(2),
 		// NodeChurn's default timeline runs join/leave/join at t=50 s,
 		// 110 s, 170 s; the window must reach past them.
-		cup.WithQueryWindow(0, 180*time.Second),
+		cup.WithQueryDuration(180*time.Second),
 		cup.WithHopDelay(200*time.Microsecond),
 		cup.WithTimeScale(300),
-		cup.WithObserver(cup.ObserverFunc(func(e cup.Event) {
-			switch e.Kind {
-			case cup.EvNodeJoined:
-				joins.Add(1)
-			case cup.EvNodeLeft:
-				leaves.Add(1)
-			}
-		})),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
+	d.Observe(cup.ObserverFunc(func(e cup.Event) {
+		switch e.Kind {
+		case cup.EvNodeJoined:
+			joins.Add(1)
+		case cup.EvNodeLeft:
+			leaves.Add(1)
+		}
+	}))
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
 	if _, err := d.Run(ctx); err != nil {

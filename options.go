@@ -54,7 +54,6 @@ type options struct {
 	// simulator, so one WithHopDelay serves both.
 	liveHop    time.Duration
 	inboxDepth int
-	observers  []Observer
 	// timeScale compresses scenario time on the live transport.
 	timeScale float64
 	// telemetry enables the internal/obs registry + collector + tracer;
@@ -196,24 +195,10 @@ func WithQueryRate(lambda float64) Option {
 	}
 }
 
-// WithQueryWindow bounds the scripted query workload: queries start at
-// start and last for duration (default 3000 s, the paper's window). A
-// zero start keeps the default — one replica lifetime, letting replicas
-// register before queries arrive — like every other zero-valued option.
-// Negative bounds are configuration errors reported by New.
-func WithQueryWindow(start, duration time.Duration) Option {
-	return func(o *options) {
-		if start < 0 || duration <= 0 {
-			o.reject("query window (start %v, duration %v) must have non-negative start and positive duration", start, duration)
-			return
-		}
-		o.p.QueryStart = sim.Duration(start.Seconds())
-		o.p.QueryDuration = sim.Duration(duration.Seconds())
-	}
-}
-
-// WithQueryDuration sets only the query-window length. A non-positive
-// duration is a configuration error reported by New.
+// WithQueryDuration sets the query-window length (default 3000 s, the
+// paper's window). The window starts one replica lifetime in, letting
+// replicas register before queries arrive; WithLifetime moves both. A
+// non-positive duration is a configuration error reported by New.
 func WithQueryDuration(duration time.Duration) Option {
 	return func(o *options) {
 		if duration <= 0 {
@@ -224,14 +209,9 @@ func WithQueryDuration(duration time.Duration) Option {
 	}
 }
 
-// WithConfig replaces the whole per-node protocol configuration. Compose
-// with the field-level options below, which apply on top of it (order
-// matters: WithConfig overwrites earlier field-level options).
-func WithConfig(c Config) Option {
-	return func(o *options) { o.p.Config = c }
-}
-
-// WithPolicy sets the §3.4 cut-off policy on top of Defaults().
+// WithPolicy sets the §3.4 cut-off policy on top of Defaults(). The
+// field-level options below compose in order; WithStandardCaching
+// replaces the whole configuration.
 func WithPolicy(p Policy) Option {
 	return func(o *options) { o.cfg().Policy = p }
 }
@@ -305,7 +285,7 @@ func WithFaults(faults ...Fault) Option {
 }
 
 // WithScenario installs a bundled scenario: its traffic generator (if
-// any) and its fault scripts. Combine with WithQueryRate/WithQueryWindow
+// any) and its fault scripts. Combine with WithQueryRate/WithQueryDuration
 // to scale the same scenario up or down.
 func WithScenario(sc Scenario) Option {
 	return func(o *options) {
@@ -342,6 +322,7 @@ func WithoutWorkload() Option {
 // only representation, for every run. The name stays because bench/
 // calls it and only a [benchmark] PR may edit bench/; that PR drops the
 // call and this option with it (ROADMAP item 4).
+// ledger: only bench/ calls it, and tier-1 does not run bench/.
 func WithDenseState() Option {
 	return func(*options) {}
 }
@@ -356,13 +337,6 @@ func WithInboxDepth(n int) Option {
 		}
 		o.inboxDepth = n
 	}
-}
-
-// WithObserver attaches a synchronous observer to the deployment's event
-// bus. On the live transport it is called from peer goroutines
-// concurrently and must be safe for concurrent use.
-func WithObserver(obs Observer) Option {
-	return func(o *options) { o.observers = append(o.observers, obs) }
 }
 
 // Policy is a §3.4 cut-off policy (see internal/policy: SecondChance,

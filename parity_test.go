@@ -285,23 +285,23 @@ func TestTrialSweepCrossTransportParity(t *testing.T) {
 			cup.WithNodes(16),
 			cup.WithTraffic(cup.PoissonTraffic(0)),
 			cup.WithQueryRate(10),
-			cup.WithLifetime(cup.Seconds(5)),
-			cup.WithQueryWindow(cup.Seconds(5), cup.Seconds(20)),
+			cup.WithLifetime(cup.Seconds(5)), // the window starts one lifetime in
+			cup.WithQueryDuration(cup.Seconds(20)),
 			cup.WithTimeScale(50),
 			cup.WithHopDelay(200*time.Microsecond),
 			cup.WithSeed(seed),
-			cup.WithObserver(cup.ObserverFunc(func(e cup.Event) {
-				if e.Kind == cup.EvQueryIssued {
-					mu.Lock()
-					issued++
-					mu.Unlock()
-				}
-			})),
 		)
 		if err != nil {
 			t.Fatalf("New(%v, %s, seed %d): %v", transport, kind, seed, err)
 		}
 		defer d.Close()
+		d.Observe(cup.ObserverFunc(func(e cup.Event) {
+			if e.Kind == cup.EvQueryIssued {
+				mu.Lock()
+				issued++
+				mu.Unlock()
+			}
+		}))
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 		defer cancel()
 		res, err := d.Run(ctx)

@@ -115,7 +115,7 @@ func BuildScenario(name string) (Scenario, error) {
 
 // The built-in scenario catalog. Every entry runs on both transports;
 // parameters left zero inherit the deployment's options (rate, window,
-// keys), so the same scenario scales with WithQueryRate/WithQueryWindow.
+// keys), so the same scenario scales with WithQueryRate/WithQueryDuration.
 func init() {
 	RegisterScenario("paper", func() Scenario {
 		return Scenario{Traffic: PoissonTraffic(0)}

@@ -65,7 +65,7 @@ func TestNewRejectsInvalidOptions(t *testing.T) {
 		{"negative zipf", cup.WithZipf(-0.5), "Zipf skew"},
 		{"negative hop", cup.WithHopDelay(-time.Second), "hop delay"},
 		{"zero duration", cup.WithQueryDuration(0), "query duration"},
-		{"negative window", cup.WithQueryWindow(-time.Second, time.Second), "query window"},
+		{"negative window", cup.WithQueryDuration(-time.Second), "query duration"},
 		{"zero inbox", cup.WithInboxDepth(0), "inbox depth"},
 		{"zero timescale", cup.WithTimeScale(0), "time scale"},
 		{"nil traffic", cup.WithTraffic(nil), "WithTraffic"},
@@ -151,7 +151,8 @@ func TestScenariosRunLive(t *testing.T) {
 				cup.WithNodes(16),
 				cup.WithKeys(2),
 				cup.WithQueryRate(20),
-				cup.WithQueryWindow(2*time.Second, 20*time.Second),
+				cup.WithLifetime(2*time.Second), // the window starts one lifetime in
+				cup.WithQueryDuration(20*time.Second),
 				cup.WithHopDelay(200*time.Microsecond),
 				cup.WithSeed(5),
 				cup.WithTimeScale(20), // 22 scenario seconds ≈ 1.1 s wall
@@ -191,7 +192,7 @@ func TestLiveScenarioHonorsContext(t *testing.T) {
 	d, err := cup.New(
 		cup.WithTransport(cup.Live),
 		cup.WithNodes(8),
-		cup.WithQueryWindow(time.Second, time.Hour),
+		cup.WithQueryDuration(time.Hour),
 		cup.WithTraffic(cup.PoissonTraffic(1)),
 		cup.WithSeed(5),
 	)

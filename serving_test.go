@@ -369,6 +369,38 @@ func TestServingOnSimulatedTransport(t *testing.T) {
 	}
 }
 
+// WithAdmitRate shapes the write path's token bucket: at one token a
+// second with a burst of one, a second PUT right behind the first is
+// refused with 429; a negative rate turns admission off.
+func TestWithAdmitRateShapesWrites(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		rate  float64
+		codes []int
+	}{
+		{"one per second", 1, []int{http.StatusNoContent, http.StatusTooManyRequests}},
+		{"negative rate disables admission", -1, []int{http.StatusNoContent, http.StatusNoContent, http.StatusNoContent}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := newDeployment(t, cup.WithoutWorkload(), cup.WithNodes(8),
+				cup.WithServing("127.0.0.1:0"), cup.WithAdmitRate(tc.rate, 1))
+			url := "http://" + d.ServingAddrs()[0] + "/v1/key/k"
+			body, _ := json.Marshal(map[string]any{"replica": 0, "addr": "a", "ttl_s": 60.0})
+			for i, want := range tc.codes {
+				req, _ := http.NewRequest(http.MethodPut, url, bytes.NewReader(body))
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != want {
+					t.Fatalf("PUT %d = %d, want %d", i+1, resp.StatusCode, want)
+				}
+			}
+		})
+	}
+}
+
 func TestWithServingValidation(t *testing.T) {
 	if _, err := cup.New(cup.WithServing()); err == nil {
 		t.Fatal("WithServing() with no addresses succeeded")

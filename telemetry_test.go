@@ -29,7 +29,7 @@ func flashCrowdWithTelemetry(t *testing.T) (*cup.Deployment, *cup.Result) {
 		cup.WithNodes(128),
 		cup.WithSeed(11),
 		cup.WithQueryRate(20),
-		cup.WithQueryWindow(cup.Seconds(300), cup.Seconds(900)),
+		cup.WithQueryDuration(cup.Seconds(900)),
 	)
 	if err != nil {
 		t.Fatal(err)
