@@ -128,9 +128,10 @@ func New(opts ...Option) (*Deployment, error) {
 		return nil, err
 	}
 
-	// The bus is the node observer on both transports.
+	// The bus is where every listener attaches. A live network emits to it
+	// from boot; a simulation gets it as its observer only once something
+	// listens (listen), so an unobserved run builds no events.
 	bus := internal.NewBus()
-	o.p.Observer = bus
 	d := &Deployment{
 		bus:       bus,
 		p:         o.p,
@@ -267,7 +268,15 @@ func (d *Deployment) Settle(ctx context.Context) error { return d.rt.Settle(ctx)
 // run inside the emitting transport and must not call back into the
 // Deployment; consume events through Events/Subscribe channels when the
 // handler needs the client API.
-func (d *Deployment) Observe(obs Observer) (detach func()) { return d.bus.Attach(obs) }
+//
+// A simulation emits no events until the first listener (Observe, Events,
+// Subscribe or WithTelemetry) attaches, and sees every event from then on.
+// On the simulator an attach waits for a Run in progress to finish, so
+// attach before Run to see the run.
+func (d *Deployment) Observe(obs Observer) (detach func()) {
+	d.listen()
+	return d.bus.Attach(obs)
+}
 
 // Events returns a buffered channel carrying every deployment event and
 // a cancel function that closes it. Events arriving while the buffer is
@@ -275,12 +284,25 @@ func (d *Deployment) Observe(obs Observer) (detach func()) { return d.bus.Attach
 // cup_bus_dropped_events counts them); on the synchronous simulator
 // prefer Observe, which never drops.
 func (d *Deployment) Events() (<-chan Event, func()) {
+	d.listen()
 	return d.bus.Subscribe(0, nil)
 }
 
 // Subscribe is Events filtered to one key.
 func (d *Deployment) Subscribe(key Key) (<-chan Event, func()) {
+	d.listen()
 	return d.bus.Subscribe(0, func(e Event) bool { return e.Key == key })
+}
+
+// listen makes the bus the simulation's observer before a listener
+// attaches to it: the first attach installs it, later ones find it there.
+// A live network has emitted to the bus since boot.
+func (d *Deployment) listen() {
+	if sr, ok := d.rt.(*simRuntime); ok {
+		sr.mu.Lock()
+		sr.s.SetObserver(d.bus)
+		sr.mu.Unlock()
+	}
 }
 
 // Run executes the scripted workload to completion and returns the

@@ -11,6 +11,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cup/internal/overlay"
@@ -39,13 +40,20 @@ func (e Entry) String() string {
 // deterministic without a per-call sort and keeps the per-key footprint
 // one small slice.
 //
-// Sets are immutable and copy-on-write: every mutation (With, Without,
-// Expire, NewSet) builds a fresh slice and never writes into its
-// receiver. That makes reads free — Fresh hands out the set itself when
-// nothing in it has expired — and makes a view safe to ship in an update
-// to another node or goroutine: nothing the owner does later can change
-// it. Writes pay the copy; with CUP keeping caches fresh, reads outnumber
-// them by two orders of magnitude.
+// A set is immutable once shipped. Reads are free — Fresh hands out the
+// set itself when nothing in it has expired — and a view handed to
+// another node or goroutine is safe only if nothing the owner does later
+// can change it. So there are two kinds of write:
+//
+//   - Copy-on-write (With, Without, Expire, NewSet) builds a fresh slice
+//     and never writes into its receiver. Store, the authority's
+//     directory, writes only this way.
+//   - In place (Put, Delete) edits the receiver's array. Only the set's
+//     owner may use them, and only while no view of the set has left it;
+//     an owner that has shipped one copies the set once (Clone) first.
+//     internal/cup marks a key's set shipped wherever a view leaves the
+//     node, so a refresh reaching a cache whose set nobody holds costs no
+//     allocation.
 //
 // A node's cached entries are a Set on the key's state (internal/cup);
 // Store keeps one Set per key for the authority's local directory. Both
@@ -66,13 +74,36 @@ func NewSet(k overlay.Key, es []Entry) Set {
 		if e.Key != k {
 			panic(fmt.Sprintf("cache: set for %q given entry for %q", k, e.Key))
 		}
-		i, ok := out.find(e.Replica)
-		if !ok {
-			out = append(out, Entry{})
-			copy(out[i+1:], out[i:])
-		}
-		out[i] = e
+		out = out.Put(e)
 	}
+	return out
+}
+
+// Clone returns a copy of es that shares no memory with it.
+func (es Set) Clone() Set { return slices.Clone(es) }
+
+// Put sets e in es in place, replacing the entry for e.Replica or
+// inserting it, and returns the set (reallocated only when an insert
+// outgrows the array). See the type's doc for who may call it.
+func (es Set) Put(e Entry) Set {
+	i, ok := es.find(e.Replica)
+	if !ok {
+		es = append(es, Entry{})
+		copy(es[i+1:], es[i:])
+	}
+	es[i] = e
+	return es
+}
+
+// Delete removes replica's entry from es in place and returns the set.
+// See the type's doc for who may call it.
+func (es Set) Delete(replica int) Set {
+	i, ok := es.find(replica)
+	if !ok {
+		return es
+	}
+	out := append(es[:i], es[i+1:]...)
+	es[len(es)-1] = Entry{} // the vacated slot must not pin its strings
 	return out
 }
 
@@ -86,18 +117,9 @@ func (es Set) find(replica int) (int, bool) {
 // With returns a new set holding es plus e, replacing the entry for
 // e.Replica when present.
 func (es Set) With(e Entry) Set {
-	i, ok := es.find(e.Replica)
-	if ok {
-		out := make(Set, len(es))
-		copy(out, es)
-		out[i] = e
-		return out
-	}
-	out := make(Set, len(es)+1)
-	copy(out, es[:i])
-	out[i] = e
-	copy(out[i+1:], es[i:])
-	return out
+	out := make(Set, len(es), len(es)+1)
+	copy(out, es)
+	return out.Put(e)
 }
 
 // Without returns the set minus replica's entry (nil when that was the
@@ -120,7 +142,7 @@ func (es Set) Without(replica int) (Set, bool) {
 // Fresh returns the entries still fresh at now, sorted by replica, nil
 // when there are none. When every entry is fresh — the common case
 // wherever updates keep the cache maintained — the result is a
-// capacity-clipped view of the immutable set itself: no copy, and
+// capacity-clipped view of the set itself: no copy, and
 // appending to it reallocates rather than writing into the set. Callers
 // must not write to its elements.
 //

@@ -242,7 +242,7 @@ func TestEntryString(t *testing.T) {
 	}
 }
 
-// Entry sets are copy-on-write: a Fresh view taken before any mutation
+// A Store's sets are copy-on-write: a Fresh view taken before any mutation
 // still reads exactly as it did when taken, and a view is capacity-clipped
 // so appending to it cannot write into the store.
 func TestFreshViewIsImmutable(t *testing.T) {
@@ -296,5 +296,46 @@ func TestFreshAllFreshAllocatesNothing(t *testing.T) {
 	s.Put(entry("k", 2, 100))
 	if allocs := testing.AllocsPerRun(1000, func() { s.Fresh("k", 10) }); allocs != 0 {
 		t.Errorf("Fresh on an all-fresh set allocates %.1f, want 0", allocs)
+	}
+}
+
+// Put and Delete edit a set where it lies, for an owner no view of whose
+// set has left it; Clone is the one copy an owner makes once one has.
+func TestInPlaceEdits(t *testing.T) {
+	es := NewSet("k", []Entry{entry("k", 1, 100), entry("k", 3, 300)}).Clone()
+	es = es.Put(entry("k", 1, 150)) // replace
+	es = es.Put(entry("k", 2, 200)) // insert
+	es = es.Put(entry("k", 0, 50))  // insert at the front
+	want := []Entry{entry("k", 0, 50), entry("k", 1, 150), entry("k", 2, 200), entry("k", 3, 300)}
+	if !reflect.DeepEqual([]Entry(es), want) {
+		t.Fatalf("after Put: %v", es)
+	}
+	e := entry("k", 2, 250)
+	if allocs := testing.AllocsPerRun(100, func() { es = es.Put(e) }); allocs != 0 {
+		t.Errorf("Put replacing an entry allocates %.1f, want 0", allocs)
+	}
+	view := es.Fresh(0)
+	copied := es.Clone()
+	es = es.Put(entry("k", 3, 999))
+	if view[3].Expires != 999 {
+		t.Fatal("Put did not edit the set in place")
+	}
+	if copied[3].Expires != 300 {
+		t.Fatal("Clone shares memory with its receiver")
+	}
+	tail := es[:4]
+	es = es.Delete(1)
+	es = es.Delete(7) // absent: no change
+	if got := []Entry(es); len(got) != 3 || got[0].Replica != 0 || got[1].Replica != 2 || got[2].Replica != 3 {
+		t.Fatalf("after Delete: %v", es)
+	}
+	if tail[3] != (Entry{}) {
+		t.Fatalf("Delete left the vacated slot holding %v", tail[3])
+	}
+	for _, r := range []int{0, 2, 3} {
+		es = es.Delete(r)
+	}
+	if len(es) != 0 || es.Fresh(0) != nil {
+		t.Fatalf("deleting every replica left %v", es)
 	}
 }

@@ -49,12 +49,15 @@ func ChurnCapable(kind string) bool {
 	return ok
 }
 
-// NodeAlive reports whether id is currently a member.
+// NodeAlive reports whether id is currently a member. Until a member has
+// left, every node of the run is one, and the overlay is not asked.
+//
+//cup:hotpath
 func (s *Simulation) NodeAlive(id overlay.NodeID) bool {
 	if int(id) < 0 || int(id) >= len(s.Nodes) {
 		return false
 	}
-	return s.dyn == nil || s.dyn.Alive(id)
+	return s.departed == 0 || s.dyn.Alive(id)
 }
 
 // JoinNode adds a fresh node (§2.9 Arrivals): the substrate wires it in
@@ -118,6 +121,7 @@ func (s *Simulation) LeaveNode(victim overlay.NodeID) overlay.NodeID {
 	// valid until Leave edits it.
 	affected := slices.Concat(s.reverseNeighbors()[victim], s.Ov.Neighbors(victim))
 	heir := s.dyn.Leave(victim)
+	s.departed++
 	s.Router.Invalidate()
 	s.redistributeLocal(victim)
 	s.patchNeighborhood(s.reverseNeighbors(), append(affected, heir))
@@ -125,12 +129,12 @@ func (s *Simulation) LeaveNode(victim overlay.NodeID) overlay.NodeID {
 	return heir
 }
 
-// emitMembership publishes a §2.9 membership event to the run's observer.
+// emitMembership publishes a §2.9 membership event to the run's observer,
+// the one its nodes emit to.
 func (s *Simulation) emitMembership(kind EventKind, id overlay.NodeID) {
-	if s.P.Observer == nil {
-		return
+	if s.env.obs != nil {
+		s.env.obs.OnEvent(Event{Kind: kind, Time: s.Sched.Now(), Node: id, Peer: overlay.NoNode})
 	}
-	s.P.Observer.OnEvent(Event{Kind: kind, Time: s.Sched.Now(), Node: id, Peer: overlay.NoNode})
 }
 
 // reverseNeighbors builds the reverse adjacency of the current overlay in

@@ -80,9 +80,11 @@ type Params struct {
 	// Hooks run at fixed virtual times: arbitrary interventions for the
 	// driver's own tests, with no façade option.
 	Hooks []Hook
-	// Observer, when set, receives the protocol event stream (see Event);
-	// it is installed on every node and also carries the transport-level
-	// membership events emitted by §2.9 churn.
+	// Observer, when set, receives the protocol event stream (see Event)
+	// from the start: NewSimulation installs it as the run's one observer,
+	// which every node emits to and which also carries the membership
+	// events of §2.9 churn. Simulation.SetObserver installs one later. With
+	// none, no node builds an event.
 	Observer Observer
 	// NoWorkload skips the scripted workload (replica births with
 	// refresh-at-expiration loops, Poisson query arrivals): the run starts
@@ -194,7 +196,18 @@ type Simulation struct {
 	// surface could not honor); RunContext, Settle, and Lookup surface it
 	// instead of letting the run pass with the event silently dropped.
 	faultErr error
+	// departed counts LeaveNode calls: while it is zero every node of the
+	// run is a member, and NodeAlive need not ask the overlay.
+	departed int
 }
+
+// SetObserver installs (or, with nil, removes) the run's observer: the one
+// its nodes emit the protocol events to, and the one churn's membership
+// events go to.
+func (s *Simulation) SetObserver(o Observer) { s.env.obs = o }
+
+// Observer returns the run's observer, nil while it has none.
+func (s *Simulation) Observer() Observer { return s.env.obs }
 
 // recordFaultErr stores the first fault failure; later ones are noise
 // from the same root cause.
@@ -707,6 +720,8 @@ func (s *Simulation) deliverLocal(nid overlay.NodeID, kid KeyID, entries []cache
 	}
 	if len(s.lookups) != 0 {
 		for _, w := range s.lookups[pk] {
+			// The entries leave the run with the waiter's Lookup call.
+			s.env.peek(nid, kid).shared = true
 			w.done = true
 			w.entries = entries
 		}
@@ -746,25 +761,20 @@ func (s *Simulation) Run() *Result {
 // result.
 func (s *Simulation) RunContext(ctx context.Context) (*Result, error) {
 	const batch = 8192
-	for {
+	for fired := true; fired; {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		if err := s.faultErr; err != nil {
 			return nil, err
 		}
-		ran := 0
-		for ran < batch && s.Sched.NextTime() <= s.endTime {
-			// Enforce the budget exactly: error as soon as an event
-			// beyond it is due, so precisely MaxEvents events fire.
-			if s.Sched.MaxEvents > 0 && s.Sched.Executed >= s.Sched.MaxEvents {
-				return nil, sim.ErrEventBudget
+		// StepBy enforces the budget exactly: it errs as soon as an event
+		// beyond it is due, so precisely MaxEvents events fire.
+		for ran := 0; fired && ran < batch; ran++ {
+			var err error
+			if fired, err = s.Sched.StepBy(s.endTime); err != nil {
+				return nil, err
 			}
-			s.Sched.Step()
-			ran++
-		}
-		if ran < batch {
-			break
 		}
 	}
 	if err := s.faultErr; err != nil {

@@ -78,8 +78,8 @@ func TestLocalHitAllocatesNothing(t *testing.T) {
 			name = "PostQueryAt/joiner"
 		}
 		t.Run(name, func(t *testing.T) {
-			// The facade always installs a Bus as the observer; an
-			// unobserved run must not pay for it either.
+			// A bus nobody listens to any more — what a façade run keeps
+			// once its listeners detach — must not cost a hit anything.
 			s := NewSimulation(Params{Nodes: 64, NoWorkload: true, Seed: 1, Observer: NewBus()})
 			k := overlay.Key("key-0")
 			s.PublishReplica(k, 0, "10.0.0.1", 1e6, Append)
@@ -108,9 +108,9 @@ func TestLocalHitAllocatesNothing(t *testing.T) {
 
 // A protocol message in flight is a value in the run's slab and an index
 // in the scheduler's lane: putting one in flight and delivering it
-// allocates nothing, for each of the three things CUP sends. What the
-// receiving handler allocates is its own — a cache write builds a
-// copy-on-write set — so each shape is held to the handlers' count.
+// allocates nothing, for each of the three things CUP sends. Nor do the
+// receiving handlers: a refresh edits a cached set that no view has left
+// in place, so a hop of each shape allocates nothing at all.
 func TestMessageHopAllocatesNothing(t *testing.T) {
 	// chain returns a run, its key, and three consecutive nodes a → b → c
 	// on a route toward the key's authority, c short of it.
@@ -164,16 +164,15 @@ func TestMessageHopAllocatesNothing(t *testing.T) {
 		aks, bks := s.state(a, kid), s.state(b, kid)
 		bks.interest.add(a)
 		u := refresh(s.Keys[0], 0, 2, 1e9)
-		handlers := testing.AllocsPerRun(1000, func() {
-			s.Nodes[b].handleUpdate(bks, c, u)
-			s.Nodes[a].handleUpdate(aks, b, u)
-		})
 		allocs := testing.AllocsPerRun(1000, func() {
 			s.post(message{kind: ActSendUpdate, from: c, to: b, kid: kid, u: u})
 			steps(s, 2)
 		})
-		if allocs != handlers {
-			t.Errorf("a refresh pushed to one interested neighbour allocates %.1f, its two handlers alone %.1f", allocs, handlers)
+		if allocs != 0 {
+			t.Errorf("a refresh pushed to one interested neighbour allocates %.1f, want 0", allocs)
+		}
+		if len(aks.entries) != 1 || len(bks.entries) != 1 {
+			t.Errorf("the refresh was not cached: a holds %d entries, b %d", len(aks.entries), len(bks.entries))
 		}
 		if s.C.UpdateHops != 2*1001 || s.Sched.Pending() != 0 {
 			t.Errorf("UpdateHops = %d over 1001 runs, %d left in flight", s.C.UpdateHops, s.Sched.Pending())
@@ -312,6 +311,50 @@ func TestChurnReroutesCachedNextHops(t *testing.T) {
 			}
 			if changed == 0 {
 				t.Error("churn changed no route: the test exercised nothing")
+			}
+		})
+	}
+}
+
+// BenchmarkArrivalHit is the ledger row for a client arrival that hits: a
+// PostQueryAt at a random node of a 1024-node CAN whose nodes all hold a
+// fresh cached entry — 87 % of a paper sweep's events. Unobserved, the
+// run has no observer and builds no event; observed, a Bus with one
+// listener gets the hit's two.
+func BenchmarkArrivalHit(b *testing.B) {
+	for _, observed := range []bool{false, true} {
+		name := "unobserved"
+		if observed {
+			name = "observed"
+		}
+		b.Run(name, func(b *testing.B) {
+			p := Params{Nodes: 1024, NoWorkload: true, Seed: 1}
+			if observed {
+				bus := NewBus()
+				bus.Attach(ObserverFunc(func(Event) {}))
+				p.Observer = bus
+			}
+			s := NewSimulation(p)
+			k := s.Keys[0]
+			s.PublishReplica(k, 0, "10.0.0.1", 1e9, Append)
+			for i := range s.Nodes {
+				s.PostQueryAt(overlay.NodeID(i), k)
+			}
+			for s.Sched.Step() {
+			}
+			rng := sim.NewRand(1)
+			pick := make([]overlay.NodeID, 8192)
+			for i := range pick {
+				pick[i] = overlay.NodeID(rng.Pick(len(s.Nodes)))
+			}
+			hits := s.C.Hits
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.PostQueryAt(pick[i&8191], k)
+			}
+			if s.C.Hits-hits != uint64(b.N) {
+				b.Fatalf("%d of %d arrivals hit", s.C.Hits-hits, b.N)
 			}
 		})
 	}

@@ -88,32 +88,10 @@ type routeEntry struct {
 // keyState is one node's record for one key (§2.3): the cached index
 // entries, the Pending-First-Update flag, the interest bit vector and the
 // popularity measure. It lives in its owner's slab (state.go); every query
-// and update for the key at the node touches exactly this record.
+// and update for the key at the node touches exactly this record. The
+// fields a hit and a hop read come first, so they share a cache line; the
+// size stays 168 bytes.
 type keyState struct {
-	// entries are the index entries cached from queries and updates
-	// (§2.1): an immutable set, so a view of it may travel in an update or
-	// to another goroutine. An authority's own keys live in Node.local.
-	entries cache.Set
-	// pendingChildren are neighbors whose forwarded query awaits our
-	// response (transient, distinct from long-term interest).
-	pendingChildren nodeSet
-	// interest is the interest bit vector: neighbors to push updates to.
-	interest nodeSet
-	// routeBack holds the outstanding per-query tokens and the neighbor
-	// each response must retrace to — standard caching's open
-	// connections. Unused in CUP mode, where coalescing replaces it.
-	routeBack []routeEntry
-	// watchReplica designates the replica whose updates trigger cut-off
-	// decisions under replica-independent cut-off; -1 until first seen.
-	watchReplica int
-	// inst is this key's cut-off policy state.
-	inst            policy.Instance
-	justifyDeadline sim.Time
-	// issuedAt records when the oldest still-waiting local client query
-	// was posted, so EvQueryAnswered can carry the answer latency under
-	// CUP coalescing. Standard caching keys issue times per query on the
-	// routeBack entry instead.
-	issuedAt sim.Time
 	// hop caches the upstream next hop for the key, valid while hopEpoch
 	// equals the router's topology epoch (zero: never resolved). See
 	// Node.nextHop.
@@ -139,6 +117,34 @@ type keyState struct {
 	// justifyPending/justifyDeadline track the most recent proactive
 	// update applied here, for §3.1 justified-update accounting.
 	justifyPending bool
+	// shared marks entries as shipped: a view of the set has left the
+	// node — in a message, to a waiting client, into a live hit view — so
+	// the set is immutable and the next write copies it (apply).
+	shared bool
+	// entries are the index entries cached from queries and updates
+	// (§2.1), edited in place until shared. An authority's own keys live
+	// in Node.local.
+	entries cache.Set
+	// pendingChildren are neighbors whose forwarded query awaits our
+	// response (transient, distinct from long-term interest).
+	pendingChildren nodeSet
+	// interest is the interest bit vector: neighbors to push updates to.
+	interest nodeSet
+	// routeBack holds the outstanding per-query tokens and the neighbor
+	// each response must retrace to — standard caching's open
+	// connections. Unused in CUP mode, where coalescing replaces it.
+	routeBack []routeEntry
+	// watchReplica designates the replica whose updates trigger cut-off
+	// decisions under replica-independent cut-off; -1 until first seen.
+	watchReplica int
+	// inst is this key's cut-off policy state.
+	inst            policy.Instance
+	justifyDeadline sim.Time
+	// issuedAt records when the oldest still-waiting local client query
+	// was posted, so EvQueryAnswered can carry the answer latency under
+	// CUP coalescing. Standard caching keys issue times per query on the
+	// routeBack entry instead.
+	issuedAt sim.Time
 }
 
 // NodeStats surfaces protocol-level observations the transport layer
@@ -276,10 +282,9 @@ func (n *Node) now() sim.Time { return n.env.now() }
 func (n *Node) key(ks *keyState) overlay.Key { return n.env.keys.names[ks.kid] }
 
 // emit publishes one event with this node's identity and clock stamped in.
+// The owner must have an observer: every call site checks n.env.obs before
+// it builds the event, so an unobserved run builds none.
 func (n *Node) emit(e Event) {
-	if n.env.obs == nil {
-		return
-	}
 	e.Time = n.now()
 	e.Node = n.id
 	n.env.obs.OnEvent(e)
@@ -408,13 +413,27 @@ func (n *Node) settleJustify(ks *keyState, at sim.Time) {
 // a fresh cached set elsewhere (§2.5 case 1) — or nil when it would miss
 // and travel. It records nothing: a transport that serves clients from a
 // published copy of this answer (the live hit view) accounts for them
-// through CreditClientHits. The result is a read-only view of an immutable
-// entry set and may be handed to another goroutine.
+// through CreditClientHits. The result is a read-only view of an entry set
+// marked shipped (see MarkShipped) and may be handed to another goroutine.
 func (n *Node) ClientAnswer(k overlay.Key) []cache.Entry {
 	if n.IsAuthority(k) {
 		return n.local.Fresh(k, n.now())
 	}
-	return n.read(k).entries.Fresh(n.now())
+	ks := n.peekKey(k)
+	if ks == nil {
+		return nil
+	}
+	ks.shared = true
+	return ks.entries.Fresh(n.now())
+}
+
+// MarkShipped records that a view of the node's cached set for k has left
+// the node: the transport handed an ActDeliverLocal's entries to a waiting
+// client. The set is immutable from here on, and the next write copies it.
+func (n *Node) MarkShipped(k overlay.Key) {
+	if ks := n.peekKey(k); ks != nil {
+		ks.shared = true
+	}
 }
 
 // CreditClientHits records hits local client queries for k that the
@@ -442,8 +461,11 @@ func (n *Node) CreditClientHits(k overlay.Key, hits int, first sim.Time) {
 // Like every handler, it builds its result in a buffer shared by the
 // node's owner (the simulation driving it, or the live peer):
 // the returned slice is valid until the next handler call on that owner;
-// copy what must outlive it. Entries carried by an action are read-only
-// views of immutable entry sets and may be kept.
+// copy what must outlive it. Entries carried by an update are read-only
+// views of entry sets the handler marked shipped, and may be kept. Those
+// of an ActDeliverLocal are a view of the node's own set, valid until the
+// owner's next handler call unless the transport marks the set shipped
+// (MarkShipped) before it hands them on.
 //
 // The exported handlers intern the key once per message — a live peer's
 // one hashed lookup; the simulator calls the unexported forms with the
@@ -462,7 +484,7 @@ func (n *Node) handleQuery(ks *keyState, from overlay.NodeID, qid uint64) []Acti
 	now := n.now()
 	k := n.key(ks)
 
-	if from == LocalClient {
+	if from == LocalClient && n.env.obs != nil {
 		n.emit(Event{Kind: EvQueryIssued, Peer: LocalClient, Key: k})
 	}
 
@@ -516,7 +538,9 @@ func (n *Node) handleQuery(ks *keyState, from overlay.NodeID, qid uint64) []Acti
 		// Coalesced into the in-flight query. Peer carries the querier so
 		// observers can split local coalescing (which mirrors the driver's
 		// Coalesced counter) from neighbor coalescing.
-		n.emit(Event{Kind: EvQueryCoalesced, Peer: from, Key: k})
+		if n.env.obs != nil {
+			n.emit(Event{Kind: EvQueryCoalesced, Peer: from, Key: k})
+		}
 		return nil
 	}
 	ks.pfu = true
@@ -526,16 +550,20 @@ func (n *Node) handleQuery(ks *keyState, from overlay.NodeID, qid uint64) []Acti
 }
 
 // answer builds the first-time-update response for a fresh hit. The
-// response carries our distance+1 so the receiver learns its depth.
+// response carries our distance+1 so the receiver learns its depth, and a
+// view of the set it answers from, which is shipped with it.
 //
 //cup:hotpath
 func (n *Node) answer(ks *keyState, from overlay.NodeID, entries []cache.Entry, qid uint64) []Action {
 	if from == LocalClient {
-		n.emit(Event{Kind: EvQueryAnswered, Peer: LocalClient, Key: n.key(ks), Entries: len(entries)})
+		if n.env.obs != nil {
+			n.emit(Event{Kind: EvQueryAnswered, Peer: LocalClient, Key: n.key(ks), Entries: len(entries)})
+		}
 		acts := n.env.one(ActDeliverLocal, ks)
 		acts[0].Entries = entries
 		return acts
 	}
+	ks.shared = true
 	acts := n.env.one(ActSendUpdate, ks)
 	k := acts[0].Key
 	depth := int(ks.dist) + 1
@@ -577,8 +605,10 @@ func (n *Node) handleDirectResponse(ks *keyState, u Update) []Action {
 		if fresh != nil {
 			n.apply(ks, Update{Key: u.Key, Type: FirstTime, Entries: fresh})
 		}
-		n.emit(Event{Kind: EvQueryAnswered, Peer: LocalClient, Key: u.Key,
-			Entries: len(fresh), Latency: n.now().Sub(re.issuedAt)})
+		if n.env.obs != nil {
+			n.emit(Event{Kind: EvQueryAnswered, Peer: LocalClient, Key: u.Key,
+				Entries: len(fresh), Latency: n.now().Sub(re.issuedAt)})
+		}
 		acts := n.env.one(ActDeliverLocal, ks)
 		acts[0].Entries = fresh
 		return acts
@@ -670,7 +700,9 @@ func (n *Node) handleUpdate(ks *keyState, from overlay.NodeID, u Update) []Actio
 			keep := ks.inst.Keep(int(ks.queries), u.Depth)
 			n.resetPopularity(ks, u)
 			if !keep {
-				n.emit(Event{Kind: EvCutoffFired, Peer: from, Key: u.Key})
+				if n.env.obs != nil {
+					n.emit(Event{Kind: EvCutoffFired, Peer: from, Key: u.Key})
+				}
 				acts := n.env.one(ActSendClearBit, ks)
 				acts[0].To = from
 				return acts
@@ -692,12 +724,15 @@ func (n *Node) handleUpdate(ks *keyState, from overlay.NodeID, u Update) []Actio
 
 // respondPending clears the PFU flag and fans the response out to pending
 // children, waiting local clients, and (proactively) interested neighbors.
+// entries may be a view of the node's own set, which ships with any send.
 func (n *Node) respondPending(ks *keyState, u Update, entries []cache.Entry) []Action {
 	ks.pfu = false
 	acts := n.env.acts[:0]
 	if ks.pendingLocal > 0 {
-		n.emit(Event{Kind: EvQueryAnswered, Peer: LocalClient, Key: u.Key,
-			Entries: len(entries), Latency: n.now().Sub(ks.issuedAt)})
+		if n.env.obs != nil {
+			n.emit(Event{Kind: EvQueryAnswered, Peer: LocalClient, Key: u.Key,
+				Entries: len(entries), Latency: n.now().Sub(ks.issuedAt)})
+		}
 		acts = append(acts, Action{Kind: ActDeliverLocal, Key: u.Key, kid: ks.kid, Entries: entries})
 		ks.pendingLocal = 0
 	}
@@ -721,6 +756,11 @@ func (n *Node) respondPending(ks *keyState, u Update, entries []cache.Entry) []A
 	// same fresh set, subject to push level and capacity.
 	if n.env.cfg.Mode == ModeCUP && entries != nil {
 		acts = n.pushProactive(acts, ks, resp, u.Depth, children)
+	}
+	// Sends follow the local delivery: the last action says whether any
+	// response left with the entries.
+	if entries != nil && len(acts) > 0 && acts[len(acts)-1].Kind == ActSendUpdate {
+		ks.shared = true
 	}
 	return n.env.result(acts)
 }
@@ -767,8 +807,14 @@ func (n *Node) markJustifyPending(ks *keyState, u Update) {
 // apply folds an update into the cached index entries (never into the
 // local directory — those change only via replica events).
 func (n *Node) apply(ks *keyState, u Update) {
-	// Every write builds a new set, so the update's payload is never
-	// aliased: it may be a view of the sender's immutable entry set.
+	// The update's payload may be a view of the sender's set, so it is
+	// copied from, never kept. The node's own set is edited in place until
+	// a view of it has shipped; a shipped set is copied once, and the copy
+	// is the node's alone again.
+	if ks.shared && u.Type != FirstTime {
+		ks.entries = ks.entries.Clone()
+	}
+	ks.shared = false
 	switch u.Type {
 	case FirstTime:
 		ks.entries = cache.NewSet(u.Key, u.Entries)
@@ -780,10 +826,10 @@ func (n *Node) apply(ks *keyState, u Update) {
 			if u.Lifetime > 0 {
 				e.Expires = n.now().Add(u.Lifetime)
 			}
-			ks.entries = ks.entries.With(e)
+			ks.entries = ks.entries.Put(e)
 		}
 	case Delete:
-		ks.entries, _ = ks.entries.Without(u.Replica)
+		ks.entries = ks.entries.Delete(u.Replica)
 	}
 	if len(u.Entries) > 0 {
 		ks.everHeld = true
@@ -821,7 +867,9 @@ func (n *Node) pushProactive(acts []Action, ks *keyState, u Update, senderDepth 
 		if except.has(m) {
 			continue
 		}
-		n.emit(Event{Kind: EvUpdatePushed, Peer: m, Key: u.Key, Type: u.Type, Depth: fwd.Depth})
+		if n.env.obs != nil {
+			n.emit(Event{Kind: EvUpdatePushed, Peer: m, Key: u.Key, Type: u.Type, Depth: fwd.Depth})
+		}
 		acts = append(acts, Action{Kind: ActSendUpdate, To: m, Key: u.Key, kid: ks.kid, Update: fwd})
 	}
 	return acts
@@ -853,7 +901,9 @@ func (n *Node) handleClearBit(ks *keyState, from overlay.NodeID) []Action {
 	if next == n.id {
 		return nil // the root has no upstream to cut
 	}
-	n.emit(Event{Kind: EvCutoffFired, Peer: next, Key: k})
+	if n.env.obs != nil {
+		n.emit(Event{Kind: EvCutoffFired, Peer: next, Key: k})
+	}
 	acts := n.env.one(ActSendClearBit, ks)
 	acts[0].To = next
 	return acts

@@ -185,6 +185,9 @@ func (p *peer) clearBit(from overlay.NodeID, key overlay.Key) []cup.Action {
 // publishes it: from here on, and until an entry expires, lookups for
 // key at this peer are served from the view.
 func (p *peer) deliver(key overlay.Key, entries []cache.Entry) {
+	if len(p.waiters[key]) != 0 {
+		p.node.MarkShipped(key) // the entries go to the waiting clients
+	}
 	for _, reply := range p.waiters[key] {
 		// Cannot block: reply is buffered(1), owned by exactly one lookup,
 		// and leaves the map before a second send could happen.

@@ -235,7 +235,7 @@ func (s *Scheduler) Post(d Duration, ref uint32) EventID {
 		s.push(en)
 	} else {
 		e.in = inLane
-		s.lane = append(s.lane, en) //cup:allowalloc (amortized: popNext slides the lane back down its array)
+		s.lane = append(s.lane, en) //cup:allowalloc (amortized: popFrom slides the lane back down its array)
 	}
 	return s.scheduled(e)
 }
@@ -262,11 +262,11 @@ func (s *Scheduler) laneFirst() bool {
 	return l.at < h.at || (l.at == h.at && l.seq < h.seq)
 }
 
-// popNext removes and returns the earliest entry of a non-empty queue.
+// popFrom removes and returns the head of the lane (lane) or of the heap.
 //
 //cup:hotpath
-func (s *Scheduler) popNext() heapEntry {
-	if !s.laneFirst() {
+func (s *Scheduler) popFrom(lane bool) heapEntry {
+	if !lane {
 		return s.pop()
 	}
 	en := s.lane[s.head]
@@ -448,19 +448,50 @@ func (s *Scheduler) maybeCompact(in uint8) {
 //
 //cup:hotpath
 func (s *Scheduler) Step() bool {
+	fired, _ := s.step(Infinity, false)
+	return fired
+}
+
+// StepBy fires the next event if it is due by t, reporting whether one
+// fired: the run loop's one entrance. Like Run it enforces the event
+// budget exactly — ErrEventBudget, and nothing fired, only when an event
+// is due.
+//
+//cup:hotpath
+func (s *Scheduler) StepBy(t Time) (bool, error) { return s.step(t, true) }
+
+// step fires the earliest event if it is due by t and, with budget, if
+// MaxEvents allows one more: it looks at the queue's head once and pops
+// what it looked at.
+//
+//cup:hotpath
+func (s *Scheduler) step(t Time, budget bool) (bool, error) {
 	for s.QueueLen() > 0 {
-		en := s.popNext()
-		if en.e.cancelled {
-			s.cancelled[en.e.in]--
-			s.recycle(en.e)
+		lane := s.laneFirst()
+		var en *heapEntry
+		if lane {
+			en = &s.lane[s.head]
+		} else {
+			en = &s.queue[0]
+		}
+		at, e := en.at, en.e
+		if e.cancelled {
+			s.cancelled[e.in]--
+			s.recycle(s.popFrom(lane).e)
 			continue
 		}
-		fn, ref := en.e.fn, en.e.ref
-		s.now = en.at
-		// Recycle before firing: fn may schedule and reuse the entry,
-		// and the generation bump has already invalidated handles to
-		// the fired event.
-		s.recycle(en.e)
+		if at > t {
+			return false, nil
+		}
+		if budget && s.overBudget() {
+			return false, ErrEventBudget
+		}
+		s.popFrom(lane)
+		s.now = at
+		fn, ref := e.fn, e.ref
+		// Recycle before firing: fn may schedule and reuse the entry, and the
+		// generation bump has already invalidated handles to the fired event.
+		s.recycle(e)
 		s.Executed++
 		s.maybeShrink()
 		if fn != nil {
@@ -468,9 +499,9 @@ func (s *Scheduler) Step() bool {
 		} else {
 			s.Deliver(ref)
 		}
-		return true
+		return true, nil
 	}
-	return false
+	return false, nil
 }
 
 // maybeShrink releases pooled entries once the queue has spent
@@ -516,10 +547,6 @@ func (s *Scheduler) maybeShrink() {
 	s.highWater = queued
 }
 
-// NextTime returns the time of the next pending event, or Infinity when
-// the queue is empty.
-func (s *Scheduler) NextTime() Time { return s.peekTime() }
-
 // AdvanceTo moves the clock forward to t without firing events; a t in
 // the past or Infinity is ignored. Drivers use it to close out a run at
 // its configured end time after the last event fires.
@@ -529,27 +556,9 @@ func (s *Scheduler) AdvanceTo(t Time) {
 	}
 }
 
-// peekTime returns the time of the next non-cancelled event, or Infinity.
+// overBudget reports whether firing one more event would exceed MaxEvents.
 //
 //cup:hotpath
-func (s *Scheduler) peekTime() Time {
-	for s.QueueLen() > 0 {
-		var en *heapEntry
-		if s.laneFirst() {
-			en = &s.lane[s.head]
-		} else {
-			en = &s.queue[0]
-		}
-		if !en.e.cancelled {
-			return en.at
-		}
-		s.cancelled[en.e.in]--
-		s.recycle(s.popNext().e)
-	}
-	return Infinity
-}
-
-// overBudget reports whether firing one more event would exceed MaxEvents.
 func (s *Scheduler) overBudget() bool {
 	return s.MaxEvents > 0 && s.Executed >= s.MaxEvents
 }
@@ -557,13 +566,7 @@ func (s *Scheduler) overBudget() bool {
 // Run executes events until the queue drains or the event budget is hit:
 // exactly MaxEvents events fire before ErrEventBudget.
 func (s *Scheduler) Run() error {
-	for s.peekTime() != Infinity {
-		if s.overBudget() {
-			return ErrEventBudget
-		}
-		s.Step()
-	}
-	return nil
+	return s.RunUntil(Infinity)
 }
 
 // RunUntil executes events with time ≤ deadline, then advances the clock to
@@ -571,18 +574,15 @@ func (s *Scheduler) Run() error {
 // Run, it enforces the event budget exactly.
 func (s *Scheduler) RunUntil(deadline Time) error {
 	for {
-		next := s.peekTime()
-		if next == Infinity || next > deadline {
+		fired, err := s.StepBy(deadline)
+		if err != nil {
+			return err
+		}
+		if !fired {
 			break
 		}
-		if s.overBudget() {
-			return ErrEventBudget
-		}
-		s.Step()
 	}
-	if deadline > s.now && deadline != Infinity {
-		s.now = deadline
-	}
+	s.AdvanceTo(deadline)
 	return nil
 }
 

@@ -58,6 +58,7 @@ func (d *Deployment) initTelemetry(o *options) error {
 		col:    obs.NewCollector(reg),
 		tracer: obs.NewTracer(),
 	}
+	d.listen()
 	d.detach = append(d.detach, d.bus.Attach(t.col), d.bus.Attach(t.tracer))
 
 	reg.Gauge("cup_info", "Deployment shape (always 1; labels carry the configuration).",
