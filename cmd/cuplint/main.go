@@ -1,14 +1,9 @@
 // Command cuplint is CUP's multichecker: it runs the repository's
 // custom static-analysis passes (determinism, hotpath,
-// eventexhaustive, ctxdiscipline) over the tree.
+// eventexhaustive, ctxdiscipline) over the tree. It loads packages via
+// `go list -export` and prints file:line:col diagnostics:
 //
-// Two modes, one binary:
-//
-//	cuplint ./...                     standalone: loads packages via
-//	                                  `go list -export` and prints
-//	                                  file:line:col diagnostics
-//	go vet -vettool=$(which cuplint)  unitchecker: speaks cmd/go's vet
-//	                                  config protocol
+//	cuplint ./...
 //
 // Exit status is 2 when any diagnostic is reported, 0 on a clean run,
 // 1 on operational errors — matching go vet's convention.
@@ -18,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"cup/internal/analysis"
 	"cup/internal/analysis/ctxdiscipline"
@@ -40,34 +34,6 @@ func main() {
 }
 
 func run() int {
-	// cmd/go's vettool protocol probes the tool before use:
-	//   cuplint -V=full       print a version fingerprint
-	//   cuplint -flags        print the tool's flag JSON
-	//   cuplint <cfg>.cfg     analyze one package unit
-	if len(os.Args) == 2 {
-		switch {
-		case os.Args[1] == "-V=full" || os.Args[1] == "--V=full":
-			analysis.PrintVersion(os.Stdout, "cuplint")
-			return 0
-		case os.Args[1] == "-flags" || os.Args[1] == "--flags":
-			analysis.PrintFlags(os.Stdout)
-			return 0
-		case strings.HasSuffix(os.Args[1], ".cfg"):
-			fset, diags, err := analysis.RunUnit(os.Args[1], Suite)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "cuplint: %v\n", err)
-				return 1
-			}
-			if len(diags) == 0 {
-				return 0
-			}
-			for _, d := range diags {
-				fmt.Fprintf(os.Stderr, "%s: %s (%s)\n", fset.Position(d.Pos), d.Message, d.Analyzer)
-			}
-			return 2
-		}
-	}
-
 	fs := flag.NewFlagSet("cuplint", flag.ExitOnError)
 	list := fs.Bool("list", false, "list the analyzers in the suite and exit")
 	dir := fs.String("C", ".", "change to `dir` before loading packages")

@@ -129,7 +129,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cupsim:", err)
 		os.Exit(2)
 	}
-	opts = append(opts, cup.WithScenario(sc))
+	opts = append(opts, cup.WithTraffic(sc.Traffic), cup.WithFaults(sc.Faults...))
 
 	switch *mode {
 	case "cup":

@@ -21,8 +21,8 @@
 //	defer d.Close()
 //
 // A Deployment exposes one application-facing client API regardless of
-// transport — Lookup/LookupAt, Publish/Unpublish, Subscribe/Events — and
-// one event stream (Event, Observer): query issued/answered, update
+// transport — Lookup/LookupAt, Publish/Unpublish, Observe — and one
+// event stream (Event, Observer): query issued/answered, update
 // pushed, cut-off fired, node joined/left, emitted by the protocol core
 // itself so simulated and live runs are observable, and comparable,
 // through the same surface.
@@ -44,9 +44,9 @@
 // FlashCrowd, DiurnalWave, ZipfDrift, and ClosedLoop model other
 // shapes), a Fault scripts interventions (CapacityFault, NodeChurn,
 // ReplicaChurn) against the transport-agnostic FaultSurface, and a
-// Scenario bundles the two. Install with WithTraffic / WithFaults /
-// WithScenario; both transports consume them identically, the live one
-// replaying the schedule in wall-clock time under WithTimeScale. The
+// Scenario bundles the two. Install with WithTraffic and WithFaults; both
+// transports consume them identically, the live one replaying the
+// schedule in wall-clock time under WithTimeScale. The
 // scenario registry (RegisterScenario, BuildScenario, ScenarioNames)
 // backs the cupsim -scenario flag.
 //

@@ -266,32 +266,16 @@ func (d *Deployment) Settle(ctx context.Context) error { return d.rt.Settle(ctx)
 // function detaches it. Live-transport observers are called from peer
 // goroutines concurrently and must be safe for concurrent use. Observers
 // run inside the emitting transport and must not call back into the
-// Deployment; consume events through Events/Subscribe channels when the
-// handler needs the client API.
+// Deployment; an observer that needs the client API hands the event to
+// a goroutine of its own.
 //
-// A simulation emits no events until the first listener (Observe, Events,
-// Subscribe or WithTelemetry) attaches, and sees every event from then on.
-// On the simulator an attach waits for a Run in progress to finish, so
-// attach before Run to see the run.
+// A simulation emits no events until the first listener (Observe or
+// WithTelemetry) attaches, and sees every event from then on. On the
+// simulator an attach waits for a Run in progress to finish, so attach
+// before Run to see the run.
 func (d *Deployment) Observe(obs Observer) (detach func()) {
 	d.listen()
 	return d.bus.Attach(obs)
-}
-
-// Events returns a buffered channel carrying every deployment event and
-// a cancel function that closes it. Events arriving while the buffer is
-// full are dropped for this subscriber (telemetry's
-// cup_bus_dropped_events counts them); on the synchronous simulator
-// prefer Observe, which never drops.
-func (d *Deployment) Events() (<-chan Event, func()) {
-	d.listen()
-	return d.bus.Subscribe(0, nil)
-}
-
-// Subscribe is Events filtered to one key.
-func (d *Deployment) Subscribe(key Key) (<-chan Event, func()) {
-	d.listen()
-	return d.bus.Subscribe(0, func(e Event) bool { return e.Key == key })
 }
 
 // listen makes the bus the simulation's observer before a listener
@@ -311,14 +295,14 @@ func (d *Deployment) listen() {
 // the configured scenario in wall-clock time (compressed by
 // WithTimeScale): scripted replica births with periodic refreshes, the
 // traffic pump, and the fault timeline — so a live deployment without a
-// WithTraffic/WithScenario workload still errors, staying interactive.
+// WithTraffic workload still errors, staying interactive.
 // Sweeps of independent runs belong to internal/experiment's Engine.
 func (d *Deployment) Run(ctx context.Context) (*Result, error) {
 	if sr, ok := d.rt.(*simRuntime); ok {
 		return sr.run(ctx)
 	}
 	if d.p.Traffic == nil {
-		return nil, fmt.Errorf("cup: Run on a live deployment needs a scenario (WithTraffic or WithScenario); interactive deployments are driven through Lookup/Publish")
+		return nil, fmt.Errorf("cup: Run on a live deployment needs a scenario (WithTraffic); interactive deployments are driven through Lookup/Publish")
 	}
 	return d.runLive(ctx, d.rt.(*liveRuntime))
 }
@@ -464,9 +448,7 @@ func (d *Deployment) Now() sim.Time {
 	return d.rt.(*liveRuntime).n.Now()
 }
 
-// Close shuts the deployment down, detaches its observers, and closes
-// every Events/Subscribe channel so consumers ranging over them
-// terminate.
+// Close shuts the deployment down and detaches its telemetry observers.
 func (d *Deployment) Close() error {
 	d.mu.Lock()
 	if d.closed {
@@ -489,9 +471,7 @@ func (d *Deployment) Close() error {
 	if d.tele != nil && d.tele.srv != nil {
 		_ = d.tele.srv.Close()
 	}
-	err := d.rt.Close()
-	d.bus.CloseSubscribers()
-	return err
+	return d.rt.Close()
 }
 
 // simRuntime executes a deployment on the discrete-event scheduler. All

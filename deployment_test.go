@@ -164,7 +164,9 @@ func TestRunMatchesCompatibilityWrapper(t *testing.T) {
 	}
 }
 
-func TestSubscribeFiltersByKey(t *testing.T) {
+// An observer of an interactive deployment sees the events of the keys
+// it publishes and looks up, and nothing after it detaches.
+func TestObserveSeesInteractiveLookups(t *testing.T) {
 	d := newDeployment(t,
 		cup.WithNodes(16),
 		cup.WithoutWorkload(),
@@ -173,16 +175,16 @@ func TestSubscribeFiltersByKey(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
-	events, stop := d.Subscribe("watched")
-	defer stop()
-
-	if err := d.Publish(ctx, "watched", 0, "10.0.0.1", time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Publish(ctx, "other", 0, "10.0.0.2", time.Hour); err != nil {
-		t.Fatal(err)
-	}
+	issued := map[cup.Key]int{}
+	detach := d.Observe(cup.ObserverFunc(func(e cup.Event) {
+		if e.Kind == cup.EvQueryIssued {
+			issued[e.Key]++
+		}
+	}))
 	for _, key := range []cup.Key{"watched", "other"} {
+		if err := d.Publish(ctx, key, 0, "10.0.0.1", time.Hour); err != nil {
+			t.Fatal(err)
+		}
 		at := cup.NodeID(1)
 		if d.Authority(key) == at {
 			at = 2
@@ -191,20 +193,15 @@ func TestSubscribeFiltersByKey(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	detach()
+	if _, err := d.LookupAt(ctx, 3, "watched"); err != nil {
+		t.Fatal(err)
+	}
 	if err := d.Settle(ctx); err != nil {
 		t.Fatal(err)
 	}
-
-	stop() // closes the channel so the drain below terminates
-	got := 0
-	for e := range events {
-		if e.Key != "watched" {
-			t.Fatalf("subscription leaked event for %q: %+v", e.Key, e)
-		}
-		got++
-	}
-	if got == 0 {
-		t.Fatal("subscription saw no events for its key")
+	if issued["watched"] != 1 || issued["other"] != 1 || len(issued) != 2 {
+		t.Fatalf("observer saw queries issued %v, want one per key and none after detaching", issued)
 	}
 }
 
@@ -266,41 +263,6 @@ func TestLiveDeploymentAccessors(t *testing.T) {
 			}
 		})
 	}
-}
-
-// Close must terminate consumers ranging over event channels, and a
-// late stop() must stay a safe no-op.
-func TestCloseUnblocksEventConsumers(t *testing.T) {
-	d, err := cup.New(cup.WithTransport(cup.Live), cup.WithNodes(8), cup.WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	events, stop := d.Events()
-	done := make(chan struct{})
-	go func() {
-		for range events {
-		}
-		close(done)
-	}()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := d.Publish(ctx, "k", 0, "10.0.0.1", time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Lookup(ctx, "k"); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not unblock the event consumer")
-	}
-	stop() // after Close already closed the channel: must not panic
 }
 
 // Settle must outwait in-flight messages even when the hop delay

@@ -1,13 +1,13 @@
 // Observer: watch a live CUP network through its telemetry registry. A
 // background workload publishes, refreshes, and looks up keys from
 // random peers; the main goroutine polls the deployment's metrics
-// registry (populated by the bus-subscribing collector that
-// cup.WithTelemetry attaches) and prints a per-second rate line —
-// queries issued/answered, updates pushed, cut-offs — plus, at the end,
-// the answer-latency histogram and one key's propagation trace. The
-// same registry is what /metrics serves; polling it in-process beats
-// hand-counting bus events because the cumulative series survive
-// subscriber-buffer drops and are shared with every other consumer.
+// registry (populated by the bus collector that cup.WithTelemetry
+// attaches) and prints a per-second rate line — queries
+// issued/answered, updates pushed, cut-offs — plus, at the end, the
+// answer-latency histogram and one key's propagation trace. The same
+// registry is what /metrics serves; polling it in-process beats
+// hand-counting bus events because the cumulative series are shared
+// with every other consumer.
 package main
 
 import (
@@ -114,8 +114,5 @@ func main() {
 	if tr, ok := d.Trace("alpha"); ok {
 		fmt.Printf("propagation tree for %q: %d spans, %d cut-offs, root %v\n",
 			tr.Key, len(tr.Spans), tr.Cutoffs, tr.Root)
-	}
-	if v, ok := d.MetricValue("cup_bus_dropped_events"); ok {
-		fmt.Printf("events dropped by subscriber buffers: %.0f\n", v)
 	}
 }

@@ -7,12 +7,10 @@
 // the passes could migrate onto the upstream framework without change
 // if the dependency ever lands.
 //
-// Three drivers run the same analyzers:
+// Two drivers run the same analyzers:
 //
 //   - Load (load.go) builds packages via `go list -export -deps` and is
 //     what `cuplint ./...` and the in-repo smoke test use;
-//   - RunUnit (unit.go) speaks cmd/go's vettool config protocol, so the
-//     same binary runs under `go vet -vettool=cuplint`;
 //   - analysistest (analysistest/) typechecks golden fixture packages
 //     under testdata/src and asserts diagnostics against // want
 //     comments.
@@ -67,8 +65,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // PkgPath returns the package's import path with cmd/go's test-variant
-// suffix ("pkg [pkg.test]") stripped, so path-scoped passes behave
-// identically under the standalone driver and go vet.
+// suffix ("pkg [pkg.test]") stripped, so path-scoped passes treat a
+// package and its test variant alike.
 func (p *Pass) PkgPath() string {
 	path := p.Pkg.Path()
 	if i := strings.Index(path, " ["); i >= 0 {

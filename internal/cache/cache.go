@@ -190,9 +190,9 @@ func (es Set) Expire(now sim.Time) (Set, int) {
 }
 
 // Store holds one Set per key: the authority's local index directory, and
-// the shape churn hands over. The zero value is an empty, usable store —
-// nodes keep theirs by value and must not pay a map allocation before the
-// first Put.
+// what a departing node hands over (Take). The zero value is an empty,
+// usable store — nodes keep theirs by value and must not pay a map
+// allocation before the first Put.
 type Store struct {
 	byKey map[overlay.Key]Set
 }
@@ -231,6 +231,13 @@ func (s *Store) RemoveKey(k overlay.Key) int {
 	n := len(s.byKey[k])
 	delete(s.byKey, k)
 	return n
+}
+
+// Take moves every entry into a new store and leaves s empty.
+func (s *Store) Take() *Store {
+	t := &Store{byKey: s.byKey}
+	s.byKey = nil
+	return t
 }
 
 // Get returns the entry for (k, replica).

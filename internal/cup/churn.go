@@ -4,25 +4,19 @@ import (
 	"fmt"
 	"slices"
 
+	"cup/internal/cache"
 	"cup/internal/overlay"
 	"cup/internal/sim"
 )
 
-// This file implements §2.9 — node arrivals and departures — for the
-// discrete-event driver. Churn is supported on any substrate exposing the
-// dynamicOverlay capability below: the CAN (zones split on join and are
-// absorbed by a neighbor on departure) and Kademlia (buckets re-knit
-// around the changed membership). On every membership change the next
-// hops nodes cached are invalidated, the affected nodes' interest bit vectors are
-// patched, and on departure the departing node's portion of the global
-// index is handed over per key to its new authority (the paper's
-// hand-over alternative, which avoids restarting update propagation).
+// This file is §2.9 — node arrivals and departures — written once: every
+// runtime drives Churn over its own Members, the simulator running each
+// per-node step inline, the live network on the peer's goroutine.
 
-// dynamicOverlay is the churn capability: membership queries plus uniform
-// join/leave hooks. Any overlay implementing it — including future kinds
-// added through the registry — gets JoinNode/LeaveNode for free; a static
-// overlay (Chord) does not satisfy it.
-type dynamicOverlay interface {
+// DynamicOverlay is the churn capability. Any overlay implementing it —
+// CAN, Kademlia, or a future kind added through the registry — gets churn
+// on every runtime; a static overlay (Chord) does not satisfy it.
+type DynamicOverlay interface {
 	overlay.Overlay
 	// Alive reports whether n is currently a member.
 	Alive(overlay.NodeID) bool
@@ -33,24 +27,173 @@ type dynamicOverlay interface {
 	Leave(n overlay.NodeID) overlay.NodeID
 }
 
-// SupportsChurn reports whether this run's substrate handles JoinNode and
-// LeaveNode.
-func (s *Simulation) SupportsChurn() bool { return s.dyn != nil }
+// Members is a runtime's node table as the choreography drives it.
+type Members interface {
+	// Size is the number of node slots ever issued: IDs are dense and
+	// never reused, so a departed node keeps its slot.
+	Size() int
+	Alive(id overlay.NodeID) bool
+	// At runs fn with exclusive access to node id's protocol state.
+	At(id overlay.NodeID, fn func(*Node)) error
+	// Spawn brings node id, the next slot, into service.
+	Spawn(id overlay.NodeID) error
+	// Retire takes node id out of service and returns its local directory.
+	Retire(id overlay.NodeID) (*cache.Store, error)
+	// Changed records EvNodeJoined or EvNodeLeft and its stat.
+	Changed(kind EventKind, id overlay.NodeID)
+}
+
+// Churn binds the choreography to one runtime's substrate: Overlay as
+// the runtime's readers see it (nil when static: every change then fails,
+// naming Kind), the Router whose memoized routes a change invalidates,
+// and the Rand join placements draw from.
+type Churn struct {
+	Overlay DynamicOverlay
+	Kind    string
+	Router  *OverlayRouter
+	Rand    *sim.Rand
+}
 
 // ChurnCapable reports whether the named overlay kind supports §2.9
 // membership changes, by building a minimal instance from the registry
 // and probing the capability. Unknown kinds report false.
 func ChurnCapable(kind string) bool {
 	ov, err := overlay.Build(kind, 2, 1)
-	if err != nil {
-		return false
-	}
-	_, ok := ov.(dynamicOverlay)
-	return ok
+	_, ok := ov.(DynamicOverlay)
+	return err == nil && ok
 }
 
-// NodeAlive reports whether id is currently a member. Until a member has
-// left, every node of the run is one, and the overlay is not asked.
+func (c Churn) static() error {
+	if c.Overlay == nil {
+		return fmt.Errorf("membership churn unsupported: overlay %q is static (§2.9 needs a dynamic substrate such as can or kademlia)", c.Kind)
+	}
+	return nil
+}
+
+// Join adds one member (§2.9 arrivals) and returns its ID: the substrate
+// wires it in and memoized routes drop, the runtime spawns it, previous
+// owners hand over the index entries that now hash into its region ("M
+// could give a copy of its stored index entries to N"), and the joiner
+// and every node that now lists it patch their interest bits.
+func (c Churn) Join(m Members) (overlay.NodeID, error) {
+	if err := c.static(); err != nil {
+		return 0, err
+	}
+	id := c.Overlay.JoinRand(c.Rand)
+	c.Router.Invalidate()
+	if int(id) != m.Size() {
+		panic(fmt.Sprintf("cup: overlay issued id %v, expected %d", id, m.Size()))
+	}
+	if err := m.Spawn(id); err != nil {
+		return 0, err
+	}
+	m.Changed(EvNodeJoined, id)
+	for from := overlay.NodeID(0); from < id; from++ {
+		if !m.Alive(from) {
+			continue
+		}
+		var moved []cache.Entry
+		err := m.At(from, func(n *Node) {
+			dir := n.LocalDirectory()
+			for _, k := range dir.Keys() {
+				if c.Overlay.Owner(k) == id {
+					moved = append(moved, dir.All(k)...)
+					dir.RemoveKey(k)
+				}
+			}
+		})
+		if err == nil && len(moved) > 0 {
+			err = install(m, id, moved)
+		}
+		if err != nil {
+			return id, fmt.Errorf("join hand-over from %v: %w", from, err)
+		}
+	}
+	rev := c.reverseNeighbors(m)
+	return id, c.patch(m, rev, append(rev[id], id))
+}
+
+// Leave removes member victim (§2.9 departures) and returns the heir of
+// its region: the runtime retires it, the substrate re-knits, its portion
+// of the global index moves per key to the key's new authority (the
+// paper's hand-over alternative, which avoids restarting update
+// propagation), and every node that exchanged queries with it patches its
+// interest bits. Cached entries elsewhere simply expire.
+func (c Churn) Leave(m Members, victim overlay.NodeID) (overlay.NodeID, error) {
+	if err := c.static(); err != nil {
+		return 0, err
+	}
+	if !m.Alive(victim) || !c.Overlay.Alive(victim) {
+		return 0, fmt.Errorf("leave of node %v: not a live member", victim)
+	}
+	if c.Overlay.Size() <= 1 {
+		return 0, fmt.Errorf("leave of node %v: cannot remove the last member", victim)
+	}
+	// Before the re-knit edits them: the nodes that list it (they routed
+	// through it) and the ones it lists (they hold its interest bits).
+	affected := slices.Concat(c.reverseNeighbors(m)[victim], c.Overlay.Neighbors(victim))
+	dir, err := m.Retire(victim)
+	if err != nil {
+		return 0, fmt.Errorf("leave of node %v: %w", victim, err)
+	}
+	heir := c.Overlay.Leave(victim)
+	c.Router.Invalidate()
+	for _, k := range dir.Keys() {
+		if err := install(m, c.Overlay.Owner(k), dir.All(k)); err != nil {
+			return heir, fmt.Errorf("leave hand-over of %q: %w", k, err)
+		}
+	}
+	if err := c.patch(m, c.reverseNeighbors(m), append(affected, heir)); err != nil {
+		return heir, err
+	}
+	m.Changed(EvNodeLeft, victim)
+	return heir, nil
+}
+
+// install adds entries to node to's local directory.
+func install(m Members, to overlay.NodeID, entries []cache.Entry) error {
+	return m.At(to, func(n *Node) {
+		for _, e := range entries {
+			n.InstallLocal(e)
+		}
+	})
+}
+
+// reverseNeighbors maps each node to the members that list it as a
+// neighbor, in one sweep that a change computes once and shares.
+func (c Churn) reverseNeighbors(m Members) map[overlay.NodeID][]overlay.NodeID {
+	rev := make(map[overlay.NodeID][]overlay.NodeID, m.Size())
+	for id := overlay.NodeID(0); int(id) < m.Size(); id++ {
+		if m.Alive(id) {
+			for _, nb := range c.Overlay.Neighbors(id) {
+				rev[nb] = append(rev[nb], id)
+			}
+		}
+	}
+	return rev
+}
+
+// patch re-syncs the interest bit vectors of nodes with their channel
+// peers (§2.9: "a local operation that affects only each individual
+// node"): its own neighbors and, per rev, the nodes that query it — the
+// two differ on Kademlia's directed buckets.
+func (c Churn) patch(m Members, rev map[overlay.NodeID][]overlay.NodeID, nodes []overlay.NodeID) error {
+	slices.Sort(nodes)
+	for _, id := range slices.Compact(nodes) {
+		if !m.Alive(id) {
+			continue
+		}
+		peers := slices.Concat(c.Overlay.Neighbors(id), rev[id])
+		if err := m.At(id, func(n *Node) { n.PatchNeighbors(peers) }); err != nil {
+			return fmt.Errorf("neighborhood patch at %v: %w", id, err)
+		}
+	}
+	return nil
+}
+
+// NodeAlive reports whether id is currently a member of the run. Until a
+// member has left, every node of the run is one, and the overlay is not
+// asked.
 //
 //cup:hotpath
 func (s *Simulation) NodeAlive(id overlay.NodeID) bool {
@@ -60,147 +203,30 @@ func (s *Simulation) NodeAlive(id overlay.NodeID) bool {
 	return s.departed == 0 || s.dyn.Alive(id)
 }
 
-// JoinNode adds a fresh node (§2.9 Arrivals): the substrate wires it in
-// (zone split on the CAN, bucket insertion on Kademlia), stale routes are
-// dropped, previous owners hand over the index entries that now hash to
-// the joiner, and every node whose routing table changed patches its
-// interest bit vector. The new node's ID is returned.
-func (s *Simulation) JoinNode() overlay.NodeID {
-	if s.dyn == nil {
-		panic(fmt.Sprintf("cup: JoinNode requires a dynamic overlay, have %q", s.P.OverlayKind))
-	}
-	s.Router.Dynamic = true
-	id := s.dyn.JoinRand(s.Rng)
-	s.Router.Invalidate()
-
-	if int(id) != len(s.Nodes) {
-		panic(fmt.Sprintf("cup: overlay issued id %v, expected %d", id, len(s.Nodes)))
-	}
-	s.Nodes = append(s.Nodes, s.env.node(new(Node), id))
-	s.emitMembership(EvNodeJoined, id)
-
-	// Previous owners hand over the index entries that now hash into the
-	// joiner's region (§2.9: "M could give a copy of its stored index
-	// entries to N"). On the CAN only the split node holds such entries;
-	// in the XOR space they may come from several nodes. Only nodes with
-	// non-empty local directories (≈ one per key) pay the ownership
-	// checks, so the sweep is a cheap map-iteration for everyone else.
-	for m := range s.Nodes[:id] {
-		from := overlay.NodeID(m)
-		if s.NodeAlive(from) && s.Nodes[from].LocalDirectory().Len() > 0 {
-			s.handOverLocal(from, id)
-		}
-	}
-	// Patch everyone whose neighbor set changed: the joiner plus the
-	// nodes that now list it (covers asymmetric Kademlia buckets, where
-	// inserting the joiner may also evict a previous neighbor).
-	rev := s.reverseNeighbors()
-	s.patchNeighborhood(rev, append(rev[id], id))
-	return id
+func (s *Simulation) churn() Churn {
+	return Churn{Overlay: s.dyn, Kind: s.P.OverlayKind, Router: s.Router, Rand: s.Rng}
 }
 
-// LeaveNode removes a member (§2.9 Departures): the departing node's
-// portion of the global index moves per key to the key's new authority —
-// on the CAN that is always the zone-absorbing heir, in the XOR space the
-// new closest node per key — interest bit vectors of every node that
-// routed through the victim are patched, and cached entries at other
-// nodes simply expire. The substrate's heir is returned.
-func (s *Simulation) LeaveNode(victim overlay.NodeID) overlay.NodeID {
-	if s.dyn == nil {
-		panic(fmt.Sprintf("cup: LeaveNode requires a dynamic overlay, have %q", s.P.OverlayKind))
-	}
-	if !s.dyn.Alive(victim) {
-		panic(fmt.Sprintf("cup: LeaveNode of dead %v", victim))
-	}
-	s.Router.Dynamic = true
-	// Collect the victim's channel peers before the overlay re-knits: the
-	// nodes that list it (they routed through it) AND the nodes it listed
-	// (it queried them, so they hold its interest bits). Neighbor
-	// relations may be asymmetric (Kademlia buckets), so neither set
-	// alone is enough. Concat copies: the overlay's own slice is only
-	// valid until Leave edits it.
-	affected := slices.Concat(s.reverseNeighbors()[victim], s.Ov.Neighbors(victim))
-	heir := s.dyn.Leave(victim)
-	s.departed++
-	s.Router.Invalidate()
-	s.redistributeLocal(victim)
-	s.patchNeighborhood(s.reverseNeighbors(), append(affected, heir))
-	s.emitMembership(EvNodeLeft, victim)
-	return heir
+// At, Spawn, Retire and Changed make simSurface the run's Members, whose
+// every step runs inline.
+func (a simSurface) At(id overlay.NodeID, fn func(*Node)) error {
+	fn(a.s.Nodes[id])
+	return nil
 }
 
-// emitMembership publishes a §2.9 membership event to the run's observer,
-// the one its nodes emit to.
-func (s *Simulation) emitMembership(kind EventKind, id overlay.NodeID) {
-	if s.env.obs != nil {
-		s.env.obs.OnEvent(Event{Kind: kind, Time: s.Sched.Now(), Node: id, Peer: overlay.NoNode})
-	}
+func (a simSurface) Spawn(id overlay.NodeID) error {
+	a.s.Nodes = append(a.s.Nodes, a.s.env.node(new(Node), id))
+	return nil
 }
 
-// reverseNeighbors builds the reverse adjacency of the current overlay in
-// one sweep: for each node, the alive nodes that list it as a neighbor.
-// Churn handlers compute it once per membership event and share it, so
-// patching stays O(n·degree) per event rather than per patched node.
-func (s *Simulation) reverseNeighbors() map[overlay.NodeID][]overlay.NodeID {
-	rev := make(map[overlay.NodeID][]overlay.NodeID, len(s.Nodes))
-	for m := range s.Nodes {
-		mm := overlay.NodeID(m)
-		if !s.NodeAlive(mm) {
-			continue
-		}
-		for _, nb := range s.Ov.Neighbors(mm) {
-			rev[nb] = append(rev[nb], mm)
-		}
-	}
-	return rev
+// Retire counts the departure: from now on NodeAlive asks the overlay.
+func (a simSurface) Retire(id overlay.NodeID) (*cache.Store, error) {
+	a.s.departed++
+	return a.s.Nodes[id].LocalDirectory().Take(), nil
 }
 
-// handOverLocal moves the entries of from's local directory whose keys
-// now belong to to (after a membership change).
-func (s *Simulation) handOverLocal(from, to overlay.NodeID) {
-	dir := s.Nodes[from].LocalDirectory()
-	for _, k := range dir.Keys() {
-		if s.Ov.Owner(k) != to {
-			continue
-		}
-		for _, e := range dir.All(k) {
-			s.Nodes[to].InstallLocal(e)
-			s.Nodes[from].RemoveLocal(k, e.Replica)
-		}
-	}
-}
-
-// redistributeLocal moves every local entry of a departed node to its
-// key's current authority. On the CAN every key lands on the zone heir;
-// in the XOR space each key goes to its own new closest node.
-func (s *Simulation) redistributeLocal(from overlay.NodeID) {
-	dir := s.Nodes[from].LocalDirectory()
-	for _, k := range dir.Keys() {
-		to := s.Ov.Owner(k)
-		for _, e := range dir.All(k) {
-			s.Nodes[to].InstallLocal(e)
-		}
-		dir.RemoveKey(k)
-	}
-}
-
-// patchNeighborhood re-syncs interest bit vectors with current channel
-// peers for the affected nodes (§2.9: "the bit vector patching is a local
-// operation that affects only each individual node"). A node's channel
-// peers are its own routing neighbors (it queries them) plus the nodes
-// that route through it per rev (they query it, so their interest bits
-// live here). The two sets coincide on symmetric overlays (CAN); on
-// Kademlia's directed buckets the union keeps live subscriptions from
-// asymmetric queriers from being patched away — PatchNeighbors drops
-// bits of any peer not listed.
-func (s *Simulation) patchNeighborhood(rev map[overlay.NodeID][]overlay.NodeID, nodes []overlay.NodeID) {
-	seen := make(map[overlay.NodeID]bool, len(nodes))
-	for _, id := range nodes {
-		if seen[id] || !s.NodeAlive(id) {
-			continue
-		}
-		seen[id] = true
-		peers := append(append([]overlay.NodeID{}, s.Ov.Neighbors(id)...), rev[id]...)
-		s.Nodes[id].PatchNeighbors(peers)
+func (a simSurface) Changed(kind EventKind, id overlay.NodeID) {
+	if obs := a.s.env.obs; obs != nil {
+		obs.OnEvent(Event{Kind: kind, Time: a.s.Sched.Now(), Node: id, Peer: overlay.NoNode})
 	}
 }

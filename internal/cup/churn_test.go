@@ -1,6 +1,7 @@
 package cup
 
 import (
+	"strings"
 	"testing"
 
 	"cup/internal/overlay"
@@ -11,11 +12,29 @@ func churnParams() Params {
 	return Params{Nodes: 64, QueryRate: 3, QueryDuration: 900, Seed: 17}
 }
 
+// join and leave drive churn through the run's fault surface, where the
+// change must succeed.
+func join(t *testing.T, s *Simulation) overlay.NodeID {
+	t.Helper()
+	id, err := simSurface{s}.Join()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
+func leave(t *testing.T, s *Simulation, victim overlay.NodeID) {
+	t.Helper()
+	if err := (simSurface{s}).Leave(victim); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestJoinNodeGrowsMembership(t *testing.T) {
 	s := NewSimulation(churnParams())
 	before := len(s.Nodes)
 	s.Sched.At(400, func() {
-		id := s.JoinNode()
+		id := join(t, s)
 		if int(id) != before {
 			t.Errorf("joined id = %v, want %d", id, before)
 		}
@@ -41,7 +60,7 @@ func TestLeaveNodeHandsOverAuthority(t *testing.T) {
 		if entriesBefore == 0 {
 			t.Error("authority had no local entries before leaving")
 		}
-		heir := s.LeaveNode(auth)
+		leave(t, s, auth)
 		if s.NodeAlive(auth) {
 			t.Error("departed node still alive")
 		}
@@ -49,11 +68,11 @@ func TestLeaveNodeHandsOverAuthority(t *testing.T) {
 		if newAuth == auth {
 			t.Error("ownership did not move")
 		}
-		// The heir holds the handed-over directory; if the key's point now
-		// falls in the heir's absorbed zone, the heir is the new authority.
-		if s.Nodes[heir].LocalDirectory().Len() < entriesBefore {
+		// On the CAN the new authority is the heir that absorbed the zone,
+		// and it holds the handed-over directory.
+		if s.Nodes[newAuth].LocalDirectory().Len() < entriesBefore {
 			t.Errorf("heir holds %d entries, want ≥ %d",
-				s.Nodes[heir].LocalDirectory().Len(), entriesBefore)
+				s.Nodes[newAuth].LocalDirectory().Len(), entriesBefore)
 		}
 	})
 	res := s.Run()
@@ -69,10 +88,10 @@ func TestQueriesSurviveContinuousChurn(t *testing.T) {
 		i := i
 		s.Sched.At(sim.Time(350+50*i), func() {
 			if i%2 == 0 {
-				s.JoinNode()
+				join(t, s)
 			} else {
 				alive := s.aliveSample()
-				s.LeaveNode(alive)
+				leave(t, s, alive)
 			}
 		})
 	}
@@ -111,32 +130,26 @@ func TestChurnCapableByKind(t *testing.T) {
 func TestChurnRequiresDynamicOverlay(t *testing.T) {
 	p := churnParams()
 	p.OverlayKind = "chord"
-	s := NewSimulation(p)
-	if s.SupportsChurn() {
-		t.Error("chord run claims to support churn")
+	surf := simSurface{NewSimulation(p)}
+	if _, err := surf.Join(); err == nil || !strings.Contains(err.Error(), "unsupported") {
+		t.Errorf("Join on chord: err = %v, want the unsupported-churn error", err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("JoinNode on chord did not panic")
-		}
-	}()
-	s.JoinNode()
+	if err := surf.Leave(3); err == nil || !strings.Contains(err.Error(), "unsupported") {
+		t.Errorf("Leave on chord: err = %v, want the unsupported-churn error", err)
+	}
 }
 
 func TestQueriesSurviveContinuousChurnOnKademlia(t *testing.T) {
 	p := churnParams()
 	p.OverlayKind = "kademlia"
 	s := NewSimulation(p)
-	if !s.SupportsChurn() {
-		t.Fatal("kademlia run does not support churn")
-	}
 	for i := 0; i < 12; i++ {
 		i := i
 		s.Sched.At(sim.Time(350+50*i), func() {
 			if i%2 == 0 {
-				s.JoinNode()
+				join(t, s)
 			} else {
-				s.LeaveNode(s.aliveSample())
+				leave(t, s, s.aliveSample())
 			}
 		})
 	}
@@ -160,7 +173,7 @@ func TestKademliaLeaveRedistributesAuthority(t *testing.T) {
 		if entriesBefore == 0 {
 			t.Error("authority had no local entries before leaving")
 		}
-		s.LeaveNode(auth)
+		leave(t, s, auth)
 		if s.NodeAlive(auth) {
 			t.Error("departed node still alive")
 		}
@@ -200,7 +213,7 @@ func TestPatchingClearsDepartedInterest(t *testing.T) {
 			return // workload produced no subscription at the authority yet
 		}
 		victim = interested[0]
-		s.LeaveNode(victim)
+		leave(t, s, victim)
 		for _, m := range s.Nodes[auth].InterestedNeighbors(k) {
 			if m == victim {
 				t.Error("authority still lists departed neighbor as interested")
@@ -245,7 +258,7 @@ func TestHeldClearBitToDepartedNodeIsDropped(t *testing.T) {
 		if carried {
 			s.dispatch(from, []Action{{Kind: ActSendQuery, To: to, Key: k, kid: kid}})
 		}
-		s.LeaveNode(to)
+		leave(t, s, to)
 		for s.Sched.Step() {
 		}
 		if carried && s.C.PiggybackedClearBits != 1 {

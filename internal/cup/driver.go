@@ -171,7 +171,7 @@ type Simulation struct {
 	Sched  *sim.Scheduler
 	Rng    *sim.Rand
 	Ov     overlay.Overlay
-	dyn    dynamicOverlay // Ov's churn capability, resolved once; nil on a static overlay
+	dyn    DynamicOverlay // Ov's churn capability, resolved once; nil on a static overlay
 	Router *OverlayRouter
 	Nodes  []*Node
 	Keys   []overlay.Key
@@ -196,8 +196,8 @@ type Simulation struct {
 	// surface could not honor); RunContext, Settle, and Lookup surface it
 	// instead of letting the run pass with the event silently dropped.
 	faultErr error
-	// departed counts LeaveNode calls: while it is zero every node of the
-	// run is a member, and NodeAlive need not ask the overlay.
+	// departed counts departures (churn.go): while it is zero every node
+	// of the run is a member, and NodeAlive need not ask the overlay.
 	departed int
 }
 
@@ -260,7 +260,7 @@ func NewSimulation(p Params) *Simulation {
 		panic(fmt.Sprintf("cup: %v", err))
 	}
 	s.Ov = ov
-	s.dyn, _ = ov.(dynamicOverlay)
+	s.dyn, _ = ov.(DynamicOverlay)
 	s.Router = NewOverlayRouter(s.Ov)
 	s.env = newNodeEnv(p.Config, s.Router, s.Sched.Now)
 	s.env.obs = p.Observer
@@ -441,23 +441,19 @@ func (s *Simulation) originateRefresh(auth *Node, k overlay.Key, entries []cache
 	u := Update{Key: k, Type: Refresh, Entries: entries, Replica: minReplica,
 		Expires: expires, Lifetime: s.P.Lifetime}
 	s.C.UpdatesOriginated++
-	s.dispatch(auth.ID(), auth.OriginateUpdate(u))
+	s.dispatch(auth.ID(), auth.originateUpdate(u))
 }
 
-// PublishReplica installs (k, replica) at its authority and propagates
-// the event as an update of type ty (Append for births, Refresh for
-// re-registrations), mirroring the live runtime's replica registration.
-// Unlike AddReplica it does not arm a refresh-at-expiration loop: the
-// publisher owns the refresh cadence, exactly as in a live deployment.
+// PublishReplica applies a replica event at k's authority and propagates
+// it as an update of type ty (Append for births, Refresh for
+// re-registrations, Delete for deaths), mirroring the live runtime's
+// replica registration. Unlike AddReplica it does not arm a
+// refresh-at-expiration loop: the publisher owns the refresh cadence,
+// exactly as in a live deployment.
 func (s *Simulation) PublishReplica(k overlay.Key, replica int, addr string, lifetime sim.Duration, ty UpdateType) {
 	auth := s.Authority(k)
-	e := cache.Entry{Key: k, Replica: replica, Addr: addr,
-		Expires: s.Sched.Now().Add(lifetime)}
-	auth.InstallLocal(e)
-	u := Update{Key: k, Type: ty, Entries: []cache.Entry{e}, Replica: replica,
-		Expires: e.Expires, Lifetime: lifetime}
 	s.C.UpdatesOriginated++
-	s.dispatch(auth.ID(), auth.OriginateUpdate(u))
+	s.dispatch(auth.ID(), auth.ReplicaEvent(ty, k, replica, addr, lifetime))
 }
 
 // Lookup posts a client query for k at node nid and drives the scheduler
@@ -510,14 +506,7 @@ func (s *Simulation) Settle(ctx context.Context) error {
 // RemoveReplica deletes replica r of key k: the authority removes the
 // index entry and propagates a Delete update (§2.4).
 func (s *Simulation) RemoveReplica(k overlay.Key, r int) {
-	auth := s.Authority(k)
-	auth.RemoveLocal(k, r)
-	u := Update{
-		Key: k, Type: Delete, Replica: r,
-		Expires: s.Sched.Now().Add(s.P.Lifetime),
-	}
-	s.C.UpdatesOriginated++
-	s.dispatch(auth.ID(), auth.OriginateUpdate(u))
+	s.PublishReplica(k, r, "", s.P.Lifetime, Delete)
 }
 
 // pickAliveNode draws a uniformly random alive node.

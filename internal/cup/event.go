@@ -115,42 +115,29 @@ type ObserverFunc func(Event)
 // OnEvent implements Observer.
 func (f ObserverFunc) OnEvent(e Event) { f(e) }
 
-// Bus fans events out to synchronous observers and buffered channel
-// subscribers. It is safe for concurrent use from any number of emitters,
-// so one Bus serves both the single-threaded simulator and the
-// goroutine-per-peer live runtime.
+// Bus fans events out to synchronous observers. It is safe for
+// concurrent use from any number of emitters, so one Bus serves both the
+// single-threaded simulator and the goroutine-per-peer live runtime.
 //
-// Observers and subscribers are kept in attach-order slices, not maps:
-// fan-out order is part of the event-stream contract (two observers of
-// the same simulated run must see identical interleavings on every
-// execution), and a map range here once made collector-vs-trace
-// orderings flip between runs. Slice iteration is also what keeps
-// OnEvent on the zero-allocation hot path.
-//
-// Channel subscribers are never allowed to block an emitter: when a
-// subscriber's buffer is full the event is dropped for that subscriber
-// and counted in Dropped. Synchronous observers see every event.
+// Observers are kept in an attach-order slice, not a map: fan-out order is
+// part of the event-stream contract (two observers of the same simulated
+// run must see identical interleavings on every execution), and a map
+// range here once made collector-vs-trace orderings flip between runs.
+// Slice iteration is also what keeps OnEvent on the zero-allocation hot
+// path.
 type Bus struct {
 	mu   sync.RWMutex
 	seq  uint64
 	taps []busTap
-	subs []*busSub
-	// listeners is len(taps)+len(subs), kept in step under mu, so an
-	// emitter with nobody listening — every node of an unobserved run, on
-	// every protocol event — leaves without taking the lock.
+	// listeners is len(taps), kept in step under mu, so an emitter with
+	// nobody listening — every node of an unobserved run, on every
+	// protocol event — leaves without taking the lock.
 	listeners atomic.Int32
-	dropped   atomic.Uint64
 }
 
 type busTap struct {
 	id uint64
 	o  Observer
-}
-
-type busSub struct {
-	id     uint64
-	ch     chan Event
-	filter func(Event) bool
 }
 
 // NewBus returns an empty bus.
@@ -166,22 +153,10 @@ func (b *Bus) OnEvent(e Event) {
 	if b.listeners.Load() == 0 {
 		return
 	}
-	// The read lock is what orders a subscriber's channel send before its
-	// close (see Subscribe); it is not optional on this path.
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	for i := range b.taps {
 		b.taps[i].o.OnEvent(e)
-	}
-	for _, s := range b.subs {
-		if s.filter != nil && !s.filter(e) {
-			continue
-		}
-		select {
-		case s.ch <- e:
-		default:
-			b.dropped.Add(1)
-		}
 	}
 }
 
@@ -206,53 +181,3 @@ func (b *Bus) Attach(o Observer) (detach func()) {
 		b.mu.Unlock()
 	}
 }
-
-// Subscribe returns a buffered channel receiving every event matching
-// filter (nil matches all). Cancel detaches the subscription and closes
-// the channel. Events arriving while the buffer is full are dropped for
-// this subscriber.
-func (b *Bus) Subscribe(buffer int, filter func(Event) bool) (<-chan Event, func()) {
-	if buffer <= 0 {
-		buffer = 256
-	}
-	b.mu.Lock()
-	b.seq++
-	s := &busSub{id: b.seq, ch: make(chan Event, buffer), filter: filter}
-	b.subs = append(b.subs, s)
-	b.listeners.Add(1)
-	b.mu.Unlock()
-	// Membership in b.subs guards the close: emitters hold the read lock
-	// while sending, and both cancel and CloseSubscribers close only the
-	// channels they removed from the slice under the write lock, so each
-	// channel closes exactly once with no send racing it.
-	cancel := func() {
-		b.mu.Lock()
-		for i := range b.subs {
-			if b.subs[i].id == s.id {
-				b.subs = append(b.subs[:i], b.subs[i+1:]...)
-				b.listeners.Add(-1)
-				close(s.ch)
-				break
-			}
-		}
-		b.mu.Unlock()
-	}
-	return s.ch, cancel
-}
-
-// CloseSubscribers detaches every channel subscription and closes its
-// channel, unblocking consumers ranging over them. Synchronous observers
-// stay attached.
-func (b *Bus) CloseSubscribers() {
-	b.mu.Lock()
-	for _, s := range b.subs {
-		close(s.ch)
-	}
-	b.listeners.Add(-int32(len(b.subs)))
-	b.subs = nil
-	b.mu.Unlock()
-}
-
-// Dropped returns the number of events discarded because a subscriber's
-// buffer was full.
-func (b *Bus) Dropped() uint64 { return b.dropped.Load() }

@@ -62,30 +62,6 @@ func TestBusDetachMidstream(t *testing.T) {
 	}
 }
 
-// TestBusSubscribeCancel verifies cancel closes exactly the cancelled
-// subscription and CloseSubscribers closes the rest.
-func TestBusSubscribeCancel(t *testing.T) {
-	b := NewBus()
-	ch1, cancel1 := b.Subscribe(4, nil)
-	ch2, _ := b.Subscribe(4, nil)
-	b.OnEvent(Event{Kind: EvCutoffFired})
-	cancel1()
-	if e, ok := <-ch1; !ok || e.Kind != EvCutoffFired {
-		t.Fatalf("ch1 buffered event lost: %v %v", e, ok)
-	}
-	if _, ok := <-ch1; ok {
-		t.Fatal("ch1 not closed after cancel")
-	}
-	cancel1() // second cancel is a no-op
-	b.CloseSubscribers()
-	if e, ok := <-ch2; !ok || e.Kind != EvCutoffFired {
-		t.Fatalf("ch2 buffered event lost: %v %v", e, ok)
-	}
-	if _, ok := <-ch2; ok {
-		t.Fatal("ch2 not closed after CloseSubscribers")
-	}
-}
-
 // TestBusOnEventAllocs pins the zero-allocation fan-out contract for
 // the //cup:hotpath-annotated OnEvent.
 func TestBusOnEventAllocs(t *testing.T) {
@@ -115,22 +91,18 @@ func TestBusListenerCount(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { b.OnEvent(Event{Kind: EvQueryIssued}) }); allocs != 0 {
 		t.Fatalf("OnEvent with nobody listening allocates %.1f", allocs)
 	}
-	seen := 0
+	seen, other := 0, 0
 	detach := b.Attach(ObserverFunc(func(Event) { seen++ }))
-	ch, cancel := b.Subscribe(4, nil)
-	_, _ = b.Subscribe(4, nil)
-	want(3)
+	detachOther := b.Attach(ObserverFunc(func(Event) { other++ }))
+	want(2)
 	b.OnEvent(Event{Kind: EvQueryIssued})
-	if seen != 1 || len(ch) != 1 {
-		t.Fatalf("attached listeners missed the event: tap %d, channel %d", seen, len(ch))
+	if seen != 1 || other != 1 {
+		t.Fatalf("attached listeners missed the event: %d and %d", seen, other)
 	}
 	detach()
 	detach() // idempotent: must not count down twice
-	want(2)
-	cancel()
-	cancel()
 	want(1)
-	b.CloseSubscribers()
+	detachOther()
 	want(0)
 	b.OnEvent(Event{Kind: EvQueryIssued})
 	if seen != 1 {
@@ -166,13 +138,9 @@ func TestBusChurnUnderEmit(t *testing.T) {
 	var fired atomic.Int64
 	for i := 0; i < 200; i++ {
 		detach := b.Attach(ObserverFunc(func(Event) { fired.Add(1) }))
-		_, cancel := b.Subscribe(1, nil)
+		detachOther := b.Attach(ObserverFunc(func(Event) {}))
 		detach()
-		cancel()
-		if i%50 == 0 {
-			b.Subscribe(1, nil)
-			b.CloseSubscribers()
-		}
+		detachOther()
 	}
 	close(stop)
 	wg.Wait()

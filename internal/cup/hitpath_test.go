@@ -85,7 +85,7 @@ func TestLocalHitAllocatesNothing(t *testing.T) {
 			s.PublishReplica(k, 0, "10.0.0.1", 1e6, Append)
 			asker := (s.Ov.Owner(k) + 1) % overlay.NodeID(len(s.Nodes))
 			if joiner {
-				asker = s.JoinNode()
+				asker = join(t, s)
 				if asker == s.Ov.Owner(k) {
 					t.Skip("the joiner took over the key: its queries are authority hits")
 				}
@@ -292,8 +292,8 @@ func TestChurnReroutesCachedNextHops(t *testing.T) {
 			if victim == s.Ov.Owner(k) {
 				victim = before[(s.Ov.Owner(k)+9)%64]
 			}
-			s.LeaveNode(victim)
-			s.JoinNode()
+			leave(t, s, victim)
+			join(t, s)
 			s.Router.Dynamic = false
 			after := hops()
 			changed := 0

@@ -621,12 +621,30 @@ func (n *Node) handleDirectResponse(ks *keyState, u Update) []Action {
 	return acts
 }
 
-// OriginateUpdate is called at the authority when a replica event (birth,
-// refresh, deletion) changes the local directory; it propagates the update
-// to interested neighbors per §2.6. The caller must already have applied
-// the event to the local directory via InstallLocal/RemoveLocal. The
-// result follows the handler-result contract (see HandleQuery).
-func (n *Node) OriginateUpdate(u Update) []Action {
+// ReplicaEvent applies a replica's birth (Append), re-registration
+// (Refresh) or deletion (Delete) at its authority n — installing or
+// removing the local directory entry — and originates the update
+// announcing it. Either way the update is good for one lifetime: a birth
+// or refresh installs an entry expiring then, and a Delete stays
+// justified as long. The result follows the handler-result contract (see
+// HandleQuery).
+func (n *Node) ReplicaEvent(ty UpdateType, k overlay.Key, replica int, addr string, lifetime sim.Duration) []Action {
+	u := Update{Key: k, Type: ty, Replica: replica, Expires: n.now().Add(lifetime)}
+	if ty == Delete {
+		n.RemoveLocal(k, replica)
+	} else {
+		e := cache.Entry{Key: k, Replica: replica, Addr: addr, Expires: u.Expires}
+		n.InstallLocal(e)
+		u.Entries, u.Lifetime = []cache.Entry{e}, lifetime
+	}
+	return n.originateUpdate(u)
+}
+
+// originateUpdate is called at the authority once a replica event (birth,
+// refresh, deletion) has changed the local directory; it propagates the
+// update to interested neighbors per §2.6. The result follows the
+// handler-result contract (see HandleQuery).
+func (n *Node) originateUpdate(u Update) []Action {
 	if !n.IsAuthority(u.Key) {
 		panic(fmt.Sprintf("cup: %v originating update for foreign key %q", n.id, u.Key))
 	}

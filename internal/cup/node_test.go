@@ -502,10 +502,10 @@ func TestOriginateUpdateRequiresAuthority(t *testing.T) {
 	n := newTestNode(5, Defaults(), clk)
 	defer func() {
 		if recover() == nil {
-			t.Error("OriginateUpdate at non-authority did not panic")
+			t.Error("originateUpdate at non-authority did not panic")
 		}
 	}()
-	n.OriginateUpdate(Update{Key: "k", Type: Refresh})
+	n.originateUpdate(Update{Key: "k", Type: Refresh})
 }
 
 func TestOriginateUpdatePushesToInterested(t *testing.T) {
@@ -513,7 +513,7 @@ func TestOriginateUpdatePushesToInterested(t *testing.T) {
 	auth := newTestNode(0, Defaults(), clk)
 	auth.InstallLocal(entry("k", 0, 100))
 	auth.HandleQuery(1, "k", 0) // neighbor 1 now interested
-	acts := auth.OriginateUpdate(refresh("k", 0, 0, 200))
+	acts := auth.originateUpdate(refresh("k", 0, 0, 200))
 	if len(acts) != 1 || acts[0].Kind != ActSendUpdate || acts[0].To != 1 {
 		t.Fatalf("originate = %+v", acts)
 	}
@@ -527,7 +527,7 @@ func TestStandardModeOriginatesNothing(t *testing.T) {
 	auth := newTestNode(0, Standard(), clk)
 	auth.InstallLocal(entry("k", 0, 100))
 	auth.HandleQuery(1, "k", 0)
-	if acts := auth.OriginateUpdate(refresh("k", 0, 0, 200)); len(acts) != 0 {
+	if acts := auth.originateUpdate(refresh("k", 0, 0, 200)); len(acts) != 0 {
 		t.Fatalf("standard caching originated updates: %v", kinds(acts))
 	}
 }

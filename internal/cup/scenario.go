@@ -12,7 +12,7 @@ import (
 // against a transport-agnostic control surface, so one fault script
 // drives both the discrete-event simulator and the live goroutine
 // network. A Scenario bundles a Traffic generator with fault scripts;
-// WithScenario installs both.
+// WithTraffic and WithFaults install them.
 
 // FaultSurface is the control plane a fault script acts on. Both
 // runtimes implement it: the simulator applies interventions in virtual
@@ -85,14 +85,14 @@ type Fault interface {
 }
 
 // Scenario bundles a traffic generator with fault scripts. It is the
-// unit the scenario registry hands to cupsim/cupbench and the value
-// WithScenario consumes; both transports execute it through the same
-// Traffic and FaultSurface contracts.
+// unit the scenario registry hands to cupsim, which installs its two
+// halves with WithTraffic and WithFaults; both transports execute it
+// through the same Traffic and FaultSurface contracts.
 type Scenario struct {
 	// Name identifies the scenario in registries and flags.
 	Name string
-	// Traffic generates the client query workload; nil keeps the
-	// paper-default Poisson generator.
+	// Traffic generates the client query workload (PoissonTraffic(0) is
+	// the paper's).
 	Traffic Traffic
 	// Faults are applied on top of the traffic.
 	Faults []Fault
@@ -303,7 +303,8 @@ func (c ReplicaChurn) Schedule(start, duration float64) []FaultEvent {
 	return events
 }
 
-// simSurface adapts the discrete-event Simulation to FaultSurface.
+// simSurface adapts the discrete-event Simulation to FaultSurface, and to
+// Members (churn.go).
 type simSurface struct{ s *Simulation }
 
 func (a simSurface) Size() int                            { return len(a.s.Nodes) }
@@ -320,22 +321,17 @@ func (a simSurface) SetCapacity(ids []overlay.NodeID, c float64) error {
 func (a simSurface) AddReplica(key overlay.Key, r int)    { a.s.AddReplica(key, r) }
 func (a simSurface) RemoveReplica(key overlay.Key, r int) { a.s.RemoveReplica(key, r) }
 
+// Join and Leave are §2.9 churn on the run (Churn). From the first
+// change on, next hops are not memoized.
 func (a simSurface) Join() (overlay.NodeID, error) {
-	if !a.s.SupportsChurn() {
-		return 0, fmt.Errorf("membership churn unsupported: overlay %q is static", a.s.P.OverlayKind)
-	}
-	return a.s.JoinNode(), nil
+	a.s.Router.Dynamic = true
+	return a.s.churn().Join(a)
 }
 
 func (a simSurface) Leave(id overlay.NodeID) error {
-	if !a.s.SupportsChurn() {
-		return fmt.Errorf("membership churn unsupported: overlay %q is static", a.s.P.OverlayKind)
-	}
-	if !a.s.NodeAlive(id) {
-		return fmt.Errorf("leave of node %v: not a live member", id)
-	}
-	a.s.LeaveNode(id)
-	return nil
+	a.s.Router.Dynamic = true
+	_, err := a.s.churn().Leave(a, id)
+	return err
 }
 
 // applyFault runs one scripted intervention against the simulation,

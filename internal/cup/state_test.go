@@ -144,7 +144,7 @@ func TestReadsAndStrayClearBitsCreateNoState(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		k := overlay.Key(fmt.Sprintf("seeded-%d", i))
 		auth.InstallLocal(entry(k, 0, 1e9))
-		if acts := auth.OriginateUpdate(Update{Key: k, Type: Append, Entries: []cache.Entry{entry(k, 0, 1e9)}, Expires: 1e9}); acts != nil {
+		if acts := auth.originateUpdate(Update{Key: k, Type: Append, Entries: []cache.Entry{entry(k, 0, 1e9)}, Expires: 1e9}); acts != nil {
 			t.Fatalf("originating %q with no interest produced %v", k, kinds(acts))
 		}
 	}

@@ -57,6 +57,10 @@ type Network struct {
 	wg      sync.WaitGroup
 	closed  chan struct{}
 	once    sync.Once
+	// churnMu serializes whole joins and leaves (churn.go); churn is the
+	// §2.9 choreography over ov.
+	churnMu sync.Mutex
+	churn   cup.Churn
 }
 
 type msgKind int
@@ -143,9 +147,13 @@ func NewNetwork(cfg Config) *Network {
 func boot(cfg Config, lk link) (*Network, error) {
 	// The overlay seed derivation is shared with the simulator, so the
 	// same seed and options build the same topology on either transport.
-	ov := newLockedOverlay(
-		buildOverlay(cfg.Overlay, cfg.Nodes, cup.OverlaySeed(cfg.Seed)),
-		cfg.Overlay, cup.OverlaySeed(cfg.Seed)+1)
+	// An unknown kind panics with the registered kinds listed.
+	built, err := overlay.Build(cfg.Overlay, cfg.Nodes, cup.OverlaySeed(cfg.Seed))
+	if err != nil {
+		panic(fmt.Sprintf("live: %v", err))
+	}
+	ov := &lockedOverlay{ov: built}
+	ov.dyn, _ = built.(cup.DynamicOverlay)
 	n := &Network{
 		ov:     ov,
 		router: cup.NewOverlayRouter(ov),
@@ -154,9 +162,14 @@ func boot(cfg Config, lk link) (*Network, error) {
 		start:  time.Now(),
 		closed: make(chan struct{}),
 	}
-	// Memoized routes go stale under churn; the flag must be set before
-	// any peer goroutine starts, since they read it without a lock.
-	n.router.Dynamic = ov.dynamic() != nil
+	n.churn = cup.Churn{Kind: cfg.Overlay, Router: n.router, Rand: sim.NewRand(cup.OverlaySeed(cfg.Seed) + 1)}
+	if ov.dyn != nil {
+		n.churn.Overlay = ov
+		// Memoized routes go stale under churn; the flag must be set
+		// before any peer goroutine starts, since they read it without a
+		// lock.
+		n.router.Dynamic = true
+	}
 	peers := make([]*peer, 0, cfg.Nodes)
 	n.peers.Store(&peers)
 	for i := 0; i < cfg.Nodes; i++ {
@@ -278,16 +291,6 @@ func (n *Network) Lookup(ctx context.Context, id overlay.NodeID, key overlay.Key
 // Authority returns the node owning key.
 func (n *Network) Authority(key overlay.Key) overlay.NodeID { return n.ov.Owner(key) }
 
-// atAuthority returns key's authority peer; the error covers the instant
-// of a join in which the overlay already names a peer not yet spawned.
-func (n *Network) atAuthority(key overlay.Key) (*peer, error) {
-	id := n.Authority(key)
-	if p := n.peerAt(id); p != nil {
-		return p, nil
-	}
-	return nil, fmt.Errorf("live: control of unknown node %v", id)
-}
-
 // controlNode runs fn on node id's goroutine with exclusive access to
 // its protocol state and blocks until it completes, ctx cancels, or the
 // network closes (see peer.run).
@@ -305,32 +308,33 @@ func (n *Network) controlNode(ctx context.Context, id overlay.NodeID, fn func(*c
 // elapses. It returns once the authority has registered the replica
 // (propagation continues async), or when ctx cancels.
 func (n *Network) AddReplicaCtx(ctx context.Context, key overlay.Key, replica int, addr string, lifetime time.Duration) error {
-	return n.replicaEvent(ctx, key, replica, addr, lifetime, cup.Append)
+	return n.replicaEvent(ctx, cup.Append, key, replica, addr, sim.Duration(lifetime.Seconds()))
 }
 
 // RefreshCtx extends the lifetime of (key, replica), propagating a
 // Refresh update to interested peers.
 func (n *Network) RefreshCtx(ctx context.Context, key overlay.Key, replica int, addr string, lifetime time.Duration) error {
-	return n.replicaEvent(ctx, key, replica, addr, lifetime, cup.Refresh)
-}
-
-func (n *Network) replicaEvent(ctx context.Context, key overlay.Key, replica int, addr string, lifetime time.Duration, ty cup.UpdateType) error {
-	p, err := n.atAuthority(key)
-	if err != nil {
-		return err
-	}
-	return p.replicaEvent(ctx, key, replica, addr, lifetime, ty)
+	return n.replicaEvent(ctx, cup.Refresh, key, replica, addr, sim.Duration(lifetime.Seconds()))
 }
 
 // RemoveReplicaCtx deletes (key, replica) at the authority and
 // propagates a Delete update so caches do not serve the dead replica
-// until expiry.
+// until expiry; like the simulator's, it stays justified for one default
+// replica lifetime.
 func (n *Network) RemoveReplicaCtx(ctx context.Context, key overlay.Key, replica int) error {
-	p, err := n.atAuthority(key)
-	if err != nil {
-		return err
+	return n.replicaEvent(ctx, cup.Delete, key, replica, "", cup.DefaultLifetime)
+}
+
+// replicaEvent applies the event at key's authority. The error covers the
+// instant of a join in which the overlay already names a peer not yet
+// spawned.
+func (n *Network) replicaEvent(ctx context.Context, ty cup.UpdateType, key overlay.Key, replica int, addr string, lifetime sim.Duration) error {
+	id := n.Authority(key)
+	p := n.peerAt(id)
+	if p == nil {
+		return fmt.Errorf("live: control of unknown node %v", id)
 	}
-	return p.removeReplica(ctx, key, replica)
+	return p.replicaEvent(ctx, ty, key, replica, addr, lifetime)
 }
 
 // SetCapacity adjusts a peer's outgoing update capacity fraction
@@ -363,14 +367,10 @@ func (n *Network) Quiesced(window time.Duration) bool {
 	return n.Stats() == before
 }
 
-// --- runtime membership churn (§2.9) ----------------------------------
-//
-// spawn and retire are the member lifecycle the choreography in churn.go
-// drives; boot spawns the founding members the same way.
-
 // spawn creates peer id (== Size() at call time), lets the link open
-// what it needs for it, and starts its goroutine. On a closed network it
-// opens nothing and returns ErrClosed.
+// what it needs for it, and starts its goroutine: boot spawns the founding
+// members, a join (churn.go) each newcomer. On a closed network it opens
+// nothing and returns ErrClosed.
 func (n *Network) spawn(id overlay.NodeID) error {
 	n.peersMu.Lock()
 	defer n.peersMu.Unlock()
@@ -392,30 +392,4 @@ func (n *Network) spawn(id overlay.NodeID) error {
 	n.wg.Add(1)
 	go p.loop()
 	return nil
-}
-
-// retire collects peer id's local directory and retires its goroutine:
-// the peer stops applying protocol state changes, its inbox drains, and
-// the link lets go of it (on TCP: dials to it fail from here on and its
-// budget reservation returns to the pool).
-func (n *Network) retire(ctx context.Context, id overlay.NodeID) ([]cache.Entry, error) {
-	p := n.peerAt(id)
-	if p == nil {
-		return nil, fmt.Errorf("live: retire of unknown node %v", id)
-	}
-	entries, err := p.depart(ctx)
-	if err != nil {
-		return nil, err
-	}
-	n.link.close(p)
-	return entries, nil
-}
-
-// membership records a §2.9 membership event: the stat counter and, when
-// someone observes, the event.
-func (n *Network) membership(kind cup.EventKind, id overlay.NodeID, count *uint64) {
-	if n.cfg.Observer != nil {
-		n.cfg.Observer.OnEvent(cup.Event{Kind: kind, Time: n.Now(), Node: id, Peer: overlay.NoNode})
-	}
-	atomic.AddUint64(count, 1)
 }

@@ -176,6 +176,52 @@ func TestDeleteStopsServingReplica(t *testing.T) {
 	})
 }
 
+// deleteTap is the goroutine link, recording every Delete it carries.
+type deleteTap struct {
+	chanLink
+	mu      sync.Mutex
+	deletes []cup.Update
+}
+
+func (l *deleteTap) send(from *peer, to overlay.NodeID, m message) {
+	if m.kind == msgUpdate && m.update.Type == cup.Delete {
+		l.mu.Lock()
+		l.deletes = append(l.deletes, m.update)
+		l.mu.Unlock()
+	}
+	l.chanLink.send(from, to, m)
+}
+
+// A Delete stays justified for one replica lifetime, as the simulator's
+// RemoveReplica has it: the authority stamps it to expire
+// cup.DefaultLifetime after it originates.
+func TestDeleteExpiresOneLifetimeOut(t *testing.T) {
+	tap := &deleteTap{}
+	n, err := boot(Config{Nodes: 16, HopDelay: 200 * time.Microsecond, Seed: 5}.withDefaults(), tap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	add(t, n, "k", 0, "10.0.0.1", time.Hour)
+	if _, err := n.Lookup(ctxShort(t), entryFor(n, "k"), "k"); err != nil {
+		t.Fatal(err)
+	}
+	before := n.Now()
+	if err := n.RemoveReplicaCtx(ctxShort(t), "k", 0); err != nil {
+		t.Fatal(err)
+	}
+	after := n.Now()
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	if len(tap.deletes) == 0 {
+		t.Fatal("the authority pushed no Delete to the peer that asked for k")
+	}
+	if exp := tap.deletes[0].Expires; exp < before.Add(cup.DefaultLifetime) || exp > after.Add(cup.DefaultLifetime) {
+		t.Fatalf("Delete expires at %v, want one lifetime (%v s) after its origin in [%v, %v]",
+			exp, cup.DefaultLifetime, before, after)
+	}
+}
+
 func TestRefreshPropagatesToInterestedPeer(t *testing.T) {
 	bothTransports(t, Config{}, func(t *testing.T, n *Network) {
 		add(t, n, "k", 0, "10.0.0.1", 500*time.Millisecond)

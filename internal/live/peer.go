@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"cup/internal/cache"
 	"cup/internal/cup"
@@ -245,44 +244,21 @@ func (p *peer) exec(ctx context.Context, key overlay.Key, allKeys bool, fn func(
 	}
 }
 
-// replicaEvent installs (key, replica) in this peer's local directory —
-// it is the key's authority — and propagates the birth or refresh.
-func (p *peer) replicaEvent(ctx context.Context, key overlay.Key, replica int, addr string, lifetime time.Duration, ty cup.UpdateType) error {
-	life := sim.Duration(lifetime.Seconds())
+// replicaEvent applies a replica's birth, refresh or deletion at this
+// peer — the key's authority — and propagates it (cup.Node.ReplicaEvent).
+func (p *peer) replicaEvent(ctx context.Context, ty cup.UpdateType, key overlay.Key, replica int, addr string, lifetime sim.Duration) error {
 	return p.runKey(ctx, key, func() {
-		e := cache.Entry{Key: key, Replica: replica, Addr: addr, Expires: p.now().Add(life)}
-		p.node.InstallLocal(e)
-		p.dispatch(p.node.OriginateUpdate(cup.Update{
-			Key: key, Type: ty, Entries: []cache.Entry{e}, Replica: replica,
-			Expires: e.Expires, Lifetime: life,
-		}))
+		p.dispatch(p.node.ReplicaEvent(ty, key, replica, addr, lifetime))
 	})
 }
 
-// removeReplica deletes (key, replica) from this peer's local directory
-// and propagates a Delete update so caches do not serve the dead replica
-// until expiry.
-func (p *peer) removeReplica(ctx context.Context, key overlay.Key, replica int) error {
-	return p.runKey(ctx, key, func() {
-		p.node.RemoveLocal(key, replica)
-		p.dispatch(p.node.OriginateUpdate(cup.Update{
-			Key: key, Type: cup.Delete, Replica: replica,
-			Expires: p.now().Add(sim.Duration(3600)),
-		}))
-	})
-}
-
-// depart collects the peer's local directory for hand-over and marks the
-// peer departing; the loop closes gone once the callback
-// returns.
-func (p *peer) depart(ctx context.Context) ([]cache.Entry, error) {
-	var entries []cache.Entry
+// depart takes the peer's local directory for hand-over and marks the
+// peer departing in one callback, so no replica event lands between the
+// two; the loop closes gone once the callback returns.
+func (p *peer) depart(ctx context.Context) (*cache.Store, error) {
+	var dir *cache.Store
 	err := p.run(ctx, func() {
-		dir := p.node.LocalDirectory()
-		for _, k := range dir.Keys() {
-			entries = append(entries, dir.All(k)...)
-			dir.RemoveKey(k)
-		}
+		dir = p.node.LocalDirectory().Take()
 		p.departing = true
 	})
 	if err != nil {
@@ -293,7 +269,7 @@ func (p *peer) depart(ctx context.Context) ([]cache.Entry, error) {
 	// departure.
 	select {
 	case <-p.gone:
-		return entries, nil
+		return dir, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	case <-p.net.closed:

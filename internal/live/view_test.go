@@ -187,7 +187,7 @@ func TestViewModel(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					ty = cup.Refresh
 				}
-				if err := b.replicaEvent(ctx, k, e.Replica, e.Addr, time.Duration(float64(life)*float64(time.Second)), ty); err != nil {
+				if err := b.replicaEvent(ctx, ty, k, e.Replica, e.Addr, life); err != nil {
 					t.Fatal(err)
 				}
 			} else {
@@ -196,7 +196,7 @@ func TestViewModel(t *testing.T) {
 			}
 		case op < 4: // a replica dies
 			if b.authority.Load() {
-				if err := b.removeReplica(ctx, k, rng.Intn(3)); err != nil {
+				if err := b.replicaEvent(ctx, cup.Delete, k, rng.Intn(3), "", cup.DefaultLifetime); err != nil {
 					t.Fatal(err)
 				}
 			} else {
@@ -274,7 +274,7 @@ func TestViewCountsEveryHit(t *testing.T) {
 	b := newBench(t, nil)
 	b.authority.Store(true) // the authority's path never resets popularity
 	ctx := context.Background()
-	if err := b.replicaEvent(ctx, "k", 0, "10.0.0.1", time.Hour, cup.Append); err != nil {
+	if err := b.replicaEvent(ctx, cup.Append, "k", 0, "10.0.0.1", 3600); err != nil {
 		t.Fatal(err)
 	}
 	b.ask("k", nil)
@@ -295,7 +295,7 @@ func TestViewCountsEveryHit(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 2000; i++ {
-		if err := b.replicaEvent(ctx, "k", i%2, "10.0.0.1", time.Hour, cup.Refresh); err != nil {
+		if err := b.replicaEvent(ctx, cup.Refresh, "k", i%2, "10.0.0.1", 3600); err != nil {
 			t.Fatal(err)
 		}
 		if i%7 == 0 {

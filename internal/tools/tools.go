@@ -8,8 +8,8 @@
 //	go install cup/cmd/cuplint
 //
 // installs the exact suite CI runs (see .github/workflows/ci.yml), and
-// `go vet -vettool=$(which cuplint) ./...` reproduces the lint job
-// locally. staticcheck is intentionally NOT pinned here: adding it
+// `cuplint ./...` reproduces the lint job locally. staticcheck is
+// intentionally NOT pinned here: adding it
 // would put an external requirement in go.mod, and keeping the module
 // zero-dependency is a project constraint — CI pins its version with
 // the STATICCHECK_VERSION environment variable instead.

@@ -54,6 +54,9 @@ func TestScenarioTransportParityMatrix(t *testing.T) {
 		kinds = []string{"can", "chord"}
 	}
 	for _, name := range cup.ScenarioNames() {
+		if strings.HasPrefix(name, "test-") {
+			continue // registry fixtures from other tests
+		}
 		name := name
 		for _, kind := range kinds {
 			kind := kind
@@ -72,7 +75,7 @@ func TestScenarioTransportParityMatrix(t *testing.T) {
 						cup.WithNodes(16),
 						cup.WithKeys(2),
 						cup.WithSeed(11),
-						cup.WithScenario(sc),
+						cup.WithTraffic(sc.Traffic), cup.WithFaults(sc.Faults...),
 						cup.WithQueryRate(5),
 						// The churn scripts' default timelines start 50 s
 						// into the window, so 120 s covers their first
@@ -137,7 +140,7 @@ func TestLiveChurnScenarioChangesMembershipCounters(t *testing.T) {
 		cup.WithOverlay("can"),
 		cup.WithNodes(12),
 		cup.WithSeed(5),
-		cup.WithScenario(sc),
+		cup.WithTraffic(sc.Traffic), cup.WithFaults(sc.Faults...),
 		cup.WithQueryRate(2),
 		// NodeChurn's default timeline runs join/leave/join at t=50 s,
 		// 110 s, 170 s; the window must reach past them.

@@ -81,7 +81,7 @@ func TestObserveAfterNewSeesChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := newDeployment(t, cup.WithOverlay("can"), cup.WithNodes(32), cup.WithSeed(5),
-		cup.WithScenario(sc), cup.WithQueryRate(2))
+		cup.WithTraffic(sc.Traffic), cup.WithFaults(sc.Faults...), cup.WithQueryRate(2))
 	var joins, leaves int
 	d.Observe(cup.ObserverFunc(func(e cup.Event) {
 		switch e.Kind {
@@ -97,24 +97,24 @@ func TestObserveAfterNewSeesChurn(t *testing.T) {
 	}
 }
 
-// Events and WithTelemetry's collector attach after New as well — the
-// collector inside it, once the runtime exists — and see the run too.
+// The event stream reaches an observer and WithTelemetry's collector
+// attached after New — the collector inside it, once the runtime exists —
+// and a detached observer stops seeing it.
 func TestEventsAndTelemetrySeeTheRun(t *testing.T) {
-	// Small enough for every event to fit the subscriber's buffer.
 	opts := append(lateAttachOpts(), cup.WithQueryRate(0.2), cup.WithQueryDuration(100*time.Second))
-	t.Run("Events", func(t *testing.T) {
+	t.Run("Observe", func(t *testing.T) {
 		d := newDeployment(t, opts...)
-		ch, cancel := d.Events()
-		c := run(t, d)
-		cancel()
-		issued := uint64(0)
-		for e := range ch {
+		var issued, late uint64
+		detach := d.Observe(cup.ObserverFunc(func(e cup.Event) {
 			if e.Kind == cup.EvQueryIssued {
 				issued++
 			}
-		}
-		if c.Queries == 0 || issued != c.Queries {
-			t.Fatalf("Events saw %d issued queries, counters say %d", issued, c.Queries)
+		}))
+		d.Observe(cup.ObserverFunc(func(cup.Event) { late++ }))()
+		c := run(t, d)
+		detach()
+		if c.Queries == 0 || issued != c.Queries || late != 0 {
+			t.Fatalf("observer saw %d issued queries, counters say %d; a detached one saw %d events", issued, c.Queries, late)
 		}
 	})
 	t.Run("WithTelemetry", func(t *testing.T) {

@@ -284,18 +284,6 @@ func WithFaults(faults ...Fault) Option {
 	}
 }
 
-// WithScenario installs a bundled scenario: its traffic generator (if
-// any) and its fault scripts. Combine with WithQueryRate/WithQueryDuration
-// to scale the same scenario up or down.
-func WithScenario(sc Scenario) Option {
-	return func(o *options) {
-		if sc.Traffic != nil {
-			o.p.Traffic = sc.Traffic
-		}
-		o.p.Faults = append(o.p.Faults, sc.Faults...)
-	}
-}
-
 // WithTimeScale compresses scenario time on the live transport: scale
 // virtual seconds of traffic and fault schedule replay per wall-clock
 // second (default 1). The simulator ignores it — virtual time is

@@ -12,8 +12,8 @@ import (
 // consumed identically by both transports. A Traffic produces the
 // client query workload as a stream of arrivals; a Fault scripts timed
 // interventions against a transport-agnostic control surface; a
-// Scenario bundles the two. Install with WithTraffic, WithFaults, or
-// WithScenario; discover canned scenarios through the registry
+// Scenario bundles the two. Install with WithTraffic and WithFaults;
+// discover canned scenarios through the registry
 // (RegisterScenario, ScenarioNames, BuildScenario) — the same catalog
 // cupsim's and cupbench's -scenario flags consume.
 type (

@@ -117,7 +117,7 @@ func TestAllScenariosRunSimulated(t *testing.T) {
 				cup.WithQueryRate(4),
 				cup.WithQueryDuration(300*time.Second),
 				cup.WithSeed(5),
-				cup.WithScenario(sc),
+				cup.WithTraffic(sc.Traffic), cup.WithFaults(sc.Faults...),
 			)
 			if err != nil {
 				t.Fatal(err)
@@ -156,7 +156,7 @@ func TestScenariosRunLive(t *testing.T) {
 				cup.WithHopDelay(200*time.Microsecond),
 				cup.WithSeed(5),
 				cup.WithTimeScale(20), // 22 scenario seconds ≈ 1.1 s wall
-				cup.WithScenario(sc),
+				cup.WithTraffic(sc.Traffic), cup.WithFaults(sc.Faults...),
 			)
 			if err != nil {
 				t.Fatal(err)

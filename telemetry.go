@@ -65,9 +65,6 @@ func (d *Deployment) initTelemetry(o *options) error {
 		MetricLabel{Key: "transport", Value: o.transport.String()},
 		MetricLabel{Key: "overlay", Value: o.p.OverlayKind}).Set(1)
 	reg.Gauge("cup_nodes", "Overlay size of this deployment.").Set(float64(o.p.Nodes))
-	reg.GaugeFunc("cup_bus_dropped_events",
-		"Events discarded because a channel subscriber's buffer was full.",
-		func() float64 { return float64(d.bus.Dropped()) })
 
 	if sr, ok := d.rt.(*simRuntime); ok {
 		reg.GaugeFunc("cup_sim_queue_depth",

@@ -25,7 +25,7 @@ func flashCrowdWithTelemetry(t *testing.T) (*cup.Deployment, *cup.Result) {
 	}
 	d, err := cup.New(
 		cup.WithTelemetry(""),
-		cup.WithScenario(sc),
+		cup.WithTraffic(sc.Traffic), cup.WithFaults(sc.Faults...),
 		cup.WithNodes(128),
 		cup.WithSeed(11),
 		cup.WithQueryRate(20),
