@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"cup/internal/experiment"
+	"cup/internal/metrics"
 	"cup/internal/overlay"
 )
 
@@ -65,7 +66,9 @@ func main() {
 	for i, name := range names {
 		gen := experiment.Registry[name]
 		if name == million {
-			gen = experiment.MillionSweep
+			gen = func(sc experiment.Scale) *metrics.Table {
+				return experiment.MillionSweep(sc, experiment.MillionNodes)
+			}
 		}
 		if i > 0 {
 			fmt.Println()

@@ -1,33 +1,39 @@
 // Package chord implements a Chord ring overlay [SMK+01] over a 64-bit
-// identifier space, with finger tables and greedy closest-preceding-finger
-// routing. CUP is overlay-agnostic (§2.2 of the paper lists Chord among the
-// substrates it supports); this package backs the overlay-ablation
-// experiment that re-runs the CUP evaluation on Chord instead of CAN.
+// identifier space with greedy closest-preceding-finger routing. CUP is
+// overlay-agnostic (§2.2 of the paper lists Chord among the substrates it
+// supports); this package backs the overlay-ablation experiment that
+// re-runs the CUP evaluation on Chord instead of CAN, and the n = 10^6
+// scale sweep.
+//
+// The ring stores no finger table. Finger b of node m is successor(id(m) +
+// 2^b), a pure function of the sorted identifiers, and the closest
+// preceding finger toward a key is fixed by one number (see NextHop), so
+// a Ring is the sorted identifiers plus an index into them: about 20
+// bytes a node instead of a 256-byte table.
 package chord
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
+	"strconv"
 
 	"cup/internal/overlay"
 )
-
-const fingerBits = 64
 
 // Ring is a static Chord ring. Nodes are placed on the 2^64 identifier
 // circle by hashing their labels; each key is owned by its successor node.
 // Ring implements overlay.Overlay.
 type Ring struct {
-	ids   []uint64         // ring position per NodeID (dense index)
-	order []overlay.NodeID // nodes sorted by ring position
-	// fingers is one flat row-major table, fingerBits entries per node:
-	// fingers[i*fingerBits+b] = successor(ids[i] + 2^b). One pointer-free
-	// allocation instead of n slice headers — at 10^6 nodes that is the
-	// difference between a table the GC never scans and a million tiny
-	// objects.
-	fingers []overlay.NodeID
-	succ    []overlay.NodeID // immediate successor per node
-	pred    []overlay.NodeID // immediate predecessor per node
+	sorted []uint64         // ring positions, ascending
+	order  []overlay.NodeID // order[i] is the node at sorted[i]
+	rank   []int32          // rank[n] is n's index into sorted
+	// index[h] is the first i whose sorted[i] has top bits ≥ h, taking
+	// the top 64−shift bits, with 2^(64−shift) ≥ n: a bucket holds at
+	// most one position on average, so a successor is one load and a
+	// short scan.
+	index []int32
+	shift uint
 }
 
 var _ overlay.Overlay = (*Ring)(nil)
@@ -36,156 +42,128 @@ var _ overlay.Overlay = (*Ring)(nil)
 // "chord-node-<i>". Labels collide on the ring with probability ~n²/2^64,
 // which is negligible; a collision panics rather than silently corrupting
 // ownership.
+//
+// The sort is a counting sort on the index's top bits: the per-bucket
+// counts' prefix sums are the index, scattering by them orders the ring
+// up to positions sharing a bucket, and an insertion pass, moving each
+// position within its bucket only, finishes it.
 func Build(n int) *Ring {
 	if n <= 0 {
 		panic("chord: Build requires n > 0")
 	}
 	r := &Ring{
-		ids:     make([]uint64, n),
-		order:   make([]overlay.NodeID, n),
-		fingers: make([]overlay.NodeID, n*fingerBits),
-		succ:    make([]overlay.NodeID, n),
-		pred:    make([]overlay.NodeID, n),
+		sorted: make([]uint64, n),
+		order:  make([]overlay.NodeID, n),
+		rank:   make([]int32, n),
+		shift:  uint(64 - bits.Len(uint(n-1))),
 	}
-	seen := make(map[uint64]bool, n)
-	for i := 0; i < n; i++ {
-		id := overlay.HashNodeID(fmt.Sprintf("chord-node-%d", i))
-		if seen[id] {
-			panic(fmt.Sprintf("chord: ring position collision at node %d", i))
+	r.index = make([]int32, 1<<(64-r.shift)+1)
+	ids := make([]uint64, n)
+	label := append(make([]byte, 0, 32), "chord-node-"...)
+	prefix := len(label)
+	for i := range ids {
+		label = strconv.AppendInt(label[:prefix], int64(i), 10)
+		ids[i] = overlay.HashNodeID(label)
+		r.index[ids[i]>>r.shift]++
+	}
+	for h := 1; h < len(r.index); h++ {
+		r.index[h] += r.index[h-1] // the end of bucket h
+	}
+	for i := n - 1; i >= 0; i-- {
+		h := ids[i] >> r.shift
+		r.index[h]-- // ends at the start of bucket h
+		p := r.index[h]
+		r.sorted[p], r.order[p] = ids[i], overlay.NodeID(i)
+	}
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && r.sorted[j] < r.sorted[j-1]; j-- {
+			r.sorted[j], r.sorted[j-1] = r.sorted[j-1], r.sorted[j]
+			r.order[j], r.order[j-1] = r.order[j-1], r.order[j]
 		}
-		seen[id] = true
-		r.ids[i] = id
-		r.order[i] = overlay.NodeID(i)
 	}
-	sort.Slice(r.order, func(a, b int) bool { return r.ids[r.order[a]] < r.ids[r.order[b]] })
-	for pos, node := range r.order {
-		r.succ[node] = r.order[(pos+1)%n]
-		r.pred[node] = r.order[(pos-1+n)%n]
+	for i, node := range r.order {
+		if i > 0 && r.sorted[i] == r.sorted[i-1] {
+			panic(fmt.Sprintf("chord: ring position collision between nodes %d and %d", r.order[i-1], node))
+		}
+		r.rank[node] = int32(i)
 	}
-	r.buildFingers()
 	return r
 }
 
-// buildFingers computes the classic finger tables: entry b of node m
-// points at the first node whose identifier succeeds ids[m] + 2^b (mod
-// 2^64). Duplicate consecutive fingers are kept — the table is indexed
-// positionally.
-//
-// For a fixed b, walking the nodes in ring order makes the targets walk
-// the circle once too (they are the ring positions shifted by 2^b), so
-// each bit's successor is an advancing cursor rather than a binary search
-// per finger: one pass over the sorted ring with 64 cursors, each going
-// round once, instead of 64·n searches chasing two dependent loads per
-// probe. Rows are written whole, in ring order.
-func (r *Ring) buildFingers() {
-	n := len(r.order)
-	sorted := make([]uint64, n) // ring positions in ring order
-	for pos, node := range r.order {
-		sorted[pos] = r.ids[node]
+// at returns the index into sorted of identifier t's successor: the first
+// position at or clockwise after t.
+func (r *Ring) at(t uint64) int {
+	i := int(r.index[t>>r.shift])
+	for i < len(r.sorted) && r.sorted[i] < t {
+		i++
 	}
-	// cur[b] is the ring-order index of the first position ≥ bit b's
-	// current target, n meaning "past the last": the successor wraps to 0.
-	var cur [fingerBits]int
-	var wrapped [fingerBits]bool
-	for pos, id := range sorted {
-		row := r.fingers[int(r.order[pos])*fingerBits:][:fingerBits]
-		for b := range row {
-			t := id + uint64(1)<<uint(b) // wraps naturally mod 2^64
-			if t < id && !wrapped[b] {
-				// Bit b's targets crossed zero: from here they start over
-				// from the bottom of the ring, still ascending.
-				wrapped[b], cur[b] = true, 0
-			}
-			c := cur[b]
-			for c < n && sorted[c] < t {
-				c++
-			}
-			cur[b] = c
-			if c == n {
-				c = 0
-			}
-			row[b] = r.order[c]
-		}
-	}
-}
-
-// finger returns entry b of n's finger table.
-func (r *Ring) finger(n overlay.NodeID, b int) overlay.NodeID {
-	return r.fingers[int(n)*fingerBits+b]
-}
-
-// successorOf returns the node owning identifier t: the first node at or
-// clockwise after t.
-func (r *Ring) successorOf(t uint64) overlay.NodeID {
-	i := sort.Search(len(r.order), func(i int) bool { return r.ids[r.order[i]] >= t })
-	if i == len(r.order) {
+	if i == len(r.sorted) {
 		i = 0
 	}
-	return r.order[i]
+	return i
 }
 
+// successorOf returns the node owning identifier t.
+func (r *Ring) successorOf(t uint64) overlay.NodeID { return r.order[r.at(t)] }
+
 // Size returns the number of nodes.
-func (r *Ring) Size() int { return len(r.ids) }
+func (r *Ring) Size() int { return len(r.sorted) }
 
 // ID returns n's position on the identifier circle.
-func (r *Ring) ID(n overlay.NodeID) uint64 { return r.ids[n] }
+func (r *Ring) ID(n overlay.NodeID) uint64 { return r.sorted[r.rank[n]] }
 
 // Successor returns the node clockwise-adjacent to n.
-func (r *Ring) Successor(n overlay.NodeID) overlay.NodeID { return r.succ[n] }
+func (r *Ring) Successor(n overlay.NodeID) overlay.NodeID {
+	return r.order[(int(r.rank[n])+1)%len(r.order)]
+}
 
 // Predecessor returns the node counterclockwise-adjacent to n.
-func (r *Ring) Predecessor(n overlay.NodeID) overlay.NodeID { return r.pred[n] }
+func (r *Ring) Predecessor(n overlay.NodeID) overlay.NodeID {
+	return r.order[(int(r.rank[n])+len(r.order)-1)%len(r.order)]
+}
 
 // Owner returns the authority node for key k (the successor of its hash).
 func (r *Ring) Owner(k overlay.Key) overlay.NodeID {
 	return r.successorOf(overlay.HashID(k))
 }
 
-// between reports whether x ∈ (a, b] on the identifier circle.
-func between(a, x, b uint64) bool {
-	if a < b {
-		return x > a && x <= b
-	}
-	return x > a || x <= b // wrapped interval
-}
-
-// NextHop implements Chord routing: if n owns k, stop; if k falls between n
-// and its successor, hop to the successor (which owns it); otherwise hop to
-// the closest finger preceding k. Each hop at least halves the remaining
-// clockwise distance, so paths are O(log n).
+// NextHop implements Chord routing: if n owns k, stop; if n's successor
+// owns it, hop there; otherwise hop to n's closest finger preceding k's
+// hash t — the highest b whose finger successor(id(n) + 2^b) lies strictly
+// inside (id(n), t). Each hop at least halves the remaining clockwise
+// distance, so paths are O(log n).
+//
+// That finger is computed, not looked up. Let o = Owner(k), neither n nor
+// its successor, and q = Predecessor(o). Going clockwise from n the ring
+// reads n, …, q, t, o (no node sits in [t, id(o)) by definition of o, and
+// q ≠ n since o is not n's successor), so the nodes strictly inside
+// (id(n), t) are exactly those at clockwise distance 1 … d from n, where
+// d = (id(q) − id(n)) mod 2^64 ≥ 1. Finger b is the node at the least
+// distance ≥ 2^b, or n itself when none is that far. If 2^b ≤ d, q is at
+// least that far, so finger b is at distance in [2^b, d]: inside. If
+// 2^b > d, finger b is n or beyond d: outside. The highest finger inside
+// is therefore b = ⌊log₂ d⌋, and a stored 64-entry table scanned from the
+// top returns the same node.
 func (r *Ring) NextHop(n overlay.NodeID, k overlay.Key) (overlay.NodeID, bool) {
-	t := overlay.HashID(k)
-	if r.Owner(k) == n {
-		return n, true
+	size := len(r.sorted)
+	o, p := r.at(overlay.HashID(k)), int(r.rank[n])
+	if o == p || o == (p+1)%size {
+		return r.order[o], true
 	}
-	if between(r.ids[n], t, r.ids[r.succ[n]]) {
-		return r.succ[n], true
-	}
-	// Closest preceding finger: highest finger strictly inside (n, t).
-	for b := fingerBits - 1; b >= 0; b-- {
-		f := r.finger(n, b)
-		if f != n && between(r.ids[n], r.ids[f], t) && r.ids[f] != t {
-			return f, true
-		}
-	}
-	return r.succ[n], true
+	d := r.sorted[(o+size-1)%size] - r.sorted[p]
+	return r.successorOf(r.sorted[p] + 1<<(bits.Len64(d)-1)), true
 }
 
-// Neighbors returns the routing neighbors of n: its distinct finger-table
-// entries plus successor and predecessor. In CUP terms these are the peers
-// with which n maintains query/update channels.
+// Neighbors returns the routing neighbors of n: its distinct fingers plus
+// successor and predecessor, ascending. In CUP terms these are the peers
+// with which n maintains query/update channels. The fingers are computed
+// per call; no runtime path asks a static ring for them.
 func (r *Ring) Neighbors(n overlay.NodeID) []overlay.NodeID {
-	set := map[overlay.NodeID]bool{r.succ[n]: true, r.pred[n]: true}
-	for _, f := range r.fingers[int(n)*fingerBits : (int(n)+1)*fingerBits] {
-		if f != n {
-			set[f] = true
-		}
+	out := make([]overlay.NodeID, 0, 66)
+	out = append(out, r.Successor(n), r.Predecessor(n))
+	for b := 0; b < 64; b++ {
+		out = append(out, r.successorOf(r.ID(n)+1<<b))
 	}
-	delete(set, n)
-	out := make([]overlay.NodeID, 0, len(set))
-	for m := range set {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
+	slices.Sort(out)
+	return slices.DeleteFunc(slices.Compact(out), func(m overlay.NodeID) bool { return m == n })
 }

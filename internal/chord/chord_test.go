@@ -3,6 +3,9 @@ package chord
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -201,21 +204,197 @@ func BenchmarkRoute1024(b *testing.B) {
 	}
 }
 
-// The cursor-built finger tables must be exactly the definition: entry b
-// of node i is the successor of ids[i] + 2^b, found here the slow way, by
-// one binary search per finger. The small sizes cover a lone node (every
-// finger is itself), rings where most targets wrap past zero, and rings
-// where many nodes share a successor.
-func TestFingersMatchSuccessorOf(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 7, 64, 1000, 20000} {
-		r := Build(n)
+// Benchmark results land here so the compiler keeps the measured calls.
+var (
+	sinkRing *Ring
+	sinkNode overlay.NodeID
+)
+
+// BenchmarkBuild is one ring at the bench's sweep-128k size.
+func BenchmarkBuild(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkRing = Build(1 << 17)
+	}
+}
+
+// BenchmarkNextHop is one routing decision at 2^17 nodes, over 512 keys
+// and nodes spread across the ring.
+func BenchmarkNextHop(b *testing.B) {
+	const n = 1 << 17
+	r := Build(n)
+	keys := make([]overlay.Key, 512)
+	for i := range keys {
+		keys[i] = overlay.Key(fmt.Sprintf("bench-%d", i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkNode, _ = r.NextHop(overlay.NodeID(i*7919%n), keys[i%len(keys)])
+	}
+}
+
+// fingerBits is the width of the identifier circle, and so the number of
+// fingers a node has.
+const fingerBits = 64
+
+// between reports whether x ∈ (a, b] on the identifier circle.
+func between(a, x, b uint64) bool {
+	if a < b {
+		return x > a && x <= b
+	}
+	return x > a || x <= b // wrapped interval
+}
+
+// fingerRing is the oracle: a ring built the way Chord defines it, with
+// labels formatted by fmt, ownership by binary search over the sorted
+// nodes, and a stored 64-entry finger table per node, scanned from the
+// top for the closest preceding finger.
+type fingerRing struct {
+	ids     []uint64         // ring position per node
+	order   []overlay.NodeID // nodes sorted by ring position
+	fingers []overlay.NodeID // fingers[i*fingerBits+b] = successor(ids[i] + 2^b)
+	succ    []overlay.NodeID
+	pred    []overlay.NodeID
+}
+
+func buildFingerRing(n int) *fingerRing {
+	r := &fingerRing{
+		ids:     make([]uint64, n),
+		order:   make([]overlay.NodeID, n),
+		fingers: make([]overlay.NodeID, n*fingerBits),
+		succ:    make([]overlay.NodeID, n),
+		pred:    make([]overlay.NodeID, n),
+	}
+	for i := 0; i < n; i++ {
+		r.ids[i] = overlay.HashNodeID(fmt.Sprintf("chord-node-%d", i))
+		r.order[i] = overlay.NodeID(i)
+	}
+	sort.Slice(r.order, func(a, b int) bool { return r.ids[r.order[a]] < r.ids[r.order[b]] })
+	for pos, node := range r.order {
+		r.succ[node] = r.order[(pos+1)%n]
+		r.pred[node] = r.order[(pos-1+n)%n]
+	}
+	for i := 0; i < n; i++ {
+		for b := 0; b < fingerBits; b++ {
+			r.fingers[i*fingerBits+b] = r.successorOf(r.ids[i] + uint64(1)<<uint(b))
+		}
+	}
+	return r
+}
+
+func (r *fingerRing) successorOf(t uint64) overlay.NodeID {
+	i := sort.Search(len(r.order), func(i int) bool { return r.ids[r.order[i]] >= t })
+	if i == len(r.order) {
+		i = 0
+	}
+	return r.order[i]
+}
+
+func (r *fingerRing) nextHop(n overlay.NodeID, k overlay.Key) overlay.NodeID {
+	t := overlay.HashID(k)
+	if r.successorOf(t) == n {
+		return n
+	}
+	if between(r.ids[n], t, r.ids[r.succ[n]]) {
+		return r.succ[n]
+	}
+	for b := fingerBits - 1; b >= 0; b-- {
+		f := r.fingers[int(n)*fingerBits+b]
+		if f != n && between(r.ids[n], r.ids[f], t) && r.ids[f] != t {
+			return f
+		}
+	}
+	return r.succ[n]
+}
+
+func (r *fingerRing) neighbors(n overlay.NodeID) []overlay.NodeID {
+	set := map[overlay.NodeID]bool{r.succ[n]: true, r.pred[n]: true}
+	for _, f := range r.fingers[int(n)*fingerBits : (int(n)+1)*fingerBits] {
+		set[f] = true
+	}
+	delete(set, n)
+	out := make([]overlay.NodeID, 0, len(set))
+	for m := range set {
+		out = append(out, m)
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	return out
+}
+
+// The small sizes cover a lone node (every finger is itself), rings where
+// most finger targets wrap past zero, and rings where many nodes share a
+// successor; 20000 has buckets of the top-bits index holding several
+// positions and empty ones.
+var oracleSizes = []int{1, 2, 3, 7, 64, 1000, 20000}
+
+// The ring is the oracle's: the same positions, ring order and owners.
+// NextHop — which computes the closest preceding finger from one
+// distance — picks the same node as the stored table for every node and
+// 48 keys.
+func TestNextHopMatchesFingerTable(t *testing.T) {
+	for _, n := range oracleSizes {
+		r, want := Build(n), buildFingerRing(n)
 		for i := 0; i < n; i++ {
-			for b := 0; b < fingerBits; b++ {
-				want := r.successorOf(r.ids[i] + uint64(1)<<uint(b))
-				if got := r.finger(overlay.NodeID(i), b); got != want {
-					t.Fatalf("n=%d: finger(%d, %d) = %v, want successorOf = %v", n, i, b, got, want)
+			node := overlay.NodeID(i)
+			if r.ID(node) != want.ids[i] || r.Successor(node) != want.succ[i] || r.Predecessor(node) != want.pred[i] {
+				t.Fatalf("n=%d: node %d at %x succ %v pred %v, want %x succ %v pred %v", n, i,
+					r.ID(node), r.Successor(node), r.Predecessor(node), want.ids[i], want.succ[i], want.pred[i])
+			}
+		}
+		for j := 0; j < 48; j++ {
+			k := overlay.Key(fmt.Sprintf("oracle-%d-%d", n, j))
+			if got, w := r.Owner(k), want.successorOf(overlay.HashID(k)); got != w {
+				t.Fatalf("n=%d key %q: Owner = %v, want %v", n, k, got, w)
+			}
+			for i := 0; i < n; i++ {
+				node := overlay.NodeID(i)
+				got, ok := r.NextHop(node, k)
+				if w := want.nextHop(node, k); !ok || got != w {
+					t.Fatalf("n=%d key %q: NextHop(%v) = %v, %v; finger table says %v", n, k, node, got, ok, w)
 				}
 			}
 		}
+	}
+}
+
+// The indexed successorOf agrees with a binary search over the sorted
+// ring at both ends of the circle, at every node's position and either
+// side of it, and at random identifiers.
+func TestSuccessorOfMatchesBinarySearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range oracleSizes {
+		r, want := Build(n), buildFingerRing(n)
+		targets := []uint64{0, math.MaxUint64}
+		for _, id := range want.ids {
+			targets = append(targets, id, id-1, id+1)
+		}
+		for i := 0; i < 4*n+64; i++ {
+			targets = append(targets, rng.Uint64())
+		}
+		for _, x := range targets {
+			if got, w := r.successorOf(x), want.successorOf(x); got != w {
+				t.Fatalf("n=%d: successorOf(%x) = %v, want %v", n, x, got, w)
+			}
+		}
+	}
+}
+
+// Neighbors, computed per call, is the stored table's set.
+func TestNeighborsMatchFingerTable(t *testing.T) {
+	for _, n := range oracleSizes[:6] {
+		r, want := Build(n), buildFingerRing(n)
+		for i := 0; i < n; i++ {
+			if got, w := r.Neighbors(overlay.NodeID(i)), want.neighbors(overlay.NodeID(i)); !slices.Equal(got, w) {
+				t.Fatalf("n=%d: Neighbors(%d) = %v, want %v", n, i, got, w)
+			}
+		}
+	}
+}
+
+// A build is a handful of arrays, whatever n is: no per-node object.
+func TestBuildAllocatesAFewArrays(t *testing.T) {
+	if allocs := testing.AllocsPerRun(3, func() { Build(4096) }); allocs > 10 {
+		t.Fatalf("Build(4096) allocates %v objects, want ≤ 10", allocs)
 	}
 }

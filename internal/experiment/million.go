@@ -16,9 +16,10 @@ const MillionNodes = 1_000_000
 var MillionPushLevels = []int{0, 10, 20}
 
 // millionOverlay is the substrate of the scale sweep: sc.Overlay when
-// set, else Chord. Chord and CAN both build in O(n log n) — a
-// million-node CAN takes seconds — while Kademlia still builds its
-// buckets quadratically.
+// set, else Chord, whose ring builds with one counting sort and stores no
+// finger table (about 110 bytes a built node). CAN builds in
+// O(n log n) too, but a million-node CAN takes minutes; Kademlia still
+// builds its buckets quadratically.
 func millionOverlay(sc Scale) string {
 	if sc.Overlay != "" {
 		return sc.Overlay
@@ -26,11 +27,11 @@ func millionOverlay(sc Scale) string {
 	return "chord"
 }
 
-// millionOpts builds one million-node cell on millionOverlay's substrate.
-// ledger: only MillionSweep calls it (10^6 nodes, too big for tier-1).
-func millionOpts(sc Scale, level int) []cup.Option {
+// millionOpts builds one n-node cell of the scale sweep on
+// millionOverlay's substrate.
+func millionOpts(sc Scale, n, level int) []cup.Option {
 	opts := []cup.Option{
-		cup.WithNodes(MillionNodes),
+		cup.WithNodes(n),
 		cup.WithOverlay(millionOverlay(sc)),
 		// Aggregate λ = 100 q/s over a 600 s window: 60k queries is
 		// enough routed traffic to exercise the overlay while keeping
@@ -47,23 +48,27 @@ func millionOpts(sc Scale, level int) []cup.Option {
 	return opts
 }
 
-// MillionSweep runs the Figure-3-style cost-vs-push-level sweep at
-// n = 10^6 nodes. Cells run sequentially — each deployment holds a
-// million-node overlay and node block, and running them side by side would
+// MillionSweep runs the Figure-3-style cost-vs-push-level sweep on n
+// nodes: cupbench -exp million passes MillionNodes, and tier-1 runs the
+// same code at 2^14. Cells run sequentially — each deployment holds an
+// n-node overlay and node block, and running them side by side would
 // multiply the footprint, not the throughput.
-// ledger: 10^6 nodes, too big for tier-1; cupbench -exp million runs it.
-func MillionSweep(sc Scale) *metrics.Table {
+func MillionSweep(sc Scale, n int) *metrics.Table {
+	size, many := fmt.Sprint(n), fmt.Sprint(n)
+	if n == MillionNodes {
+		size, many = "10^6", "a million"
+	}
 	t := &metrics.Table{
-		Title:  fmt.Sprintf("Scale: cost vs push level, n = 10^6 (λ=100, %s)", millionOverlay(sc)),
+		Title:  fmt.Sprintf("Scale: cost vs push level, n = %s (λ=100, %s)", size, millionOverlay(sc)),
 		Header: []string{"push level", "total cost", "miss cost", "queries"},
 	}
 	for _, lvl := range MillionPushLevels {
-		res := run(millionOpts(sc, lvl)...)
+		res := run(millionOpts(sc, n, lvl)...)
 		t.AddRow(metrics.I(lvl),
 			metrics.I(res.Counters.TotalCost()),
 			metrics.I(res.Counters.MissCost()),
 			metrics.I(res.Counters.Queries))
 	}
-	t.Caption = "Level 0 = standard caching; reduced level sweep at a million nodes."
+	t.Caption = fmt.Sprintf("Level 0 = standard caching; reduced level sweep at %s nodes.", many)
 	return t
 }

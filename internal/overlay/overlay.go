@@ -14,10 +14,7 @@
 // across every registered substrate without touching protocol code.
 package overlay
 
-import (
-	"fmt"
-	"hash/fnv"
-)
+import "fmt"
 
 // NodeID identifies a node in the overlay. IDs are dense indexes assigned at
 // construction; they index metric arrays and interest-bit maps.
@@ -51,14 +48,18 @@ type Point struct {
 // only in a trailing digit ("key-0", "key-1", …) land on near-identical
 // high bits, which clustered every workload key onto one CAN zone and
 // broke the paper's "uniform hash function that evenly distributes the
-// keys" assumption. The finalizer restores full-width diffusion.
-func hash64(s string, salt byte) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	if salt != 0 {
-		h.Write([]byte{salt})
+// keys" assumption. The finalizer restores full-width diffusion. The
+// FNV-1a loop is written out so a []byte label hashes without a string
+// conversion; TestHash64IsFNV1a pins it to hash/fnv.
+func hash64[T ~string | ~[]byte](s T, salt byte) uint64 {
+	const prime = 1099511628211
+	v := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		v = (v ^ uint64(s[i])) * prime
 	}
-	v := h.Sum64()
+	if salt != 0 {
+		v = (v ^ uint64(salt)) * prime
+	}
 	v ^= v >> 30
 	v *= 0xbf58476d1ce4e5b9
 	v ^= v >> 27
@@ -77,16 +78,17 @@ func unit(v uint64) float64 {
 // hash function that evenly distributes the keys to the space".
 func HashPoint(k Key) Point {
 	return Point{
-		X: unit(hash64(string(k), 0)),
-		Y: unit(hash64(string(k), 1)),
+		X: unit(hash64(k, 0)),
+		Y: unit(hash64(k, 1)),
 	}
 }
 
 // HashID maps a key to a 64-bit identifier for ring overlays.
-func HashID(k Key) uint64 { return hash64(string(k), 0) }
+func HashID(k Key) uint64 { return hash64(k, 0) }
 
 // HashNodeID maps an arbitrary label (e.g. "node-17") to a ring identifier.
-func HashNodeID(label string) uint64 { return hash64(label, 2) }
+// A []byte label hashes exactly as the same string does.
+func HashNodeID[T string | []byte](label T) uint64 { return hash64(label, 2) }
 
 // Overlay is a structured P2P routing substrate. Implementations must be
 // deterministic: the same key queried at the same node always follows the

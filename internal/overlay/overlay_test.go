@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -75,6 +76,29 @@ func TestHashIDDeterministic(t *testing.T) {
 func TestHashNodeIDDiffersFromHashID(t *testing.T) {
 	if HashNodeID("x") == HashID("x") {
 		t.Fatal("node and key hash spaces are not salted apart")
+	}
+}
+
+// The written-out FNV-1a loop is hash/fnv's, salt byte included, and a
+// []byte label hashes as the same string does: every ring position and
+// key point in the goldens rests on these bits.
+func TestHash64IsFNV1a(t *testing.T) {
+	f := func(s string, salt byte) bool {
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		if salt != 0 {
+			h.Write([]byte{salt})
+		}
+		v := h.Sum64()
+		v ^= v >> 30
+		v *= 0xbf58476d1ce4e5b9
+		v ^= v >> 27
+		v *= 0x94d049bb133111eb
+		v ^= v >> 31
+		return hash64(s, salt) == v && HashNodeID([]byte(s)) == HashNodeID(s)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -32,34 +32,36 @@ type Policy interface {
 	New() Instance
 }
 
-// stateless adapts a pure decision function into a Policy+Instance.
+// stateless adapts a pure decision function into a Policy+Instance. It
+// holds no per-key state, so every key shares the one instance: New hands
+// out the pointer and allocates nothing.
 type stateless struct {
 	name string
 	keep func(queries, dist int) bool
 }
 
-func (s stateless) Name() string       { return s.name }
-func (s stateless) New() Instance      { return s }
-func (s stateless) Keep(q, d int) bool { return s.keep(q, d) }
+func (s *stateless) Name() string       { return s.name }
+func (s *stateless) New() Instance      { return s }
+func (s *stateless) Keep(q, d int) bool { return s.keep(q, d) }
 
 // AlwaysKeep never cuts off updates — the paper's "all-out push" strategy
 // (§3.1), which minimizes latency at maximum overhead. Used with a push
 // level to generate Figures 3 and 4.
 func AlwaysKeep() Policy {
-	return stateless{"always", func(int, int) bool { return true }}
+	return &stateless{"always", func(int, int) bool { return true }}
 }
 
 // NeverKeep cuts on the first opportunity; downstream of the authority
 // this degenerates CUP to near-standard caching.
 func NeverKeep() Policy {
-	return stateless{"never", func(int, int) bool { return false }}
+	return &stateless{"never", func(int, int) bool { return false }}
 }
 
 // PushLevel keeps updates only within p hops of the authority. This is the
 // receiver-side expression of the paper's push level (§3.3); the sender-side
 // cap lives in the protocol config.
 func PushLevel(p int) Policy {
-	return stateless{fmt.Sprintf("push-level(%d)", p), func(_, d int) bool { return d <= p }}
+	return &stateless{fmt.Sprintf("push-level(%d)", p), func(_, d int) bool { return d <= p }}
 }
 
 // Linear keeps a key when at least α·D queries arrived since the last
@@ -69,7 +71,7 @@ func Linear(alpha float64) Policy {
 	if alpha < 0 {
 		panic("policy: Linear requires alpha >= 0")
 	}
-	return stateless{fmt.Sprintf("linear(α=%g)", alpha), func(q, d int) bool {
+	return &stateless{fmt.Sprintf("linear(α=%g)", alpha), func(q, d int) bool {
 		return float64(q) >= alpha*float64(d)
 	}}
 }
@@ -81,7 +83,7 @@ func Logarithmic(alpha float64) Policy {
 	if alpha < 0 {
 		panic("policy: Logarithmic requires alpha >= 0")
 	}
-	return stateless{fmt.Sprintf("log(α=%g)", alpha), func(q, d int) bool {
+	return &stateless{fmt.Sprintf("log(α=%g)", alpha), func(q, d int) bool {
 		if d < 1 {
 			return true
 		}

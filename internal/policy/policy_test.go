@@ -204,3 +204,19 @@ func TestPropertyMonotoneInPopularity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A stateless policy's New hands every key the one shared instance, so a
+// new key state under it allocates nothing; the counting policies keep one
+// instance per key.
+func TestStatelessNewAllocatesNothing(t *testing.T) {
+	for _, p := range []Policy{AlwaysKeep(), NeverKeep(), PushLevel(3), Linear(0.5), Logarithmic(0.5)} {
+		if allocs := testing.AllocsPerRun(100, func() { p.New() }); allocs != 0 {
+			t.Errorf("%s: New allocates %v objects, want 0", p.Name(), allocs)
+		}
+	}
+	for _, p := range []Policy{SecondChance(), WindowedIdle(3)} {
+		if p.New() == p.New() {
+			t.Errorf("%s: two keys share one counting instance", p.Name())
+		}
+	}
+}
