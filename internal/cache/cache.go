@@ -145,8 +145,6 @@ func (es Set) Without(replica int) (Set, bool) {
 // capacity-clipped view of the set itself: no copy, and
 // appending to it reallocates rather than writing into the set. Callers
 // must not write to its elements.
-//
-//cup:hotpath
 func (es Set) Fresh(now sim.Time) []Entry {
 	n := 0
 	for i := range es {
@@ -161,10 +159,10 @@ func (es Set) Fresh(now sim.Time) []Entry {
 		return es[:n:n]
 	}
 	// Some entries expired without a refresh reaching us: the cold case.
-	out := make([]Entry, 0, n) //cup:allowalloc
+	out := make([]Entry, 0, n)
 	for i := range es {
 		if es[i].Fresh(now) {
-			out = append(out, es[i]) //cup:allowalloc (never grows: sized above)
+			out = append(out, es[i]) // never grows: sized above
 		}
 	}
 	return out
@@ -263,8 +261,6 @@ func (s *Store) All(k overlay.Key) []Entry {
 }
 
 // Fresh returns the fresh entries for k at time now: Set.Fresh of k's set.
-//
-//cup:hotpath
 func (s *Store) Fresh(k overlay.Key, now sim.Time) []Entry {
 	return s.byKey[k].Fresh(now)
 }

@@ -194,8 +194,6 @@ func (c Churn) patch(m Members, rev map[overlay.NodeID][]overlay.NodeID, nodes [
 // NodeAlive reports whether id is currently a member of the run. Until a
 // member has left, every node of the run is one, and the overlay is not
 // asked.
-//
-//cup:hotpath
 func (s *Simulation) NodeAlive(id overlay.NodeID) bool {
 	if int(id) < 0 || int(id) >= len(s.Nodes) {
 		return false

@@ -524,8 +524,6 @@ func (s *Simulation) pickAliveNode() overlay.NodeID {
 // answers it inline (authority, or fresh entries cached), and a miss is
 // classified by the flags the query found on arrival. This is where a
 // query's key becomes a KeyID — on a one-key run, the intern table's memo.
-//
-//cup:hotpath
 func (s *Simulation) PostQueryAt(nid overlay.NodeID, k overlay.Key) {
 	s.C.Queries++
 	kid := s.env.keys.intern(k)
@@ -544,7 +542,7 @@ func (s *Simulation) PostQueryAt(nid overlay.NodeID, k overlay.Key) {
 			s.C.FirstTimeMisses++
 		}
 		pk := pendKey{nid, kid}
-		s.pending[pk] = append(s.pending[pk], s.Sched.Now()) //cup:allowalloc (miss path)
+		s.pending[pk] = append(s.pending[pk], s.Sched.Now()) // miss path
 	}
 	s.dispatch(nid, acts)
 }
@@ -553,8 +551,6 @@ func (s *Simulation) pickKey() overlay.Key { return s.keyPick() }
 
 // state returns (allocating if needed) node nid's bookkeeping for key kid,
 // straight from the owner's index.
-//
-//cup:hotpath
 func (s *Simulation) state(nid overlay.NodeID, kid KeyID) *keyState {
 	if ks := s.env.peek(nid, kid); ks != nil {
 		return ks
@@ -577,8 +573,6 @@ type message struct {
 // dispatch executes protocol actions emitted by node `from`: a send becomes
 // a message posted one hop away, a local delivery happens inline. acts dies
 // with the next handler call; a message copies what its delivery needs.
-//
-//cup:hotpath
 func (s *Simulation) dispatch(from overlay.NodeID, acts []Action) {
 	for i := range acts {
 		a := &acts[i]
@@ -602,8 +596,6 @@ func (s *Simulation) dispatch(from overlay.NodeID, acts []Action) {
 // post puts m in flight: it takes a slot of the run's message slab and is
 // due for deliver one hop delay from now. A departing query or update
 // carries the clear-bits parked on its link.
-//
-//cup:hotpath
 func (s *Simulation) post(m message) {
 	if m.kind != ActSendClearBit && len(s.held) != 0 {
 		s.flushHeldClearBits(m.from, m.to)
@@ -614,7 +606,7 @@ func (s *Simulation) post(m message) {
 		s.freeMsgs = s.freeMsgs[:n-1]
 		s.msgs[ref] = m
 	} else {
-		s.msgs = append(s.msgs, m) //cup:allowalloc (amortized: only past the peak of messages in flight)
+		s.msgs = append(s.msgs, m) // amortized: only past the peak of messages in flight
 	}
 	s.Sched.Post(s.delay(m.from, m.to), ref)
 }
@@ -623,12 +615,10 @@ func (s *Simulation) post(m message) {
 // handler's own sends may reuse it), and accounts the hop per the paper's
 // cost model (§3.3): query hops and response hops are miss cost; proactive
 // update hops and clear-bit hops are overhead.
-//
-//cup:hotpath
 func (s *Simulation) deliver(ref uint32) {
 	m := s.msgs[ref]
 	s.msgs[ref].u.Entries = nil          // the slot must not pin a retired entry set
-	s.freeMsgs = append(s.freeMsgs, ref) //cup:allowalloc (never longer than the slab)
+	s.freeMsgs = append(s.freeMsgs, ref) // never longer than the slab
 	if !s.NodeAlive(m.to) {
 		return // departed mid-flight; a client re-queries
 	}
@@ -695,8 +685,6 @@ func (s *Simulation) flushHeldClearBits(from, to overlay.NodeID) {
 
 // deliverLocal resolves the open local client connections at node nid.
 // A hit usually finds both tables empty and touches neither.
-//
-//cup:hotpath
 func (s *Simulation) deliverLocal(nid overlay.NodeID, kid KeyID, entries []cache.Entry) {
 	pk := pendKey{nid, kid}
 	if len(s.pending) != 0 {

@@ -1,16 +1,34 @@
 package cup
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
+// TestEventKindCatalogIsComplete holds the catalog to the iota block: a
+// new kind must be listed in EventKinds, in declaration order, and named
+// by String, or every tally indexed by kind silently skips it.
+func TestEventKindCatalogIsComplete(t *testing.T) {
+	if len(EventKinds) != int(numEventKinds) {
+		t.Errorf("EventKinds lists %d kinds, the iota block declares %d", len(EventKinds), numEventKinds)
+	}
+	for k := EventKind(0); k < numEventKinds; k++ {
+		if int(k) < len(EventKinds) && EventKinds[k] != k {
+			t.Errorf("EventKinds[%d] = %v, want %v", int(k), EventKinds[k], k)
+		}
+		if k.String() == fmt.Sprintf("event(%d)", int(k)) {
+			t.Errorf("kind %d has no name in EventKind.String", int(k))
+		}
+	}
+}
+
 // TestBusFanOutOrder pins the fan-out order contract: observers see
 // events in attach order, every run. The bus used to keep observers in
 // a map, so two observers of the same simulated run could see their
-// callbacks interleaved differently between executions — a determinism
-// leak cuplint's determinism pass now flags and this test regresses.
+// callbacks interleaved differently between executions — the
+// determinism leak this test regresses.
 func TestBusFanOutOrder(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		b := NewBus()
@@ -63,7 +81,7 @@ func TestBusDetachMidstream(t *testing.T) {
 }
 
 // TestBusOnEventAllocs pins the zero-allocation fan-out contract for
-// the //cup:hotpath-annotated OnEvent.
+// OnEvent.
 func TestBusOnEventAllocs(t *testing.T) {
 	b := NewBus()
 	sink := 0

@@ -219,11 +219,9 @@ func (env *nodeEnv) result(acts []Action) []Action {
 // handler to complete in place and return. (Filling the slot where it
 // lies, not appending a literal, keeps a hit from copying the 150-byte
 // Action twice.)
-//
-//cup:hotpath
 func (env *nodeEnv) one(kind ActionKind, ks *keyState) []Action {
 	if cap(env.acts) == 0 {
-		env.acts = make([]Action, 0, 4) //cup:allowalloc (once per owner)
+		env.acts = make([]Action, 0, 4) // once per owner
 	}
 	acts := env.acts[:1]
 	acts[0] = Action{}
@@ -333,8 +331,6 @@ func (n *Node) IsAuthority(k overlay.Key) bool {
 // caching it on the key state the handler already holds. Only an
 // OverlayRouter's answers are cached — it alone can say when the topology
 // changed — and not while it is Dynamic.
-//
-//cup:hotpath
 func (n *Node) nextHop(ks *keyState, k overlay.Key) overlay.NodeID {
 	r := n.env.topo
 	if r == nil || r.Dynamic {
@@ -470,15 +466,11 @@ func (n *Node) CreditClientHits(k overlay.Key, hits int, first sim.Time) {
 // The exported handlers intern the key once per message — a live peer's
 // one hashed lookup; the simulator calls the unexported forms with the
 // key's state in hand.
-//
-//cup:hotpath
 func (n *Node) HandleQuery(from overlay.NodeID, k overlay.Key, qid uint64) []Action {
 	return n.handleQuery(n.stateKey(k), from, qid)
 }
 
 // handleQuery is HandleQuery for a caller already holding the key's state.
-//
-//cup:hotpath
 func (n *Node) handleQuery(ks *keyState, from overlay.NodeID, qid uint64) []Action {
 	n.recordQuery(ks)
 	now := n.now()
@@ -491,7 +483,7 @@ func (n *Node) handleQuery(ks *keyState, from overlay.NodeID, qid uint64) []Acti
 	// Interest registration: CUP nodes remember which neighbors want
 	// updates for k, in every case of §2.5.
 	if from != LocalClient && n.env.cfg.Mode == ModeCUP {
-		ks.interest.add(from) //cup:allowalloc (a neighbor's first query for the key)
+		ks.interest.add(from) // a neighbor's first query for the key
 	}
 
 	// Case 1a: we are the authority — answer from the local directory.
@@ -519,7 +511,7 @@ func (n *Node) handleQuery(ks *keyState, from overlay.NodeID, qid uint64) []Acti
 			n.qidSeq++
 			qid = uint64(uint32(n.id+1))<<32 | n.qidSeq
 		}
-		ks.routeBack = append(ks.routeBack, routeEntry{qid: qid, dest: from, issuedAt: now}) //cup:allowalloc (miss path)
+		ks.routeBack = append(ks.routeBack, routeEntry{qid: qid, dest: from, issuedAt: now}) // miss path
 		acts := n.env.one(ActSendQuery, ks)
 		acts[0].To, acts[0].QueryID = next, qid
 		return acts
@@ -532,7 +524,7 @@ func (n *Node) handleQuery(ks *keyState, from overlay.NodeID, qid uint64) []Acti
 		}
 		ks.pendingLocal++
 	} else {
-		ks.pendingChildren.add(from) //cup:allowalloc (miss path)
+		ks.pendingChildren.add(from) // miss path
 	}
 	if ks.pfu {
 		// Coalesced into the in-flight query. Peer carries the querier so
@@ -552,8 +544,6 @@ func (n *Node) handleQuery(ks *keyState, from overlay.NodeID, qid uint64) []Acti
 // answer builds the first-time-update response for a fresh hit. The
 // response carries our distance+1 so the receiver learns its depth, and a
 // view of the set it answers from, which is shipped with it.
-//
-//cup:hotpath
 func (n *Node) answer(ks *keyState, from overlay.NodeID, entries []cache.Entry, qid uint64) []Action {
 	if from == LocalClient {
 		if n.env.obs != nil {

@@ -33,8 +33,6 @@ type keyTable struct {
 }
 
 // intern returns k's id, issuing the next one on first sight.
-//
-//cup:hotpath
 func (t *keyTable) intern(k overlay.Key) KeyID {
 	if k == t.last && len(t.names) != 0 {
 		return t.lastID
@@ -42,11 +40,11 @@ func (t *keyTable) intern(k overlay.Key) KeyID {
 	id, ok := t.ids[k]
 	if !ok {
 		if t.ids == nil {
-			t.ids = make(map[overlay.Key]KeyID) //cup:allowalloc (an owner's first key)
+			t.ids = make(map[overlay.Key]KeyID) // an owner's first key
 		}
 		id = KeyID(len(t.names))
-		t.ids[k] = id                //cup:allowalloc (a key's first sight)
-		t.names = append(t.names, k) //cup:allowalloc (a key's first sight)
+		t.ids[k] = id                // a key's first sight
+		t.names = append(t.names, k) // a key's first sight
 	}
 	t.last, t.lastID = k, id
 	return id
@@ -72,7 +70,6 @@ type statePool struct {
 	n, slots int32 // handed out; allocated across chunks
 }
 
-//cup:hotpath
 func (p *statePool) at(i int32) *keyState {
 	if i >= maxChunk {
 		return &p.chunks[chunkBits+i>>chunkBits][i&(maxChunk-1)]
@@ -117,8 +114,6 @@ func (x *stateIndex) slot(node uint32, kid KeyID) uint64 {
 }
 
 // get returns the handle filed under (node, kid), or -1.
-//
-//cup:hotpath
 func (x *stateIndex) get(node uint32, kid KeyID) int32 {
 	if len(x.tab) == 0 {
 		return -1
@@ -162,8 +157,6 @@ func (x *stateIndex) put(node uint32, kid KeyID, h int32) {
 // one indexed probe, no hashing of the key and no string compare. It reads
 // nothing of the Node itself, so a caller that knows the id — the
 // simulator's delivery — does not wait for the node's cache line first.
-//
-//cup:hotpath
 func (env *nodeEnv) peek(id overlay.NodeID, kid KeyID) *keyState {
 	if h := env.index.get(uint32(id), kid); h >= 0 {
 		return env.pool.at(h)
@@ -181,8 +174,6 @@ func (n *Node) peekKey(k overlay.Key) *keyState {
 }
 
 // state returns (allocating if needed) the node's bookkeeping for key kid.
-//
-//cup:hotpath
 func (n *Node) state(kid KeyID) *keyState {
 	if ks := n.env.peek(n.id, kid); ks != nil {
 		return ks
@@ -192,8 +183,6 @@ func (n *Node) state(kid KeyID) *keyState {
 
 // stateKey is state by the key itself, interned here: what a message that
 // arrives naming its key — every message at a live peer — pays once.
-//
-//cup:hotpath
 func (n *Node) stateKey(k overlay.Key) *keyState { return n.state(n.env.keys.intern(k)) }
 
 // newState allocates key kid's bookkeeping in the owner's slab, threads it

@@ -157,9 +157,9 @@ func (e *Engine) worker() {
 // wall-clock reads below time the host's execution of the trial for
 // scheduler cost estimates; they never feed simulated results.
 func (e *Engine) runOne(pt *pendingTrial) {
-	start := time.Now() //cup:wallclock
+	start := time.Now()
 	defer func() {
-		elapsed := time.Since(start) //cup:wallclock
+		elapsed := time.Since(start)
 		e.statMu.Lock()
 		e.trialNs = append(e.trialNs, elapsed)
 		e.statMu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -312,6 +313,56 @@ func TestCloseIsIdempotentAndStopsLoops(t *testing.T) {
 	n := NewNetwork(Config{Nodes: 8, Seed: 5})
 	n.Close()
 	n.Close()
+}
+
+// TestCloseStrandsNothing closes a network in the middle of a lookup storm
+// on one-slot mailboxes, then fills every mailbox: nothing may stay
+// blocked on a full inbox — not a hop in flight, not a lookup — so every
+// goroutine the network and its callers started is gone within 2 s, and a
+// lookup posted to a full mailbox after Close fails fast.
+func TestCloseStrandsNothing(t *testing.T) {
+	// Inside fn, the subtest's goroutine runs while the test's waits.
+	base := runtime.NumGoroutine() + 1
+	bothTransports(t, Config{InboxDepth: 1}, func(t *testing.T, n *Network) {
+		ctx, cancel := context.WithCancel(context.Background())
+		for i := 0; i < 64; i++ {
+			go func(id overlay.NodeID, key overlay.Key) {
+				for ctx.Err() == nil {
+					_, _ = n.Lookup(ctx, id, key)
+				}
+			}(overlay.NodeID(i%n.Size()), overlay.Key(fmt.Sprintf("key-%d", i)))
+		}
+		time.Sleep(20 * time.Millisecond)
+		n.Close()
+		cancel()
+		for _, p := range *n.peers.Load() {
+			for full := false; !full; {
+				select {
+				case p.inbox <- message{}:
+				default:
+					full = true
+				}
+			}
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := n.Lookup(context.Background(), 0, "after-close")
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrClosed) {
+				t.Fatalf("Lookup after Close = %v, want ErrClosed", err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("Lookup after Close still blocked on a full mailbox after 2 s")
+		}
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines 2 s after Close, %d before boot", runtime.NumGoroutine(), base)
+			}
+		}
+	})
 }
 
 func TestInvalidConfigPanics(t *testing.T) {

@@ -190,7 +190,7 @@ func (p *peer) deliver(key overlay.Key, entries []cache.Entry) {
 	for _, reply := range p.waiters[key] {
 		// Cannot block: reply is buffered(1), owned by exactly one lookup,
 		// and leaves the map before a second send could happen.
-		reply <- entries //cup:allowblocking
+		reply <- entries
 	}
 	delete(p.waiters, key)
 	p.view.publish(key, true)
@@ -297,7 +297,7 @@ func (p *peer) lookup(ctx context.Context, key overlay.Key) ([]cache.Entry, erro
 		if p.departing {
 			// Departed between the aliveness race and the callback's turn:
 			// answer empty rather than strand the waiter.
-			reply <- nil //cup:allowblocking (buffered(1), sole send)
+			reply <- nil // buffered(1), sole send
 			return
 		}
 		acts := p.query(cup.LocalClient, key, 0)
@@ -329,8 +329,6 @@ func (p *peer) lookup(ctx context.Context, key overlay.Key) ([]cache.Entry, erro
 // the slot for the peer goroutine to credit. A closed network, a
 // departed peer and anything but an all-fresh published set return nil,
 // and the lookup takes the mailbox.
-//
-//cup:hotpath
 func (p *peer) hit(key overlay.Key) []cache.Entry {
 	select {
 	case <-p.net.closed:

@@ -74,8 +74,6 @@ func (t *viewTable) start(key overlay.Key) uint64 {
 
 // read returns key's published entries when all of them are still fresh
 // at now, counting the hit, and nil otherwise. Safe from any goroutine.
-//
-//cup:hotpath
 func (v *hitView) read(key overlay.Key, now sim.Time) []cache.Entry {
 	t := v.table.Load()
 	if t == nil {

@@ -67,13 +67,10 @@ func NewCollector(reg *Registry) *Collector {
 }
 
 // OnEvent implements cup.Observer. Zero allocations.
-//
-//cup:hotpath
 func (c *Collector) OnEvent(e cupcore.Event) {
 	if int(e.Kind) < len(c.byKind) {
 		c.byKind[e.Kind].Inc()
 	}
-	//cup:eventexhaustive
 	switch e.Kind {
 	case cupcore.EvQueryIssued, cupcore.EvNodeJoined, cupcore.EvNodeLeft:
 		// Tallied per kind above; no dedicated series beyond the count.

@@ -42,6 +42,15 @@ func TestCollectorFoldsEventStream(t *testing.T) {
 	check(MetricQueriesCoalesce, 1, Label{"source", "local"})
 	check(MetricQueriesCoalesce, 1, Label{"source", "neighbor"})
 	check(MetricCutoffs, 1)
+
+	// Every kind in the catalog has its own tally, and one event of the
+	// kind moves it by exactly one.
+	for _, k := range cupcore.EventKinds {
+		kind := Label{"kind", k.String()}
+		before, _ := reg.Value(MetricEvents, kind)
+		c.OnEvent(cupcore.Event{Kind: k, Node: 1, Key: "k"})
+		check(MetricEvents, before+1, kind)
+	}
 }
 
 // The collector sits on the bus of every instrumented run, including

@@ -33,13 +33,9 @@ type Label struct {
 type Counter struct{ v atomic.Uint64 }
 
 // Inc adds one.
-//
-//cup:hotpath
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n.
-//
-//cup:hotpath
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
@@ -50,13 +46,9 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 type Gauge struct{ bits atomic.Uint64 }
 
 // Set replaces the gauge value.
-//
-//cup:hotpath
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add adjusts the gauge by delta via a CAS loop.
-//
-//cup:hotpath
 func (g *Gauge) Add(delta float64) {
 	for {
 		old := g.bits.Load()
@@ -80,8 +72,6 @@ type Histogram struct {
 }
 
 // Observe records one sample.
-//
-//cup:hotpath
 func (h *Histogram) Observe(v float64) {
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {

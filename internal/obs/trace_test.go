@@ -102,11 +102,10 @@ func TestTracerKeyBound(t *testing.T) {
 	}
 }
 
-// TestTracerSteadyStateAllocs pins the //cup:hotpath contract on
+// TestTracerSteadyStateAllocs pins the zero-allocation contract on
 // Tracer.OnEvent: once a (key, node) pair's accumulator exists,
 // folding further events into it is allocation-free. Only the first
-// observation of a pair allocates (the spanState and per-key map,
-// both //cup:allowalloc).
+// observation of a pair allocates (the spanState and per-key map).
 func TestTracerSteadyStateAllocs(t *testing.T) {
 	tr := NewTracer()
 	warm := []cupcore.Event{

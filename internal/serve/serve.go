@@ -297,8 +297,6 @@ func (s *Server) sweepLoop() {
 // peers, so serving load is not funneled through one mailbox.
 //
 // The hash is FNV-1a (64-bit), computed over the string in place.
-//
-//cup:hotpath
 func EntryNode(key overlay.Key, size int) overlay.NodeID {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
@@ -398,8 +396,6 @@ func retryAfter(w http.ResponseWriter, d time.Duration) {
 // the entry node's inbox, a lookup the backend answers from the entry
 // node's published view, a body appended into a pooled buffer, two
 // pre-resolved metric handles. Everything else leaves through getFailed.
-//
-//cup:hotpath
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	start := s.now()
 	key := overlay.Key(r.PathValue("key"))
@@ -419,7 +415,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	}
 	// The query timeout bounds a lookup that waits; a hit never waits, and
 	// a context nobody waits on arms no timer.
-	ctx := &lazyDeadline{Context: r.Context(), timeout: s.queryTO} //cup:allowalloc (the request's one context, in place of WithTimeout's four objects and a runtime timer)
+	ctx := &lazyDeadline{Context: r.Context(), timeout: s.queryTO} // the request's one context, in place of WithTimeout's four objects and a runtime timer
 	entries, err := s.b.LookupAt(ctx, at, key)
 	ctx.stop()
 	if err != nil || len(entries) == 0 {
@@ -429,7 +425,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	s.hits.Inc()
 	buf := getBufs.Get().(*getBuf)
 	buf.b = appendGetResponse(buf.b[:0], key, entries, s.b.Now())
-	w.Header()["Content-Type"] = jsonContentType //cup:allowalloc (net/http's own header map; the value slice is shared, not built per request)
+	w.Header()["Content-Type"] = jsonContentType // net/http's own header map; the value slice is shared, not built per request
 	_, _ = w.Write(buf.b)
 	getBufs.Put(buf)
 	s.get.done(s.get.ok, s.now().Sub(start))
@@ -454,8 +450,6 @@ func (s *Server) getFailed(ctx context.Context, w http.ResponseWriter, err error
 }
 
 // done records one GET's latency and status.
-//
-//cup:hotpath
 func (g *getMetrics) done(code *obs.Counter, took time.Duration) {
 	g.lat.Observe(took.Seconds())
 	code.Inc()

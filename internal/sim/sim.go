@@ -171,8 +171,6 @@ func (s *Scheduler) FreeLen() int { return len(s.free) }
 func (s *Scheduler) HighWater() int { return s.highWater }
 
 // alloc returns a fresh entry, reusing the free list when possible.
-//
-//cup:hotpath
 func (s *Scheduler) alloc() *event {
 	if n := len(s.free); n > 0 {
 		e := s.free[n-1]
@@ -182,13 +180,11 @@ func (s *Scheduler) alloc() *event {
 	}
 	// Pool refill: reached only when the free list is empty, i.e. the
 	// first time the queue grows past its historical peak.
-	return &event{} //cup:allowalloc
+	return &event{}
 }
 
 // recycle invalidates outstanding handles to e and returns it to the
 // free list for reuse by a later At.
-//
-//cup:hotpath
 func (s *Scheduler) recycle(e *event) {
 	e.gen++
 	e.fn = nil
@@ -196,14 +192,12 @@ func (s *Scheduler) recycle(e *event) {
 	e.in = inHeap
 	// Amortized pool growth: capacity chases the queue's peak and is then
 	// reused for the rest of the run.
-	s.free = append(s.free, e) //cup:allowalloc
+	s.free = append(s.free, e)
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past (before
 // Now) is an error in a discrete-event simulation and panics: it always
 // indicates a protocol bug, never a recoverable condition.
-//
-//cup:hotpath
 func (s *Scheduler) At(t Time, fn func()) EventID {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, s.now))
@@ -221,8 +215,6 @@ func (s *Scheduler) At(t Time, fn func()) EventID {
 // Post schedules message ref for Deliver d seconds from now: in the lane
 // when it is due no earlier than the lane's tail — always, under a constant
 // hop delay — and in the heap when a latency model reorders it.
-//
-//cup:hotpath
 func (s *Scheduler) Post(d Duration, ref uint32) EventID {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
@@ -235,14 +227,12 @@ func (s *Scheduler) Post(d Duration, ref uint32) EventID {
 		s.push(en)
 	} else {
 		e.in = inLane
-		s.lane = append(s.lane, en) //cup:allowalloc (amortized: popFrom slides the lane back down its array)
+		s.lane = append(s.lane, en) // amortized: popFrom slides the lane back down its array
 	}
 	return s.scheduled(e)
 }
 
 // scheduled accounts for the entry just queued and returns its handle.
-//
-//cup:hotpath
 func (s *Scheduler) scheduled(e *event) EventID {
 	if n := s.QueueLen(); n > s.highWater {
 		s.highWater = n
@@ -252,8 +242,6 @@ func (s *Scheduler) scheduled(e *event) EventID {
 
 // laneFirst reports whether the earliest entry sits in the lane rather
 // than the heap, under the (at, seq) order the heap keeps.
-//
-//cup:hotpath
 func (s *Scheduler) laneFirst() bool {
 	if s.head == len(s.lane) || len(s.queue) == 0 {
 		return s.head < len(s.lane)
@@ -263,8 +251,6 @@ func (s *Scheduler) laneFirst() bool {
 }
 
 // popFrom removes and returns the head of the lane (lane) or of the heap.
-//
-//cup:hotpath
 func (s *Scheduler) popFrom(lane bool) heapEntry {
 	if !lane {
 		return s.pop()
@@ -282,12 +268,10 @@ func (s *Scheduler) popFrom(lane bool) heapEntry {
 }
 
 // push appends e and sifts it up to its heap position.
-//
-//cup:hotpath
 func (s *Scheduler) push(en heapEntry) {
 	// Amortized growth: the heap is pre-sized to initialQueueCap and only
 	// grows past a workload's all-time peak.
-	h := append(s.queue, en) //cup:allowalloc
+	h := append(s.queue, en)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
@@ -313,8 +297,6 @@ func (s *Scheduler) push(en heapEntry) {
 // rare case where it belonged higher. Pop order is decided entirely by
 // the (at, seq) total order, so the scheme cannot change any simulation
 // output.
-//
-//cup:hotpath
 func (s *Scheduler) pop() heapEntry {
 	h := s.queue
 	top := h[0]
@@ -354,8 +336,6 @@ func (s *Scheduler) pop() heapEntry {
 }
 
 // siftDown restores heap order below position i.
-//
-//cup:hotpath
 func (s *Scheduler) siftDown(i int) {
 	h := s.queue
 	n := len(h)
@@ -382,8 +362,6 @@ func (s *Scheduler) siftDown(i int) {
 }
 
 // After schedules fn to run d seconds from now. Negative d panics.
-//
-//cup:hotpath
 func (s *Scheduler) After(d Duration, fn func()) EventID {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
@@ -395,8 +373,6 @@ func (s *Scheduler) After(d Duration, fn func()) EventID {
 // pending. Cancelling an already-fired, already-cancelled, or zero handle
 // is a no-op. The entry stays queued until popped or compacted; Pending
 // excludes it immediately.
-//
-//cup:hotpath
 func (s *Scheduler) Cancel(id EventID) bool {
 	e := id.e
 	if e == nil || e.gen != id.gen || e.cancelled {
@@ -414,8 +390,6 @@ func (s *Scheduler) Cancel(id EventID) bool {
 // entries until drain). The sweep is O(n) against Ω(n) cancellations of
 // its own since the last one, so the amortized cost per Cancel is O(1); one
 // count for both would let the lane's hold the heap's test true.
-//
-//cup:hotpath
 func (s *Scheduler) maybeCompact(in uint8) {
 	q := s.queue
 	if in == inLane {
@@ -430,7 +404,7 @@ func (s *Scheduler) maybeCompact(in uint8) {
 			s.recycle(en.e)
 			continue
 		}
-		keep = append(keep, en) //cup:allowalloc (never grows: keep reuses q's backing array)
+		keep = append(keep, en) // never grows: keep reuses q's backing array
 	}
 	clear(q[len(keep):])
 	s.cancelled[in] = 0
@@ -445,8 +419,6 @@ func (s *Scheduler) maybeCompact(in uint8) {
 }
 
 // Step fires the next event. It reports false when the queue is empty.
-//
-//cup:hotpath
 func (s *Scheduler) Step() bool {
 	fired, _ := s.step(Infinity, false)
 	return fired
@@ -456,15 +428,11 @@ func (s *Scheduler) Step() bool {
 // fired: the run loop's one entrance. Like Run it enforces the event
 // budget exactly — ErrEventBudget, and nothing fired, only when an event
 // is due.
-//
-//cup:hotpath
 func (s *Scheduler) StepBy(t Time) (bool, error) { return s.step(t, true) }
 
 // step fires the earliest event if it is due by t and, with budget, if
 // MaxEvents allows one more: it looks at the queue's head once and pops
 // what it looked at.
-//
-//cup:hotpath
 func (s *Scheduler) step(t Time, budget bool) (bool, error) {
 	for s.QueueLen() > 0 {
 		lane := s.laneFirst()
@@ -511,8 +479,6 @@ func (s *Scheduler) step(t Time, budget bool) (bool, error) {
 // retained pool still covers the current queue twice over (never below
 // the initial capacity), so a steady workload never shrinks and then
 // reallocates — the hot path stays allocation-free.
-//
-//cup:hotpath
 func (s *Scheduler) maybeShrink() {
 	queued := s.QueueLen()
 	if 4*queued >= s.highWater {
@@ -534,7 +500,7 @@ func (s *Scheduler) maybeShrink() {
 			// is released along with the dropped entries.
 			// Deliberate reallocation: shrinking trades one allocation for
 			// releasing a burst-sized backing array.
-			s.free = append(make([]*event, 0, keep), s.free[:keep]...) //cup:allowalloc
+			s.free = append(make([]*event, 0, keep), s.free[:keep]...)
 		} else {
 			for i := keep; i < len(s.free); i++ {
 				s.free[i] = nil
@@ -557,8 +523,6 @@ func (s *Scheduler) AdvanceTo(t Time) {
 }
 
 // overBudget reports whether firing one more event would exceed MaxEvents.
-//
-//cup:hotpath
 func (s *Scheduler) overBudget() bool {
 	return s.MaxEvents > 0 && s.Executed >= s.MaxEvents
 }

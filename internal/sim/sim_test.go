@@ -451,21 +451,45 @@ func TestReorderedMessageFallsBackToHeap(t *testing.T) {
 }
 
 // The hot path is allocation-free in steady state: fired events return
-// to the free list and are reused by later schedules.
+// to the free list and are reused by later schedules. It holds through
+// either entrance — Step, and StepBy with an event budget, the run loop's —
+// and with timers resident in the heap that are cancelled and re-armed,
+// so cancelled entries pile up and are compacted (a heap rebuild) every
+// few hundred events.
 func TestSchedulerSteadyStateAllocs(t *testing.T) {
-	s := NewScheduler()
 	fn := func() {}
-	for i := 0; i < 1024; i++ { // warm the heap and free list
-		s.After(1, fn)
+	steps := []struct {
+		name string
+		step func(s *Scheduler)
+	}{
+		{"Step", func(s *Scheduler) { s.Step() }},
+		{"StepBy", func(s *Scheduler) { _, _ = s.StepBy(s.Now() + 1) }},
 	}
-	for s.Step() {
-	}
-	allocs := testing.AllocsPerRun(10_000, func() {
-		s.After(1, fn)
-		s.Step()
-	})
-	if allocs > 1 {
-		t.Fatalf("steady-state allocations per scheduled event = %v, want ≤ 1", allocs)
+	for _, st := range steps {
+		for _, resident := range []int{0, 128} {
+			s := NewScheduler()
+			s.MaxEvents = math.MaxUint64
+			timers := make([]EventID, resident)
+			i := 0
+			event := func() {
+				if resident > 0 {
+					s.Cancel(timers[i%resident])
+					timers[i%resident] = s.At(1e12, fn)
+					i++
+				}
+				s.After(1, fn)
+				st.step(s)
+			}
+			for j := range timers {
+				timers[j] = s.At(1e12, fn)
+			}
+			for j := 0; j < 1024; j++ { // warm the heap and free list, through compactions
+				event()
+			}
+			if allocs := testing.AllocsPerRun(10_000, event); allocs != 0 {
+				t.Errorf("%s, %d resident timers: steady-state allocations per event = %v, want 0", st.name, resident, allocs)
+			}
+		}
 	}
 }
 
