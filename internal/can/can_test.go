@@ -243,7 +243,7 @@ func TestChurnRoutingStillWorks(t *testing.T) {
 	net := Build(128, sim.NewRand(77))
 	r := sim.NewRand(78)
 	for round := 0; round < 20; round++ {
-		if r.Bernoulli(0.5) {
+		if r.Float64() < 0.5 {
 			net.Join(overlay.Point{X: r.Float64(), Y: r.Float64()})
 		} else {
 			alive := net.AliveNodes()
@@ -381,7 +381,7 @@ func TestPropertyIncrementalMatchesBruteForce(t *testing.T) {
 				what = fmt.Sprintf("Leave(%v)", victim)
 				heir := c.Leave(victim)
 				mostZones = max(mostZones, len(c.Zones(heir)))
-			case r.Bernoulli(0.5):
+			case r.Float64() < 0.5:
 				c.JoinRand(r)
 			default: // on a corner of an existing zone: a point on two split lines
 				z := c.Zones(alive[r.Pick(len(alive))])[0]
@@ -392,13 +392,13 @@ func TestPropertyIncrementalMatchesBruteForce(t *testing.T) {
 			checkAgainstOracles(t, c, r, fmt.Sprintf("seed %d, %s", seed, what))
 		}
 		for i := 0; i < 120; i++ {
-			step(r.Bernoulli(0.5))
+			step(r.Float64() < 0.5)
 		}
 		for c.Size() > 2 {
 			step(true)
 		}
 		for i := 0; i < 30; i++ {
-			step(r.Bernoulli(0.3))
+			step(r.Float64() < 0.3)
 		}
 		if mostZones < 3 {
 			t.Errorf("seed %d: no heir ever held 3 zones (most: %d); the sequence is too tame", seed, mostZones)
@@ -454,7 +454,7 @@ func TestTopologyFingerprint(t *testing.T) {
 		c := Build(64, sim.NewRand(seed))
 		r := sim.NewRand(seed + 100)
 		for j := 0; j < 300; j++ {
-			if alive := c.AliveNodes(); len(alive) > 2 && r.Bernoulli(0.5) {
+			if alive := c.AliveNodes(); len(alive) > 2 && r.Float64() < 0.5 {
 				c.Leave(alive[r.Pick(len(alive))])
 			} else {
 				c.JoinRand(r)

@@ -714,16 +714,6 @@ func (s *Simulation) SetCapacityFraction(nodes []overlay.NodeID, c float64) {
 	}
 }
 
-// RandomNodeSample draws k distinct node IDs.
-func (s *Simulation) RandomNodeSample(k int) []overlay.NodeID {
-	perm := s.Rng.Perm(len(s.Nodes))
-	out := make([]overlay.NodeID, k)
-	for i := 0; i < k; i++ {
-		out[i] = overlay.NodeID(perm[i])
-	}
-	return out
-}
-
 // Run executes the whole schedule and returns the aggregated result.
 func (s *Simulation) Run() *Result {
 	res, err := s.RunContext(context.Background())

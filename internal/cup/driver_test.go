@@ -219,13 +219,43 @@ func TestJustifiedFractionGrowsWithQueryRate(t *testing.T) {
 
 func TestRandomNodeSampleDistinct(t *testing.T) {
 	s := NewSimulation(smallParams())
-	got := s.RandomNodeSample(10)
+	got := sampleAlive(simSurface{s}, 10)
 	seen := map[overlay.NodeID]bool{}
 	for _, n := range got {
 		if seen[n] {
 			t.Fatalf("duplicate node %v in sample", n)
 		}
 		seen[n] = true
+	}
+	if len(got) != 10 {
+		t.Fatalf("sampled %d nodes, want 10", len(got))
+	}
+}
+
+// A capacity fault after §2.9 churn samples the nodes still there, on
+// the simulator as on the live network: no departed ID comes back.
+func TestRandomNodeSampleSkipsDeparted(t *testing.T) {
+	s := NewSimulation(churnParams())
+	surf := simSurface{s}
+	owners := map[overlay.NodeID]bool{}
+	for _, k := range s.Keys {
+		owners[s.Ov.Owner(k)] = true
+	}
+	left := 0
+	for id := overlay.NodeID(0); left < len(s.Nodes)/2; id++ {
+		if !owners[id] {
+			leave(t, s, id)
+			left++
+		}
+	}
+	got := sampleAlive(surf, surf.Size())
+	for _, id := range got {
+		if !s.NodeAlive(id) {
+			t.Fatalf("departed node %v sampled", id)
+		}
+	}
+	if want := surf.Size() - left; len(got) != want {
+		t.Fatalf("sampled %d nodes, want all %d alive", len(got), want)
 	}
 }
 

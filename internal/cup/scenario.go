@@ -28,8 +28,6 @@ type FaultSurface interface {
 	Replicas() int
 	// Rand is the run's workload RNG.
 	Rand() *rand.Rand
-	// RandomNodes draws k distinct node IDs.
-	RandomNodes(k int) []overlay.NodeID
 	// Alive reports whether a node is present in the overlay.
 	Alive(id overlay.NodeID) bool
 	// Owner returns the authority for key.
@@ -153,7 +151,24 @@ func (f CapacityFault) sample(s FaultSurface) []overlay.NodeID {
 	if n < 1 {
 		n = 1
 	}
-	return s.RandomNodes(n)
+	return sampleAlive(s, n)
+}
+
+// sampleAlive draws up to k distinct alive node IDs: it walks a
+// permutation of every ID the surface has issued and skips departed
+// nodes, so both runtimes sample alike; with every node alive it takes
+// the permutation's first k.
+func sampleAlive(s FaultSurface, k int) []overlay.NodeID {
+	out := make([]overlay.NodeID, 0, k)
+	for _, i := range s.Rand().Perm(s.Size()) {
+		if len(out) == k {
+			break
+		}
+		if id := overlay.NodeID(i); s.Alive(id) {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 func (f CapacityFault) Schedule(start, duration float64) []FaultEvent {
@@ -311,7 +326,6 @@ func (a simSurface) Size() int                            { return len(a.s.Nodes
 func (a simSurface) Keys() []overlay.Key                  { return a.s.Keys }
 func (a simSurface) Replicas() int                        { return a.s.P.Replicas }
 func (a simSurface) Rand() *rand.Rand                     { return a.s.Rng.Rand }
-func (a simSurface) RandomNodes(k int) []overlay.NodeID   { return a.s.RandomNodeSample(k) }
 func (a simSurface) Alive(id overlay.NodeID) bool         { return a.s.NodeAlive(id) }
 func (a simSurface) Owner(key overlay.Key) overlay.NodeID { return a.s.Ov.Owner(key) }
 func (a simSurface) SetCapacity(ids []overlay.NodeID, c float64) error {

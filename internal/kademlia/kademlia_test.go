@@ -244,7 +244,7 @@ func TestChurnRoutingStillWorks(t *testing.T) {
 	tb := Build(128)
 	r := sim.NewRand(78)
 	for round := 0; round < 20; round++ {
-		if r.Bernoulli(0.5) {
+		if r.Float64() < 0.5 {
 			tb.Join()
 		} else {
 			alive := tb.AliveNodes()

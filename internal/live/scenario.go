@@ -225,20 +225,6 @@ func (s *liveSurface) Owner(key overlay.Key) overlay.NodeID { return s.n.Authori
 func (s *liveSurface) Join() (overlay.NodeID, error) { return s.n.Join(context.Background()) }
 func (s *liveSurface) Leave(id overlay.NodeID) error { return s.n.Leave(context.Background(), id) }
 
-func (s *liveSurface) RandomNodes(k int) []overlay.NodeID {
-	perm := s.rng.Perm(s.n.Size())
-	out := make([]overlay.NodeID, 0, k)
-	for _, i := range perm {
-		if len(out) == k {
-			break
-		}
-		if id := overlay.NodeID(i); s.n.IsAlive(id) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 func (s *liveSurface) SetCapacity(ids []overlay.NodeID, c float64) error {
 	for _, id := range ids {
 		if err := s.n.SetCapacity(s.ctx, id, c); err != nil {

@@ -125,12 +125,8 @@ func (l *tcpLink) read(p *peer, conn net.Conn) {
 		if err != nil {
 			return
 		}
-		m, ok := fromWire(wm)
-		if !ok {
-			continue
-		}
 		select {
-		case p.inbox <- m:
+		case p.inbox <- fromWire(wm):
 		case <-p.gone:
 			return
 		case <-p.net.closed:
@@ -139,18 +135,17 @@ func (l *tcpLink) read(p *peer, conn net.Conn) {
 	}
 }
 
-// fromWire and toWire map frames onto the peer's message; a Hello only
-// identifies a connection and carries nothing protocol-visible.
-func fromWire(wm wire.Message) (message, bool) {
+// fromWire and toWire map frames onto the peer's message; every frame
+// names its sender, so a connection needs no introduction.
+func fromWire(wm wire.Message) message {
 	switch v := wm.(type) {
 	case wire.Query:
-		return message{kind: msgQuery, from: v.From, key: v.Key, qid: v.QueryID}, true
+		return message{kind: msgQuery, from: v.From, key: v.Key, qid: v.QueryID}
 	case wire.UpdateMsg:
-		return message{kind: msgUpdate, from: v.From, key: v.Update.Key, update: v.Update}, true
-	case wire.ClearBit:
-		return message{kind: msgClearBit, from: v.From, key: v.Key}, true
+		return message{kind: msgUpdate, from: v.From, key: v.Update.Key, update: v.Update}
 	}
-	return message{}, false
+	v := wm.(wire.ClearBit)
+	return message{kind: msgClearBit, from: v.From, key: v.Key}
 }
 
 func toWire(m message) wire.Message {
@@ -200,10 +195,6 @@ func (s *sock) connTo(from *peer, to overlay.NodeID) (net.Conn, error) {
 	}
 	c, err := net.DialTimeout("tcp", target.sock.ln.Addr().String(), 2*time.Second)
 	if err != nil {
-		return nil, err
-	}
-	if err := wire.WriteFrame(c, wire.Hello{From: from.id}); err != nil {
-		c.Close()
 		return nil, err
 	}
 	s.conns[to] = c

@@ -3,21 +3,22 @@ package sim
 import "testing"
 
 // FuzzScheduler drives random schedule/cancel/step/run interleavings
-// against a reference model, pinning the generation-counted EventID
-// invariants behind the pooled free list:
+// against a reference model, pinning the invariants of an EventID that
+// is the event's (time, seq) place in the firing order, and of the set
+// of cancelled seqs still queued:
 //
 //   - Cancel returns true exactly once, and only while the event is
-//     still pending; handles to fired, cancelled, or recycled entries
-//     are no-ops (the generation check), never cancelling whatever
-//     event reused the entry.
+//     still pending; handles to fired or cancelled events are no-ops.
 //   - Every non-cancelled event fires exactly once, at its scheduled
 //     time, and in (time, scheduling order) — ties included — whichever
 //     of the two entrances scheduled it: a timer through At always sits
 //     in the heap, a message through Post in the lane or, when it is due
 //     before the lane's tail, the heap.
+//   - Now never decreases: a cancelled entry leaves in its turn, never
+//     before it is due.
 //   - Pending always matches the model (cancelled entries excluded
-//     immediately, even while they sit in the queue awaiting lazy
-//     removal), and the physical queue never undercounts it.
+//     immediately, even while they sit in the queue awaiting their
+//     turn), and the physical queue never undercounts it.
 //
 // CI runs a short -fuzz pass over this harness; the committed corpus
 // keeps regressions deterministic.
@@ -26,11 +27,13 @@ func FuzzScheduler(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 2, 1, 1, 1, 1, 3, 7, 0, 4, 2, 2, 2})
 	f.Add([]byte{3, 200, 0, 15, 0, 15, 1, 0, 1, 0, 3, 16})
 	// Churn shape: bursts of schedules, cancels of arbitrary (often
-	// stale) handles, then drains — the free-list reuse hot path.
+	// stale) handles, then drains.
 	f.Add([]byte{0, 1, 0, 1, 0, 1, 0, 1, 2, 2, 1, 200, 1, 3, 0, 2, 1, 0, 3, 31, 1, 9})
-	// testdata/fuzz/FuzzScheduler holds two more: a timer and a message
+	// testdata/fuzz/FuzzScheduler holds three more: a timer and a message
 	// tied at one instant in both scheduling orders beside a reordered
-	// message, and a cancel of a message sitting in the lane.
+	// message, a cancel of a message sitting in the lane, and a cancelled
+	// message due past a RunUntil deadline with an event scheduled before
+	// it afterwards.
 
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		s := NewScheduler()
@@ -81,7 +84,12 @@ func FuzzScheduler(f *testing.F) {
 			}
 			return n
 		}
+		var last Time
 		check := func() {
+			if s.Now() < last {
+				t.Fatalf("Now() went back from %v to %v", last, s.Now())
+			}
+			last = s.Now()
 			if got, want := s.Pending(), modelPending(); got != want {
 				t.Fatalf("Pending() = %d, model says %d", got, want)
 			}
@@ -131,6 +139,9 @@ func FuzzScheduler(f *testing.F) {
 				if err := s.RunUntil(deadline); err != nil {
 					t.Fatalf("RunUntil: %v", err)
 				}
+				if s.Now() != deadline {
+					t.Fatalf("Now() = %v after RunUntil(%v)", s.Now(), deadline)
+				}
 				for j, r := range evs {
 					if r.cancelled {
 						continue
@@ -144,11 +155,11 @@ func FuzzScheduler(f *testing.F) {
 		}
 
 		// Final drain: everything still pending fires, then every handle
-		// — fired, cancelled, or pointing at a recycled entry — must be
-		// a Cancel no-op.
+		// — fired or cancelled — must be a Cancel no-op.
 		if err := s.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
+		check()
 		for _, r := range evs {
 			if !r.fired && !r.cancelled {
 				t.Fatal("event lost: neither fired nor cancelled after drain")

@@ -1,13 +1,10 @@
 package sim
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
-// Rand wraps math/rand with the distributions the CUP workloads need.
-// Every experiment owns its own Rand seeded explicitly, so runs are
-// reproducible and independent of global rand state.
+// Rand wraps math/rand. Every experiment owns its own Rand seeded
+// explicitly, so runs are reproducible and independent of global rand
+// state.
 type Rand struct {
 	*rand.Rand
 }
@@ -17,60 +14,5 @@ func NewRand(seed int64) *Rand {
 	return &Rand{rand.New(rand.NewSource(seed))}
 }
 
-// Exp returns an exponentially distributed duration with the given rate
-// (events per second). It panics if rate is not positive, because a Poisson
-// process with non-positive rate is meaningless.
-func (r *Rand) Exp(rate float64) Duration {
-	if rate <= 0 {
-		panic("sim: Exp requires positive rate")
-	}
-	return Duration(r.ExpFloat64() / rate)
-}
-
-// Bernoulli reports true with probability p (clamped to [0,1]).
-func (r *Rand) Bernoulli(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return r.Float64() < p
-}
-
 // Pick returns a uniformly random index in [0, n). It panics for n <= 0.
 func (r *Rand) Pick(n int) int { return r.Intn(n) }
-
-// Zipf draws from a Zipf distribution over [0, n) with exponent s ≥ 1.
-// It mirrors rand.Zipf but is reconstructed lazily per parameter set.
-type Zipf struct {
-	z *rand.Zipf
-	n int
-}
-
-// NewZipf builds a Zipf sampler over {0, …, n-1} with skew s (s > 1 gives
-// heavier skew toward low indices; s = 1.0001 approximates classic Zipf).
-func (r *Rand) NewZipf(s float64, n int) *Zipf {
-	if n <= 0 {
-		panic("sim: Zipf requires n > 0")
-	}
-	if s <= 1 {
-		s = 1.0000001
-	}
-	return &Zipf{z: rand.NewZipf(r.Rand, s, 1, uint64(n-1)), n: n}
-}
-
-// Draw returns the next sample.
-func (z *Zipf) Draw() int { return int(z.z.Uint64()) }
-
-// Jitter returns d scaled by a uniform factor in [1-f, 1+f].
-func (r *Rand) Jitter(d Duration, f float64) Duration {
-	if f <= 0 {
-		return d
-	}
-	return d * Duration(1+f*(2*r.Float64()-1))
-}
-
-// Round rounds a float to the nearest integer, used when allocating
-// capacity shares across update channels.
-func Round(x float64) int { return int(math.Floor(x + 0.5)) }

@@ -132,22 +132,19 @@ func TestCancelZeroIDIsNoop(t *testing.T) {
 func TestCancelStaleHandleAfterReuse(t *testing.T) {
 	s := NewScheduler()
 	stale := s.At(1, func() {})
-	if err := s.Run(); err != nil { // fires and recycles the entry
+	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	ran := false
-	fresh := s.At(2, func() { ran = true }) // reuses the recycled entry
-	if fresh.e != stale.e {
-		t.Skip("free list did not reuse the entry") // allocation fallback; nothing to check
-	}
+	s.At(2, func() { ran = true })
 	if s.Cancel(stale) {
-		t.Fatal("stale handle cancelled a reused entry")
+		t.Fatal("stale handle cancelled a later event")
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !ran {
-		t.Fatal("reused event did not run")
+		t.Fatal("later event did not run")
 	}
 }
 
@@ -256,8 +253,8 @@ func TestEventBudgetExact(t *testing.T) {
 	}
 }
 
-// Pending excludes lazily-cancelled entries: Cancel-then-Pending sees
-// the count drop immediately, before the queue drains the entry.
+// Pending excludes cancelled entries: Cancel-then-Pending sees the count
+// drop immediately, before the entry leaves the queue in its turn.
 func TestPendingExcludesCancelled(t *testing.T) {
 	s := NewScheduler()
 	ids := make([]EventID, 8)
@@ -284,32 +281,30 @@ func TestPendingExcludesCancelled(t *testing.T) {
 	}
 }
 
-// Cancel-heavy workloads must not leak cancelled entries until drain:
-// bulk compaction keeps the physical queue proportional to the pending
-// count.
-func TestCancelHeavyCompaction(t *testing.T) {
+// A cancelled entry due after a deadline stays queued: taking it early
+// would move the last-out place past events scheduled later at an
+// earlier time, and Cancel would refuse them (FuzzScheduler found it,
+// testdata/fuzz/FuzzScheduler/cancel-past-deadline).
+func TestCancelledHeadWaitsForItsTurn(t *testing.T) {
 	s := NewScheduler()
-	const n = 100_000
-	ids := make([]EventID, n)
-	for i := range ids {
-		ids[i] = s.At(Time(i+1), func() {})
+	s.Deliver = func(uint32) { t.Fatal("a cancelled message was delivered") }
+	if !s.Cancel(s.Post(8, 0)) {
+		t.Fatal("Cancel of a queued message returned false")
 	}
-	peak := s.QueueLen()
-	if peak != n {
-		t.Fatalf("QueueLen = %d, want %d", peak, n)
+	if err := s.RunUntil(0); err != nil {
+		t.Fatal(err)
 	}
-	for _, id := range ids {
-		s.Cancel(id)
+	if s.Now() != 0 || s.QueueLen() != 1 {
+		t.Fatalf("after RunUntil(0): Now = %v, QueueLen = %d, want 0 and 1", s.Now(), s.QueueLen())
 	}
-	if s.Pending() != 0 {
-		t.Fatalf("Pending = %d, want 0", s.Pending())
+	if !s.Cancel(s.At(0, func() { t.Fatal("a cancelled timer fired") })) {
+		t.Fatal("Cancel of an event due before a cancelled head returned false")
 	}
-	if s.QueueLen() >= compactFloor {
-		t.Fatalf("QueueLen = %d after cancelling all %d: compaction did not shrink the queue",
-			s.QueueLen(), n)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
 	}
-	if s.Step() {
-		t.Fatal("Step fired a cancelled event")
+	if s.Executed != 0 || s.Pending() != 0 || s.QueueLen() != 0 {
+		t.Fatalf("Executed = %d, Pending = %d, QueueLen = %d, want all 0", s.Executed, s.Pending(), s.QueueLen())
 	}
 }
 
@@ -323,8 +318,8 @@ func TestPendingExcludesCancelledInLane(t *testing.T) {
 	for i := range ids {
 		ids[i] = s.Post(1, uint32(i))
 	}
-	if len(s.queue) != 0 || s.Pending() != 8 {
-		t.Fatalf("heap holds %d of 8 constant-delay messages, Pending = %d", len(s.queue), s.Pending())
+	if len(s.heap) != 0 || s.Pending() != 8 {
+		t.Fatalf("heap holds %d of 8 constant-delay messages, Pending = %d", len(s.heap), s.Pending())
 	}
 	for _, i := range []int{0, 3, 7} {
 		if !s.Cancel(ids[i]) || s.Cancel(ids[i]) {
@@ -345,62 +340,6 @@ func TestPendingExcludesCancelledInLane(t *testing.T) {
 	}
 }
 
-// Each structure bounds its own cancelled entries against its own length:
-// cancellations sitting in the lane neither trip the heap's compaction
-// nor hide from the lane's, and closing the lane up keeps its order.
-func TestCancelHeavyCompactionInLane(t *testing.T) {
-	s := NewScheduler()
-	var got []uint32
-	s.Deliver = func(ref uint32) { got = append(got, ref) }
-	const timers, msgs = 100, 1000
-	timerIDs := make([]EventID, timers)
-	for i := range timerIDs {
-		timerIDs[i] = s.At(Time(10+i), func() {})
-	}
-	msgIDs := make([]EventID, msgs)
-	for i := range msgIDs {
-		msgIDs[i] = s.Post(1, uint32(i))
-	}
-	// 400 dead messages outnumber the whole heap four to one, yet are
-	// under half the lane: nothing may compact, whichever side is asked.
-	for i := 0; i < 400; i++ {
-		s.Cancel(msgIDs[2*i])
-	}
-	s.Cancel(timerIDs[0])
-	if len(s.queue) != timers || s.QueueLen() != timers+msgs {
-		t.Fatalf("heap %d, queue %d: compacted below the threshold", len(s.queue), s.QueueLen())
-	}
-	if s.cancelled != [2]int{inHeap: 1, inLane: 400} {
-		t.Fatalf("cancelled per structure = %v", s.cancelled)
-	}
-	// Past half the lane, the lane — and only the lane — closes up.
-	for i := 400; i <= 500; i++ {
-		s.Cancel(msgIDs[2*i-1])
-	}
-	if lane := s.QueueLen() - len(s.queue); len(s.queue) != timers || lane != msgs-501 {
-		t.Fatalf("heap %d, lane %d after 501 lane cancels, want %d and %d", len(s.queue), lane, timers, msgs-501)
-	}
-	if s.cancelled != [2]int{inHeap: 1} || s.Pending() != timers-1+msgs-501 {
-		t.Fatalf("cancelled = %v, Pending = %d", s.cancelled, s.Pending())
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != msgs-501 || !slices.IsSorted(got) {
-		t.Fatalf("%d messages delivered (want %d), in order: %v", len(got), msgs-501, slices.IsSorted(got))
-	}
-	// All of them cancelled: the lane empties without a single fire.
-	for i := range msgIDs {
-		msgIDs[i] = s.Post(1, uint32(i))
-	}
-	for _, id := range msgIDs {
-		s.Cancel(id)
-	}
-	if s.QueueLen() >= compactFloor || s.Pending() != 0 || s.Step() {
-		t.Fatalf("QueueLen = %d, Pending = %d after cancelling every message", s.QueueLen(), s.Pending())
-	}
-}
-
 // One timer far out must not hold the lane shut: timers never enter it,
 // so the constant-delay messages posted after a 300 s refresh timer still
 // queue in the lane and the heap keeps only the timer.
@@ -412,8 +351,8 @@ func TestFarTimerDoesNotStarveLane(t *testing.T) {
 			sent++
 			s.Post(0.05, 0)
 		}
-		if len(s.queue) > 2 {
-			t.Fatalf("message %d: heap holds %d entries", sent, len(s.queue))
+		if len(s.heap) > 2 {
+			t.Fatalf("message %d: heap holds %d entries", sent, len(s.heap))
 		}
 	}
 	s.After(300, func() {})
@@ -423,8 +362,8 @@ func TestFarTimerDoesNotStarveLane(t *testing.T) {
 	if err := s.RunUntil(299); err != nil {
 		t.Fatal(err)
 	}
-	if sent != 1000 || s.Pending() != 1 || len(s.queue) != 1 {
-		t.Fatalf("sent %d, Pending %d, heap %d", sent, s.Pending(), len(s.queue))
+	if sent != 1000 || s.Pending() != 1 || len(s.heap) != 1 {
+		t.Fatalf("sent %d, Pending %d, heap %d", sent, s.Pending(), len(s.heap))
 	}
 }
 
@@ -439,8 +378,8 @@ func TestReorderedMessageFallsBackToHeap(t *testing.T) {
 	s.Post(2, 1) // due before the tail: heap
 	s.Post(9, 2) // tied with the tail: lane, after it
 	s.At(9, func() { got = append(got, 3) })
-	if len(s.queue) != 2 {
-		t.Fatalf("heap holds %d entries, want the reordered message and the timer", len(s.queue))
+	if len(s.heap) != 2 {
+		t.Fatalf("heap holds %d entries, want the reordered message and the timer", len(s.heap))
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -450,12 +389,11 @@ func TestReorderedMessageFallsBackToHeap(t *testing.T) {
 	}
 }
 
-// The hot path is allocation-free in steady state: fired events return
-// to the free list and are reused by later schedules. It holds through
-// either entrance — Step, and StepBy with an event budget, the run loop's —
-// and with timers resident in the heap that are cancelled and re-armed,
-// so cancelled entries pile up and are compacted (a heap rebuild) every
-// few hundred events.
+// The hot path is allocation-free in steady state: entries are values in
+// arrays that stop growing once they reach the queue's peak. It holds
+// through either entrance — Step, and StepBy with an event budget, the
+// run loop's — and with timers resident in the heap that are cancelled
+// and re-armed, so the cancelled set keeps taking and releasing seqs.
 func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	fn := func() {}
 	steps := []struct {
@@ -474,20 +412,23 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 			event := func() {
 				if resident > 0 {
 					s.Cancel(timers[i%resident])
-					timers[i%resident] = s.At(1e12, fn)
+					timers[i%resident] = s.After(1, fn)
 					i++
 				}
 				s.After(1, fn)
 				st.step(s)
 			}
 			for j := range timers {
-				timers[j] = s.At(1e12, fn)
+				timers[j] = s.After(1, fn)
 			}
-			for j := 0; j < 1024; j++ { // warm the heap and free list, through compactions
+			for j := 0; j < 1024; j++ { // warm the heap and the cancelled set
 				event()
 			}
 			if allocs := testing.AllocsPerRun(10_000, event); allocs != 0 {
 				t.Errorf("%s, %d resident timers: steady-state allocations per event = %v, want 0", st.name, resident, allocs)
+			}
+			if n := s.QueueLen(); n > 4*resident+4 {
+				t.Errorf("%s, %d resident timers: QueueLen = %d, the queue keeps growing", st.name, resident, n)
 			}
 		}
 	}
@@ -500,7 +441,7 @@ func TestSchedulerSteadyStateAllocsMessages(t *testing.T) {
 	for _, inFlight := range []int{0, 1000} {
 		s := NewScheduler()
 		s.Deliver = func(uint32) {}
-		for i := 0; i < 2048; i++ { // warm the lane and free list
+		for i := 0; i < 2048; i++ { // warm the lane
 			s.Post(1, 0)
 		}
 		for s.Pending() > inFlight {
@@ -514,51 +455,6 @@ func TestSchedulerSteadyStateAllocsMessages(t *testing.T) {
 			t.Errorf("%d in flight: steady-state allocations per message = %v, want 0", inFlight, allocs)
 		}
 	}
-}
-
-func TestEverySchedulesPeriodically(t *testing.T) {
-	s := NewScheduler()
-	var ticks []Time
-	s.Every(10, 55, func() { ticks = append(ticks, s.Now()) })
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []Time{10, 20, 30, 40, 50}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks = %v, want %v", ticks, want)
-	}
-	for i := range want {
-		if ticks[i] != want[i] {
-			t.Fatalf("tick %d at %v, want %v", i, ticks[i], want[i])
-		}
-	}
-}
-
-func TestEveryStop(t *testing.T) {
-	s := NewScheduler()
-	n := 0
-	var stop func()
-	stop = s.Every(1, 0, func() {
-		n++
-		if n == 3 {
-			stop()
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("ticks = %d, want 3", n)
-	}
-}
-
-func TestEveryZeroPeriodPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero period did not panic")
-		}
-	}()
-	NewScheduler().Every(0, 0, func() {})
 }
 
 func TestDeterminismAcrossRuns(t *testing.T) {
@@ -646,106 +542,11 @@ func TestTimeArithmetic(t *testing.T) {
 	}
 }
 
-func TestExpDistribution(t *testing.T) {
-	r := NewRand(1)
-	const rate = 2.0
-	var sum float64
-	const n = 200000
-	for i := 0; i < n; i++ {
-		d := float64(r.Exp(rate))
-		if d < 0 {
-			t.Fatal("negative exponential sample")
-		}
-		sum += d
-	}
-	mean := sum / n
-	if math.Abs(mean-1/rate) > 0.01 {
-		t.Fatalf("mean = %v, want ≈ %v", mean, 1/rate)
-	}
-}
-
-func TestExpInvalidRatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Exp(0) did not panic")
-		}
-	}()
-	NewRand(1).Exp(0)
-}
-
-func TestBernoulliEdges(t *testing.T) {
-	r := NewRand(7)
-	if r.Bernoulli(0) {
-		t.Fatal("Bernoulli(0) returned true")
-	}
-	if !r.Bernoulli(1) {
-		t.Fatal("Bernoulli(1) returned false")
-	}
-	hits := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		if r.Bernoulli(0.3) {
-			hits++
-		}
-	}
-	p := float64(hits) / n
-	if math.Abs(p-0.3) > 0.01 {
-		t.Fatalf("Bernoulli(0.3) frequency = %v", p)
-	}
-}
-
-func TestZipfSkew(t *testing.T) {
-	r := NewRand(3)
-	z := r.NewZipf(1.2, 100)
-	counts := make([]int, 100)
-	for i := 0; i < 100000; i++ {
-		v := z.Draw()
-		if v < 0 || v >= 100 {
-			t.Fatalf("Zipf sample %d out of range", v)
-		}
-		counts[v]++
-	}
-	if counts[0] <= counts[50] {
-		t.Fatalf("Zipf not skewed: counts[0]=%d counts[50]=%d", counts[0], counts[50])
-	}
-}
-
-func TestZipfInvalidNPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewZipf(n=0) did not panic")
-		}
-	}()
-	NewRand(1).NewZipf(1.5, 0)
-}
-
-func TestJitter(t *testing.T) {
-	r := NewRand(5)
-	for i := 0; i < 1000; i++ {
-		d := r.Jitter(100, 0.1)
-		if d < 90 || d > 110 {
-			t.Fatalf("Jitter out of band: %v", d)
-		}
-	}
-	if r.Jitter(100, 0) != 100 {
-		t.Fatal("Jitter with f=0 changed value")
-	}
-}
-
-func TestRound(t *testing.T) {
-	cases := map[float64]int{0.4: 0, 0.5: 1, 1.49: 1, 2.5: 3, -0.4: 0}
-	for in, want := range cases {
-		if got := Round(in); got != want {
-			t.Errorf("Round(%v) = %d, want %d", in, got, want)
-		}
-	}
-}
-
 // BenchmarkScheduler exercises the timer-churn hot path: each iteration
 // schedules a kept timer and a decoy, cancels the decoy, and fires one
-// event — the pattern refresh loops and piggyback windows generate.
+// event. No simulated run cancels; the row prices the cancelled set.
 // Steady-state allocations per scheduled event must stay ≤ 1 (they are 0:
-// entries come from the free list; the closure is created once).
+// entries are values in reused arrays; the closure is created once).
 //
 // The lane/heap pairs are the message path: a constant hop delay with 1,
 // 64 and 1,024 messages in flight, posted through Post (every one lands

@@ -20,7 +20,7 @@ func FuzzWire(f *testing.F) {
 	// Structured seeds: one valid frame per message kind, plus mutants
 	// the fuzzer can splice (truncation, bad kind, trailing garbage).
 	seeds := []Message{
-		Hello{From: 7},
+		ClearBit{From: 7, Key: ""},
 		Query{From: 3, Key: "movies/inception", QueryID: 99},
 		ClearBit{From: 12, Key: "k"},
 		UpdateMsg{From: 5, Update: cup.Update{
@@ -38,7 +38,7 @@ func FuzzWire(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x00, 0x01})
-	f.Add(append(Marshal(Hello{From: 1}), 0x00)) // trailing byte
+	f.Add(append(Marshal(ClearBit{From: 1, Key: "k"}), 0x00)) // trailing byte
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unmarshal(data)

@@ -9,7 +9,7 @@
 // Frame layout:
 //
 //	uint32  payload length (excluding itself), ≤ MaxFrame
-//	byte    message kind (KindQuery | KindUpdate | KindClearBit | KindHello)
+//	byte    message kind (KindQuery | KindUpdate | KindClearBit)
 //	...     kind-specific fields
 package wire
 
@@ -36,8 +36,6 @@ const (
 	KindUpdate Kind = 2
 	// KindClearBit asks the receiver to clear the sender's interest bit.
 	KindClearBit Kind = 3
-	// KindHello announces the sender's node ID when a connection opens.
-	KindHello Kind = 4
 )
 
 // MaxFrame bounds a frame's payload; larger frames are rejected rather
@@ -70,11 +68,6 @@ type ClearBit struct {
 	Key  overlay.Key
 }
 
-// Hello identifies a peer at connection setup.
-type Hello struct {
-	From overlay.NodeID
-}
-
 // Message is any protocol frame.
 type Message interface {
 	kind() Kind
@@ -83,7 +76,6 @@ type Message interface {
 func (Query) kind() Kind     { return KindQuery }
 func (UpdateMsg) kind() Kind { return KindUpdate }
 func (ClearBit) kind() Kind  { return KindClearBit }
-func (Hello) kind() Kind     { return KindHello }
 
 // buffer is a tiny append-based encoder.
 type buffer struct{ b []byte }
@@ -219,8 +211,6 @@ func appendPayload(b []byte, m Message) []byte {
 	case ClearBit:
 		w.i32(int32(v.From))
 		w.str(string(v.Key))
-	case Hello:
-		w.i32(int32(v.From))
 	default:
 		panic(fmt.Sprintf("wire: unknown message %T", m))
 	}
@@ -261,8 +251,6 @@ func Unmarshal(b []byte) (Message, error) {
 		m = v
 	case KindClearBit:
 		m = ClearBit{From: overlay.NodeID(r.i32()), Key: overlay.Key(r.str())}
-	case KindHello:
-		m = Hello{From: overlay.NodeID(r.i32())}
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrBadKind, kind)
 	}

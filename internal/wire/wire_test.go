@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net"
 	"reflect"
@@ -63,23 +64,23 @@ func TestUpdateNoEntriesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestClearBitHelloRoundTrip(t *testing.T) {
+func TestClearBitRoundTrip(t *testing.T) {
 	if got := roundTrip(t, ClearBit{From: 9, Key: "k"}); got != (ClearBit{From: 9, Key: "k"}) {
 		t.Fatalf("clearbit: %+v", got)
 	}
-	if got := roundTrip(t, Hello{From: 3}); got != (Hello{From: 3}) {
-		t.Fatalf("hello: %+v", got)
-	}
 }
 
+// Kind 4 once introduced a connection; no kind beyond ClearBit decodes.
 func TestUnknownKindRejected(t *testing.T) {
-	if _, err := Unmarshal([]byte{99}); err == nil {
-		t.Fatal("unknown kind accepted")
+	for _, kind := range []byte{0, 4, 99} {
+		if _, err := Unmarshal([]byte{kind, 0, 0, 0, 1}); !errors.Is(err, ErrBadKind) {
+			t.Fatalf("kind %d: err = %v, want ErrBadKind", kind, err)
+		}
 	}
 }
 
 func TestTrailingBytesRejected(t *testing.T) {
-	b := Marshal(Hello{From: 1})
+	b := Marshal(ClearBit{From: 1, Key: "k"})
 	if _, err := Unmarshal(append(b, 0xFF)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
@@ -97,7 +98,6 @@ func TestTruncationRejectedEverywhere(t *testing.T) {
 func TestWriteReadFrame(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := []Message{
-		Hello{From: 1},
 		Query{From: 2, Key: "k", QueryID: 3},
 		UpdateMsg{From: 4, Update: sampleUpdate()},
 		ClearBit{From: 5, Key: "k"},
@@ -138,7 +138,7 @@ func TestWriteFrameIsOneWrite(t *testing.T) {
 	for i := 0; i < 64; i++ { // past WriteFrame's initial capacity
 		big.Entries = append(big.Entries, big.Entries[0])
 	}
-	for _, m := range []Message{Hello{From: 1}, Query{From: 2, Key: "k", QueryID: 3}, UpdateMsg{From: 4, Update: big}} {
+	for _, m := range []Message{ClearBit{From: 1, Key: "k"}, Query{From: 2, Key: "k", QueryID: 3}, UpdateMsg{From: 4, Update: big}} {
 		var w writeCounter
 		if err := WriteFrame(&w, m); err != nil {
 			t.Fatal(err)
