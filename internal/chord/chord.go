@@ -8,8 +8,8 @@
 // The ring stores no finger table. Finger b of node m is successor(id(m) +
 // 2^b), a pure function of the sorted identifiers, and the closest
 // preceding finger toward a key is fixed by one number (see NextHop), so
-// a Ring is the sorted identifiers plus an index into them: about 20
-// bytes a node instead of a 256-byte table.
+// a Ring is the sorted identifiers, each node's own, and an index into
+// the sorted ones: about 24 bytes a node instead of a 256-byte table.
 package chord
 
 import (
@@ -27,7 +27,7 @@ import (
 type Ring struct {
 	sorted []uint64         // ring positions, ascending
 	order  []overlay.NodeID // order[i] is the node at sorted[i]
-	rank   []int32          // rank[n] is n's index into sorted
+	pos    []uint64         // pos[n] is n's ring position
 	// index[h] is the first i whose sorted[i] has top bits ≥ h, taking
 	// the top 64−shift bits, with 2^(64−shift) ≥ n: a bucket holds at
 	// most one position on average, so a successor is one load and a
@@ -54,11 +54,11 @@ func Build(n int) *Ring {
 	r := &Ring{
 		sorted: make([]uint64, n),
 		order:  make([]overlay.NodeID, n),
-		rank:   make([]int32, n),
+		pos:    make([]uint64, n),
 		shift:  uint(64 - bits.Len(uint(n-1))),
 	}
 	r.index = make([]int32, 1<<(64-r.shift)+1)
-	ids := make([]uint64, n)
+	ids := r.pos
 	label := append(make([]byte, 0, 32), "chord-node-"...)
 	prefix := len(label)
 	for i := range ids {
@@ -81,11 +81,10 @@ func Build(n int) *Ring {
 			r.order[j], r.order[j-1] = r.order[j-1], r.order[j]
 		}
 	}
-	for i, node := range r.order {
-		if i > 0 && r.sorted[i] == r.sorted[i-1] {
-			panic(fmt.Sprintf("chord: ring position collision between nodes %d and %d", r.order[i-1], node))
+	for i := 1; i < n; i++ {
+		if r.sorted[i] == r.sorted[i-1] {
+			panic(fmt.Sprintf("chord: ring position collision between nodes %d and %d", r.order[i-1], r.order[i]))
 		}
-		r.rank[node] = int32(i)
 	}
 	return r
 }
@@ -110,16 +109,16 @@ func (r *Ring) successorOf(t uint64) overlay.NodeID { return r.order[r.at(t)] }
 func (r *Ring) Size() int { return len(r.sorted) }
 
 // ID returns n's position on the identifier circle.
-func (r *Ring) ID(n overlay.NodeID) uint64 { return r.sorted[r.rank[n]] }
+func (r *Ring) ID(n overlay.NodeID) uint64 { return r.pos[n] }
 
 // Successor returns the node clockwise-adjacent to n.
 func (r *Ring) Successor(n overlay.NodeID) overlay.NodeID {
-	return r.order[(int(r.rank[n])+1)%len(r.order)]
+	return r.order[(r.at(r.pos[n])+1)%len(r.order)]
 }
 
 // Predecessor returns the node counterclockwise-adjacent to n.
 func (r *Ring) Predecessor(n overlay.NodeID) overlay.NodeID {
-	return r.order[(int(r.rank[n])+len(r.order)-1)%len(r.order)]
+	return r.order[(r.at(r.pos[n])+len(r.order)-1)%len(r.order)]
 }
 
 // Owner returns the authority node for key k (the successor of its hash).
@@ -144,14 +143,18 @@ func (r *Ring) Owner(k overlay.Key) overlay.NodeID {
 // 2^b > d, finger b is n or beyond d: outside. The highest finger inside
 // is therefore b = ⌊log₂ d⌋, and a stored 64-entry table scanned from the
 // top returns the same node.
+//
+// n enters as its position alone: n owns k when it sits at o's position,
+// and o is its successor when it sits at q's, so n's place in the sorted
+// order is never looked up.
 func (r *Ring) NextHop(n overlay.NodeID, k overlay.Key) (overlay.NodeID, bool) {
 	size := len(r.sorted)
-	o, p := r.at(overlay.HashID(k)), int(r.rank[n])
-	if o == p || o == (p+1)%size {
+	o, id := r.at(overlay.HashID(k)), r.pos[n]
+	q := r.sorted[(o+size-1)%size]
+	if id == r.sorted[o] || id == q {
 		return r.order[o], true
 	}
-	d := r.sorted[(o+size-1)%size] - r.sorted[p]
-	return r.successorOf(r.sorted[p] + 1<<(bits.Len64(d)-1)), true
+	return r.successorOf(id + 1<<(bits.Len64(q-id)-1)), true
 }
 
 // Neighbors returns the routing neighbors of n: its distinct fingers plus

@@ -213,7 +213,7 @@ func (a simSurface) At(id overlay.NodeID, fn func(*Node)) error {
 }
 
 func (a simSurface) Spawn(id overlay.NodeID) error {
-	a.s.Nodes = append(a.s.Nodes, a.s.env.node(new(Node), id))
+	a.s.Nodes = append(a.s.Nodes, a.s.env.node(a.s.nodes.add(), id))
 	return nil
 }
 

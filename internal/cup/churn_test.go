@@ -30,6 +30,32 @@ func leave(t *testing.T, s *Simulation, victim overlay.NodeID) {
 	}
 }
 
+// Joiners live in the run's node slab beside the block it was built
+// with: through two chunks of joiners every node is where Nodes says, under
+// its own id, and no join moves a node already there.
+func TestJoinersKeepTheirSlot(t *testing.T) {
+	s := NewSimulation(Params{Nodes: 64, NoWorkload: true, Seed: 17})
+	first := s.Nodes[len(s.Nodes)-1]
+	var joined []*Node
+	for i := 0; i < 2*maxChunk+1; i++ {
+		id := join(t, s)
+		joined = append(joined, s.nodes.at(id))
+	}
+	if s.nodes.at(63) != first {
+		t.Fatal("a join moved a node of the block")
+	}
+	for i, n := range s.Nodes {
+		if id := overlay.NodeID(i); s.nodes.at(id) != n || n.ID() != id {
+			t.Fatalf("Nodes[%d] = %p (id %v), slab holds %p", i, n, n.ID(), s.nodes.at(id))
+		}
+	}
+	for i, n := range joined {
+		if s.Nodes[64+i] != n {
+			t.Fatalf("joiner %d moved", i)
+		}
+	}
+}
+
 func TestJoinNodeGrowsMembership(t *testing.T) {
 	s := NewSimulation(churnParams())
 	before := len(s.Nodes)

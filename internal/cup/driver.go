@@ -173,9 +173,13 @@ type Simulation struct {
 	Ov     overlay.Overlay
 	dyn    DynamicOverlay // Ov's churn capability, resolved once; nil on a static overlay
 	Router *OverlayRouter
-	Nodes  []*Node
+	Nodes  []*Node // Nodes[i] is nodes.at(i)
 	Keys   []overlay.Key
 	C      metrics.Counters
+
+	// nodes holds every node of the run at a stable address, so a hop
+	// finds its receiver by the id alone.
+	nodes nodeSlab
 
 	// env is the run's owner: every node it drives — the initial block
 	// and churn joiners alike — shares its action buffer, intern table
@@ -264,10 +268,10 @@ func NewSimulation(p Params) *Simulation {
 	s.Router = NewOverlayRouter(s.Ov)
 	s.env = newNodeEnv(p.Config, s.Router, s.Sched.Now)
 	s.env.obs = p.Observer
-	block := make([]Node, p.Nodes)
+	s.nodes.block = make([]Node, p.Nodes)
 	s.Nodes = make([]*Node, p.Nodes)
-	for i := range block {
-		s.Nodes[i] = s.env.node(&block[i], overlay.NodeID(i))
+	for i := range s.nodes.block {
+		s.Nodes[i] = s.env.node(&s.nodes.block[i], overlay.NodeID(i))
 	}
 	s.Keys = make([]overlay.Key, p.Keys)
 	for i := range s.Keys {
@@ -529,7 +533,7 @@ func (s *Simulation) PostQueryAt(nid overlay.NodeID, k overlay.Key) {
 	kid := s.env.keys.intern(k)
 	ks := s.state(nid, kid)
 	pfu, everHeld := ks.pfu, ks.everHeld
-	acts := s.Nodes[nid].handleQuery(ks, LocalClient, 0)
+	acts := s.nodes.at(nid).handleQuery(ks, LocalClient, 0)
 	if len(acts) == 1 && acts[0].Kind == ActDeliverLocal {
 		s.C.Hits++
 	} else {
@@ -555,36 +559,75 @@ func (s *Simulation) state(nid overlay.NodeID, kid KeyID) *keyState {
 	if ks := s.env.peek(nid, kid); ks != nil {
 		return ks
 	}
-	return s.Nodes[nid].newState(kid)
+	return s.nodes.at(nid).newState(kid)
 }
 
-// message is one protocol message in flight: the send action that emitted
-// it, plus its sender. Every node of the run shares one intern table, so the
-// sender's KeyID finds the receiver's state by one indexed probe.
+// nodeSlab holds a run's nodes at stable addresses, in the pattern of the
+// key states' statePool: the block the run was built with, then churn
+// joiners in chunks that are allocated at full size and never move. Node
+// id i is the i-th node it holds, so a node is found by arithmetic on its
+// id — no table of pointers to load first.
+type nodeSlab struct {
+	block  []Node
+	joined [][]Node
+	n      int // joiners held
+}
+
+func (p *nodeSlab) at(id overlay.NodeID) *Node {
+	if i := int(id); i < len(p.block) {
+		return &p.block[i]
+	}
+	i := int(id) - len(p.block)
+	return &p.joined[i>>chunkBits][i&(maxChunk-1)]
+}
+
+// add returns the slot of the next joiner, whose id is the count of nodes
+// held before it.
+func (p *nodeSlab) add() *Node {
+	if p.n&(maxChunk-1) == 0 {
+		p.joined = append(p.joined, make([]Node, maxChunk))
+	}
+	p.n++
+	return p.at(overlay.NodeID(len(p.block) + p.n - 1))
+}
+
+// message is one protocol message in flight: what the send action that
+// emitted it carries, plus its sender. Every node of the run shares one
+// intern table, so the sender's KeyID finds the receiver's state by one
+// indexed probe.
 type message struct {
+	// u is an ActSendUpdate's update; a standard-caching query's token
+	// rides in u.QueryID, where its response carries it back.
+	u        Update
 	from, to overlay.NodeID
-	qid      uint64 // ActSendQuery
 	kid      KeyID
 	kind     ActionKind // ActSendQuery, ActSendUpdate or ActSendClearBit
 	carried  bool       // a clear-bit that rode a query or update (§2.7): no hop cost
-	u        Update     // ActSendUpdate
 }
 
-// dispatch executes protocol actions emitted by node `from`: a send becomes
-// a message posted one hop away, a local delivery happens inline. acts dies
-// with the next handler call; a message copies what its delivery needs.
+// dispatch executes protocol actions emitted by node `from`: a send fills
+// a slot of the run's message slab straight from its action and goes in
+// flight, a local delivery happens inline. acts dies with the next handler
+// call; a slot holds what its delivery needs.
 func (s *Simulation) dispatch(from overlay.NodeID, acts []Action) {
 	for i := range acts {
 		a := &acts[i]
 		switch a.Kind {
+		case ActSendQuery:
+			ref, m := s.take(ActSendQuery, from, a.To, a.kid)
+			m.u.QueryID = a.QueryID
+			s.post(ref)
+		case ActSendUpdate:
+			ref, m := s.take(ActSendUpdate, from, a.To, a.kid)
+			m.u = *a.Update // the one copy a send makes
+			s.post(ref)
 		case ActSendClearBit:
 			if s.P.PiggybackClearBits {
 				s.holdClearBit(from, a.To, a.kid)
 				break
 			}
-			fallthrough
-		case ActSendQuery, ActSendUpdate:
-			s.post(message{kind: a.Kind, from: from, to: a.To, kid: a.kid, qid: a.QueryID, u: a.Update})
+			ref, _ := s.take(ActSendClearBit, from, a.To, a.kid)
+			s.post(ref)
 		case ActDeliverLocal:
 			s.deliverLocal(from, a.kid, a.Entries)
 		default:
@@ -593,60 +636,79 @@ func (s *Simulation) dispatch(from overlay.NodeID, acts []Action) {
 	}
 }
 
-// post puts m in flight: it takes a slot of the run's message slab and is
-// due for deliver one hop delay from now. A departing query or update
-// carries the clear-bits parked on its link.
-func (s *Simulation) post(m message) {
-	if m.kind != ActSendClearBit && len(s.held) != 0 {
-		s.flushHeldClearBits(m.from, m.to)
-	}
+// take returns a free slot of the run's message slab, its header filled
+// in, for the caller to complete and post. Of u it sets nothing: a query
+// writes its token, an update the whole of it, and a clear-bit reads none
+// of it. The pointer is valid until the next take.
+func (s *Simulation) take(kind ActionKind, from, to overlay.NodeID, kid KeyID) (uint32, *message) {
 	ref := uint32(len(s.msgs))
 	if n := len(s.freeMsgs); n > 0 {
 		ref = s.freeMsgs[n-1]
 		s.freeMsgs = s.freeMsgs[:n-1]
-		s.msgs[ref] = m
 	} else {
-		s.msgs = append(s.msgs, m) // amortized: only past the peak of messages in flight
+		s.msgs = append(s.msgs, message{}) // amortized: only past the peak of messages in flight
 	}
-	s.Sched.Post(s.delay(m.from, m.to), ref)
+	m := &s.msgs[ref]
+	m.kind, m.from, m.to, m.kid, m.carried = kind, from, to, kid, false
+	return ref, m
 }
 
-// deliver hands message ref to its receiver, releasing the slot first (the
-// handler's own sends may reuse it), and accounts the hop per the paper's
-// cost model (§3.3): query hops and response hops are miss cost; proactive
-// update hops and clear-bit hops are overhead.
-func (s *Simulation) deliver(ref uint32) {
-	m := s.msgs[ref]
+// post puts the message in slot ref in flight, due for deliver one hop
+// delay from now. A departing query or update carries the clear-bits
+// parked on its link, which go in flight just before it.
+func (s *Simulation) post(ref uint32) {
+	m := &s.msgs[ref]
+	from, to := m.from, m.to
+	if m.kind != ActSendClearBit && len(s.held) != 0 {
+		s.flushHeldClearBits(from, to)
+	}
+	s.Sched.Post(s.delay(from, to), ref)
+}
+
+// release frees slot ref for the next send.
+func (s *Simulation) release(ref uint32) {
 	s.msgs[ref].u.Entries = nil          // the slot must not pin a retired entry set
 	s.freeMsgs = append(s.freeMsgs, ref) // never longer than the slab
-	if !s.NodeAlive(m.to) {
+}
+
+// deliver hands message ref to its receiver, which reads it where it lies:
+// the slot is released only once the handler has returned (its sends may
+// then reuse it). It accounts the hop per the paper's cost model (§3.3):
+// query hops and response hops are miss cost; proactive update hops and
+// clear-bit hops are overhead.
+func (s *Simulation) deliver(ref uint32) {
+	m := &s.msgs[ref]
+	to := m.to
+	if !s.NodeAlive(to) {
+		s.release(ref)
 		return // departed mid-flight; a client re-queries
 	}
-	n := s.Nodes[m.to]
+	n := s.nodes.at(to)
 	var acts []Action
 	switch m.kind {
 	case ActSendQuery:
 		s.C.QueryHops++
-		acts = n.handleQuery(s.state(m.to, m.kid), m.from, m.qid)
+		acts = n.handleQuery(s.state(to, m.kid), m.from, m.u.QueryID)
 	case ActSendUpdate:
 		// Classify by the receiver's state at delivery: an update
 		// arriving at a node awaiting a response — or retracing a
 		// specific query (standard caching) — is miss cost; anything
 		// else is propagation overhead.
-		ks := s.state(m.to, m.kid)
+		ks := s.state(to, m.kid)
 		if m.u.QueryID != 0 || ks.pfu {
 			s.C.ResponseHops++
 		} else {
 			s.C.UpdateHops++
 		}
-		acts = n.handleUpdate(ks, m.from, m.u)
+		acts = n.handleUpdate(ks, m.from, &m.u)
 	case ActSendClearBit:
 		if !m.carried {
 			s.C.ClearBitHops++
 		}
-		acts = n.handleClearBit(s.env.peek(m.to, m.kid), m.from)
+		acts = n.handleClearBit(s.env.peek(to, m.kid), m.from)
 	}
-	s.dispatch(m.to, acts)
+	s.release(ref)
+	s.dispatch(to, acts)
 }
 
 // holdClearBit parks a clear-bit on its link waiting for a carrier (§2.7
@@ -659,7 +721,8 @@ func (s *Simulation) holdClearBit(from, to overlay.NodeID, kid KeyID) {
 	s.Sched.After(s.P.PiggybackWindow, func() {
 		if !cb.sent {
 			cb.sent = true
-			s.post(message{kind: ActSendClearBit, from: from, to: to, kid: kid})
+			ref, _ := s.take(ActSendClearBit, from, to, kid)
+			s.post(ref)
 		}
 	})
 }
@@ -679,7 +742,9 @@ func (s *Simulation) flushHeldClearBits(from, to overlay.NodeID) {
 		}
 		cb.sent = true
 		s.C.PiggybackedClearBits++
-		s.post(message{kind: ActSendClearBit, carried: true, from: from, to: to, kid: cb.kid})
+		ref, m := s.take(ActSendClearBit, from, to, cb.kid)
+		m.carried = true
+		s.post(ref)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"cup/internal/cache"
 	"cup/internal/overlay"
 	"cup/internal/policy"
 	"cup/internal/sim"
@@ -106,47 +107,77 @@ func TestLocalHitAllocatesNothing(t *testing.T) {
 	}
 }
 
+// hopChain returns a run, its key, and three consecutive nodes a → b → c
+// on a route toward the key's authority, c short of it: the fixture of
+// the message-hop pins and BenchmarkMessageHop.
+func hopChain(tb testing.TB) (s *Simulation, kid KeyID, a, b, c overlay.NodeID) {
+	cfg := Defaults()
+	cfg.Policy = policy.AlwaysKeep()
+	s = NewSimulation(Params{Nodes: 64, NoWorkload: true, Seed: 1, Config: cfg, Observer: NewBus()})
+	k := s.Keys[0]
+	for i := range s.Nodes {
+		a = overlay.NodeID(i)
+		b = s.Router.NextHopTowardOwner(a, k)
+		c = s.Router.NextHopTowardOwner(b, k)
+		if a != b && b != c && c != s.Ov.Owner(k) {
+			return s, s.env.keys.intern(k), a, b, c
+		}
+	}
+	tb.Fatal("no three-hop route toward the owner in this overlay")
+	return
+}
+
+// fanOut subscribes three nodes other than b and c — a first — to b's
+// updates for kid, and returns them.
+func fanOut(s *Simulation, kid KeyID, a, b, c overlay.NodeID) []overlay.NodeID {
+	subs := []overlay.NodeID{a}
+	for i := 0; len(subs) < 3; i++ {
+		if id := overlay.NodeID(i); id != a && id != b && id != c {
+			subs = append(subs, id)
+		}
+	}
+	bks := s.state(b, kid)
+	for _, m := range subs {
+		bks.interest.add(m)
+		s.state(m, kid)
+	}
+	return subs
+}
+
+// send puts one message in flight the way dispatch does; u is an
+// update's payload.
+func (s *Simulation) send(kind ActionKind, from, to overlay.NodeID, kid KeyID, u *Update) {
+	ref, m := s.take(kind, from, to, kid)
+	if u != nil {
+		m.u = *u
+	}
+	s.post(ref)
+}
+
+// steps delivers the next n messages.
+func steps(s *Simulation, n int) {
+	for ; n > 0; n-- {
+		if !s.Sched.Step() {
+			panic("nothing in flight")
+		}
+	}
+}
+
 // A protocol message in flight is a value in the run's slab and an index
 // in the scheduler's lane: putting one in flight and delivering it
 // allocates nothing, for each of the three things CUP sends. Nor do the
 // receiving handlers: a refresh edits a cached set that no view has left
 // in place, so a hop of each shape allocates nothing at all.
 func TestMessageHopAllocatesNothing(t *testing.T) {
-	// chain returns a run, its key, and three consecutive nodes a → b → c
-	// on a route toward the key's authority, c short of it.
-	chain := func(t *testing.T) (s *Simulation, kid KeyID, a, b, c overlay.NodeID) {
-		cfg := Defaults()
-		cfg.Policy = policy.AlwaysKeep()
-		s = NewSimulation(Params{Nodes: 64, NoWorkload: true, Seed: 1, Config: cfg, Observer: NewBus()})
-		k := s.Keys[0]
-		for i := range s.Nodes {
-			a = overlay.NodeID(i)
-			b = s.Router.NextHopTowardOwner(a, k)
-			c = s.Router.NextHopTowardOwner(b, k)
-			if a != b && b != c && c != s.Ov.Owner(k) {
-				return s, s.env.keys.intern(k), a, b, c
-			}
-		}
-		t.Fatal("no three-hop route toward the owner in this overlay")
-		return
-	}
-	steps := func(s *Simulation, n int) {
-		for ; n > 0; n-- {
-			if !s.Sched.Step() {
-				panic("nothing in flight")
-			}
-		}
-	}
-
 	// b has no answer and no query pending: it forwards a's query one hop
 	// to c, whose own query is in flight, so the query coalesces there.
 	t.Run("query", func(t *testing.T) {
-		s, kid, a, b, c := chain(t)
+		s, kid, a, b, c := hopChain(t)
 		bks := s.state(b, kid)
 		s.state(c, kid).pfu = true
 		allocs := testing.AllocsPerRun(1000, func() {
 			bks.pfu = false
-			s.post(message{kind: ActSendQuery, from: a, to: b, kid: kid})
+			s.send(ActSendQuery, a, b, kid, nil)
 			steps(s, 2)
 		})
 		if allocs != 0 {
@@ -160,12 +191,12 @@ func TestMessageHopAllocatesNothing(t *testing.T) {
 	// c pushes a refresh to b, which applies it and pushes it on to its one
 	// interested neighbour a, which applies it.
 	t.Run("refresh", func(t *testing.T) {
-		s, kid, a, b, c := chain(t)
+		s, kid, a, b, c := hopChain(t)
 		aks, bks := s.state(a, kid), s.state(b, kid)
 		bks.interest.add(a)
 		u := refresh(s.Keys[0], 0, 2, 1e9)
 		allocs := testing.AllocsPerRun(1000, func() {
-			s.post(message{kind: ActSendUpdate, from: c, to: b, kid: kid, u: u})
+			s.send(ActSendUpdate, c, b, kid, &u)
 			steps(s, 2)
 		})
 		if allocs != 0 {
@@ -179,14 +210,36 @@ func TestMessageHopAllocatesNothing(t *testing.T) {
 		}
 	})
 
+	// The same refresh fans out from b to three interested neighbours.
+	t.Run("refresh-fan-out", func(t *testing.T) {
+		s, kid, a, b, c := hopChain(t)
+		subs := fanOut(s, kid, a, b, c)
+		u := refresh(s.Keys[0], 0, 2, 1e9)
+		allocs := testing.AllocsPerRun(1000, func() {
+			s.send(ActSendUpdate, c, b, kid, &u)
+			steps(s, 4)
+		})
+		if allocs != 0 {
+			t.Errorf("a refresh pushed to three interested neighbours allocates %.1f, want 0", allocs)
+		}
+		for _, m := range subs {
+			if n := len(s.state(m, kid).entries); n != 1 {
+				t.Errorf("subscriber %v holds %d entries, want the refresh's 1", m, n)
+			}
+		}
+		if s.C.UpdateHops != 4*1001 || s.Sched.Pending() != 0 {
+			t.Errorf("UpdateHops = %d over 1001 runs, %d left in flight", s.C.UpdateHops, s.Sched.Pending())
+		}
+	})
+
 	// a's clear-bit leaves b with no interest, so b cuts off in turn: its
 	// own clear-bit reaches c, which has another subscriber and stops.
 	t.Run("clear-bit", func(t *testing.T) {
-		s, kid, a, b, c := chain(t)
+		s, kid, a, b, c := hopChain(t)
 		s.state(b, kid)
 		s.state(c, kid).interest.add(a)
 		allocs := testing.AllocsPerRun(1000, func() {
-			s.post(message{kind: ActSendClearBit, from: a, to: b, kid: kid})
+			s.send(ActSendClearBit, a, b, kid, nil)
 			steps(s, 2)
 		})
 		if allocs != 0 {
@@ -194,6 +247,89 @@ func TestMessageHopAllocatesNothing(t *testing.T) {
 		}
 		if s.C.ClearBitHops != 2*1001 || s.Sched.Pending() != 0 {
 			t.Errorf("ClearBitHops = %d over 1001 runs, %d left in flight", s.C.ClearBitHops, s.Sched.Pending())
+		}
+	})
+}
+
+// A handler reads its message where it lies, and its sends take slots —
+// the first of them the very slot being handled, freed as the handler
+// returns. Nothing of the received update may be lost to that: each of
+// b's three subscribers gets its type, entries, expiry and lifetime, one
+// level deeper.
+func TestFreedSlotKeepsHandledMessage(t *testing.T) {
+	s, kid, a, b, c := hopChain(t)
+	subs := fanOut(s, kid, a, b, c)
+	e := entry(s.Keys[0], 4, 900)
+	u := Update{Key: s.Keys[0], Type: Refresh, Entries: []cache.Entry{e}, Replica: 4,
+		Depth: 2, Expires: 900, Lifetime: 300}
+	s.send(ActSendUpdate, c, b, kid, &u)
+	steps(s, 1) // b handles the refresh and fans it out
+	if len(s.msgs) != 3 || len(s.freeMsgs) != 0 {
+		t.Fatalf("slab holds %d slots, %d free, after b's fan-out; want b's own slot reused and 3 in flight",
+			len(s.msgs), len(s.freeMsgs))
+	}
+	got := map[overlay.NodeID]bool{}
+	for i := range s.msgs {
+		m := &s.msgs[i]
+		fwd := m.u
+		if m.kind != ActSendUpdate || m.from != b || fwd.Type != Refresh || fwd.Replica != 4 ||
+			fwd.Depth != u.Depth+1 || fwd.Expires != u.Expires || fwd.Lifetime != u.Lifetime ||
+			len(fwd.Entries) != 1 || fwd.Entries[0] != e {
+			t.Errorf("slot %d carries %+v from %v to %v, want b's forward of %+v at depth %d", i, fwd, m.from, m.to, u, u.Depth+1)
+		}
+		got[m.to] = true
+	}
+	for _, m := range subs {
+		if !got[m] {
+			t.Errorf("subscriber %v has nothing in flight", m)
+		}
+	}
+	steps(s, 3)
+	want := s.Sched.Now().Add(u.Lifetime)
+	for _, m := range subs {
+		if es := s.state(m, kid).entries; len(es) != 1 || es[0].Replica != 4 || es[0].Addr != e.Addr || es[0].Expires != want {
+			t.Errorf("subscriber %v cached %v, want replica 4 at %q expiring %v", m, es, e.Addr, want)
+		}
+	}
+}
+
+// BenchmarkMessageHop is the ledger row for one simulated message and
+// what it sets off, on the 64-node chain of TestMessageHopAllocatesNothing:
+// a query forwarded one hop to coalesce, a refresh b pushes on to three
+// interested neighbours (four hops an op), and a clear-bit b passes up.
+func BenchmarkMessageHop(b *testing.B) {
+	b.Run("query", func(bb *testing.B) {
+		s, kid, a, b, c := hopChain(bb)
+		bks := s.state(b, kid)
+		s.state(c, kid).pfu = true
+		bb.ReportAllocs()
+		bb.ResetTimer()
+		for i := 0; i < bb.N; i++ {
+			bks.pfu = false
+			s.send(ActSendQuery, a, b, kid, nil)
+			steps(s, 2)
+		}
+	})
+	b.Run("refresh", func(bb *testing.B) {
+		s, kid, a, b, c := hopChain(bb)
+		fanOut(s, kid, a, b, c)
+		u := refresh(s.Keys[0], 0, 2, 1e9)
+		bb.ReportAllocs()
+		bb.ResetTimer()
+		for i := 0; i < bb.N; i++ {
+			s.send(ActSendUpdate, c, b, kid, &u)
+			steps(s, 4)
+		}
+	})
+	b.Run("clear-bit", func(bb *testing.B) {
+		s, kid, a, b, c := hopChain(bb)
+		s.state(b, kid)
+		s.state(c, kid).interest.add(a)
+		bb.ReportAllocs()
+		bb.ResetTimer()
+		for i := 0; i < bb.N; i++ {
+			s.send(ActSendClearBit, a, b, kid, nil)
+			steps(s, 2)
 		}
 	})
 }

@@ -5,7 +5,6 @@ import (
 
 	"cup/internal/cache"
 	"cup/internal/overlay"
-	"cup/internal/policy"
 	"cup/internal/sim"
 )
 
@@ -90,7 +89,7 @@ type routeEntry struct {
 // popularity measure. It lives in its owner's slab (state.go); every query
 // and update for the key at the node touches exactly this record. The
 // fields a hit and a hop read come first, so they share a cache line; the
-// size stays 168 bytes.
+// size is 152 bytes.
 type keyState struct {
 	// hop caches the upstream next hop for the key, valid while hopEpoch
 	// equals the router's topology epoch (zero: never resolved). See
@@ -121,6 +120,12 @@ type keyState struct {
 	// node — in a message, to a waiting client, into a live hit view — so
 	// the set is immutable and the next write copies it (apply).
 	shared bool
+	// idle is the key's cut-off policy state (policy.Policy.Keep): the
+	// windowed policies count consecutive idle updates in it.
+	idle int32
+	// watchReplica designates the replica whose updates trigger cut-off
+	// decisions under replica-independent cut-off; -1 until first seen.
+	watchReplica int32
 	// entries are the index entries cached from queries and updates
 	// (§2.1), edited in place until shared. An authority's own keys live
 	// in Node.local.
@@ -133,12 +138,7 @@ type keyState struct {
 	// routeBack holds the outstanding per-query tokens and the neighbor
 	// each response must retrace to — standard caching's open
 	// connections. Unused in CUP mode, where coalescing replaces it.
-	routeBack []routeEntry
-	// watchReplica designates the replica whose updates trigger cut-off
-	// decisions under replica-independent cut-off; -1 until first seen.
-	watchReplica int
-	// inst is this key's cut-off policy state.
-	inst            policy.Instance
+	routeBack       []routeEntry
 	justifyDeadline sim.Time
 	// issuedAt records when the oldest still-waiting local client query
 	// was posted, so EvQueryAnswered can carry the answer latency under
@@ -174,8 +174,12 @@ type nodeEnv struct {
 	obs Observer
 	// acts is the reusable buffer every handler of this owner builds its
 	// result in: a handler's returned slice aliases it and is valid until
-	// the owner's next handler call.
+	// the owner's next handler call. out is the update its sends carry:
+	// every send of one result carries the same update, so the actions
+	// point at this one copy and a transport copies it once, into what it
+	// puts in flight.
 	acts []Action
+	out  Update
 	// keys, pool and index hold every key state of the owner's nodes
 	// (state.go). Nothing is allocated until the first key.
 	keys  keyTable
@@ -217,7 +221,7 @@ func (env *nodeEnv) result(acts []Action) []Action {
 // one starts a single-action handler result on the owner's buffer: one
 // action of the given kind for ks's key, every other field zero, for the
 // handler to complete in place and return. (Filling the slot where it
-// lies, not appending a literal, keeps a hit from copying the 150-byte
+// lies, not appending a literal, keeps a hit from copying the 72-byte
 // Action twice.)
 func (env *nodeEnv) one(kind ActionKind, ks *keyState) []Action {
 	if cap(env.acts) == 0 {
@@ -560,8 +564,8 @@ func (n *Node) answer(ks *keyState, from overlay.NodeID, entries []cache.Entry, 
 	if n.nextHop(ks, k) == n.id {
 		depth = 1
 	}
-	acts[0].To = from
-	acts[0].Update = Update{
+	out := &n.env.out
+	*out = Update{
 		Key:     k,
 		Type:    FirstTime,
 		Entries: entries,
@@ -570,13 +574,14 @@ func (n *Node) answer(ks *keyState, from overlay.NodeID, entries []cache.Entry, 
 		Expires: cache.Set(entries).MaxExpiry(),
 		QueryID: qid,
 	}
+	acts[0].To, acts[0].Update = from, out
 	return acts
 }
 
 // handleDirectResponse retraces a standard-caching response along its
 // query's recorded path; the issuing node caches the answer (client-side
 // TTL caching with remaining lifetime), intermediates pass it through.
-func (n *Node) handleDirectResponse(ks *keyState, u Update) []Action {
+func (n *Node) handleDirectResponse(ks *keyState, u *Update) []Action {
 	idx := -1
 	for i := range ks.routeBack {
 		if ks.routeBack[i].qid == u.QueryID {
@@ -593,7 +598,7 @@ func (n *Node) handleDirectResponse(ks *keyState, u Update) []Action {
 	fresh := cache.Set(u.Entries).Fresh(n.now())
 	if re.dest == LocalClient {
 		if fresh != nil {
-			n.apply(ks, Update{Key: u.Key, Type: FirstTime, Entries: fresh})
+			n.apply(ks, &Update{Key: u.Key, Type: FirstTime, Entries: fresh})
 		}
 		if n.env.obs != nil {
 			n.emit(Event{Kind: EvQueryAnswered, Peer: LocalClient, Key: u.Key,
@@ -604,10 +609,10 @@ func (n *Node) handleDirectResponse(ks *keyState, u Update) []Action {
 		return acts
 	}
 	acts := n.env.one(ActSendUpdate, ks)
-	acts[0].To = re.dest
-	acts[0].Update = u
-	acts[0].Update.Depth = u.Depth + 1
-	acts[0].Update.Entries = fresh
+	out := &n.env.out
+	*out = *u
+	out.Depth, out.Entries = u.Depth+1, fresh
+	acts[0].To, acts[0].Update = re.dest, out
 	return acts
 }
 
@@ -648,18 +653,20 @@ func (n *Node) originateUpdate(u Update) []Action {
 		return nil
 	}
 	u.Depth = 1
-	return n.env.result(n.pushProactive(n.env.acts[:0], ks, u, 0, nil))
+	return n.env.result(n.pushProactive(n.env.acts[:0], ks, &u, 0, nil))
 }
 
 // HandleUpdate processes an update for u.Key arriving from upstream
 // neighbor `from`, implementing the three cases of §2.6. The result
 // follows the handler-result contract (see HandleQuery).
 func (n *Node) HandleUpdate(from overlay.NodeID, u Update) []Action {
-	return n.handleUpdate(n.stateKey(u.Key), from, u)
+	return n.handleUpdate(n.stateKey(u.Key), from, &u)
 }
 
 // handleUpdate is HandleUpdate for a caller already holding u.Key's state.
-func (n *Node) handleUpdate(ks *keyState, from overlay.NodeID, u Update) []Action {
+// u is read in place — the simulator passes the message's slot — and
+// neither kept nor written.
+func (n *Node) handleUpdate(ks *keyState, from overlay.NodeID, u *Update) []Action {
 	// Per-query responses (standard caching) bypass the CUP machinery and
 	// retrace their query's path.
 	if u.QueryID != 0 {
@@ -705,7 +712,7 @@ func (n *Node) handleUpdate(ks *keyState, from overlay.NodeID, u Update) []Actio
 		// replica-independent cut-off only the watched replica's updates
 		// trigger the decision (§3.6).
 		if n.shouldEvaluate(ks, u) {
-			keep := ks.inst.Keep(int(ks.queries), u.Depth)
+			keep := n.env.cfg.Policy.Keep(int(ks.queries), u.Depth, &ks.idle)
 			n.resetPopularity(ks, u)
 			if !keep {
 				if n.env.obs != nil {
@@ -733,23 +740,25 @@ func (n *Node) handleUpdate(ks *keyState, from overlay.NodeID, u Update) []Actio
 // respondPending clears the PFU flag and fans the response out to pending
 // children, waiting local clients, and (proactively) interested neighbors.
 // entries may be a view of the node's own set, which ships with any send.
-func (n *Node) respondPending(ks *keyState, u Update, entries []cache.Entry) []Action {
+func (n *Node) respondPending(ks *keyState, u *Update, entries []cache.Entry) []Action {
 	ks.pfu = false
 	acts := n.env.acts[:0]
+	k, depth := u.Key, u.Depth
 	if ks.pendingLocal > 0 {
 		if n.env.obs != nil {
-			n.emit(Event{Kind: EvQueryAnswered, Peer: LocalClient, Key: u.Key,
+			n.emit(Event{Kind: EvQueryAnswered, Peer: LocalClient, Key: k,
 				Entries: len(entries), Latency: n.now().Sub(ks.issuedAt)})
 		}
-		acts = append(acts, Action{Kind: ActDeliverLocal, Key: u.Key, kid: ks.kid, Entries: entries})
+		acts = append(acts, Action{Kind: ActDeliverLocal, Key: k, kid: ks.kid, Entries: entries})
 		ks.pendingLocal = 0
 	}
-	resp := Update{
-		Key:     u.Key,
+	resp := &n.env.out
+	*resp = Update{
+		Key:     k,
 		Type:    FirstTime,
 		Entries: entries,
 		Replica: -1,
-		Depth:   u.Depth + 1,
+		Depth:   depth + 1,
 		Expires: cache.Set(entries).MaxExpiry(),
 	}
 	// Pending children get the response unconditionally (it is their
@@ -757,13 +766,13 @@ func (n *Node) respondPending(ks *keyState, u Update, entries []cache.Entry) []A
 	// is already sorted ascending, so the fan-out is deterministic.
 	children := ks.pendingChildren
 	for _, m := range children {
-		acts = append(acts, Action{Kind: ActSendUpdate, To: m, Key: u.Key, kid: ks.kid, Update: resp})
+		acts = append(acts, Action{Kind: ActSendUpdate, To: m, Key: k, kid: ks.kid, Update: resp})
 	}
 	ks.pendingChildren = children[:0]
 	// Interested-but-not-pending neighbors get a proactive push of the
 	// same fresh set, subject to push level and capacity.
 	if n.env.cfg.Mode == ModeCUP && entries != nil {
-		acts = n.pushProactive(acts, ks, resp, u.Depth, children)
+		acts = n.pushProactive(acts, ks, resp, depth, children)
 	}
 	// Sends follow the local delivery: the last action says whether any
 	// response left with the entries.
@@ -775,7 +784,7 @@ func (n *Node) respondPending(ks *keyState, u Update, entries []cache.Entry) []A
 
 // shouldEvaluate reports whether this update triggers the cut-off decision
 // and popularity reset.
-func (n *Node) shouldEvaluate(ks *keyState, u Update) bool {
+func (n *Node) shouldEvaluate(ks *keyState, u *Update) bool {
 	if !n.env.cfg.ReplicaIndependentCutoff {
 		return true // naive: every update triggers (§3.6's buggy variant)
 	}
@@ -783,24 +792,24 @@ func (n *Node) shouldEvaluate(ks *keyState, u Update) bool {
 		return true // first-time responses always reset
 	}
 	if ks.watchReplica < 0 {
-		ks.watchReplica = u.Replica
+		ks.watchReplica = int32(u.Replica)
 	}
-	return u.Replica == ks.watchReplica
+	return u.Replica == int(ks.watchReplica)
 }
 
 // resetPopularity zeroes the queries-since-last-update measure.
-func (n *Node) resetPopularity(ks *keyState, u Update) {
+func (n *Node) resetPopularity(ks *keyState, u *Update) {
 	ks.queries = 0
 	// An update replacing the watched replica's entry re-designates on
 	// delete: if the watched replica is deleted, watch the next one seen.
-	if u.Type == Delete && u.Replica == ks.watchReplica {
+	if u.Type == Delete && u.Replica == int(ks.watchReplica) {
 		ks.watchReplica = -1
 	}
 }
 
 // markJustifyPending records a proactive update for §3.1 accounting; any
 // query arriving before the update's expiry justifies it.
-func (n *Node) markJustifyPending(ks *keyState, u Update) {
+func (n *Node) markJustifyPending(ks *keyState, u *Update) {
 	if u.Type == FirstTime {
 		return // first-time updates are justified by construction
 	}
@@ -814,7 +823,7 @@ func (n *Node) markJustifyPending(ks *keyState, u Update) {
 
 // apply folds an update into the cached index entries (never into the
 // local directory — those change only via replica events).
-func (n *Node) apply(ks *keyState, u Update) {
+func (n *Node) apply(ks *keyState, u *Update) {
 	// The update's payload may be a view of the sender's set, so it is
 	// copied from, never kept. The node's own set is edited in place until
 	// a view of it has shipped; a shipped set is copied once, and the copy
@@ -847,8 +856,9 @@ func (n *Node) apply(ks *keyState, u Update) {
 // pushProactive appends to acts a forward of u to every interested
 // neighbor not in except, honoring the sender-side push level and the
 // node's outgoing capacity. senderDepth is this node's distance from the
-// authority (0 at the authority).
-func (n *Node) pushProactive(acts []Action, ks *keyState, u Update, senderDepth int, except nodeSet) []Action {
+// authority (0 at the authority). The forward is u copied into the
+// owner's out update, which respondPending passes as u itself.
+func (n *Node) pushProactive(acts []Action, ks *keyState, u *Update, senderDepth int, except nodeSet) []Action {
 	if len(ks.interest) == 0 {
 		return acts
 	}
@@ -867,7 +877,8 @@ func (n *Node) pushProactive(acts []Action, ks *keyState, u Update, senderDepth 
 		}
 		n.capacityCredit--
 	}
-	fwd := u
+	fwd := &n.env.out
+	*fwd = *u
 	fwd.Depth = senderDepth + 1
 	// The interest set is sorted ascending; iterating it directly is the
 	// deterministic target order.
@@ -876,9 +887,9 @@ func (n *Node) pushProactive(acts []Action, ks *keyState, u Update, senderDepth 
 			continue
 		}
 		if n.env.obs != nil {
-			n.emit(Event{Kind: EvUpdatePushed, Peer: m, Key: u.Key, Type: u.Type, Depth: fwd.Depth})
+			n.emit(Event{Kind: EvUpdatePushed, Peer: m, Key: fwd.Key, Type: fwd.Type, Depth: fwd.Depth})
 		}
-		acts = append(acts, Action{Kind: ActSendUpdate, To: m, Key: u.Key, kid: ks.kid, Update: fwd})
+		acts = append(acts, Action{Kind: ActSendUpdate, To: m, Key: fwd.Key, kid: ks.kid, Update: fwd})
 	}
 	return acts
 }

@@ -28,7 +28,7 @@ func TestShippedViewSurvivesRefresh(t *testing.T) {
 		if len(acts) != 1 || acts[0].Kind != ActSendUpdate {
 			t.Fatalf("X did not answer Y from its cache: %v", kinds(acts))
 		}
-		inFlight := acts[0].Update
+		inFlight := *acts[0].Update // what a transport puts in flight
 		x.HandleUpdate(1, refresh("k", 0, 1, sent+500))
 		if got := x.Cached("k")[0].Expires; got != sent+500 {
 			t.Fatalf("X did not apply the refresh: expiry %v", got)

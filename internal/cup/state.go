@@ -193,7 +193,6 @@ func (n *Node) newState(kid KeyID) *keyState {
 		kid:          kid,
 		next:         n.head,
 		watchReplica: -1,
-		inst:         n.env.cfg.Policy.New(),
 		dist:         -1,
 	}
 	n.head = h

@@ -291,3 +291,29 @@ func BenchmarkKeyState(b *testing.B) {
 		}
 	})
 }
+
+// A key state carries its cut-off policy state as one counter: creating
+// 32 of them under the default policy — second-chance, which counts idle
+// updates per key — allocates the one slab chunk they fill and nothing
+// else. (The 64 states made first fill the doubling chunks and leave the
+// index room for 32 more.)
+func TestNewStatesAllocateOneChunk(t *testing.T) {
+	env, block := testOwner(96)
+	kid := env.keys.intern("k")
+	for i := range block[:64] {
+		block[i].state(kid)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range block[64:] {
+		block[64+i].state(kid)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 1 {
+		t.Errorf("32 new key states allocate %d objects, want 1 (their slab chunk)", n)
+	}
+	if env.pool.n != 96 || len(env.pool.chunks) != 8 {
+		t.Errorf("slab holds %d states in %d chunks, want 96 in 8", env.pool.n, len(env.pool.chunks))
+	}
+}

@@ -122,14 +122,18 @@ const (
 // Action is one side effect requested by the protocol state machine. The
 // transport (simulator or live runtime) executes it.
 type Action struct {
-	Kind    ActionKind
-	To      overlay.NodeID
-	Key     overlay.Key
-	Update  Update        // ActSendUpdate
+	Kind ActionKind
+	Key  overlay.Key
+	// Update is what an ActSendUpdate sends. It belongs to the emitting
+	// node's owner and is valid as long as the handler result holding it
+	// (see Node.HandleQuery); the sends of one result share it, and a
+	// transport copies it into whatever it puts in flight.
+	Update  *Update
 	Entries []cache.Entry // ActDeliverLocal payload
 	// QueryID tags ActSendQuery under standard caching, where every query
 	// travels individually and its response retraces exactly its path.
 	QueryID uint64
+	To      overlay.NodeID
 	// kid is Key in the emitting owner's intern table; only the simulator,
 	// whose nodes all share one owner, hands it on to the next hop.
 	kid KeyID

@@ -251,11 +251,11 @@ func TestTable1LowAlphaRowsAreOneRule(t *testing.T) {
 		if !oneRule[pr.label] {
 			continue
 		}
-		inst := pr.pol.New()
+		var idle int32
 		for d := 1; d <= maxHops; d++ {
 			for q := 0; q <= 3; q++ {
 				want := q >= 1 || (d == 1 && strings.HasPrefix(pr.label, "Logarithmic"))
-				if got := inst.Keep(q, d); got != want {
+				if got := pr.pol.Keep(q, d, &idle); got != want {
 					t.Fatalf("%s: Keep(queries=%d, D=%d) = %v, want %v", pr.label, q, d, got, want)
 				}
 			}

@@ -141,14 +141,15 @@ func (p *peer) tryPost(fn func()) {
 // dispatch puts a handler's actions on the network through the link;
 // local deliveries go to the waiting clients.
 func (p *peer) dispatch(acts []cup.Action) {
-	for _, a := range acts {
+	for i := range acts {
+		a := &acts[i]
 		switch a.Kind {
 		case cup.ActSendQuery:
 			atomic.AddUint64(&p.net.stats.QueryMsgs, 1)
 			p.net.link.send(p, a.To, message{kind: msgQuery, from: p.id, key: a.Key, qid: a.QueryID})
 		case cup.ActSendUpdate:
 			atomic.AddUint64(&p.net.stats.UpdateMsgs, 1)
-			p.net.link.send(p, a.To, message{kind: msgUpdate, from: p.id, key: a.Key, update: a.Update})
+			p.net.link.send(p, a.To, message{kind: msgUpdate, from: p.id, key: a.Key, update: *a.Update})
 		case cup.ActSendClearBit:
 			atomic.AddUint64(&p.net.stats.ClearBitMsgs, 1)
 			p.net.link.send(p, a.To, message{kind: msgClearBit, from: p.id, key: a.Key})

@@ -16,33 +16,26 @@ import (
 	"math"
 )
 
-// Instance is the per-(node, key) policy state. Keep is consulted on each
-// update arrival that triggers a cut-off decision; queries is the key's
-// popularity measure (queries received since the previous triggering
-// update) and dist is the node's distance in hops from the authority node.
-// Keep returns false to cut off the update supply. Instances may be
-// stateful (second-chance counts consecutive idle updates).
-type Instance interface {
-	Keep(queries, dist int) bool
-}
-
-// Policy creates per-key instances and names itself for reports.
+// Policy decides cut-offs and names itself for reports. Keep is consulted
+// on each update arrival that triggers a cut-off decision: queries is the
+// key's popularity measure (queries received since the previous triggering
+// update), dist the node's distance in hops from the authority, and idle
+// the key's one word of policy state, zero for a new key, which the
+// windowed policies count consecutive idle updates in and the others leave
+// alone. Keep returns false to cut off the update supply.
 type Policy interface {
 	Name() string
-	New() Instance
+	Keep(queries, dist int, idle *int32) bool
 }
 
-// stateless adapts a pure decision function into a Policy+Instance. It
-// holds no per-key state, so every key shares the one instance: New hands
-// out the pointer and allocates nothing.
+// stateless adapts a pure decision function into a Policy.
 type stateless struct {
 	name string
 	keep func(queries, dist int) bool
 }
 
-func (s *stateless) Name() string       { return s.name }
-func (s *stateless) New() Instance      { return s }
-func (s *stateless) Keep(q, d int) bool { return s.keep(q, d) }
+func (s *stateless) Name() string                 { return s.name }
+func (s *stateless) Keep(q, d int, _ *int32) bool { return s.keep(q, d) }
 
 // AlwaysKeep never cuts off updates — the paper's "all-out push" strategy
 // (§3.1), which minimizes latency at maximum overhead. Used with a push
@@ -97,26 +90,8 @@ func Logarithmic(alpha float64) Policy {
 // also finds zero queries, the node cuts off. Two consecutive idle updates
 // cost two hops — exactly the cost of the one query miss they would have
 // saved — so the policy cuts precisely when updates stop paying for
-// themselves.
-func SecondChance() Policy { return secondChance{} }
-
-type secondChance struct{}
-
-func (secondChance) Name() string  { return "second-chance" }
-func (secondChance) New() Instance { return &secondChanceInstance{} }
-
-type secondChanceInstance struct {
-	idleUpdates int // consecutive updates that found zero queries
-}
-
-func (s *secondChanceInstance) Keep(queries, _ int) bool {
-	if queries > 0 {
-		s.idleUpdates = 0
-		return true
-	}
-	s.idleUpdates++
-	return s.idleUpdates < 2
-}
+// themselves. It is WindowedIdle(2) under its own name.
+func SecondChance() Policy { return windowedIdle{"second-chance", 2} }
 
 // WindowedIdle generalizes second-chance to cut after n consecutive idle
 // updates (n = 2 is second-chance). Exposed for the policy-sensitivity
@@ -125,24 +100,23 @@ func WindowedIdle(n int) Policy {
 	if n < 1 {
 		panic("policy: WindowedIdle requires n >= 1")
 	}
-	return windowedIdle{n}
+	return windowedIdle{fmt.Sprintf("windowed-idle(%d)", n), int32(n)}
 }
 
-type windowedIdle struct{ n int }
-
-func (w windowedIdle) Name() string  { return fmt.Sprintf("windowed-idle(%d)", w.n) }
-func (w windowedIdle) New() Instance { return &windowedIdleInstance{limit: w.n} }
-
-type windowedIdleInstance struct {
-	limit int
-	idle  int
+type windowedIdle struct {
+	name  string
+	limit int32
 }
 
-func (w *windowedIdleInstance) Keep(queries, _ int) bool {
+func (w windowedIdle) Name() string { return w.name }
+
+// Keep counts the key's consecutive idle updates in *idle: a query since
+// the last update resets the count, and the limit-th idle update cuts.
+func (w windowedIdle) Keep(queries, _ int, idle *int32) bool {
 	if queries > 0 {
-		w.idle = 0
+		*idle = 0
 		return true
 	}
-	w.idle++
-	return w.idle < w.limit
+	*idle++
+	return *idle < w.limit
 }
