@@ -341,6 +341,8 @@ func (s *Simulation) TrafficEnv() TrafficEnv {
 // concrete node and key at delivery. One closure serves the whole stream:
 // it delivers the arrival it was armed with, then re-arms itself with the
 // next, so a run of any length schedules its traffic without allocating.
+// The stream is the scheduler's one Arrive caller: its armed arrival waits
+// in the arrival slot, not in the heap beside the timers.
 func (s *Simulation) startTraffic(tr Traffic) {
 	st := tr.Stream(s.TrafficEnv())
 	var (
@@ -353,10 +355,10 @@ func (s *Simulation) startTraffic(tr Traffic) {
 			return
 		}
 		at := sim.Time(ev.At)
-		if at < s.Sched.Now() {
-			at = s.Sched.Now() // generators must not schedule into the past
+		if !(at >= s.Sched.Now()) {
+			at = s.Sched.Now() // generators must not schedule into the past, nor at NaN
 		}
-		s.Sched.At(at, deliver)
+		s.Sched.Arrive(at, deliver)
 	}
 	deliver = func() {
 		nid := ev.Node
@@ -528,26 +530,29 @@ func (s *Simulation) pickAliveNode() overlay.NodeID {
 // answers it inline (authority, or fresh entries cached), and a miss is
 // classified by the flags the query found on arrival. This is where a
 // query's key becomes a KeyID — on a one-key run, the intern table's memo.
+// A hit is delivered here, without a dispatch, and the handler reads no
+// field of the node on its way.
 func (s *Simulation) PostQueryAt(nid overlay.NodeID, k overlay.Key) {
 	s.C.Queries++
 	kid := s.env.keys.intern(k)
 	ks := s.state(nid, kid)
 	pfu, everHeld := ks.pfu, ks.everHeld
-	acts := s.nodes.at(nid).handleQuery(ks, LocalClient, 0)
+	acts := s.env.handleQuery(s.nodes.at(nid), nid, ks, LocalClient, 0)
 	if len(acts) == 1 && acts[0].Kind == ActDeliverLocal {
 		s.C.Hits++
-	} else {
-		if pfu {
-			s.C.Coalesced++
-		}
-		if everHeld {
-			s.C.FreshnessMisses++
-		} else {
-			s.C.FirstTimeMisses++
-		}
-		pk := pendKey{nid, kid}
-		s.pending[pk] = append(s.pending[pk], s.Sched.Now()) // miss path
+		s.deliverLocal(nid, kid, acts[0].Entries)
+		return
 	}
+	if pfu {
+		s.C.Coalesced++
+	}
+	if everHeld {
+		s.C.FreshnessMisses++
+	} else {
+		s.C.FirstTimeMisses++
+	}
+	pk := pendKey{nid, kid}
+	s.pending[pk] = append(s.pending[pk], s.Sched.Now()) // miss path
 	s.dispatch(nid, acts)
 }
 
@@ -688,7 +693,7 @@ func (s *Simulation) deliver(ref uint32) {
 	switch m.kind {
 	case ActSendQuery:
 		s.C.QueryHops++
-		acts = n.handleQuery(s.state(to, m.kid), m.from, m.u.QueryID)
+		acts = s.env.handleQuery(n, to, s.state(to, m.kid), m.from, m.u.QueryID)
 	case ActSendUpdate:
 		// Classify by the receiver's state at delivery: an update
 		// arriving at a node awaiting a response — or retracing a

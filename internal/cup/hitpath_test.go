@@ -2,6 +2,7 @@ package cup
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"cup/internal/cache"
@@ -28,6 +29,44 @@ func wantHit(t *testing.T, acts []Action) {
 	if len(acts) != 1 || acts[0].Kind != ActDeliverLocal || len(acts[0].Entries) != 1 {
 		t.Fatalf("warm local query did not hit: %v", kinds(acts))
 	}
+}
+
+// simHits are the three ways a simulated client arrival hits, each on a
+// 64-node run that warmSim readies: at a node holding a fresh CUP answer
+// cached from a first-time response, at the key's authority, which answers
+// from its local directory, and at a standard-caching node holding its own
+// client's earlier answer (client-side TTL caching). offset places the
+// asker past the key's owner.
+var simHits = []struct {
+	name   string
+	cfg    func() Config
+	offset overlay.NodeID
+}{
+	{"cup-cached", Defaults, 1},
+	{"authority", Defaults, 0},
+	{"standard-client", Standard, 1},
+}
+
+// warmSim publishes one replica of key-0 and, unless the asker — the node
+// offset past the key's owner — is the owner itself, lets it miss once and
+// cache the answer, so its next local query hits. obs is the run's observer
+// from the start, nil for none. It returns the run, the asker and the key,
+// whose one replica a hit answers with.
+func warmSim(tb testing.TB, cfg Config, obs Observer, offset overlay.NodeID) (*Simulation, overlay.NodeID, overlay.Key) {
+	tb.Helper()
+	s := NewSimulation(Params{Nodes: 64, NoWorkload: true, Seed: 1, Config: cfg, Observer: obs})
+	k := s.Keys[0]
+	s.PublishReplica(k, 0, "10.0.0.1", 1e6, Append)
+	asker := (s.Ov.Owner(k) + offset) % overlay.NodeID(len(s.Nodes))
+	if asker != s.Ov.Owner(k) {
+		s.PostQueryAt(asker, k) // first-time miss; the answer comes back
+		for s.Sched.Step() {
+		}
+		if s.C.Hits != 0 || s.C.MissesServed != 1 {
+			tb.Fatalf("warm-up: %+v", s.C)
+		}
+	}
+	return s, asker, k
 }
 
 func TestLocalHitAllocatesNothing(t *testing.T) {
@@ -70,6 +109,22 @@ func TestLocalHitAllocatesNothing(t *testing.T) {
 			t.Errorf("a local hit by string key among 4096 allocates %.1f, want 0", allocs)
 		}
 	})
+	// A simulated arrival: PostQueryAt at a warm node, each way a hit can
+	// be answered.
+	t.Run("simulation", func(t *testing.T) {
+		for _, h := range simHits {
+			t.Run(h.name, func(t *testing.T) {
+				s, at, k := warmSim(t, h.cfg(), nil, h.offset)
+				hits := s.C.Hits
+				if allocs := testing.AllocsPerRun(1000, func() { s.PostQueryAt(at, k) }); allocs != 0 {
+					t.Errorf("a %s hit through PostQueryAt allocates %.1f, want 0", h.name, allocs)
+				}
+				if s.C.Hits-hits < 1000 || s.C.Queries != s.C.Hits+s.C.MissesServed {
+					t.Errorf("the measured queries were not hits: %+v", s.C)
+				}
+			})
+		}
+	})
 	// A simulation's nodes — the block it was built with and a churn
 	// joiner alike — share one owner and get their state from the same
 	// code.
@@ -102,6 +157,41 @@ func TestLocalHitAllocatesNothing(t *testing.T) {
 			}
 			if s.C.Hits < 1000 || s.C.Queries != s.C.Hits+1 {
 				t.Errorf("the measured queries were not hits: %+v", s.C)
+			}
+		})
+	}
+}
+
+// A simulated hit is answered where it arrives: observed, it emits exactly
+// the query's issue and its answer at the asked node, the answer carrying
+// the entries it was answered with and no latency; unobserved, it emits
+// nothing, and counts as a hit all the same.
+func TestSimulatedHitEvents(t *testing.T) {
+	for _, h := range simHits {
+		t.Run(h.name, func(t *testing.T) {
+			var got []Event
+			rec := ObserverFunc(func(e Event) { got = append(got, e) })
+			s, at, k := warmSim(t, h.cfg(), rec, h.offset)
+			got = nil
+			s.PostQueryAt(at, k)
+			now := s.Sched.Now()
+			want := []Event{
+				{Kind: EvQueryIssued, Time: now, Node: at, Peer: LocalClient, Key: k},
+				{Kind: EvQueryAnswered, Time: now, Node: at, Peer: LocalClient, Key: k, Entries: 1},
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("an observed hit emitted\n%+v\nwant\n%+v", got, want)
+			}
+			if s.C.Hits != 1 {
+				t.Fatalf("Hits = %d, want 1", s.C.Hits)
+			}
+
+			s.SetObserver(nil)
+			got = nil
+			s.PostQueryAt(at, k)
+			s.SetObserver(rec)
+			if len(got) != 0 || s.C.Hits != 2 {
+				t.Fatalf("an unobserved hit emitted %+v and left Hits at %d", got, s.C.Hits)
 			}
 		})
 	}
@@ -380,26 +470,26 @@ func TestNextHopCachedPerTopologyEpoch(t *testing.T) {
 	r := NewOverlayRouter(ov)
 	n := NewNode(0, Defaults(), r, func() sim.Time { return 0 })
 	ks := n.stateKey("k")
-	if got := n.nextHop(ks, "k"); got != 1 {
+	if got := n.env.nextHop(n.ID(), ks); got != 1 {
 		t.Fatalf("first resolution = %v, want 1", got)
 	}
 	ov.owner = 0 // the topology changes; nobody has said so yet
-	if got := n.nextHop(ks, "k"); got != 1 {
+	if got := n.env.nextHop(n.ID(), ks); got != 1 {
 		t.Fatalf("next hop re-resolved within an epoch: %v (not cached?)", got)
 	}
 	r.Invalidate()
-	if got := n.nextHop(ks, "k"); got != 0 {
+	if got := n.env.nextHop(n.ID(), ks); got != 0 {
 		t.Fatalf("after Invalidate next hop = %v, want the new route 0", got)
 	}
 	r.Dynamic = true
 	ov.owner = 1
-	if got := n.nextHop(ks, "k"); got != 1 {
+	if got := n.env.nextHop(n.ID(), ks); got != 1 {
 		t.Fatalf("Dynamic router served a cached hop: %v", got)
 	}
 	// A router that cannot announce topology changes is asked every time.
 	m := NewNode(3, Defaults(), lineRouter{}, func() sim.Time { return 0 })
 	mk := m.stateKey("k")
-	if got := m.nextHop(mk, "k"); got != 2 || mk.hopEpoch != 0 {
+	if got := m.env.nextHop(m.ID(), mk); got != 2 || mk.hopEpoch != 0 {
 		t.Fatalf("custom router: hop %v, stamp %d", got, mk.hopEpoch)
 	}
 }
@@ -417,7 +507,7 @@ func TestChurnReroutesCachedNextHops(t *testing.T) {
 				for i, n := range s.Nodes {
 					out[i] = overlay.NoNode
 					if s.NodeAlive(n.ID()) {
-						out[i] = n.nextHop(n.stateKey(k), k)
+						out[i] = n.env.nextHop(n.ID(), n.stateKey(k))
 					}
 				}
 				return out

@@ -93,7 +93,7 @@ type routeEntry struct {
 type keyState struct {
 	// hop caches the upstream next hop for the key, valid while hopEpoch
 	// equals the router's topology epoch (zero: never resolved). See
-	// Node.nextHop.
+	// nodeEnv.nextHop.
 	hop      overlay.NodeID
 	hopEpoch uint32
 	// pendingLocal counts open local client connections awaiting an answer.
@@ -229,7 +229,7 @@ func (env *nodeEnv) one(kind ActionKind, ks *keyState) []Action {
 	}
 	acts := env.acts[:1]
 	acts[0] = Action{}
-	acts[0].Kind, acts[0].Key, acts[0].kid = kind, env.keys.names[ks.kid], ks.kid
+	acts[0].Kind, acts[0].Key, acts[0].kid = kind, env.key(ks), ks.kid
 	return acts
 }
 
@@ -281,15 +281,19 @@ func (n *Node) SetObserver(o Observer) { n.env.obs = o }
 func (n *Node) now() sim.Time { return n.env.now() }
 
 // key returns the key ks is the record of.
-func (n *Node) key(ks *keyState) overlay.Key { return n.env.keys.names[ks.kid] }
+func (env *nodeEnv) key(ks *keyState) overlay.Key { return env.keys.names[ks.kid] }
 
 // emit publishes one event with this node's identity and clock stamped in.
 // The owner must have an observer: every call site checks n.env.obs before
 // it builds the event, so an unobserved run builds none.
-func (n *Node) emit(e Event) {
-	e.Time = n.now()
-	e.Node = n.id
-	n.env.obs.OnEvent(e)
+func (n *Node) emit(e Event) { n.env.emit(n.id, e) }
+
+// emit publishes one event of node id, stamped with the owner's clock; see
+// Node.emit.
+func (env *nodeEnv) emit(id overlay.NodeID, e Event) {
+	e.Time = env.now()
+	e.Node = id
+	env.obs.OnEvent(e)
 }
 
 // Stats returns the node's protocol observations.
@@ -330,19 +334,19 @@ func (n *Node) IsAuthority(k overlay.Key) bool {
 	return n.env.router.NextHopTowardOwner(n.id, k) == n.id
 }
 
-// nextHop returns the neighbor on the path toward k's authority (n itself
-// at the authority), resolving it once per key and topology epoch and
-// caching it on the key state the handler already holds. Only an
-// OverlayRouter's answers are cached — it alone can say when the topology
-// changed — and not while it is Dynamic.
-func (n *Node) nextHop(ks *keyState, k overlay.Key) overlay.NodeID {
-	r := n.env.topo
+// nextHop returns node id's neighbor on the path toward the authority of
+// ks's key (id itself at the authority), resolving it once per key and
+// topology epoch and caching it on the key state the handler already holds.
+// Only an OverlayRouter's answers are cached — it alone can say when the
+// topology changed — and not while it is Dynamic.
+func (env *nodeEnv) nextHop(id overlay.NodeID, ks *keyState) overlay.NodeID {
+	r := env.topo
 	if r == nil || r.Dynamic {
-		return n.env.router.NextHopTowardOwner(n.id, k)
+		return env.router.NextHopTowardOwner(id, env.key(ks))
 	}
 	epoch := r.epoch.Load()
 	if ks.hopEpoch != epoch {
-		ks.hop, ks.hopEpoch = r.NextHopTowardOwner(n.id, k), epoch
+		ks.hop, ks.hopEpoch = r.NextHopTowardOwner(id, env.key(ks)), epoch
 	}
 	return ks.hop
 }
@@ -385,16 +389,6 @@ func (n *Node) Distance(k overlay.Key) int {
 		return 0
 	}
 	return int(n.read(k).dist)
-}
-
-// recordQuery bumps the popularity measure and settles justified-update
-// accounting: a pending proactive update is justified by the first query
-// arriving before its deadline (§3.1).
-func (n *Node) recordQuery(ks *keyState) {
-	ks.queries++
-	if ks.justifyPending {
-		n.settleJustify(ks, n.now())
-	}
 }
 
 // settleJustify closes ks's pending proactive update against a query that
@@ -471,29 +465,39 @@ func (n *Node) CreditClientHits(k overlay.Key, hits int, first sim.Time) {
 // one hashed lookup; the simulator calls the unexported forms with the
 // key's state in hand.
 func (n *Node) HandleQuery(from overlay.NodeID, k overlay.Key, qid uint64) []Action {
-	return n.handleQuery(n.stateKey(k), from, qid)
+	return n.env.handleQuery(n, n.id, n.stateKey(k), from, qid)
 }
 
-// handleQuery is HandleQuery for a caller already holding the key's state.
-func (n *Node) handleQuery(ks *keyState, from overlay.NodeID, qid uint64) []Action {
-	n.recordQuery(ks)
-	now := n.now()
-	k := n.key(ks)
+// handleQuery is HandleQuery at node n, whose id is id, for a caller
+// already holding the key's state. It is the owner's, not the node's: a
+// hit — the authority's aside — reads the key state and the owner and
+// dereferences no field of n, so the node's memory is touched only off the
+// hit path (the authority's directory, standard caching's query token,
+// justification stats).
+func (env *nodeEnv) handleQuery(n *Node, id overlay.NodeID, ks *keyState, from overlay.NodeID, qid uint64) []Action {
+	// The popularity measure, and justified-update accounting: a pending
+	// proactive update is justified by the first query arriving before its
+	// deadline (§3.1).
+	ks.queries++
+	now := env.now()
+	if ks.justifyPending {
+		n.settleJustify(ks, now)
+	}
 
-	if from == LocalClient && n.env.obs != nil {
-		n.emit(Event{Kind: EvQueryIssued, Peer: LocalClient, Key: k})
+	if from == LocalClient && env.obs != nil {
+		env.emit(id, Event{Kind: EvQueryIssued, Peer: LocalClient, Key: env.key(ks)})
 	}
 
 	// Interest registration: CUP nodes remember which neighbors want
 	// updates for k, in every case of §2.5.
-	if from != LocalClient && n.env.cfg.Mode == ModeCUP {
+	if from != LocalClient && env.cfg.Mode == ModeCUP {
 		ks.interest.add(from) // a neighbor's first query for the key
 	}
 
 	// Case 1a: we are the authority — answer from the local directory.
-	next := n.nextHop(ks, k)
-	if next == n.id {
-		return n.answer(ks, from, n.local.Fresh(k, now), qid)
+	next := env.nextHop(id, ks)
+	if next == id {
+		return env.answer(id, ks, from, n.local.Fresh(env.key(ks), now), qid)
 	}
 
 	// Case 1b: fresh entries cached — answer from cache. Under standard
@@ -501,22 +505,22 @@ func (n *Node) handleQuery(ks *keyState, from overlay.NodeID, qid uint64) []Acti
 	// (client-side TTL caching); intermediate nodes never answer others'
 	// queries — maintaining answer-capable intermediate caches is
 	// precisely CUP's contribution.
-	if n.env.cfg.Mode == ModeCUP || from == LocalClient {
+	if env.cfg.Mode == ModeCUP || from == LocalClient {
 		if fresh := ks.entries.Fresh(now); fresh != nil {
-			return n.answer(ks, from, fresh, qid)
+			return env.answer(id, ks, from, fresh, qid)
 		}
 	}
 
 	// Standard caching: no coalescing — every query travels individually
 	// and keeps a per-query "open connection" for its response (§4's
 	// open-connection problem, which CUP's query channel eliminates).
-	if n.env.cfg.Mode == ModeStandard {
+	if env.cfg.Mode == ModeStandard {
 		if qid == 0 {
 			n.qidSeq++
-			qid = uint64(uint32(n.id+1))<<32 | n.qidSeq
+			qid = uint64(uint32(id+1))<<32 | n.qidSeq
 		}
 		ks.routeBack = append(ks.routeBack, routeEntry{qid: qid, dest: from, issuedAt: now}) // miss path
-		acts := n.env.one(ActSendQuery, ks)
+		acts := env.one(ActSendQuery, ks)
 		acts[0].To, acts[0].QueryID = next, qid
 		return acts
 	}
@@ -534,39 +538,39 @@ func (n *Node) handleQuery(ks *keyState, from overlay.NodeID, qid uint64) []Acti
 		// Coalesced into the in-flight query. Peer carries the querier so
 		// observers can split local coalescing (which mirrors the driver's
 		// Coalesced counter) from neighbor coalescing.
-		if n.env.obs != nil {
-			n.emit(Event{Kind: EvQueryCoalesced, Peer: from, Key: k})
+		if env.obs != nil {
+			env.emit(id, Event{Kind: EvQueryCoalesced, Peer: from, Key: env.key(ks)})
 		}
 		return nil
 	}
 	ks.pfu = true
-	acts := n.env.one(ActSendQuery, ks)
+	acts := env.one(ActSendQuery, ks)
 	acts[0].To = next
 	return acts
 }
 
-// answer builds the first-time-update response for a fresh hit. The
-// response carries our distance+1 so the receiver learns its depth, and a
-// view of the set it answers from, which is shipped with it.
-func (n *Node) answer(ks *keyState, from overlay.NodeID, entries []cache.Entry, qid uint64) []Action {
+// answer builds node id's answer from entries: a local delivery, or the
+// first-time-update response for a neighbor's fresh hit. The response
+// carries our distance+1 so the receiver learns its depth, and a view of
+// the set it answers from, which is shipped with it.
+func (env *nodeEnv) answer(id overlay.NodeID, ks *keyState, from overlay.NodeID, entries []cache.Entry, qid uint64) []Action {
 	if from == LocalClient {
-		if n.env.obs != nil {
-			n.emit(Event{Kind: EvQueryAnswered, Peer: LocalClient, Key: n.key(ks), Entries: len(entries)})
+		if env.obs != nil {
+			env.emit(id, Event{Kind: EvQueryAnswered, Peer: LocalClient, Key: env.key(ks), Entries: len(entries)})
 		}
-		acts := n.env.one(ActDeliverLocal, ks)
+		acts := env.one(ActDeliverLocal, ks)
 		acts[0].Entries = entries
 		return acts
 	}
 	ks.shared = true
-	acts := n.env.one(ActSendUpdate, ks)
-	k := acts[0].Key
+	acts := env.one(ActSendUpdate, ks)
 	depth := int(ks.dist) + 1
-	if n.nextHop(ks, k) == n.id {
+	if env.nextHop(id, ks) == id {
 		depth = 1
 	}
-	out := &n.env.out
+	out := &env.out
 	*out = Update{
-		Key:     k,
+		Key:     acts[0].Key,
 		Type:    FirstTime,
 		Entries: entries,
 		Replica: -1,
@@ -910,18 +914,17 @@ func (n *Node) handleClearBit(ks *keyState, from overlay.NodeID) []Action {
 	if ks == nil {
 		return nil
 	}
-	k := n.key(ks)
 	ks.interest.remove(from)
 	ks.pendingChildren.remove(from)
 	if len(ks.interest) > 0 || ks.queries > 0 || ks.pfu {
 		return nil
 	}
-	next := n.nextHop(ks, k)
+	next := n.env.nextHop(n.id, ks)
 	if next == n.id {
 		return nil // the root has no upstream to cut
 	}
 	if n.env.obs != nil {
-		n.emit(Event{Kind: EvCutoffFired, Peer: next, Key: k})
+		n.emit(Event{Kind: EvCutoffFired, Peer: next, Key: n.env.key(ks)})
 	}
 	acts := n.env.one(ActSendClearBit, ks)
 	acts[0].To = next

@@ -1,6 +1,8 @@
 package cup
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"cup/internal/overlay"
@@ -253,5 +255,39 @@ func (f fixedTraffic) Stream(env TrafficEnv) TrafficStream {
 		}
 		i++
 		return QueryEvent{At: env.Start + float64(i), Node: 3, Key: env.Keys[0]}, true
+	})
+}
+
+// An arrival a generator places in the past, or at NaN, is posted at the
+// instant it was drawn — the previous arrival's — rather than refused by
+// the scheduler or queued out of order.
+func TestPastAndNaNArrivalsPostNow(t *testing.T) {
+	var issued []sim.Time
+	p := Params{Nodes: 16, QueryDuration: 600, Seed: 2,
+		Traffic: timesTraffic{310, 5, math.NaN(), 320},
+		Observer: ObserverFunc(func(e Event) {
+			if e.Kind == EvQueryIssued {
+				issued = append(issued, e.Time)
+			}
+		})}
+	if res := Run(p); res.Counters.Queries != 4 {
+		t.Fatalf("queries = %d, want 4", res.Counters.Queries)
+	}
+	if want := []sim.Time{310, 310, 310, 320}; !slices.Equal(issued, want) {
+		t.Fatalf("queries issued at %v, want %v", issued, want)
+	}
+}
+
+// timesTraffic issues one query at each of its times, at node 3.
+type timesTraffic []float64
+
+func (tt timesTraffic) Stream(env TrafficEnv) TrafficStream {
+	i := 0
+	return streamFunc(func() (QueryEvent, bool) {
+		if i >= len(tt) {
+			return QueryEvent{}, false
+		}
+		i++
+		return QueryEvent{At: tt[i-1], Node: 3, Key: env.Keys[0]}, true
 	})
 }

@@ -222,7 +222,7 @@ type Router interface {
 // OverlayRouter adapts an overlay.Overlay into a Router. It keeps no route
 // table of its own: CUP routing is hash-deterministic, so a (node, key)
 // next hop is immutable for a fixed topology, and each node caches it on
-// the per-key state its handlers already hold (Node.nextHop), stamped with
+// the per-key state its handlers already hold (nodeEnv.nextHop), stamped with
 // the router's topology epoch. Invalidate starts a new epoch, which makes
 // every cached hop stale at once. Safe for concurrent use — the live
 // runtime shares one router across all peer goroutines.

@@ -11,9 +11,10 @@ import "testing"
 //     still pending; handles to fired or cancelled events are no-ops.
 //   - Every non-cancelled event fires exactly once, at its scheduled
 //     time, and in (time, scheduling order) — ties included — whichever
-//     of the two entrances scheduled it: a timer through At always sits
+//     of the three entrances scheduled it: a timer through At always sits
 //     in the heap, a message through Post in the lane or, when it is due
-//     before the lane's tail, the heap.
+//     before the lane's tail, the heap, and an arrival through Arrive in
+//     the arrival slot or, while the slot is full, the heap.
 //   - Now never decreases: a cancelled entry leaves in its turn, never
 //     before it is due.
 //   - Pending always matches the model (cancelled entries excluded
@@ -29,11 +30,13 @@ func FuzzScheduler(f *testing.F) {
 	// Churn shape: bursts of schedules, cancels of arbitrary (often
 	// stale) handles, then drains.
 	f.Add([]byte{0, 1, 0, 1, 0, 1, 0, 1, 2, 2, 1, 200, 1, 3, 0, 2, 1, 0, 3, 31, 1, 9})
-	// testdata/fuzz/FuzzScheduler holds three more: a timer and a message
+	// testdata/fuzz/FuzzScheduler holds four more: a timer and a message
 	// tied at one instant in both scheduling orders beside a reordered
-	// message, a cancel of a message sitting in the lane, and a cancelled
+	// message, a cancel of a message sitting in the lane, a cancelled
 	// message due past a RunUntil deadline with an event scheduled before
-	// it afterwards.
+	// it afterwards, and an arrival, a timer and a message tied at one
+	// instant in each of the six scheduling orders, one arrival cancelled
+	// while it waits in the slot.
 
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		s := NewScheduler()
@@ -65,13 +68,17 @@ func FuzzScheduler(f *testing.F) {
 		}
 		s.Deliver = func(ref uint32) { fire(int(ref)) }
 		// schedule reads one byte: the delay in its low four bits, the
-		// entrance in the next.
+		// entrance in the next two — Post when bit 4 is set, else Arrive
+		// when bit 5 is, else At.
 		schedule := func(b byte) {
 			j, d := len(evs), Duration(b%16)
 			evs = append(evs, &rec{at: s.Now().Add(d)})
-			if b&16 != 0 {
+			switch {
+			case b&16 != 0:
 				handles = append(handles, s.Post(d, uint32(j)))
-			} else {
+			case b&32 != 0:
+				handles = append(handles, s.Arrive(evs[j].at, func() { fire(j) }))
+			default:
 				handles = append(handles, s.At(evs[j].at, func() { fire(j) }))
 			}
 		}

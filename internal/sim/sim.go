@@ -7,13 +7,17 @@
 // schedule, same results) is a hard requirement so that the paper's tables
 // regenerate reproducibly.
 //
-// The queue is two arrays of values under one order. Timers (At, After: a
-// func() at any time) sit in a binary heap. Messages (Post: a reference for
-// the run's Deliver function) fall due one hop delay from now, so under the
-// paper's constant delay they arrive sorted: Post appends to a FIFO — the
-// lane — unless the message is due before the lane's tail (a latency model
-// reordered it), and Step takes the smaller head. Timers never enter the
-// lane, so one 300 s out cannot block it.
+// The queue is two arrays of values and one slot under one order. Timers
+// (At, After: a func() at any time) sit in a binary heap. Messages (Post: a
+// reference for the run's Deliver function) fall due one hop delay from
+// now, so under the paper's constant delay they arrive sorted: Post appends
+// to a FIFO — the lane — unless the message is due before the lane's tail
+// (a latency model reordered it). The client arrival stream (Arrive: a
+// func() at any time, like At) keeps one event armed, re-arming as it
+// fires, so it waits in a slot of its own beside the two, and falls back to
+// the heap only while the slot is full. Step takes the earliest of the
+// three heads. Timers never enter the lane, so one 300 s out cannot block
+// it, nor take the slot the arrivals use.
 //
 // Entries leave the queue in strictly increasing (at, seq) order, so an
 // EventID is simply that pair: the event's place in the firing order. An
@@ -57,8 +61,8 @@ func (a EventID) before(b EventID) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// entry is one heap or lane slot, held by value: the sort key, then a
-// timer's fn or, with a nil fn, a message's ref.
+// entry is one queued event, held by value: the sort key, then a timer's
+// or an arrival's fn or, with a nil fn, a message's ref.
 type entry struct {
 	EventID
 	fn  func()
@@ -75,6 +79,9 @@ type Scheduler struct {
 	// lane[head:] is the FIFO beside the heap, in (at, seq) order.
 	lane []entry
 	head int
+	// arrival is the slot of one event scheduled with Arrive, empty while
+	// its seq is zero.
+	arrival entry
 	// out is the place of the last entry to leave the queue; every entry
 	// still queued sorts after it.
 	out EventID
@@ -108,41 +115,69 @@ func (s *Scheduler) Now() Time { return s.now }
 // queue less its cancelled entries.
 func (s *Scheduler) Pending() int { return s.QueueLen() - len(s.cancelled) }
 
-// QueueLen reports the length of heap plus lane, cancelled entries
-// included: they leave in their turn.
-func (s *Scheduler) QueueLen() int { return len(s.heap) + len(s.lane) - s.head }
+// QueueLen reports the length of heap plus lane plus the armed arrival,
+// cancelled entries included: they leave in their turn.
+func (s *Scheduler) QueueLen() int {
+	n := len(s.heap) + len(s.lane) - s.head
+	if s.arrival.seq != 0 {
+		n++
+	}
+	return n
+}
 
 // At schedules fn to run at absolute time t. Scheduling in the past (before
-// Now) is an error in a discrete-event simulation and panics: it always
-// indicates a protocol bug, never a recoverable condition.
+// Now) or at NaN is an error in a discrete-event simulation and panics: it
+// always indicates a protocol bug, never a recoverable condition.
 func (s *Scheduler) At(t Time, fn func()) EventID {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, s.now))
+	en := s.timer(t, fn)
+	s.push(en)
+	return en.EventID
+}
+
+// Arrive schedules fn to run at absolute time t exactly as At does — same
+// checks, same place in the firing order — for an arrival stream that keeps
+// one event armed: the event waits in the arrival slot, or in the heap when
+// the slot is already full.
+func (s *Scheduler) Arrive(t Time, fn func()) EventID {
+	en := s.timer(t, fn)
+	if s.arrival.seq == 0 {
+		s.arrival = en
+	} else {
+		s.push(en)
+	}
+	return en.EventID
+}
+
+// timer checks a function event for t and gives it the next seq.
+func (s *Scheduler) timer(t Time, fn func()) entry {
+	if !(t >= s.now) {
+		panic(fmt.Sprintf("sim: schedule at %v, not at or after now %v", t, s.now))
 	}
 	if fn == nil {
 		panic("sim: nil event function")
 	}
 	s.seq++
-	en := entry{EventID: EventID{t, s.seq}, fn: fn}
-	s.push(en)
-	return en.EventID
+	return entry{EventID: EventID{t, s.seq}, fn: fn}
 }
 
-// After schedules fn to run d seconds from now. Negative d panics.
+// After schedules fn to run d seconds from now. A negative or NaN d panics.
 func (s *Scheduler) After(d Duration, fn func()) EventID {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
+	checkDelay(d)
 	return s.At(s.now.Add(d), fn)
+}
+
+// checkDelay panics on a delay that is negative or NaN.
+func checkDelay(d Duration) {
+	if !(d >= 0) {
+		panic(fmt.Sprintf("sim: delay %v is negative or NaN", d))
+	}
 }
 
 // Post schedules message ref for Deliver d seconds from now: in the lane
 // when it is due no earlier than the lane's tail — always, under a constant
 // hop delay — and in the heap when a latency model reorders it.
 func (s *Scheduler) Post(d Duration, ref uint32) EventID {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
+	checkDelay(d)
 	s.seq++
 	en := entry{EventID: EventID{s.now.Add(d), s.seq}, ref: ref}
 	if n := len(s.lane); n > s.head && en.at < s.lane[n-1].at {
@@ -168,19 +203,22 @@ func (s *Scheduler) Cancel(id EventID) bool {
 	return true
 }
 
-// laneFirst reports whether the earliest entry sits in the lane rather
-// than the heap.
-func (s *Scheduler) laneFirst() bool {
-	if s.head == len(s.lane) || len(s.heap) == 0 {
-		return s.head < len(s.lane)
-	}
-	return s.lane[s.head].before(s.heap[0].EventID)
-}
+// Where an entry is queued: the lane, the heap or the arrival slot.
+const (
+	inLane = iota
+	inHeap
+	inSlot
+)
 
-// popFrom removes and returns the head of the lane (lane) or of the heap.
-func (s *Scheduler) popFrom(lane bool) entry {
-	if !lane {
+// popFrom removes and returns the head of the structure that in names.
+func (s *Scheduler) popFrom(in int) entry {
+	switch in {
+	case inHeap:
 		return s.pop()
+	case inSlot:
+		en := s.arrival
+		s.arrival = entry{}
+		return en
 	}
 	en := s.lane[s.head]
 	s.head++
@@ -275,15 +313,21 @@ func (s *Scheduler) StepBy(t Time) (bool, error) { return s.step(t, true) }
 // each advancing the clock to its time like a fired one; one due after t
 // stays, so the clock and out never pass t.
 func (s *Scheduler) step(t Time, budget bool) (bool, error) {
-	for s.QueueLen() > 0 {
-		lane := s.laneFirst()
+	for {
+		// The earliest of the three heads: the lane's, the heap's root and
+		// the arrival slot's.
 		var next *entry
-		if lane {
+		in := inLane
+		if s.head < len(s.lane) {
 			next = &s.lane[s.head]
-		} else {
-			next = &s.heap[0]
 		}
-		if next.at > t {
+		if len(s.heap) > 0 && (next == nil || s.heap[0].before(next.EventID)) {
+			next, in = &s.heap[0], inHeap
+		}
+		if s.arrival.seq != 0 && (next == nil || s.arrival.before(next.EventID)) {
+			next, in = &s.arrival, inSlot
+		}
+		if next == nil || next.at > t {
 			return false, nil
 		}
 		seq, dead := next.seq, false
@@ -293,7 +337,7 @@ func (s *Scheduler) step(t Time, budget bool) (bool, error) {
 		if !dead && budget && s.MaxEvents > 0 && s.Executed >= s.MaxEvents {
 			return false, ErrEventBudget
 		}
-		en := s.popFrom(lane)
+		en := s.popFrom(in)
 		s.now, s.out = en.at, en.EventID
 		if dead {
 			delete(s.cancelled, seq)
@@ -307,7 +351,6 @@ func (s *Scheduler) step(t Time, budget bool) (bool, error) {
 		}
 		return true, nil
 	}
-	return false, nil
 }
 
 // AdvanceTo moves the clock forward to t without firing events; a t in

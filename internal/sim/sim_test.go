@@ -104,6 +104,41 @@ func TestNegativeAfterPanics(t *testing.T) {
 	NewScheduler().After(-1, func() {})
 }
 
+// A NaN time or delay is refused at every entrance, as a past one is: a
+// NaN compares false with everything, so a queued one would fire out of
+// order and leave Now reading NaN.
+func TestNaNTimePanics(t *testing.T) {
+	nan := math.NaN()
+	fn := func() {}
+	entrances := []struct {
+		name     string
+		schedule func(s *Scheduler)
+	}{
+		{"At", func(s *Scheduler) { s.At(Time(nan), fn) }},
+		{"After", func(s *Scheduler) { s.After(Duration(nan), fn) }},
+		{"Post", func(s *Scheduler) { s.Post(Duration(nan), 0) }},
+		{"Arrive", func(s *Scheduler) { s.Arrive(Time(nan), fn) }},
+	}
+	for _, e := range entrances {
+		t.Run(e.name, func(t *testing.T) {
+			s := NewScheduler()
+			s.Deliver = func(uint32) {}
+			s.At(5, fn)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s at NaN did not panic", e.name)
+					}
+				}()
+				e.schedule(s)
+			}()
+			if s.Pending() != 1 || s.QueueLen() != 1 {
+				t.Errorf("after the refused %s: Pending = %d, QueueLen = %d, want 1 and 1", e.name, s.Pending(), s.QueueLen())
+			}
+		})
+	}
+}
+
 func TestCancelPreventsExecution(t *testing.T) {
 	s := NewScheduler()
 	ran := false
@@ -389,6 +424,65 @@ func TestReorderedMessageFallsBackToHeap(t *testing.T) {
 	}
 }
 
+// An arrival waits in the slot; a second one armed while the slot is full
+// falls back to the heap, and the two fire in (at, seq) order with the
+// timers and messages around them, ties included.
+func TestSecondArrivalFallsBackToHeap(t *testing.T) {
+	s := NewScheduler()
+	var got []string
+	s.Deliver = func(ref uint32) { got = append(got, fmt.Sprint("message ", ref)) }
+	s.Arrive(4, func() { got = append(got, "first arrival") })
+	s.At(4, func() { got = append(got, "timer") })
+	s.Arrive(2, func() { got = append(got, "second arrival") })
+	s.Post(4, 0)
+	if s.arrival.at != 4 || len(s.heap) != 2 || s.QueueLen() != 4 || s.Pending() != 4 {
+		t.Fatalf("slot holds the arrival at %v, heap %d entries, QueueLen %d, Pending %d; want 4, 2, 4, 4",
+			s.arrival.at, len(s.heap), s.QueueLen(), s.Pending())
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"second arrival", "first arrival", "timer", "message 0"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("fired %q, want %q", got, want)
+	}
+	if s.arrival.seq != 0 || s.QueueLen() != 0 {
+		t.Fatalf("after Run: slot seq %d, QueueLen %d", s.arrival.seq, s.QueueLen())
+	}
+}
+
+// An arrival cancelled in the slot leaves Pending at once and the slot in
+// its turn; until then it keeps the slot, and the next arrival queues in
+// the heap.
+func TestCancelledArrivalKeepsSlotUntilItsTurn(t *testing.T) {
+	s := NewScheduler()
+	var got []int
+	id := s.Arrive(3, func() { t.Fatal("a cancelled arrival fired") })
+	if !s.Cancel(id) || s.Cancel(id) {
+		t.Fatal("Cancel of the armed arrival: want true once, then false")
+	}
+	if s.Pending() != 0 || s.QueueLen() != 1 {
+		t.Fatalf("after Cancel: Pending = %d, QueueLen = %d, want 0 and 1", s.Pending(), s.QueueLen())
+	}
+	s.Arrive(5, func() { got = append(got, 5) })
+	if len(s.heap) != 1 {
+		t.Fatalf("heap holds %d entries, want the arrival armed beside the cancelled one", len(s.heap))
+	}
+	if err := s.RunUntil(4); err != nil {
+		t.Fatal(err)
+	}
+	if s.arrival.seq != 0 || s.Pending() != 1 || s.Executed != 0 {
+		t.Fatalf("after RunUntil(4): slot seq %d, Pending %d, Executed %d", s.arrival.seq, s.Pending(), s.Executed)
+	}
+	s.Arrive(4.5, func() { got = append(got, 4) })
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, []int{4, 5}) || s.QueueLen() != 0 {
+		t.Fatalf("fired %v, QueueLen %d; want [4 5], 0", got, s.QueueLen())
+	}
+}
+
 // The hot path is allocation-free in steady state: entries are values in
 // arrays that stop growing once they reach the queue's peak. It holds
 // through either entrance — Step, and StepBy with an event budget, the
@@ -430,6 +524,21 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 			if n := s.QueueLen(); n > 4*resident+4 {
 				t.Errorf("%s, %d resident timers: QueueLen = %d, the queue keeps growing", st.name, resident, n)
 			}
+		}
+		// An arrival stream's shape: one arrival that re-arms itself as it
+		// fires, beside a far timer in the heap.
+		s := NewScheduler()
+		s.MaxEvents = math.MaxUint64
+		var arrive func()
+		arrive = func() { s.Arrive(s.Now()+1, arrive) }
+		s.After(1e9, fn)
+		arrive()
+		st.step(s)
+		if allocs := testing.AllocsPerRun(10_000, func() { st.step(s) }); allocs != 0 {
+			t.Errorf("%s, self-re-arming arrival: steady-state allocations per event = %v, want 0", st.name, allocs)
+		}
+		if s.QueueLen() != 2 || len(s.heap) != 1 {
+			t.Errorf("%s, self-re-arming arrival: QueueLen = %d, heap %d; want the arrival in its slot and the timer", st.name, s.QueueLen(), len(s.heap))
 		}
 	}
 }
@@ -589,6 +698,27 @@ func BenchmarkScheduler(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkSchedulerArrivals is the scheduler's share of a paper sweep,
+// sweep-1k's shape: one client arrival that re-arms itself through Arrive
+// as it fires, beside a lane of messages — a hop chain re-posted at a
+// constant delay as each hop is delivered — and a refresh timer far out in
+// the heap. Seven events in eight are arrivals, as in the sweep; an op is
+// one event. Run with -cpu 1.
+func BenchmarkSchedulerArrivals(b *testing.B) {
+	s := NewScheduler()
+	s.Deliver = func(ref uint32) { s.Post(0.07, ref) }
+	var arrive func()
+	arrive = func() { s.Arrive(s.Now()+0.01, arrive) }
+	s.After(1e9, func() {})
+	s.Post(0.07, 0)
+	arrive()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
 	}
 }
 

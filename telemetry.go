@@ -68,7 +68,7 @@ func (d *Deployment) initTelemetry(o *options) error {
 
 	if sr, ok := d.rt.(*simRuntime); ok {
 		reg.GaugeFunc("cup_sim_queue_depth",
-			"Events in the simulator's queue: timers in the heap plus messages in the lane.",
+			"Events in the simulator's queue: timers in the heap plus messages in the lane plus the armed client arrival.",
 			func() float64 {
 				sr.mu.Lock()
 				defer sr.mu.Unlock()
