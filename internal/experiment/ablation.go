@@ -195,7 +195,8 @@ var JustifiedRates = []float64{0.05, 0.2, 1, 5, 20, 100}
 func AblationJustified(sc Scale) *metrics.Table {
 	t := &metrics.Table{Title: "Ablation A4: justified updates vs §3.1 cost model"}
 	t.Header = []string{"λ (q/s)", "measured justified", "leaf prediction 1−e^(−λT/n)"}
-	const lifetime, n = 300.0, 1024.0
+	const lifetime = 300.0
+	n := float64(sc.nodes())
 	eng := sc.engine()
 	futs := make([]*Future, len(JustifiedRates))
 	for i, r := range JustifiedRates {

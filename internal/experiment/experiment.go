@@ -8,9 +8,10 @@
 // options — so the experiments exercise exactly the surface downstream
 // users import.
 //
-// There is one scale, the paper's: 3000 s of querying, λ up to 1000
-// queries/s, n up to 4096. The seven §3 artefacts at seed 1 are
-// committed under testdata/paper and compared byte for byte by
+// The workload is the paper's: 3000 s of querying, λ up to 1000
+// queries/s, 1024 nodes (Table 2 sweeps n up to 4096). Scale.Nodes runs
+// the same generators at another n. The seven §3 artefacts at seed 1
+// are committed under testdata/paper and compared byte for byte by
 // TestPaperTablesMatchGolden.
 package experiment
 
@@ -33,6 +34,9 @@ type Scale struct {
 	// overlay-registry name ("can", "chord", "kademlia"); empty keeps the
 	// paper's CAN. The overlay ablation A1 sweeps all kinds regardless.
 	Overlay string
+	// Nodes is the network size of every run built on base; 0 keeps the
+	// paper's 1024. Table 2 and the churn ablation sweep their own sizes.
+	Nodes int
 	// Parallelism caps the worker pool running a sweep's trials (0 =
 	// GOMAXPROCS, 1 = sequential). The rendered tables are bit-identical
 	// at any setting: trials are independent runs assembled in a fixed
@@ -51,6 +55,13 @@ func (s Scale) seed() int64 {
 	return s.Seed
 }
 
+func (s Scale) nodes() int {
+	if s.Nodes == 0 {
+		return 1024
+	}
+	return s.Nodes
+}
+
 // queryWindow is the paper's 3000 s of querying (§3.2).
 const queryWindow = 3000.0
 
@@ -58,11 +69,11 @@ const queryWindow = 3000.0
 const singleRun = "\nEvery cell is a single 3000 s run at one seed, as the paper's were."
 
 // base builds the common options of the §3.3-§3.6 experiments:
-// n = 2^10 nodes, one key, one replica, lifetime 300 s. Every call
+// s.nodes() nodes, one key, one replica, lifetime 300 s. Every call
 // returns a fresh slice, so per-run appends never alias.
 func (s Scale) base(lambda float64) []cup.Option {
 	return []cup.Option{
-		cup.WithNodes(1024),
+		cup.WithNodes(s.nodes()),
 		cup.WithOverlay(s.Overlay),
 		cup.WithQueryRate(lambda),
 		cup.WithQueryDuration(cup.Seconds(queryWindow)),
@@ -290,7 +301,7 @@ var Table3Replicas = []int{100, 50, 10, 5, 2, 1}
 // reset on every update arrival) versus the replica-independent cut-off,
 // for varying numbers of replicas per key.
 func Table3ReplicasTable(sc Scale) *metrics.Table {
-	t := &metrics.Table{Title: "Table 3: naive vs replica-independent cut-off (λ=1, n=1024)"}
+	t := &metrics.Table{Title: fmt.Sprintf("Table 3: naive vs replica-independent cut-off (λ=1, n=%d)", sc.nodes())}
 	t.Header = []string{"Replicas",
 		"Naive miss cost (misses)", "Repl-indep miss cost (misses)", "Repl-indep total cost"}
 	eng := sc.engine()

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -50,8 +51,16 @@ func memoized(key string, gen func() *metrics.Table) *metrics.Table {
 // table returns the named experiment's table at seed, off the shared
 // pool.
 func table(name string, seed int64) *metrics.Table {
-	return memoized(fmt.Sprintf("%s/%d", name, seed), func() *metrics.Table {
-		return Registry[name](Scale{Seed: seed, eng: pool})
+	return tableAt(name, Scale{Seed: seed})
+}
+
+// tableAt returns the named experiment's table at sc's seed, size and
+// overlay, off the shared pool.
+func tableAt(name string, sc Scale) *metrics.Table {
+	key := fmt.Sprintf("%s/%d/%d/%s", name, sc.seed(), sc.nodes(), sc.Overlay)
+	return memoized(key, func() *metrics.Table {
+		sc.eng = pool
+		return Registry[name](sc)
 	})
 }
 
@@ -76,6 +85,8 @@ func paper(t *testing.T, name string) *metrics.Table {
 	}
 	startOnce.Do(func() {
 		go sequentialOverlay()
+		go tableAt("fig3", fig3Chord)
+		go crossover()
 		for n := range Registry {
 			if !testing.Short() || !highRate[n] {
 				go table(n, 1)
@@ -124,13 +135,10 @@ func TestScaleDefaults(t *testing.T) {
 	if sc.seed() != 1 || (Scale{Seed: 9}).seed() != 9 {
 		t.Fatal("seed defaulting broken")
 	}
-	// The scale sweep honours the override like every other experiment;
-	// unset, it stays on Chord.
-	if got := millionOverlay(sc); got != "chord" {
-		t.Fatalf("million sweep default overlay = %q, want chord", got)
-	}
-	if got := millionOverlay(Scale{Overlay: "can"}); got != "can" {
-		t.Fatalf("million sweep ignores Scale.Overlay: runs %q", got)
+	// Scale.Nodes reaches cup.New through base; unset, it is the paper's
+	// 1024.
+	if n := run(append(fig3Chord.base(1), cup.WithoutWorkload())...).Params.Nodes; n != 16384 {
+		t.Fatalf("Scale{Nodes: 1 << 14} resolved to %d nodes, want 16384", n)
 	}
 }
 
@@ -155,33 +163,50 @@ func TestPaperTablesMatchGolden(t *testing.T) {
 	}
 }
 
+// fig3Chord is Figure 3 past the paper's sizes: Chord at 2^14 nodes.
+var fig3Chord = Scale{Nodes: 1 << 14, Overlay: "chord"}
+
+// Figure 3's shape, on the paper's 1024-node CAN over seeds 1–5 and on
+// Chord at 2^14 at seed 1: some push level beats standard caching at
+// λ = 1, and miss cost does not rise with the level.
 func TestFig3ShapeHasInteriorMinimum(t *testing.T) {
 	paper(t, "fig3")
-	for _, seed := range seeds {
-		tb := table("fig3", seed)
-		if len(tb.Rows) != len(PushLevels) {
-			t.Fatalf("seed %d: rows = %d, want %d", seed, len(tb.Rows), len(PushLevels))
-		}
-		// λ=1 totals: level 0 (standard caching) must be the most
-		// expensive: total cost dips then stabilizes.
-		first := cell(tb.Rows[0][1])
-		min := first
-		for _, row := range tb.Rows {
-			if v := cell(row[1]); v < min {
-				min = v
+	for _, c := range []struct {
+		sc    Scale
+		seeds []int64
+	}{
+		{Scale{}, seeds},
+		{fig3Chord, seeds[:1]},
+	} {
+		for _, seed := range c.seeds {
+			sc := c.sc
+			sc.Seed = seed
+			at := fmt.Sprintf("n=%d %s seed %d", sc.nodes(), cmp.Or(sc.Overlay, "can"), seed)
+			tb := tableAt("fig3", sc)
+			if len(tb.Rows) != len(PushLevels) {
+				t.Fatalf("%s: rows = %d, want %d", at, len(tb.Rows), len(PushLevels))
 			}
-		}
-		if min >= first {
-			t.Fatalf("seed %d: no push level beat standard caching: min %d vs level0 %d", seed, min, first)
-		}
-		// Miss cost must be monotone non-increasing in push level.
-		prev := cell(tb.Rows[0][2])
-		for i, row := range tb.Rows[1:] {
-			cur := cell(row[2])
-			if cur > prev+prev/10 { // allow 10% noise
-				t.Fatalf("seed %d: miss cost rose at level row %d: %d -> %d", seed, i+1, prev, cur)
+			// λ=1 totals: level 0 (standard caching) must be the most
+			// expensive: total cost dips then stabilizes.
+			first := cell(tb.Rows[0][1])
+			min := first
+			for _, row := range tb.Rows {
+				if v := cell(row[1]); v < min {
+					min = v
+				}
 			}
-			prev = cur
+			if min >= first {
+				t.Fatalf("%s: no push level beat standard caching: min %d vs level0 %d", at, min, first)
+			}
+			// Miss cost must be monotone non-increasing in push level.
+			prev := cell(tb.Rows[0][2])
+			for i, row := range tb.Rows[1:] {
+				cur := cell(row[2])
+				if cur > prev+prev/10 { // allow 10% noise
+					t.Fatalf("%s: miss cost rose at level row %d: %d -> %d", at, i+1, prev, cur)
+				}
+				prev = cur
+			}
 		}
 	}
 }
