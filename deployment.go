@@ -487,7 +487,7 @@ func (r *simRuntime) Transport() Transport { return Simulated }
 func (r *simRuntime) Size() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.s.Nodes)
+	return r.s.Size()
 }
 
 func (r *simRuntime) Authority(key Key) NodeID {
@@ -539,10 +539,11 @@ func (r *simRuntime) SetCapacity(ctx context.Context, id NodeID, c float64) erro
 func (r *simRuntime) Inspect(id NodeID, fn func(*Node)) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if int(id) < 0 || int(id) >= len(r.s.Nodes) {
+	n := r.s.Node(id)
+	if n == nil {
 		return fmt.Errorf("cup: inspect of unknown node %v", id)
 	}
-	fn(r.s.Nodes[id])
+	fn(n)
 	return nil
 }
 

@@ -10,13 +10,15 @@
 // preceding finger toward a key is fixed by one number (see NextHop), so
 // a Ring is the sorted identifiers, each node's own, and an index into
 // the sorted ones: about 24 bytes a node instead of a 256-byte table.
+// Node i's identifier is the hash of its label "chord-node-<i>", folded
+// from one hash state of the prefix that every label shares, so a build
+// formats no label and costs what its arrays cost.
 package chord
 
 import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"strconv"
 
 	"cup/internal/overlay"
 )
@@ -38,10 +40,16 @@ type Ring struct {
 
 var _ overlay.Overlay = (*Ring)(nil)
 
+// labelPrefix names node i "chord-node-<i>"; its ring position is the
+// label's hash.
+const labelPrefix = "chord-node-"
+
 // Build constructs a ring of n nodes with deterministic labels
-// "chord-node-<i>". Labels collide on the ring with probability ~n²/2^64,
-// which is negligible; a collision panics rather than silently corrupting
-// ownership.
+// "chord-node-<i>". No label is formatted: overlay.HashNodeLabels folds
+// the prefix once and shares each decade's hash state among its ten
+// labels, giving every node the id its formatted label hashes to. Labels
+// collide on the ring with probability ~n²/2^64, which is negligible; a
+// collision panics rather than silently corrupting ownership.
 //
 // The sort is a counting sort on the index's top bits: the per-bucket
 // counts' prefix sums are the index, scattering by them orders the ring
@@ -59,12 +67,9 @@ func Build(n int) *Ring {
 	}
 	r.index = make([]int32, 1<<(64-r.shift)+1)
 	ids := r.pos
-	label := append(make([]byte, 0, 32), "chord-node-"...)
-	prefix := len(label)
-	for i := range ids {
-		label = strconv.AppendInt(label[:prefix], int64(i), 10)
-		ids[i] = overlay.HashNodeID(label)
-		r.index[ids[i]>>r.shift]++
+	overlay.HashNodeLabels(labelPrefix, ids)
+	for _, id := range ids {
+		r.index[id>>r.shift]++
 	}
 	for h := 1; h < len(r.index); h++ {
 		r.index[h] += r.index[h-1] // the end of bucket h

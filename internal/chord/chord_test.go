@@ -3,9 +3,11 @@ package chord
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -210,11 +212,16 @@ var (
 	sinkNode overlay.NodeID
 )
 
-// BenchmarkBuild is one ring at the bench's sweep-128k size.
+// BenchmarkBuild is one ring at the bench's sweep-128k size and at
+// Figure 3's largest.
 func BenchmarkBuild(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sinkRing = Build(1 << 17)
+	for _, n := range []int{1 << 17, 1_000_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkRing = Build(n)
+			}
+		})
 	}
 }
 
@@ -388,6 +395,58 @@ func TestNeighborsMatchFingerTable(t *testing.T) {
 			if got, w := r.Neighbors(overlay.NodeID(i)), want.neighbors(overlay.NodeID(i)); !slices.Equal(got, w) {
 				t.Fatalf("n=%d: Neighbors(%d) = %v, want %v", n, i, got, w)
 			}
+		}
+	}
+}
+
+// formattedBuild is the oracle for Build: the ring as it was built when
+// every label was formatted ("chord-node-" + decimal i) and hashed whole,
+// counted into the index, scattered and insertion-sorted.
+func formattedBuild(n int) *Ring {
+	r := &Ring{
+		sorted: make([]uint64, n),
+		order:  make([]overlay.NodeID, n),
+		pos:    make([]uint64, n),
+		shift:  uint(64 - bits.Len(uint(n-1))),
+	}
+	r.index = make([]int32, 1<<(64-r.shift)+1)
+	ids := r.pos
+	for i := range ids {
+		ids[i] = overlay.HashNodeID("chord-node-" + strconv.Itoa(i))
+		r.index[ids[i]>>r.shift]++
+	}
+	for h := 1; h < len(r.index); h++ {
+		r.index[h] += r.index[h-1]
+	}
+	for i := n - 1; i >= 0; i-- {
+		h := ids[i] >> r.shift
+		r.index[h]--
+		p := r.index[h]
+		r.sorted[p], r.order[p] = ids[i], overlay.NodeID(i)
+	}
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && r.sorted[j] < r.sorted[j-1]; j-- {
+			r.sorted[j], r.sorted[j-1] = r.sorted[j-1], r.sorted[j]
+			r.order[j], r.order[j-1] = r.order[j-1], r.order[j]
+		}
+	}
+	return r
+}
+
+// Build, which formats no label, is the formatting build's ring array for
+// array: the same positions, ring order and index, at every size up to 300
+// (each index width up to 2^9 buckets, every decade boundary below 300)
+// and at 4096.
+func TestBuildMatchesFormattedLabels(t *testing.T) {
+	sizes := []int{4096}
+	for n := 1; n <= 300; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		got, want := Build(n), formattedBuild(n)
+		if got.shift != want.shift || !slices.Equal(got.sorted, want.sorted) || !slices.Equal(got.order, want.order) ||
+			!slices.Equal(got.pos, want.pos) || !slices.Equal(got.index, want.index) {
+			t.Fatalf("n=%d: the ring differs from the formatting build's", n)
 		}
 	}
 }

@@ -195,7 +195,7 @@ func (c Churn) patch(m Members, rev map[overlay.NodeID][]overlay.NodeID, nodes [
 // member has left, every node of the run is one, and the overlay is not
 // asked.
 func (s *Simulation) NodeAlive(id overlay.NodeID) bool {
-	if int(id) < 0 || int(id) >= len(s.Nodes) {
+	if int(id) < 0 || int(id) >= s.nodes.size {
 		return false
 	}
 	return s.departed == 0 || s.dyn.Alive(id)
@@ -208,19 +208,19 @@ func (s *Simulation) churn() Churn {
 // At, Spawn, Retire and Changed make simSurface the run's Members, whose
 // every step runs inline.
 func (a simSurface) At(id overlay.NodeID, fn func(*Node)) error {
-	fn(a.s.Nodes[id])
+	fn(a.s.nodes.at(id))
 	return nil
 }
 
 func (a simSurface) Spawn(id overlay.NodeID) error {
-	a.s.Nodes = append(a.s.Nodes, a.s.env.node(a.s.nodes.add(), id))
+	a.s.env.node(a.s.nodes.add(), id)
 	return nil
 }
 
 // Retire counts the departure: from now on NodeAlive asks the overlay.
 func (a simSurface) Retire(id overlay.NodeID) (*cache.Store, error) {
 	a.s.departed++
-	return a.s.Nodes[id].LocalDirectory().Take(), nil
+	return a.s.nodes.at(id).LocalDirectory().Take(), nil
 }
 
 func (a simSurface) Changed(kind EventKind, id overlay.NodeID) {

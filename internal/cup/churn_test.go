@@ -31,11 +31,11 @@ func leave(t *testing.T, s *Simulation, victim overlay.NodeID) {
 }
 
 // Joiners live in the run's node slab beside the block it was built
-// with: through two chunks of joiners every node is where Nodes says, under
-// its own id, and no join moves a node already there.
+// with: through two chunks of joiners every node is found under its own
+// id, and no join moves a node already there.
 func TestJoinersKeepTheirSlot(t *testing.T) {
 	s := NewSimulation(Params{Nodes: 64, NoWorkload: true, Seed: 17})
-	first := s.Nodes[len(s.Nodes)-1]
+	first := s.Node(63)
 	var joined []*Node
 	for i := 0; i < 2*maxChunk+1; i++ {
 		id := join(t, s)
@@ -44,13 +44,16 @@ func TestJoinersKeepTheirSlot(t *testing.T) {
 	if s.nodes.at(63) != first {
 		t.Fatal("a join moved a node of the block")
 	}
-	for i, n := range s.Nodes {
-		if id := overlay.NodeID(i); s.nodes.at(id) != n || n.ID() != id {
-			t.Fatalf("Nodes[%d] = %p (id %v), slab holds %p", i, n, n.ID(), s.nodes.at(id))
+	if s.Size() != 64+len(joined) || s.Node(overlay.NodeID(s.Size())) != nil {
+		t.Fatalf("Size = %d, want %d, and no node past it", s.Size(), 64+len(joined))
+	}
+	for i := range s.Size() {
+		if id := overlay.NodeID(i); s.Node(id).ID() != id {
+			t.Fatalf("Node(%d) holds id %v", i, s.Node(id).ID())
 		}
 	}
 	for i, n := range joined {
-		if s.Nodes[64+i] != n {
+		if s.Node(overlay.NodeID(64+i)) != n {
 			t.Fatalf("joiner %d moved", i)
 		}
 	}
@@ -58,7 +61,7 @@ func TestJoinersKeepTheirSlot(t *testing.T) {
 
 func TestJoinNodeGrowsMembership(t *testing.T) {
 	s := NewSimulation(churnParams())
-	before := len(s.Nodes)
+	before := s.Size()
 	s.Sched.At(400, func() {
 		id := join(t, s)
 		if int(id) != before {
@@ -69,8 +72,8 @@ func TestJoinNodeGrowsMembership(t *testing.T) {
 		}
 	})
 	res := s.Run()
-	if len(s.Nodes) != before+1 {
-		t.Fatalf("nodes = %d, want %d", len(s.Nodes), before+1)
+	if s.Size() != before+1 {
+		t.Fatalf("nodes = %d, want %d", s.Size(), before+1)
 	}
 	if res.Counters.Queries == 0 {
 		t.Fatal("no queries ran")
@@ -82,7 +85,7 @@ func TestLeaveNodeHandsOverAuthority(t *testing.T) {
 	k := s.Keys[0]
 	s.Sched.At(400, func() {
 		auth := s.Ov.Owner(k)
-		entriesBefore := s.Nodes[auth].LocalDirectory().Len()
+		entriesBefore := s.Node(auth).LocalDirectory().Len()
 		if entriesBefore == 0 {
 			t.Error("authority had no local entries before leaving")
 		}
@@ -96,9 +99,9 @@ func TestLeaveNodeHandsOverAuthority(t *testing.T) {
 		}
 		// On the CAN the new authority is the heir that absorbed the zone,
 		// and it holds the handed-over directory.
-		if s.Nodes[newAuth].LocalDirectory().Len() < entriesBefore {
+		if s.Node(newAuth).LocalDirectory().Len() < entriesBefore {
 			t.Errorf("heir holds %d entries, want ≥ %d",
-				s.Nodes[newAuth].LocalDirectory().Len(), entriesBefore)
+				s.Node(newAuth).LocalDirectory().Len(), entriesBefore)
 		}
 	})
 	res := s.Run()
@@ -136,7 +139,7 @@ func TestQueriesSurviveContinuousChurn(t *testing.T) {
 func (s *Simulation) aliveSample() overlay.NodeID {
 	auth := s.Ov.Owner(s.Keys[0])
 	for {
-		id := overlay.NodeID(s.Rng.Pick(len(s.Nodes)))
+		id := overlay.NodeID(s.Rng.Pick(s.Size()))
 		if s.NodeAlive(id) && id != auth {
 			return id
 		}
@@ -195,7 +198,7 @@ func TestKademliaLeaveRedistributesAuthority(t *testing.T) {
 	k := s.Keys[0]
 	s.Sched.At(400, func() {
 		auth := s.Ov.Owner(k)
-		entriesBefore := s.Nodes[auth].LocalDirectory().Len()
+		entriesBefore := s.Node(auth).LocalDirectory().Len()
 		if entriesBefore == 0 {
 			t.Error("authority had no local entries before leaving")
 		}
@@ -209,9 +212,9 @@ func TestKademliaLeaveRedistributesAuthority(t *testing.T) {
 		}
 		// Per-key redistribution: the key's entries now live at its new
 		// XOR-closest owner, so refreshes continue without re-propagation.
-		if s.Nodes[newAuth].LocalDirectory().Len() < entriesBefore {
+		if s.Node(newAuth).LocalDirectory().Len() < entriesBefore {
 			t.Errorf("new authority holds %d entries, want ≥ %d",
-				s.Nodes[newAuth].LocalDirectory().Len(), entriesBefore)
+				s.Node(newAuth).LocalDirectory().Len(), entriesBefore)
 		}
 	})
 	s.Run()
@@ -219,7 +222,7 @@ func TestKademliaLeaveRedistributesAuthority(t *testing.T) {
 
 func TestNodeAliveBounds(t *testing.T) {
 	s := NewSimulation(churnParams())
-	if s.NodeAlive(-1) || s.NodeAlive(overlay.NodeID(len(s.Nodes))) {
+	if s.NodeAlive(-1) || s.NodeAlive(overlay.NodeID(s.Size())) {
 		t.Fatal("out-of-range IDs reported alive")
 	}
 	if !s.NodeAlive(0) {
@@ -234,13 +237,13 @@ func TestPatchingClearsDepartedInterest(t *testing.T) {
 		// Find a node with interest registered at some neighbor.
 		k := s.Keys[0]
 		auth := s.Ov.Owner(k)
-		interested := s.Nodes[auth].InterestedNeighbors(k)
+		interested := s.Node(auth).InterestedNeighbors(k)
 		if len(interested) == 0 {
 			return // workload produced no subscription at the authority yet
 		}
 		victim = interested[0]
 		leave(t, s, victim)
-		for _, m := range s.Nodes[auth].InterestedNeighbors(k) {
+		for _, m := range s.Node(auth).InterestedNeighbors(k) {
 			if m == victim {
 				t.Error("authority still lists departed neighbor as interested")
 			}
@@ -267,7 +270,7 @@ func TestHeldClearBitToDepartedNodeIsDropped(t *testing.T) {
 		// A link from → to whose receiver has an upstream of its own, so
 		// handling the clear-bit would make it cut off in turn.
 		from, to := overlay.NoNode, overlay.NoNode
-		for i := range s.Nodes {
+		for i := range s.Size() {
 			next := s.Router.NextHopTowardOwner(overlay.NodeID(i), k)
 			if next != overlay.NodeID(i) && next != s.Ov.Owner(k) {
 				from, to = overlay.NodeID(i), next

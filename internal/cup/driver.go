@@ -173,12 +173,12 @@ type Simulation struct {
 	Ov     overlay.Overlay
 	dyn    DynamicOverlay // Ov's churn capability, resolved once; nil on a static overlay
 	Router *OverlayRouter
-	Nodes  []*Node // Nodes[i] is nodes.at(i)
 	Keys   []overlay.Key
 	C      metrics.Counters
 
 	// nodes holds every node of the run at a stable address, so a hop
-	// finds its receiver by the id alone.
+	// finds its receiver by the id alone. It is the run's one index of
+	// its nodes: Node and Size read it.
 	nodes nodeSlab
 
 	// env is the run's owner: every node it drives — the initial block
@@ -268,10 +268,9 @@ func NewSimulation(p Params) *Simulation {
 	s.Router = NewOverlayRouter(s.Ov)
 	s.env = newNodeEnv(p.Config, s.Router, s.Sched.Now)
 	s.env.obs = p.Observer
-	s.nodes.block = make([]Node, p.Nodes)
-	s.Nodes = make([]*Node, p.Nodes)
+	s.nodes = nodeSlab{block: make([]Node, p.Nodes), size: p.Nodes}
 	for i := range s.nodes.block {
-		s.Nodes[i] = s.env.node(&s.nodes.block[i], overlay.NodeID(i))
+		s.env.node(&s.nodes.block[i], overlay.NodeID(i))
 	}
 	s.Keys = make([]overlay.Key, p.Keys)
 	for i := range s.Keys {
@@ -324,7 +323,7 @@ func NewSimulation(p Params) *Simulation {
 func (s *Simulation) TrafficEnv() TrafficEnv {
 	return TrafficEnv{
 		Rand:     s.Rng.Rand,
-		Nodes:    len(s.Nodes),
+		Nodes:    s.nodes.size,
 		Keys:     s.Keys,
 		PickNode: s.pickAliveNode,
 		PickKey:  s.pickKey,
@@ -362,7 +361,7 @@ func (s *Simulation) startTraffic(tr Traffic) {
 	}
 	deliver = func() {
 		nid := ev.Node
-		if nid == AnyNode || int(nid) < 0 || int(nid) >= len(s.Nodes) || !s.NodeAlive(nid) {
+		if !s.NodeAlive(nid) { // AnyNode included
 			nid = s.pickAliveNode()
 		}
 		k := ev.Key
@@ -377,7 +376,7 @@ func (s *Simulation) startTraffic(tr Traffic) {
 
 // Authority returns the node owning k.
 func (s *Simulation) Authority(k overlay.Key) *Node {
-	return s.Nodes[s.Ov.Owner(k)]
+	return s.nodes.at(s.Ov.Owner(k))
 }
 
 // AddReplica registers replica r for key k at its authority and starts its
@@ -467,7 +466,7 @@ func (s *Simulation) PublishReplica(k overlay.Key, replica int, addr string, lif
 // discrete-event counterpart of live.Network.Lookup. Any scripted
 // workload advances alongside on the virtual clock.
 func (s *Simulation) Lookup(ctx context.Context, nid overlay.NodeID, k overlay.Key) ([]cache.Entry, error) {
-	if int(nid) < 0 || int(nid) >= len(s.Nodes) || !s.NodeAlive(nid) {
+	if !s.NodeAlive(nid) {
 		return nil, fmt.Errorf("cup: lookup at invalid node %v", nid)
 	}
 	w := &lookupWaiter{}
@@ -517,9 +516,9 @@ func (s *Simulation) RemoveReplica(k overlay.Key, r int) {
 
 // pickAliveNode draws a uniformly random alive node.
 func (s *Simulation) pickAliveNode() overlay.NodeID {
-	nid := overlay.NodeID(s.Rng.Pick(len(s.Nodes)))
+	nid := overlay.NodeID(s.Rng.Pick(s.nodes.size))
 	for !s.NodeAlive(nid) {
-		nid = overlay.NodeID(s.Rng.Pick(len(s.Nodes)))
+		nid = overlay.NodeID(s.Rng.Pick(s.nodes.size))
 	}
 	return nid
 }
@@ -567,6 +566,20 @@ func (s *Simulation) state(nid overlay.NodeID, kid KeyID) *keyState {
 	return s.nodes.at(nid).newState(kid)
 }
 
+// Size returns the number of nodes the run has held: the ones it was
+// built with and every churn joiner, departed or not. Their ids are 0 …
+// Size()−1.
+func (s *Simulation) Size() int { return s.nodes.size }
+
+// Node returns node id of the run, departed or not; nil if the run never
+// held it.
+func (s *Simulation) Node(id overlay.NodeID) *Node {
+	if int(id) < 0 || int(id) >= s.nodes.size {
+		return nil
+	}
+	return s.nodes.at(id)
+}
+
 // nodeSlab holds a run's nodes at stable addresses, in the pattern of the
 // key states' statePool: the block the run was built with, then churn
 // joiners in chunks that are allocated at full size and never move. Node
@@ -575,7 +588,7 @@ func (s *Simulation) state(nid overlay.NodeID, kid KeyID) *keyState {
 type nodeSlab struct {
 	block  []Node
 	joined [][]Node
-	n      int // joiners held
+	size   int // nodes held: the block's, then the joiners
 }
 
 func (p *nodeSlab) at(id overlay.NodeID) *Node {
@@ -589,11 +602,11 @@ func (p *nodeSlab) at(id overlay.NodeID) *Node {
 // add returns the slot of the next joiner, whose id is the count of nodes
 // held before it.
 func (p *nodeSlab) add() *Node {
-	if p.n&(maxChunk-1) == 0 {
+	if (p.size-len(p.block))&(maxChunk-1) == 0 {
 		p.joined = append(p.joined, make([]Node, maxChunk))
 	}
-	p.n++
-	return p.at(overlay.NodeID(len(p.block) + p.n - 1))
+	p.size++
+	return p.at(overlay.NodeID(p.size - 1))
 }
 
 // message is one protocol message in flight: what the send action that
@@ -780,7 +793,7 @@ func (s *Simulation) deliverLocal(nid overlay.NodeID, kid KeyID, entries []cache
 // of nodes (fig 5/6 fault injection).
 func (s *Simulation) SetCapacityFraction(nodes []overlay.NodeID, c float64) {
 	for _, n := range nodes {
-		s.Nodes[n].SetCapacity(c)
+		s.nodes.at(n).SetCapacity(c)
 	}
 }
 
@@ -828,8 +841,8 @@ func (s *Simulation) RunContext(ctx context.Context) (*Result, error) {
 // observations, not failures; they stay unclassified (callers wanting
 // strict accounting may SettleJustification first).
 func (s *Simulation) foldCounters() {
-	for _, n := range s.Nodes {
-		st := n.Stats()
+	for id := range s.nodes.size {
+		st := s.nodes.at(overlay.NodeID(id)).Stats()
 		s.C.JustifiedUpdates += st.Justified
 		s.C.UnjustifiedUpdates += st.Unjustified
 		s.C.ExpiredUpdates += st.Expired

@@ -3,6 +3,8 @@ package cup
 import (
 	"context"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"cup/internal/metrics"
@@ -161,7 +163,7 @@ func TestCapacityHookReducesOverhead(t *testing.T) {
 	full := Run(smallParams())
 	p := smallParams()
 	p.Hooks = []Hook{{At: 1, Fn: func(s *Simulation) {
-		all := make([]overlay.NodeID, len(s.Nodes))
+		all := make([]overlay.NodeID, s.Size())
 		for i := range all {
 			all[i] = overlay.NodeID(i)
 		}
@@ -242,7 +244,7 @@ func TestRandomNodeSampleSkipsDeparted(t *testing.T) {
 		owners[s.Ov.Owner(k)] = true
 	}
 	left := 0
-	for id := overlay.NodeID(0); left < len(s.Nodes)/2; id++ {
+	for id := overlay.NodeID(0); left < s.Size()/2; id++ {
 		if !owners[id] {
 			leave(t, s, id)
 			left++
@@ -337,9 +339,7 @@ func TestStandardCachingOverlappingQueryLatencies(t *testing.T) {
 			lats = append(lats, e.Latency)
 		}
 	})
-	for _, n := range s.Nodes {
-		n.SetObserver(obs)
-	}
+	s.SetObserver(obs)
 
 	k := overlay.Key("golden")
 	s.PublishReplica(k, 0, "203.0.113.7", s.P.Lifetime, Append)
@@ -367,3 +367,44 @@ func TestStandardCachingOverlappingQueryLatencies(t *testing.T) {
 			lats[0], lats[1])
 	}
 }
+
+// A built run is its arrays — the ring's, the node block — and a fixed set
+// of run structures, however many nodes it has: no object per node, and
+// none per node's worth of nodes. The collector runs only between counts,
+// since a cycle, which the larger build starts more often, allocates
+// objects of its own; and each size's count is its least of five, since
+// another goroutine's allocation (the race detector's, say) lands in
+// whichever count it falls in.
+func TestNewAllocatesNoPerNodeObject(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(n int) float64 {
+		p := Params{Nodes: n, OverlayKind: "chord", NoWorkload: true, Seed: 1}
+		least := math.Inf(1)
+		for range 5 {
+			runtime.GC()
+			least = min(least, testing.AllocsPerRun(1, func() { NewSimulation(p) }))
+		}
+		return least
+	}
+	if small, large := allocs(4096), allocs(65536); small != large {
+		t.Fatalf("NewSimulation allocates %v objects at n = 4096 and %v at n = 65536, want the same", small, large)
+	}
+}
+
+// BenchmarkNewSimulation is construction's layer row: one Chord run of
+// the bench's sweep-128k size, built without a workload — the ring, the
+// router and the node block — from a collected heap, as the bench builds
+// each cell.
+func BenchmarkNewSimulation(b *testing.B) {
+	p := Params{Nodes: 1 << 17, OverlayKind: "chord", NoWorkload: true, Seed: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
+		sinkSim = NewSimulation(p)
+	}
+}
+
+// sinkSim keeps BenchmarkNewSimulation's result live.
+var sinkSim *Simulation

@@ -57,7 +57,7 @@ func warmSim(tb testing.TB, cfg Config, obs Observer, offset overlay.NodeID) (*S
 	s := NewSimulation(Params{Nodes: 64, NoWorkload: true, Seed: 1, Config: cfg, Observer: obs})
 	k := s.Keys[0]
 	s.PublishReplica(k, 0, "10.0.0.1", 1e6, Append)
-	asker := (s.Ov.Owner(k) + offset) % overlay.NodeID(len(s.Nodes))
+	asker := (s.Ov.Owner(k) + offset) % overlay.NodeID(s.Size())
 	if asker != s.Ov.Owner(k) {
 		s.PostQueryAt(asker, k) // first-time miss; the answer comes back
 		for s.Sched.Step() {
@@ -139,7 +139,7 @@ func TestLocalHitAllocatesNothing(t *testing.T) {
 			s := NewSimulation(Params{Nodes: 64, NoWorkload: true, Seed: 1, Observer: NewBus()})
 			k := overlay.Key("key-0")
 			s.PublishReplica(k, 0, "10.0.0.1", 1e6, Append)
-			asker := (s.Ov.Owner(k) + 1) % overlay.NodeID(len(s.Nodes))
+			asker := (s.Ov.Owner(k) + 1) % overlay.NodeID(s.Size())
 			if joiner {
 				asker = join(t, s)
 				if asker == s.Ov.Owner(k) {
@@ -205,7 +205,7 @@ func hopChain(tb testing.TB) (s *Simulation, kid KeyID, a, b, c overlay.NodeID) 
 	cfg.Policy = policy.AlwaysKeep()
 	s = NewSimulation(Params{Nodes: 64, NoWorkload: true, Seed: 1, Config: cfg, Observer: NewBus()})
 	k := s.Keys[0]
-	for i := range s.Nodes {
+	for i := range s.Size() {
 		a = overlay.NodeID(i)
 		b = s.Router.NextHopTowardOwner(a, k)
 		c = s.Router.NextHopTowardOwner(b, k)
@@ -431,7 +431,7 @@ func TestHandlerResultValidUntilNextCall(t *testing.T) {
 	s := NewSimulation(Params{Nodes: 16, NoWorkload: true, Seed: 1})
 	k := overlay.Key("key-0")
 	auth := s.Ov.Owner(k)
-	a, b := s.Nodes[(auth+1)%16], s.Nodes[(auth+2)%16]
+	a, b := s.Node((auth+1)%16), s.Node((auth+2)%16)
 	first := a.HandleQuery(LocalClient, k, 0)
 	if len(first) != 1 || first[0].Kind != ActSendQuery {
 		t.Fatalf("first miss = %v", kinds(first))
@@ -503,8 +503,9 @@ func TestChurnReroutesCachedNextHops(t *testing.T) {
 			s := NewSimulation(Params{Nodes: 64, OverlayKind: kind, NoWorkload: true, Seed: 7})
 			k := overlay.Key("key-0")
 			hops := func() []overlay.NodeID {
-				out := make([]overlay.NodeID, len(s.Nodes))
-				for i, n := range s.Nodes {
+				out := make([]overlay.NodeID, s.Size())
+				for i := range s.Size() {
+					n := s.Node(overlay.NodeID(i))
 					out[i] = overlay.NoNode
 					if s.NodeAlive(n.ID()) {
 						out[i] = n.env.nextHop(n.ID(), n.stateKey(k))
@@ -523,7 +524,8 @@ func TestChurnReroutesCachedNextHops(t *testing.T) {
 			s.Router.Dynamic = false
 			after := hops()
 			changed := 0
-			for i, n := range s.Nodes {
+			for i := range s.Size() {
+				n := s.Node(overlay.NodeID(i))
 				if !s.NodeAlive(n.ID()) {
 					continue
 				}
@@ -563,7 +565,7 @@ func BenchmarkArrivalHit(b *testing.B) {
 			s := NewSimulation(p)
 			k := s.Keys[0]
 			s.PublishReplica(k, 0, "10.0.0.1", 1e9, Append)
-			for i := range s.Nodes {
+			for i := range s.Size() {
 				s.PostQueryAt(overlay.NodeID(i), k)
 			}
 			for s.Sched.Step() {
@@ -571,7 +573,7 @@ func BenchmarkArrivalHit(b *testing.B) {
 			rng := sim.NewRand(1)
 			pick := make([]overlay.NodeID, 8192)
 			for i := range pick {
-				pick[i] = overlay.NodeID(rng.Pick(len(s.Nodes)))
+				pick[i] = overlay.NodeID(rng.Pick(s.Size()))
 			}
 			hits := s.C.Hits
 			b.ReportAllocs()

@@ -201,10 +201,11 @@ func newNodeEnv(cfg Config, router Router, now func() sim.Time) *nodeEnv {
 	return &nodeEnv{cfg: cfg, router: router, topo: topo, now: now}
 }
 
-// node initializes nd as the owner's node id. A node's states are filed
+// node initializes nd, a zeroed slot, as the owner's node id, setting the
+// four fields whose zero is not their start. A node's states are filed
 // under its id, so the ids of one owner's nodes must be distinct.
 func (env *nodeEnv) node(nd *Node, id overlay.NodeID) *Node {
-	*nd = Node{id: id, env: env, head: -1, capacityFraction: -1}
+	nd.id, nd.env, nd.head, nd.capacityFraction = id, env, -1, -1
 	return nd
 }
 

@@ -322,7 +322,7 @@ func (c ReplicaChurn) Schedule(start, duration float64) []FaultEvent {
 // Members (churn.go).
 type simSurface struct{ s *Simulation }
 
-func (a simSurface) Size() int                            { return len(a.s.Nodes) }
+func (a simSurface) Size() int                            { return a.s.nodes.size }
 func (a simSurface) Keys() []overlay.Key                  { return a.s.Keys }
 func (a simSurface) Replicas() int                        { return a.s.P.Replicas }
 func (a simSurface) Rand() *rand.Rand                     { return a.s.Rng.Rand }

@@ -76,7 +76,7 @@ func TestShippedViewSurvivesRefresh(t *testing.T) {
 		if err := s.Settle(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if c := s.Nodes[at].Cached(k); len(c) != 1 || c[0].Expires == kept.Expires {
+		if c := s.Node(at).Cached(k); len(c) != 1 || c[0].Expires == kept.Expires {
 			t.Fatalf("the refresh never reached node %v: %v", at, c)
 		}
 		if got[0] != kept {

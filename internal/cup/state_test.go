@@ -153,7 +153,7 @@ func TestReadsAndStrayClearBitsCreateNoState(t *testing.T) {
 	}
 	// A key the owner knows but this node holds no state for reads the same.
 	s := NewSimulation(Params{Nodes: 16, NoWorkload: true, Seed: 1})
-	far := s.Nodes[(s.Ov.Owner(s.Keys[0])+5)%16]
+	far := s.Node((s.Ov.Owner(s.Keys[0]) + 5) % 16)
 	before := s.env.pool.n
 	if far.HandleClearBit(1, s.Keys[0]) != nil || far.Popularity(s.Keys[0]) != 0 || s.env.pool.n != before {
 		t.Error("a clear-bit for an interned key created state at a node that held none")

@@ -196,7 +196,8 @@ func TestFaultsApplyThroughSimulation(t *testing.T) {
 	s := NewSimulation(p)
 	s.Run()
 	reduced := 0
-	for _, n := range s.Nodes {
+	for id := range s.Size() {
+		n := s.Node(overlay.NodeID(id))
 		if n.Capacity() >= 0 {
 			reduced++
 		}

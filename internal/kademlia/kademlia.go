@@ -88,7 +88,7 @@ func BuildK(n, k int) *Table {
 // and fills its own buckets. Returns the new dense ID.
 func (t *Table) addNode() overlay.NodeID {
 	id := overlay.NodeID(len(t.ids))
-	pos := overlay.HashNodeID(fmt.Sprintf("kad-node-%d", id))
+	pos := overlay.HashNodeLabel("kad-node-", int(id))
 	if t.labels[pos] {
 		panic(fmt.Sprintf("kademlia: identifier collision at node %v", id))
 	}

@@ -49,17 +49,38 @@ type Point struct {
 // high bits, which clustered every workload key onto one CAN zone and
 // broke the paper's "uniform hash function that evenly distributes the
 // keys" assumption. The finalizer restores full-width diffusion. The
-// FNV-1a loop is written out so a []byte label hashes without a string
-// conversion; TestHash64IsFNV1a pins it to hash/fnv.
-func hash64[T ~string | ~[]byte](s T, salt byte) uint64 {
-	const prime = 1099511628211
-	v := uint64(14695981039346656037)
+// FNV-1a loop is written out, not a call to fold, so HashID stays inside
+// the inliner's budget on the routing path; TestHash64IsFNV1a pins it to
+// hash/fnv.
+func hash64(s string, salt byte) uint64 {
+	v := uint64(fnvOffset)
 	for i := 0; i < len(s); i++ {
-		v = (v ^ uint64(s[i])) * prime
+		v = (v ^ uint64(s[i])) * fnvPrime
 	}
 	if salt != 0 {
-		v = (v ^ uint64(salt)) * prime
+		v = (v ^ uint64(salt)) * fnvPrime
 	}
+	return mix(v)
+}
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fold folds the bytes of s into the FNV-1a state v, and foldByte one
+// byte: hash64's loop, a piece at a time.
+func fold(v uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		v = foldByte(v, s[i])
+	}
+	return v
+}
+
+func foldByte(v uint64, b byte) uint64 { return (v ^ uint64(b)) * fnvPrime }
+
+// mix is the splitmix64 finalizer.
+func mix(v uint64) uint64 {
 	v ^= v >> 30
 	v *= 0xbf58476d1ce4e5b9
 	v ^= v >> 27
@@ -78,17 +99,56 @@ func unit(v uint64) float64 {
 // hash function that evenly distributes the keys to the space".
 func HashPoint(k Key) Point {
 	return Point{
-		X: unit(hash64(k, 0)),
-		Y: unit(hash64(k, 1)),
+		X: unit(hash64(string(k), 0)),
+		Y: unit(hash64(string(k), 1)),
 	}
 }
 
 // HashID maps a key to a 64-bit identifier for ring overlays.
-func HashID(k Key) uint64 { return hash64(k, 0) }
+func HashID(k Key) uint64 { return hash64(string(k), 0) }
+
+// nodeSalt salts node labels apart from keys.
+const nodeSalt = 2
 
 // HashNodeID maps an arbitrary label (e.g. "node-17") to a ring identifier.
-// A []byte label hashes exactly as the same string does.
-func HashNodeID[T string | []byte](label T) uint64 { return hash64(label, 2) }
+func HashNodeID(label string) uint64 { return hash64(label, nodeSalt) }
+
+// HashNodeLabel is HashNodeID(prefix + decimal(i)) for i ≥ 0 — the
+// identifier of the node labelled "chord-node-17" is
+// HashNodeLabel("chord-node-", 17) — with no label formatted.
+func HashNodeLabel(prefix string, i int) uint64 {
+	return mix(foldByte(foldDecimal(fold(fnvOffset, prefix), uint(i)), nodeSalt))
+}
+
+// foldDecimal folds the decimal digits of i into the FNV-1a state v.
+func foldDecimal(v uint64, i uint) uint64 {
+	if i >= 10 {
+		v = foldDecimal(v, i/10)
+	}
+	return foldByte(v, '0'+byte(i%10))
+}
+
+// HashNodeLabels sets ids[i] to HashNodeLabel(prefix, i) for every i, a
+// whole overlay's identifiers in one pass. The prefix is folded once, and
+// the FNV-1a state after a label's leading digits is shared by the ten
+// labels that differ in the last: label i is decade i/10's state with
+// digit i%10 folded in, and decade q ≥ 1 is decade q/10's with digit q%10
+// (decade 0 is the bare prefix, so 0–9 get no leading zero). The decade
+// states live in ids[:⌈n/10⌉] until the labels overwrite them from the
+// top down, so decade q's readers, labels 10q … 10q+9, are written before
+// label q takes its slot.
+func HashNodeLabels(prefix string, ids []uint64) {
+	if len(ids) == 0 {
+		return
+	}
+	ids[0] = fold(fnvOffset, prefix)
+	for q := 1; q < (len(ids)+9)/10; q++ {
+		ids[q] = foldByte(ids[q/10], '0'+byte(q%10))
+	}
+	for i := len(ids) - 1; i >= 0; i-- {
+		ids[i] = mix(foldByte(foldByte(ids[i/10], '0'+byte(i%10)), nodeSalt))
+	}
+}
 
 // Overlay is a structured P2P routing substrate. Implementations must be
 // deterministic: the same key queried at the same node always follows the

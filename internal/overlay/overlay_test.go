@@ -3,6 +3,7 @@ package overlay
 import (
 	"hash/fnv"
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -79,9 +80,8 @@ func TestHashNodeIDDiffersFromHashID(t *testing.T) {
 	}
 }
 
-// The written-out FNV-1a loop is hash/fnv's, salt byte included, and a
-// []byte label hashes as the same string does: every ring position and
-// key point in the goldens rests on these bits.
+// The written-out FNV-1a loop is hash/fnv's, salt byte included: every
+// ring position and key point in the goldens rests on these bits.
 func TestHash64IsFNV1a(t *testing.T) {
 	f := func(s string, salt byte) bool {
 		h := fnv.New64a()
@@ -95,10 +95,32 @@ func TestHash64IsFNV1a(t *testing.T) {
 		v ^= v >> 27
 		v *= 0x94d049bb133111eb
 		v ^= v >> 31
-		return hash64(s, salt) == v && HashNodeID([]byte(s)) == HashNodeID(s)
+		return hash64(s, salt) == v
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// HashNodeLabel and HashNodeLabels, which fold a label's prefix and
+// digits without formatting it, give every node the identifier of its
+// formatted label, on both sides of every decade boundary and at the
+// sizes the overlays are built at.
+func TestNodeIDsMatchLabelHash(t *testing.T) {
+	for _, prefix := range []string{"chord-node-", "kad-node-"} {
+		for _, n := range []int{1, 9, 10, 11, 99, 100, 101, 1000, 1001, 1 << 17, 1_000_000} {
+			ids := make([]uint64, n)
+			HashNodeLabels(prefix, ids)
+			for i, got := range ids {
+				want := HashNodeID(prefix + strconv.Itoa(i))
+				if got != want {
+					t.Fatalf("HashNodeLabels(%q, [%d]) id %d = %#x, want %#x", prefix, n, i, got, want)
+				}
+				if one := HashNodeLabel(prefix, i); one != want {
+					t.Fatalf("HashNodeLabel(%q, %d) = %#x, want %#x", prefix, i, one, want)
+				}
+			}
+		}
 	}
 }
 
