@@ -72,7 +72,9 @@ type Deployment struct {
 	// serve is the WithServing HTTP serving layer (nil without it).
 	serve *serving
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// rng picks Lookup's entry peers, seeded with the run's seed at the
+	// first Lookup (nil until then).
 	rng       *rand.Rand
 	published map[pubKey]bool
 	detach    []func()
@@ -136,7 +138,6 @@ func New(opts ...Option) (*Deployment, error) {
 		bus:       bus,
 		p:         o.p,
 		timeScale: o.timeScale,
-		rng:       rand.New(rand.NewSource(o.p.Seed)),
 		published: make(map[pubKey]bool),
 	}
 
@@ -209,6 +210,9 @@ func (d *Deployment) Counters() Counters { return d.rt.Counters() }
 func (d *Deployment) Lookup(ctx context.Context, key Key) ([]Entry, error) {
 	size := d.rt.Size()
 	d.mu.Lock()
+	if d.rng == nil {
+		d.rng = rand.New(rand.NewSource(d.p.Seed))
+	}
 	at := NodeID(d.rng.Intn(size))
 	d.mu.Unlock()
 	return d.rt.LookupAt(ctx, at, key)

@@ -205,6 +205,32 @@ func TestObserveSeesInteractiveLookups(t *testing.T) {
 	}
 }
 
+// Lookup's entry peers are a fixed sequence for a fixed seed: the first
+// draws of math/rand seeded with the run's seed, however late the first
+// Lookup comes.
+func TestLookupEntryPeersArePinnedBySeed(t *testing.T) {
+	d := newDeployment(t, cup.WithNodes(64), cup.WithoutWorkload(), cup.WithSeed(9))
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := d.Publish(ctx, "k", 0, "10.0.0.1", time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	var at []cup.NodeID
+	d.Observe(cup.ObserverFunc(func(e cup.Event) {
+		if e.Kind == cup.EvQueryIssued {
+			at = append(at, e.Node)
+		}
+	}))
+	for range 8 {
+		if _, err := d.Lookup(ctx, "k"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := []cup.NodeID{29, 24, 38, 37, 37, 26, 35, 30}; !reflect.DeepEqual(at, want) {
+		t.Fatalf("Lookup entered at %v, want %v", at, want)
+	}
+}
+
 // The simulated transport's accessors on one run: the workload's keys,
 // the events fired, Counters equal to the Result's, and a capacity change
 // read back through Inspect.

@@ -3,6 +3,7 @@ package cup
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"cup/internal/cache"
 	"cup/internal/overlay"
@@ -56,12 +57,22 @@ type Churn struct {
 
 // ChurnCapable reports whether the named overlay kind supports §2.9
 // membership changes, by building a minimal instance from the registry
-// and probing the capability. Unknown kinds report false.
+// and probing the capability, once per kind. Unknown kinds report false.
 func ChurnCapable(kind string) bool {
+	if ok, seen := churnCapable.Load(kind); seen {
+		return ok.(bool)
+	}
 	ov, err := overlay.Build(kind, 2, 1)
+	if err != nil {
+		return false // not cached: the kind may register later
+	}
 	_, ok := ov.(DynamicOverlay)
-	return err == nil && ok
+	churnCapable.Store(kind, ok)
+	return ok
 }
+
+// churnCapable caches ChurnCapable's answer for each registered kind.
+var churnCapable sync.Map
 
 func (c Churn) static() error {
 	if c.Overlay == nil {
@@ -201,7 +212,19 @@ func (s *Simulation) NodeAlive(id overlay.NodeID) bool {
 	return s.departed == 0 || s.dyn.Alive(id)
 }
 
+// churn is the run's one way to change its membership; from the first
+// change on, next hops are not memoized. A run starts on the shared
+// overlay of its (kind, n, seed), which no run may mutate, so the first
+// change on a dynamic overlay swaps in the run's own Build of the same
+// inputs: identical, since the shared one has never changed. On a static
+// overlay dyn stays nil, and Churn refuses the change.
 func (s *Simulation) churn() Churn {
+	s.Router.Dynamic = true
+	if _, dynamic := s.Ov.(DynamicOverlay); dynamic && s.dyn == nil {
+		s.dyn = overlay.MustBuild(s.P.OverlayKind, s.P.Nodes, OverlaySeed(s.P.Seed)).(DynamicOverlay)
+		s.Ov, s.Router.ov = s.dyn, s.dyn
+		s.Router.Invalidate()
+	}
 	return Churn{Overlay: s.dyn, Kind: s.P.OverlayKind, Router: s.Router, Rand: s.Rng}
 }
 

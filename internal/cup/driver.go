@@ -165,13 +165,15 @@ type Result struct {
 
 // Simulation is a fully wired discrete-event CUP deployment. Construct
 // with NewSimulation, then Run (or drive the scheduler manually for
-// fault-injection experiments).
+// fault-injection experiments). Its overlay, Ov, is the one every run of
+// the same (kind, n, overlay seed) reads (overlay.Shared) until the run's
+// first membership change, which swaps in a copy of its own (churn.go).
 type Simulation struct {
 	P      Params
 	Sched  *sim.Scheduler
 	Rng    *sim.Rand
 	Ov     overlay.Overlay
-	dyn    DynamicOverlay // Ov's churn capability, resolved once; nil on a static overlay
+	dyn    DynamicOverlay // Ov once it is the run's own (churn.go); nil until then
 	Router *OverlayRouter
 	Keys   []overlay.Key
 	C      metrics.Counters
@@ -259,12 +261,11 @@ func NewSimulation(p Params) *Simulation {
 	if s.P.PiggybackWindow == 0 {
 		s.P.PiggybackWindow = DefaultPiggybackWindow
 	}
-	ov, err := overlay.Build(p.OverlayKind, p.Nodes, OverlaySeed(p.Seed))
+	ov, err := overlay.Shared(p.OverlayKind, p.Nodes, OverlaySeed(p.Seed))
 	if err != nil {
 		panic(fmt.Sprintf("cup: %v", err))
 	}
 	s.Ov = ov
-	s.dyn, _ = ov.(DynamicOverlay)
 	s.Router = NewOverlayRouter(s.Ov)
 	s.env = newNodeEnv(p.Config, s.Router, s.Sched.Now)
 	s.env.obs = p.Observer

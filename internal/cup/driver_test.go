@@ -374,15 +374,16 @@ func TestStandardCachingOverlappingQueryLatencies(t *testing.T) {
 // since a cycle, which the larger build starts more often, allocates
 // objects of its own; and each size's count is its least of five, since
 // another goroutine's allocation (the race detector's, say) lands in
-// whichever count it falls in.
+// whichever count it falls in. Every call takes a new seed, so every
+// call builds its ring rather than sharing the last one's.
 func TestNewAllocatesNoPerNodeObject(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := func(n int) float64 {
-		p := Params{Nodes: n, OverlayKind: "chord", NoWorkload: true, Seed: 1}
+		p := Params{Nodes: n, OverlayKind: "chord", NoWorkload: true}
 		least := math.Inf(1)
 		for range 5 {
 			runtime.GC()
-			least = min(least, testing.AllocsPerRun(1, func() { NewSimulation(p) }))
+			least = min(least, testing.AllocsPerRun(1, func() { p.Seed++; NewSimulation(p) }))
 		}
 		return least
 	}
@@ -391,18 +392,38 @@ func TestNewAllocatesNoPerNodeObject(t *testing.T) {
 	}
 }
 
-// BenchmarkNewSimulation is construction's layer row: one Chord run of
-// the bench's sweep-128k size, built without a workload — the ring, the
-// router and the node block — from a collected heap, as the bench builds
-// each cell.
+// BenchmarkNewSimulation is construction's layer row: a run of the
+// bench's sweep-128k size (Chord, 2^17) and one of its sweep-1k size
+// (CAN, 1024), built without a workload from a collected heap, as the
+// bench builds each cell. A cold build takes a new seed every time and
+// builds its overlay; a warm one keeps its seed and shares the overlay
+// the first built, so it is the router and the node block alone.
 func BenchmarkNewSimulation(b *testing.B) {
-	p := Params{Nodes: 1 << 17, OverlayKind: "chord", NoWorkload: true, Seed: 1}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		runtime.GC()
-		b.StartTimer()
-		sinkSim = NewSimulation(p)
+	for _, c := range []struct {
+		name string
+		p    Params
+	}{
+		{"chord-131072", Params{Nodes: 1 << 17, OverlayKind: "chord", NoWorkload: true}},
+		{"can-1024", Params{Nodes: 1024, OverlayKind: "can", NoWorkload: true}},
+	} {
+		for _, build := range []string{"cold", "warm"} {
+			b.Run(c.name+"/"+build, func(b *testing.B) {
+				p := c.p
+				p.Seed = 1
+				NewSimulation(p)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					if build == "cold" {
+						p.Seed++
+					}
+					runtime.GC()
+					b.StartTimer()
+					sinkSim = NewSimulation(p)
+				}
+			})
+		}
 	}
 }
 

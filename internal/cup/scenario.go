@@ -335,15 +335,12 @@ func (a simSurface) SetCapacity(ids []overlay.NodeID, c float64) error {
 func (a simSurface) AddReplica(key overlay.Key, r int)    { a.s.AddReplica(key, r) }
 func (a simSurface) RemoveReplica(key overlay.Key, r int) { a.s.RemoveReplica(key, r) }
 
-// Join and Leave are §2.9 churn on the run (Churn). From the first
-// change on, next hops are not memoized.
+// Join and Leave are §2.9 churn on the run (Churn).
 func (a simSurface) Join() (overlay.NodeID, error) {
-	a.s.Router.Dynamic = true
 	return a.s.churn().Join(a)
 }
 
 func (a simSurface) Leave(id overlay.NodeID) error {
-	a.s.Router.Dynamic = true
 	_, err := a.s.churn().Leave(a, id)
 	return err
 }

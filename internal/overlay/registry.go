@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Builder constructs an overlay of n nodes. seed drives overlays with
@@ -42,6 +43,41 @@ func Build(kind string, n int, seed int64) (Overlay, error) {
 		return nil, fmt.Errorf("overlay: unknown kind %q (registered: %s)", kind, KindList())
 	}
 	return b(n, seed), nil
+}
+
+// Shared is Build memoised: every caller asking for the same (kind, n,
+// seed) gets the same instance, built once per process. It keeps the most
+// recent build of each kind. The result is shared and must never be
+// mutated — not joined, not left, not edited through Neighbors: a caller
+// that changes membership builds its own copy with Build, which is
+// identical because builds are deterministic. Callers asking for one key
+// concurrently wait on one build; builds of different keys run side by
+// side.
+func Shared(kind string, n int, seed int64) (Overlay, error) {
+	shared.Lock()
+	b := shared.last[kind]
+	if b == nil || b.n != n || b.seed != seed {
+		b = &sharedBuild{n: n, seed: seed}
+		shared.last[kind] = b
+	}
+	shared.Unlock()
+	b.once.Do(func() { b.ov, b.err = Build(kind, n, seed) })
+	return b.ov, b.err
+}
+
+// shared holds Shared's most recent build of each kind.
+var shared = struct {
+	sync.Mutex
+	last map[string]*sharedBuild
+}{last: map[string]*sharedBuild{}}
+
+// sharedBuild is one memoised Build; once guards ov and err.
+type sharedBuild struct {
+	n    int
+	seed int64
+	once sync.Once
+	ov   Overlay
+	err  error
 }
 
 // MustBuild is Build for callers where an unknown kind is fatal.

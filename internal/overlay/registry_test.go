@@ -3,6 +3,8 @@ package overlay
 import (
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -92,5 +94,53 @@ func TestKindsSortedAndJoined(t *testing.T) {
 	}
 	if got, want := KindList(), strings.Join(kinds, "|"); got != want {
 		t.Fatalf("KindList = %q, want %q", got, want)
+	}
+}
+
+// Shared builds one instance per (kind, n, seed), once however many
+// callers ask at a time, and keeps only the most recent key of a kind.
+func TestSharedBuildsEachKeyOnce(t *testing.T) {
+	unregister(t, "test-shared")
+	t.Cleanup(func() { delete(shared.last, "test-shared") })
+	type built struct {
+		stubOverlay
+		seed int64
+	}
+	var builds atomic.Int32
+	Register("test-shared", func(n int, seed int64) Overlay {
+		builds.Add(1)
+		return &built{seed: seed}
+	})
+	get := func(seed int64) Overlay {
+		ov, err := Shared("test-shared", 8, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ov
+	}
+
+	got := make([]Overlay, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() { defer wg.Done(); got[i] = get(1) }()
+	}
+	wg.Wait()
+	for _, ov := range got {
+		if ov != got[0] {
+			t.Fatal("concurrent callers of one key got different instances")
+		}
+	}
+	if builds.Load() != 1 {
+		t.Fatalf("%d builds for one key, want 1", builds.Load())
+	}
+	if other := get(2); other == got[0] || builds.Load() != 2 {
+		t.Fatalf("a second seed shares the first's instance (%d builds)", builds.Load())
+	}
+	if again := get(1); again == got[0] || builds.Load() != 3 {
+		t.Fatalf("seed 1 was kept beside seed 2 (%d builds), want only the most recent", builds.Load())
+	}
+	if _, err := Shared("no-such-overlay", 8, 1); err == nil {
+		t.Fatal("Shared of an unknown kind did not error")
 	}
 }
