@@ -175,27 +175,23 @@ func main() {
 	c, cfg := &res.Counters, res.Params.Config
 	fmt.Printf("scenario=%s transport=%s nodes=%d overlay=%s keys=%d replicas=%d λ=%g mode=%s policy=%s pushlevel=%d seed=%d\n",
 		*scenario, *transport, *nodes, *overlayK, *keys, *replicas, *rate, *mode, cfg.Policy.Name(), cfg.PushLevel, *seed)
+	fmt.Printf("queries            %d\n", c.Queries)
+	fmt.Printf("hits               %d (%.1f%%)\n", c.Hits, 100*float64(c.Hits)/max1(float64(c.Queries)))
+	fmt.Printf("misses             %d (first-time %d, freshness %d, coalesced %d)\n",
+		c.Misses(), c.FirstTimeMisses, c.FreshnessMisses, c.Coalesced)
+	fmt.Printf("miss cost          %d hops (query %d + response %d)\n", c.MissCost(), c.QueryHops, c.ResponseHops)
+	fmt.Printf("overhead           %d hops (update %d + clear-bit %d)\n", c.Overhead(), c.UpdateHops, c.ClearBitHops)
+	fmt.Printf("total cost         %d hops\n", c.TotalCost())
 	if live {
-		// The live runtime reports message counts folded into the hop
-		// fields; the per-query taxonomy is a simulator-side measurement.
-		fmt.Printf("query msgs         %d\n", c.QueryHops)
-		fmt.Printf("update msgs        %d\n", c.UpdateHops)
-		fmt.Printf("clear-bit msgs     %d\n", c.ClearBitHops)
-		fmt.Printf("total msgs         %d\n", c.TotalCost())
+		// Seconds per miss are the simulator's alone (metrics.Counters).
+		fmt.Printf("miss latency       %.2f hops/miss\n", c.MissLatencyHops())
 	} else {
-		fmt.Printf("queries            %d\n", c.Queries)
-		fmt.Printf("hits               %d (%.1f%%)\n", c.Hits, 100*float64(c.Hits)/max1(float64(c.Queries)))
-		fmt.Printf("misses             %d (first-time %d, freshness %d, coalesced %d)\n",
-			c.Misses(), c.FirstTimeMisses, c.FreshnessMisses, c.Coalesced)
-		fmt.Printf("miss cost          %d hops (query %d + response %d)\n", c.MissCost(), c.QueryHops, c.ResponseHops)
-		fmt.Printf("overhead           %d hops (update %d + clear-bit %d)\n", c.Overhead(), c.UpdateHops, c.ClearBitHops)
-		fmt.Printf("total cost         %d hops\n", c.TotalCost())
 		fmt.Printf("miss latency       %.2f hops/miss, %.3f s/miss\n", c.MissLatencyHops(), c.MissLatencySeconds())
-		fmt.Printf("updates originated %d, dropped %d, expired-in-flight %d\n",
-			c.UpdatesOriginated, c.UpdatesDropped, c.ExpiredUpdates)
-		fmt.Printf("justified updates  %.1f%% (%d of %d classified)\n",
-			100*c.JustifiedFraction(), c.JustifiedUpdates, c.JustifiedUpdates+c.UnjustifiedUpdates)
 	}
+	fmt.Printf("updates originated %d, dropped %d, expired-in-flight %d\n",
+		c.UpdatesOriginated, c.UpdatesDropped, c.ExpiredUpdates)
+	fmt.Printf("justified updates  %.1f%% (%d of %d classified)\n",
+		100*c.JustifiedFraction(), c.JustifiedUpdates, c.JustifiedUpdates+c.UnjustifiedUpdates)
 
 	if *trace != "" {
 		if err := printTraces(d, *trace); err != nil {

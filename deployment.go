@@ -10,7 +10,6 @@ import (
 
 	internal "cup/internal/cup"
 	"cup/internal/live"
-	"cup/internal/metrics"
 	"cup/internal/overlay"
 	"cup/internal/sim"
 )
@@ -46,9 +45,8 @@ type runtime interface {
 	// its event queue, the live network waits for in-flight traffic to
 	// stop.
 	Settle(ctx context.Context) error
-	// Counters snapshots the run's cost counters. The simulator reports
-	// the paper's full accounting; the live network reports message
-	// counts folded into the hop fields (one message = one hop).
+	// Counters snapshots the run's cost counters (§3.3), as the protocol
+	// core counted them.
 	Counters() Counters
 	// Close releases the substrate. Further client calls fail.
 	Close() error
@@ -199,9 +197,8 @@ func (d *Deployment) Size() int { return d.rt.Size() }
 // Authority returns the node owning key's index entries.
 func (d *Deployment) Authority(key Key) NodeID { return d.rt.Authority(key) }
 
-// Counters snapshots the deployment's cost counters. The simulator
-// reports the paper's full accounting; the live network reports message
-// counts folded into the hop fields (one message = one hop).
+// Counters snapshots the deployment's cost counters (§3.3), which every
+// transport counts alike.
 func (d *Deployment) Counters() Counters { return d.rt.Counters() }
 
 // Lookup resolves key from a deterministically random peer — the
@@ -560,7 +557,7 @@ func (r *simRuntime) Settle(ctx context.Context) error {
 func (r *simRuntime) Counters() Counters {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.s.C
+	return *r.s.C
 }
 
 func (r *simRuntime) Close() error { return nil }
@@ -647,18 +644,7 @@ func (r *liveRuntime) Settle(ctx context.Context) error {
 	return nil
 }
 
-// Counters folds the live network's message counts into the hop-count
-// fields (one message = one hop): queries into QueryHops, updates into
-// UpdateHops, clear-bits into ClearBitHops. The per-query hit/miss
-// taxonomy is a simulator-side measurement and stays zero here.
-func (r *liveRuntime) Counters() Counters {
-	st := r.n.Stats()
-	return metrics.Counters{
-		QueryHops:    st.QueryMsgs,
-		UpdateHops:   st.UpdateMsgs,
-		ClearBitHops: st.ClearBitMsgs,
-	}
-}
+func (r *liveRuntime) Counters() Counters { return r.n.Counters() }
 
 func (r *liveRuntime) Close() error {
 	r.n.Close()

@@ -67,6 +67,6 @@ func main() {
 	}
 
 	c := d.Counters()
-	fmt.Printf("\nnetwork totals: %d query msgs, %d update msgs, %d clear-bits\n",
-		c.QueryHops, c.UpdateHops, c.ClearBitHops)
+	fmt.Printf("\ncost (§3.3): %d queries, %d hits, miss cost %d hops, overhead %d hops\n",
+		c.Queries, c.Hits, c.MissCost(), c.Overhead())
 }

@@ -176,7 +176,10 @@ type Simulation struct {
 	dyn    DynamicOverlay // Ov once it is the run's own (churn.go); nil until then
 	Router *OverlayRouter
 	Keys   []overlay.Key
-	C      metrics.Counters
+	// C points at the run's cost counters, which the handlers count
+	// into (nodeEnv.c); the driver adds the three fields only it can
+	// count (see metrics.Counters).
+	C *metrics.Counters
 
 	// nodes holds every node of the run at a stable address, so a hop
 	// finds its receiver by the id alone. It is the run's one index of
@@ -269,6 +272,7 @@ func NewSimulation(p Params) *Simulation {
 	s.Router = NewOverlayRouter(s.Ov)
 	s.env = newNodeEnv(p.Config, s.Router, s.Sched.Now)
 	s.env.obs = p.Observer
+	s.C = &s.env.c
 	s.nodes = nodeSlab{block: make([]Node, p.Nodes), size: p.Nodes}
 	for i := range s.nodes.block {
 		s.env.node(&s.nodes.block[i], overlay.NodeID(i))
@@ -446,7 +450,6 @@ func (s *Simulation) originateRefresh(auth *Node, k overlay.Key, entries []cache
 	}
 	u := Update{Key: k, Type: Refresh, Entries: entries, Replica: minReplica,
 		Expires: expires, Lifetime: s.P.Lifetime}
-	s.C.UpdatesOriginated++
 	s.dispatch(auth.ID(), auth.originateUpdate(u))
 }
 
@@ -458,7 +461,6 @@ func (s *Simulation) originateRefresh(auth *Node, k overlay.Key, entries []cache
 // exactly as in a live deployment.
 func (s *Simulation) PublishReplica(k overlay.Key, replica int, addr string, lifetime sim.Duration, ty UpdateType) {
 	auth := s.Authority(k)
-	s.C.UpdatesOriginated++
 	s.dispatch(auth.ID(), auth.ReplicaEvent(ty, k, replica, addr, lifetime))
 }
 
@@ -524,32 +526,19 @@ func (s *Simulation) pickAliveNode() overlay.NodeID {
 	return nid
 }
 
-// PostQueryAt posts a local client query for k at node nid and accounts
-// for hit/miss classification, all from the one key-state lookup it hands
-// on to the handler: a local query is a hit exactly when the handler
-// answers it inline (authority, or fresh entries cached), and a miss is
-// classified by the flags the query found on arrival. This is where a
-// query's key becomes a KeyID — on a one-key run, the intern table's memo.
-// A hit is delivered here, without a dispatch, and the handler reads no
-// field of the node on its way.
+// PostQueryAt posts a local client query for k at node nid, handing the
+// one key-state lookup on to the handler, which counts and classifies it.
+// This is where a query's key becomes a KeyID — on a one-key run, the
+// intern table's memo. A local query is a hit exactly when the handler
+// answers it inline (authority, or fresh entries cached); a hit is
+// delivered here, without a dispatch, and the handler reads no field of
+// the node on its way. A miss's post time is kept for its latency.
 func (s *Simulation) PostQueryAt(nid overlay.NodeID, k overlay.Key) {
-	s.C.Queries++
 	kid := s.env.keys.intern(k)
-	ks := s.state(nid, kid)
-	pfu, everHeld := ks.pfu, ks.everHeld
-	acts := s.env.handleQuery(s.nodes.at(nid), nid, ks, LocalClient, 0)
+	acts := s.env.handleQuery(s.nodes.at(nid), nid, s.state(nid, kid), LocalClient, 0)
 	if len(acts) == 1 && acts[0].Kind == ActDeliverLocal {
-		s.C.Hits++
 		s.deliverLocal(nid, kid, acts[0].Entries)
 		return
-	}
-	if pfu {
-		s.C.Coalesced++
-	}
-	if everHeld {
-		s.C.FreshnessMisses++
-	} else {
-		s.C.FirstTimeMisses++
 	}
 	pk := pendKey{nid, kid}
 	s.pending[pk] = append(s.pending[pk], s.Sched.Now()) // miss path
@@ -690,11 +679,9 @@ func (s *Simulation) release(ref uint32) {
 	s.freeMsgs = append(s.freeMsgs, ref) // never longer than the slab
 }
 
-// deliver hands message ref to its receiver, which reads it where it lies:
-// the slot is released only once the handler has returned (its sends may
-// then reuse it). It accounts the hop per the paper's cost model (§3.3):
-// query hops and response hops are miss cost; proactive update hops and
-// clear-bit hops are overhead.
+// deliver hands message ref to its receiver, which reads it where it lies
+// and counts the hop: the slot is released only once the handler has
+// returned (its sends may then reuse it).
 func (s *Simulation) deliver(ref uint32) {
 	m := &s.msgs[ref]
 	to := m.to
@@ -706,25 +693,11 @@ func (s *Simulation) deliver(ref uint32) {
 	var acts []Action
 	switch m.kind {
 	case ActSendQuery:
-		s.C.QueryHops++
 		acts = s.env.handleQuery(n, to, s.state(to, m.kid), m.from, m.u.QueryID)
 	case ActSendUpdate:
-		// Classify by the receiver's state at delivery: an update
-		// arriving at a node awaiting a response — or retracing a
-		// specific query (standard caching) — is miss cost; anything
-		// else is propagation overhead.
-		ks := s.state(to, m.kid)
-		if m.u.QueryID != 0 || ks.pfu {
-			s.C.ResponseHops++
-		} else {
-			s.C.UpdateHops++
-		}
-		acts = n.handleUpdate(ks, m.from, &m.u)
+		acts = n.handleUpdate(s.state(to, m.kid), m.from, &m.u)
 	case ActSendClearBit:
-		if !m.carried {
-			s.C.ClearBitHops++
-		}
-		acts = n.handleClearBit(s.env.peek(to, m.kid), m.from)
+		acts = n.handleClearBit(s.env.peek(to, m.kid), m.from, m.carried)
 	}
 	s.release(ref)
 	s.dispatch(to, acts)
@@ -832,23 +805,7 @@ func (s *Simulation) RunContext(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	s.Sched.AdvanceTo(s.endTime)
-	s.foldCounters()
-	return &Result{Params: s.P, Counters: s.C}, nil
-}
-
-// foldCounters folds per-node justification stats (node order) into the
-// aggregate s.C. Updates still
-// awaiting their justification window at the end of the run are censored
-// observations, not failures; they stay unclassified (callers wanting
-// strict accounting may SettleJustification first).
-func (s *Simulation) foldCounters() {
-	for id := range s.nodes.size {
-		st := s.nodes.at(overlay.NodeID(id)).Stats()
-		s.C.JustifiedUpdates += st.Justified
-		s.C.UnjustifiedUpdates += st.Unjustified
-		s.C.ExpiredUpdates += st.Expired
-		s.C.UpdatesDropped += st.Dropped
-	}
+	return &Result{Params: s.P, Counters: *s.C}, nil
 }
 
 // Run builds and runs a simulation in one call.

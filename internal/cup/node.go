@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cup/internal/cache"
+	"cup/internal/metrics"
 	"cup/internal/overlay"
 	"cup/internal/sim"
 )
@@ -147,15 +148,6 @@ type keyState struct {
 	issuedAt sim.Time
 }
 
-// NodeStats surfaces protocol-level observations the transport layer
-// aggregates into metrics.Counters.
-type NodeStats struct {
-	Justified   uint64 // proactive updates later matched by a query in time
-	Unjustified uint64 // proactive updates never matched
-	Expired     uint64 // updates dropped on arrival (case 3)
-	Dropped     uint64 // proactive pushes suppressed by capacity limits
-}
-
 // nodeEnv is what the nodes of one owner share, and where their per-key
 // state lives. An owner is whatever serializes handler calls: a Simulation
 // — one copy per run, not per node — or a single live peer, which like a
@@ -177,14 +169,18 @@ type nodeEnv struct {
 	// the owner's next handler call. out is the update its sends carry:
 	// every send of one result carries the same update, so the actions
 	// point at this one copy and a transport copies it once, into what it
-	// puts in flight.
+	// puts in flight. It is allocated by the owner's first response or
+	// push (update), so an owner that sends none holds none.
 	acts []Action
-	out  Update
+	out  *Update
 	// keys, pool and index hold every key state of the owner's nodes
 	// (state.go). Nothing is allocated until the first key.
 	keys  keyTable
 	pool  statePool
 	index stateIndex
+	// c is the owner's cost accounting (§3.3), counted by the handler
+	// that sees each event: a query, a hop, an update's fate.
+	c metrics.Counters
 }
 
 func newNodeEnv(cfg Config, router Router, now func() sim.Time) *nodeEnv {
@@ -219,6 +215,15 @@ func (env *nodeEnv) result(acts []Action) []Action {
 	return acts
 }
 
+// update returns the owner's out update, for a handler to fill and its
+// sends to carry.
+func (env *nodeEnv) update() *Update {
+	if env.out == nil {
+		env.out = new(Update) // once per owner
+	}
+	return env.out
+}
+
 // one starts a single-action handler result on the owner's buffer: one
 // action of the given kind for ks's key, every other field zero, for the
 // handler to complete in place and return. (Filling the slot where it
@@ -238,8 +243,9 @@ func (env *nodeEnv) one(kind ActionKind, ks *keyState) []Action {
 // concurrent use; the live runtime serializes access per node. Handlers
 // return their actions in a buffer shared with the other nodes of the same
 // owner (see nodeEnv): a result is valid until the owner's next handler
-// call. A Node is identity, owner, local directory, statistics and
-// capacity; everything per key lives in the owner, found by (node, KeyID).
+// call. A Node is identity, owner, local directory and capacity; the cost
+// counters live in the owner, and so does everything per key, found by
+// (node, KeyID).
 type Node struct {
 	id overlay.NodeID
 	// head is the slab handle of the node's most recent key state, -1
@@ -252,7 +258,6 @@ type Node struct {
 	// own keys).
 	local cache.Store
 
-	stats  NodeStats
 	qidSeq uint64
 
 	// capacityFraction < 0 means full outgoing capacity; otherwise the
@@ -297,8 +302,9 @@ func (env *nodeEnv) emit(id overlay.NodeID, e Event) {
 	env.obs.OnEvent(e)
 }
 
-// Stats returns the node's protocol observations.
-func (n *Node) Stats() NodeStats { return n.stats }
+// Counters returns the cost counters of the node's owner (§3.3): the
+// node's own for one built by NewNode, the whole run's in a simulation.
+func (n *Node) Counters() metrics.Counters { return n.env.c }
 
 // SetCapacity sets the outgoing update capacity as a fraction of received
 // updates (0 ≤ c ≤ 1); negative restores full capacity.
@@ -394,11 +400,11 @@ func (n *Node) Distance(k overlay.Key) int {
 
 // settleJustify closes ks's pending proactive update against a query that
 // arrived at time at.
-func (n *Node) settleJustify(ks *keyState, at sim.Time) {
+func (env *nodeEnv) settleJustify(ks *keyState, at sim.Time) {
 	if at < ks.justifyDeadline {
-		n.stats.Justified++
+		env.c.JustifiedUpdates++
 	} else {
-		n.stats.Unjustified++
+		env.c.UnjustifiedUpdates++
 	}
 	ks.justifyPending = false
 }
@@ -434,17 +440,20 @@ func (n *Node) MarkShipped(k overlay.Key) {
 // CreditClientHits records hits local client queries for k that the
 // transport answered from a published ClientAnswer, the earliest at time
 // first: exactly what that many HandleQuery hits would have left behind —
-// the popularity measure and the §3.1 settlement — minus the events,
-// which the transport emits where it serves. The transport credits before
-// any handler for k runs, so a cut-off decision sees every query.
+// the counted queries and hits, the popularity measure and the §3.1
+// settlement — minus the events, which the transport emits where it
+// serves. The transport credits before any handler for k runs, so a
+// cut-off decision sees every query.
 func (n *Node) CreditClientHits(k overlay.Key, hits int, first sim.Time) {
 	if hits <= 0 {
 		return
 	}
 	ks := n.stateKey(k)
+	n.env.c.Queries += uint64(hits)
+	n.env.c.Hits += uint64(hits)
 	ks.queries += int32(hits)
 	if ks.justifyPending {
-		n.settleJustify(ks, first)
+		n.env.settleJustify(ks, first)
 	}
 }
 
@@ -473,8 +482,9 @@ func (n *Node) HandleQuery(from overlay.NodeID, k overlay.Key, qid uint64) []Act
 // already holding the key's state. It is the owner's, not the node's: a
 // hit — the authority's aside — reads the key state and the owner and
 // dereferences no field of n, so the node's memory is touched only off the
-// hit path (the authority's directory, standard caching's query token,
-// justification stats).
+// hit path (the authority's directory, standard caching's query token).
+// A local client's query is counted, and classified where it is answered
+// or misses; a neighbor's is a query hop, miss cost (§3.3).
 func (env *nodeEnv) handleQuery(n *Node, id overlay.NodeID, ks *keyState, from overlay.NodeID, qid uint64) []Action {
 	// The popularity measure, and justified-update accounting: a pending
 	// proactive update is justified by the first query arriving before its
@@ -482,11 +492,16 @@ func (env *nodeEnv) handleQuery(n *Node, id overlay.NodeID, ks *keyState, from o
 	ks.queries++
 	now := env.now()
 	if ks.justifyPending {
-		n.settleJustify(ks, now)
+		env.settleJustify(ks, now)
 	}
 
-	if from == LocalClient && env.obs != nil {
-		env.emit(id, Event{Kind: EvQueryIssued, Peer: LocalClient, Key: env.key(ks)})
+	if from != LocalClient {
+		env.c.QueryHops++
+	} else {
+		env.c.Queries++
+		if env.obs != nil {
+			env.emit(id, Event{Kind: EvQueryIssued, Peer: LocalClient, Key: env.key(ks)})
+		}
 	}
 
 	// Interest registration: CUP nodes remember which neighbors want
@@ -509,6 +524,19 @@ func (env *nodeEnv) handleQuery(n *Node, id overlay.NodeID, ks *keyState, from o
 	if env.cfg.Mode == ModeCUP || from == LocalClient {
 		if fresh := ks.entries.Fresh(now); fresh != nil {
 			return env.answer(id, ks, from, fresh, qid)
+		}
+	}
+
+	// A local query with no fresh answer is a miss, classified by the
+	// flags it found on arrival.
+	if from == LocalClient {
+		if ks.pfu {
+			env.c.Coalesced++
+		}
+		if ks.everHeld {
+			env.c.FreshnessMisses++
+		} else {
+			env.c.FirstTimeMisses++
 		}
 	}
 
@@ -537,7 +565,7 @@ func (env *nodeEnv) handleQuery(n *Node, id overlay.NodeID, ks *keyState, from o
 	}
 	if ks.pfu {
 		// Coalesced into the in-flight query. Peer carries the querier so
-		// observers can split local coalescing (which mirrors the driver's
+		// observers can split local coalescing (which mirrors the
 		// Coalesced counter) from neighbor coalescing.
 		if env.obs != nil {
 			env.emit(id, Event{Kind: EvQueryCoalesced, Peer: from, Key: env.key(ks)})
@@ -550,12 +578,13 @@ func (env *nodeEnv) handleQuery(n *Node, id overlay.NodeID, ks *keyState, from o
 	return acts
 }
 
-// answer builds node id's answer from entries: a local delivery, or the
-// first-time-update response for a neighbor's fresh hit. The response
-// carries our distance+1 so the receiver learns its depth, and a view of
-// the set it answers from, which is shipped with it.
+// answer builds node id's answer from entries: a local delivery — a hit —
+// or the first-time-update response for a neighbor's fresh hit. The
+// response carries our distance+1 so the receiver learns its depth, and a
+// view of the set it answers from, which is shipped with it.
 func (env *nodeEnv) answer(id overlay.NodeID, ks *keyState, from overlay.NodeID, entries []cache.Entry, qid uint64) []Action {
 	if from == LocalClient {
+		env.c.Hits++
 		if env.obs != nil {
 			env.emit(id, Event{Kind: EvQueryAnswered, Peer: LocalClient, Key: env.key(ks), Entries: len(entries)})
 		}
@@ -569,7 +598,7 @@ func (env *nodeEnv) answer(id overlay.NodeID, ks *keyState, from overlay.NodeID,
 	if env.nextHop(id, ks) == id {
 		depth = 1
 	}
-	out := &env.out
+	out := env.update()
 	*out = Update{
 		Key:     acts[0].Key,
 		Type:    FirstTime,
@@ -614,7 +643,7 @@ func (n *Node) handleDirectResponse(ks *keyState, u *Update) []Action {
 		return acts
 	}
 	acts := n.env.one(ActSendUpdate, ks)
-	out := &n.env.out
+	out := n.env.update()
 	*out = *u
 	out.Depth, out.Entries = u.Depth+1, fresh
 	acts[0].To, acts[0].Update = re.dest, out
@@ -641,13 +670,14 @@ func (n *Node) ReplicaEvent(ty UpdateType, k overlay.Key, replica int, addr stri
 }
 
 // originateUpdate is called at the authority once a replica event (birth,
-// refresh, deletion) has changed the local directory; it propagates the
-// update to interested neighbors per §2.6. The result follows the
-// handler-result contract (see HandleQuery).
+// refresh, deletion) has changed the local directory; it counts the
+// update and propagates it to interested neighbors per §2.6. The result
+// follows the handler-result contract (see HandleQuery).
 func (n *Node) originateUpdate(u Update) []Action {
 	if !n.IsAuthority(u.Key) {
 		panic(fmt.Sprintf("cup: %v originating update for foreign key %q", n.id, u.Key))
 	}
+	n.env.c.UpdatesOriginated++
 	if n.env.cfg.Mode != ModeCUP {
 		return nil // standard caching never propagates
 	}
@@ -672,6 +702,13 @@ func (n *Node) HandleUpdate(from overlay.NodeID, u Update) []Action {
 // u is read in place — the simulator passes the message's slot — and
 // neither kept nor written.
 func (n *Node) handleUpdate(ks *keyState, from overlay.NodeID, u *Update) []Action {
+	// An update retracing one query's path or reaching a node awaiting a
+	// response is miss cost (§3.3); any other is a proactive push.
+	if u.QueryID != 0 || ks.pfu {
+		n.env.c.ResponseHops++
+	} else {
+		n.env.c.UpdateHops++
+	}
 	// Per-query responses (standard caching) bypass the CUP machinery and
 	// retrace their query's path.
 	if u.QueryID != 0 {
@@ -682,7 +719,7 @@ func (n *Node) handleUpdate(ks *keyState, from overlay.NodeID, u *Update) []Acti
 	// Case 3: the update expired in flight — do not apply, do not push.
 	// Deletes are always applied: removing a stale entry is still correct.
 	if u.Type != Delete && u.Expires <= now {
-		n.stats.Expired++
+		n.env.c.ExpiredUpdates++
 		// An expired first-time update still terminates the pending
 		// query: the asker must re-issue rather than wait forever.
 		if ks.pfu {
@@ -757,7 +794,7 @@ func (n *Node) respondPending(ks *keyState, u *Update, entries []cache.Entry) []
 		acts = append(acts, Action{Kind: ActDeliverLocal, Key: k, kid: ks.kid, Entries: entries})
 		ks.pendingLocal = 0
 	}
-	resp := &n.env.out
+	resp := n.env.update()
 	*resp = Update{
 		Key:     k,
 		Type:    FirstTime,
@@ -820,7 +857,7 @@ func (n *Node) markJustifyPending(ks *keyState, u *Update) {
 	}
 	if ks.justifyPending {
 		// Previous proactive update was never matched by a query.
-		n.stats.Unjustified++
+		n.env.c.UnjustifiedUpdates++
 	}
 	ks.justifyPending = true
 	ks.justifyDeadline = u.Expires
@@ -877,12 +914,12 @@ func (n *Node) pushProactive(acts []Action, ks *keyState, u *Update, senderDepth
 	if n.capacityFraction >= 0 {
 		n.capacityCredit += n.capacityFraction
 		if n.capacityCredit < 1 {
-			n.stats.Dropped++
+			n.env.c.UpdatesDropped++
 			return acts
 		}
 		n.capacityCredit--
 	}
-	fwd := &n.env.out
+	fwd := n.env.update()
 	*fwd = *u
 	fwd.Depth = senderDepth + 1
 	// The interest set is sorted ascending; iterating it directly is the
@@ -906,12 +943,17 @@ func (n *Node) pushProactive(acts []Action, ks *keyState, u *Update, senderDepth
 // for a key the node holds no state for — nothing a correct peer sends —
 // is dropped without creating any.
 func (n *Node) HandleClearBit(from overlay.NodeID, k overlay.Key) []Action {
-	return n.handleClearBit(n.peekKey(k), from)
+	return n.handleClearBit(n.peekKey(k), from, false)
 }
 
 // handleClearBit is HandleClearBit for a caller that has looked the key's
-// state up (nil: the node holds none).
-func (n *Node) handleClearBit(ks *keyState, from overlay.NodeID) []Action {
+// state up (nil: the node holds none). A clear-bit that traveled alone is
+// a clear-bit hop, overhead (§3.3); one carried by a query or update
+// (§2.7 piggybacking, which only the simulator does) cost no hop.
+func (n *Node) handleClearBit(ks *keyState, from overlay.NodeID, carried bool) []Action {
+	if !carried {
+		n.env.c.ClearBitHops++
+	}
 	if ks == nil {
 		return nil
 	}
@@ -963,7 +1005,7 @@ func (n *Node) FlushExpired() int {
 func (n *Node) SettleJustification() {
 	n.eachState(func(ks *keyState) {
 		if ks.justifyPending {
-			n.stats.Unjustified++
+			n.env.c.UnjustifiedUpdates++
 			ks.justifyPending = false
 		}
 	})

@@ -236,8 +236,8 @@ func TestExpiredUpdateDropped(t *testing.T) {
 	if len(acts) != 0 {
 		t.Fatalf("expired update produced actions: %v", kinds(acts))
 	}
-	if n.Stats().Expired != 1 {
-		t.Fatalf("Expired = %d, want 1", n.Stats().Expired)
+	if c := n.Counters(); c.ExpiredUpdates != 1 {
+		t.Fatalf("ExpiredUpdates = %d, want 1", c.ExpiredUpdates)
 	}
 }
 
@@ -357,8 +357,8 @@ func TestCapacityZeroSuppressesProactivePushes(t *testing.T) {
 			t.Fatalf("zero-capacity node pushed: %v", kinds(acts))
 		}
 	}
-	if n.Stats().Dropped != 5 {
-		t.Fatalf("Dropped = %d, want 5", n.Stats().Dropped)
+	if c := n.Counters(); c.UpdatesDropped != 5 {
+		t.Fatalf("UpdatesDropped = %d, want 5", c.UpdatesDropped)
 	}
 }
 
@@ -462,14 +462,14 @@ func TestJustifiedAccounting(t *testing.T) {
 	n.HandleUpdate(4, refresh("k", 0, 5, 200))
 	clk.t = 50
 	n.HandleQuery(LocalClient, "k", 0)
-	if st := n.Stats(); st.Justified != 1 || st.Unjustified != 0 {
-		t.Fatalf("stats = %+v, want 1 justified", st)
+	if c := n.Counters(); c.JustifiedUpdates != 1 || c.UnjustifiedUpdates != 0 {
+		t.Fatalf("counters = %+v, want 1 justified", c)
 	}
 	// Next refresh never followed by a query: unjustified at settle.
 	n.HandleUpdate(4, refresh("k", 0, 5, 300))
 	n.SettleJustification()
-	if st := n.Stats(); st.Unjustified != 1 {
-		t.Fatalf("stats = %+v, want 1 unjustified", st)
+	if c := n.Counters(); c.UnjustifiedUpdates != 1 {
+		t.Fatalf("counters = %+v, want 1 unjustified", c)
 	}
 }
 

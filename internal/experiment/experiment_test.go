@@ -71,7 +71,11 @@ func sequentialOverlay() *metrics.Table {
 	})
 }
 
-var startOnce sync.Once
+var (
+	startOnce sync.Once
+	// started counts the generators startOnce set going until each is done.
+	started sync.WaitGroup
+)
 
 // paper returns a §3 artefact at seed 1. The first call starts every
 // table the package's tests read — each experiment at seed 1, the
@@ -84,12 +88,19 @@ func paper(t *testing.T, name string) *metrics.Table {
 		t.Skipf("%s has a λ ≥ 100 column; skipped under -short", name)
 	}
 	startOnce.Do(func() {
-		go sequentialOverlay()
-		go tableAt("fig3", fig3Chord)
-		go crossover()
+		start := func(f func()) {
+			started.Add(1)
+			go func() {
+				defer started.Done()
+				f()
+			}()
+		}
+		start(func() { sequentialOverlay() })
+		start(func() { tableAt("fig3", fig3Chord) })
+		start(func() { crossover() })
 		for n := range Registry {
 			if !testing.Short() || !highRate[n] {
-				go table(n, 1)
+				start(func() { table(n, 1) })
 			}
 		}
 		for _, n := range paperArtefacts {
@@ -97,7 +108,7 @@ func paper(t *testing.T, name string) *metrics.Table {
 				continue
 			}
 			for _, seed := range seeds[1:] {
-				go table(n, seed)
+				start(func() { table(n, seed) })
 			}
 		}
 	})

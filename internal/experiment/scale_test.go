@@ -55,14 +55,16 @@ func TestDeepPushLosesToStandardCachingAt2To17(t *testing.T) {
 // node, no finger table: a stored one is 256 B a node and trips this).
 // The cost is per node and flat in n, so 2^17 stands in for Figure 3 at
 // n = 10^6. Heap bytes, not time: a trip here is a real regression on
-// any machine. It runs after every test that waits on the shared pool,
-// so no sweep allocates while it measures. Static runs share their ring
-// (overlay.Shared keeps the most recent of each kind), and the crossover
-// cells leave this very ring behind: a 2-node Chord run parks the shared
-// slot on a ring of next to nothing first, so the measured build is cold
-// and its ring counts.
+// any machine. It first waits for every table paper() started: a
+// generator still running frees its runs' state while the test measures,
+// and the reading would depend on the test order. Static runs share
+// their ring (overlay.Shared keeps the most recent of each kind), and
+// the crossover cells leave this very ring behind: a 2-node Chord run
+// parks the shared slot on a ring of next to nothing first, so the
+// measured build is cold and its ring counts.
 func TestBuiltFootprintUnder160BPerNode(t *testing.T) {
 	const n = 1 << 17
+	started.Wait()
 	park, err := cup.New(cup.WithNodes(2), cup.WithOverlay("chord"), cup.WithoutWorkload())
 	if err != nil {
 		t.Fatal(err)

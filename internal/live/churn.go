@@ -3,7 +3,6 @@ package live
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"cup/internal/cache"
 	"cup/internal/cup"
@@ -119,9 +118,4 @@ func (m members) Changed(kind cup.EventKind, id overlay.NodeID) {
 	if obs := m.cfg.Observer; obs != nil {
 		obs.OnEvent(cup.Event{Kind: kind, Time: m.Now(), Node: id, Peer: overlay.NoNode})
 	}
-	count := &m.stats.Joins
-	if kind == cup.EvNodeLeft {
-		count = &m.stats.Leaves
-	}
-	atomic.AddUint64(count, 1)
 }

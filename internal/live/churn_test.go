@@ -29,9 +29,6 @@ func TestLiveJoinSpawnsWorkingPeer(t *testing.T) {
 		if !n.IsAlive(id) {
 			t.Fatal("joined node not alive")
 		}
-		if got := n.Stats().Joins; got != 1 {
-			t.Fatalf("Stats.Joins = %d, want 1", got)
-		}
 		add(t, n, "post-join", 0, "10.0.0.1", time.Hour)
 		entries, err := n.Lookup(ctx, id, "post-join")
 		if err != nil {
@@ -87,9 +84,6 @@ func TestLiveLeaveRetiresPeerAndHandsOver(t *testing.T) {
 		}
 		if n.IsAlive(victim) {
 			t.Fatal("victim still alive after Leave")
-		}
-		if got := n.Stats().Leaves; got != 1 {
-			t.Fatalf("Stats.Leaves = %d, want 1", got)
 		}
 		heir := n.Authority(key)
 		if heir == victim {
@@ -167,7 +161,8 @@ func TestLiveRunFaultsSurfacesUnsupportedChurn(t *testing.T) {
 
 // TestLiveNodeChurnFaultChangesCounters runs the registered churn fault
 // end to end on a dynamic overlay and checks membership measurably
-// changed — the tentpole acceptance criterion.
+// changed: the membership events the observer counted are the network's
+// joins and departures.
 func TestLiveNodeChurnFaultChangesCounters(t *testing.T) {
 	var joins, leaves atomic.Uint64
 	obs := cup.ObserverFunc(func(e cup.Event) {
@@ -191,13 +186,18 @@ func TestLiveNodeChurnFaultChangesCounters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := n.Stats()
-		if st.Joins == 0 {
+		if joins.Load() == 0 {
 			t.Fatal("NodeChurn produced no joins")
 		}
-		if joins.Load() != st.Joins || leaves.Load() != st.Leaves {
-			t.Fatalf("observer saw %d/%d membership events, stats say %d/%d",
-				joins.Load(), leaves.Load(), st.Joins, st.Leaves)
+		alive := 0
+		for id := range n.Size() {
+			if n.IsAlive(overlay.NodeID(id)) {
+				alive++
+			}
+		}
+		if uint64(n.Size()) != 12+joins.Load() || uint64(alive) != 12+joins.Load()-leaves.Load() {
+			t.Fatalf("observer saw %d joins and %d leaves; the network has %d slots, %d alive",
+				joins.Load(), leaves.Load(), n.Size(), alive)
 		}
 	})
 }

@@ -24,6 +24,7 @@ import (
 
 	"cup/internal/cache"
 	"cup/internal/cup"
+	"cup/internal/metrics"
 	"cup/internal/overlay"
 	"cup/internal/sim"
 )
@@ -33,9 +34,6 @@ type Stats struct {
 	QueryMsgs    uint64
 	UpdateMsgs   uint64
 	ClearBitMsgs uint64
-	// Joins and Leaves count §2.9 runtime membership events.
-	Joins  uint64
-	Leaves uint64
 }
 
 // Network hosts a set of CUP peers over an overlay. It is the one live
@@ -225,8 +223,6 @@ func (n *Network) Stats() Stats {
 		QueryMsgs:    atomic.LoadUint64(&n.stats.QueryMsgs),
 		UpdateMsgs:   atomic.LoadUint64(&n.stats.UpdateMsgs),
 		ClearBitMsgs: atomic.LoadUint64(&n.stats.ClearBitMsgs),
-		Joins:        atomic.LoadUint64(&n.stats.Joins),
-		Leaves:       atomic.LoadUint64(&n.stats.Leaves),
 	}
 }
 
@@ -352,19 +348,27 @@ func (n *Network) Inspect(id overlay.NodeID, fn func(*cup.Node)) {
 	_ = n.controlNode(context.Background(), id, fn)
 }
 
+// Counters sums the peers' cost counters (§3.3), each read on its peer's
+// goroutine once the hits its view served are credited. After Close the
+// goroutines have exited, and it reads them directly.
+func (n *Network) Counters() (sum metrics.Counters) {
+	for _, p := range *n.peers.Load() {
+		var c metrics.Counters
+		if n.controlNode(context.Background(), p.id, func(node *cup.Node) { c = node.Counters() }) != nil {
+			n.wg.Wait() // closed: whatever the callback did is done
+			c = p.node.Counters()
+		}
+		sum.Add(&c)
+	}
+	return sum
+}
+
 // Quiesced reports whether no messages were in flight across one probe
 // window: it samples the traffic counters, waits for window, and samples
 // again. Settling callers poll it until two samples agree.
 func (n *Network) Quiesced(window time.Duration) bool {
 	before := n.Stats()
-	timer := time.NewTimer(window)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-	case <-n.closed:
-		return true
-	}
-	return n.Stats() == before
+	return !sleepUntil(context.Background(), n.closed, window) || n.Stats() == before
 }
 
 // spawn creates peer id (== Size() at call time), lets the link open

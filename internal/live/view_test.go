@@ -327,8 +327,9 @@ func (r *recorder) OnEvent(e cup.Event) {
 // TestViewAccountingParity runs the same history at two peers — one
 // whose local hits are served by the view, one whose hits all go through
 // HandleQuery — and requires the same popularity at every refresh, the
-// same keep/cut decision on the same refresh, the same justified and
-// unjustified counts, and the same event stream. It runs twice: reading
+// same keep/cut decision on the same refresh, the same cost counters —
+// queries, hits, justified and unjustified updates — and the same event
+// stream. It runs twice: reading
 // the popularity through a control callback before each refresh, which
 // credits the view's hits on the way, and not reading it, so that the
 // credit ahead of the update handler is all the cut-off decision has.
@@ -385,12 +386,12 @@ func accountingParity(t *testing.T, inspect bool) {
 		if cut := len(actsView) == 1 && actsView[0].kind == msgClearBit; cut != wantCut {
 			t.Fatalf("round %d: cut-off fired = %v, want %v", i, cut, wantCut)
 		}
-		if sv, sb := viaView.node.Stats(), viaBox.node.Stats(); sv != sb {
-			t.Fatalf("round %d: node stats %+v via view, %+v via mailbox", i, sv, sb)
+		if cv, cb := viaView.node.Counters(), viaBox.node.Counters(); cv != cb {
+			t.Fatalf("round %d: counters %+v via view, %+v via mailbox", i, cv, cb)
 		}
 	}
-	if st := viaView.node.Stats(); st.Justified == 0 || st.Unjustified == 0 {
-		t.Fatalf("history exercised only one side of §3.1: %+v", st)
+	if c := viaView.node.Counters(); c.JustifiedUpdates == 0 || c.UnjustifiedUpdates == 0 {
+		t.Fatalf("history exercised only one side of §3.1: %+v", c)
 	}
 	if len(viewObs.events) != len(boxObs.events) {
 		t.Fatalf("%d events via view, %d via mailbox", len(viewObs.events), len(boxObs.events))

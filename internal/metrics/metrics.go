@@ -14,8 +14,12 @@ import (
 	"time"
 )
 
-// Counters aggregates one simulation run. All hop counters count message
-// transmissions over single overlay links.
+// Counters aggregates one run on any runtime. All hop counters count
+// message transmissions over single overlay links. The protocol core
+// counts every field where its event happens, except three only the
+// simulator measures: MissLatencyTotal and MissesServed need each query's
+// post time, which its driver keeps, and PiggybackedClearBits counts a
+// mechanism only it models. Elsewhere they stay zero.
 type Counters struct {
 	// Queries is the number of local queries posted by clients.
 	Queries uint64
@@ -54,7 +58,9 @@ type Counters struct {
 
 	// JustifiedUpdates / UnjustifiedUpdates implement the paper's §3.1
 	// accounting: a pushed update is justified when a query arrives at the
-	// receiving node within the update's critical interval T.
+	// receiving node within the update's critical interval T. One still
+	// inside its interval when the run ends is censored, not a failure,
+	// and stays unclassified.
 	JustifiedUpdates   uint64
 	UnjustifiedUpdates uint64
 

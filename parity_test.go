@@ -24,8 +24,10 @@ import (
 // script: publish two replicas of two keys, a round of lookups from
 // seeded-random peers, two refresh rounds (so proactive pushes travel
 // the interest trees and cut-offs fire at leaves), and a final lookup
-// round. It returns the per-kind event counts after the network settles.
-func parityWorkload(t *testing.T, transport cup.Transport, kind string) map[cup.EventKind]int {
+// round. It returns the per-kind event counts and the cost counters after
+// the network settles. With serial set it also settles after every
+// publish and every lookup, so no two operations' messages race.
+func parityWorkload(t *testing.T, transport cup.Transport, kind string, serial bool) (map[cup.EventKind]int, cup.Counters) {
 	t.Helper()
 	d, err := cup.New(
 		cup.WithTransport(transport),
@@ -52,6 +54,11 @@ func parityWorkload(t *testing.T, transport cup.Transport, kind string) map[cup.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
+	settle := func() {
+		if err := d.Settle(ctx); err != nil {
+			t.Fatalf("settle: %v", err)
+		}
+	}
 	keys := []cup.Key{"alpha", "beta"}
 	publish := func() {
 		for i, k := range keys {
@@ -59,6 +66,9 @@ func parityWorkload(t *testing.T, transport cup.Transport, kind string) map[cup.
 				addr := fmt.Sprintf("198.51.100.%d", 10*i+r+1)
 				if err := d.Publish(ctx, k, r, addr, time.Hour); err != nil {
 					t.Fatalf("publish %q/%d: %v", k, r, err)
+				}
+				if serial {
+					settle()
 				}
 			}
 		}
@@ -70,6 +80,9 @@ func parityWorkload(t *testing.T, transport cup.Transport, kind string) map[cup.
 			if _, err := d.LookupAt(ctx, at, k); err != nil {
 				t.Fatalf("lookup %q at %v: %v", k, at, err)
 			}
+			if serial {
+				settle()
+			}
 		}
 	}
 
@@ -80,16 +93,14 @@ func parityWorkload(t *testing.T, transport cup.Transport, kind string) map[cup.
 	publish()        // refresh round 2: leaves with no queries cut off
 	lookups(rng, 6)  // post-refresh lookups hit warm caches
 
-	if err := d.Settle(ctx); err != nil {
-		t.Fatalf("settle: %v", err)
-	}
+	settle()
 	mu.Lock()
 	defer mu.Unlock()
 	out := make(map[cup.EventKind]int, len(counts))
 	for k, v := range counts {
 		out[k] = v
 	}
-	return out
+	return out, d.Counters()
 }
 
 // within reports whether a and b agree up to an absolute slack or a
@@ -113,8 +124,8 @@ func TestSimLiveEventParity(t *testing.T) {
 	for _, kind := range overlay.Kinds() {
 		kind := kind
 		t.Run(kind, func(t *testing.T) {
-			simC := parityWorkload(t, cup.Simulated, kind)
-			liveC := parityWorkload(t, cup.Live, kind)
+			simC, _ := parityWorkload(t, cup.Simulated, kind, false)
+			liveC, _ := parityWorkload(t, cup.Live, kind, false)
 
 			// Client-visible events are exact: every lookup issues one
 			// query and receives one answer on either transport.
@@ -143,6 +154,30 @@ func TestSimLiveEventParity(t *testing.T) {
 			// No membership changes in this script.
 			if simC[cup.EvNodeJoined]+simC[cup.EvNodeLeft]+liveC[cup.EvNodeJoined]+liveC[cup.EvNodeLeft] != 0 {
 				t.Errorf("unexpected membership events: sim %v, live %v", simC, liveC)
+			}
+		})
+	}
+}
+
+// With the network settled after every publish and every lookup nothing
+// races, so every transport counts the same costs, field for field: the
+// protocol core counts them, whatever carries its messages. Only the
+// three fields the simulator alone measures (see metrics.Counters) are
+// zero elsewhere.
+func TestSerialCountersExactAcrossTransports(t *testing.T) {
+	for _, kind := range overlay.Kinds() {
+		kind := kind
+		t.Run(kind, func(t *testing.T) {
+			_, want := parityWorkload(t, cup.Simulated, kind, true)
+			if want.Queries != 18 || want.MissesServed == 0 || want.UpdateHops == 0 ||
+				want.ClearBitHops == 0 || want.JustifiedUpdates == 0 {
+				t.Fatalf("the script no longer exercises the cost model: %+v", want)
+			}
+			want.MissLatencyTotal, want.MissesServed, want.PiggybackedClearBits = 0, 0, 0
+			for _, tr := range []cup.Transport{cup.Live, cup.LiveTCP} {
+				if _, got := parityWorkload(t, tr, kind, true); got != want {
+					t.Errorf("%v counted otherwise than the simulator:\n got  %+v\n want %+v", tr, got, want)
+				}
 			}
 		})
 	}
@@ -250,8 +285,8 @@ func TestPoissonTrafficRateFallback(t *testing.T) {
 // The simulated transport is fully deterministic: the same options must
 // reproduce the identical event tally, not just a similar shape.
 func TestSimulatedEventStreamDeterministic(t *testing.T) {
-	a := parityWorkload(t, cup.Simulated, "can")
-	b := parityWorkload(t, cup.Simulated, "can")
+	a, _ := parityWorkload(t, cup.Simulated, "can", false)
+	b, _ := parityWorkload(t, cup.Simulated, "can", false)
 	for _, k := range cup.EventKinds {
 		if a[k] != b[k] {
 			t.Fatalf("%v: %d vs %d across identical simulated runs", k, a[k], b[k])
@@ -260,8 +295,8 @@ func TestSimulatedEventStreamDeterministic(t *testing.T) {
 }
 
 // The live-approximation tolerance for whole scenario runs: the live
-// transport counts real messages racing wall-clock delivery (cache
-// warm-up, coalescing, and refresh timing all race), so counts agree
+// transport's messages race wall-clock delivery (cache warm-up,
+// coalescing, and refresh timing all race), so counts agree
 // within an absolute slack of 48 or half the larger count — checked
 // with the same `within` helper the event-parity test uses. Anything
 // outside this band means the transports' seed derivations (topology
@@ -327,13 +362,19 @@ func TestTrialSweepCrossTransportParity(t *testing.T) {
 					if simIssued == 0 || liveIssued == 0 {
 						t.Fatalf("a run issued no queries: sim %d, live %d", simIssued, liveIssued)
 					}
+					// Each transport counts exactly the queries it issued.
+					if int(simC.Queries) != simIssued || int(liveC.Queries) != liveIssued {
+						t.Errorf("Queries: sim %d of %d issued, live %d of %d issued",
+							simC.Queries, simIssued, liveC.Queries, liveIssued)
+					}
 					if !within(simIssued, liveIssued, liveRunAbsTolerance, liveRunRelTolerance) {
 						t.Errorf("query arrivals: sim %d, live %d (outside tolerance)", simIssued, liveIssued)
 					}
-					// The live transport folds message counts into the hop
-					// fields (one message = one hop); the sim reports true hops.
 					if !within(int(simC.QueryHops), int(liveC.QueryHops), liveRunAbsTolerance, liveRunRelTolerance) {
 						t.Errorf("query hops: sim %d, live %d (outside tolerance)", simC.QueryHops, liveC.QueryHops)
+					}
+					if !within(int(simC.MissCost()), int(liveC.MissCost()), liveRunAbsTolerance, liveRunRelTolerance) {
+						t.Errorf("miss cost: sim %d, live %d (outside tolerance)", simC.MissCost(), liveC.MissCost())
 					}
 				})
 			}
