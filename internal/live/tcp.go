@@ -18,9 +18,9 @@ type TCPNetwork = Network
 // loopback interface: every peer owns a listener, query/update/clear-bit
 // messages are wire-encoded frames over persistent connections, and
 // everything above the link — the protocol state machine, Lookup, §2.9
-// churn, the scenario engine — is the same code NewNetwork runs. This is
-// the deployment shape the paper describes — two logical channels per
-// neighbor — expressed as sockets. The listeners are drawn from the
+// churn, the scenario engine — is the same code NewNetwork runs. The
+// paper's two logical channels per neighbor share one socket, so a reply
+// carries the ACK of what it answers. The listeners are drawn from the
 // shared port budget (see budget.go), reserved up front so concurrent
 // networks fail fast instead of racing the kernel's ephemeral-port
 // range; every error path releases the reservation. Close releases all
@@ -43,7 +43,7 @@ func NewTCPNetwork(cfg Config) (*Network, error) {
 }
 
 // tcpLink joins peers by loopback sockets: a send is one framed write on
-// the cached connection to the target's listener.
+// the connection the two peers share.
 type tcpLink struct {
 	// reserved is the part of the boot-time budget reservation no listener
 	// has claimed yet. Only NewTCPNetwork's goroutine runs while it is
@@ -51,13 +51,14 @@ type tcpLink struct {
 	reserved int
 }
 
-// sock is one peer's end of the TCP link: its listener and lazily dialed
-// outbound conns.
+// sock is one peer's end of the TCP link: its listener, every connection
+// it reads (open) and the way to each neighbour (conns) among them.
 type sock struct {
 	ln net.Listener
 
-	mu     sync.Mutex // guards conns and closed
+	mu     sync.Mutex // guards conns, open and closed
 	conns  map[overlay.NodeID]net.Conn
+	open   map[net.Conn]bool
 	closed bool
 	// frame is the encode buffer of send, which only the peer's goroutine
 	// calls.
@@ -77,14 +78,14 @@ func (l *tcpLink) open(p *peer) error {
 		releasePorts(1)
 		return fmt.Errorf("live: listen: %w", err)
 	}
-	p.sock = &sock{ln: ln, conns: make(map[overlay.NodeID]net.Conn)}
+	p.sock = &sock{ln: ln, conns: make(map[overlay.NodeID]net.Conn), open: make(map[net.Conn]bool)}
 	p.net.wg.Add(1)
 	go l.accept(p)
 	return nil
 }
 
-// close shuts p's listener and every open connection and returns its
-// listener to the budget: dials to a departed peer fail from here on.
+// close shuts p's listener and every connection and returns its listener
+// to the budget: dials to a departed peer fail, and reads from it end.
 func (l *tcpLink) close(p *peer) {
 	s := p.sock
 	s.mu.Lock()
@@ -94,7 +95,7 @@ func (l *tcpLink) close(p *peer) {
 	}
 	s.closed = true
 	s.ln.Close()
-	for _, c := range s.conns {
+	for c := range s.open {
 		c.Close()
 	}
 	releasePorts(1)
@@ -108,25 +109,53 @@ func (l *tcpLink) accept(p *peer) {
 		if err != nil {
 			return // listener closed
 		}
-		p.net.wg.Add(1)
-		go l.read(p, conn)
+		p.sock.serve(p, conn, overlay.NoNode)
 	}
+}
+
+// serve starts conn's reader and returns the way to neighbour to: conn,
+// unless one came first (a way is never replaced, so each direction stays
+// FIFO). On a closed sock, or when it loses, conn is closed.
+func (s *sock) serve(p *peer, conn net.Conn, to overlay.NodeID) net.Conn {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if won, ok := s.conns[to]; ok || s.closed {
+		conn.Close()
+		return won
+	}
+	s.open[conn] = true
+	if to != overlay.NoNode {
+		s.conns[to] = conn
+	}
+	p.net.wg.Add(1)
+	go s.read(p, conn, to)
+	return conn
 }
 
 // read decodes frames off one connection into the peer's inbox,
 // through a buffer: a frame's prefix and payload, and every frame that
-// has arrived behind it, come out of the socket in one read.
-func (l *tcpLink) read(p *peer, conn net.Conn) {
+// has arrived behind it, come out of the socket in one read. An accepted
+// connection's first frame makes it the way back to its sender, if none.
+func (s *sock) read(p *peer, conn net.Conn, from overlay.NodeID) {
 	defer p.net.wg.Done()
-	defer conn.Close()
+	defer func() { s.drop(conn, from) }()
 	r := bufio.NewReader(conn)
 	for {
 		wm, err := wire.ReadFrame(r)
 		if err != nil {
 			return
 		}
+		m := fromWire(wm)
+		if from == overlay.NoNode {
+			from = m.from
+			s.mu.Lock()
+			if _, ok := s.conns[from]; !ok {
+				s.conns[from] = conn
+			}
+			s.mu.Unlock()
+		}
 		select {
-		case p.inbox <- fromWire(wm):
+		case p.inbox <- m:
 		case <-p.gone:
 			return
 		case <-p.net.closed:
@@ -163,40 +192,40 @@ func toWire(m message) wire.Message {
 // departed peer's listener is closed, so frames to it fail the dial.
 func (l *tcpLink) send(from *peer, to overlay.NodeID, m message) {
 	s := from.sock
-	conn, err := s.connTo(from, to)
-	if err != nil {
+	conn := s.connTo(from, to)
+	if conn == nil {
 		return
 	}
+	var err error
 	if s.frame, err = wire.AppendFrame(s.frame[:0], toWire(m)); err == nil {
 		_, err = conn.Write(s.frame)
 	}
 	if err != nil {
-		s.mu.Lock()
-		if s.conns[to] == conn {
-			delete(s.conns, to)
-		}
-		s.mu.Unlock()
-		conn.Close()
+		s.drop(conn, to)
 	}
 }
 
-func (s *sock) connTo(from *peer, to overlay.NodeID) (net.Conn, error) {
-	target := from.net.peerAt(to)
-	if target == nil {
-		return nil, fmt.Errorf("live: no peer %v", to)
-	}
+// drop forgets conn and closes it: the next send to to dials.
+func (s *sock) drop(conn net.Conn, to overlay.NodeID) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
+	if s.conns[to] == conn {
+		delete(s.conns, to)
 	}
-	if c, ok := s.conns[to]; ok {
-		return c, nil
+	delete(s.open, conn)
+	s.mu.Unlock()
+	conn.Close()
+}
+
+// connTo returns the way to neighbour to, dialing it on first use, or
+// nil. The dial runs unlocked: readers adopt, and close closes, under mu.
+func (s *sock) connTo(from *peer, to overlay.NodeID) net.Conn {
+	s.mu.Lock()
+	c := s.conns[to]
+	s.mu.Unlock()
+	if target := from.net.peerAt(to); c == nil && target != nil {
+		if d, err := net.DialTimeout("tcp", target.sock.ln.Addr().String(), 2*time.Second); err == nil {
+			c = s.serve(from, d, to)
+		}
 	}
-	c, err := net.DialTimeout("tcp", target.sock.ln.Addr().String(), 2*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	s.conns[to] = c
-	return c, nil
+	return c
 }

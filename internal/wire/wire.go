@@ -14,6 +14,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -182,16 +183,18 @@ func getEntry(r *reader) cache.Entry {
 // Marshal encodes a message payload (without the frame length prefix).
 func Marshal(m Message) []byte { return appendPayload(nil, m) }
 
-// appendPayload appends m's payload to b.
+// appendPayload appends m's payload to b. Calling m.kind() or formatting
+// m would make every caller's message escape to the heap.
 func appendPayload(b []byte, m Message) []byte {
 	w := &buffer{b: b}
-	w.u8(byte(m.kind()))
 	switch v := m.(type) {
 	case Query:
+		w.u8(byte(KindQuery))
 		w.i32(int32(v.From))
 		w.str(string(v.Key))
 		w.u64(v.QueryID)
 	case UpdateMsg:
+		w.u8(byte(KindUpdate))
 		w.i32(int32(v.From))
 		u := v.Update
 		w.str(string(u.Key))
@@ -209,10 +212,11 @@ func appendPayload(b []byte, m Message) []byte {
 			putEntry(w, e)
 		}
 	case ClearBit:
+		w.u8(byte(KindClearBit))
 		w.i32(int32(v.From))
 		w.str(string(v.Key))
 	default:
-		panic(fmt.Sprintf("wire: unknown message %T", m))
+		panic("wire: unknown message type")
 	}
 	return w.b
 }
@@ -284,8 +288,20 @@ func WriteFrame(w io.Writer, m Message) error {
 	return err
 }
 
-// ReadFrame reads one length-prefixed message from r.
+// ReadFrame reads one length-prefixed message from r. A *bufio.Reader's
+// buffered frame is decoded in place: Unmarshal copies every string.
 func ReadFrame(r io.Reader) (Message, error) {
+	if br, ok := r.(*bufio.Reader); ok {
+		if hdr, err := br.Peek(4); err == nil {
+			if n := int(binary.BigEndian.Uint32(hdr)); n <= MaxFrame && 4+n <= br.Size() {
+				if frame, err := br.Peek(4 + n); err == nil {
+					m, err := Unmarshal(frame[4:])
+					br.Discard(4 + n) // buffered: cannot fail
+					return m, err
+				}
+			}
+		}
+	}
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -299,11 +315,4 @@ func ReadFrame(r io.Reader) (Message, error) {
 		return nil, err
 	}
 	return Unmarshal(payload)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
