@@ -61,7 +61,9 @@ const (
 	DefaultLiveHopDelay = time.Millisecond
 	// DefaultInboxDepth bounds each live peer's mailbox. Live occupancy
 	// against this bound is scraped as cup_live_inbox_used /
-	// cup_live_inbox_capacity.
+	// cup_live_inbox_capacity. A mailbox is a ring of 48-byte slots,
+	// allocated when its peer is made: 48 KiB a peer at this depth, 3 MiB
+	// for 64 peers.
 	DefaultInboxDepth = 1024
 
 	// Serving-layer and smart-client defaults (internal/serve, client).

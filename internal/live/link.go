@@ -3,6 +3,7 @@ package live
 import (
 	"time"
 
+	"cup/internal/cup"
 	"cup/internal/overlay"
 )
 
@@ -18,6 +19,10 @@ type link interface {
 	// the client, and a departed or unknown peer drops what is sent to it
 	// as in-flight loss (§2.9). Only from's goroutine calls it.
 	send(from *peer, to overlay.NodeID, m message)
+	// hold returns what the sends of one handler result carry for u, the
+	// owner's out-update, which the owner's next handler overwrites: u
+	// itself if send is done with it on return, or a copy they share.
+	hold(u *cup.Update) *cup.Update
 	// close releases what open took for p. Idempotent; called when p
 	// departs and again for every peer at network shutdown.
 	close(p *peer)
@@ -32,6 +37,13 @@ func (chanLink) open(*peer) error { return nil }
 
 // ledger: runs at every departure and Close, but has no statement to count.
 func (chanLink) close(*peer) {}
+
+// hold copies u: a send's delivery runs after the hop delay, when the
+// next handler has overwritten u.
+func (chanLink) hold(u *cup.Update) *cup.Update {
+	c := *u
+	return &c
+}
 
 func (chanLink) send(from *peer, to overlay.NodeID, m message) {
 	n := from.net

@@ -61,7 +61,7 @@ type Network struct {
 	churn   cup.Churn
 }
 
-type msgKind int
+type msgKind uint8
 
 const (
 	msgQuery msgKind = iota
@@ -71,14 +71,21 @@ const (
 )
 
 // message is what a peer's mailbox holds and a link carries: one
-// protocol message from a neighbor, or a control callback.
+// protocol message from a neighbor, or a control callback. It is 48
+// bytes, and a mailbox is a ring of InboxDepth of them allocated when
+// the peer is made, so each field costs every slot of every peer: kind-
+// specific data goes behind update, which only update messages use.
 type message struct {
-	kind   msgKind
-	from   overlay.NodeID
-	key    overlay.Key
-	qid    uint64
-	update cup.Update
+	key overlay.Key
+	qid uint64
+	// update is the update a msgUpdate carries. In a mailbox it is the
+	// receiver's to read and no one's to write: the goroutine link's
+	// copy (see peer.dispatch) or a decoded frame. The TCP link's send
+	// gets the owner's out-update itself and encodes it before returning.
+	update *cup.Update
 	ctrl   func() // msgControl: run on the peer's goroutine
+	from   overlay.NodeID
+	kind   msgKind
 }
 
 // Config parameterizes a live network.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -177,17 +178,20 @@ func TestDeleteStopsServingReplica(t *testing.T) {
 	})
 }
 
-// deleteTap is the goroutine link, recording every Delete it carries.
-type deleteTap struct {
+// updateTap is the goroutine link, recording every update of type ty it
+// carries, and its recipient.
+type updateTap struct {
 	chanLink
-	mu      sync.Mutex
-	deletes []cup.Update
+	ty   cup.UpdateType
+	mu   sync.Mutex
+	sent []cup.Update
+	to   []overlay.NodeID
 }
 
-func (l *deleteTap) send(from *peer, to overlay.NodeID, m message) {
-	if m.kind == msgUpdate && m.update.Type == cup.Delete {
+func (l *updateTap) send(from *peer, to overlay.NodeID, m message) {
+	if m.kind == msgUpdate && m.update.Type == l.ty {
 		l.mu.Lock()
-		l.deletes = append(l.deletes, m.update)
+		l.sent, l.to = append(l.sent, *m.update), append(l.to, to)
 		l.mu.Unlock()
 	}
 	l.chanLink.send(from, to, m)
@@ -197,7 +201,7 @@ func (l *deleteTap) send(from *peer, to overlay.NodeID, m message) {
 // RemoveReplica has it: the authority stamps it to expire
 // cup.DefaultLifetime after it originates.
 func TestDeleteExpiresOneLifetimeOut(t *testing.T) {
-	tap := &deleteTap{}
+	tap := &updateTap{ty: cup.Delete}
 	n, err := boot(Config{Nodes: 16, HopDelay: 200 * time.Microsecond, Seed: 5}.withDefaults(), tap)
 	if err != nil {
 		t.Fatal(err)
@@ -214,12 +218,77 @@ func TestDeleteExpiresOneLifetimeOut(t *testing.T) {
 	after := n.Now()
 	tap.mu.Lock()
 	defer tap.mu.Unlock()
-	if len(tap.deletes) == 0 {
+	if len(tap.sent) == 0 {
 		t.Fatal("the authority pushed no Delete to the peer that asked for k")
 	}
-	if exp := tap.deletes[0].Expires; exp < before.Add(cup.DefaultLifetime) || exp > after.Add(cup.DefaultLifetime) {
+	if exp := tap.sent[0].Expires; exp < before.Add(cup.DefaultLifetime) || exp > after.Add(cup.DefaultLifetime) {
 		t.Fatalf("Delete expires at %v, want one lifetime (%v s) after its origin in [%v, %v]",
 			exp, cup.DefaultLifetime, before, after)
+	}
+}
+
+// An update one handler fans out travels with each hop after the hop
+// delay, by when the owner's next handler has overwritten the out-update
+// the handler's sends point at: each child must still get the update as
+// sent.
+func TestAsyncHopOwnsItsUpdate(t *testing.T) {
+	tap := &updateTap{ty: cup.Append}
+	n, err := boot(Config{Nodes: 16, HopDelay: 20 * time.Millisecond, Seed: 5}.withDefaults(), tap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	auth := n.Authority("k")
+	other := overlay.Key("k2") // a second key at the same authority
+	for i := 3; n.Authority(other) != auth; i++ {
+		other = overlay.Key(fmt.Sprint("k", i))
+	}
+	ctx := ctxShort(t)
+	for _, key := range []overlay.Key{"k", other} { // every peer asks, so the authority has children
+		add(t, n, key, 0, "10.0.0.1", time.Hour)
+		var wg sync.WaitGroup
+		for id := 0; id < n.Size(); id++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := n.Lookup(ctx, overlay.NodeID(id), key); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	tap.mu.Lock()
+	tap.sent, tap.to = nil, nil // the Appends of add went nowhere: no one had asked yet
+	tap.mu.Unlock()
+	a := n.peerAt(auth)
+	if err := a.run(ctx, func() {
+		a.dispatch(a.node.ReplicaEvent(cup.Append, "k", 1, "10.0.0.2", 3600))
+		a.dispatch(a.node.ReplicaEvent(cup.Refresh, other, 0, "10.0.0.9", 3600)) // overwrites the out-update
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tap.mu.Lock()
+	children := append([]overlay.NodeID(nil), tap.to...)
+	tap.mu.Unlock()
+	if len(children) < 2 {
+		t.Fatalf("the authority sent k's Append to %v, want two or more children", children)
+	}
+	for _, c := range children {
+		deadline := time.Now().Add(3 * time.Second)
+		for {
+			entries, err := n.Lookup(ctx, c, "k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) == 2 && entries[0].Addr == "10.0.0.1" && entries[1].Addr == "10.0.0.2" {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("child %v holds %+v for k, want replicas 0 and 1 at 10.0.0.1 and 10.0.0.2", c, entries)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
 }
 
@@ -449,4 +518,42 @@ func TestSharedEntryViewsSurviveConcurrentWrites(t *testing.T) {
 			t.Error(err)
 		}
 	})
+}
+
+// BenchmarkChanLookup is the goroutine link's row beside
+// BenchmarkTCPLookup: benchLookup with a 1 ns injected hop, so it costs
+// the mailboxes, the timers and the protocol, and no wait.
+func BenchmarkChanLookup(b *testing.B) {
+	n := NewNetwork(Config{Nodes: 64, Overlay: "can", Seed: 1, HopDelay: time.Nanosecond})
+	defer n.Close()
+	benchLookup(b, n)
+}
+
+// benchLookup times a first-time-miss lookup on n, a 64-node network:
+// one new key per iteration, from a random peer, so each walks to the
+// key's authority and back.
+func benchLookup(b *testing.B, n *Network) {
+	const warm = 512
+	ctx := context.Background()
+	keys := make([]overlay.Key, warm+b.N)
+	for i := range keys {
+		keys[i] = overlay.Key(fmt.Sprintf("b%d", i))
+		if err := n.AddReplicaCtx(ctx, keys[i], 0, "10.0.0.1", time.Hour); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	lookup := func(key overlay.Key) {
+		if entries, err := n.Lookup(ctx, overlay.NodeID(rng.Intn(n.Size())), key); err != nil || len(entries) != 1 {
+			b.Fatalf("lookup %s: %d entries, %v", key, len(entries), err)
+		}
+	}
+	for _, key := range keys[:warm] { // every peer dials the neighbours it forwards to
+		lookup(key)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, key := range keys[warm:] {
+		lookup(key)
+	}
 }

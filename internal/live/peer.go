@@ -139,8 +139,11 @@ func (p *peer) tryPost(fn func()) {
 }
 
 // dispatch puts a handler's actions on the network through the link;
-// local deliveries go to the waiting clients.
+// local deliveries go to the waiting clients. The update sends of one
+// result share one Update, the owner's, which the link holds once for
+// all of them.
 func (p *peer) dispatch(acts []cup.Action) {
+	var out, held *cup.Update
 	for i := range acts {
 		a := &acts[i]
 		switch a.Kind {
@@ -149,7 +152,10 @@ func (p *peer) dispatch(acts []cup.Action) {
 			p.net.link.send(p, a.To, message{kind: msgQuery, from: p.id, key: a.Key, qid: a.QueryID})
 		case cup.ActSendUpdate:
 			atomic.AddUint64(&p.net.stats.UpdateMsgs, 1)
-			p.net.link.send(p, a.To, message{kind: msgUpdate, from: p.id, key: a.Key, update: *a.Update})
+			if a.Update != out {
+				out, held = a.Update, p.net.link.hold(a.Update)
+			}
+			p.net.link.send(p, a.To, message{kind: msgUpdate, from: p.id, key: a.Key, update: held})
 		case cup.ActSendClearBit:
 			atomic.AddUint64(&p.net.stats.ClearBitMsgs, 1)
 			p.net.link.send(p, a.To, message{kind: msgClearBit, from: p.id, key: a.Key})
@@ -169,9 +175,9 @@ func (p *peer) query(from overlay.NodeID, key overlay.Key, qid uint64) []cup.Act
 	return p.node.HandleQuery(from, key, qid)
 }
 
-func (p *peer) update(from overlay.NodeID, u cup.Update) []cup.Action {
+func (p *peer) update(from overlay.NodeID, u *cup.Update) []cup.Action {
 	p.view.credit(u.Key)
-	acts := p.node.HandleUpdate(from, u)
+	acts := p.node.HandleUpdate(from, *u)
 	p.view.publish(u.Key, false)
 	return acts
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"cup/internal/cup"
 	"cup/internal/overlay"
 	"cup/internal/wire"
 )
@@ -134,18 +135,32 @@ func (s *sock) serve(p *peer, conn net.Conn, to overlay.NodeID) net.Conn {
 
 // read decodes frames off one connection into the peer's inbox,
 // through a buffer: a frame's prefix and payload, and every frame that
-// has arrived behind it, come out of the socket in one read. An accepted
-// connection's first frame makes it the way back to its sender, if none.
+// has arrived behind it, come out of the socket in one read. A frame is
+// decoded straight into its message's fields, and an update frame into
+// the Update its message carries. An accepted connection's first frame
+// makes it the way back to its sender, if none.
 func (s *sock) read(p *peer, conn net.Conn, from overlay.NodeID) {
 	defer p.net.wg.Done()
 	defer func() { s.drop(conn, from) }()
 	r := bufio.NewReader(conn)
+	var u *cup.Update // where the next update frame goes; a message takes it
 	for {
-		wm, err := wire.ReadFrame(r)
-		if err != nil {
+		if u == nil {
+			u = new(cup.Update)
+		}
+		var f wire.Frame
+		if err := wire.ReadFrameInto(r, &f, u); err != nil {
 			return
 		}
-		m := fromWire(wm)
+		m := message{key: f.Key, from: f.From}
+		switch f.Kind {
+		case wire.KindQuery:
+			m.kind, m.qid = msgQuery, f.QueryID
+		case wire.KindUpdate:
+			m.kind, m.update, u = msgUpdate, u, nil
+		default:
+			m.kind = msgClearBit
+		}
 		if from == overlay.NoNode {
 			from = m.from
 			s.mu.Lock()
@@ -164,28 +179,22 @@ func (s *sock) read(p *peer, conn net.Conn, from overlay.NodeID) {
 	}
 }
 
-// fromWire and toWire map frames onto the peer's message; every frame
-// names its sender, so a connection needs no introduction.
-func fromWire(wm wire.Message) message {
-	switch v := wm.(type) {
-	case wire.Query:
-		return message{kind: msgQuery, from: v.From, key: v.Key, qid: v.QueryID}
-	case wire.UpdateMsg:
-		return message{kind: msgUpdate, from: v.From, key: v.Update.Key, update: v.Update}
-	}
-	v := wm.(wire.ClearBit)
-	return message{kind: msgClearBit, from: v.From, key: v.Key}
-}
-
+// toWire maps the peer's message onto a frame; every frame names its
+// sender, so a connection needs no introduction. An update is encoded
+// from the Update m points at, which send is done with on return.
 func toWire(m message) wire.Message {
 	switch m.kind {
 	case msgQuery:
 		return wire.Query{From: m.from, Key: m.key, QueryID: m.qid}
 	case msgUpdate:
-		return wire.UpdateMsg{From: m.from, Update: m.update}
+		return wire.UpdateMsg{From: m.from, Update: *m.update}
 	}
 	return wire.ClearBit{From: m.from, Key: m.key}
 }
+
+// hold gives the owner's out-update to the sends as it is: send encodes
+// it before it returns.
+func (*tcpLink) hold(u *cup.Update) *cup.Update { return u }
 
 // send writes a frame on the persistent connection to a neighbor,
 // dialing on first use. Failures drop the message and the connection; a

@@ -3,8 +3,8 @@ package live
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -347,36 +347,54 @@ func TestTCPLeaveClosesEveryConnection(t *testing.T) {
 	}
 }
 
-// BenchmarkTCPLookup is the live TCP layer's row: a first-time-miss
-// lookup on a 64-node CAN network, one new key per iteration, so each
-// walks to the key's authority and back over framed loopback sockets.
+// Each update frame a connection reads becomes an Update of its own: a
+// mailbox can hold several from one connection before its peer handles
+// the first.
+func TestTCPReadOwnsEachUpdate(t *testing.T) {
+	tn, err := NewTCPNetwork(Config{Nodes: 2, Overlay: "can", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tn.Close()
+	ctx := ctxShort(t)
+	from, to := tn.peerAt(0), tn.peerAt(1)
+	held, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	if err := to.post(ctx, func() { close(held); <-release }); err != nil {
+		t.Fatal(err)
+	}
+	<-held // to's goroutine leaves its mailbox to the test
+	sent := []cup.Update{
+		{Key: "a", Type: cup.Refresh, Replica: 1, Depth: 1, Expires: 10},
+		{Key: "b", Type: cup.Delete, Replica: 2, Depth: 2, Expires: 20},
+	}
+	if err := from.post(ctx, func() {
+		for i := range sent {
+			u := sent[i]
+			tn.link.send(from, to.id, message{kind: msgUpdate, from: from.id, key: u.Key, update: &u})
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range sent {
+		select {
+		case m := <-to.inbox:
+			if m.kind != msgUpdate || m.key != want.Key || !reflect.DeepEqual(*m.update, want) {
+				t.Fatalf("mailbox holds %+v, want the update %+v", m, want)
+			}
+		case <-ctx.Done():
+			t.Fatal("the update frames never reached the mailbox")
+		}
+	}
+}
+
+// BenchmarkTCPLookup is the live TCP layer's row: benchLookup over
+// framed loopback sockets.
 func BenchmarkTCPLookup(b *testing.B) {
-	const nodes, warm = 64, 512
-	tn, err := NewTCPNetwork(Config{Nodes: nodes, Overlay: "can", Seed: 1})
+	tn, err := NewTCPNetwork(Config{Nodes: 64, Overlay: "can", Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer tn.Close()
-	ctx := context.Background()
-	keys := make([]overlay.Key, warm+b.N)
-	for i := range keys {
-		keys[i] = overlay.Key(fmt.Sprintf("b%d", i))
-		if err := tn.AddReplicaCtx(ctx, keys[i], 0, "10.0.0.1", time.Hour); err != nil {
-			b.Fatal(err)
-		}
-	}
-	rng := rand.New(rand.NewSource(1))
-	lookup := func(key overlay.Key) {
-		if entries, err := tn.Lookup(ctx, overlay.NodeID(rng.Intn(nodes)), key); err != nil || len(entries) != 1 {
-			b.Fatalf("lookup %s: %d entries, %v", key, len(entries), err)
-		}
-	}
-	for _, key := range keys[:warm] { // every peer dials the neighbours it forwards to
-		lookup(key)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for _, key := range keys[warm:] {
-		lookup(key)
-	}
+	benchLookup(b, tn)
 }

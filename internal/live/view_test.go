@@ -55,6 +55,7 @@ func (b *bench) NextHopTowardOwner(n overlay.NodeID, _ overlay.Key) overlay.Node
 func (b *bench) open(*peer) error                          { return nil }
 func (b *bench) close(*peer)                               {}
 func (b *bench) send(_ *peer, _ overlay.NodeID, m message) { b.sent = append(b.sent, m) }
+func (b *bench) hold(u *cup.Update) *cup.Update            { return chanLink{}.hold(u) } // sent outlives the handler
 
 // ask is a local client's query taken through the mailbox path; an
 // upstream query it sends is answered at once with entries.
@@ -62,7 +63,7 @@ func (b *bench) ask(key overlay.Key, upstream []cache.Entry) {
 	before := len(b.sent)
 	b.dispatch(b.query(cup.LocalClient, key, 0))
 	if len(b.sent) > before && b.sent[len(b.sent)-1].kind == msgQuery {
-		b.dispatch(b.update(1, cup.Update{Key: key, Type: cup.FirstTime, Entries: upstream,
+		b.dispatch(b.update(1, &cup.Update{Key: key, Type: cup.FirstTime, Entries: upstream,
 			Replica: -1, Depth: 1, Expires: maxExpires(upstream)}))
 	}
 }
@@ -191,7 +192,7 @@ func TestViewModel(t *testing.T) {
 					t.Fatal(err)
 				}
 			} else {
-				b.dispatch(b.update(1, cup.Update{Key: k, Type: cup.Refresh, Entries: []cache.Entry{e},
+				b.dispatch(b.update(1, &cup.Update{Key: k, Type: cup.Refresh, Entries: []cache.Entry{e},
 					Replica: e.Replica, Depth: 1, Expires: e.Expires, Lifetime: life}))
 			}
 		case op < 4: // a replica dies
@@ -200,7 +201,7 @@ func TestViewModel(t *testing.T) {
 					t.Fatal(err)
 				}
 			} else {
-				b.dispatch(b.update(1, cup.Update{Key: k, Type: cup.Delete, Replica: rng.Intn(3), Depth: 1}))
+				b.dispatch(b.update(1, &cup.Update{Key: k, Type: cup.Delete, Replica: rng.Intn(3), Depth: 1}))
 			}
 		case op < 7: // a local client asks through the mailbox
 			b.ask(k, []cache.Entry{entry(k)})
@@ -346,7 +347,7 @@ func accountingParity(t *testing.T, inspect bool) {
 	refresh := func(b *bench, at sim.Time) []message {
 		b.setClock(at)
 		b.sent = b.sent[:0]
-		b.dispatch(b.update(1, cup.Update{Key: key, Type: cup.Refresh, Replica: 0, Depth: 1,
+		b.dispatch(b.update(1, &cup.Update{Key: key, Type: cup.Refresh, Replica: 0, Depth: 1,
 			Entries:  []cache.Entry{{Key: key, Replica: 0, Addr: "10.0.0.1", Expires: at + 100}},
 			Expires:  at + 100,
 			Lifetime: 100}))

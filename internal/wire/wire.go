@@ -221,47 +221,80 @@ func appendPayload(b []byte, m Message) []byte {
 	return w.b
 }
 
-// Unmarshal decodes one payload produced by Marshal.
-func Unmarshal(b []byte) (Message, error) {
+// Frame is one decoded frame, flat: Kind says which fields are set, and
+// an update frame's update is decoded beside it (ReadFrameInto). The TCP
+// link decodes into a Frame, which boxes nothing; Unmarshal and
+// ReadFrame decode into one too and box what it holds.
+type Frame struct {
+	Kind Kind
+	From overlay.NodeID
+	// Key is the frame's key; an update's is its update's Key.
+	Key     overlay.Key
+	QueryID uint64 // KindQuery
+}
+
+// decode is the one decoder: it fills f from a payload produced by
+// Marshal, and *u from an update payload. It keeps no pointer to u, so a
+// caller's u stays where the caller put it.
+func (f *Frame) decode(b []byte, u *cup.Update) error {
 	r := &reader{b: b}
-	kind := Kind(r.u8())
-	var m Message
-	switch kind {
+	f.Kind = Kind(r.u8())
+	switch f.Kind {
 	case KindQuery:
-		m = Query{
-			From:    overlay.NodeID(r.i32()),
-			Key:     overlay.Key(r.str()),
-			QueryID: r.u64(),
-		}
+		f.From = overlay.NodeID(r.i32())
+		f.Key = overlay.Key(r.str())
+		f.QueryID = r.u64()
 	case KindUpdate:
-		v := UpdateMsg{From: overlay.NodeID(r.i32())}
-		v.Update.Key = overlay.Key(r.str())
-		v.Update.Type = cup.UpdateType(r.u8())
-		v.Update.Replica = int(r.i32())
-		v.Update.Depth = int(r.i32())
-		v.Update.Expires = sim.Time(r.f64())
-		v.Update.Lifetime = sim.Duration(r.f64())
-		v.Update.QueryID = r.u64()
-		n := int(r.u16())
-		if n > 0 {
-			v.Update.Entries = make([]cache.Entry, 0, min(n, 1024))
+		f.From = overlay.NodeID(r.i32())
+		v := cup.Update{
+			Key:      overlay.Key(r.str()),
+			Type:     cup.UpdateType(r.u8()),
+			Replica:  int(r.i32()),
+			Depth:    int(r.i32()),
+			Expires:  sim.Time(r.f64()),
+			Lifetime: sim.Duration(r.f64()),
+			QueryID:  r.u64(),
+		}
+		if n := int(r.u16()); n > 0 {
+			v.Entries = make([]cache.Entry, 0, min(n, 1024))
 			for i := 0; i < n; i++ {
-				v.Update.Entries = append(v.Update.Entries, getEntry(r))
+				v.Entries = append(v.Entries, getEntry(r))
 				if r.err != nil {
 					break
 				}
 			}
 		}
-		m = v
+		f.Key, *u = v.Key, v
 	case KindClearBit:
-		m = ClearBit{From: overlay.NodeID(r.i32()), Key: overlay.Key(r.str())}
+		f.From = overlay.NodeID(r.i32())
+		f.Key = overlay.Key(r.str())
 	default:
-		return nil, fmt.Errorf("%w: %d", ErrBadKind, kind)
+		return fmt.Errorf("%w: %d", ErrBadKind, f.Kind)
 	}
-	if err := r.done(); err != nil {
+	return r.done()
+}
+
+// message boxes a decoded frame: f, and u for an update.
+func message(f *Frame, u *cup.Update) Message {
+	switch f.Kind {
+	case KindQuery:
+		return Query{From: f.From, Key: f.Key, QueryID: f.QueryID}
+	case KindUpdate:
+		return UpdateMsg{From: f.From, Update: *u}
+	}
+	return ClearBit{From: f.From, Key: f.Key}
+}
+
+// Unmarshal decodes one payload produced by Marshal.
+func Unmarshal(b []byte) (Message, error) {
+	var (
+		f Frame
+		u cup.Update
+	)
+	if err := f.decode(b, &u); err != nil {
 		return nil, err
 	}
-	return m, nil
+	return message(&f, &u), nil
 }
 
 // AppendFrame appends m as one frame — length prefix, then payload — to b.
@@ -288,31 +321,45 @@ func WriteFrame(w io.Writer, m Message) error {
 	return err
 }
 
-// ReadFrame reads one length-prefixed message from r. A *bufio.Reader's
-// buffered frame is decoded in place: Unmarshal copies every string.
+// ReadFrame reads one length-prefixed message from r.
 func ReadFrame(r io.Reader) (Message, error) {
+	var (
+		f Frame
+		u cup.Update
+	)
+	if err := ReadFrameInto(r, &f, &u); err != nil {
+		return nil, err
+	}
+	return message(&f, &u), nil
+}
+
+// ReadFrameInto reads one length-prefixed message from r into f, and an
+// update frame's update into *u; other frames leave u alone. A
+// *bufio.Reader's buffered frame is decoded in place: decoding copies
+// every string.
+func ReadFrameInto(r io.Reader, f *Frame, u *cup.Update) error {
 	if br, ok := r.(*bufio.Reader); ok {
 		if hdr, err := br.Peek(4); err == nil {
 			if n := int(binary.BigEndian.Uint32(hdr)); n <= MaxFrame && 4+n <= br.Size() {
 				if frame, err := br.Peek(4 + n); err == nil {
-					m, err := Unmarshal(frame[4:])
+					err := f.decode(frame[4:], u)
 					br.Discard(4 + n) // buffered: cannot fail
-					return m, err
+					return err
 				}
 			}
 		}
 	}
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+		return err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > MaxFrame {
-		return nil, ErrFrameTooLarge
+		return ErrFrameTooLarge
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
+		return err
 	}
-	return Unmarshal(payload)
+	return f.decode(payload, u)
 }
