@@ -45,8 +45,10 @@
 // shapes), a Fault scripts interventions (CapacityFault, NodeChurn,
 // ReplicaChurn) against the transport-agnostic FaultSurface, and a
 // Scenario bundles the two. Install with WithTraffic and WithFaults; both
-// transports consume them identically, the live one replaying the
-// schedule in wall-clock time under WithTimeScale. The
+// transports consume them identically. The live one replays the schedule
+// in wall-clock time under WithTimeScale: one loop fires each refresh
+// round, arrival and fault at its deadline, and ends, as the simulator
+// does, after the last arrival or fault due. The
 // scenario registry (RegisterScenario, BuildScenario, ScenarioNames)
 // backs the cupsim -scenario flag.
 //

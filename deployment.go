@@ -294,9 +294,9 @@ func (d *Deployment) listen() {
 // aggregated result. On the simulated transport it drives the virtual
 // clock through the whole schedule. On the live transport it replays
 // the configured scenario in wall-clock time (compressed by
-// WithTimeScale): scripted replica births with periodic refreshes, the
-// traffic pump, and the fault timeline — so a live deployment without a
-// WithTraffic workload still errors, staying interactive.
+// WithTimeScale): scripted replica births, then one timeline of
+// refreshes, arrivals and faults (replay.go) — so a live deployment
+// without a WithTraffic workload still errors, staying interactive.
 // Sweeps of independent runs belong to internal/experiment's Engine.
 func (d *Deployment) Run(ctx context.Context) (*Result, error) {
 	if sr, ok := d.rt.(*simRuntime); ok {
@@ -306,115 +306,6 @@ func (d *Deployment) Run(ctx context.Context) (*Result, error) {
 		return nil, fmt.Errorf("cup: Run on a live deployment needs a scenario (WithTraffic); interactive deployments are driven through Lookup/Publish")
 	}
 	return d.runLive(ctx, d.rt.(*liveRuntime))
-}
-
-// runLive is the live transport's scenario runner: the wall-clock
-// mirror of the simulator's scripted workload, executed against the
-// deployment's network.
-func (d *Deployment) runLive(ctx context.Context, lr *liveRuntime) (*Result, error) {
-	p, net := d.p, lr.n
-	scale := d.timeScale
-	if scale <= 0 {
-		scale = 1
-	}
-
-	// Scripted replica births, as the simulator performs at t≈0, plus a
-	// refresh pump standing in for the refresh-at-expiration loops.
-	keys := make([]Key, p.Keys)
-	for i := range keys {
-		keys[i] = Key(fmt.Sprintf("key-%d", i))
-	}
-	life := time.Duration(float64(p.Lifetime) / scale * float64(time.Second))
-	if life < 100*time.Millisecond {
-		life = 100 * time.Millisecond
-	}
-	for _, k := range keys {
-		for r := 0; r < p.Replicas; r++ {
-			if err := d.Publish(ctx, k, r, internal.ReplicaAddr(r), life); err != nil {
-				return nil, fmt.Errorf("cup: scenario replica birth %q/%d: %w", k, r, err)
-			}
-		}
-	}
-	refreshCtx, stopRefresh := context.WithCancel(ctx)
-	defer stopRefresh()
-	go func() {
-		// Refresh at half the TTL: a refresh issued exactly at expiry
-		// would still need to propagate, leaving caches a periodic
-		// stale window the simulator's refresh-at-expiration (which is
-		// instantaneous at the authority) does not have.
-		tick := time.NewTicker(life / 2)
-		defer tick.Stop()
-		for {
-			select {
-			case <-refreshCtx.Done():
-				return
-			case <-tick.C:
-			}
-			for _, k := range keys {
-				for r := 0; r < p.Replicas; r++ {
-					if refreshCtx.Err() != nil {
-						return
-					}
-					_ = d.Publish(refreshCtx, k, r, internal.ReplicaAddr(r), life)
-				}
-			}
-		}
-	}()
-
-	// Workload RNG and popularity map: seeded like the simulator's, so
-	// live scenario replays are deterministic in shape.
-	rng := rand.New(rand.NewSource(p.Seed))
-	env := internal.TrafficEnv{
-		Rand:  rng,
-		Nodes: net.Size(),
-		Keys:  keys,
-		PickNode: func() NodeID {
-			return NodeID(rng.Intn(net.Size()))
-		},
-		PickKey:  internal.KeyPicker(rng, keys, p.ZipfSkew),
-		ZipfSkew: p.ZipfSkew,
-		Rate:     p.QueryRate,
-		Start:    float64(p.QueryStart),
-		Duration: float64(p.QueryDuration),
-	}
-
-	// Fault timeline alongside the traffic pump. A failing fault — an
-	// unsupported operation, a churn choreography error — aborts the
-	// whole run: it cancels the pump, and its error outranks the pump's
-	// resulting context.Canceled. Faults must never silently no-op.
-	pumpCtx, stopPump := context.WithCancel(ctx)
-	defer stopPump()
-	faultCtx, stopFaults := context.WithCancel(ctx)
-	defer stopFaults()
-	var faultErr error
-	faultDone := make(chan struct{})
-	if len(p.Faults) > 0 {
-		surf := net.FaultSurface(faultCtx, keys, p.Replicas, life, rand.New(rand.NewSource(p.Seed+1)))
-		go func() {
-			defer close(faultDone)
-			if err := net.RunFaults(faultCtx, p.Faults, surf, env.Start, env.Duration, scale); err != nil && !errors.Is(err, context.Canceled) {
-				faultErr = err
-				stopPump()
-			}
-		}()
-	} else {
-		close(faultDone)
-	}
-
-	pumpErr := net.PumpTraffic(pumpCtx, p.Traffic, env, scale)
-	stopFaults()
-	stopRefresh()
-	<-faultDone // happens-before edge for faultErr
-	if faultErr != nil {
-		return nil, faultErr
-	}
-	if pumpErr != nil {
-		return nil, pumpErr
-	}
-	if err := lr.Settle(ctx); err != nil {
-		return nil, err
-	}
-	return &Result{Params: p, Counters: lr.Counters()}, nil
 }
 
 // Keys lists the scripted workload's keys on the simulated transport

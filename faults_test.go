@@ -8,7 +8,9 @@ package cup_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -104,22 +106,31 @@ func TestReducedCapacityCostsLessOverheadThanFull(t *testing.T) {
 	}
 }
 
+// oneShot is a fault script with one intervention, do, at start+at.
+type oneShot struct {
+	name string
+	at   float64
+	do   func(cup.FaultSurface) error
+}
+
+func (f oneShot) Name() string { return f.name }
+
+func (f oneShot) Schedule(start, _ float64) []cup.FaultEvent {
+	return []cup.FaultEvent{{At: start + f.at, Do: f.do}}
+}
+
 // failingFault is a script whose one intervention the surface refuses.
-type failingFault struct{ at float64 }
-
-func (failingFault) Name() string { return "always-fails" }
-
-func (f failingFault) Schedule(start, _ float64) []cup.FaultEvent {
-	return []cup.FaultEvent{{At: start + f.at, Do: func(cup.FaultSurface) error {
+func failingFault(at float64) oneShot {
+	return oneShot{"always-fails", at, func(cup.FaultSurface) error {
 		return errors.New("surface refused")
-	}}}
+	}}
 }
 
 // A fault the simulator cannot honor fails the run rather than being
 // skipped: Run returns an error naming the fault and its instant, and
 // every later Settle and Lookup on the deployment returns it too.
 func TestSimFailingFaultFailsRun(t *testing.T) {
-	d, err := cup.New(faultOpts(cup.WithFaults(failingFault{at: 100}))...)
+	d, err := cup.New(faultOpts(cup.WithFaults(failingFault(100)))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,6 +154,144 @@ func TestSimFailingFaultFailsRun(t *testing.T) {
 	}
 	if _, got := d.LookupAt(ctx, at, "probe"); got == nil || got.Error() != err.Error() {
 		t.Errorf("Lookup after the fault = %v, want %v", got, err)
+	}
+}
+
+// windowOpts is a short scripted run on transport tr, sized for wall
+// time: 8 nodes, λ = 0.05, a 100 s window one 10 s lifetime in, replayed
+// 100× compressed on the live transports.
+func windowOpts(tr cup.Transport, seed int64, faults ...cup.Fault) []cup.Option {
+	return []cup.Option{
+		cup.WithTransport(tr),
+		cup.WithNodes(8),
+		cup.WithSeed(seed),
+		cup.WithHopDelay(200 * time.Microsecond),
+		cup.WithTraffic(cup.PoissonTraffic(0)),
+		cup.WithQueryRate(0.05),
+		cup.WithLifetime(10 * time.Second),
+		cup.WithQueryDuration(100 * time.Second),
+		cup.WithTimeScale(100),
+		cup.WithFaults(faults...),
+	}
+}
+
+// A fault due after the last arrival still fires: every transport runs
+// the scripted timeline to the last event the simulator fires, not to the
+// end of the traffic stream.
+func TestLateFaultFiresOnEveryTransport(t *testing.T) {
+	for _, tr := range matrixTransports {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%v/seed=%d", tr, seed), func(t *testing.T) {
+				t.Parallel()
+				var ran atomic.Bool
+				late := oneShot{"late", 99, func(cup.FaultSurface) error {
+					ran.Store(true)
+					return nil
+				}}
+				d := newDeployment(t, windowOpts(tr, seed, late)...)
+				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+				defer cancel()
+				if _, err := d.Run(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if !ran.Load() {
+					t.Fatal("the fault due at start + 99 s never ran")
+				}
+			})
+		}
+	}
+}
+
+// A failing fault fails Run with one text on every transport, naming the
+// fault, its instant and the surface's error.
+func TestFailingFaultErrorReadsAlikeOnEveryTransport(t *testing.T) {
+	var want string
+	for _, tr := range matrixTransports {
+		d := newDeployment(t, windowOpts(tr, 1, failingFault(5))...)
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		_, err := d.Run(ctx)
+		cancel()
+		if err == nil {
+			t.Fatalf("%v: Run passed although its fault failed", tr)
+		}
+		for _, frag := range []string{`"always-fails"`, "t=15s", "surface refused"} {
+			if !strings.Contains(err.Error(), frag) {
+				t.Errorf("%v: Run error %q does not mention %s", tr, err, frag)
+			}
+		}
+		if want == "" {
+			want = err.Error()
+		} else if err.Error() != want {
+			t.Errorf("%v: Run error %q, the simulator's %q", tr, err, want)
+		}
+	}
+}
+
+// TestLiveRunFaultsSurfacesUnsupportedChurn is the no-silent-no-op
+// regression: a fault script that joins a node on a static overlay
+// without declaring RequiresMembership (so New cannot reject it) must
+// fail the live run with the unsupported-churn error.
+func TestLiveRunFaultsSurfacesUnsupportedChurn(t *testing.T) {
+	join := oneShot{"undeclared-join", 5, func(s cup.FaultSurface) error {
+		_, err := s.Join()
+		return err
+	}}
+	for _, tr := range []cup.Transport{cup.Live, cup.LiveTCP} {
+		t.Run(tr.String(), func(t *testing.T) {
+			d := newDeployment(t, append(windowOpts(tr, 1, join), cup.WithOverlay("chord"))...)
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			if _, err := d.Run(ctx); err == nil || !strings.Contains(err.Error(), "unsupported") {
+				t.Fatalf("Run with a join on chord: err = %v, want unsupported-churn error", err)
+			}
+		})
+	}
+}
+
+// TestLiveNodeChurnFaultChangesCounters runs the registered churn fault
+// end to end on a dynamic overlay and checks membership measurably
+// changed: the membership events the observer counted are the network's
+// joins and departures.
+func TestLiveNodeChurnFaultChangesCounters(t *testing.T) {
+	for _, tr := range []cup.Transport{cup.Live, cup.LiveTCP} {
+		t.Run(tr.String(), func(t *testing.T) {
+			t.Parallel()
+			// The probe reads the membership through the fault surface
+			// after the sixth churn round, on Run's timeline.
+			var slots, alive int
+			probe := oneShot{"membership-probe", 10, func(s cup.FaultSurface) error {
+				slots = s.Size()
+				for id := range slots {
+					if s.Alive(cup.NodeID(id)) {
+						alive++
+					}
+				}
+				return nil
+			}}
+			d := newDeployment(t, append(windowOpts(tr, 1, cup.NodeChurn{Rounds: 6, At: 11, Period: 1}, probe),
+				cup.WithNodes(12), cup.WithKeys(3))...)
+			var joins, leaves atomic.Uint64
+			d.Observe(cup.ObserverFunc(func(e cup.Event) {
+				switch e.Kind {
+				case cup.EvNodeJoined:
+					joins.Add(1)
+				case cup.EvNodeLeft:
+					leaves.Add(1)
+				}
+			}))
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			if _, err := d.Run(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if joins.Load() == 0 {
+				t.Fatal("NodeChurn produced no joins")
+			}
+			if uint64(slots) != 12+joins.Load() || uint64(alive) != 12+joins.Load()-leaves.Load() {
+				t.Fatalf("observer saw %d joins and %d leaves; the network has %d slots, %d alive",
+					joins.Load(), leaves.Load(), slots, alive)
+			}
+		})
 	}
 }
 

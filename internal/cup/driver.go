@@ -3,6 +3,7 @@ package cup
 import (
 	"context"
 	"fmt"
+	"math/rand"
 
 	"cup/internal/cache"
 	"cup/internal/metrics"
@@ -279,7 +280,7 @@ func NewSimulation(p Params) *Simulation {
 	}
 	s.Keys = make([]overlay.Key, p.Keys)
 	for i := range s.Keys {
-		s.Keys[i] = overlay.Key(fmt.Sprintf("key-%d", i))
+		s.Keys[i] = WorkloadKey(i)
 		s.env.keys.intern(s.Keys[i])
 	}
 	s.keyPick = KeyPicker(s.Rng.Rand, s.Keys, p.ZipfSkew)
@@ -321,22 +322,17 @@ func NewSimulation(p Params) *Simulation {
 	return s
 }
 
-// TrafficEnv binds the run's randomness, workload shape, and query
-// window into the view a Traffic generator consumes. The env shares the
-// simulation's RNG, so generator draws interleave with the rest of the
-// schedule deterministically.
-func (s *Simulation) TrafficEnv() TrafficEnv {
-	return TrafficEnv{
-		Rand:     s.Rng.Rand,
-		Nodes:    s.nodes.size,
-		Keys:     s.Keys,
-		PickNode: s.pickAliveNode,
-		PickKey:  s.pickKey,
-		ZipfSkew: s.P.ZipfSkew,
-		Rate:     s.P.QueryRate,
-		Start:    float64(s.P.QueryStart),
-		Duration: float64(s.P.QueryDuration),
-	}
+// WorkloadKey names the scripted workload's i-th key, on every transport.
+func WorkloadKey(i int) overlay.Key { return overlay.Key(fmt.Sprintf("key-%d", i)) }
+
+// TrafficEnv binds p's workload shape and query window to one run's
+// randomness, node count, keys and pickers: the view a Traffic generator
+// consumes, built alike by every runtime. The simulator's env shares its
+// RNG, so generator draws interleave with the rest of the schedule
+// deterministically.
+func (p Params) TrafficEnv(rng *rand.Rand, nodes int, keys []overlay.Key, pickNode func() overlay.NodeID, pickKey func() overlay.Key) TrafficEnv {
+	return TrafficEnv{Rand: rng, Nodes: nodes, Keys: keys, PickNode: pickNode, PickKey: pickKey,
+		ZipfSkew: p.ZipfSkew, Rate: p.QueryRate, Start: float64(p.QueryStart), Duration: float64(p.QueryDuration)}
 }
 
 // startTraffic pulls the traffic stream one event ahead of the virtual
@@ -348,7 +344,7 @@ func (s *Simulation) TrafficEnv() TrafficEnv {
 // The stream is the scheduler's one Arrive caller: its armed arrival waits
 // in the arrival slot, not in the heap beside the timers.
 func (s *Simulation) startTraffic(tr Traffic) {
-	st := tr.Stream(s.TrafficEnv())
+	st := tr.Stream(s.P.TrafficEnv(s.Rng.Rand, s.nodes.size, s.Keys, s.pickAliveNode, s.pickKey))
 	var (
 		ev      QueryEvent
 		deliver func()

@@ -351,6 +351,13 @@ func (a simSurface) Leave(id overlay.NodeID) error {
 // of silently doing nothing.
 func (s *Simulation) applyFault(name string, ev FaultEvent) {
 	if err := ev.Do(simSurface{s}); err != nil {
-		s.recordFaultErr(fmt.Errorf("cup: fault %q at t=%gs: %w", name, ev.At, err))
+		s.recordFaultErr(FaultError(name, ev.At, err))
 	}
+}
+
+// FaultError is the error a run ends with when an intervention of the
+// fault script named name, due at instant at, fails with err: one text on
+// every transport.
+func FaultError(name string, at float64, err error) error {
+	return fmt.Errorf("cup: fault %q at t=%gs: %w", name, at, err)
 }

@@ -331,7 +331,7 @@ type ClosedLoop struct {
 
 // Population returns the defaulted client count and mean think time
 // (16 clients, 1 s) — shared by the simulator stream and the live
-// per-client pump.
+// runner's per-client goroutines.
 func (c ClosedLoop) Population() (int, float64) {
 	clients, think := c.Clients, c.Think
 	if clients <= 0 {

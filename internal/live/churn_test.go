@@ -2,10 +2,8 @@ package live
 
 import (
 	"errors"
-	"math/rand"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -141,63 +139,6 @@ func TestLiveChurnStaticOverlayErrors(t *testing.T) {
 		}
 		if err := n.Leave(ctx, 3); err == nil || !strings.Contains(err.Error(), "unsupported") {
 			t.Fatalf("Leave on chord: err = %v, want unsupported-churn error", err)
-		}
-	})
-}
-
-// TestLiveRunFaultsSurfacesUnsupportedChurn is the no-silent-no-op
-// regression: NodeChurn on a static-overlay live network must fail the
-// fault replay with a descriptive error instead of silently passing.
-func TestLiveRunFaultsSurfacesUnsupportedChurn(t *testing.T) {
-	bothTransports(t, Config{Nodes: 8, Overlay: "chord"}, func(t *testing.T, n *Network) {
-		ctx := ctxShort(t)
-		surf := n.FaultSurface(ctx, []overlay.Key{"k"}, 1, time.Hour, rand.New(rand.NewSource(1)))
-		err := n.RunFaults(ctx, []cup.Fault{cup.NodeChurn{Rounds: 2}}, surf, 0, 0.001, 1000)
-		if err == nil || !strings.Contains(err.Error(), "unsupported") {
-			t.Fatalf("RunFaults(NodeChurn) on chord: err = %v, want unsupported-churn error", err)
-		}
-	})
-}
-
-// TestLiveNodeChurnFaultChangesCounters runs the registered churn fault
-// end to end on a dynamic overlay and checks membership measurably
-// changed: the membership events the observer counted are the network's
-// joins and departures.
-func TestLiveNodeChurnFaultChangesCounters(t *testing.T) {
-	var joins, leaves atomic.Uint64
-	obs := cup.ObserverFunc(func(e cup.Event) {
-		switch e.Kind {
-		case cup.EvNodeJoined:
-			joins.Add(1)
-		case cup.EvNodeLeft:
-			leaves.Add(1)
-		}
-	})
-	bothTransports(t, Config{Nodes: 12, Observer: obs}, func(t *testing.T, n *Network) {
-		joins.Store(0)
-		leaves.Store(0)
-		keys := []overlay.Key{"a", "b", "c"}
-		for _, k := range keys {
-			add(t, n, k, 0, "10.0.0.1", time.Hour)
-		}
-		ctx := ctxShort(t)
-		surf := n.FaultSurface(ctx, keys, 1, time.Hour, rand.New(rand.NewSource(1)))
-		err := n.RunFaults(ctx, []cup.Fault{cup.NodeChurn{Rounds: 6}}, surf, 0, 0.006, 1000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if joins.Load() == 0 {
-			t.Fatal("NodeChurn produced no joins")
-		}
-		alive := 0
-		for id := range n.Size() {
-			if n.IsAlive(overlay.NodeID(id)) {
-				alive++
-			}
-		}
-		if uint64(n.Size()) != 12+joins.Load() || uint64(alive) != 12+joins.Load()-leaves.Load() {
-			t.Fatalf("observer saw %d joins and %d leaves; the network has %d slots, %d alive",
-				joins.Load(), leaves.Load(), n.Size(), alive)
 		}
 	})
 }

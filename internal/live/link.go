@@ -9,8 +9,8 @@ import (
 
 // link is everything that differs between the live transports: how one
 // message reaches peer N, and what a peer needs opened and closed around
-// that. The network, the peer, its loop, Lookup, churn and the scenario
-// engine are shared code above it.
+// that. The network, the peer, its loop, Lookup and churn are shared code
+// above it, and so is the scenario replay that drives a Network.
 type link interface {
 	// open prepares p to send and receive, before its goroutine starts.
 	open(p *peer) error

@@ -375,7 +375,25 @@ func (n *Network) Counters() (sum metrics.Counters) {
 // again. Settling callers poll it until two samples agree.
 func (n *Network) Quiesced(window time.Duration) bool {
 	before := n.Stats()
-	return !sleepUntil(context.Background(), n.closed, window) || n.Stats() == before
+	return n.Sleep(context.Background(), window) != nil || n.Stats() == before
+}
+
+// Sleep waits d. It returns early with ctx's error when ctx ends, or with
+// ErrClosed when the network closes.
+func (n *Network) Sleep(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return nil
+	}
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-n.closed:
+		return ErrClosed
+	}
 }
 
 // spawn creates peer id (== Size() at call time), lets the link open

@@ -557,3 +557,36 @@ func benchLookup(b *testing.B, n *Network) {
 		lookup(key)
 	}
 }
+
+// BenchmarkReplicaEvent times one control call, a replica birth at its
+// authority on a 64-node CAN, over the goroutine link (1 ns hop) and over
+// TCP. No peer has asked for the key, so nothing propagates: the row is
+// the control path alone, the callback posted to the authority's mailbox
+// and the wait for it to run.
+func BenchmarkReplicaEvent(b *testing.B) {
+	for _, tr := range []struct {
+		name string
+		boot func() (*Network, error)
+	}{
+		{"chan", func() (*Network, error) {
+			return NewNetwork(Config{Nodes: 64, Overlay: "can", Seed: 1, HopDelay: time.Nanosecond}), nil
+		}},
+		{"tcp", func() (*Network, error) { return NewTCPNetwork(Config{Nodes: 64, Overlay: "can", Seed: 1}) }},
+	} {
+		b.Run(tr.name, func(b *testing.B) {
+			n, err := tr.boot()
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer n.Close()
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := n.AddReplicaCtx(ctx, "replica-event", 0, "10.0.0.1", time.Hour); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -19,7 +19,7 @@ type TCPNetwork = Network
 // loopback interface: every peer owns a listener, query/update/clear-bit
 // messages are wire-encoded frames over persistent connections, and
 // everything above the link — the protocol state machine, Lookup, §2.9
-// churn, the scenario engine — is the same code NewNetwork runs. The
+// churn, the scenario replay — is the same code NewNetwork runs. The
 // paper's two logical channels per neighbor share one socket, so a reply
 // carries the ACK of what it answers. The listeners are drawn from the
 // shared port budget (see budget.go), reserved up front so concurrent

@@ -256,9 +256,10 @@ func WithSeed(seed int64) Option {
 
 // WithTraffic installs a client-query generator for the scripted
 // workload on either transport: the simulator schedules the stream in
-// virtual time, the live runtime pumps it in wall-clock time (see
-// WithTimeScale). Unset, the paper's Poisson generator runs at the
-// configured query rate.
+// virtual time, the live runtime replays it in wall-clock time (see
+// WithTimeScale) on one timeline with the refresh rounds and the fault
+// scripts. Unset, the paper's Poisson generator runs at the configured
+// query rate.
 func WithTraffic(t Traffic) Option {
 	return func(o *options) {
 		if t == nil {
