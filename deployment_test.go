@@ -401,28 +401,22 @@ func TestTCPBootFailureIsNewError(t *testing.T) {
 }
 
 // SetCapacity on the live transports is a control call like any other:
-// it gives up when its ctx does — here while waiting for room in a
-// saturated inbox — and rejects a node id the network never issued, as
-// Inspect does.
+// it gives up when its ctx does — here while waiting for a peer lock an
+// Inspect callback holds — and rejects a node id the network never
+// issued, as Inspect does.
 func TestLiveSetCapacityHonorsContextAndRejectsUnknownNode(t *testing.T) {
 	for _, transport := range []cup.Transport{cup.Live, cup.LiveTCP} {
 		t.Run(transport.String(), func(t *testing.T) {
-			d := newDeployment(t, cup.WithTransport(transport), cup.WithNodes(4),
-				cup.WithInboxDepth(1), cup.WithTelemetry(""))
+			d := newDeployment(t, cup.WithTransport(transport), cup.WithNodes(4))
 			if err := d.SetCapacity(context.Background(), 99, 0.5); err == nil {
 				t.Fatal("SetCapacity accepted a node id the network never issued")
 			}
 
-			// Park peer 0 inside a callback and queue one more behind it:
-			// its inbox of one is now full.
+			// Park peer 0 inside a callback: it holds the peer's lock.
 			release, parked := make(chan struct{}), make(chan struct{})
 			defer close(release)
 			go func() { _ = d.Inspect(0, func(*cup.Node) { close(parked); <-release }) }()
 			<-parked
-			go func() { _ = d.Inspect(0, func(*cup.Node) {}) }()
-			for used := 0.0; used < 1; used, _ = d.MetricValue("cup_live_inbox_used") {
-				time.Sleep(time.Millisecond)
-			}
 
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 			defer cancel()
@@ -431,10 +425,10 @@ func TestLiveSetCapacityHonorsContextAndRejectsUnknownNode(t *testing.T) {
 			select {
 			case err := <-done:
 				if !errors.Is(err, context.DeadlineExceeded) {
-					t.Fatalf("SetCapacity against a full inbox: %v, want context.DeadlineExceeded", err)
+					t.Fatalf("SetCapacity against a held lock: %v, want context.DeadlineExceeded", err)
 				}
 			case <-time.After(5 * time.Second):
-				t.Fatal("SetCapacity outlived its context by 5 s waiting on a full inbox")
+				t.Fatal("SetCapacity outlived its context by 5 s waiting on a held lock")
 			}
 		})
 	}

@@ -12,7 +12,7 @@ import (
 
 // This file is §2.9 — node arrivals and departures — written once: every
 // runtime drives Churn over its own Members, the simulator running each
-// per-node step inline, the live network on the peer's goroutine.
+// per-node step inline, the live network under the peer's lock.
 
 // DynamicOverlay is the churn capability. Any overlay implementing it —
 // CAN, Kademlia, or a future kind added through the registry — gets churn

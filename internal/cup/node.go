@@ -659,14 +659,21 @@ func (n *Node) handleDirectResponse(ks *keyState, u *Update) []Action {
 // HandleQuery).
 func (n *Node) ReplicaEvent(ty UpdateType, k overlay.Key, replica int, addr string, lifetime sim.Duration) []Action {
 	u := Update{Key: k, Type: ty, Replica: replica, Expires: n.now().Add(lifetime)}
+	e := cache.Entry{Key: k, Replica: replica, Addr: addr, Expires: u.Expires}
 	if ty == Delete {
 		n.RemoveLocal(k, replica)
 	} else {
-		e := cache.Entry{Key: k, Replica: replica, Addr: addr, Expires: u.Expires}
 		n.InstallLocal(e)
-		u.Entries, u.Lifetime = []cache.Entry{e}, lifetime
+		u.Lifetime = lifetime
 	}
-	return n.originateUpdate(u)
+	ks := n.originating(k)
+	if ks == nil {
+		return nil
+	}
+	if ty != Delete {
+		u.Entries = []cache.Entry{e} // the pushed update's sends share it
+	}
+	return n.push(ks, &u)
 }
 
 // originateUpdate is called at the authority once a replica event (birth,
@@ -674,8 +681,17 @@ func (n *Node) ReplicaEvent(ty UpdateType, k overlay.Key, replica int, addr stri
 // update and propagates it to interested neighbors per §2.6. The result
 // follows the handler-result contract (see HandleQuery).
 func (n *Node) originateUpdate(u Update) []Action {
-	if !n.IsAuthority(u.Key) {
-		panic(fmt.Sprintf("cup: %v originating update for foreign key %q", n.id, u.Key))
+	if ks := n.originating(u.Key); ks != nil {
+		return n.push(ks, &u)
+	}
+	return nil
+}
+
+// originating counts an update originated at k's authority n and returns
+// k's state when §2.6 has anyone to push it to, nil otherwise.
+func (n *Node) originating(k overlay.Key) *keyState {
+	if !n.IsAuthority(k) {
+		panic(fmt.Sprintf("cup: %v originating update for foreign key %q", n.id, k))
 	}
 	n.env.c.UpdatesOriginated++
 	if n.env.cfg.Mode != ModeCUP {
@@ -683,12 +699,14 @@ func (n *Node) originateUpdate(u Update) []Action {
 	}
 	// Interest lives on the key's state: a key nobody has asked this node
 	// about has no one to push to, and gets no state for being published.
-	ks := n.peekKey(u.Key)
-	if ks == nil {
-		return nil
-	}
+	return n.peekKey(k)
+}
+
+// push sends an update originated at the authority to its interested
+// neighbors.
+func (n *Node) push(ks *keyState, u *Update) []Action {
 	u.Depth = 1
-	return n.env.result(n.pushProactive(n.env.acts[:0], ks, &u, 0, nil))
+	return n.env.result(n.pushProactive(n.env.acts[:0], ks, u, 0, nil))
 }
 
 // HandleUpdate processes an update for u.Key arriving from upstream

@@ -11,10 +11,10 @@ import (
 )
 
 // Runtime churn (§2.9) is cup.Churn over running peers: each per-node
-// step runs on the peer's goroutine, a join spawns a peer and a leave
+// step runs under the peer's lock, a join spawns a peer and a leave
 // retires one, on every link. What this file adds is locking:
 // lockedOverlay makes the overlay, which is not thread-safe, safe for
-// routing reads from peer goroutines while membership changes. Reads take
+// routing reads from any goroutine while membership changes. Reads take
 // the read lock, JoinRand and Leave the write lock for the instant of the
 // substrate mutation; churn drives it as its cup.DynamicOverlay.
 type lockedOverlay struct {

@@ -17,7 +17,7 @@ type link interface {
 	// send puts m on its way from from to peer to. Best effort: a lost
 	// update is recovered by expiry (§2.8), a lost query is re-issued by
 	// the client, and a departed or unknown peer drops what is sent to it
-	// as in-flight loss (§2.9). Only from's goroutine calls it.
+	// as in-flight loss (§2.9). Only the holder of from's lock calls it.
 	send(from *peer, to overlay.NodeID, m message)
 	// hold returns what the sends of one handler result carry for u, the
 	// owner's out-update, which the owner's next handler overwrites: u

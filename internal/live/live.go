@@ -1,5 +1,5 @@
 // Package live runs CUP as a real concurrent system: every peer is a
-// goroutine behind a mailbox, and the per-hop network delay is
+// goroutine behind a mailbox and a lock, and the per-hop network delay is
 // wall-clock time. It drives exactly the same protocol state machine
 // (internal/cup.Node) as the discrete-event simulator, so the simulated
 // protocol and the deployable one cannot diverge. There is one Network
@@ -67,11 +67,14 @@ const (
 	msgQuery msgKind = iota
 	msgUpdate
 	msgClearBit
-	msgControl
+	msgLookup // a local client's query
+	msgForget // a cancelled lookup's deregistration
 )
 
 // message is what a peer's mailbox holds and a link carries: one
-// protocol message from a neighbor, or a control callback. It is 48
+// protocol message from a neighbor, or a local client's lookup or its
+// cancellation. Control calls are not messages: they take the peer's
+// lock on their caller's goroutine (peer.locked). It is 48
 // bytes, and a mailbox is a ring of InboxDepth of them allocated when
 // the peer is made, so each field costs every slot of every peer: kind-
 // specific data goes behind update, which only update messages use.
@@ -83,9 +86,10 @@ type message struct {
 	// copy (see peer.dispatch) or a decoded frame. The TCP link's send
 	// gets the owner's out-update itself and encodes it before returning.
 	update *cup.Update
-	ctrl   func() // msgControl: run on the peer's goroutine
-	from   overlay.NodeID
-	kind   msgKind
+	// reply is the lookup's answer channel, for msgLookup and msgForget.
+	reply chan []cache.Entry
+	from  overlay.NodeID
+	kind  msgKind
 }
 
 // Config parameterizes a live network.
@@ -104,7 +108,8 @@ type Config struct {
 	// InboxDepth bounds each peer's mailbox (default 1024).
 	InboxDepth int
 	// Observer, when set, receives the protocol event stream from every
-	// peer. It is called from peer goroutines concurrently and must be
+	// peer. It is called concurrently, by whichever goroutines hold the
+	// peers' locks and by lookups served from the view, and must be
 	// safe for concurrent use (cup.Bus is).
 	Observer cup.Observer
 }
@@ -294,15 +299,15 @@ func (n *Network) Lookup(ctx context.Context, id overlay.NodeID, key overlay.Key
 // Authority returns the node owning key.
 func (n *Network) Authority(key overlay.Key) overlay.NodeID { return n.ov.Owner(key) }
 
-// controlNode runs fn on node id's goroutine with exclusive access to
-// its protocol state and blocks until it completes, ctx cancels, or the
-// network closes (see peer.run).
+// controlNode runs fn under node id's lock, with exclusive access to its
+// protocol state, unless ctx ends or the network closes first (see
+// peer.locked).
 func (n *Network) controlNode(ctx context.Context, id overlay.NodeID, fn func(*cup.Node)) error {
 	p := n.peerAt(id)
 	if p == nil {
 		return fmt.Errorf("live: control of unknown node %v", id)
 	}
-	return p.run(ctx, func() { fn(p.node) })
+	return p.locked(ctx, "", func() { fn(p.node) })
 }
 
 // AddReplicaCtx installs an index entry for (key, replica) at its
@@ -342,21 +347,21 @@ func (n *Network) replicaEvent(ctx context.Context, ty cup.UpdateType, key overl
 
 // SetCapacity adjusts a peer's outgoing update capacity fraction
 // (negative restores full capacity), as in the §3.7 experiments. Like
-// every control call it waits for room in the peer's inbox no longer
-// than ctx allows, and rejects an id the network never issued.
+// every control call it waits for the peer's lock no longer than ctx
+// allows, and rejects an id the network never issued.
 func (n *Network) SetCapacity(ctx context.Context, id overlay.NodeID, c float64) error {
 	return n.controlNode(ctx, id, func(node *cup.Node) { node.SetCapacity(c) })
 }
 
-// Inspect runs fn on node id's goroutine with exclusive access to its
+// Inspect runs fn under node id's lock, with exclusive access to its
 // protocol state; it blocks until fn completes. Intended for tests and
 // diagnostics.
 func (n *Network) Inspect(id overlay.NodeID, fn func(*cup.Node)) {
 	_ = n.controlNode(context.Background(), id, fn)
 }
 
-// Counters sums the peers' cost counters (§3.3), each read on its peer's
-// goroutine once the hits its view served are credited. After Close the
+// Counters sums the peers' cost counters (§3.3), each read under its
+// peer's lock once the hits its view served are credited. After Close the
 // goroutines have exited, and it reads them directly.
 func (n *Network) Counters() (sum metrics.Counters) {
 	for _, p := range *n.peers.Load() {

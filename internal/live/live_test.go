@@ -262,7 +262,7 @@ func TestAsyncHopOwnsItsUpdate(t *testing.T) {
 	tap.sent, tap.to = nil, nil // the Appends of add went nowhere: no one had asked yet
 	tap.mu.Unlock()
 	a := n.peerAt(auth)
-	if err := a.run(ctx, func() {
+	if err := a.locked(ctx, "", func() {
 		a.dispatch(a.node.ReplicaEvent(cup.Append, "k", 1, "10.0.0.2", 3600))
 		a.dispatch(a.node.ReplicaEvent(cup.Refresh, other, 0, "10.0.0.9", 3600)) // overwrites the out-update
 	}); err != nil {
@@ -374,6 +374,89 @@ func TestLookupContextCancellation(t *testing.T) {
 		defer cancel()
 		if _, err := n.Lookup(ctx, entryFor(n, "k"), "k"); !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("lookup with no answer coming returned %v", err)
+		}
+	})
+}
+
+// TestCancelledLookupLeavesNoWaiter: lookups queued behind a held lock
+// and cancelled there, their answers an hour away, leave the peer's
+// waiter table empty once the mailbox drains. Each forget is a mailbox
+// message queued behind its own lookup; one that skipped the queue would
+// run first, find no waiter, and the lookup would then register one that
+// nothing removes.
+func TestCancelledLookupLeavesNoWaiter(t *testing.T) {
+	const lookups = 200
+	n := NewNetwork(Config{Nodes: 16, Seed: 5, HopDelay: time.Hour})
+	defer n.Close()
+	p := n.peerAt(0)
+	release, blocked := make(chan struct{}), make(chan struct{})
+	go n.Inspect(p.id, func(*cup.Node) { close(blocked); <-release })
+	<-blocked
+	ctx, cancel := context.WithCancel(context.Background())
+	errs := make(chan error, lookups)
+	for i, posted := 0, 0; posted < lookups; i++ {
+		key := overlay.Key(fmt.Sprint("key-", i))
+		if n.Authority(key) == p.id {
+			continue // answered at once: no waiter
+		}
+		posted++
+		go func() {
+			_, err := n.Lookup(ctx, p.id, key)
+			errs <- err
+		}()
+	}
+	// The loop holds one lookup, waiting for the lock; the rest queue.
+	for deadline := time.Now().Add(5 * time.Second); len(p.inbox) < lookups-1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d lookups queued", len(p.inbox)+1, lookups)
+		}
+	}
+	cancel()
+	time.Sleep(20 * time.Millisecond) // every cancellation lands while the lock is held
+	close(release)
+	for i := 0; i < lookups; i++ {
+		if err := <-errs; !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled lookup returned %v", err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		var left int
+		if err := p.locked(ctxShort(t), "", func() { left = len(p.waiters) }); err != nil {
+			t.Fatal(err)
+		}
+		if left == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d keys still have waiters after every lookup was cancelled", left)
+		}
+	}
+}
+
+// TestControlCallHonorsContextWhileLockHeld: a control call waiting for a
+// peer's lock returns when its context ends, and takes the lock once it
+// is free.
+func TestControlCallHonorsContextWhileLockHeld(t *testing.T) {
+	bothTransports(t, Config{}, func(t *testing.T, n *Network) {
+		release, blocked, inspected := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(inspected)
+			n.Inspect(3, func(*cup.Node) { close(blocked); <-release })
+		}()
+		<-blocked
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		defer cancel()
+		start := time.Now()
+		if err := n.SetCapacity(ctx, 3, 0.5); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("SetCapacity with the lock held returned %v, want the deadline", err)
+		}
+		if waited := time.Since(start); waited > time.Second {
+			t.Fatalf("SetCapacity with a 50 ms deadline returned after %v", waited)
+		}
+		close(release)
+		<-inspected
+		if err := n.SetCapacity(ctxShort(t), 3, 0.5); err != nil {
+			t.Fatalf("SetCapacity with the lock free returned %v", err)
 		}
 	})
 }
@@ -558,11 +641,30 @@ func benchLookup(b *testing.B, n *Network) {
 	}
 }
 
+// TestReplicaEventAllocatesOnce pins the control path: a replica event
+// for a key its authority already holds, and no peer has asked for,
+// allocates only the store's copy-on-write set — no message, callback or
+// done channel, and no update built for a push that does not happen.
+func TestReplicaEventAllocatesOnce(t *testing.T) {
+	bothTransports(t, Config{Nodes: 64}, func(t *testing.T, n *Network) {
+		add(t, n, "held", 0, "10.0.0.1", time.Hour)
+		ctx := context.Background()
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := n.AddReplicaCtx(ctx, "held", 0, "10.0.0.1", time.Hour); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Fatalf("a replica event allocates %v times, want at most 1: the store's new set", allocs)
+		}
+	})
+}
+
 // BenchmarkReplicaEvent times one control call, a replica birth at its
 // authority on a 64-node CAN, over the goroutine link (1 ns hop) and over
 // TCP. No peer has asked for the key, so nothing propagates: the row is
-// the control path alone, the callback posted to the authority's mailbox
-// and the wait for it to run.
+// the control path alone, the authority's lock taken on the caller's
+// goroutine.
 func BenchmarkReplicaEvent(b *testing.B) {
 	for _, tr := range []struct {
 		name string

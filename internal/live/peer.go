@@ -3,6 +3,7 @@ package live
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"cup/internal/cache"
@@ -12,13 +13,14 @@ import (
 )
 
 // peer is one protocol node of a live network — the only kind there is:
-// a mailbox serializing all protocol work onto one goroutine, and the
-// half that faces local clients and keeps the hit view in step with the
-// protocol node: lookups, the open connections awaiting an answer,
-// control callbacks, and the calls into the node that must be bracketed
-// by the view's credit/publish rule. There is one Lookup and one place
-// where the rule is applied, whatever the link. Everything but lookup,
-// hit and forget runs on the peer's goroutine.
+// a mailbox feeding one goroutine, a lock that goroutine holds while it
+// handles each message, and the half that faces local clients and keeps
+// the hit view in step with the protocol node: lookups, the open
+// connections awaiting an answer, and the control calls, which run on
+// their caller's goroutine under the same lock, bracketed by the view's
+// credit/publish rule. There is one Lookup and one place where the rule
+// is applied, whatever the link. Everything but lookup and hit runs
+// under the lock.
 type peer struct {
 	id    overlay.NodeID
 	net   *Network
@@ -26,19 +28,22 @@ type peer struct {
 	view  hitView
 	now   func() sim.Time
 	inbox chan message
+	// mu is the peer's lock: a one-slot channel, so that waiting for it
+	// ends with the waiter's ctx or the network's Close even while its
+	// holder is stuck in a TCP write.
+	mu chan struct{}
 	// waiters holds the local lookups awaiting an answer, so responses
 	// fan out to every open client connection and cancelled lookups can
 	// deregister instead of leaking. Each channel is buffered(1) and owned
 	// by one lookup, so an answer racing a cancellation never blocks the
-	// peer goroutine.
+	// lock's holder.
 	waiters map[overlay.Key][]chan []cache.Entry
 	// gone closes when the peer departs (§2.9): sends to it are dropped
 	// as in-flight losses and lookups at it fail fast. The slot stays in
 	// the network's peer table — IDs are dense and never reused.
 	gone chan struct{}
-	// departing is set on the peer's own goroutine by depart; the loop
-	// observes it after the control callback and switches to the retired
-	// state.
+	// departing is set by depart, under the lock; from then on the loop
+	// discards what the mailbox receives.
 	departing bool
 	// sock is the TCP link's listener and connections for this peer; nil
 	// on the goroutine link.
@@ -56,15 +61,18 @@ func newPeer(n *Network, id overlay.NodeID, router cup.Router, now func() sim.Ti
 		view:    hitView{node: node, now: now},
 		now:     now,
 		inbox:   make(chan message, n.cfg.InboxDepth),
+		mu:      make(chan struct{}, 1),
 		waiters: make(map[overlay.Key][]chan []cache.Entry),
 		gone:    make(chan struct{}),
 	}
 }
 
 // loop is the peer goroutine: one message at a time through the protocol
-// state machine, actions dispatched back onto the network. A departing
-// peer switches to the retired state instead of exiting so that control
-// messages racing the departure always complete.
+// state machine under the peer's lock, actions dispatched back onto the
+// network. A departed peer's loop keeps draining the mailbox until the
+// network closes, discarding what arrives — the departure's in-flight
+// losses — so no sender waits on it; slots are never reused, so at most
+// one such drain exists per departed peer.
 func (p *peer) loop() {
 	defer p.net.wg.Done()
 	for {
@@ -72,31 +80,13 @@ func (p *peer) loop() {
 		case <-p.net.closed:
 			return
 		case m := <-p.inbox:
-			p.handle(m)
-			if p.departing {
-				close(p.gone)
-				p.retired()
+			if p.lock(context.Background()) != nil {
 				return
 			}
-		}
-	}
-}
-
-// retired services a departed peer's inbox until network shutdown:
-// control callbacks still run (a caller that enqueued one while the
-// departure raced must not hang on its done channel), while protocol
-// messages are discarded — they are the departure's in-flight losses.
-// The goroutine itself is the drain; slots are never reused, so at most
-// one retired goroutine exists per departed peer.
-func (p *peer) retired() {
-	for {
-		select {
-		case <-p.net.closed:
-			return
-		case m := <-p.inbox:
-			if m.kind == msgControl {
-				m.ctrl()
+			if !p.departing {
+				p.handle(m)
 			}
+			p.unlock()
 		}
 	}
 }
@@ -110,18 +100,35 @@ func (p *peer) handle(m message) {
 		acts = p.update(m.from, m.update)
 	case msgClearBit:
 		acts = p.clearBit(m.from, m.key)
-	case msgControl:
-		m.ctrl()
+	case msgLookup:
+		acts = p.query(cup.LocalClient, m.key, 0)
+		// A synchronous answer arrives as a DeliverLocal action; register
+		// the waiter first so both paths converge.
+		p.waiters[m.key] = append(p.waiters[m.key], m.reply)
+	case msgForget:
+		// Queued behind its own lookup, so the waiter is registered, or
+		// already answered and gone.
+		ws := slices.DeleteFunc(p.waiters[m.key], func(w chan []cache.Entry) bool { return w == m.reply })
+		if len(ws) == 0 {
+			delete(p.waiters, m.key)
+		} else {
+			p.waiters[m.key] = ws
+		}
 		return
 	}
 	p.dispatch(acts)
 }
 
-// post queues fn to run on the peer's goroutine, waiting for room in the
-// inbox until ctx is done or the network closes.
-func (p *peer) post(ctx context.Context, fn func()) error {
+// lock takes the peer's lock, waiting no longer than ctx allows or the
+// network stays open. A free lock is taken without the three-way select.
+func (p *peer) lock(ctx context.Context) error {
 	select {
-	case p.inbox <- message{kind: msgControl, ctrl: fn}:
+	case p.mu <- struct{}{}:
+		return nil
+	default:
+	}
+	select {
+	case p.mu <- struct{}{}:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -130,12 +137,36 @@ func (p *peer) post(ctx context.Context, fn func()) error {
 	}
 }
 
-// tryPost queues fn only if the inbox has room right now.
-func (p *peer) tryPost(fn func()) {
-	select {
-	case p.inbox <- message{kind: msgControl, ctrl: fn}:
-	default:
+func (p *peer) unlock() { <-p.mu }
+
+// locked runs fn on the caller's goroutine with exclusive access to the
+// peer's protocol state, and returns when fn has, or without running it
+// when ctx ends or the network closes before the lock is free. A key
+// names the one key whose client answer and query accounting fn reads
+// and changes: its hits are credited before fn and its answer
+// republished after. The empty key is the whole node (Inspect, churn
+// hand-over, a flush): every slot is credited before fn and republished
+// after it, or retired if fn departed the peer — cost proportional to
+// the slots, paid by these rare callers and not by the query path.
+func (p *peer) locked(ctx context.Context, key overlay.Key, fn func()) error {
+	if err := p.lock(ctx); err != nil {
+		return err
 	}
+	defer p.unlock()
+	if key != "" {
+		p.view.credit(key)
+		fn()
+		p.view.publish(key, false)
+		return nil
+	}
+	p.view.creditAll()
+	fn()
+	if p.departing {
+		p.view.retire()
+	} else {
+		p.view.publishAll()
+	}
+	return nil
 }
 
 // dispatch puts a handler's actions on the network through the link;
@@ -203,93 +234,33 @@ func (p *peer) deliver(key overlay.Key, entries []cache.Entry) {
 	p.view.publish(key, true)
 }
 
-// run executes fn on the peer's goroutine with exclusive access to its
-// protocol state and blocks until it completes, ctx cancels, or the
-// network closes. On cancellation fn may still run later — it was
-// already queued — but the caller stops waiting. fn may read or change
-// any key's state (Inspect, churn hand-over, a flush), so the whole view
-// is credited before it and republished after it: cost proportional to
-// the slots, paid by these rare callers and not by the query path.
-func (p *peer) run(ctx context.Context, fn func()) error {
-	return p.exec(ctx, "", true, fn)
-}
-
-// runKey is run for a callback that reads and changes the client answer
-// and query accounting of key alone.
-func (p *peer) runKey(ctx context.Context, key overlay.Key, fn func()) error {
-	return p.exec(ctx, key, false, fn)
-}
-
-func (p *peer) exec(ctx context.Context, key overlay.Key, allKeys bool, fn func()) error {
-	done := make(chan struct{})
-	err := p.post(ctx, func() {
-		defer close(done)
-		if !allKeys {
-			p.view.credit(key)
-			fn()
-			p.view.publish(key, false)
-			return
-		}
-		p.view.creditAll()
-		fn()
-		if p.departing {
-			p.view.retire()
-		} else {
-			p.view.publishAll()
-		}
-	})
-	if err != nil {
-		return err
-	}
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-p.net.closed:
-		return ErrClosed
-	}
-}
-
 // replicaEvent applies a replica's birth, refresh or deletion at this
 // peer — the key's authority — and propagates it (cup.Node.ReplicaEvent).
 func (p *peer) replicaEvent(ctx context.Context, ty cup.UpdateType, key overlay.Key, replica int, addr string, lifetime sim.Duration) error {
-	return p.runKey(ctx, key, func() {
+	return p.locked(ctx, key, func() {
 		p.dispatch(p.node.ReplicaEvent(ty, key, replica, addr, lifetime))
 	})
 }
 
 // depart takes the peer's local directory for hand-over and marks the
-// peer departing in one callback, so no replica event lands between the
-// two; the loop closes gone once the callback returns.
+// peer departed under one hold of its lock, so no replica event lands
+// between the two; once it returns, aliveness checks — and the hand-over
+// that follows — observe the departure.
 func (p *peer) depart(ctx context.Context) (*cache.Store, error) {
 	var dir *cache.Store
-	err := p.run(ctx, func() {
+	err := p.locked(ctx, "", func() {
 		dir = p.node.LocalDirectory().Take()
 		p.departing = true
+		close(p.gone)
 	})
-	if err != nil {
-		return nil, err
-	}
-	// Wait for the goroutine to acknowledge (gone closes) so later
-	// aliveness checks — and the hand-over that follows — observe the
-	// departure.
-	select {
-	case <-p.gone:
-		return dir, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-p.net.closed:
-		return nil, ErrClosed
-	}
+	return dir, err
 }
 
 // lookup answers a local client's query for key: from the view when the
 // peer has published a fresh answer, otherwise by posting the query to
-// the peer's goroutine and waiting for the entries (or ctx
-// cancellation). A cancelled lookup deregisters its open connection, so
-// abandoned queries on a slow or partitioned network do not accumulate
-// state.
+// the peer's mailbox and waiting for the entries (or ctx cancellation).
+// A cancelled lookup deregisters its open connection, so abandoned
+// queries on a slow or partitioned network do not accumulate state.
 func (p *peer) lookup(ctx context.Context, key overlay.Key) ([]cache.Entry, error) {
 	if entries := p.hit(key); entries != nil {
 		return entries, nil
@@ -300,21 +271,12 @@ func (p *peer) lookup(ctx context.Context, key overlay.Key) ([]cache.Entry, erro
 	default:
 	}
 	reply := make(chan []cache.Entry, 1)
-	err := p.post(ctx, func() {
-		if p.departing {
-			// Departed between the aliveness race and the callback's turn:
-			// answer empty rather than strand the waiter.
-			reply <- nil // buffered(1), sole send
-			return
-		}
-		acts := p.query(cup.LocalClient, key, 0)
-		// A synchronous answer arrives as a DeliverLocal action; register
-		// the waiter first so both paths converge.
-		p.waiters[key] = append(p.waiters[key], reply)
-		p.dispatch(acts)
-	})
-	if err != nil {
-		return nil, err
+	select {
+	case p.inbox <- message{kind: msgLookup, key: key, reply: reply}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	case <-p.net.closed:
+		return nil, ErrClosed
 	}
 	select {
 	case entries := <-reply:
@@ -323,7 +285,13 @@ func (p *peer) lookup(ctx context.Context, key overlay.Key) ([]cache.Entry, erro
 		// The peer departed with the query open; its state is gone.
 		return nil, fmt.Errorf("live: node %v departed during lookup", p.id)
 	case <-ctx.Done():
-		p.forget(key, reply)
+		// The forget queues behind its lookup. Best-effort: if the inbox
+		// is saturated, the buffered reply still keeps a late answer from
+		// blocking the lock's holder.
+		select {
+		case p.inbox <- message{kind: msgForget, key: key, reply: reply}:
+		default:
+		}
 		return nil, ctx.Err()
 	case <-p.net.closed:
 		return nil, ErrClosed
@@ -333,7 +301,7 @@ func (p *peer) lookup(ctx context.Context, key overlay.Key) ([]cache.Entry, erro
 // hit serves key from the view: a lock-free read from the caller's
 // goroutine, the query's two events emitted from there too (observers on
 // a live network are concurrency-safe by contract), and the hit left on
-// the slot for the peer goroutine to credit. A closed network, a
+// the slot for the lock's next holder to credit. A closed network, a
 // departed peer and anything but an all-fresh published set return nil,
 // and the lookup takes the mailbox.
 func (p *peer) hit(key overlay.Key) []cache.Entry {
@@ -351,25 +319,6 @@ func (p *peer) hit(key overlay.Key) []cache.Entry {
 	obs.OnEvent(cup.Event{Kind: cup.EvQueryIssued, Time: now, Node: p.id, Peer: cup.LocalClient, Key: key})
 	obs.OnEvent(cup.Event{Kind: cup.EvQueryAnswered, Time: now, Node: p.id, Peer: cup.LocalClient, Key: key, Entries: len(entries)})
 	return entries
-}
-
-// forget asks the peer to drop a cancelled lookup's open connection.
-// Best-effort and non-blocking: if the inbox is saturated, the buffered
-// reply channel still keeps a late answer from blocking the peer
-// goroutine.
-func (p *peer) forget(key overlay.Key, reply chan []cache.Entry) {
-	p.tryPost(func() {
-		ws := p.waiters[key]
-		for i, w := range ws {
-			if w == reply {
-				p.waiters[key] = append(ws[:i], ws[i+1:]...)
-				break
-			}
-		}
-		if len(p.waiters[key]) == 0 {
-			delete(p.waiters, key)
-		}
-	})
 }
 
 // isGone reports whether the peer has departed.

@@ -61,8 +61,8 @@ type sock struct {
 	conns  map[overlay.NodeID]net.Conn
 	open   map[net.Conn]bool
 	closed bool
-	// frame is the encode buffer of send, which only the peer's goroutine
-	// calls.
+	// frame is the encode buffer of send, which only the holder of the
+	// peer's lock calls.
 	frame []byte
 }
 

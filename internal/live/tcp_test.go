@@ -248,15 +248,17 @@ func TestTCPSimultaneousDial(t *testing.T) {
 		for _, p := range peers {
 			p, to := p, 1-p.id
 			sent.Add(1)
-			if err := p.post(ctxShort(t), func() {
+			go func() {
 				defer sent.Done()
-				<-start
-				for i := 0; i < frames; i++ {
-					tn.link.send(p, to, message{kind: msgClearBit, from: p.id, key: overlay.Key(fmt.Sprint(i))})
+				if err := p.locked(ctxShort(t), "", func() {
+					<-start
+					for i := 0; i < frames; i++ {
+						tn.link.send(p, to, message{kind: msgClearBit, from: p.id, key: overlay.Key(fmt.Sprint(i))})
+					}
+				}); err != nil {
+					t.Error(err)
 				}
-			}); err != nil {
-				t.Fatal(err)
-			}
+			}()
 		}
 		close(start)
 		sent.Wait()
@@ -321,7 +323,7 @@ func TestTCPLeaveClosesEveryConnection(t *testing.T) {
 		p.sock.mu.Unlock()
 	}
 	held := openConns(tn, func(p *peer, c net.Conn) bool { return p == j })
-	if err := nb.post(ctx, func() { tn.link.send(nb, id, message{kind: msgClearBit, from: nb.id, key: "k"}) }); err != nil {
+	if err := nb.locked(ctx, "", func() { tn.link.send(nb, id, message{kind: msgClearBit, from: nb.id, key: "k"}) }); err != nil {
 		t.Fatal(err)
 	}
 	for deadline := time.Now().Add(time.Second); openConns(tn, func(p *peer, c net.Conn) bool { return p == j }) == held; time.Sleep(time.Millisecond) {
@@ -360,15 +362,19 @@ func TestTCPReadOwnsEachUpdate(t *testing.T) {
 	from, to := tn.peerAt(0), tn.peerAt(1)
 	held, release := make(chan struct{}), make(chan struct{})
 	defer close(release)
-	if err := to.post(ctx, func() { close(held); <-release }); err != nil {
-		t.Fatal(err)
+	go to.locked(ctx, "", func() { close(held); <-release })
+	<-held
+	// to's goroutine takes one message and waits for the lock: give it a
+	// no-op, and the rest of its mailbox is the test's.
+	to.inbox <- message{kind: msgForget}
+	for len(to.inbox) != 0 {
+		time.Sleep(time.Millisecond)
 	}
-	<-held // to's goroutine leaves its mailbox to the test
 	sent := []cup.Update{
 		{Key: "a", Type: cup.Refresh, Replica: 1, Depth: 1, Expires: 10},
 		{Key: "b", Type: cup.Delete, Replica: 2, Depth: 2, Expires: 20},
 	}
-	if err := from.post(ctx, func() {
+	if err := from.locked(ctx, "", func() {
 		for i := range sent {
 			u := sent[i]
 			tn.link.send(from, to.id, message{kind: msgUpdate, from: from.id, key: u.Key, update: &u})

@@ -17,7 +17,8 @@ import (
 // makes that answer a store read; the view lets Lookup do the read from
 // the caller's goroutine, with no lock and no trip through the mailbox.
 //
-// Ownership: only the peer goroutine writes. After anything that can
+// Ownership: only the holder of the peer's lock writes — the peer's
+// goroutine handling a message, or a control call. After anything that can
 // change a key's client answer — an update handled, a local client
 // answered, the local directory installed into or removed from, churn
 // hand-over or retirement, a flush of expired entries — it republishes
@@ -35,7 +36,7 @@ import (
 type hitView struct {
 	table atomic.Pointer[viewTable]
 
-	// Writer-side state, touched by the peer goroutine alone.
+	// Writer-side state, touched by the holder of the peer's lock alone.
 	node *cup.Node
 	now  func() sim.Time
 	open int // slots a reader can hit
@@ -145,7 +146,7 @@ func (v *hitView) drain(s *hitSlot, mark uint64) {
 }
 
 // credit folds key's uncredited hits into the node's popularity and
-// justification state. The peer goroutine calls it before a handler for
+// justification state. The lock's holder calls it before a handler for
 // key runs.
 func (v *hitView) credit(key overlay.Key) {
 	if s := v.slot(key); s != nil {

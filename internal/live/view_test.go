@@ -19,8 +19,8 @@ import (
 // bench is a peer on a workbench: a network of one whose link records
 // what the peer sends, a clock set by hand, and a router on which the
 // node being a key's authority can be flipped, which is all a join or
-// leave is to one peer. The peer's goroutine runs its control callbacks;
-// between them — each is waited out — the test calls the handlers
+// leave is to one peer. Its control callbacks take the peer's lock on
+// the test's goroutine, and between them the test calls the handlers
 // itself, so the two never overlap. Node 0 is the peer; node 1 is
 // upstream.
 type bench struct {
@@ -211,11 +211,11 @@ func TestViewModel(t *testing.T) {
 		case op < 8: // time passes, sometimes past expiries
 			b.setClock(b.time().Add(sim.Duration(rng.Float64())))
 		case op < 9: // a flush of expired entries (any control callback)
-			if err := b.run(ctx, func() { b.node.FlushExpired() }); err != nil {
+			if err := b.locked(ctx, "", func() { b.node.FlushExpired() }); err != nil {
 				t.Fatal(err)
 			}
 		default: // join or leave moves authority, with its hand-over
-			if err := b.run(ctx, func() {
+			if err := b.locked(ctx, "", func() {
 				if b.authority.Load() {
 					for _, k := range keys {
 						b.node.LocalDirectory().RemoveKey(k)
@@ -373,8 +373,8 @@ func accountingParity(t *testing.T, inspect bool) {
 		}
 		if inspect {
 			var popView, popBox int
-			_ = viaView.run(context.Background(), func() { popView = viaView.node.Popularity(key) })
-			_ = viaBox.run(context.Background(), func() { popBox = viaBox.node.Popularity(key) })
+			_ = viaView.locked(context.Background(), "", func() { popView = viaView.node.Popularity(key) })
+			_ = viaBox.locked(context.Background(), "", func() { popBox = viaBox.node.Popularity(key) })
 			if popView != hits || popBox != hits {
 				t.Fatalf("round %d: popularity %d via view, %d via mailbox, want %d", i, popView, popBox, hits)
 			}
@@ -413,7 +413,7 @@ func entryFor(n *Network, key overlay.Key) overlay.NodeID {
 }
 
 // TestLookupHitSkipsMailbox: once a peer has answered a local client,
-// further lookups are served with the peer's goroutine blocked and its
+// further lookups are served with the peer's lock held and its
 // inbox untouched, allocate nothing, and are still counted.
 func TestLookupHitSkipsMailbox(t *testing.T) {
 	bothTransports(t, Config{}, func(t *testing.T, n *Network) {
@@ -476,7 +476,7 @@ func TestCancelledLookupsLeaveNoWaiters(t *testing.T) {
 
 		waiting := func() int {
 			var w int
-			if err := n.peerAt(at).run(ctxShort(t), func() { w = len(n.peerAt(at).waiters[key]) }); err != nil {
+			if err := n.peerAt(at).locked(ctxShort(t), "", func() { w = len(n.peerAt(at).waiters[key]) }); err != nil {
 				t.Fatal(err)
 			}
 			return w
@@ -509,7 +509,7 @@ func TestCancelledLookupsLeaveNoWaiters(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 		var tables int
-		_ = n.peerAt(at).run(ctxShort(t), func() { tables = len(n.peerAt(at).waiters) })
+		_ = n.peerAt(at).locked(ctxShort(t), "", func() { tables = len(n.peerAt(at).waiters) })
 		if tables != 0 {
 			t.Fatalf("waiter table still holds %d keys", tables)
 		}
