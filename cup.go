@@ -49,8 +49,8 @@
 // in wall-clock time under WithTimeScale: one loop fires each refresh
 // round, arrival and fault at its deadline, and ends, as the simulator
 // does, after the last arrival or fault due. The
-// scenario registry (RegisterScenario, BuildScenario, ScenarioNames)
-// backs the cupsim -scenario flag.
+// fixed scenario catalog (ScenarioNames, BuildScenario) backs the cupsim
+// -scenario flag.
 //
 // The protocol core is a pure state machine (Node); both transports drive
 // the same code, so simulation results transfer to the live runtime.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	internal "cup/internal/cup"
@@ -14,50 +15,21 @@ import (
 	"cup/internal/sim"
 )
 
-// runtime is the transport-agnostic execution substrate behind a
-// Deployment: the discrete-event simulator and the live network
-// implement it identically, so application code written against a
-// Deployment transfers between evaluation and deployment unchanged.
-type runtime interface {
-	// Transport reports which substrate is executing.
-	Transport() Transport
-	// Size returns the number of peers in the overlay.
-	Size() int
-	// Authority returns the node owning key's index entries.
-	Authority(key Key) NodeID
-	// LookupAt posts a client query for key at node `at` and waits for
-	// the index entries (or ctx cancellation). On the simulator, waiting
-	// means driving the virtual clock.
-	LookupAt(ctx context.Context, at NodeID, key Key) ([]Entry, error)
-	// Publish registers (key, replica) served at addr with its authority
-	// and propagates the event down the interest tree — as an Append when
-	// refresh is false, as a lifetime-extending Refresh otherwise.
-	Publish(ctx context.Context, key Key, replica int, addr string, lifetime time.Duration, refresh bool) error
-	// Unpublish deletes (key, replica) at the authority and propagates a
-	// Delete so caches stop serving the dead replica.
-	Unpublish(ctx context.Context, key Key, replica int) error
-	// SetCapacity adjusts a node's outgoing update capacity fraction
-	// (§3.7); negative restores full capacity.
-	SetCapacity(ctx context.Context, id NodeID, c float64) error
-	// Inspect runs fn with exclusive access to one node's protocol state.
-	Inspect(id NodeID, fn func(*Node)) error
-	// Settle blocks until the deployment quiesces: the simulator drains
-	// its event queue, the live network waits for in-flight traffic to
-	// stop.
-	Settle(ctx context.Context) error
-	// Counters snapshots the run's cost counters (§3.3), as the protocol
-	// core counted them.
-	Counters() Counters
-	// Close releases the substrate. Further client calls fail.
-	Close() error
-}
-
-// Deployment is a running CUP system built by New: a runtime plus the
-// shared event bus and the application-facing client API. One Deployment
-// abstraction covers both the paper's evaluation harness and a live
-// service.
+// Deployment is a running CUP system built by New: the discrete-event
+// simulation or the live network that executes it, the shared event bus
+// and the application-facing client API. Exactly one of sim and net is
+// set, and each client call branches on which, so one Deployment covers
+// both the paper's evaluation harness and a live service.
 type Deployment struct {
-	rt  runtime
+	transport Transport
+	// sim is the simulated transport's run. Every call on it holds simMu:
+	// the scheduler is single-threaded by design, and client calls drive
+	// it directly.
+	sim   *internal.Simulation
+	simMu sync.Mutex
+	// net is the live transport's network: goroutine peers on Live, one
+	// socket per peer on LiveTCP.
+	net *live.Network
 	bus *internal.Bus
 	// p is the resolved parameter set: the simulator consumes it via
 	// NewSimulation; the live scenario runner (Run on the live
@@ -69,14 +41,19 @@ type Deployment struct {
 	tele *telemetry
 	// serve is the WithServing HTTP serving layer (nil without it).
 	serve *serving
+	// detach removes the telemetry observers from the bus (set by New).
+	detach []func()
+
+	closeOnce sync.Once
+	// closed is set once Close has stopped serving: from then on the
+	// simulation refuses client calls, as a closed live network does.
+	closed atomic.Bool
 
 	mu sync.Mutex
 	// rng picks Lookup's entry peers, seeded with the run's seed at the
 	// first Lookup (nil until then).
 	rng       *rand.Rand
 	published map[pubKey]bool
-	detach    []func()
-	closed    bool
 }
 
 type pubKey struct {
@@ -133,6 +110,7 @@ func New(opts ...Option) (*Deployment, error) {
 	// listens (listen), so an unobserved run builds no events.
 	bus := internal.NewBus()
 	d := &Deployment{
+		transport: o.transport,
 		bus:       bus,
 		p:         o.p,
 		timeScale: o.timeScale,
@@ -141,7 +119,7 @@ func New(opts ...Option) (*Deployment, error) {
 
 	switch o.transport {
 	case Simulated:
-		d.rt = &simRuntime{s: internal.NewSimulation(o.p)}
+		d.sim = internal.NewSimulation(o.p)
 	case Live, LiveTCP:
 		hop := o.liveHop
 		if hop == 0 && o.transport == Live {
@@ -156,80 +134,136 @@ func New(opts ...Option) (*Deployment, error) {
 			InboxDepth: o.inboxDepth,
 			Observer:   bus,
 		}
-		lr := &liveRuntime{tcp: o.transport == LiveTCP}
-		if lr.tcp {
+		if o.transport == LiveTCP {
 			n, err := live.NewTCPNetwork(cfg)
 			if err != nil {
 				return nil, fmt.Errorf("cup: tcp transport: %w", err)
 			}
-			lr.n = n
+			d.net = n
 		} else {
-			lr.n = live.NewNetwork(cfg)
+			d.net = live.NewNetwork(cfg)
 		}
-		d.rt = lr
 	default:
 		return nil, fmt.Errorf("cup: unknown transport %d", int(o.transport))
 	}
 	if o.telemetry {
 		if err := d.initTelemetry(&o); err != nil {
-			_ = d.rt.Close()
+			_ = d.Close()
 			return nil, err
 		}
 	}
 	if len(o.serving) > 0 {
 		if err := d.initServing(&o); err != nil {
-			if d.tele != nil && d.tele.srv != nil {
-				_ = d.tele.srv.Close()
-			}
-			_ = d.rt.Close()
+			_ = d.Close()
 			return nil, err
 		}
 	}
 	return d, nil
 }
 
+// onSim runs fn on the simulation under simMu, unless ctx has ended or
+// the deployment is closed.
+func (d *Deployment) onSim(ctx context.Context, fn func(s *internal.Simulation) error) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	d.simMu.Lock()
+	defer d.simMu.Unlock()
+	if d.closed.Load() {
+		return live.ErrClosed
+	}
+	return fn(d.sim)
+}
+
 // Transport reports which substrate executes this deployment.
-func (d *Deployment) Transport() Transport { return d.rt.Transport() }
+func (d *Deployment) Transport() Transport { return d.transport }
 
 // Size returns the number of peers.
-func (d *Deployment) Size() int { return d.rt.Size() }
+func (d *Deployment) Size() int {
+	if d.net != nil {
+		return d.net.Size()
+	}
+	d.simMu.Lock()
+	defer d.simMu.Unlock()
+	return d.sim.Size()
+}
 
 // Authority returns the node owning key's index entries.
-func (d *Deployment) Authority(key Key) NodeID { return d.rt.Authority(key) }
+func (d *Deployment) Authority(key Key) NodeID {
+	if d.net != nil {
+		return d.net.Authority(key)
+	}
+	d.simMu.Lock()
+	defer d.simMu.Unlock()
+	return d.sim.Ov.Owner(key)
+}
 
 // Counters snapshots the deployment's cost counters (§3.3), which every
-// transport counts alike.
-func (d *Deployment) Counters() Counters { return d.rt.Counters() }
+// transport counts alike. After Close it still reads the run's totals.
+func (d *Deployment) Counters() Counters {
+	if d.net != nil {
+		return d.net.Counters()
+	}
+	d.simMu.Lock()
+	defer d.simMu.Unlock()
+	return *d.sim.C
+}
 
 // Lookup resolves key from a deterministically random peer — the
 // client's entry point is arbitrary in a P2P network. Use LookupAt to
 // pick the peer.
 func (d *Deployment) Lookup(ctx context.Context, key Key) ([]Entry, error) {
-	size := d.rt.Size()
+	size := d.Size()
 	d.mu.Lock()
 	if d.rng == nil {
 		d.rng = rand.New(rand.NewSource(d.p.Seed))
 	}
 	at := NodeID(d.rng.Intn(size))
 	d.mu.Unlock()
-	return d.rt.LookupAt(ctx, at, key)
+	return d.LookupAt(ctx, at, key)
 }
 
 // LookupAt posts a client query for key at node `at` and waits for the
-// index entries, honoring ctx cancellation on both transports.
+// index entries, honoring ctx cancellation on both transports. On the
+// simulator, waiting means driving the virtual clock.
 func (d *Deployment) LookupAt(ctx context.Context, at NodeID, key Key) ([]Entry, error) {
-	return d.rt.LookupAt(ctx, at, key)
+	if d.net != nil {
+		return d.net.Lookup(ctx, at, key)
+	}
+	var entries []Entry
+	err := d.onSim(ctx, func(s *internal.Simulation) (err error) {
+		entries, err = s.Lookup(ctx, at, key)
+		return err
+	})
+	return entries, err
 }
 
-// Publish registers (key, replica) served at addr: an Append update on
-// first publication, a lifetime-extending Refresh on re-publication.
-// Replicas should re-Publish before lifetime elapses.
+// Publish registers (key, replica) served at addr with its authority and
+// propagates the event down the interest tree: an Append update on first
+// publication, a lifetime-extending Refresh on re-publication. Replicas
+// should re-Publish before lifetime elapses.
 func (d *Deployment) Publish(ctx context.Context, key Key, replica int, addr string, lifetime time.Duration) error {
 	pk := pubKey{key, replica}
 	d.mu.Lock()
 	refresh := d.published[pk]
 	d.mu.Unlock()
-	if err := d.rt.Publish(ctx, key, replica, addr, lifetime, refresh); err != nil {
+	var err error
+	switch {
+	case d.net == nil:
+		ty := Append
+		if refresh {
+			ty = Refresh
+		}
+		err = d.onSim(ctx, func(s *internal.Simulation) error {
+			s.PublishReplica(key, replica, addr, sim.Duration(lifetime.Seconds()), ty)
+			return nil
+		})
+	case refresh:
+		err = d.net.RefreshCtx(ctx, key, replica, addr, lifetime)
+	default:
+		err = d.net.AddReplicaCtx(ctx, key, replica, addr, lifetime)
+	}
+	if err != nil {
 		return err
 	}
 	d.mu.Lock()
@@ -238,9 +272,16 @@ func (d *Deployment) Publish(ctx context.Context, key Key, replica int, addr str
 	return nil
 }
 
-// Unpublish deletes (key, replica) and propagates the Delete.
+// Unpublish deletes (key, replica) at the authority and propagates a
+// Delete so caches stop serving the dead replica.
 func (d *Deployment) Unpublish(ctx context.Context, key Key, replica int) error {
-	if err := d.rt.Unpublish(ctx, key, replica); err != nil {
+	var err error
+	if d.net != nil {
+		err = d.net.RemoveReplicaCtx(ctx, key, replica)
+	} else {
+		err = d.onSim(ctx, func(s *internal.Simulation) error { s.RemoveReplica(key, replica); return nil })
+	}
+	if err != nil {
 		return err
 	}
 	d.mu.Lock()
@@ -249,19 +290,66 @@ func (d *Deployment) Unpublish(ctx context.Context, key Key, replica int) error 
 	return nil
 }
 
-// SetCapacity adjusts a node's outgoing update capacity fraction (§3.7).
+// SetCapacity adjusts a node's outgoing update capacity fraction (§3.7);
+// negative restores full capacity.
 func (d *Deployment) SetCapacity(ctx context.Context, id NodeID, c float64) error {
-	return d.rt.SetCapacity(ctx, id, c)
+	if d.net != nil {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		return d.net.SetCapacity(ctx, id, c)
+	}
+	return d.onSim(ctx, func(s *internal.Simulation) error { s.SetCapacityFraction([]NodeID{id}, c); return nil })
 }
 
 // Inspect runs fn with exclusive access to one node's protocol state
-// (on the live transport, on that peer's goroutine).
+// (on the live transport, under that peer's lock).
 func (d *Deployment) Inspect(id NodeID, fn func(*Node)) error {
-	return d.rt.Inspect(id, fn)
+	if d.net != nil {
+		if id < 0 || int(id) >= d.net.Size() {
+			return fmt.Errorf("cup: inspect of unknown node %v", id)
+		}
+		return d.net.Inspect(id, fn)
+	}
+	return d.onSim(context.Background(), func(s *internal.Simulation) error {
+		n := s.Node(id)
+		if n == nil {
+			return fmt.Errorf("cup: inspect of unknown node %v", id)
+		}
+		fn(n)
+		return nil
+	})
 }
 
-// Settle blocks until the deployment quiesces (no in-flight traffic).
-func (d *Deployment) Settle(ctx context.Context) error { return d.rt.Settle(ctx) }
+// Settle blocks until the deployment quiesces: the simulator drains its
+// event queue; the live network polls the traffic counters until two
+// consecutive probe windows see no new messages. Messages are counted at
+// send time but sleep one hop delay in flight before delivery can
+// trigger further sends, so the probe window must exceed the hop delay
+// or in-flight traffic would be invisible to it.
+func (d *Deployment) Settle(ctx context.Context) error {
+	if d.net == nil {
+		return d.onSim(ctx, func(s *internal.Simulation) error { return s.Settle(ctx) })
+	}
+	window := 2 * d.net.HopDelay()
+	if window < 15*time.Millisecond {
+		window = 15 * time.Millisecond
+	}
+	for quiet := 0; quiet < 2; {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if d.net.IsClosed() {
+			return live.ErrClosed
+		}
+		if d.net.Quiesced(window) {
+			quiet++
+		} else {
+			quiet = 0
+		}
+	}
+	return nil
+}
 
 // Observe attaches a synchronous observer to the event bus; the returned
 // function detaches it. Live-transport observers are called from peer
@@ -283,10 +371,10 @@ func (d *Deployment) Observe(obs Observer) (detach func()) {
 // attaches to it: the first attach installs it, later ones find it there.
 // A live network has emitted to the bus since boot.
 func (d *Deployment) listen() {
-	if sr, ok := d.rt.(*simRuntime); ok {
-		sr.mu.Lock()
-		sr.s.SetObserver(d.bus)
-		sr.mu.Unlock()
+	if d.sim != nil {
+		d.simMu.Lock()
+		d.sim.SetObserver(d.bus)
+		d.simMu.Unlock()
 	}
 }
 
@@ -299,245 +387,73 @@ func (d *Deployment) listen() {
 // without a WithTraffic workload still errors, staying interactive.
 // Sweeps of independent runs belong to internal/experiment's Engine.
 func (d *Deployment) Run(ctx context.Context) (*Result, error) {
-	if sr, ok := d.rt.(*simRuntime); ok {
-		return sr.run(ctx)
+	if d.net == nil {
+		var res *Result
+		err := d.onSim(ctx, func(s *internal.Simulation) (err error) {
+			res, err = s.RunContext(ctx)
+			return err
+		})
+		return res, err
 	}
 	if d.p.Traffic == nil {
 		return nil, fmt.Errorf("cup: Run on a live deployment needs a scenario (WithTraffic); interactive deployments are driven through Lookup/Publish")
 	}
-	return d.runLive(ctx, d.rt.(*liveRuntime))
+	return d.runLive(ctx)
 }
 
 // Keys lists the scripted workload's keys on the simulated transport
 // (nil on live deployments, which name their own keys via Publish).
 func (d *Deployment) Keys() []Key {
-	if sr, ok := d.rt.(*simRuntime); ok {
-		return append([]Key(nil), sr.s.Keys...)
+	if d.sim == nil {
+		return nil
 	}
-	return nil
+	return append([]Key(nil), d.sim.Keys...)
 }
 
 // EventsExecuted reports the discrete events the simulated transport
 // has fired so far; 0 on the live transport, whose work has no event
 // granularity.
 func (d *Deployment) EventsExecuted() uint64 {
-	if sr, ok := d.rt.(*simRuntime); ok {
-		sr.mu.Lock()
-		defer sr.mu.Unlock()
-		return sr.s.Sched.Executed
+	if d.sim == nil {
+		return 0
 	}
-	return 0
+	d.simMu.Lock()
+	defer d.simMu.Unlock()
+	return d.sim.Sched.Executed
 }
 
 // Now returns the deployment clock: virtual seconds on the simulator,
 // wall-clock seconds since boot on the live network.
 func (d *Deployment) Now() sim.Time {
-	if sr, ok := d.rt.(*simRuntime); ok {
-		sr.mu.Lock()
-		defer sr.mu.Unlock()
-		return sr.s.Sched.Now()
+	if d.net != nil {
+		return d.net.Now()
 	}
-	return d.rt.(*liveRuntime).n.Now()
+	d.simMu.Lock()
+	defer d.simMu.Unlock()
+	return d.sim.Sched.Now()
 }
 
 // Close shuts the deployment down and detaches its telemetry observers.
+// Further client calls fail with an error that errors.Is live.ErrClosed;
+// Counters keeps reading the run's totals.
 func (d *Deployment) Close() error {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return nil
-	}
-	d.closed = true
-	detach := d.detach
-	d.detach = nil
-	d.mu.Unlock()
-	for _, f := range detach {
-		f()
-	}
-	// Serving stops before the runtime: its handlers call into rt, and
-	// closing the listeners first turns in-flight requests into clean
-	// connection errors instead of ErrClosed races.
-	if d.serve != nil {
-		d.serve.close()
-	}
-	if d.tele != nil && d.tele.srv != nil {
-		_ = d.tele.srv.Close()
-	}
-	return d.rt.Close()
-}
-
-// simRuntime executes a deployment on the discrete-event scheduler. All
-// methods serialize on one mutex: the scheduler is single-threaded by
-// design, and client calls drive it directly.
-type simRuntime struct {
-	mu sync.Mutex
-	s  *internal.Simulation
-}
-
-func (r *simRuntime) Transport() Transport { return Simulated }
-
-func (r *simRuntime) Size() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.s.Size()
-}
-
-func (r *simRuntime) Authority(key Key) NodeID {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.s.Ov.Owner(key)
-}
-
-func (r *simRuntime) LookupAt(ctx context.Context, at NodeID, key Key) ([]Entry, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.s.Lookup(ctx, at, key)
-}
-
-func (r *simRuntime) Publish(ctx context.Context, key Key, replica int, addr string, lifetime time.Duration, refresh bool) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	ty := Append
-	if refresh {
-		ty = Refresh
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.s.PublishReplica(key, replica, addr, sim.Duration(lifetime.Seconds()), ty)
-	return nil
-}
-
-func (r *simRuntime) Unpublish(ctx context.Context, key Key, replica int) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.s.RemoveReplica(key, replica)
-	return nil
-}
-
-func (r *simRuntime) SetCapacity(ctx context.Context, id NodeID, c float64) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.s.SetCapacityFraction([]NodeID{id}, c)
-	return nil
-}
-
-func (r *simRuntime) Inspect(id NodeID, fn func(*Node)) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.s.Node(id)
-	if n == nil {
-		return fmt.Errorf("cup: inspect of unknown node %v", id)
-	}
-	fn(n)
-	return nil
-}
-
-func (r *simRuntime) Settle(ctx context.Context) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.s.Settle(ctx)
-}
-
-func (r *simRuntime) Counters() Counters {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return *r.s.C
-}
-
-func (r *simRuntime) Close() error { return nil }
-
-func (r *simRuntime) run(ctx context.Context) (*Result, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.s.RunContext(ctx)
-}
-
-// liveRuntime executes a deployment on a live network — goroutine
-// peers by default, one OS socket per peer with tcp set. New boots the
-// network; either way it is one live.Network, so everything past boot
-// is transport-blind.
-type liveRuntime struct {
-	n   *live.Network
-	tcp bool
-}
-
-func (r *liveRuntime) Transport() Transport {
-	if r.tcp {
-		return LiveTCP
-	}
-	return Live
-}
-
-func (r *liveRuntime) Size() int { return r.n.Size() }
-
-func (r *liveRuntime) Authority(key Key) NodeID { return r.n.Authority(key) }
-
-func (r *liveRuntime) LookupAt(ctx context.Context, at NodeID, key Key) ([]Entry, error) {
-	return r.n.Lookup(ctx, at, key)
-}
-
-func (r *liveRuntime) Publish(ctx context.Context, key Key, replica int, addr string, lifetime time.Duration, refresh bool) error {
-	if refresh {
-		return r.n.RefreshCtx(ctx, key, replica, addr, lifetime)
-	}
-	return r.n.AddReplicaCtx(ctx, key, replica, addr, lifetime)
-}
-
-func (r *liveRuntime) Unpublish(ctx context.Context, key Key, replica int) error {
-	return r.n.RemoveReplicaCtx(ctx, key, replica)
-}
-
-func (r *liveRuntime) SetCapacity(ctx context.Context, id NodeID, c float64) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return r.n.SetCapacity(ctx, id, c)
-}
-
-func (r *liveRuntime) Inspect(id NodeID, fn func(*Node)) error {
-	if id < 0 || int(id) >= r.n.Size() {
-		return fmt.Errorf("cup: inspect of unknown node %v", id)
-	}
-	r.n.Inspect(id, fn)
-	return nil
-}
-
-// Settle polls the traffic counters until two consecutive probe windows
-// see no new messages. Messages are counted at send time but sleep one
-// hop delay in flight before delivery can trigger further sends, so the
-// probe window must exceed the hop delay or in-flight traffic would be
-// invisible to it.
-func (r *liveRuntime) Settle(ctx context.Context) error {
-	window := 2 * r.n.HopDelay()
-	if window < 15*time.Millisecond {
-		window = 15 * time.Millisecond
-	}
-	for quiet := 0; quiet < 2; {
-		if err := ctx.Err(); err != nil {
-			return err
+	d.closeOnce.Do(func() {
+		for _, f := range d.detach {
+			f()
 		}
-		if r.n.IsClosed() {
-			return live.ErrClosed
+		// Serving stops before the simulation or network: its handlers
+		// call into them, and closing the listeners first turns in-flight
+		// requests into clean connection errors instead of ErrClosed races.
+		if d.serve != nil {
+			d.serve.close()
 		}
-		if r.n.Quiesced(window) {
-			quiet++
-		} else {
-			quiet = 0
+		if d.tele != nil && d.tele.srv != nil {
+			_ = d.tele.srv.Close()
 		}
-	}
-	return nil
-}
-
-func (r *liveRuntime) Counters() Counters { return r.n.Counters() }
-
-func (r *liveRuntime) Close() error {
-	r.n.Close()
+		d.closed.Store(true)
+		if d.net != nil {
+			d.net.Close()
+		}
+	})
 	return nil
 }

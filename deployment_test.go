@@ -433,3 +433,54 @@ func TestLiveSetCapacityHonorsContextAndRejectsUnknownNode(t *testing.T) {
 		})
 	}
 }
+
+// A closed deployment refuses every client call that acts on the network
+// or the simulation, with an error that errors.Is live.ErrClosed, on
+// every transport; Counters still reads the totals counted before Close.
+func TestClientCallsAfterCloseFailOnEveryTransport(t *testing.T) {
+	for _, tr := range []cup.Transport{cup.Simulated, cup.Live, cup.LiveTCP} {
+		t.Run(tr.String(), func(t *testing.T) {
+			d := newDeployment(t, cup.WithTransport(tr), cup.WithNodes(8), cup.WithoutWorkload())
+			ctx := context.Background()
+			if err := d.Publish(ctx, "k", 0, "198.51.100.1", time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if _, err := d.LookupAt(ctx, 3, "k"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := d.Settle(ctx); err != nil {
+				t.Fatal(err)
+			}
+			before := d.Counters()
+			if before.Queries == 0 {
+				t.Fatal("no queries counted before Close")
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			calls := []struct {
+				name string
+				call func() error
+			}{
+				{"Lookup", func() error { _, err := d.Lookup(ctx, "k"); return err }},
+				{"LookupAt", func() error { _, err := d.LookupAt(ctx, 3, "k"); return err }},
+				{"Publish", func() error { return d.Publish(ctx, "k", 1, "198.51.100.2", time.Minute) }},
+				{"Unpublish", func() error { return d.Unpublish(ctx, "k", 0) }},
+				{"SetCapacity", func() error { return d.SetCapacity(ctx, 2, 0.5) }},
+				{"Settle", func() error { return d.Settle(ctx) }},
+				{"Inspect", func() error { return d.Inspect(2, func(*cup.Node) {}) }},
+			}
+			for _, c := range calls {
+				if err := c.call(); !errors.Is(err, live.ErrClosed) {
+					t.Errorf("%s after Close: %v, want live.ErrClosed", c.name, err)
+				}
+			}
+			if after := d.Counters(); after != before {
+				t.Errorf("Counters after Close = %+v, want %+v", after, before)
+			}
+		})
+	}
+}

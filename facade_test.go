@@ -1,7 +1,5 @@
 // Integration tests of the public façade: the API a downstream user
-// imports must run end to end without reaching into internal packages
-// (the one exception below drives the internal driver's hook surface,
-// which has no façade option).
+// imports must run end to end without reaching into internal packages.
 package cup_test
 
 import (
@@ -10,7 +8,6 @@ import (
 	"time"
 
 	"cup"
-	internal "cup/internal/cup"
 )
 
 // facadeRun builds a deployment from opts and runs its scripted workload.
@@ -45,18 +42,6 @@ func TestFacadeStandardVsDefaults(t *testing.T) {
 	if c.Counters.MissCost() >= std.Counters.MissCost() {
 		t.Fatalf("CUP miss cost %d not below standard %d",
 			c.Counters.MissCost(), std.Counters.MissCost())
-	}
-}
-
-func TestFacadeSimulationHooks(t *testing.T) {
-	fired := false
-	s := internal.NewSimulation(internal.Params{
-		Nodes: 16, QueryRate: 1, QueryDuration: 120, Seed: 3,
-		Hooks: []internal.Hook{{At: 350, Fn: func(*internal.Simulation) { fired = true }}},
-	})
-	s.Run()
-	if !fired {
-		t.Fatal("hook never fired")
 	}
 }
 

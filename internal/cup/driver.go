@@ -78,9 +78,6 @@ type Params struct {
 	// Faults are scripted interventions (capacity loss, churn) expanded
 	// against the transport-agnostic FaultSurface; see scenario.go.
 	Faults []Fault
-	// Hooks run at fixed virtual times: arbitrary interventions for the
-	// driver's own tests, with no façade option.
-	Hooks []Hook
 	// Observer, when set, receives the protocol event stream (see Event)
 	// from the start: NewSimulation installs it as the run's one observer,
 	// which every node emits to and which also carries the membership
@@ -92,12 +89,6 @@ type Params struct {
 	// idle and is driven interactively through PublishReplica and Lookup,
 	// exactly like a live network. The façade's client API uses this.
 	NoWorkload bool
-}
-
-// Hook is a scheduled intervention into a running simulation.
-type Hook struct {
-	At sim.Time
-	Fn func(*Simulation)
 }
 
 // LatencyModel yields per-link one-way latencies (internal/netmodel
@@ -308,10 +299,6 @@ func NewSimulation(p Params) *Simulation {
 		s.startTraffic(tr)
 	}
 
-	for _, h := range p.Hooks {
-		h := h
-		s.Sched.At(h.At, func() { h.Fn(s) })
-	}
 	for _, f := range p.Faults {
 		name := f.Name()
 		for _, ev := range f.Schedule(float64(p.QueryStart), float64(p.QueryDuration)) {

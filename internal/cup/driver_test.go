@@ -161,15 +161,15 @@ func TestMultipleReplicas(t *testing.T) {
 
 func TestCapacityHookReducesOverhead(t *testing.T) {
 	full := Run(smallParams())
-	p := smallParams()
-	p.Hooks = []Hook{{At: 1, Fn: func(s *Simulation) {
+	s := NewSimulation(smallParams())
+	s.Sched.At(1, func() {
 		all := make([]overlay.NodeID, s.Size())
 		for i := range all {
 			all[i] = overlay.NodeID(i)
 		}
 		s.SetCapacityFraction(all, 0)
-	}}}
-	res := Run(p)
+	})
+	res := s.Run()
 	if res.Counters.UpdateHops >= full.Counters.UpdateHops {
 		t.Fatalf("zero capacity did not reduce update hops: %d vs %d",
 			res.Counters.UpdateHops, full.Counters.UpdateHops)
@@ -182,11 +182,9 @@ func TestCapacityHookReducesOverhead(t *testing.T) {
 }
 
 func TestRemoveReplicaStopsRefreshes(t *testing.T) {
-	p := smallParams()
-	p.Hooks = []Hook{{At: 400, Fn: func(s *Simulation) {
-		s.RemoveReplica(s.Keys[0], 0)
-	}}}
-	res := Run(p)
+	s := NewSimulation(smallParams())
+	s.Sched.At(400, func() { s.RemoveReplica(s.Keys[0], 0) })
+	res := s.Run()
 	// After deletion at t=400 no refreshes for the single replica should
 	// originate; with one key and one replica the count is bounded by the
 	// refreshes before t=400 plus birth and the delete itself.

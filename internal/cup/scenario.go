@@ -83,11 +83,11 @@ type Fault interface {
 }
 
 // Scenario bundles a traffic generator with fault scripts. It is the
-// unit the scenario registry hands to cupsim, which installs its two
+// unit the scenario catalog hands to cupsim, which installs its two
 // halves with WithTraffic and WithFaults; both transports execute it
 // through the same Traffic and FaultSurface contracts.
 type Scenario struct {
-	// Name identifies the scenario in registries and flags.
+	// Name identifies the scenario in the catalog and flags.
 	Name string
 	// Traffic generates the client query workload (PoissonTraffic(0) is
 	// the paper's).

@@ -278,7 +278,8 @@ func (n *Network) Close() {
 	n.wg.Wait()
 }
 
-// ErrClosed is returned by client operations racing a Close.
+// ErrClosed is returned by client operations on a closed network or
+// racing its Close.
 var ErrClosed = errors.New("live: network closed")
 
 // Lookup answers a local client's query for key at node id. A fresh
@@ -354,10 +355,11 @@ func (n *Network) SetCapacity(ctx context.Context, id overlay.NodeID, c float64)
 }
 
 // Inspect runs fn under node id's lock, with exclusive access to its
-// protocol state; it blocks until fn completes. Intended for tests and
+// protocol state; it blocks until fn completes. It fails without running
+// fn on an unknown node or a closed network. Intended for tests and
 // diagnostics.
-func (n *Network) Inspect(id overlay.NodeID, fn func(*cup.Node)) {
-	_ = n.controlNode(context.Background(), id, fn)
+func (n *Network) Inspect(id overlay.NodeID, fn func(*cup.Node)) error {
+	return n.controlNode(context.Background(), id, fn)
 }
 
 // Counters sums the peers' cost counters (§3.3), each read under its

@@ -141,7 +141,10 @@ func (p *peer) unlock() { <-p.mu }
 
 // locked runs fn on the caller's goroutine with exclusive access to the
 // peer's protocol state, and returns when fn has, or without running it
-// when ctx ends or the network closes before the lock is free. A key
+// when the network is closed or closes, or ctx ends, before the lock is
+// free. The closed check comes first because a free lock is taken
+// without looking at closed (lock's fast path, which the loop's
+// per-message take relies on). A key
 // names the one key whose client answer and query accounting fn reads
 // and changes: its hits are credited before fn and its answer
 // republished after. The empty key is the whole node (Inspect, churn
@@ -149,6 +152,9 @@ func (p *peer) unlock() { <-p.mu }
 // after it, or retired if fn departed the peer — cost proportional to
 // the slots, paid by these rare callers and not by the query path.
 func (p *peer) locked(ctx context.Context, key overlay.Key, fn func()) error {
+	if p.net.IsClosed() {
+		return ErrClosed
+	}
 	if err := p.lock(ctx); err != nil {
 		return err
 	}

@@ -1,8 +1,8 @@
-// Scenario/transport parity matrix: every registered scenario must run
+// Scenario/transport parity matrix: every catalog scenario must run
 // — or fail fast with a descriptive error, never silently no-op — on
 // every overlay kind under all three transports (discrete-event
 // simulator, goroutine network, TCP network). The matrix is the
-// contract the transports owe each other: one scenario registry, one
+// contract the transports owe each other: one scenario catalog, one
 // fault surface, three interchangeable substrates.
 package cup_test
 
@@ -21,7 +21,7 @@ import (
 )
 
 // membershipFault mirrors the internal marker interface so the test can
-// predict, from the public scenario registry alone, which cells must be
+// predict, from the public scenario catalog alone, which cells must be
 // rejected at construction.
 type membershipFault interface {
 	RequiresMembership() bool
@@ -54,9 +54,6 @@ func TestScenarioTransportParityMatrix(t *testing.T) {
 		kinds = []string{"can", "chord"}
 	}
 	for _, name := range cup.ScenarioNames() {
-		if strings.HasPrefix(name, "test-") {
-			continue // registry fixtures from other tests
-		}
 		name := name
 		for _, kind := range kinds {
 			kind := kind

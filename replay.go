@@ -22,8 +22,8 @@ import (
 // timeline's start. Like the simulator, it fires arrivals up to the
 // window's end and faults up to the drain's, then waits for its lookups
 // and settles.
-func (d *Deployment) runLive(ctx context.Context, lr *liveRuntime) (*Result, error) {
-	p, net := d.p, lr.n
+func (d *Deployment) runLive(ctx context.Context) (*Result, error) {
+	p, net := d.p, d.net
 	scale := d.timeScale
 	if scale <= 0 {
 		scale = 1
@@ -145,10 +145,10 @@ func (d *Deployment) runLive(ctx context.Context, lr *liveRuntime) (*Result, err
 			due, fire = wall(faults[0].At), applyFault
 		case !more && len(faults) == 0 && due > hold:
 			lookups.Wait()
-			if err := lr.Settle(ctx); err != nil {
+			if err := d.Settle(ctx); err != nil {
 				return nil, err
 			}
-			return &Result{Params: p, Counters: lr.Counters()}, nil
+			return &Result{Params: p, Counters: net.Counters()}, nil
 		default:
 			round++
 		}

@@ -3,7 +3,6 @@ package cup
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	internal "cup/internal/cup"
 )
@@ -13,9 +12,8 @@ import (
 // client query workload as a stream of arrivals; a Fault scripts timed
 // interventions against a transport-agnostic control surface; a
 // Scenario bundles the two. Install with WithTraffic and WithFaults;
-// discover canned scenarios through the registry
-// (RegisterScenario, ScenarioNames, BuildScenario) — the same catalog
-// cupsim's and cupbench's -scenario flags consume.
+// name a canned scenario from the fixed catalog (ScenarioNames,
+// BuildScenario) that cupsim's and cupbench's -scenario flags consume.
 type (
 	// Traffic generates a run's client query workload.
 	Traffic = internal.Traffic
@@ -62,92 +60,57 @@ const AnyNode = internal.AnyNode
 // options: bit-identical counters to the pre-Scenario driver.
 func PoissonTraffic(rate float64) Traffic { return internal.PoissonTraffic(rate) }
 
-// scenarioRegistry maps names to scenario builders. Builders return a
-// fresh value per call so callers may mutate the result.
-var (
-	scenarioMu       sync.RWMutex
-	scenarioRegistry = map[string]func() Scenario{}
-)
-
-// RegisterScenario adds a named scenario builder to the registry used
-// by BuildScenario and the cupsim/cupbench -scenario flags. It panics
-// on an empty name or a duplicate registration, mirroring
-// overlay.Register.
-func RegisterScenario(name string, build func() Scenario) {
-	if name == "" || build == nil {
-		panic("cup: RegisterScenario needs a name and a builder")
-	}
-	scenarioMu.Lock()
-	defer scenarioMu.Unlock()
-	if _, dup := scenarioRegistry[name]; dup {
-		panic(fmt.Sprintf("cup: scenario %q registered twice", name))
-	}
-	scenarioRegistry[name] = build
+// scenarios is the fixed scenario catalog cupsim's and cupbench's
+// -scenario flags name. Every entry runs on both transports; parameters
+// left zero inherit the deployment's options (rate, window, keys), so the
+// same scenario scales with WithQueryRate/WithQueryDuration. Builders
+// return a fresh value per call so callers may mutate the result. A
+// custom scenario installs with WithTraffic and WithFaults.
+var scenarios = map[string]func() Scenario{
+	"paper":       func() Scenario { return Scenario{Traffic: PoissonTraffic(0)} },
+	"flashcrowd":  func() Scenario { return Scenario{Traffic: FlashCrowd{}} },
+	"diurnal":     func() Scenario { return Scenario{Traffic: DiurnalWave{}} },
+	"zipf-drift":  func() Scenario { return Scenario{Traffic: ZipfDrift{}} },
+	"closed-loop": func() Scenario { return Scenario{Traffic: ClosedLoop{}} },
+	"capacity": func() Scenario {
+		return Scenario{
+			Traffic: PoissonTraffic(0),
+			Faults:  []Fault{CapacityFault{Capacity: 0.25, Recover: true}},
+		}
+	},
+	"churn": func() Scenario {
+		return Scenario{
+			Traffic: PoissonTraffic(0),
+			Faults:  []Fault{NodeChurn{Rounds: 20}},
+		}
+	},
+	"replica-churn": func() Scenario {
+		return Scenario{
+			Traffic: PoissonTraffic(0),
+			Faults:  []Fault{ReplicaChurn{Rounds: 12, Min: 1}},
+		}
+	},
 }
 
-// ScenarioNames lists the registered scenarios in sorted order.
+// ScenarioNames lists the catalog's scenarios in sorted order.
 func ScenarioNames() []string {
-	scenarioMu.RLock()
-	defer scenarioMu.RUnlock()
-	names := make([]string, 0, len(scenarioRegistry))
-	for name := range scenarioRegistry {
+	names := make([]string, 0, len(scenarios))
+	for name := range scenarios {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names
 }
 
-// BuildScenario constructs a registered scenario by name.
+// BuildScenario constructs a catalog scenario by name.
 func BuildScenario(name string) (Scenario, error) {
-	scenarioMu.RLock()
-	build := scenarioRegistry[name]
-	scenarioMu.RUnlock()
+	build := scenarios[name]
 	if build == nil {
-		names := ScenarioNames()
-		return Scenario{}, fmt.Errorf("cup: unknown scenario %q (registered: %v)", name, names)
+		return Scenario{}, fmt.Errorf("cup: unknown scenario %q (registered: %v)", name, ScenarioNames())
 	}
 	sc := build()
 	if sc.Name == "" {
 		sc.Name = name
 	}
 	return sc, nil
-}
-
-// The built-in scenario catalog. Every entry runs on both transports;
-// parameters left zero inherit the deployment's options (rate, window,
-// keys), so the same scenario scales with WithQueryRate/WithQueryDuration.
-func init() {
-	RegisterScenario("paper", func() Scenario {
-		return Scenario{Traffic: PoissonTraffic(0)}
-	})
-	RegisterScenario("flashcrowd", func() Scenario {
-		return Scenario{Traffic: FlashCrowd{}}
-	})
-	RegisterScenario("diurnal", func() Scenario {
-		return Scenario{Traffic: DiurnalWave{}}
-	})
-	RegisterScenario("zipf-drift", func() Scenario {
-		return Scenario{Traffic: ZipfDrift{}}
-	})
-	RegisterScenario("closed-loop", func() Scenario {
-		return Scenario{Traffic: ClosedLoop{}}
-	})
-	RegisterScenario("capacity", func() Scenario {
-		return Scenario{
-			Traffic: PoissonTraffic(0),
-			Faults:  []Fault{CapacityFault{Capacity: 0.25, Recover: true}},
-		}
-	})
-	RegisterScenario("churn", func() Scenario {
-		return Scenario{
-			Traffic: PoissonTraffic(0),
-			Faults:  []Fault{NodeChurn{Rounds: 20}},
-		}
-	})
-	RegisterScenario("replica-churn", func() Scenario {
-		return Scenario{
-			Traffic: PoissonTraffic(0),
-			Faults:  []Fault{ReplicaChurn{Rounds: 12, Min: 1}},
-		}
-	})
 }

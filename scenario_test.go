@@ -36,16 +36,6 @@ func TestScenarioRegistryCatalog(t *testing.T) {
 	}
 }
 
-func TestRegisterScenarioRejectsDuplicates(t *testing.T) {
-	cup.RegisterScenario("test-dup", func() cup.Scenario { return cup.Scenario{} })
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
-		}
-	}()
-	cup.RegisterScenario("test-dup", func() cup.Scenario { return cup.Scenario{} })
-}
-
 // Options validation: New must reject nonsense descriptively rather than
 // building a deployment that panics later.
 func TestNewRejectsInvalidOptions(t *testing.T) {
@@ -98,13 +88,10 @@ func TestNewAggregatesValidationErrors(t *testing.T) {
 	}
 }
 
-// Every registered scenario must run end to end on the simulated
+// Every catalog scenario must run end to end on the simulated
 // transport and produce queries.
 func TestAllScenariosRunSimulated(t *testing.T) {
 	for _, name := range cup.ScenarioNames() {
-		if strings.HasPrefix(name, "test-") {
-			continue // registry fixtures from other tests
-		}
 		name := name
 		t.Run(name, func(t *testing.T) {
 			sc, err := cup.BuildScenario(name)

@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	internal "cup/internal/cup"
 	"cup/internal/live"
 	"cup/internal/obs"
 	"cup/internal/serve"
-	"cup/internal/sim"
 )
 
 // WithServing mounts the HTTP serving layer (internal/serve) on the
@@ -64,37 +62,24 @@ type serving struct {
 	budgeted  int
 }
 
-// deploymentBackend adapts a Deployment to the serve.Backend surface.
-type deploymentBackend struct{ d *Deployment }
-
-func (b deploymentBackend) Size() int     { return b.d.Size() }
-func (b deploymentBackend) Now() sim.Time { return b.d.Now() }
-
-func (b deploymentBackend) LookupAt(ctx context.Context, at NodeID, key Key) ([]Entry, error) {
-	return b.d.LookupAt(ctx, at, key)
-}
-
-func (b deploymentBackend) Publish(ctx context.Context, key Key, replica int, addr string, lifetime time.Duration) error {
-	return b.d.Publish(ctx, key, replica, addr, lifetime)
-}
-
-func (b deploymentBackend) Unpublish(ctx context.Context, key Key, replica int) error {
-	return b.d.Unpublish(ctx, key, replica)
-}
+// deploymentBackend is a Deployment as the serve.Backend surface: the
+// client calls are the Deployment's own, and it adds the inbox loads the
+// shedding guard reads.
+type deploymentBackend struct{ *Deployment }
 
 // Load reports live inbox occupancy for the shedding guard; simulated
 // deployments report unknown.
 func (b deploymentBackend) Load() (used, capacity int) {
-	if lr, ok := b.d.rt.(*liveRuntime); ok {
-		return lr.n.InboxLoad()
+	if b.net != nil {
+		return b.net.InboxLoad()
 	}
 	return 0, 0
 }
 
 // NodeLoad is Load for the one peer a GET enters at (serve.NodeLoader).
 func (b deploymentBackend) NodeLoad(at NodeID) (used, capacity int) {
-	if lr, ok := b.d.rt.(*liveRuntime); ok {
-		return lr.n.InboxLoadAt(at)
+	if b.net != nil {
+		return b.net.InboxLoadAt(at)
 	}
 	return 0, 0
 }
@@ -194,7 +179,7 @@ func (d *Deployment) ServingAddrs() []string {
 // overlay at — the node whose pending-first-update flag coalesces a
 // miss storm for the key (see serve.EntryNode).
 func (d *Deployment) ServingEntryNode(key Key) NodeID {
-	return serve.EntryNode(key, d.rt.Size())
+	return serve.EntryNode(key, d.Size())
 }
 
 // addrClaimedByServing reports whether addr is among the WithServing

@@ -66,19 +66,19 @@ func (d *Deployment) initTelemetry(o *options) error {
 		MetricLabel{Key: "overlay", Value: o.p.OverlayKind}).Set(1)
 	reg.Gauge("cup_nodes", "Overlay size of this deployment.").Set(float64(o.p.Nodes))
 
-	if sr, ok := d.rt.(*simRuntime); ok {
+	if d.sim != nil {
 		reg.GaugeFunc("cup_sim_queue_depth",
 			"Events in the simulator's queue: timers in the heap plus messages in the lane plus the armed client arrival.",
 			func() float64 {
-				sr.mu.Lock()
-				defer sr.mu.Unlock()
-				return float64(sr.s.Sched.QueueLen())
+				d.simMu.Lock()
+				defer d.simMu.Unlock()
+				return float64(d.sim.Sched.QueueLen())
 			})
 	}
 
-	if lr, ok := d.rt.(*liveRuntime); ok {
+	if d.net != nil {
 		// Occupancy gauges read live state at scrape time.
-		inbox := &inboxSample{n: lr.n}
+		inbox := &inboxSample{n: d.net}
 		reg.GaugeFunc("cup_live_inbox_used",
 			"Messages queued across live peer inboxes.",
 			func() float64 { used, _ := inbox.read(); return float64(used) })
