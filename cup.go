@@ -5,7 +5,8 @@
 // (a 2-D CAN, a Chord ring, and a Kademlia XOR-metric table) behind a
 // pluggable registry, a TTL index-entry cache, incentive-based cut-off
 // policies, the standard-caching baseline, workload/fault generators, and
-// a live goroutine-per-node runtime.
+// a live runtime whose nodes are each one lock, taken by whichever
+// goroutine brings the node work.
 //
 // # One construction path
 //

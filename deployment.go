@@ -52,13 +52,7 @@ type Deployment struct {
 	mu sync.Mutex
 	// rng picks Lookup's entry peers, seeded with the run's seed at the
 	// first Lookup (nil until then).
-	rng       *rand.Rand
-	published map[pubKey]bool
-}
-
-type pubKey struct {
-	key     Key
-	replica int
+	rng *rand.Rand
 }
 
 // New builds a deployment from functional options: one construction path
@@ -114,7 +108,6 @@ func New(opts ...Option) (*Deployment, error) {
 		bus:       bus,
 		p:         o.p,
 		timeScale: o.timeScale,
-		published: make(map[pubKey]bool),
 	}
 
 	switch o.transport {
@@ -240,63 +233,32 @@ func (d *Deployment) LookupAt(ctx context.Context, at NodeID, key Key) ([]Entry,
 
 // Publish registers (key, replica) served at addr with its authority and
 // propagates the event down the interest tree: an Append update on first
-// publication, a lifetime-extending Refresh on re-publication. Replicas
-// should re-Publish before lifetime elapses.
+// publication, a lifetime-extending Refresh on re-publication — the
+// authority tells the two apart by its directory. Replicas should
+// re-Publish before lifetime elapses.
 func (d *Deployment) Publish(ctx context.Context, key Key, replica int, addr string, lifetime time.Duration) error {
-	pk := pubKey{key, replica}
-	d.mu.Lock()
-	refresh := d.published[pk]
-	d.mu.Unlock()
-	var err error
-	switch {
-	case d.net == nil:
-		ty := Append
-		if refresh {
-			ty = Refresh
-		}
-		err = d.onSim(ctx, func(s *internal.Simulation) error {
-			s.PublishReplica(key, replica, addr, sim.Duration(lifetime.Seconds()), ty)
-			return nil
-		})
-	case refresh:
-		err = d.net.RefreshCtx(ctx, key, replica, addr, lifetime)
-	default:
-		err = d.net.AddReplicaCtx(ctx, key, replica, addr, lifetime)
+	if d.net != nil {
+		return d.net.AddReplicaCtx(ctx, key, replica, addr, lifetime)
 	}
-	if err != nil {
-		return err
-	}
-	d.mu.Lock()
-	d.published[pk] = true
-	d.mu.Unlock()
-	return nil
+	return d.onSim(ctx, func(s *internal.Simulation) error {
+		s.PublishReplica(key, replica, addr, sim.Duration(lifetime.Seconds()), Append)
+		return nil
+	})
 }
 
 // Unpublish deletes (key, replica) at the authority and propagates a
 // Delete so caches stop serving the dead replica.
 func (d *Deployment) Unpublish(ctx context.Context, key Key, replica int) error {
-	var err error
 	if d.net != nil {
-		err = d.net.RemoveReplicaCtx(ctx, key, replica)
-	} else {
-		err = d.onSim(ctx, func(s *internal.Simulation) error { s.RemoveReplica(key, replica); return nil })
+		return d.net.RemoveReplicaCtx(ctx, key, replica)
 	}
-	if err != nil {
-		return err
-	}
-	d.mu.Lock()
-	delete(d.published, pubKey{key, replica})
-	d.mu.Unlock()
-	return nil
+	return d.onSim(ctx, func(s *internal.Simulation) error { s.RemoveReplica(key, replica); return nil })
 }
 
 // SetCapacity adjusts a node's outgoing update capacity fraction (§3.7);
 // negative restores full capacity.
 func (d *Deployment) SetCapacity(ctx context.Context, id NodeID, c float64) error {
 	if d.net != nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		return d.net.SetCapacity(ctx, id, c)
 	}
 	return d.onSim(ctx, func(s *internal.Simulation) error { s.SetCapacityFraction([]NodeID{id}, c); return nil })

@@ -7,7 +7,9 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -480,6 +482,92 @@ func TestClientCallsAfterCloseFailOnEveryTransport(t *testing.T) {
 			}
 			if after := d.Counters(); after != before {
 				t.Errorf("Counters after Close = %+v, want %+v", after, before)
+			}
+		})
+	}
+}
+
+// A client call with an ended context fails with its error and changes
+// nothing, on every transport: a free peer lock does not let it through.
+func TestClientCallsWithCancelledContextFailOnEveryTransport(t *testing.T) {
+	for _, tr := range []cup.Transport{cup.Simulated, cup.Live, cup.LiveTCP} {
+		t.Run(tr.String(), func(t *testing.T) {
+			d := newDeployment(t, cup.WithTransport(tr), cup.WithNodes(8), cup.WithoutWorkload())
+			ctx := context.Background()
+			if err := d.Publish(ctx, "k", 0, "198.51.100.1", time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.LookupAt(ctx, 3, "k"); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Settle(ctx); err != nil {
+				t.Fatal(err)
+			}
+			before := d.Counters()
+			cancelled, cancel := context.WithCancel(ctx)
+			cancel()
+			calls := []struct {
+				name string
+				call func() error
+			}{
+				{"Publish", func() error { return d.Publish(cancelled, "k", 1, "198.51.100.2", time.Minute) }},
+				{"Unpublish", func() error { return d.Unpublish(cancelled, "k", 0) }},
+				{"SetCapacity", func() error { return d.SetCapacity(cancelled, 2, 0.5) }},
+				{"Settle", func() error { return d.Settle(cancelled) }},
+			}
+			for _, c := range calls {
+				if err := c.call(); !errors.Is(err, context.Canceled) {
+					t.Errorf("%s with a cancelled context: %v, want context.Canceled", c.name, err)
+				}
+			}
+			if after := d.Counters(); after != before {
+				t.Errorf("Counters after the cancelled calls = %+v, want %+v", after, before)
+			}
+		})
+	}
+}
+
+// The authority labels a publication by its directory, on every
+// transport: with a child subscribed to the key, a replica's first
+// Publish pushes an Append and its second a Refresh.
+func TestPublishIsLabelledByItsAuthority(t *testing.T) {
+	for _, tr := range []cup.Transport{cup.Simulated, cup.Live, cup.LiveTCP} {
+		t.Run(tr.String(), func(t *testing.T) {
+			d := newDeployment(t, cup.WithTransport(tr), cup.WithNodes(8), cup.WithoutWorkload())
+			ctx := context.Background()
+			auth := d.Authority("k")
+			if err := d.Publish(ctx, "k", 0, "198.51.100.1", time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.LookupAt(ctx, (auth+1)%8, "k"); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Settle(ctx); err != nil {
+				t.Fatal(err)
+			}
+			var (
+				mu     sync.Mutex
+				pushed []cup.UpdateType
+			)
+			d.Observe(cup.ObserverFunc(func(e cup.Event) {
+				if e.Kind == cup.EvUpdatePushed && e.Node == auth && e.Key == "k" {
+					mu.Lock()
+					pushed = append(pushed, e.Type)
+					mu.Unlock()
+				}
+			}))
+			for i := 0; i < 2; i++ {
+				if err := d.Publish(ctx, "k", 1, "198.51.100.2", time.Minute); err != nil {
+					t.Fatal(err)
+				}
+				if err := d.Settle(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if want := []cup.UpdateType{cup.Append, cup.Refresh}; !slices.Equal(pushed, want) {
+				t.Fatalf("the authority pushed %v, want %v", pushed, want)
 			}
 		})
 	}

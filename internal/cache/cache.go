@@ -201,12 +201,16 @@ func NewStore() *Store {
 	return &Store{}
 }
 
-// Put inserts or replaces the entry for (e.Key, e.Replica).
-func (s *Store) Put(e Entry) {
+// Put inserts or replaces the entry for (e.Key, e.Replica), reporting
+// whether it replaced one.
+func (s *Store) Put(e Entry) (replaced bool) {
 	if s.byKey == nil {
 		s.byKey = make(map[overlay.Key]Set)
 	}
-	s.byKey[e.Key] = s.byKey[e.Key].With(e)
+	es := s.byKey[e.Key]
+	_, replaced = es.find(e.Replica)
+	s.byKey[e.Key] = es.With(e)
+	return replaced
 }
 
 // Remove deletes the entry for (k, replica) if present, reporting whether

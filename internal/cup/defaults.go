@@ -59,11 +59,10 @@ const (
 	// runs model a 100 ms WAN hop in virtual time, while the goroutine
 	// runtime keeps demos and tests interactive.
 	DefaultLiveHopDelay = time.Millisecond
-	// DefaultInboxDepth bounds each live peer's mailbox. Live occupancy
-	// against this bound is scraped as cup_live_inbox_used /
-	// cup_live_inbox_capacity. A mailbox is a ring of 48-byte slots,
-	// allocated when its peer is made: 48 KiB a peer at this depth, 3 MiB
-	// for 64 peers.
+	// DefaultInboxDepth is the work a live peer is sized to queue: the
+	// goroutines waiting for its lock are its load, scraped against this
+	// capacity as cup_live_inbox_used / cup_live_inbox_capacity. It
+	// allocates nothing.
 	DefaultInboxDepth = 1024
 
 	// Serving-layer and smart-client defaults (internal/serve, client).
@@ -104,7 +103,7 @@ const (
 	// DefaultShedThreshold is the live inbox occupancy fraction
 	// (cup_live_inbox_used / cup_live_inbox_capacity) above which the
 	// server sheds all /v1 traffic with 503 rather than queue more work
-	// onto saturated peer mailboxes. Sheds are counted as
+	// onto saturated peers. Sheds are counted as
 	// cup_serve_admission_rejected_total{reason="overload"}.
 	DefaultShedThreshold = 0.9
 	// DefaultClientFanout is the smart client's rendezvous fan-out N:

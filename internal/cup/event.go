@@ -105,7 +105,7 @@ type Event struct {
 }
 
 // Observer receives protocol events. Implementations attached to a live
-// network are called from many peer goroutines concurrently and must be
+// network are called from many goroutines concurrently and must be
 // safe for concurrent use; on the simulator they are called inline from
 // the single scheduler goroutine.
 type Observer interface {
@@ -120,7 +120,7 @@ func (f ObserverFunc) OnEvent(e Event) { f(e) }
 
 // Bus fans events out to synchronous observers. It is safe for
 // concurrent use from any number of emitters, so one Bus serves both the
-// single-threaded simulator and the goroutine-per-peer live runtime.
+// single-threaded simulator and the concurrent live runtime.
 //
 // Observers are kept in an attach-order slice, not a map: fan-out order is
 // part of the event-stream contract (two observers of the same simulated

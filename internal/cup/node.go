@@ -653,17 +653,21 @@ func (n *Node) handleDirectResponse(ks *keyState, u *Update) []Action {
 // ReplicaEvent applies a replica's birth (Append), re-registration
 // (Refresh) or deletion (Delete) at its authority n — installing or
 // removing the local directory entry — and originates the update
-// announcing it. Either way the update is good for one lifetime: a birth
-// or refresh installs an entry expiring then, and a Delete stays
-// justified as long. The result follows the handler-result contract (see
-// HandleQuery).
+// announcing it. An Append of a replica the directory already holds is
+// its re-registration, and goes out as a Refresh: the authority, which
+// serializes a key's events, labels them, and not the caller. Either way
+// the update is good for one lifetime: a birth or refresh installs an
+// entry expiring then, and a Delete stays justified as long. The result
+// follows the handler-result contract (see HandleQuery).
 func (n *Node) ReplicaEvent(ty UpdateType, k overlay.Key, replica int, addr string, lifetime sim.Duration) []Action {
 	u := Update{Key: k, Type: ty, Replica: replica, Expires: n.now().Add(lifetime)}
 	e := cache.Entry{Key: k, Replica: replica, Addr: addr, Expires: u.Expires}
 	if ty == Delete {
 		n.RemoveLocal(k, replica)
 	} else {
-		n.InstallLocal(e)
+		if n.local.Put(e) && ty == Append {
+			u.Type = Refresh
+		}
 		u.Lifetime = lifetime
 	}
 	ks := n.originating(k)

@@ -225,7 +225,7 @@ type Router interface {
 // the per-key state its handlers already hold (nodeEnv.nextHop), stamped with
 // the router's topology epoch. Invalidate starts a new epoch, which makes
 // every cached hop stale at once. Safe for concurrent use — the live
-// runtime shares one router across all peer goroutines.
+// runtime shares one router across every goroutine that runs a peer.
 type OverlayRouter struct {
 	ov overlay.Overlay
 	// epoch counts topology changes; it starts at 1 so a zero stamp on a

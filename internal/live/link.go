@@ -9,10 +9,11 @@ import (
 
 // link is everything that differs between the live transports: how one
 // message reaches peer N, and what a peer needs opened and closed around
-// that. The network, the peer, its loop, Lookup and churn are shared code
-// above it, and so is the scenario replay that drives a Network.
+// that. The network, the peer, Lookup and churn are shared code above it,
+// and so is the scenario replay that drives a Network. Both links hand
+// what arrives to peer.receive, on the goroutine that delivers it.
 type link interface {
-	// open prepares p to send and receive, before its goroutine starts.
+	// open prepares p to send and receive, before it joins the peer table.
 	open(p *peer) error
 	// send puts m on its way from from to peer to. Best effort: a lost
 	// update is recovered by expiry (§2.8), a lost query is re-issued by
@@ -28,9 +29,9 @@ type link interface {
 	close(p *peer)
 }
 
-// chanLink joins peers by their Go channels: a send is an inbox send
-// after the network's per-hop delay. Deliveries racing a Close are
-// dropped, mirroring a network partition at shutdown.
+// chanLink joins peers in memory: a send is delivered after the
+// network's per-hop delay, on the hop timer's goroutine. Deliveries
+// racing a Close are dropped, mirroring a network partition at shutdown.
 type chanLink struct{}
 
 func (chanLink) open(*peer) error { return nil }
@@ -48,14 +49,8 @@ func (chanLink) hold(u *cup.Update) *cup.Update {
 func (chanLink) send(from *peer, to overlay.NodeID, m message) {
 	n := from.net
 	time.AfterFunc(n.cfg.HopDelay, func() {
-		p := n.peerAt(to)
-		if p == nil {
-			return
-		}
-		select {
-		case p.inbox <- m:
-		case <-p.gone:
-		case <-n.closed:
+		if p := n.peerAt(to); p != nil {
+			p.receive(m)
 		}
 	})
 }

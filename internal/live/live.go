@@ -1,17 +1,20 @@
 // Package live runs CUP as a real concurrent system: every peer is a
-// goroutine behind a mailbox and a lock, and the per-hop network delay is
-// wall-clock time. It drives exactly the same protocol state machine
+// protocol node behind one lock, which whatever reaches it — a
+// neighbour's message, a client's lookup, a control call — takes on the
+// goroutine that brings it, and the per-hop network delay is wall-clock
+// time. It drives exactly the same protocol state machine
 // (internal/cup.Node) as the discrete-event simulator, so the simulated
 // protocol and the deployable one cannot diverge. There is one Network
-// and one peer; how a message crosses from one peer to the next — a Go
-// channel after an injected delay, or a wire-encoded frame on a loopback
-// socket — is the link (link.go, tcp.go), and the only code that knows.
+// and one peer; how a message crosses from one peer to the next — an
+// in-memory delivery after an injected delay, or a wire-encoded frame on
+// a loopback socket — is the link (link.go, tcp.go), and the only code
+// that knows.
 //
 // This is the runtime behind cup.Live and cup.LiveTCP deployments (cupsim
 // -transport live|tcp, cupd, the examples); it is also a
 // demonstration that the paper's node model ("every node maintains two
-// logical channels per neighbor") maps one-to-one onto goroutines and
-// channels, or onto sockets.
+// logical channels per neighbor") maps one-to-one onto in-memory hops or
+// onto sockets.
 package live
 
 import (
@@ -67,29 +70,20 @@ const (
 	msgQuery msgKind = iota
 	msgUpdate
 	msgClearBit
-	msgLookup // a local client's query
-	msgForget // a cancelled lookup's deregistration
 )
 
-// message is what a peer's mailbox holds and a link carries: one
-// protocol message from a neighbor, or a local client's lookup or its
-// cancellation. Control calls are not messages: they take the peer's
-// lock on their caller's goroutine (peer.locked). It is 48
-// bytes, and a mailbox is a ring of InboxDepth of them allocated when
-// the peer is made, so each field costs every slot of every peer: kind-
-// specific data goes behind update, which only update messages use.
+// message is what a link carries: one protocol message from a neighbor,
+// handed to the receiving peer by peer.receive.
 type message struct {
 	key overlay.Key
 	qid uint64
-	// update is the update a msgUpdate carries. In a mailbox it is the
+	// update is the update a msgUpdate carries. At the receiver it is the
 	// receiver's to read and no one's to write: the goroutine link's
 	// copy (see peer.dispatch) or a decoded frame. The TCP link's send
 	// gets the owner's out-update itself and encodes it before returning.
 	update *cup.Update
-	// reply is the lookup's answer channel, for msgLookup and msgForget.
-	reply chan []cache.Entry
-	from  overlay.NodeID
-	kind  msgKind
+	from   overlay.NodeID
+	kind   msgKind
 }
 
 // Config parameterizes a live network.
@@ -105,7 +99,9 @@ type Config struct {
 	Node cup.Config
 	// Seed drives overlay construction.
 	Seed int64
-	// InboxDepth bounds each peer's mailbox (default 1024).
+	// InboxDepth is the work a peer is sized to queue: the capacity its
+	// admission load (goroutines waiting for its lock) is reported
+	// against (default 1024).
 	InboxDepth int
 	// Observer, when set, receives the protocol event stream from every
 	// peer. It is called concurrently, by whichever goroutines hold the
@@ -137,9 +133,9 @@ func (cfg Config) withDefaults() Config {
 }
 
 // NewNetwork builds an overlay of cfg.Nodes peers (a CAN unless
-// cfg.Overlay selects another registered substrate) and starts one
-// goroutine per peer, joined by Go channels. Callers must Close the
-// network when done.
+// cfg.Overlay selects another registered substrate) whose peers are
+// joined in memory, each hop delivered after cfg.HopDelay. Callers must
+// Close the network when done.
 func NewNetwork(cfg Config) *Network {
 	if cfg.Nodes <= 0 {
 		panic("live: Nodes must be positive")
@@ -176,7 +172,7 @@ func boot(cfg Config, lk link) (*Network, error) {
 	if ov.dyn != nil {
 		n.churn.Overlay = ov
 		// Memoized routes go stale under churn; the flag must be set
-		// before any peer goroutine starts, since they read it without a
+		// before any peer can receive, since handlers read it without a
 		// lock.
 		n.router.Dynamic = true
 	}
@@ -238,31 +234,33 @@ func (n *Network) Stats() Stats {
 	}
 }
 
-// InboxLoad sums current occupancy and capacity across every live peer's
-// inbox — a point-in-time congestion gauge for telemetry. Channel
-// lengths are sampled racily, which is fine for a gauge.
+// InboxLoad sums, across every live peer, the goroutines waiting for
+// its lock — deliveries, lookups and control calls queued at it — and
+// the InboxDepth each is sized for: a point-in-time congestion gauge for
+// telemetry.
 func (n *Network) InboxLoad() (used, capacity int) {
 	for _, p := range *n.peers.Load() {
 		if !p.isGone() {
-			used += len(p.inbox)
-			capacity += cap(p.inbox)
+			used += int(p.load.Load())
+			capacity += n.cfg.InboxDepth
 		}
 	}
 	return used, capacity
 }
 
 // InboxLoadAt is InboxLoad for the one peer id: what an admission guard
-// in front of that peer's mailbox should watch. A departed or unknown
-// peer reports (0, 0).
+// in front of that peer should watch. A departed or unknown peer reports
+// (0, 0).
 func (n *Network) InboxLoadAt(id overlay.NodeID) (used, capacity int) {
 	if p := n.peerAt(id); p != nil && !p.isGone() {
-		return len(p.inbox), cap(p.inbox)
+		return int(p.load.Load()), n.cfg.InboxDepth
 	}
 	return 0, 0
 }
 
 // Close shuts down all peers, releases whatever the link holds for them
-// (sockets, the port-budget reservation) and waits for their goroutines.
+// (sockets, the port-budget reservation) and waits for the link's
+// goroutines. A hop's handler already running finishes on its own.
 func (n *Network) Close() {
 	n.once.Do(func() {
 		close(n.closed)
@@ -285,10 +283,11 @@ var ErrClosed = errors.New("live: network closed")
 // Lookup answers a local client's query for key at node id. A fresh
 // answer the peer has published — it answered a local client for key
 // before and no entry has expired since — is read lock-free from the
-// caller's goroutine; otherwise the query is posted to the peer and, if
-// the peer has nothing fresh, travels the overlay. A cancelled lookup
-// deregisters its open connection at the peer, so abandoned queries on a
-// slow or partitioned network do not accumulate state.
+// caller's goroutine; otherwise the query runs at the peer under its
+// lock and, if the peer has nothing fresh, travels the overlay. A
+// cancelled lookup deregisters its open connection at the peer, so
+// abandoned queries on a slow or partitioned network do not accumulate
+// state.
 func (n *Network) Lookup(ctx context.Context, id overlay.NodeID, key overlay.Key) ([]cache.Entry, error) {
 	p := n.peerAt(id)
 	if p == nil {
@@ -363,15 +362,15 @@ func (n *Network) Inspect(id overlay.NodeID, fn func(*cup.Node)) error {
 }
 
 // Counters sums the peers' cost counters (§3.3), each read under its
-// peer's lock once the hits its view served are credited. After Close the
-// goroutines have exited, and it reads them directly.
+// peer's lock once the hits its view served are credited. It takes each
+// lock whether or not the network is closed, so a handler still running
+// on a hop's goroutine after Close finishes before its counters are read.
 func (n *Network) Counters() (sum metrics.Counters) {
 	for _, p := range *n.peers.Load() {
-		var c metrics.Counters
-		if n.controlNode(context.Background(), p.id, func(node *cup.Node) { c = node.Counters() }) != nil {
-			n.wg.Wait() // closed: whatever the callback did is done
-			c = p.node.Counters()
-		}
+		p.mu <- struct{}{}
+		p.view.creditAll()
+		c := p.node.Counters()
+		p.unlock()
 		sum.Add(&c)
 	}
 	return sum
@@ -404,9 +403,9 @@ func (n *Network) Sleep(ctx context.Context, d time.Duration) error {
 }
 
 // spawn creates peer id (== Size() at call time), lets the link open
-// what it needs for it, and starts its goroutine: boot spawns the founding
-// members, a join (churn.go) each newcomer. On a closed network it opens
-// nothing and returns ErrClosed.
+// what it needs for it, and adds it to the peer table: boot spawns the
+// founding members, a join (churn.go) each newcomer. On a closed network
+// it opens nothing and returns ErrClosed.
 func (n *Network) spawn(id overlay.NodeID) error {
 	n.peersMu.Lock()
 	defer n.peersMu.Unlock()
@@ -425,7 +424,5 @@ func (n *Network) spawn(id overlay.NodeID) error {
 	// header and never looks at the new slot.
 	grown := append(old, p)
 	n.peers.Store(&grown)
-	n.wg.Add(1)
-	go p.loop()
 	return nil
 }

@@ -378,58 +378,81 @@ func TestLookupContextCancellation(t *testing.T) {
 	})
 }
 
-// TestCancelledLookupLeavesNoWaiter: lookups queued behind a held lock
-// and cancelled there, their answers an hour away, leave the peer's
-// waiter table empty once the mailbox drains. Each forget is a mailbox
-// message queued behind its own lookup; one that skipped the queue would
-// run first, find no waiter, and the lookup would then register one that
+// TestCancelledLookupLeavesNoWaiter: lookups cancelled at a peer whose
+// lock is held, their answers an hour away, leave its waiter table empty
+// once the lock is free, wherever the cancellation lands. A lookup still
+// waiting for the lock returns without registering. One that registered
+// and waits for its answer leaves its forget waiting for the lock; a
+// forget that looked too early, or not at all, would leave a waiter that
 // nothing removes.
 func TestCancelledLookupLeavesNoWaiter(t *testing.T) {
 	const lookups = 200
-	n := NewNetwork(Config{Nodes: 16, Seed: 5, HopDelay: time.Hour})
-	defer n.Close()
-	p := n.peerAt(0)
-	release, blocked := make(chan struct{}), make(chan struct{})
-	go n.Inspect(p.id, func(*cup.Node) { close(blocked); <-release })
-	<-blocked
-	ctx, cancel := context.WithCancel(context.Background())
-	errs := make(chan error, lookups)
-	for i, posted := 0, 0; posted < lookups; i++ {
-		key := overlay.Key(fmt.Sprint("key-", i))
-		if n.Authority(key) == p.id {
-			continue // answered at once: no waiter
-		}
-		posted++
-		go func() {
-			_, err := n.Lookup(ctx, p.id, key)
-			errs <- err
-		}()
-	}
-	// The loop holds one lookup, waiting for the lock; the rest queue.
-	for deadline := time.Now().Add(5 * time.Second); len(p.inbox) < lookups-1; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d lookups queued", len(p.inbox)+1, lookups)
-		}
-	}
-	cancel()
-	time.Sleep(20 * time.Millisecond) // every cancellation lands while the lock is held
-	close(release)
-	for i := 0; i < lookups; i++ {
-		if err := <-errs; !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled lookup returned %v", err)
-		}
-	}
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		var left int
-		if err := p.locked(ctxShort(t), "", func() { left = len(p.waiters) }); err != nil {
-			t.Fatal(err)
-		}
-		if left == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d keys still have waiters after every lookup was cancelled", left)
-		}
+	for _, registered := range []bool{false, true} {
+		t.Run(fmt.Sprint("registered=", registered), func(t *testing.T) {
+			n := NewNetwork(Config{Nodes: 16, Seed: 5, HopDelay: time.Hour})
+			defer n.Close()
+			p := n.peerAt(0)
+			hold := func() (release func()) {
+				r, blocked := make(chan struct{}), make(chan struct{})
+				go n.Inspect(p.id, func(*cup.Node) { close(blocked); <-r })
+				<-blocked
+				return func() { close(r) }
+			}
+			waiters := func() (keys, open int) {
+				if err := p.locked(ctxShort(t), "", func() {
+					for _, ws := range p.waiters {
+						open += len(ws)
+					}
+					keys = len(p.waiters)
+				}); err != nil {
+					t.Fatal(err)
+				}
+				return keys, open
+			}
+			await := func(what string, done func() bool) {
+				for deadline := time.Now().Add(5 * time.Second); !done(); time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("%s: not within 5 s", what)
+					}
+				}
+			}
+			queued := func() bool { used, _ := n.InboxLoadAt(p.id); return used == lookups }
+
+			ctx, cancel := context.WithCancel(context.Background())
+			errs := make(chan error, lookups)
+			var release func()
+			if !registered {
+				release = hold()
+			}
+			for i, posted := 0, 0; posted < lookups; i++ {
+				key := cup.WorkloadKey(i)
+				if n.Authority(key) == p.id {
+					continue // answered at once: no waiter
+				}
+				posted++
+				go func() {
+					_, err := n.Lookup(ctx, p.id, key)
+					errs <- err
+				}()
+			}
+			if registered {
+				await("every lookup registers", func() bool { _, open := waiters(); return open == lookups })
+				release = hold()
+			} else {
+				await("every lookup waits for the lock", queued)
+			}
+			cancel()
+			for i := 0; i < lookups; i++ {
+				if err := <-errs; !errors.Is(err, context.Canceled) {
+					t.Fatalf("cancelled lookup returned %v", err)
+				}
+			}
+			if registered {
+				await("every forget waits for the lock", queued)
+			}
+			release()
+			await("the waiter table empties", func() bool { keys, _ := waiters(); return keys == 0 })
+		})
 	}
 }
 
@@ -467,15 +490,15 @@ func TestCloseIsIdempotentAndStopsLoops(t *testing.T) {
 	n.Close()
 }
 
-// TestCloseStrandsNothing closes a network in the middle of a lookup storm
-// on one-slot mailboxes, then fills every mailbox: nothing may stay
-// blocked on a full inbox — not a hop in flight, not a lookup — so every
-// goroutine the network and its callers started is gone within 2 s, and a
-// lookup posted to a full mailbox after Close fails fast.
+// TestCloseStrandsNothing closes a network in the middle of a lookup
+// storm: nothing may stay blocked — not a hop in flight, not a lookup
+// waiting for a peer's lock or its answer — so every goroutine the
+// network and its callers started is gone within 2 s, and a lookup after
+// Close fails fast.
 func TestCloseStrandsNothing(t *testing.T) {
 	// Inside fn, the subtest's goroutine runs while the test's waits.
 	base := runtime.NumGoroutine() + 1
-	bothTransports(t, Config{InboxDepth: 1}, func(t *testing.T, n *Network) {
+	bothTransports(t, Config{}, func(t *testing.T, n *Network) {
 		ctx, cancel := context.WithCancel(context.Background())
 		for i := 0; i < 64; i++ {
 			go func(id overlay.NodeID, key overlay.Key) {
@@ -487,15 +510,6 @@ func TestCloseStrandsNothing(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		n.Close()
 		cancel()
-		for _, p := range *n.peers.Load() {
-			for full := false; !full; {
-				select {
-				case p.inbox <- message{}:
-				default:
-					full = true
-				}
-			}
-		}
 		done := make(chan error, 1)
 		go func() {
 			_, err := n.Lookup(context.Background(), 0, "after-close")
@@ -507,7 +521,7 @@ func TestCloseStrandsNothing(t *testing.T) {
 				t.Fatalf("Lookup after Close = %v, want ErrClosed", err)
 			}
 		case <-time.After(2 * time.Second):
-			t.Fatal("Lookup after Close still blocked on a full mailbox after 2 s")
+			t.Fatal("Lookup after Close still blocked after 2 s")
 		}
 		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
@@ -515,6 +529,43 @@ func TestCloseStrandsNothing(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestLivePeerHasNoGoroutine: a peer is its state and its lock, and what
+// reaches it runs on the goroutine that brings it. Booting 64 peers on
+// the goroutine link starts no goroutine; on TCP it starts one accept
+// loop per peer and nothing else (connections, and their readers, come
+// with the first sends).
+func TestLivePeerHasNoGoroutine(t *testing.T) {
+	const nodes = 64
+	for _, tc := range []struct {
+		name string
+		boot func() (*Network, error)
+		want int
+	}{
+		{"chan", func() (*Network, error) { return NewNetwork(Config{Nodes: nodes}), nil }, 0},
+		{"tcp", func() (*Network, error) { return NewTCPNetwork(Config{Nodes: nodes}) }, nodes},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Goroutines another test left behind may still be exiting: a
+			// boot passes if one of a few tries starts exactly want.
+			var started []int
+			for try := 0; try < 5; try++ {
+				before := runtime.NumGoroutine()
+				n, err := tc.boot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				started = append(started, runtime.NumGoroutine()-before)
+				n.Close()
+				if started[try] == tc.want {
+					return
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			t.Fatalf("booting %d peers started %v goroutines, want %d", nodes, started, tc.want)
+		})
+	}
 }
 
 func TestInvalidConfigPanics(t *testing.T) {
@@ -544,7 +595,7 @@ func TestInspectSeesProtocolState(t *testing.T) {
 // goroutine. Under -race this test reads every entry it is given while
 // the authority's directory is rewritten underneath — appends, refreshes
 // and deletes pushed down the tree — so any write into a published set
-// shows up as a race between a peer goroutine and a caller.
+// shows up as a race between a lock's holder and a caller.
 func TestSharedEntryViewsSurviveConcurrentWrites(t *testing.T) {
 	bothTransports(t, Config{Nodes: 32}, func(t *testing.T, n *Network) {
 		for r := 0; r < 4; r++ {
@@ -605,7 +656,7 @@ func TestSharedEntryViewsSurviveConcurrentWrites(t *testing.T) {
 
 // BenchmarkChanLookup is the goroutine link's row beside
 // BenchmarkTCPLookup: benchLookup with a 1 ns injected hop, so it costs
-// the mailboxes, the timers and the protocol, and no wait.
+// the timers, the locks and the protocol, and no wait.
 func BenchmarkChanLookup(b *testing.B) {
 	n := NewNetwork(Config{Nodes: 64, Overlay: "can", Seed: 1, HopDelay: time.Nanosecond})
 	defer n.Close()

@@ -13,25 +13,28 @@ import (
 )
 
 // peer is one protocol node of a live network — the only kind there is:
-// a mailbox feeding one goroutine, a lock that goroutine holds while it
-// handles each message, and the half that faces local clients and keeps
-// the hit view in step with the protocol node: lookups, the open
-// connections awaiting an answer, and the control calls, which run on
-// their caller's goroutine under the same lock, bracketed by the view's
+// a protocol node behind one lock, and the half that faces local clients
+// and keeps the hit view in step with it: lookups, the open connections
+// awaiting an answer, and the control calls. Whatever enters the node —
+// a neighbour's message, a local client's miss, a control call — runs on
+// the goroutine that brings it, under the lock, bracketed by the view's
 // credit/publish rule. There is one Lookup and one place where the rule
 // is applied, whatever the link. Everything but lookup and hit runs
 // under the lock.
 type peer struct {
-	id    overlay.NodeID
-	net   *Network
-	node  *cup.Node
-	view  hitView
-	now   func() sim.Time
-	inbox chan message
+	id   overlay.NodeID
+	net  *Network
+	node *cup.Node
+	view hitView
+	now  func() sim.Time
 	// mu is the peer's lock: a one-slot channel, so that waiting for it
 	// ends with the waiter's ctx or the network's Close even while its
 	// holder is stuck in a TCP write.
 	mu chan struct{}
+	// load counts the goroutines waiting for mu — deliveries, lookups,
+	// control calls: the work queued at the peer, which InboxLoad reports
+	// against Config.InboxDepth.
+	load atomic.Int32
 	// waiters holds the local lookups awaiting an answer, so responses
 	// fan out to every open client connection and cancelled lookups can
 	// deregister instead of leaking. Each channel is buffered(1) and owned
@@ -42,15 +45,15 @@ type peer struct {
 	// as in-flight losses and lookups at it fail fast. The slot stays in
 	// the network's peer table — IDs are dense and never reused.
 	gone chan struct{}
-	// departing is set by depart, under the lock; from then on the loop
-	// discards what the mailbox receives.
+	// departing is set by depart, under the lock; from then on receive
+	// discards what arrives.
 	departing bool
 	// sock is the TCP link's listener and connections for this peer; nil
 	// on the goroutine link.
 	sock *sock
 }
 
-// newPeer constructs (but does not start) one node of n.
+// newPeer constructs one node of n; it starts nothing.
 func newPeer(n *Network, id overlay.NodeID, router cup.Router, now func() sim.Time) *peer {
 	node := cup.NewNode(id, n.cfg.Node, router, now)
 	node.SetObserver(n.cfg.Observer)
@@ -60,73 +63,51 @@ func newPeer(n *Network, id overlay.NodeID, router cup.Router, now func() sim.Ti
 		node:    node,
 		view:    hitView{node: node, now: now},
 		now:     now,
-		inbox:   make(chan message, n.cfg.InboxDepth),
 		mu:      make(chan struct{}, 1),
 		waiters: make(map[overlay.Key][]chan []cache.Entry),
 		gone:    make(chan struct{}),
 	}
 }
 
-// loop is the peer goroutine: one message at a time through the protocol
-// state machine under the peer's lock, actions dispatched back onto the
-// network. A departed peer's loop keeps draining the mailbox until the
-// network closes, discarding what arrives — the departure's in-flight
-// losses — so no sender waits on it; slots are never reused, so at most
-// one such drain exists per departed peer.
-func (p *peer) loop() {
-	defer p.net.wg.Done()
-	for {
-		select {
-		case <-p.net.closed:
-			return
-		case m := <-p.inbox:
-			if p.lock(context.Background()) != nil {
-				return
-			}
-			if !p.departing {
-				p.handle(m)
-			}
-			p.unlock()
-		}
-	}
-}
-
-func (p *peer) handle(m message) {
-	var acts []cup.Action
-	switch m.kind {
-	case msgQuery:
-		acts = p.query(m.from, m.key, m.qid)
-	case msgUpdate:
-		acts = p.update(m.from, m.update)
-	case msgClearBit:
-		acts = p.clearBit(m.from, m.key)
-	case msgLookup:
-		acts = p.query(cup.LocalClient, m.key, 0)
-		// A synchronous answer arrives as a DeliverLocal action; register
-		// the waiter first so both paths converge.
-		p.waiters[m.key] = append(p.waiters[m.key], m.reply)
-	case msgForget:
-		// Queued behind its own lookup, so the waiter is registered, or
-		// already answered and gone.
-		ws := slices.DeleteFunc(p.waiters[m.key], func(w chan []cache.Entry) bool { return w == m.reply })
-		if len(ws) == 0 {
-			delete(p.waiters, m.key)
-		} else {
-			p.waiters[m.key] = ws
-		}
+// receive runs one message from a neighbour through the protocol state
+// machine on the delivering goroutine — a hop's timer on the goroutine
+// link, a connection's reader on TCP — and dispatches the actions back
+// onto the network. A departed peer discards what arrives, the
+// departure's in-flight losses, and so does a closed network.
+func (p *peer) receive(m message) {
+	if p.lock(context.Background()) != nil {
 		return
 	}
-	p.dispatch(acts)
+	defer p.unlock()
+	switch {
+	case p.departing: // lost in flight
+	case m.kind == msgQuery:
+		p.dispatch(p.query(m.from, m.key, m.qid))
+	case m.kind == msgUpdate:
+		p.dispatch(p.update(m.from, m.update))
+	default:
+		p.dispatch(p.clearBit(m.from, m.key))
+	}
 }
 
 // lock takes the peer's lock, waiting no longer than ctx allows or the
-// network stays open. A free lock is taken without the three-way select.
+// network stays open; an ended ctx or a closed network is refused before
+// a free lock is taken. A caller that has to wait counts in the peer's
+// load while it does.
 func (p *peer) lock(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if p.net.IsClosed() {
+		return ErrClosed
+	}
 	select {
 	case p.mu <- struct{}{}:
 		return nil
 	default:
 	}
+	p.load.Add(1)
+	defer p.load.Add(-1)
 	select {
 	case p.mu <- struct{}{}:
 		return nil
@@ -141,10 +122,7 @@ func (p *peer) unlock() { <-p.mu }
 
 // locked runs fn on the caller's goroutine with exclusive access to the
 // peer's protocol state, and returns when fn has, or without running it
-// when the network is closed or closes, or ctx ends, before the lock is
-// free. The closed check comes first because a free lock is taken
-// without looking at closed (lock's fast path, which the loop's
-// per-message take relies on). A key
+// when ctx ends or the network closes before the lock is free. A key
 // names the one key whose client answer and query accounting fn reads
 // and changes: its hits are credited before fn and its answer
 // republished after. The empty key is the whole node (Inspect, churn
@@ -152,9 +130,6 @@ func (p *peer) unlock() { <-p.mu }
 // after it, or retired if fn departed the peer — cost proportional to
 // the slots, paid by these rare callers and not by the query path.
 func (p *peer) locked(ctx context.Context, key overlay.Key, fn func()) error {
-	if p.net.IsClosed() {
-		return ErrClosed
-	}
 	if err := p.lock(ctx); err != nil {
 		return err
 	}
@@ -263,27 +238,29 @@ func (p *peer) depart(ctx context.Context) (*cache.Store, error) {
 }
 
 // lookup answers a local client's query for key: from the view when the
-// peer has published a fresh answer, otherwise by posting the query to
-// the peer's mailbox and waiting for the entries (or ctx cancellation).
-// A cancelled lookup deregisters its open connection, so abandoned
-// queries on a slow or partitioned network do not accumulate state.
+// peer has published a fresh answer, otherwise by running the query under
+// the peer's lock on the caller's goroutine and waiting, unlocked, for
+// the entries (or ctx cancellation). A cancelled lookup deregisters its
+// open connection, so abandoned queries on a slow or partitioned network
+// do not accumulate state.
 func (p *peer) lookup(ctx context.Context, key overlay.Key) ([]cache.Entry, error) {
 	if entries := p.hit(key); entries != nil {
 		return entries, nil
 	}
-	select {
-	case <-p.gone:
+	if err := p.lock(ctx); err != nil {
+		return nil, err
+	}
+	if p.departing {
+		p.unlock()
 		return nil, fmt.Errorf("live: lookup at departed node %v", p.id)
-	default:
 	}
 	reply := make(chan []cache.Entry, 1)
-	select {
-	case p.inbox <- message{kind: msgLookup, key: key, reply: reply}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-p.net.closed:
-		return nil, ErrClosed
-	}
+	acts := p.query(cup.LocalClient, key, 0)
+	// A synchronous answer arrives as a DeliverLocal action; register the
+	// waiter first so both paths converge.
+	p.waiters[key] = append(p.waiters[key], reply)
+	p.dispatch(acts)
+	p.unlock()
 	select {
 	case entries := <-reply:
 		return entries, nil
@@ -291,16 +268,26 @@ func (p *peer) lookup(ctx context.Context, key overlay.Key) ([]cache.Entry, erro
 		// The peer departed with the query open; its state is gone.
 		return nil, fmt.Errorf("live: node %v departed during lookup", p.id)
 	case <-ctx.Done():
-		// The forget queues behind its lookup. Best-effort: if the inbox
-		// is saturated, the buffered reply still keeps a late answer from
-		// blocking the lock's holder.
-		select {
-		case p.inbox <- message{kind: msgForget, key: key, reply: reply}:
-		default:
-		}
+		go p.forget(key, reply)
 		return nil, ctx.Err()
 	case <-p.net.closed:
 		return nil, ErrClosed
+	}
+}
+
+// forget deregisters a cancelled lookup's waiter, or finds it answered
+// and gone. It runs on a goroutine of its own, so the lookup returns at
+// once while the lock is held elsewhere.
+func (p *peer) forget(key overlay.Key, reply chan []cache.Entry) {
+	if p.lock(context.Background()) != nil {
+		return
+	}
+	defer p.unlock()
+	ws := slices.DeleteFunc(p.waiters[key], func(w chan []cache.Entry) bool { return w == reply })
+	if len(ws) == 0 {
+		delete(p.waiters, key)
+	} else {
+		p.waiters[key] = ws
 	}
 }
 
@@ -309,12 +296,10 @@ func (p *peer) lookup(ctx context.Context, key overlay.Key) ([]cache.Entry, erro
 // a live network are concurrency-safe by contract), and the hit left on
 // the slot for the lock's next holder to credit. A closed network, a
 // departed peer and anything but an all-fresh published set return nil,
-// and the lookup takes the mailbox.
+// and the lookup takes the lock.
 func (p *peer) hit(key overlay.Key) []cache.Entry {
-	select {
-	case <-p.net.closed:
+	if p.net.IsClosed() {
 		return nil
-	default:
 	}
 	now := p.now()
 	entries := p.view.read(key, now)

@@ -133,12 +133,13 @@ func (s *sock) serve(p *peer, conn net.Conn, to overlay.NodeID) net.Conn {
 	return conn
 }
 
-// read decodes frames off one connection into the peer's inbox,
-// through a buffer: a frame's prefix and payload, and every frame that
-// has arrived behind it, come out of the socket in one read. A frame is
-// decoded straight into its message's fields, and an update frame into
-// the Update its message carries. An accepted connection's first frame
-// makes it the way back to its sender, if none.
+// read decodes frames off one connection and hands each to the peer
+// (peer.receive) on this goroutine, through a buffer: a frame's prefix
+// and payload, and every frame that has arrived behind it, come out of
+// the socket in one read. A frame is decoded straight into its message's
+// fields, and an update frame into the Update its message carries. An
+// accepted connection's first frame makes it the way back to its sender,
+// if none.
 func (s *sock) read(p *peer, conn net.Conn, from overlay.NodeID) {
 	defer p.net.wg.Done()
 	defer func() { s.drop(conn, from) }()
@@ -169,13 +170,7 @@ func (s *sock) read(p *peer, conn net.Conn, from overlay.NodeID) {
 			}
 			s.mu.Unlock()
 		}
-		select {
-		case p.inbox <- m:
-		case <-p.gone:
-			return
-		case <-p.net.closed:
-			return
-		}
+		p.receive(m)
 	}
 }
 

@@ -4,12 +4,13 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"cup/internal/cache"
 	"cup/internal/cup"
 	"cup/internal/overlay"
 )
@@ -349,9 +350,10 @@ func TestTCPLeaveClosesEveryConnection(t *testing.T) {
 	}
 }
 
-// Each update frame a connection reads becomes an Update of its own: a
-// mailbox can hold several from one connection before its peer handles
-// the first.
+// Each update frame a connection reads becomes an Update of its own and
+// is applied intact: two frames sent to a peer while its lock is held —
+// the first read and waiting for the lock, the second behind it on the
+// connection — are both in the peer's state once the lock is free.
 func TestTCPReadOwnsEachUpdate(t *testing.T) {
 	tn, err := NewTCPNetwork(Config{Nodes: 2, Overlay: "can", Seed: 1})
 	if err != nil {
@@ -360,36 +362,47 @@ func TestTCPReadOwnsEachUpdate(t *testing.T) {
 	defer tn.Close()
 	ctx := ctxShort(t)
 	from, to := tn.peerAt(0), tn.peerAt(1)
+	var keys []overlay.Key
+	for i := 0; len(keys) < 2; i++ {
+		if key := cup.WorkloadKey(i); tn.Authority(key) == from.id {
+			keys = append(keys, key)
+		}
+	}
+	// to asks for both keys, so from pushes their updates to it.
+	for _, key := range keys {
+		add(t, tn, key, 0, "10.0.0.1", time.Hour)
+		if _, err := tn.Lookup(ctx, to.id, key); err != nil {
+			t.Fatal(err)
+		}
+	}
 	held, release := make(chan struct{}), make(chan struct{})
-	defer close(release)
 	go to.locked(ctx, "", func() { close(held); <-release })
 	<-held
-	// to's goroutine takes one message and waits for the lock: give it a
-	// no-op, and the rest of its mailbox is the test's.
-	to.inbox <- message{kind: msgForget}
-	for len(to.inbox) != 0 {
+	for i, key := range keys {
+		add(t, tn, key, 7+i, fmt.Sprint("10.0.0.", 7+i), time.Hour)
+	}
+	for used, _ := tn.InboxLoadAt(to.id); used == 0; used, _ = tn.InboxLoadAt(to.id) {
+		if ctx.Err() != nil {
+			t.Fatal("no update frame reached the held peer")
+		}
 		time.Sleep(time.Millisecond)
 	}
-	sent := []cup.Update{
-		{Key: "a", Type: cup.Refresh, Replica: 1, Depth: 1, Expires: 10},
-		{Key: "b", Type: cup.Delete, Replica: 2, Depth: 2, Expires: 20},
-	}
-	if err := from.locked(ctx, "", func() {
-		for i := range sent {
-			u := sent[i]
-			tn.link.send(from, to.id, message{kind: msgUpdate, from: from.id, key: u.Key, update: &u})
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range sent {
-		select {
-		case m := <-to.inbox:
-			if m.kind != msgUpdate || m.key != want.Key || !reflect.DeepEqual(*m.update, want) {
-				t.Fatalf("mailbox holds %+v, want the update %+v", m, want)
+	close(release)
+	for i, key := range keys {
+		want := cache.Entry{Key: key, Replica: 7 + i, Addr: fmt.Sprint("10.0.0.", 7+i)}
+		for {
+			var got []cache.Entry
+			if err := tn.Inspect(to.id, func(node *cup.Node) { got = node.Cached(key) }); err != nil {
+				t.Fatal(err)
 			}
-		case <-ctx.Done():
-			t.Fatal("the update frames never reached the mailbox")
+			at := slices.IndexFunc(got, func(e cache.Entry) bool { return e.Replica == want.Replica })
+			if at >= 0 && got[at].Key == want.Key && got[at].Addr == want.Addr {
+				break
+			}
+			if ctx.Err() != nil {
+				t.Fatalf("%q cached at the receiver: %+v, want an entry like %+v", key, got, want)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 }

@@ -15,16 +15,16 @@ import (
 // client asking for k get right now?" — for every key a local client
 // has asked this peer for and that still has fresh entries. §2.5 case 1
 // makes that answer a store read; the view lets Lookup do the read from
-// the caller's goroutine, with no lock and no trip through the mailbox.
+// the caller's goroutine, without taking the peer's lock.
 //
-// Ownership: only the holder of the peer's lock writes — the peer's
-// goroutine handling a message, or a control call. After anything that can
-// change a key's client answer — an update handled, a local client
-// answered, the local directory installed into or removed from, churn
-// hand-over or retirement, a flush of expired entries — it republishes
-// that key (publish), and before any handler or control callback can
-// read the key's popularity or justification state it folds the hits
-// readers took in the meantime into the node (credit). Readers only
+// Ownership: only the holder of the peer's lock writes — a delivery, a
+// missing lookup or a control call, on whichever goroutine brought it.
+// After anything that can change a key's client answer — an update
+// handled, a local client answered, the local directory installed into
+// or removed from, churn hand-over or retirement, a flush of expired
+// entries — it republishes that key (publish), and before any handler or
+// control callback can read the key's popularity or justification state
+// it folds the hits readers took in the meantime into the node (credit). Readers only
 // load: a slot is immutable once published except for its two counters,
 // and its entries are one of cache.Store's copy-on-write sets.
 //
@@ -48,8 +48,8 @@ type viewTable struct {
 }
 
 // hitSlot is one key's published answer. The view answers from it while
-// now < expires, the earliest expiry among entries: past that a mailbox
-// query would filter the set, so the reader takes the mailbox.
+// now < expires, the earliest expiry among entries: past that a query
+// under the lock would filter the set, so the reader takes the lock.
 type hitSlot struct {
 	key     overlay.Key
 	entries []cache.Entry
@@ -57,7 +57,7 @@ type hitSlot struct {
 	// hits counts the reads served since the last credit; slotClosed is
 	// set, once and for good, when the writer retires the slot, and a
 	// reader whose increment lands on a closed slot was not counted and
-	// takes the mailbox instead.
+	// takes the lock instead.
 	hits atomic.Uint64
 	// first is the time of the earliest of those reads (float64 bits;
 	// zero: none yet) — what §3.1 compares against an update's deadline.
@@ -170,7 +170,7 @@ func (v *hitView) publish(key overlay.Key, create bool) {
 	}
 	// The new slot goes in before the old one closes, so a key with an
 	// answer is never without a slot; a reader still holding the old one
-	// is either counted by the drain below or sent to the mailbox.
+	// is either counted by the drain below or sent to the lock.
 	if len(es) > 0 {
 		v.install(&hitSlot{key: key, entries: es, expires: earliest(es)})
 	}

@@ -36,8 +36,6 @@ func newBench(t *testing.T, obs cup.Observer) *bench {
 	n := &Network{cfg: Config{Observer: obs}.withDefaults(), link: b, closed: make(chan struct{})}
 	b.peer = newPeer(n, 0, b, b.time)
 	n.peers.Store(&[]*peer{b.peer})
-	n.wg.Add(1)
-	go b.loop()
 	t.Cleanup(n.Close)
 	return b
 }
@@ -57,7 +55,7 @@ func (b *bench) close(*peer)                               {}
 func (b *bench) send(_ *peer, _ overlay.NodeID, m message) { b.sent = append(b.sent, m) }
 func (b *bench) hold(u *cup.Update) *cup.Update            { return chanLink{}.hold(u) } // sent outlives the handler
 
-// ask is a local client's query taken through the mailbox path; an
+// ask is a local client's query taken under the lock, as a miss is; an
 // upstream query it sends is answered at once with entries.
 func (b *bench) ask(key overlay.Key, upstream []cache.Entry) {
 	before := len(b.sent)
@@ -99,7 +97,7 @@ func equalEntries(a, b []cache.Entry) bool {
 // upstream, local answers, time passing over expiries, flushes, and
 // authority flipping with its hand-over as under join and leave — while
 // readers hammer the view. After every step the view's answer for every
-// key is nil or exactly what a mailbox query would read, and non-nil
+// key is nil or exactly what a query under the lock would read, and non-nil
 // where a published set is wholly fresh; every concurrent read equals
 // the client answer as of some step between the one finished before it
 // began and the one begun before it ended, so a reader never sees an
@@ -164,7 +162,7 @@ func TestViewModel(t *testing.T) {
 		}(int64(r) + 100)
 	}
 
-	// held is the store a mailbox query for k reads, stale entries and all.
+	// held is the store a query under the lock reads for k, stale entries and all.
 	held := func(k overlay.Key) []cache.Entry {
 		if b.node.IsAuthority(k) {
 			return b.node.LocalDirectory().All(k)
@@ -203,7 +201,7 @@ func TestViewModel(t *testing.T) {
 			} else {
 				b.dispatch(b.update(1, &cup.Update{Key: k, Type: cup.Delete, Replica: rng.Intn(3), Depth: 1}))
 			}
-		case op < 7: // a local client asks through the mailbox
+		case op < 7: // a local client asks under the lock
 			b.ask(k, []cache.Entry{entry(k)})
 			if len(b.node.ClientAnswer(k)) > 0 {
 				hot[k] = true
@@ -243,7 +241,7 @@ func TestViewModel(t *testing.T) {
 			snap[k] = append([]cache.Entry(nil), want...)
 			got := b.view.read(k, now)
 			if got != nil && !equalEntries(got, want) {
-				t.Fatalf("step %d: view answers %v for %q, a mailbox query would read %v", step, got, k, want)
+				t.Fatalf("step %d: view answers %v for %q, a query under the lock would read %v", step, got, k, want)
 			}
 			if len(want) == 0 {
 				hot[k] = false
@@ -306,7 +304,7 @@ func TestViewCountsEveryHit(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 	b.view.creditAll()
-	// The one mailbox query above counts too.
+	// The one query under the lock above counts too.
 	if got, want := b.node.Popularity("k"), int(served.Load())+1; got != want {
 		t.Fatalf("node credited with %d queries, view served %d", got, want)
 	}
@@ -376,30 +374,30 @@ func accountingParity(t *testing.T, inspect bool) {
 			_ = viaView.locked(context.Background(), "", func() { popView = viaView.node.Popularity(key) })
 			_ = viaBox.locked(context.Background(), "", func() { popBox = viaBox.node.Popularity(key) })
 			if popView != hits || popBox != hits {
-				t.Fatalf("round %d: popularity %d via view, %d via mailbox, want %d", i, popView, popBox, hits)
+				t.Fatalf("round %d: popularity %d via view, %d under the lock, want %d", i, popView, popBox, hits)
 			}
 		}
 		actsView, actsBox := refresh(viaView, at+0.5), refresh(viaBox, at+0.5)
 		if len(actsView) != len(actsBox) {
-			t.Fatalf("round %d: refresh led to %v via view, %v via mailbox", i, actsView, actsBox)
+			t.Fatalf("round %d: refresh led to %v via view, %v under the lock", i, actsView, actsBox)
 		}
 		wantCut := i == 2
 		if cut := len(actsView) == 1 && actsView[0].kind == msgClearBit; cut != wantCut {
 			t.Fatalf("round %d: cut-off fired = %v, want %v", i, cut, wantCut)
 		}
 		if cv, cb := viaView.node.Counters(), viaBox.node.Counters(); cv != cb {
-			t.Fatalf("round %d: counters %+v via view, %+v via mailbox", i, cv, cb)
+			t.Fatalf("round %d: counters %+v via view, %+v under the lock", i, cv, cb)
 		}
 	}
 	if c := viaView.node.Counters(); c.JustifiedUpdates == 0 || c.UnjustifiedUpdates == 0 {
 		t.Fatalf("history exercised only one side of §3.1: %+v", c)
 	}
 	if len(viewObs.events) != len(boxObs.events) {
-		t.Fatalf("%d events via view, %d via mailbox", len(viewObs.events), len(boxObs.events))
+		t.Fatalf("%d events via view, %d under the lock", len(viewObs.events), len(boxObs.events))
 	}
 	for i := range viewObs.events {
 		if viewObs.events[i] != boxObs.events[i] {
-			t.Fatalf("event %d: %+v via view, %+v via mailbox", i, viewObs.events[i], boxObs.events[i])
+			t.Fatalf("event %d: %+v via view, %+v under the lock", i, viewObs.events[i], boxObs.events[i])
 		}
 	}
 }
@@ -413,8 +411,9 @@ func entryFor(n *Network, key overlay.Key) overlay.NodeID {
 }
 
 // TestLookupHitSkipsMailbox: once a peer has answered a local client,
-// further lookups are served with the peer's lock held and its
-// inbox untouched, allocate nothing, and are still counted.
+// further lookups are served with the peer's lock held, without waiting
+// for it — the peer's load is what it was before them — allocate
+// nothing, and are still counted.
 func TestLookupHitSkipsMailbox(t *testing.T) {
 	bothTransports(t, Config{}, func(t *testing.T, n *Network) {
 		ctx := ctxShort(t)
@@ -429,13 +428,15 @@ func TestLookupHitSkipsMailbox(t *testing.T) {
 			blocked := make(chan struct{})
 			go n.Inspect(at, func(*cup.Node) { close(blocked); <-release })
 			<-blocked
+			// A delivery may already wait on the held lock; the hits add none.
+			before, _ := n.InboxLoadAt(at)
 			for i := 0; i < 10; i++ {
 				if es, err := n.Lookup(ctx, at, "k"); err != nil || len(es) != 1 || es[0].Addr != "10.0.0.1" {
 					t.Fatalf("lookup at blocked peer %v = %v, %v", at, es, err)
 				}
 			}
-			if used, _ := n.InboxLoadAt(at); used != 0 {
-				t.Fatalf("hits left %d messages in the inbox of %v", used, at)
+			if used, _ := n.InboxLoadAt(at); used != before {
+				t.Fatalf("hits left %d goroutines waiting for the lock of %v, %d before", used, at, before)
 			}
 			if allocs := testing.AllocsPerRun(200, func() { _, _ = n.Lookup(ctx, at, "k") }); allocs != 0 {
 				t.Fatalf("a lookup hit at %v allocates %v times", at, allocs)
@@ -445,8 +446,8 @@ func TestLookupHitSkipsMailbox(t *testing.T) {
 			n.Inspect(at, func(node *cup.Node) { pop = node.Popularity("k") })
 			// 10 + (1 warm-up + 200) view hits. The peer that cached the key
 			// reset its count when the answer arrived; the authority has
-			// also counted that peer's forwarded query and its own first,
-			// mailbox lookup.
+			// also counted that peer's forwarded query and its own first
+			// lookup, under the lock.
 			want := 10 + 201
 			if at == n.Authority("k") {
 				want += 2
@@ -467,7 +468,7 @@ func TestCancelledLookupsLeaveNoWaiters(t *testing.T) {
 		key := overlay.Key("never")
 		at := entryFor(n, key)
 		// The authority is busy for as long as the test likes: the query
-		// reaches its inbox and is never answered.
+		// waits for its lock and is never answered.
 		release := make(chan struct{})
 		defer close(release)
 		blocked := make(chan struct{})
@@ -562,7 +563,7 @@ func TestViewFollowsReplicaLifecycle(t *testing.T) {
 }
 
 // TestViewExpiryFallsBackToMailbox: past an entry's expiry the view
-// stops answering and the lookup is a mailbox miss again.
+// stops answering and the lookup is a miss under the lock again.
 func TestViewExpiryFallsBackToMailbox(t *testing.T) {
 	n := newTestNet(t, 16)
 	ctx := ctxShort(t)

@@ -18,7 +18,7 @@ const (
 // Collector subscribes to the deployment event bus and folds the stream
 // into registry series. Every handle is resolved at construction, so
 // OnEvent is allocation-free and safe to call from the simulator's
-// scheduler loop or from live peer goroutines.
+// scheduler loop or from the goroutines running live peers.
 type Collector struct {
 	// byKind counts every event, indexed by EventKind.
 	byKind []*Counter

@@ -21,7 +21,7 @@ import (
 
 // TestEntryNodeIsFNV1a pins the in-place hash to hash/fnv's: the entry
 // node of a key is part of the serving contract (clients, dashboards
-// and the herd guard all rely on one key meeting one mailbox), and must
+// and the herd guard all rely on one key meeting one peer), and must
 // not move with the implementation.
 func TestEntryNodeIsFNV1a(t *testing.T) {
 	keys := []overlay.Key{"", "k", "key-0", "key-1023", "content-17", "ünïcödé/键",

@@ -19,8 +19,8 @@
 // lease ("you upload"), 409 someone else does (with Retry-After).
 //
 // A GET hit is a store read (the justcache rule): the backend answers
-// it from the entry node's published view without a trip through the
-// peer's mailbox, and the handler's hit branch arms no timer, walks no
+// it from the entry node's published view without taking the peer's
+// lock, and the handler's hit branch arms no timer, walks no
 // peer table and encodes its body by hand into a pooled buffer.
 //
 // Two admission guards keep external load from swamping the
@@ -28,10 +28,10 @@
 // inject, at the point of contention): update-injecting requests (PUT,
 // DELETE, promise grants) draw from a token bucket and are rejected
 // with 429 when it runs dry, and requests shed with 503 while the
-// mailbox they are about to enter sits above an occupancy threshold —
-// for a GET the entry node's own inbox, which one hot key can fill
-// while the sum over all peers reads 1/N; for writes, which fan out
-// over the tree, the sum. Reads need no bucket — coalescing already
+// peers they are about to wait on sit above an occupancy threshold —
+// a peer's load is the work waiting for its lock — for a GET the entry
+// node's own load, which one hot key can fill while the sum over all
+// peers reads 1/N; for writes, which fan out over the tree, the sum. Reads need no bucket — coalescing already
 // bounds read-side tree load to one in-flight query per key.
 //
 // The package is deliberately ignorant of the façade: it serves any
@@ -69,15 +69,16 @@ type Backend interface {
 	Publish(ctx context.Context, key overlay.Key, replica int, addr string, lifetime time.Duration) error
 	// Unpublish deletes (key, replica).
 	Unpublish(ctx context.Context, key overlay.Key, replica int) error
-	// Load reports live inbox occupancy and capacity; (0, 0) means
+	// Load reports the live peers' summed load (work waiting for their
+	// locks) and inbox capacity; (0, 0) means
 	// unknown (e.g. the simulated transport) and disables shedding.
 	Load() (used, capacity int)
 }
 
-// NodeLoader is an optional Backend capability: the occupancy and
-// capacity of one peer's inbox. A backend that has it lets the GET
-// overload guard watch the entry node's mailbox — the queue the request
-// is about to join — instead of the sum Load reports. (0, 0) means
+// NodeLoader is an optional Backend capability: the load and inbox
+// capacity of one peer. A backend that has it lets the GET overload
+// guard watch the entry node — the lock the request is about to wait
+// on — instead of the sum Load reports. (0, 0) means
 // unknown and disables shedding, as for Load.
 type NodeLoader interface {
 	NodeLoad(at overlay.NodeID) (used, capacity int)
@@ -294,7 +295,7 @@ func (s *Server) sweepLoop() {
 // misses meet at one pending-first-update flag and coalesce — this
 // choice is what turns CUP's §2.4 machinery into the server's
 // thundering-herd guard. The hash also spreads distinct keys across
-// peers, so serving load is not funneled through one mailbox.
+// peers, so serving load is not funneled through one peer's lock.
 //
 // The hash is FNV-1a (64-bit), computed over the string in place.
 func EntryNode(key overlay.Key, size int) overlay.NodeID {
@@ -346,7 +347,7 @@ func (s *Server) observe(route string, code int, start time.Time) {
 
 // shed applies the inbox-occupancy guard to a request that fans out over
 // the tree (a write, a promise): it reports true after writing the 503
-// when the live mailboxes together are too full to take more work.
+// when the live peers together are too loaded to take more work.
 func (s *Server) shed(w http.ResponseWriter) bool {
 	used, capacity := s.b.Load()
 	return s.shedOver(w, used, capacity)
@@ -393,16 +394,16 @@ func retryAfter(w http.ResponseWriter, d time.Duration) {
 
 // handleGet serves GET /v1/key/{key}. The hit — the request CUP exists
 // to make common — runs straight through this function: an O(1) guard on
-// the entry node's inbox, a lookup the backend answers from the entry
+// the entry node's load, a lookup the backend answers from the entry
 // node's published view, a body appended into a pooled buffer, two
 // pre-resolved metric handles. Everything else leaves through getFailed.
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	start := s.now()
 	key := overlay.Key(r.PathValue("key"))
 	at := EntryNode(key, s.b.Size())
-	// The guard reads the mailbox this request would join: one hot key
-	// can fill its entry node's inbox while the sum over all peers reads
-	// 1/N, and a guard watching the sum would admit into the backlog.
+	// The guard reads the peer this request would wait on: one hot key
+	// can load its entry node while the sum over all peers reads 1/N,
+	// and a guard watching the sum would admit into the backlog.
 	var used, capacity int
 	if s.nodes != nil {
 		used, capacity = s.nodes.NodeLoad(at)

@@ -12,7 +12,7 @@ import (
 
 // Transport selects the substrate that executes a Deployment: the
 // discrete-event simulator (virtual time, deterministic, single-threaded)
-// or the live goroutine-per-peer network (wall-clock time, concurrent).
+// or the live network of locked peers (wall-clock time, concurrent).
 // Both run the identical protocol state machine and emit the identical
 // event stream.
 type Transport int
@@ -20,7 +20,8 @@ type Transport int
 const (
 	// Simulated runs the deployment on the discrete-event scheduler.
 	Simulated Transport = iota
-	// Live runs the deployment as one goroutine per peer.
+	// Live runs the deployment as one lock per peer, its hops delivered
+	// in memory on their timers' goroutines.
 	Live
 	// LiveTCP runs the deployment as one OS socket per peer: every node
 	// binds a loopback TCP listener and protocol messages travel as wire
@@ -316,7 +317,9 @@ func WithDenseState() Option {
 	return func(*options) {}
 }
 
-// WithInboxDepth bounds each live peer's mailbox (default 1024). A
+// WithInboxDepth sets the work each live peer is sized to queue (default
+// 1024): the capacity its admission load — the deliveries, lookups and
+// control calls waiting for its lock — is reported and shed against. A
 // non-positive depth is a configuration error reported by New.
 func WithInboxDepth(n int) Option {
 	return func(o *options) {

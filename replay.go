@@ -206,7 +206,7 @@ func pickAlive(net *live.Network, at NodeID, pick func() NodeID) NodeID {
 // interventions, replica churn and, on a dynamic overlay, §2.9
 // membership churn all act on the running network. Operations the
 // substrate cannot honor return descriptive errors. ctx is the run's: a
-// capacity intervention waiting on a full inbox ends with it.
+// capacity intervention waiting for a busy peer's lock ends with it.
 type liveSurface struct {
 	ctx      context.Context
 	n        *live.Network

@@ -63,11 +63,11 @@ type serving struct {
 }
 
 // deploymentBackend is a Deployment as the serve.Backend surface: the
-// client calls are the Deployment's own, and it adds the inbox loads the
+// client calls are the Deployment's own, and it adds the peer loads the
 // shedding guard reads.
 type deploymentBackend struct{ *Deployment }
 
-// Load reports live inbox occupancy for the shedding guard; simulated
+// Load reports the live peers' load for the shedding guard; simulated
 // deployments report unknown.
 func (b deploymentBackend) Load() (used, capacity int) {
 	if b.net != nil {

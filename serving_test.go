@@ -411,10 +411,10 @@ func TestWithServingValidation(t *testing.T) {
 }
 
 // TestServingHotKeyOverloadSheds is the overload the global guard could
-// not see: one key's entry peer stops draining its mailbox and GETs for
-// that key pile into it, while the other 63 inboxes sit empty — global
-// occupancy never passes 1/64. The guard in front of a GET watches the
-// entry node's own inbox, so once that is 90 % full further GETs fail
+// not see: one key's entry peer holds its lock and GETs for that key
+// pile up waiting for it, while the other 63 peers sit idle — global
+// load never passes 1/64. The guard in front of a GET watches the
+// entry node's own load, so once that is 90 % of its depth further GETs fail
 // fast with 503 and Retry-After instead of joining the backlog, and when
 // the peer drains again everything admitted is answered: nobody waits
 // out the query timeout.
@@ -425,7 +425,7 @@ func TestServingHotKeyOverloadSheds(t *testing.T) {
 	)
 	d := servingDeployment(t, cup.WithNodes(64), cup.WithInboxDepth(depth))
 	base := "http://" + d.ServingAddrs()[0]
-	const key = "hot" // never published: every GET is a miss through the mailbox
+	const key = "hot" // never published: every GET is a miss under the entry peer's lock
 	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: requests}}
 	defer hc.CloseIdleConnections()
 
@@ -455,7 +455,7 @@ func TestServingHotKeyOverloadSheds(t *testing.T) {
 			results <- outcome{code: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After"), took: time.Since(start)}
 		}()
 		// Staggered, so that the requests racing past the guard at any
-		// instant are fewer than the tenth of the inbox it leaves free.
+		// instant are fewer than the tenth of the depth it leaves free.
 		time.Sleep(500 * time.Microsecond)
 	}
 	rejected := func() float64 {

@@ -2,8 +2,6 @@ package cup
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	internal "cup/internal/cup"
 	"cup/internal/live"
@@ -78,13 +76,12 @@ func (d *Deployment) initTelemetry(o *options) error {
 
 	if d.net != nil {
 		// Occupancy gauges read live state at scrape time.
-		inbox := &inboxSample{n: d.net}
 		reg.GaugeFunc("cup_live_inbox_used",
-			"Messages queued across live peer inboxes.",
-			func() float64 { used, _ := inbox.read(); return float64(used) })
+			"Deliveries, lookups and control calls waiting for a live peer's lock, summed over the peers.",
+			func() float64 { used, _ := d.net.InboxLoad(); return float64(used) })
 		reg.GaugeFunc("cup_live_inbox_capacity",
-			"Total live peer inbox capacity.",
-			func() float64 { _, capacity := inbox.read(); return float64(capacity) })
+			"Work the live peers are sized to queue: the inbox depth times the live peers.",
+			func() float64 { _, capacity := d.net.InboxLoad(); return float64(capacity) })
 		reg.GaugeFunc("cup_live_ports_used",
 			"Loopback listener ports currently drawn from the process-wide port ledger (TCP peers and serving listeners).",
 			func() float64 { return float64(live.PortsInUse()) })
@@ -105,27 +102,6 @@ func (d *Deployment) initTelemetry(o *options) error {
 	}
 	d.tele = t
 	return nil
-}
-
-// inboxSample lets the two inbox gauges share one walk of the peers: a
-// scrape reads both within microseconds, and a sample younger than a
-// millisecond is reused.
-type inboxSample struct {
-	n *live.Network
-
-	mu             sync.Mutex
-	at             time.Time
-	used, capacity int
-}
-
-func (s *inboxSample) read() (used, capacity int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if now := time.Now(); now.Sub(s.at) > time.Millisecond {
-		s.at = now
-		s.used, s.capacity = s.n.InboxLoad()
-	}
-	return s.used, s.capacity
 }
 
 // Metrics snapshots every telemetry series, or nil without
