@@ -1,8 +1,8 @@
 // Benchmarks regenerating every table and figure of the CUP paper's
-// evaluation (§3), one testing.B per artifact, plus the DESIGN.md
-// ablations. Each iteration regenerates the complete artifact at the
-// paper's parameters (the same code path as `cupbench`; all of them
-// together take about 20 s). Rendered tables are attached via b.Log —
+// evaluation (§3), one testing.B per artifact, plus ablations A1–A8
+// (internal/experiment/ablation.go). Each iteration regenerates the
+// complete artifact at the paper's parameters (the same code path as
+// `cupbench`; all of them together take about 20 s). Rendered tables are attached via b.Log —
 // run with `go test -bench=. -benchtime=1x -v` to see them.
 package cup_test
 

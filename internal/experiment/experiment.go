@@ -1,5 +1,5 @@
 // Package experiment regenerates every table and figure of the CUP
-// paper's evaluation (§3), plus the ablations called out in DESIGN.md.
+// paper's evaluation (§3), plus ablations A1–A8 (ablation.go).
 // Each experiment returns a metrics.Table whose rows mirror the paper's
 // layout; cmd/cupbench prints them and bench_test.go wraps them in
 // testing.B benchmarks.

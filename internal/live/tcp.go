@@ -221,12 +221,13 @@ func (s *sock) drop(conn net.Conn, to overlay.NodeID) {
 }
 
 // connTo returns the way to neighbour to, dialing it on first use, or
-// nil. The dial runs unlocked: readers adopt, and close closes, under mu.
+// nil; a closed sock dials nothing. The dial runs unlocked: readers
+// adopt, and close closes, under mu.
 func (s *sock) connTo(from *peer, to overlay.NodeID) net.Conn {
 	s.mu.Lock()
-	c := s.conns[to]
+	c, closed := s.conns[to], s.closed
 	s.mu.Unlock()
-	if target := from.net.peerAt(to); c == nil && target != nil {
+	if target := from.net.peerAt(to); c == nil && !closed && target != nil {
 		if d, err := net.DialTimeout("tcp", target.sock.ln.Addr().String(), 2*time.Second); err == nil {
 			c = s.serve(from, d, to)
 		}

@@ -417,3 +417,43 @@ func BenchmarkTCPLookup(b *testing.B) {
 	defer tn.Close()
 	benchLookup(b, tn)
 }
+
+// TestTCPNoDialAfterClose: a send after Close — a handler still running
+// on a reader's goroutine, say — dials no neighbour, even one whose
+// listener would accept.
+func TestTCPNoDialAfterClose(t *testing.T) {
+	tn, err := NewTCPNetwork(Config{Nodes: 4, Seed: 3, Node: defaultCfg()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	tn.peerAt(1).sock.ln = ln // an open listener where the closed one was
+	accepted := make(chan int)
+	go func() {
+		count := 0
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				accepted <- count
+				return
+			}
+			count++
+			c.Close()
+		}
+	}()
+	for i := 0; i < 100; i++ {
+		tn.link.send(tn.peerAt(0), 1, message{kind: msgQuery, from: 0, key: "k"})
+	}
+	// A dial that got through waits in the backlog until Accept takes it.
+	if err := ln.(*net.TCPListener).SetDeadline(time.Now().Add(100 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if n := <-accepted; n != 0 {
+		t.Fatalf("%d of 100 sends after Close dialed the neighbour", n)
+	}
+}

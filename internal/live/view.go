@@ -1,8 +1,8 @@
 package live
 
 import (
-	"hash/maphash"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"cup/internal/cache"
@@ -28,23 +28,16 @@ import (
 // load: a slot is immutable once published except for its two counters,
 // and its entries are one of cache.Store's copy-on-write sets.
 //
-// The table is open-addressed with linear probing and holds at most one
-// position per key. A slot is never unlinked, only closed in place and
-// later overwritten by the same key's next slot, so a probe chain never
-// breaks under a reader; a rebuild, which drops the closed slots of
-// other keys, publishes a new table.
+// slots maps a key to its open slot and holds no other: a slot leaves
+// the map (replaced or deleted) when it is closed, so a reader that
+// loaded it just before is either counted by the closing drain or sent
+// to the lock.
 type hitView struct {
-	table atomic.Pointer[viewTable]
+	slots sync.Map // overlay.Key → *hitSlot
 
 	// Writer-side state, touched by the holder of the peer's lock alone.
 	node *cup.Node
 	now  func() sim.Time
-	open int // slots a reader can hit
-	used int // non-nil positions of the current table, open or closed
-}
-
-type viewTable struct {
-	slots []atomic.Pointer[hitSlot] // length a power of two, never more than half used
 }
 
 // hitSlot is one key's published answer. The view answers from it while
@@ -66,66 +59,24 @@ type hitSlot struct {
 
 const slotClosed = 1 << 63
 
-// viewSeed keys the table's string hash for this process.
-var viewSeed = maphash.MakeSeed()
-
-func (t *viewTable) start(key overlay.Key) uint64 {
-	return maphash.String(viewSeed, string(key)) & uint64(len(t.slots)-1)
-}
-
 // read returns key's published entries when all of them are still fresh
 // at now, counting the hit, and nil otherwise. Safe from any goroutine.
 func (v *hitView) read(key overlay.Key, now sim.Time) []cache.Entry {
-	t := v.table.Load()
-	if t == nil {
+	s := v.slot(key)
+	if s == nil || now >= s.expires || s.hits.Add(1) >= slotClosed {
 		return nil
 	}
-	mask := uint64(len(t.slots) - 1)
-	for i := t.start(key); ; i = (i + 1) & mask {
-		s := t.slots[i].Load()
-		if s == nil {
-			return nil
-		}
-		if s.key != key {
-			continue
-		}
-		if now >= s.expires || s.hits.Add(1) >= slotClosed {
-			return nil
-		}
-		if s.first.Load() == 0 {
-			s.first.CompareAndSwap(0, math.Float64bits(float64(now)))
-		}
-		return s.entries
+	if s.first.Load() == 0 {
+		s.first.CompareAndSwap(0, math.Float64bits(float64(now)))
 	}
-}
-
-// find returns the position holding key's slot (open or closed), or -1
-// and the empty position its probe chain ends at.
-func (t *viewTable) find(key overlay.Key) (at, free int) {
-	mask := uint64(len(t.slots) - 1)
-	for i := t.start(key); ; i = (i + 1) & mask {
-		s := t.slots[i].Load()
-		if s == nil {
-			return -1, int(i)
-		}
-		if s.key == key {
-			return int(i), -1
-		}
-	}
+	return s.entries
 }
 
 // slot returns key's open slot, or nil.
 func (v *hitView) slot(key overlay.Key) *hitSlot {
-	t := v.table.Load()
-	if t == nil {
-		return nil
-	}
-	if at, _ := t.find(key); at >= 0 {
-		if s := t.slots[at].Load(); s.hits.Load() < slotClosed {
-			return s
-		}
-	}
-	return nil
+	s, _ := v.slots.Load(key)
+	hs, _ := s.(*hitSlot)
+	return hs
 }
 
 // drain folds s's uncredited hits into the node, leaving mark (zero, or
@@ -172,11 +123,12 @@ func (v *hitView) publish(key overlay.Key, create bool) {
 	// answer is never without a slot; a reader still holding the old one
 	// is either counted by the drain below or sent to the lock.
 	if len(es) > 0 {
-		v.install(&hitSlot{key: key, entries: es, expires: earliest(es)})
+		v.slots.Store(key, &hitSlot{key: key, entries: es, expires: earliest(es)})
+	} else if old != nil {
+		v.slots.Delete(key)
 	}
 	if old != nil {
 		v.drain(old, slotClosed)
-		v.open--
 	}
 }
 
@@ -190,54 +142,12 @@ func earliest(es []cache.Entry) sim.Time {
 	return min
 }
 
-// install stores s at its key's position. The key's own position, open
-// or closed, is reused; only a key new to the table takes a fresh one,
-// after a rebuild if that would fill the table past half.
-func (v *hitView) install(s *hitSlot) {
-	t := v.table.Load()
-	at := -1
-	if t != nil {
-		at, _ = t.find(s.key)
-	}
-	if at < 0 {
-		if t == nil || 2*(v.used+1) > len(t.slots) {
-			t = v.rebuild(t)
-		}
-		_, at = t.find(s.key)
-		v.used++
-	}
-	t.slots[at].Store(s)
-	v.open++
-}
-
-// rebuild publishes a table with room for the open slots of old four
-// times over, carrying those and dropping the closed ones.
-func (v *hitView) rebuild(old *viewTable) *viewTable {
-	size := 8
-	for size < 4*(v.open+1) {
-		size *= 2
-	}
-	t := &viewTable{slots: make([]atomic.Pointer[hitSlot], size)}
-	v.used = 0
-	v.each(old, func(s *hitSlot) {
-		_, free := t.find(s.key)
-		t.slots[free].Store(s)
-		v.used++
+// each visits the open slots.
+func (v *hitView) each(fn func(*hitSlot)) {
+	v.slots.Range(func(_, s any) bool {
+		fn(s.(*hitSlot))
+		return true
 	})
-	v.table.Store(t)
-	return t
-}
-
-// each visits the open slots of t.
-func (v *hitView) each(t *viewTable, fn func(*hitSlot)) {
-	if t == nil {
-		return
-	}
-	for i := range t.slots {
-		if s := t.slots[i].Load(); s != nil && s.hits.Load() < slotClosed {
-			fn(s)
-		}
-	}
 }
 
 // creditAll and publishAll are credit and publish over every slot, for
@@ -245,16 +155,18 @@ func (v *hitView) each(t *viewTable, fn func(*hitSlot)) {
 // hand-over, a flush): cost proportional to the slots, paid by the rare
 // caller, not by the query path.
 func (v *hitView) creditAll() {
-	v.each(v.table.Load(), func(s *hitSlot) { v.drain(s, 0) })
+	v.each(func(s *hitSlot) { v.drain(s, 0) })
 }
 
 func (v *hitView) publishAll() {
-	v.each(v.table.Load(), func(s *hitSlot) { v.publish(s.key, false) })
+	v.each(func(s *hitSlot) { v.publish(s.key, false) })
 }
 
 // retire closes every slot, crediting what it held: the peer is
 // departing and its lookups fail from here on.
 func (v *hitView) retire() {
-	v.each(v.table.Load(), func(s *hitSlot) { v.drain(s, slotClosed) })
-	v.open = 0
+	v.each(func(s *hitSlot) {
+		v.slots.Delete(s.key)
+		v.drain(s, slotClosed)
+	})
 }

@@ -260,9 +260,21 @@ func TestViewModel(t *testing.T) {
 	if msg := failed.Load(); msg != nil {
 		t.Fatal(*msg)
 	}
-	if b.view.open > len(keys) || b.view.used > 2*len(keys) {
-		t.Fatalf("view holds %d open slots in %d positions for %d keys", b.view.open, b.view.used, len(keys))
+	if slots, closed := viewSlots(&b.view); slots > len(keys) || closed > 0 {
+		t.Fatalf("view holds %d slots, %d of them closed, for %d keys", slots, closed, len(keys))
 	}
+}
+
+// viewSlots counts the slots in v's map and the closed ones among them.
+func viewSlots(v *hitView) (slots, closed int) {
+	v.slots.Range(func(_, s any) bool {
+		slots++
+		if s.(*hitSlot).hits.Load() >= slotClosed {
+			closed++
+		}
+		return true
+	})
+	return slots, closed
 }
 
 // TestViewCountsEveryHit pins the hit count against the races that could
@@ -410,11 +422,11 @@ func entryFor(n *Network, key overlay.Key) overlay.NodeID {
 	return 3
 }
 
-// TestLookupHitSkipsMailbox: once a peer has answered a local client,
+// TestLookupHitTakesNoLock: once a peer has answered a local client,
 // further lookups are served with the peer's lock held, without waiting
 // for it — the peer's load is what it was before them — allocate
 // nothing, and are still counted.
-func TestLookupHitSkipsMailbox(t *testing.T) {
+func TestLookupHitTakesNoLock(t *testing.T) {
 	bothTransports(t, Config{}, func(t *testing.T, n *Network) {
 		ctx := ctxShort(t)
 		if err := n.AddReplicaCtx(ctx, "k", 0, "10.0.0.1", time.Hour); err != nil {
@@ -455,6 +467,47 @@ func TestLookupHitSkipsMailbox(t *testing.T) {
 			if pop != want {
 				t.Fatalf("popularity at %v = %d, want %d: every view hit credited once", at, pop, want)
 			}
+		}
+	})
+}
+
+// BenchmarkLookupHit times a lookup the view serves: parallel lookups at
+// one peer of a 16-node goroutine network, all of one key (hot) or
+// spread over 64 keys published in the peer's one view (spread).
+func BenchmarkLookupHit(b *testing.B) {
+	b.Run("hot", func(b *testing.B) { benchLookupHit(b, 1) })
+	b.Run("spread", func(b *testing.B) { benchLookupHit(b, 64) })
+}
+
+func benchLookupHit(b *testing.B, keys int) {
+	n := NewNetwork(Config{Nodes: 16, Seed: 5, HopDelay: time.Microsecond})
+	defer n.Close()
+	ctx := context.Background()
+	const at = overlay.NodeID(3)
+	ks := make([]overlay.Key, keys)
+	for i := range ks {
+		ks[i] = overlay.Key(fmt.Sprintf("h%d", i))
+		if err := n.AddReplicaCtx(ctx, ks[i], 0, "10.0.0.1", time.Hour); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := n.Lookup(ctx, at, ks[i]); err != nil { // the miss that publishes the key
+			b.Fatal(err)
+		}
+		for n.peerAt(at).view.slot(ks[i]) == nil {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	var start atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := int(start.Add(1)) // each goroutine starts on a different key
+		for pb.Next() {
+			if es, err := n.Lookup(ctx, at, ks[i%keys]); err != nil || len(es) != 1 {
+				b.Errorf("hit lookup of %s: %v, %v", ks[i%keys], es, err)
+				return
+			}
+			i++
 		}
 	})
 }
@@ -555,16 +608,16 @@ func TestViewFollowsReplicaLifecycle(t *testing.T) {
 	if es := inView(); es != nil {
 		t.Fatalf("view serves a deleted key: %v", es)
 	}
-	var open int
-	n.Inspect(at, func(*cup.Node) { open = n.peerAt(at).view.open })
-	if open != 0 {
-		t.Fatalf("view keeps %d slots for a key with no entries", open)
+	var slots int
+	n.Inspect(at, func(*cup.Node) { slots, _ = viewSlots(&n.peerAt(at).view) })
+	if slots != 0 {
+		t.Fatalf("view keeps %d slots for a key with no entries", slots)
 	}
 }
 
-// TestViewExpiryFallsBackToMailbox: past an entry's expiry the view
+// TestViewExpiryFallsBackToLock: past an entry's expiry the view
 // stops answering and the lookup is a miss under the lock again.
-func TestViewExpiryFallsBackToMailbox(t *testing.T) {
+func TestViewExpiryFallsBackToLock(t *testing.T) {
 	n := newTestNet(t, 16)
 	ctx := ctxShort(t)
 	at := entryFor(n, "k")
