@@ -27,6 +27,9 @@ import (
 	"cup/internal/serve"
 )
 
+// A -keys preload publishes 2 replicas of each key, each for an hour.
+const preloadReplicas, preloadTTL = 2, time.Hour
+
 func main() {
 	var (
 		addrFlag  = flag.String("addr", "127.0.0.1:8080", "comma-separated listen addresses (:0 picks free ports); each serves /v1, /metrics, /trace, /debug/pprof")
@@ -34,10 +37,7 @@ func main() {
 		overlayK  = flag.String("overlay", "can", "overlay substrate: "+overlay.KindList())
 		hop       = flag.Duration("hop", time.Millisecond, "per-hop delay")
 		seed      = flag.Int64("seed", 1, "random seed")
-		inbox     = flag.Int("inbox", 0, "per-peer inbox depth (0 = default)")
-		keys      = flag.Int("keys", 0, "preload this many keys before serving")
-		replicas  = flag.Int("replicas", 2, "replicas per preloaded key")
-		ttl       = flag.Duration("ttl", time.Hour, "preloaded replica lifetime")
+		keys      = flag.Int("keys", 0, "preload this many keys, each with 2 replicas of 1 h lifetime, before serving")
 		admitRate = flag.Float64("admit-rate", 0, "write-path admission tokens/s (0 = default, negative disables)")
 		duration  = flag.Duration("duration", 0, "exit after this long (0 = run until SIGINT/SIGTERM)")
 	)
@@ -60,9 +60,6 @@ func main() {
 		// expose /metrics and /trace.
 		cup.WithTelemetry(""),
 	}
-	if *inbox > 0 {
-		opts = append(opts, cup.WithInboxDepth(*inbox))
-	}
 	if *admitRate != 0 {
 		opts = append(opts, cup.WithAdmitRate(*admitRate, 0))
 	}
@@ -78,16 +75,16 @@ func main() {
 
 	for i := 0; i < *keys; i++ {
 		key := cup.Key(fmt.Sprintf("key-%d", i))
-		for r := 0; r < *replicas; r++ {
-			addr := fmt.Sprintf("203.0.113.%d", (i**replicas+r)%250+1)
-			if err := d.Publish(ctx, key, r, addr, *ttl); err != nil {
+		for r := 0; r < preloadReplicas; r++ {
+			addr := fmt.Sprintf("203.0.113.%d", (i*preloadReplicas+r)%250+1)
+			if err := d.Publish(ctx, key, r, addr, preloadTTL); err != nil {
 				fmt.Fprintln(os.Stderr, "cupd: preload:", err)
 				os.Exit(1)
 			}
 		}
 	}
 	if *keys > 0 {
-		fmt.Printf("preloaded %d keys × %d replicas (ttl %v)\n", *keys, *replicas, *ttl)
+		fmt.Printf("preloaded %d keys × %d replicas (ttl %v)\n", *keys, preloadReplicas, preloadTTL)
 	}
 
 	for _, a := range d.ServingAddrs() {

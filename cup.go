@@ -53,7 +53,7 @@
 // fixed scenario catalog (ScenarioNames, BuildScenario) backs the cupsim
 // -scenario flag.
 //
-// The protocol core is a pure state machine (Node); both transports drive
+// The protocol core is one pure state machine; both transports drive
 // the same code, so simulation results transfer to the live runtime.
 package cup
 
@@ -72,8 +72,6 @@ type (
 	Key = overlay.Key
 	// Entry is one index entry: a key served by a replica until expiry.
 	Entry = cache.Entry
-	// Node is the CUP protocol state machine for one peer.
-	Node = internal.Node
 	// Config parameterizes a node (mode, policy, push level, cut-off).
 	Config = internal.Config
 	// Update is one update-channel message.

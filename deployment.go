@@ -21,7 +21,6 @@ import (
 // set, and each client call branches on which, so one Deployment covers
 // both the paper's evaluation harness and a live service.
 type Deployment struct {
-	transport Transport
 	// sim is the simulated transport's run. Every call on it holds simMu:
 	// the scheduler is single-threaded by design, and client calls drive
 	// it directly.
@@ -104,7 +103,6 @@ func New(opts ...Option) (*Deployment, error) {
 	// listens (listen), so an unobserved run builds no events.
 	bus := internal.NewBus()
 	d := &Deployment{
-		transport: o.transport,
 		bus:       bus,
 		p:         o.p,
 		timeScale: o.timeScale,
@@ -167,9 +165,6 @@ func (d *Deployment) onSim(ctx context.Context, fn func(s *internal.Simulation) 
 	}
 	return fn(d.sim)
 }
-
-// Transport reports which substrate executes this deployment.
-func (d *Deployment) Transport() Transport { return d.transport }
 
 // Size returns the number of peers.
 func (d *Deployment) Size() int {
@@ -253,34 +248,6 @@ func (d *Deployment) Unpublish(ctx context.Context, key Key, replica int) error 
 		return d.net.RemoveReplicaCtx(ctx, key, replica)
 	}
 	return d.onSim(ctx, func(s *internal.Simulation) error { s.RemoveReplica(key, replica); return nil })
-}
-
-// SetCapacity adjusts a node's outgoing update capacity fraction (§3.7);
-// negative restores full capacity.
-func (d *Deployment) SetCapacity(ctx context.Context, id NodeID, c float64) error {
-	if d.net != nil {
-		return d.net.SetCapacity(ctx, id, c)
-	}
-	return d.onSim(ctx, func(s *internal.Simulation) error { s.SetCapacityFraction([]NodeID{id}, c); return nil })
-}
-
-// Inspect runs fn with exclusive access to one node's protocol state
-// (on the live transport, under that peer's lock).
-func (d *Deployment) Inspect(id NodeID, fn func(*Node)) error {
-	if d.net != nil {
-		if id < 0 || int(id) >= d.net.Size() {
-			return fmt.Errorf("cup: inspect of unknown node %v", id)
-		}
-		return d.net.Inspect(id, fn)
-	}
-	return d.onSim(context.Background(), func(s *internal.Simulation) error {
-		n := s.Node(id)
-		if n == nil {
-			return fmt.Errorf("cup: inspect of unknown node %v", id)
-		}
-		fn(n)
-		return nil
-	})
 }
 
 // Settle blocks until the deployment quiesces: the simulator drains its

@@ -1021,14 +1021,3 @@ func (n *Node) FlushExpired() int {
 	})
 	return dropped
 }
-
-// SettleJustification finalizes §3.1 accounting at the end of a run: any
-// still-pending proactive update that was never matched is unjustified.
-func (n *Node) SettleJustification() {
-	n.eachState(func(ks *keyState) {
-		if ks.justifyPending {
-			n.env.c.UnjustifiedUpdates++
-			ks.justifyPending = false
-		}
-	})
-}

@@ -1,6 +1,8 @@
 package live
 
 import (
+	"runtime"
+	"sync"
 	"time"
 
 	"cup/internal/cup"
@@ -29,28 +31,108 @@ type link interface {
 	close(p *peer)
 }
 
-// chanLink joins peers in memory: a send is delivered after the
-// network's per-hop delay, on the hop timer's goroutine. Deliveries
-// racing a Close are dropped, mirroring a network partition at shutdown.
-type chanLink struct{}
+// chanLink joins peers in memory. A send waits out the network's hop
+// delay in the FIFO of its receiver's shard (receiver id modulo the
+// shard count), and the shard's one long-lived goroutine delivers it.
+// The hop delay is constant, so send order is due order, and a pair's
+// messages arrive in send order, as on TCP and in the simulator's lane.
+// A send only enqueues, so no cycle of waits can form through the queue.
+// Close stops the drainers and drops what is queued, as a network
+// partition at shutdown would.
+type chanLink struct{ shards []hopQueue }
 
-func (chanLink) open(*peer) error { return nil }
+type hopQueue struct {
+	mu     sync.Mutex
+	queued []hop
+	wake   chan struct{} // holds a token once a send finds queued empty
+}
+
+// hop is a message on its way to peer to, due at due since boot.
+type hop struct {
+	due time.Duration
+	to  overlay.NodeID
+	m   message
+}
+
+// hopBacklog is the shard backlog past which a send yields to its drainer.
+const hopBacklog = 256
+
+// start gives the link one shard per GOMAXPROCS and runs each shard's
+// drainer, counted in n.wg, until n closes.
+func (l *chanLink) start(n *Network) {
+	l.shards = make([]hopQueue, runtime.GOMAXPROCS(0))
+	n.wg.Add(len(l.shards))
+	for i := range l.shards {
+		l.shards[i].wake = make(chan struct{}, 1)
+		go l.shards[i].drain(n)
+	}
+}
+
+func (*chanLink) open(*peer) error { return nil }
 
 // ledger: runs at every departure and Close, but has no statement to count.
-func (chanLink) close(*peer) {}
+func (*chanLink) close(*peer) {}
 
 // hold copies u: a send's delivery runs after the hop delay, when the
 // next handler has overwritten u.
-func (chanLink) hold(u *cup.Update) *cup.Update {
+func (*chanLink) hold(u *cup.Update) *cup.Update {
 	c := *u
 	return &c
 }
 
-func (chanLink) send(from *peer, to overlay.NodeID, m message) {
+func (l *chanLink) send(from *peer, to overlay.NodeID, m message) {
 	n := from.net
-	time.AfterFunc(n.cfg.HopDelay, func() {
-		if p := n.peerAt(to); p != nil {
-			p.receive(m)
+	q := &l.shards[int(to)%len(l.shards)]
+	q.mu.Lock()
+	q.queued = append(q.queued, hop{due: time.Since(n.start) + n.cfg.HopDelay, to: to, m: m})
+	queued := len(q.queued)
+	q.mu.Unlock()
+	if queued == 1 {
+		select {
+		case q.wake <- struct{}{}:
+		default: // a token is already waiting
 		}
-	})
+	} else if queued > hopBacklog {
+		// The sender outruns the drainer: yield to it, so a loop of control
+		// calls cannot grow the FIFO, and every hop's wait behind it,
+		// without bound. Yielding never blocks: safe under a peer's lock.
+		runtime.Gosched()
+	}
+}
+
+// drain delivers q's messages in send order, each once it is due, until
+// n closes. It takes the whole queue at once and leaves behind the batch
+// it emptied last, so the two buffers are reused.
+func (q *hopQueue) drain(n *Network) {
+	defer n.wg.Done()
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	var batch []hop
+	for {
+		q.mu.Lock()
+		batch, q.queued = q.queued, batch[:0]
+		q.mu.Unlock()
+		if len(batch) == 0 {
+			select {
+			case <-q.wake:
+				continue
+			case <-n.closed:
+				return
+			}
+		}
+		for i := range batch {
+			if wait := batch[i].due - time.Since(n.start); wait > 0 {
+				timer.Reset(wait)
+				select {
+				case <-timer.C:
+				case <-n.closed:
+					return
+				}
+			}
+			if p := n.peerAt(batch[i].to); p != nil {
+				p.receive(batch[i].m)
+			}
+			batch[i] = hop{} // its key and update are garbage now
+		}
+	}
 }

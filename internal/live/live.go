@@ -141,10 +141,12 @@ func NewNetwork(cfg Config) *Network {
 		panic("live: Nodes must be positive")
 	}
 	cfg = cfg.withDefaults()
-	n, err := boot(cfg, chanLink{})
+	lk := &chanLink{}
+	n, err := boot(cfg, lk)
 	if err != nil {
 		panic(err) // unreachable: the goroutine link opens nothing that can fail
 	}
+	lk.start(n)
 	return n
 }
 
@@ -364,7 +366,7 @@ func (n *Network) Inspect(id overlay.NodeID, fn func(*cup.Node)) error {
 // Counters sums the peers' cost counters (§3.3), each read under its
 // peer's lock once the hits its view served are credited. It takes each
 // lock whether or not the network is closed, so a handler still running
-// on a hop's goroutine after Close finishes before its counters are read.
+// after Close finishes before its counters are read.
 func (n *Network) Counters() (sum metrics.Counters) {
 	for _, p := range *n.peers.Load() {
 		p.mu <- struct{}{}

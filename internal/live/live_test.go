@@ -12,6 +12,7 @@ import (
 
 	"cup/internal/cup"
 	"cup/internal/overlay"
+	"cup/internal/policy"
 )
 
 func newTestNet(t *testing.T, nodes int) *Network {
@@ -181,7 +182,7 @@ func TestDeleteStopsServingReplica(t *testing.T) {
 // updateTap is the goroutine link, recording every update of type ty it
 // carries, and its recipient.
 type updateTap struct {
-	chanLink
+	*chanLink
 	ty   cup.UpdateType
 	mu   sync.Mutex
 	sent []cup.Update
@@ -197,16 +198,25 @@ func (l *updateTap) send(from *peer, to overlay.NodeID, m message) {
 	l.chanLink.send(from, to, m)
 }
 
+// bootTap boots a goroutine network of cfg over tap.
+func bootTap(t *testing.T, cfg Config, tap *updateTap) *Network {
+	t.Helper()
+	tap.chanLink = &chanLink{}
+	n, err := boot(cfg.withDefaults(), tap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap.start(n)
+	t.Cleanup(n.Close)
+	return n
+}
+
 // A Delete stays justified for one replica lifetime, as the simulator's
 // RemoveReplica has it: the authority stamps it to expire
 // cup.DefaultLifetime after it originates.
 func TestDeleteExpiresOneLifetimeOut(t *testing.T) {
 	tap := &updateTap{ty: cup.Delete}
-	n, err := boot(Config{Nodes: 16, HopDelay: 200 * time.Microsecond, Seed: 5}.withDefaults(), tap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
+	n := bootTap(t, Config{Nodes: 16, HopDelay: 200 * time.Microsecond, Seed: 5}, tap)
 	add(t, n, "k", 0, "10.0.0.1", time.Hour)
 	if _, err := n.Lookup(ctxShort(t), entryFor(n, "k"), "k"); err != nil {
 		t.Fatal(err)
@@ -233,11 +243,7 @@ func TestDeleteExpiresOneLifetimeOut(t *testing.T) {
 // sent.
 func TestAsyncHopOwnsItsUpdate(t *testing.T) {
 	tap := &updateTap{ty: cup.Append}
-	n, err := boot(Config{Nodes: 16, HopDelay: 20 * time.Millisecond, Seed: 5}.withDefaults(), tap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
+	n := bootTap(t, Config{Nodes: 16, HopDelay: 20 * time.Millisecond, Seed: 5}, tap)
 	auth := n.Authority("k")
 	other := overlay.Key("k2") // a second key at the same authority
 	for i := 3; n.Authority(other) != auth; i++ {
@@ -533,7 +539,8 @@ func TestCloseStrandsNothing(t *testing.T) {
 
 // TestLivePeerHasNoGoroutine: a peer is its state and its lock, and what
 // reaches it runs on the goroutine that brings it. Booting 64 peers on
-// the goroutine link starts no goroutine; on TCP it starts one accept
+// the goroutine link starts its delivery goroutines, one per shard
+// (GOMAXPROCS of them, however many peers); on TCP it starts one accept
 // loop per peer and nothing else (connections, and their readers, come
 // with the first sends).
 func TestLivePeerHasNoGoroutine(t *testing.T) {
@@ -543,7 +550,7 @@ func TestLivePeerHasNoGoroutine(t *testing.T) {
 		boot func() (*Network, error)
 		want int
 	}{
-		{"chan", func() (*Network, error) { return NewNetwork(Config{Nodes: nodes}), nil }, 0},
+		{"chan", func() (*Network, error) { return NewNetwork(Config{Nodes: nodes}), nil }, runtime.GOMAXPROCS(0)},
 		{"tcp", func() (*Network, error) { return NewTCPNetwork(Config{Nodes: nodes}) }, nodes},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -566,6 +573,80 @@ func TestLivePeerHasNoGoroutine(t *testing.T) {
 			t.Fatalf("booting %d peers started %v goroutines, want %d", nodes, started, tc.want)
 		})
 	}
+}
+
+// Sends from one peer to one neighbour arrive in send order on both
+// links: the goroutine link's FIFO, like TCP's one connection per pair,
+// keeps them in line. Each update is for a key the receiver holds no
+// interest in, so under a never-keep policy it fires one cut-off event
+// for it at the receiver, in the order the updates are handled. The
+// sender sends in batches under its lock, as handlers do, and lets go
+// between batches so the clear-bits coming back never fill its socket.
+func TestLinkDeliversInSendOrder(t *testing.T) {
+	const total, batch = 20000, 100
+	node := cup.Defaults()
+	node.Policy = policy.NeverKeep()
+	var (
+		mu  sync.Mutex
+		got []overlay.Key
+	)
+	const from, to overlay.NodeID = 0, 1
+	obs := cup.ObserverFunc(func(e cup.Event) {
+		if e.Kind == cup.EvCutoffFired && e.Node == to {
+			mu.Lock()
+			got = append(got, e.Key)
+			mu.Unlock()
+		}
+	})
+	keys := make([]overlay.Key, total)
+	for i := range keys {
+		keys[i] = overlay.Key(fmt.Sprint("k", i))
+	}
+	bothTransports(t, Config{Node: node, HopDelay: time.Nanosecond, Observer: obs}, func(t *testing.T, n *Network) {
+		mu.Lock()
+		got = got[:0]
+		mu.Unlock()
+		a, ctx := n.peerAt(from), ctxShort(t)
+		for i := 0; i < total; i += batch {
+			acts := make([]cup.Action, batch)
+			for j := range acts {
+				key := keys[i+j]
+				acts[j] = cup.Action{Kind: cup.ActSendUpdate, To: to, Key: key,
+					Update: &cup.Update{Key: key, Type: cup.Refresh, Replica: 0, Depth: 1, Expires: 1e9}}
+			}
+			if err := a.locked(ctx, "", func() { a.dispatch(acts) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			mu.Lock()
+			arrived := len(got)
+			mu.Unlock()
+			if arrived == total {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d updates handled after 10 s", arrived, total)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		misplaced, first := 0, -1
+		for i, k := range got {
+			if k != keys[i] {
+				misplaced++
+				if first < 0 {
+					first = i
+				}
+			}
+		}
+		if misplaced > 0 {
+			t.Fatalf("%d of %d updates handled out of send order; the first at %d: %s, want %s",
+				misplaced, total, first, got[first], keys[first])
+		}
+	})
 }
 
 func TestInvalidConfigPanics(t *testing.T) {
@@ -656,7 +737,7 @@ func TestSharedEntryViewsSurviveConcurrentWrites(t *testing.T) {
 
 // BenchmarkChanLookup is the goroutine link's row beside
 // BenchmarkTCPLookup: benchLookup with a 1 ns injected hop, so it costs
-// the timers, the locks and the protocol, and no wait.
+// the delivery queue, the locks and the protocol, and no wait.
 func BenchmarkChanLookup(b *testing.B) {
 	n := NewNetwork(Config{Nodes: 64, Overlay: "can", Seed: 1, HopDelay: time.Nanosecond})
 	defer n.Close()

@@ -70,10 +70,10 @@ func newPeer(n *Network, id overlay.NodeID, router cup.Router, now func() sim.Ti
 }
 
 // receive runs one message from a neighbour through the protocol state
-// machine on the delivering goroutine — a hop's timer on the goroutine
-// link, a connection's reader on TCP — and dispatches the actions back
-// onto the network. A departed peer discards what arrives, the
-// departure's in-flight losses, and so does a closed network.
+// machine on the delivering goroutine — a shard's drainer on the
+// goroutine link, a connection's reader on TCP — and dispatches the
+// actions back onto the network. A departed peer discards what arrives,
+// the departure's in-flight losses, and so does a closed network.
 func (p *peer) receive(m message) {
 	if p.lock(context.Background()) != nil {
 		return

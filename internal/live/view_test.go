@@ -53,7 +53,7 @@ func (b *bench) NextHopTowardOwner(n overlay.NodeID, _ overlay.Key) overlay.Node
 func (b *bench) open(*peer) error                          { return nil }
 func (b *bench) close(*peer)                               {}
 func (b *bench) send(_ *peer, _ overlay.NodeID, m message) { b.sent = append(b.sent, m) }
-func (b *bench) hold(u *cup.Update) *cup.Update            { return chanLink{}.hold(u) } // sent outlives the handler
+func (b *bench) hold(u *cup.Update) *cup.Update            { return (&chanLink{}).hold(u) } // sent outlives the handler
 
 // ask is a local client's query taken under the lock, as a miss is; an
 // upstream query it sends is answered at once with entries.

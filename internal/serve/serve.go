@@ -102,9 +102,6 @@ type Config struct {
 	// negative AdmitRate disables the bucket.
 	AdmitRate  float64
 	AdmitBurst int
-	// ShedThreshold is the inbox occupancy fraction above which all
-	// requests shed with 503 (default cup.DefaultShedThreshold).
-	ShedThreshold float64
 	// now overrides the wall clock (tests).
 	now func() time.Time
 }
@@ -118,7 +115,6 @@ type Server struct {
 	reg      *obs.Registry
 	promises *promises
 	bucket   *bucket
-	shedAt   float64
 	queryTO  time.Duration
 	now      func() time.Time
 
@@ -191,16 +187,11 @@ func New(cfg Config) (*Server, error) {
 	if burst <= 0 {
 		burst = cupcore.DefaultAdmitBurst
 	}
-	shed := cfg.ShedThreshold
-	if shed <= 0 {
-		shed = cupcore.DefaultShedThreshold
-	}
 
 	s := &Server{
 		b:        cfg.Backend,
 		reg:      reg,
 		promises: newPromises(ttl, now),
-		shedAt:   shed,
 		queryTO:  qto,
 		now:      now,
 		done:     make(chan struct{}),
@@ -356,7 +347,7 @@ func (s *Server) shed(w http.ResponseWriter) bool {
 // shedOver writes the 503 and reports true when used of capacity is at
 // or past the occupancy threshold.
 func (s *Server) shedOver(w http.ResponseWriter, used, capacity int) bool {
-	if capacity == 0 || float64(used) < s.shedAt*float64(capacity) {
+	if capacity == 0 || float64(used) < cupcore.DefaultShedThreshold*float64(capacity) {
 		return false
 	}
 	s.rejectedLoad.Inc()

@@ -53,7 +53,9 @@ type options struct {
 	// liveHop is the wall-clock per-hop latency for the live transport;
 	// p.HopDelay carries the same value in virtual seconds for the
 	// simulator, so one WithHopDelay serves both.
-	liveHop    time.Duration
+	liveHop time.Duration
+	// inboxDepth sizes each live peer's admission load; only tests set
+	// it, and zero is internal/cup.DefaultInboxDepth.
 	inboxDepth int
 	// timeScale compresses scenario time on the live transport.
 	timeScale float64
@@ -315,20 +317,6 @@ func WithoutWorkload() Option {
 // ledger: only bench/ calls it, and tier-1 does not run bench/.
 func WithDenseState() Option {
 	return func(*options) {}
-}
-
-// WithInboxDepth sets the work each live peer is sized to queue (default
-// 1024): the capacity its admission load — the deliveries, lookups and
-// control calls waiting for its lock — is reported and shed against. A
-// non-positive depth is a configuration error reported by New.
-func WithInboxDepth(n int) Option {
-	return func(o *options) {
-		if n <= 0 {
-			o.reject("inbox depth %d must be positive", n)
-			return
-		}
-		o.inboxDepth = n
-	}
 }
 
 // Policy is a §3.4 cut-off policy (see internal/policy: SecondChance,

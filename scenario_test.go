@@ -56,7 +56,6 @@ func TestNewRejectsInvalidOptions(t *testing.T) {
 		{"negative hop", cup.WithHopDelay(-time.Second), "hop delay"},
 		{"zero duration", cup.WithQueryDuration(0), "query duration"},
 		{"negative window", cup.WithQueryDuration(-time.Second), "query duration"},
-		{"zero inbox", cup.WithInboxDepth(0), "inbox depth"},
 		{"zero timescale", cup.WithTimeScale(0), "time scale"},
 		{"nil traffic", cup.WithTraffic(nil), "WithTraffic"},
 		{"nil fault", cup.WithFaults(nil), "nil fault"},

@@ -423,7 +423,7 @@ func TestServingHotKeyOverloadSheds(t *testing.T) {
 		depth    = 32
 		requests = 4 * depth
 	)
-	d := servingDeployment(t, cup.WithNodes(64), cup.WithInboxDepth(depth))
+	d := servingDeployment(t, cup.WithNodes(64), cup.InboxDepthOption(depth))
 	base := "http://" + d.ServingAddrs()[0]
 	const key = "hot" // never published: every GET is a miss under the entry peer's lock
 	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: requests}}
