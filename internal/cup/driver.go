@@ -514,11 +514,12 @@ func (s *Simulation) pickAliveNode() overlay.NodeID {
 // This is where a query's key becomes a KeyID — on a one-key run, the
 // intern table's memo. A local query is a hit exactly when the handler
 // answers it inline (authority, or fresh entries cached); a hit is
-// delivered here, without a dispatch, and the handler reads no field of
-// the node on its way. A miss's post time is kept for its latency.
+// delivered here, without a dispatch, and of the node only the lookup
+// reads its head. A miss's post time is kept for its latency.
 func (s *Simulation) PostQueryAt(nid overlay.NodeID, k overlay.Key) {
 	kid := s.env.keys.intern(k)
-	acts := s.env.handleQuery(s.nodes.at(nid), nid, s.state(nid, kid), LocalClient, 0)
+	n := s.nodes.at(nid)
+	acts := s.env.handleQuery(n, nid, n.state(kid), LocalClient, 0)
 	if len(acts) == 1 && acts[0].Kind == ActDeliverLocal {
 		s.deliverLocal(nid, kid, acts[0].Entries)
 		return
@@ -529,15 +530,6 @@ func (s *Simulation) PostQueryAt(nid overlay.NodeID, k overlay.Key) {
 }
 
 func (s *Simulation) pickKey() overlay.Key { return s.keyPick() }
-
-// state returns (allocating if needed) node nid's bookkeeping for key kid,
-// straight from the owner's index.
-func (s *Simulation) state(nid overlay.NodeID, kid KeyID) *keyState {
-	if ks := s.env.peek(nid, kid); ks != nil {
-		return ks
-	}
-	return s.nodes.at(nid).newState(kid)
-}
 
 // Size returns the number of nodes the run has held: the ones it was
 // built with and every churn joiner, departed or not. Their ids are 0 …
@@ -676,11 +668,11 @@ func (s *Simulation) deliver(ref uint32) {
 	var acts []Action
 	switch m.kind {
 	case ActSendQuery:
-		acts = s.env.handleQuery(n, to, s.state(to, m.kid), m.from, m.u.QueryID)
+		acts = s.env.handleQuery(n, to, n.state(m.kid), m.from, m.u.QueryID)
 	case ActSendUpdate:
-		acts = n.handleUpdate(s.state(to, m.kid), m.from, &m.u)
+		acts = n.handleUpdate(n.state(m.kid), m.from, &m.u)
 	case ActSendClearBit:
-		acts = n.handleClearBit(s.env.peek(to, m.kid), m.from, m.carried)
+		acts = n.handleClearBit(n.peek(m.kid), m.from, m.carried)
 	}
 	s.release(ref)
 	s.dispatch(to, acts)
@@ -738,7 +730,7 @@ func (s *Simulation) deliverLocal(nid overlay.NodeID, kid KeyID, entries []cache
 	if len(s.lookups) != 0 {
 		for _, w := range s.lookups[pk] {
 			// The entries leave the run with the waiter's Lookup call.
-			s.env.peek(nid, kid).shared = true
+			s.nodes.at(nid).peek(kid).shared = true
 			w.done = true
 			w.entries = entries
 		}

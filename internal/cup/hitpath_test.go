@@ -2,6 +2,7 @@ package cup
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -234,6 +235,11 @@ func fanOut(s *Simulation, kid KeyID, a, b, c overlay.NodeID) []overlay.NodeID {
 	return subs
 }
 
+// state returns (allocating if needed) node nid's bookkeeping for key kid.
+func (s *Simulation) state(nid overlay.NodeID, kid KeyID) *keyState {
+	return s.nodes.at(nid).state(kid)
+}
+
 // send puts one message in flight the way dispatch does; u is an
 // update's payload.
 func (s *Simulation) send(kind ActionKind, from, to overlay.NodeID, kid KeyID, u *Update) {
@@ -387,6 +393,9 @@ func TestFreedSlotKeepsHandledMessage(t *testing.T) {
 // what it sets off, on the 64-node chain of TestMessageHopAllocatesNothing:
 // a query forwarded one hop to coalesce, a refresh b pushes on to three
 // interested neighbours (four hops an op), and a clear-bit b passes up.
+// Its chord-2^17 case is one refresh to a random node of a built 2¹⁷-node
+// Chord run where every node holds the key's state, as in sweep-128k: the
+// hop whose message slot, node and key state are each a cache miss.
 func BenchmarkMessageHop(b *testing.B) {
 	b.Run("query", func(bb *testing.B) {
 		s, kid, a, b, c := hopChain(bb)
@@ -420,6 +429,28 @@ func BenchmarkMessageHop(b *testing.B) {
 		for i := 0; i < bb.N; i++ {
 			s.send(ActSendClearBit, a, b, kid, nil)
 			steps(s, 2)
+		}
+	})
+	b.Run("chord-2^17", func(bb *testing.B) {
+		cfg := Defaults()
+		cfg.Policy = policy.AlwaysKeep()
+		s := NewSimulation(Params{Nodes: 1 << 17, OverlayKind: "chord", NoWorkload: true, Seed: 1, Config: cfg})
+		kid := s.env.keys.intern(s.Keys[0])
+		for i := range s.Size() {
+			s.state(overlay.NodeID(i), kid)
+		}
+		rng := rand.New(rand.NewSource(1))
+		to := make([]overlay.NodeID, 1<<16)
+		for i := range to {
+			to[i] = overlay.NodeID(rng.Intn(s.Size()))
+		}
+		u := refresh(s.Keys[0], 0, 2, 1e9)
+		bb.ReportAllocs()
+		bb.ResetTimer()
+		for i := 0; i < bb.N; i++ {
+			m := to[i&(len(to)-1)]
+			s.send(ActSendUpdate, (m+1)%overlay.NodeID(s.Size()), m, kid, &u)
+			steps(s, 1)
 		}
 	})
 }

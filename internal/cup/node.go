@@ -90,7 +90,8 @@ type routeEntry struct {
 // popularity measure. It lives in its owner's slab (state.go); every query
 // and update for the key at the node touches exactly this record. The
 // fields a hit and a hop read come first, so they share a cache line; the
-// size is 152 bytes.
+// size is 104 bytes (TestKeyStateSize). What only an open query needs is
+// in the openQuery record that open points at.
 type keyState struct {
 	// hop caches the upstream next hop for the key, valid while hopEpoch
 	// equals the router's topology epoch (zero: never resolved). See
@@ -131,21 +132,72 @@ type keyState struct {
 	// (§2.1), edited in place until shared. An authority's own keys live
 	// in Node.local.
 	entries cache.Set
+	// interest is the interest bit vector: neighbors to push updates to.
+	interest nodeSet
+	// open is the key's open-query record while a query is open at the
+	// node (nodeEnv.opened), nil otherwise — or, once its arrays grew
+	// past openCap, for good (nodeEnv.settle).
+	open            *openQuery
+	justifyDeadline sim.Time
+}
+
+// openQuery is what a key state needs only while a query is open at its
+// node: a neighbor waits for the answer (pendingChildren), a
+// standard-caching query awaits its response (routeBack), or a local
+// client waits (keyState.pendingLocal, issued at issuedAt). Most states
+// have none open most of the time, so the record is not part of the
+// state: it comes from the owner's free list when the first query opens
+// and goes back when the last is answered, arrays and all.
+type openQuery struct {
 	// pendingChildren are neighbors whose forwarded query awaits our
 	// response (transient, distinct from long-term interest).
 	pendingChildren nodeSet
-	// interest is the interest bit vector: neighbors to push updates to.
-	interest nodeSet
 	// routeBack holds the outstanding per-query tokens and the neighbor
 	// each response must retrace to — standard caching's open
 	// connections. Unused in CUP mode, where coalescing replaces it.
-	routeBack       []routeEntry
-	justifyDeadline sim.Time
+	routeBack []routeEntry
 	// issuedAt records when the oldest still-waiting local client query
 	// was posted, so EvQueryAnswered can carry the answer latency under
 	// CUP coalescing. Standard caching keys issue times per query on the
 	// routeBack entry instead.
 	issuedAt sim.Time
+	// next links the owner's free list.
+	next *openQuery
+}
+
+// openCap is the array capacity a record may carry back to the free
+// list. A record that grew past it stays with its state: passing a grown
+// array from state to state keeps it alive for the whole run, where
+// keeping it with the one state that needed it holds no more than that
+// state did when the arrays were its own.
+const openCap = 4
+
+// opened returns ks's open-query record, taking one from the owner's free
+// list when ks has none.
+func (env *nodeEnv) opened(ks *keyState) *openQuery {
+	if q := ks.open; q != nil {
+		return q
+	}
+	q := env.free
+	if q == nil {
+		q = new(openQuery) // only past the peak of queries open at once
+	} else {
+		env.free, q.next = q.next, nil
+	}
+	ks.open = q
+	return q
+}
+
+// settle returns ks's record to the owner's free list once no query is
+// open at the node — no pending child, no route-back token, no waiting
+// local client — unless its arrays grew past openCap.
+func (env *nodeEnv) settle(ks *keyState) {
+	q := ks.open
+	if q == nil || ks.pendingLocal != 0 || len(q.pendingChildren) != 0 || len(q.routeBack) != 0 ||
+		cap(q.pendingChildren) > openCap || cap(q.routeBack) > openCap {
+		return
+	}
+	ks.open, q.next, env.free = nil, env.free, q
 }
 
 // nodeEnv is what the nodes of one owner share, and where their per-key
@@ -178,6 +230,8 @@ type nodeEnv struct {
 	keys  keyTable
 	pool  statePool
 	index stateIndex
+	// free lists the open-query records no key state holds (settle).
+	free *openQuery
 	// c is the owner's cost accounting (§3.3), counted by the handler
 	// that sees each event: a query, a hop, an update's fate.
 	c metrics.Counters
@@ -548,20 +602,22 @@ func (env *nodeEnv) handleQuery(n *Node, id overlay.NodeID, ks *keyState, from o
 			n.qidSeq++
 			qid = uint64(uint32(id+1))<<32 | n.qidSeq
 		}
-		ks.routeBack = append(ks.routeBack, routeEntry{qid: qid, dest: from, issuedAt: now}) // miss path
+		q := env.opened(ks)
+		q.routeBack = append(q.routeBack, routeEntry{qid: qid, dest: from, issuedAt: now}) // miss path
 		acts := env.one(ActSendQuery, ks)
 		acts[0].To, acts[0].QueryID = next, qid
 		return acts
 	}
 
 	// Cases 2 and 3 (CUP): no fresh answer; register the asker, coalesce.
+	q := env.opened(ks)
 	if from == LocalClient {
 		if ks.pendingLocal == 0 {
-			ks.issuedAt = now
+			q.issuedAt = now
 		}
 		ks.pendingLocal++
 	} else {
-		ks.pendingChildren.add(from) // miss path
+		q.pendingChildren.add(from) // miss path
 	}
 	if ks.pfu {
 		// Coalesced into the in-flight query. Peer carries the querier so
@@ -617,17 +673,21 @@ func (env *nodeEnv) answer(id overlay.NodeID, ks *keyState, from overlay.NodeID,
 // TTL caching with remaining lifetime), intermediates pass it through.
 func (n *Node) handleDirectResponse(ks *keyState, u *Update) []Action {
 	idx := -1
-	for i := range ks.routeBack {
-		if ks.routeBack[i].qid == u.QueryID {
-			idx = i
-			break
+	q := ks.open
+	if q != nil {
+		for i := range q.routeBack {
+			if q.routeBack[i].qid == u.QueryID {
+				idx = i
+				break
+			}
 		}
 	}
 	if idx < 0 {
 		return nil // duplicate or forgotten query token
 	}
-	re := ks.routeBack[idx]
-	ks.routeBack = append(ks.routeBack[:idx], ks.routeBack[idx+1:]...)
+	re := q.routeBack[idx]
+	q.routeBack = append(q.routeBack[:idx], q.routeBack[idx+1:]...)
+	n.env.settle(ks)
 	ks.dist = int32(u.Depth)
 	fresh := cache.Set(u.Entries).Fresh(n.now())
 	if re.dest == LocalClient {
@@ -811,7 +871,7 @@ func (n *Node) respondPending(ks *keyState, u *Update, entries []cache.Entry) []
 	if ks.pendingLocal > 0 {
 		if n.env.obs != nil {
 			n.emit(Event{Kind: EvQueryAnswered, Peer: LocalClient, Key: k,
-				Entries: len(entries), Latency: n.now().Sub(ks.issuedAt)})
+				Entries: len(entries), Latency: n.now().Sub(ks.open.issuedAt)})
 		}
 		acts = append(acts, Action{Kind: ActDeliverLocal, Key: k, kid: ks.kid, Entries: entries})
 		ks.pendingLocal = 0
@@ -828,11 +888,14 @@ func (n *Node) respondPending(ks *keyState, u *Update, entries []cache.Entry) []
 	// Pending children get the response unconditionally (it is their
 	// query's answer — miss cost, exempt from capacity limits). The set
 	// is already sorted ascending, so the fan-out is deterministic.
-	children := ks.pendingChildren
-	for _, m := range children {
-		acts = append(acts, Action{Kind: ActSendUpdate, To: m, Key: k, kid: ks.kid, Update: resp})
+	var children nodeSet
+	if q := ks.open; q != nil {
+		children = q.pendingChildren
+		for _, m := range children {
+			acts = append(acts, Action{Kind: ActSendUpdate, To: m, Key: k, kid: ks.kid, Update: resp})
+		}
+		q.pendingChildren = children[:0]
 	}
-	ks.pendingChildren = children[:0]
 	// Interested-but-not-pending neighbors get a proactive push of the
 	// same fresh set, subject to push level and capacity.
 	if n.env.cfg.Mode == ModeCUP && entries != nil {
@@ -843,6 +906,7 @@ func (n *Node) respondPending(ks *keyState, u *Update, entries []cache.Entry) []
 	if entries != nil && len(acts) > 0 && acts[len(acts)-1].Kind == ActSendUpdate {
 		ks.shared = true
 	}
+	n.env.settle(ks)
 	return n.env.result(acts)
 }
 
@@ -980,7 +1044,10 @@ func (n *Node) handleClearBit(ks *keyState, from overlay.NodeID, carried bool) [
 		return nil
 	}
 	ks.interest.remove(from)
-	ks.pendingChildren.remove(from)
+	if q := ks.open; q != nil {
+		q.pendingChildren.remove(from)
+		n.env.settle(ks)
+	}
 	if len(ks.interest) > 0 || ks.queries > 0 || ks.pfu {
 		return nil
 	}
@@ -1006,7 +1073,10 @@ func (n *Node) PatchNeighbors(current []overlay.NodeID) {
 	}
 	n.eachState(func(ks *keyState) {
 		ks.interest.intersect(alive)
-		ks.pendingChildren.intersect(alive)
+		if q := ks.open; q != nil {
+			q.pendingChildren.intersect(alive)
+			n.env.settle(ks)
+		}
 	})
 }
 

@@ -9,9 +9,13 @@ import (
 // This file is where an owner keeps per-key state (§2.3): an intern table
 // naming keys by dense integers, one chunked slab holding every key state
 // of the owner's nodes, and one open-addressed index from (node, KeyID) to
-// a slab handle. An owner is whatever serializes handler calls — a
-// Simulation with a million nodes, or a live peer with one — and both get
-// their state from this code; no handler ever touches another owner's.
+// a slab handle. A node's newest state is found from the node itself
+// (Node.head), so the index holds only the older ones: an owner whose
+// nodes hold one key each — the paper's grid, a simulator at a million
+// nodes — never probes or grows it. An owner is whatever serializes
+// handler calls — a Simulation with a million nodes, or a live peer with
+// one — and both get their state from this code; no handler ever touches
+// another owner's.
 
 // KeyID is an owner's name for a key: dense, issued in first-seen order,
 // and local to that owner — two live peers number the same key
@@ -89,11 +93,12 @@ func (p *statePool) alloc() (int32, *keyState) {
 	return p.n - 1, p.at(p.n - 1)
 }
 
-// stateIndex maps (node, key) to a slab handle: one open-addressed table
-// per owner with linear probing, sized to the states that exist — not to
-// the node count — so it costs the same few words per state whether the
-// owner is one key over a million nodes or 2¹⁸ keys on one. States are
-// never freed, so there are no tombstones.
+// stateIndex maps (node, key) to a slab handle for every state but each
+// node's newest: one open-addressed table per owner with linear probing,
+// sized to the states it holds — not to the node count — so it costs the
+// same few words per state whether the owner is 2¹⁸ keys on one node or
+// two keys on each of a million. States are never freed, so there are no
+// tombstones.
 type stateIndex struct {
 	tab   []indexEntry
 	n     int
@@ -153,13 +158,19 @@ func (x *stateIndex) put(node uint32, kid KeyID, h int32) {
 	x.n++
 }
 
-// peek returns node id's bookkeeping for key kid, or nil when it has none:
-// one indexed probe, no hashing of the key and no string compare. It reads
-// nothing of the Node itself, so a caller that knows the id — the
-// simulator's delivery — does not wait for the node's cache line first.
-func (env *nodeEnv) peek(id overlay.NodeID, kid KeyID) *keyState {
-	if h := env.index.get(uint32(id), kid); h >= 0 {
-		return env.pool.at(h)
+// peek returns the node's bookkeeping for key kid, or nil when it has
+// none: its newest state by one compare of the KeyID, an older one by one
+// indexed probe — no hashing of the key and no string compare.
+func (n *Node) peek(kid KeyID) *keyState {
+	h := n.head
+	if h < 0 {
+		return nil
+	}
+	if ks := n.env.pool.at(h); ks.kid == kid {
+		return ks
+	}
+	if h = n.env.index.get(uint32(n.id), kid); h >= 0 {
+		return n.env.pool.at(h)
 	}
 	return nil
 }
@@ -168,14 +179,14 @@ func (env *nodeEnv) peek(id overlay.NodeID, kid KeyID) *keyState {
 // interned, and the intern table is left as it was.
 func (n *Node) peekKey(k overlay.Key) *keyState {
 	if kid, ok := n.env.keys.ids[k]; ok {
-		return n.env.peek(n.id, kid)
+		return n.peek(kid)
 	}
 	return nil
 }
 
 // state returns (allocating if needed) the node's bookkeeping for key kid.
 func (n *Node) state(kid KeyID) *keyState {
-	if ks := n.env.peek(n.id, kid); ks != nil {
+	if ks := n.peek(kid); ks != nil {
 		return ks
 	}
 	return n.newState(kid)
@@ -185,9 +196,13 @@ func (n *Node) state(kid KeyID) *keyState {
 // arrives naming its key — every message at a live peer — pays once.
 func (n *Node) stateKey(k overlay.Key) *keyState { return n.state(n.env.keys.intern(k)) }
 
-// newState allocates key kid's bookkeeping in the owner's slab, threads it
-// onto the node's list and files it in the index.
+// newState allocates key kid's bookkeeping in the owner's slab and makes
+// it the head of the node's list; the state it displaces as the newest
+// goes into the index.
 func (n *Node) newState(kid KeyID) *keyState {
+	if old := n.head; old >= 0 {
+		n.env.index.put(uint32(n.id), n.env.pool.at(old).kid, old)
+	}
 	h, ks := n.env.pool.alloc()
 	*ks = keyState{
 		kid:          kid,
@@ -196,7 +211,6 @@ func (n *Node) newState(kid KeyID) *keyState {
 		dist:         -1,
 	}
 	n.head = h
-	n.env.index.put(uint32(n.id), kid, h)
 	return ks
 }
 

@@ -121,6 +121,66 @@ func TestSecondLookupHitsCache(t *testing.T) {
 	})
 }
 
+// A key asked once holds no view slot: the first lookup misses and is
+// answered by an update, which opens none. The second finds no slot and
+// takes the peer's lock — held elsewhere, it waits for it — and hits
+// there, which opens the slot; the third and later are served from the
+// view while the lock is held.
+func TestViewSlotOpensOnSecondAsk(t *testing.T) {
+	bothTransports(t, Config{}, func(t *testing.T, n *Network) {
+		ctx := ctxShort(t)
+		add(t, n, "k", 0, "10.0.0.1", time.Hour)
+		at := entryFor(n, "k")
+		slots := func() (s int) {
+			n.Inspect(at, func(*cup.Node) { s, _ = viewSlots(&n.peerAt(at).view) })
+			return s
+		}
+		holdLock := func() (release func()) {
+			done, blocked := make(chan struct{}), make(chan struct{})
+			go n.Inspect(at, func(*cup.Node) { close(blocked); <-done })
+			<-blocked
+			return func() { close(done) }
+		}
+		lookup := func(ctx context.Context, ask string) error {
+			es, err := n.Lookup(ctx, at, "k")
+			if err == nil && (len(es) != 1 || es[0].Addr != "10.0.0.1") {
+				t.Fatalf("%s lookup = %v", ask, es)
+			}
+			return err
+		}
+
+		if err := lookup(ctx, "first"); err != nil {
+			t.Fatal(err)
+		}
+		if s := slots(); s != 0 {
+			t.Fatalf("a key answered by a miss holds %d view slots", s)
+		}
+
+		release := holdLock()
+		short, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+		err := lookup(short, "second")
+		cancel()
+		release()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("the second lookup did not wait for the held lock: %v", err)
+		}
+		if err := lookup(ctx, "second"); err != nil {
+			t.Fatal(err)
+		}
+		if s := slots(); s != 1 {
+			t.Fatalf("a hit under the lock left %d view slots, want 1", s)
+		}
+
+		release = holdLock()
+		defer release()
+		for ask := 0; ask < 3; ask++ {
+			if err := lookup(ctx, "later"); err != nil {
+				t.Fatalf("a later lookup waited for the held lock: %v", err)
+			}
+		}
+	})
+}
+
 func TestConcurrentLookups(t *testing.T) {
 	bothTransports(t, Config{Nodes: 64}, func(t *testing.T, n *Network) {
 		for r := 0; r < 3; r++ {

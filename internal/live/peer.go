@@ -200,8 +200,9 @@ func (p *peer) clearBit(from overlay.NodeID, key overlay.Key) []cup.Action {
 }
 
 // deliver hands a local answer to every open connection for key and
-// publishes it: from here on, and until an entry expires, lookups for
-// key at this peer are served from the view.
+// brings key's slot, if it has one, in line with it. It opens none: a
+// slot opens on a hit under the lock (lookup), so a key answered only by
+// a miss — asked once — holds no slot.
 func (p *peer) deliver(key overlay.Key, entries []cache.Entry) {
 	if len(p.waiters[key]) != 0 {
 		p.node.MarkShipped(key) // the entries go to the waiting clients
@@ -212,7 +213,7 @@ func (p *peer) deliver(key overlay.Key, entries []cache.Entry) {
 		reply <- entries
 	}
 	delete(p.waiters, key)
-	p.view.publish(key, true)
+	p.view.publish(key, false)
 }
 
 // replicaEvent applies a replica's birth, refresh or deletion at this
@@ -240,9 +241,11 @@ func (p *peer) depart(ctx context.Context) (*cache.Store, error) {
 // lookup answers a local client's query for key: from the view when the
 // peer has published a fresh answer, otherwise by running the query under
 // the peer's lock on the caller's goroutine and waiting, unlocked, for
-// the entries (or ctx cancellation). A cancelled lookup deregisters its
-// open connection, so abandoned queries on a slow or partitioned network
-// do not accumulate state.
+// the entries (or ctx cancellation). A query that hits under the lock
+// opens key's slot, so from the key's second answered ask on, lookups are
+// served from the view until an entry expires. A cancelled lookup
+// deregisters its open connection, so abandoned queries on a slow or
+// partitioned network do not accumulate state.
 func (p *peer) lookup(ctx context.Context, key overlay.Key) ([]cache.Entry, error) {
 	if entries := p.hit(key); entries != nil {
 		return entries, nil
@@ -254,12 +257,11 @@ func (p *peer) lookup(ctx context.Context, key overlay.Key) ([]cache.Entry, erro
 		p.unlock()
 		return nil, fmt.Errorf("live: lookup at departed node %v", p.id)
 	}
+	// A synchronous answer — a hit — arrives as a DeliverLocal action;
+	// the waiter is registered first so both paths converge.
 	reply := make(chan []cache.Entry, 1)
-	acts := p.query(cup.LocalClient, key, 0)
-	// A synchronous answer arrives as a DeliverLocal action; register the
-	// waiter first so both paths converge.
 	p.waiters[key] = append(p.waiters[key], reply)
-	p.dispatch(acts)
+	p.clientQuery(key)
 	p.unlock()
 	select {
 	case entries := <-reply:
@@ -272,6 +274,18 @@ func (p *peer) lookup(ctx context.Context, key overlay.Key) ([]cache.Entry, erro
 		return nil, ctx.Err()
 	case <-p.net.closed:
 		return nil, ErrClosed
+	}
+}
+
+// clientQuery runs a local client's query for key under the lock and
+// dispatches its actions. A hit — the query answered at once — opens
+// key's slot in the view.
+func (p *peer) clientQuery(key overlay.Key) {
+	acts := p.query(cup.LocalClient, key, 0)
+	hit := len(acts) == 1 && acts[0].Kind == cup.ActDeliverLocal
+	p.dispatch(acts)
+	if hit {
+		p.view.publish(key, true)
 	}
 }
 
